@@ -19,8 +19,8 @@
 use crate::common::{deployment_with_strategy, seed_size_sweep, value_of};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use osn_propagation::world::{WorldCache, WorldRef, WorldStorage};
-use osn_propagation::{CascadeKernel, DeploymentRef, MonteCarloEvaluator};
+use osn_propagation::world::{WorldCache, WorldRef};
+use osn_propagation::{DeploymentRef, MonteCarloEvaluator};
 use s3crm_core::deployment::Deployment;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -36,12 +36,6 @@ pub struct ImConfig {
     pub max_seeds: usize,
     /// World-sampling seed.
     pub rng_seed: u64,
-    /// World-cache storage (representation only; explicit per config, no
-    /// process-wide default).
-    pub world_storage: WorldStorage,
-    /// Cascade kernel of the prefix-scoring evaluator (execution strategy
-    /// only; same reason).
-    pub cascade_kernel: CascadeKernel,
 }
 
 impl Default for ImConfig {
@@ -51,8 +45,6 @@ impl Default for ImConfig {
             candidate_pool: 256,
             max_seeds: 64,
             rng_seed: 0x1357_9bdf,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
         }
     }
 }
@@ -249,24 +241,9 @@ pub fn im_with_strategy(
     strategy: CouponStrategy,
     cfg: &ImConfig,
 ) -> Deployment {
-    let cache = WorldCache::sample_with_storage(
-        graph,
-        cfg.worlds,
-        cfg.rng_seed,
-        cfg.world_storage,
-        osn_pool::global(),
-    );
+    let cache = WorldCache::sample(graph, cfg.worlds, cfg.rng_seed);
     let ranking = greedy_seed_ranking(graph, &cache, cfg.candidate_pool, cfg.max_seeds);
-    best_feasible_prefix_on(
-        graph,
-        data,
-        binv,
-        strategy,
-        &ranking,
-        &cache,
-        cfg.cascade_kernel,
-        osn_pool::global(),
-    )
+    best_feasible_prefix(graph, data, binv, strategy, &ranking, &cache)
 }
 
 /// The paper's seed-size sweep over a precomputed influence ranking: try
@@ -291,16 +268,13 @@ pub fn best_feasible_prefix(
         strategy,
         ranking,
         cache,
-        CascadeKernel::default(),
         osn_pool::global(),
     )
 }
 
-/// [`best_feasible_prefix`] scoring its batch with an explicit cascade
-/// kernel on an explicit worker pool, mirroring the `_on`/`with_pool`
-/// pattern of the other parallel entry points so tests can force pool
-/// sizes and configs (neither changes results).
-#[allow(clippy::too_many_arguments)]
+/// [`best_feasible_prefix`] scoring its batch on an explicit worker pool,
+/// mirroring the `_on`/`with_pool` pattern of the other parallel entry
+/// points so tests can force pool sizes (which never change results).
 pub fn best_feasible_prefix_on(
     graph: &CsrGraph,
     data: &NodeData,
@@ -308,7 +282,6 @@ pub fn best_feasible_prefix_on(
     strategy: CouponStrategy,
     ranking: &[NodeId],
     cache: &WorldCache,
-    kernel: CascadeKernel,
     workers: &osn_pool::ThreadPool,
 ) -> Deployment {
     let mut candidates: Vec<Deployment> = Vec::new();
@@ -326,7 +299,7 @@ pub fn best_feasible_prefix_on(
         return Deployment::empty(graph.node_count());
     }
     let unit = NodeData::uniform(graph.node_count(), 1.0, 0.0, 0.0);
-    let ev = MonteCarloEvaluator::with_pool(graph, &unit, cache, workers).with_kernel(kernel);
+    let ev = MonteCarloEvaluator::with_pool(graph, &unit, cache, workers);
     let batch: Vec<DeploymentRef<'_>> = candidates.iter().map(DeploymentRef::from).collect();
     let influences = ev.simulate_batch(&batch);
     // Strictly-greater keeps the smallest of tied sizes, matching the old

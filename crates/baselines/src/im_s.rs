@@ -18,13 +18,7 @@ use s3crm_core::deployment::Deployment;
 /// Run IM-S under budget `binv`.
 pub fn im_s(graph: &CsrGraph, data: &NodeData, binv: f64, cfg: &ImConfig) -> Deployment {
     let n = graph.node_count();
-    let cache = WorldCache::sample_with_storage(
-        graph,
-        cfg.worlds,
-        cfg.rng_seed,
-        cfg.world_storage,
-        osn_pool::global(),
-    );
+    let cache = WorldCache::sample(graph, cfg.worlds, cfg.rng_seed);
     let ranking = greedy_seed_ranking(graph, &cache, cfg.candidate_pool, cfg.max_seeds);
 
     // Stage 1: the longest affordable seed prefix (seed cost only — the SC

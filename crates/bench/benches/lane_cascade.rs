@@ -1,20 +1,20 @@
-//! Bit-parallel lane kernel vs the retained scalar kernel — the
-//! acceptance benchmark of the lane-cascade PR.
+//! Bit-parallel lane kernel vs a per-world scalar baseline.
 //!
 //! `simulate_batch` on the full Table II Facebook profile (4K nodes,
 //! ~176K directed edges, inverse-in-degree probabilities) with 256 worlds
 //! (four 64-world lane blocks) and a 16-candidate batch shaped like the
-//! seed-size sweep the IM/PM baselines score. Before any timing, the two
-//! kernels are asserted bitwise-equal at pool sizes 1, 2, and the full
-//! machine, on both world storages — the lane kernel is a pure
-//! reorganisation of the same per-world arithmetic, so any divergence is
-//! a bug, not noise.
+//! seed-size sweep the IM/PM baselines score. The baseline is
+//! [`reference_simulate_batch`]: `world_cascade` run per world and folded
+//! serially in 32-world parts. Before any timing, the evaluator is
+//! asserted bitwise-equal to it at pool sizes 1, 2, and the full machine —
+//! the lane kernel is a pure reorganisation of the same per-world
+//! arithmetic, so any divergence is a bug, not noise.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use osn_gen::DatasetProfile;
 use osn_graph::NodeId;
-use osn_propagation::world::{WorldCache, WorldStorage};
-use osn_propagation::{CascadeKernel, DeploymentRef, MonteCarloEvaluator};
+use osn_propagation::world::WorldCache;
+use osn_propagation::{reference_simulate_batch, DeploymentRef, MonteCarloEvaluator};
 use std::time::Duration;
 
 const WORLDS: usize = 256;
@@ -46,46 +46,36 @@ fn bench(c: &mut Criterion) {
         .collect();
 
     let serial_pool = osn_pool::ThreadPool::new(1);
-    let sparse =
-        WorldCache::sample_with_storage(&inst.graph, WORLDS, 7, WorldStorage::Sparse, &serial_pool);
-    let dense =
-        WorldCache::sample_with_storage(&inst.graph, WORLDS, 7, WorldStorage::Dense, &serial_pool);
+    let cache = WorldCache::sample_with_pool(&inst.graph, WORLDS, 7, &serial_pool);
 
-    // Sanity: lane and scalar kernels must agree to the bit at every pool
-    // size and on both storages before any timing happens.
+    // Sanity: the lane kernel must match the scalar baseline to the bit at
+    // every pool size before any timing happens.
     let pools = [
         osn_pool::ThreadPool::new(1),
         osn_pool::ThreadPool::new(2),
         osn_pool::ThreadPool::new(std::thread::available_parallelism().map_or(4, |p| p.get())),
     ];
-    let reference = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &sparse, &serial_pool)
-        .with_kernel(CascadeKernel::Scalar)
-        .simulate_batch(&batch);
-    for cache in [&sparse, &dense] {
-        for pool in &pools {
-            for kernel in [CascadeKernel::Lane, CascadeKernel::Scalar] {
-                let stats = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, cache, pool)
-                    .with_kernel(kernel)
-                    .simulate_batch(&batch);
-                assert_eq!(stats, reference, "kernels diverged: {kernel:?}");
-            }
-        }
+    let reference = reference_simulate_batch(&inst.graph, &inst.data, &cache, &batch);
+    for pool in &pools {
+        let stats = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &cache, pool)
+            .simulate_batch(&batch);
+        assert_eq!(
+            stats, reference,
+            "lane kernel diverged from the scalar baseline"
+        );
     }
     eprintln!(
         "lane_cascade[facebook_full]: {} nodes, {} edges, {WORLDS} worlds, \
-         {CANDIDATES} candidates — kernels bit-identical at pools 1/2/max, both storages",
+         {CANDIDATES} candidates — lane kernel bit-identical to the scalar baseline at pools 1/2/max",
         n,
         inst.graph.edge_count(),
     );
 
-    let ev_scalar = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &sparse, &serial_pool)
-        .with_kernel(CascadeKernel::Scalar);
-    let ev_lane = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &sparse, &serial_pool)
-        .with_kernel(CascadeKernel::Lane);
+    let ev_lane = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &cache, &serial_pool);
 
     // Batch sizes spanning the evaluator's real call shapes: single-candidate
     // incremental re-evaluations, small lazy-rescoring batches, and the full
-    // 16-candidate sweep. The scalar fold re-decodes every world per call,
+    // 16-candidate sweep. The scalar baseline decodes every world per call,
     // so its cost is near-flat in batch size; the lane kernel's cached
     // blocks make small batches the biggest win.
     let mut group = c.benchmark_group("lane_cascade_simulate_batch");
@@ -96,7 +86,7 @@ fn bench(c: &mut Criterion) {
     for size in [1usize, 4, 16] {
         let sub = &batch[..size];
         group.bench_function(BenchmarkId::new("scalar_serial", size), |b| {
-            b.iter(|| ev_scalar.simulate_batch(black_box(sub)))
+            b.iter(|| reference_simulate_batch(&inst.graph, &inst.data, &cache, black_box(sub)))
         });
         group.bench_function(BenchmarkId::new("lane_serial", size), |b| {
             b.iter(|| ev_lane.simulate_batch(black_box(sub)))

@@ -11,18 +11,18 @@
 //! * **resident bytes** — printed once per profile (criterion only times).
 //! * **simulate_batch** — a 16-candidate batched evaluation, pre-PR
 //!   baseline vs post-PR default. The baseline reimplements the seed
-//!   kernel verbatim (per-rank `world.get(base + rank)` scans over dense
-//!   worlds, serial world-order fold); the new path is the sparse cache
-//!   through `MonteCarloEvaluator` on a 1-worker pool, so the comparison
-//!   isolates the kernel + storage change from pool parallelism (the
-//!   pooled default is also reported).
+//!   kernel verbatim (per-rank `world.get(base + rank)` scans over
+//!   one-bit-per-edge worlds, serial world-order fold); the new path is
+//!   the sparse cache through `MonteCarloEvaluator` on a 1-worker pool, so
+//!   the comparison isolates the kernel + storage change from pool
+//!   parallelism (the pooled default is also reported).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use osn_gen::DatasetProfile;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::bits::BitVec;
-use osn_propagation::world::{WorldCache, WorldRef, WorldStorage};
-use osn_propagation::{DeploymentRef, MonteCarloEvaluator};
+use osn_propagation::world::WorldCache;
+use osn_propagation::{reference_simulate_batch, DeploymentRef, MonteCarloEvaluator};
 use std::time::Duration;
 
 const WORLDS: usize = 200;
@@ -88,13 +88,13 @@ fn legacy_fold(
     stamp: &mut u32,
 ) -> f64 {
     let mut total = 0.0;
-    let mut buf = Vec::new();
+    let mut world = BitVec::zeros(cache.edge_count());
     for w in 0..cache.len() {
-        let WorldRef::Dense(world) = cache.world_into(w, &mut buf) else {
-            unreachable!("legacy worlds are dense");
-        };
+        // The legacy kernel reads one bit per edge: materialize the world.
+        world.clear();
+        cache.world_fill_bits(w, &mut world);
         for (seeds, coupons) in batch {
-            total += legacy_world_cascade(graph, data, seeds, coupons, world, mark, stamp);
+            total += legacy_world_cascade(graph, data, seeds, coupons, &world, mark, stamp);
         }
     }
     total
@@ -102,8 +102,7 @@ fn legacy_fold(
 
 fn report_memory(name: &str, inst: &osn_gen::profiles::GeneratedInstance) {
     let pool = osn_pool::global();
-    let sparse =
-        WorldCache::sample_with_storage(&inst.graph, WORLDS, 7, WorldStorage::Sparse, pool);
+    let sparse = WorldCache::sample_with_pool(&inst.graph, WORLDS, 7, pool);
     // Dense bytes are exact without sampling: one bit per edge per world
     // (word-rounded) plus the per-world `BitVec` header.
     let m = inst.graph.edge_count();
@@ -156,15 +155,7 @@ fn bench(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("sparse_skip", name), inst, |b, inst| {
-            b.iter(|| {
-                WorldCache::sample_with_storage(
-                    &inst.graph,
-                    WORLDS,
-                    black_box(7),
-                    WorldStorage::Sparse,
-                    osn_pool::global(),
-                )
-            })
+            b.iter(|| WorldCache::sample(&inst.graph, WORLDS, black_box(7)))
         });
     }
     group.finish();
@@ -198,18 +189,14 @@ fn bench(c: &mut Criterion) {
 
     let serial_pool = osn_pool::ThreadPool::new(1);
     let legacy_cache = WorldCache::sample_dense_reference(&inst.graph, WORLDS, 7);
-    let sparse =
-        WorldCache::sample_with_storage(&inst.graph, WORLDS, 7, WorldStorage::Sparse, &serial_pool);
-    let dense =
-        WorldCache::sample_with_storage(&inst.graph, WORLDS, 7, WorldStorage::Dense, &serial_pool);
+    let sparse = WorldCache::sample_with_pool(&inst.graph, WORLDS, 7, &serial_pool);
     let ev_serial = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &sparse, &serial_pool);
     let ev_pooled = MonteCarloEvaluator::new(&inst.graph, &inst.data, &sparse);
-    // Sanity: representation must not change a bit.
+    // Sanity: the evaluator must match the per-world scalar fold bit for bit.
     assert_eq!(
         ev_serial.simulate_batch(&batch),
-        MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &dense, &serial_pool)
-            .simulate_batch(&batch),
-        "storages diverged"
+        reference_simulate_batch(&inst.graph, &inst.data, &sparse, &batch),
+        "evaluator diverged from the scalar fold"
     );
 
     let mut mark = vec![0u32; n];

@@ -33,109 +33,98 @@ struct Args {
     artifacts: Vec<String>,
     out_dir: PathBuf,
     data: Option<PathBuf>,
+    cache: Option<PathBuf>,
+    pool_size: Option<usize>,
 }
 
-fn parse_args() -> Args {
-    let mut effort = Effort::quick();
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut out_dir = PathBuf::from("experiments-out");
-    let mut data: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--full" => effort = Effort::full(),
-            "--micro" => effort = Effort::micro(),
-            "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                effort.graph_scale = v.parse().expect("--scale must be a number");
-            }
-            "--worlds" => {
-                let v = it.next().expect("--worlds needs a value");
-                effort.eval_worlds = v.parse().expect("--worlds must be an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                effort.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--pool-size" => {
-                let v = it.next().expect("--pool-size needs a value");
-                let threads: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .expect("--pool-size must be a positive integer");
-                // Construct the shared worker pool once, up front; every
-                // evaluator in every experiment folds on it. Results are
-                // bit-identical at any size (the determinism contract) —
-                // the flag exists for perf tuning and for CI's 2-worker
-                // drift check. The pool cannot be resized once built, so a
-                // repeated flag is an error rather than silently ignored.
-                osn_pool::init_global(threads).expect("duplicate --pool-size: pool already built");
-            }
-            "--estimator" => {
-                // Which backend drives S3CA's ID phase. `mc` is the exact
-                // incremental engine with Monte-Carlo snapshot re-ranking
-                // (the reference, bit-identical to the pre-backend
-                // pipeline); `sketch` builds a reverse-reachability sketch
-                // index and runs the greedy loop against its coverage
-                // oracle (final objectives are re-evaluated analytically).
-                let v = it.next().expect("--estimator needs mc|sketch");
-                effort.estimator = match v.as_str() {
-                    "mc" => s3crm_core::EstimatorBackend::Mc,
-                    "sketch" => s3crm_core::EstimatorBackend::Sketch,
-                    other => panic!("--estimator must be mc or sketch, got {other}"),
-                };
-            }
-            "--world-storage" => {
-                // Representation-only escape hatch: both storages hold the
-                // same skip-sampled live sets and produce byte-identical
-                // CSVs (CI diffs them); dense exists for memory comparisons
-                // and as a fallback while the sparse path matures.
-                let v = it.next().expect("--world-storage needs dense|sparse");
-                // The flag is a CLI-only shim: it writes into this run's
-                // `Effort`, which threads the choice explicitly through
-                // every experiment (no process-global state involved).
-                effort.world_storage = match v.as_str() {
-                    "dense" => osn_propagation::WorldStorage::Dense,
-                    "sparse" => osn_propagation::WorldStorage::Sparse,
-                    other => panic!("--world-storage must be dense or sparse, got {other}"),
-                };
-            }
-            "--cascade-kernel" => {
-                // Execution-strategy escape hatch: the bit-parallel lane
-                // kernel (default) and the scalar reference produce
-                // bit-identical estimates (CI diffs their CSVs); scalar
-                // exists as the bit-identity reference and for perf
-                // comparisons.
-                let v = it.next().expect("--cascade-kernel needs lane|scalar");
-                // CLI-only shim, same as `--world-storage`.
-                effort.cascade_kernel = match v.as_str() {
-                    "lane" => osn_propagation::CascadeKernel::Lane,
-                    "scalar" => osn_propagation::CascadeKernel::Scalar,
-                    other => panic!("--cascade-kernel must be lane or scalar, got {other}"),
-                };
-            }
-            "--out" => out_dir = PathBuf::from(it.next().expect("--out needs a path")),
-            "--data" => data = Some(PathBuf::from(it.next().expect("--data needs a path"))),
-            "--cache" => {
-                dataset::set_cache_dir(PathBuf::from(it.next().expect("--cache needs a directory")))
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--full|--micro] [--scale X] [--worlds N] [--seed N] \
-                     [--pool-size N] [--world-storage dense|sparse] \
-                     [--cascade-kernel lane|scalar] \
-                     [--estimator mc|sketch] [--out DIR] \
+/// What a command line asks for.
+enum Cli {
+    Run(Args),
+    Help,
+}
+
+const USAGE: &str = "usage: repro [--full|--micro] [--scale X] [--worlds N] [--seed N] \
+                     [--pool-size N] [--estimator mc|sketch] [--out DIR] \
                      [--cache DIR] [--data PATH] \
                      [fig6 fig7 fig8 fig9 fig10 table3 table4 ablation extensions data]...\n\
                      \x20      repro convert [--shards N | --shard-mb M] INPUT OUTPUT\n\
                      \x20                                   # re-encode a dataset as .oscg (v2 when sharded)\n\
                      \x20      repro sniff FILE             # print an .oscg header / shard table\n\
                      \x20      repro bench shard_cascade    # out-of-core trajectory benchmark\n\
-                     \x20      repro csvdiff A B TOL        # compare two CSVs (relative tolerance)"
-                );
-                std::process::exit(0);
+                     \x20      repro csvdiff A B TOL        # compare two CSVs (relative tolerance)";
+
+/// The value following `flag`.
+fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed as a `T`.
+fn flag_number<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = flag_value(it, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be {what}, got {v:?}"))
+}
+
+/// Parse the global command line (program name excluded). Malformed input
+/// is a usage error, never a panic.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut effort = Effort::quick();
+    let mut artifacts: Vec<String> = Vec::new();
+    let mut out_dir = PathBuf::from("experiments-out");
+    let mut data: Option<PathBuf> = None;
+    let mut cache: Option<PathBuf> = None;
+    let mut pool_size: Option<usize> = None;
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--full" => effort = Effort::full(),
+            "--micro" => effort = Effort::micro(),
+            "--scale" => {
+                let scale: f64 = flag_number(&mut it, "--scale", "a positive number")?;
+                if !(scale.is_finite() && scale > 0.0) {
+                    return Err(format!("--scale must be a positive number, got {scale}"));
+                }
+                effort.graph_scale = scale;
             }
+            "--worlds" => effort.eval_worlds = flag_number(&mut it, "--worlds", "an integer")?,
+            "--seed" => effort.seed = flag_number(&mut it, "--seed", "an integer")?,
+            "--pool-size" => {
+                // The shared worker pool is built once, up front; every
+                // evaluator in every experiment folds on it. Results are
+                // bit-identical at any size (the determinism contract) —
+                // the flag exists for perf tuning and for CI's 2-worker
+                // drift check. The pool cannot be resized once built, so a
+                // repeated flag is an error rather than silently ignored.
+                let threads: usize = flag_number(&mut it, "--pool-size", "a positive integer")?;
+                if threads == 0 {
+                    return Err("--pool-size must be a positive integer, got 0".to_string());
+                }
+                if pool_size.replace(threads).is_some() {
+                    return Err("--pool-size given twice".to_string());
+                }
+            }
+            "--estimator" => {
+                // Which backend drives S3CA's ID phase. `mc` is the exact
+                // incremental engine with Monte-Carlo snapshot re-ranking;
+                // `sketch` builds a reverse-reachability sketch index and
+                // runs the greedy loop against its coverage oracle (final
+                // objectives are re-evaluated analytically).
+                effort.estimator = match flag_value(&mut it, "--estimator")?.as_str() {
+                    "mc" => s3crm_core::EstimatorBackend::Mc,
+                    "sketch" => s3crm_core::EstimatorBackend::Sketch,
+                    other => {
+                        return Err(format!("--estimator must be mc or sketch, got {other:?}"))
+                    }
+                };
+            }
+            "--out" => out_dir = PathBuf::from(flag_value(&mut it, "--out")?),
+            "--data" => data = Some(PathBuf::from(flag_value(&mut it, "--data")?)),
+            "--cache" => cache = Some(PathBuf::from(flag_value(&mut it, "--cache")?)),
+            "--help" | "-h" => return Ok(Cli::Help),
             other => {
                 artifacts.push(other.to_string());
                 // Subcommands own the rest of the command line: their flags
@@ -172,12 +161,14 @@ fn parse_args() -> Args {
             .collect()
         };
     }
-    Args {
+    Ok(Cli::Run(Args {
         effort,
         artifacts,
         out_dir,
         data,
-    }
+        cache,
+        pool_size,
+    }))
 }
 
 /// Do two numeric CSV cells agree within relative tolerance `tol`
@@ -256,8 +247,8 @@ fn diff_csv(a: &[String], b: &[String], tol: f64) -> Vec<String> {
 /// exactly; unpaired trailing rows of the longer file each count as a
 /// mismatch. Exit 0 on match, 1 on divergence (mismatches reported, capped
 /// at [`CSVDIFF_MAX_REPORTS`] lines), 2 on usage/IO errors. CI uses this to
-/// bound the sketch-vs-MC objective gap and to byte-check the world-storage
-/// representations and cascade kernels.
+/// bound the sketch-vs-MC objective gap and to byte-check daemon replies
+/// against their serial reference.
 fn run_csvdiff(paths: &[String]) -> ! {
     let [a_path, b_path, tol] = paths else {
         eprintln!("usage: repro csvdiff A B TOL");
@@ -568,7 +559,26 @@ fn emit(table: Table, out_dir: &std::path::Path, name: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Cli::Run(args)) => args,
+        Ok(Cli::Help) => {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("repro: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Some(threads) = args.pool_size {
+        if osn_pool::init_global(threads).is_err() {
+            eprintln!("repro: the worker pool was already built");
+            std::process::exit(2);
+        }
+    }
+    if let Some(dir) = &args.cache {
+        dataset::set_cache_dir(dir.clone());
+    }
     if args.artifacts.first().map(String::as_str) == Some("convert") {
         run_convert(&args.artifacts[1..]);
     }
@@ -583,19 +593,11 @@ fn main() {
     }
     let e = &args.effort;
     println!(
-        "# S3CRM reproduction harness — scale x{}, {} eval worlds, seed {}, {} pool workers, {} world storage, {} cascade kernel, {} estimator",
+        "# S3CRM reproduction harness — scale x{}, {} eval worlds, seed {}, {} pool workers, {} estimator",
         e.graph_scale,
         e.eval_worlds,
         e.seed,
         osn_pool::global().num_threads(),
-        match e.world_storage {
-            osn_propagation::WorldStorage::Sparse => "sparse",
-            osn_propagation::WorldStorage::Dense => "dense",
-        },
-        match e.cascade_kernel {
-            osn_propagation::CascadeKernel::Lane => "lane",
-            osn_propagation::CascadeKernel::Scalar => "scalar",
-        },
         match e.estimator {
             s3crm_core::EstimatorBackend::Mc => "mc",
             s3crm_core::EstimatorBackend::Sketch => "sketch",
@@ -784,7 +786,66 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{diff_csv, numeric_cells_match};
+    use super::{diff_csv, numeric_cells_match, parse_args, Cli};
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_flags_are_usage_errors_not_panics() {
+        let cases: [&[&str]; 13] = [
+            &["--scale", "abc"],
+            &["--scale", "nan"],
+            &["--scale", "-1"],
+            &["--worlds", "x"],
+            &["--seed", "x"],
+            &["--pool-size", "0"],
+            &["--pool-size", "two"],
+            &["--pool-size", "1", "--pool-size", "2"],
+            &["--estimator", "foo"],
+            &["--scale"],
+            &["--out"],
+            &["--data"],
+            &["fig6", "--cache"],
+        ];
+        for args in cases {
+            assert!(parse(args).is_err(), "{args:?} must be a usage error");
+        }
+        let err = parse(&["--worlds", "x"]).err().unwrap();
+        assert!(err.contains("--worlds"), "{err}");
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let Ok(Cli::Run(args)) = parse(&[
+            "--micro",
+            "--scale",
+            "0.5",
+            "--worlds",
+            "7",
+            "--seed",
+            "9",
+            "--pool-size",
+            "2",
+            "--estimator",
+            "sketch",
+            "table3",
+        ]) else {
+            panic!("valid command line rejected");
+        };
+        assert_eq!(args.effort.graph_scale, 0.5);
+        assert_eq!(args.effort.eval_worlds, 7);
+        assert_eq!(args.effort.seed, 9);
+        assert_eq!(args.pool_size, Some(2));
+        assert_eq!(args.artifacts, vec!["table3".to_string()]);
+        assert!(matches!(parse(&["--help"]), Ok(Cli::Help)));
+        // Subcommands keep their own flags.
+        let Ok(Cli::Run(args)) = parse(&["bench", "shard_cascade", "--seed", "x"]) else {
+            panic!("subcommand flags must pass through");
+        };
+        assert_eq!(args.artifacts.len(), 4);
+    }
 
     fn lines(rows: &[&str]) -> Vec<String> {
         rows.iter().map(|s| s.to_string()).collect()

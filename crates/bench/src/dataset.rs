@@ -267,17 +267,10 @@ mod tests {
         let effort = Effort::micro();
         let a = load_dataset(&mono, &effort).unwrap();
         let b = load_dataset(&sharded, &effort).unwrap();
-        // Same graph and instance either way; the sharded load additionally
-        // carries the file's shard plan for the shard-local kernels.
+        // Same graph and instance either way.
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.data, b.data);
         assert_eq!(a.budget.to_bits(), b.budget.to_bits());
-        assert!(a.graph.shard_plan().is_none());
-        assert_eq!(
-            b.graph.shard_plan().map(|p| p.shard_count()),
-            Some(2),
-            "v2 load must attach the plan"
-        );
         // A payload cap of 1 MiB comfortably holds this whole graph.
         let one = dir.file("one.oscg");
         assert_eq!(

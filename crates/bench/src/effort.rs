@@ -6,7 +6,6 @@
 //! overnight runs.
 
 use osn_gen::DatasetProfile;
-use osn_propagation::{CascadeKernel, WorldCache, WorldStorage};
 use s3crm_core::{EstimatorBackend, S3caConfig};
 use serde::{Deserialize, Serialize};
 
@@ -23,14 +22,6 @@ pub struct Effort {
     pub seed: u64,
     /// Estimation backend driving S3CA's ID phase (`--estimator`).
     pub estimator: EstimatorBackend,
-    /// World-cache storage for every cache this effort samples
-    /// (`--world-storage`). Representation only — threaded explicitly from
-    /// here through each experiment; there is no process-wide default to
-    /// race.
-    pub world_storage: WorldStorage,
-    /// Cascade kernel for every evaluator this effort stands up
-    /// (`--cascade-kernel`). Execution strategy only; same threading.
-    pub cascade_kernel: CascadeKernel,
 }
 
 impl Effort {
@@ -42,8 +33,6 @@ impl Effort {
             im_worlds: 24,
             seed: 42,
             estimator: EstimatorBackend::Mc,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
         }
     }
 
@@ -55,8 +44,6 @@ impl Effort {
             im_worlds: 8,
             seed: 42,
             estimator: EstimatorBackend::Mc,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
         }
     }
 
@@ -68,18 +55,14 @@ impl Effort {
             im_worlds: 64,
             seed: 42,
             estimator: EstimatorBackend::Mc,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
         }
     }
 
     /// The [`S3caConfig`] this effort implies: the default full pipeline
-    /// under the selected estimation backend, storage, and kernel.
+    /// under the selected estimation backend.
     pub fn s3ca_config(&self) -> S3caConfig {
         S3caConfig {
             estimator: self.estimator,
-            world_storage: self.world_storage,
-            cascade_kernel: self.cascade_kernel,
             ..S3caConfig::default()
         }
     }
@@ -88,23 +71,8 @@ impl Effort {
     pub fn s3ca_id_only(&self) -> S3caConfig {
         S3caConfig {
             estimator: self.estimator,
-            world_storage: self.world_storage,
-            cascade_kernel: self.cascade_kernel,
             ..S3caConfig::id_only()
         }
-    }
-
-    /// Sample `count` worlds seeded from `seed` in this effort's storage on
-    /// the shared global pool — the one choke point every experiment's
-    /// cache sampling goes through, so `--world-storage` reaches all of
-    /// them without any process-global state.
-    pub fn sample_worlds(
-        &self,
-        graph: &osn_graph::CsrGraph,
-        count: usize,
-        seed: u64,
-    ) -> WorldCache {
-        WorldCache::sample_with_storage(graph, count, seed, self.world_storage, osn_pool::global())
     }
 
     /// The effective generation scale for a profile: a per-profile base

@@ -108,7 +108,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 9,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let t = phase_ablation(DatasetProfile::Facebook, &effort);

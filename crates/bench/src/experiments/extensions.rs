@@ -18,7 +18,7 @@ use crate::table::{num, Table};
 use osn_gen::DatasetProfile;
 use osn_graph::NodeId;
 use osn_propagation::linear_threshold::lt_influence;
-use osn_propagation::RedemptionReport;
+use osn_propagation::{RedemptionReport, WorldCache};
 use s3crm_baselines::im::{best_feasible_prefix, greedy_seed_ranking};
 use s3crm_baselines::ris::{ris_seed_ranking, RisConfig};
 use s3crm_baselines::strategy::CouponStrategy;
@@ -27,7 +27,7 @@ use std::time::Instant;
 /// CELF-greedy vs RIS ranking on one profile.
 pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
     let inst = crate::dataset::profile_instance(profile, effort);
-    let cache = effort.sample_worlds(&inst.graph, effort.eval_worlds, effort.seed ^ 0xC0DE);
+    let cache = WorldCache::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0xC0DE);
     let mut table = Table::new(
         format!(
             "Extension: IM ranking stage, CELF vs RIS [{}]",
@@ -36,7 +36,7 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
         &["ranking", "time_ms", "seeds", "redemption_rate", "benefit"],
     );
 
-    let celf_cache = effort.sample_worlds(&inst.graph, effort.im_worlds, effort.seed ^ 0xD1CE);
+    let celf_cache = WorldCache::sample(&inst.graph, effort.im_worlds, effort.seed ^ 0xD1CE);
     let t0 = Instant::now();
     let celf = greedy_seed_ranking(&inst.graph, &celf_cache, 256, 64);
     let celf_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -64,14 +64,8 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
             &ranking,
             &celf_cache,
         );
-        let report = RedemptionReport::compute_with(
-            &inst.graph,
-            &inst.data,
-            &dep.seeds,
-            &dep.coupons,
-            &cache,
-            effort.cascade_kernel,
-        );
+        let report =
+            RedemptionReport::compute(&inst.graph, &inst.data, &dep.seeds, &dep.coupons, &cache);
         table.push_row(vec![
             name.into(),
             num(ms),
@@ -86,7 +80,7 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
 /// LT vs coupon-constrained IC influence of the same seed sets.
 pub fn lt_vs_coupon_ic(profile: DatasetProfile, effort: &Effort) -> Table {
     let inst = crate::dataset::profile_instance(profile, effort);
-    let cache = effort.sample_worlds(&inst.graph, effort.eval_worlds, effort.seed ^ 0x17);
+    let cache = WorldCache::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0x17);
     let mut table = Table::new(
         format!("Extension: LT vs coupon-IC activation [{}]", profile.name()),
         &["seeds", "coupon_cap", "ic_activated", "lt_activated"],
@@ -102,14 +96,8 @@ pub fn lt_vs_coupon_ic(profile: DatasetProfile, effort: &Effort) -> Table {
                 .nodes()
                 .map(|v| (inst.graph.out_degree(v) as u32).min(cap))
                 .collect();
-            let report = RedemptionReport::compute_with(
-                &inst.graph,
-                &inst.data,
-                &seeds,
-                &coupons,
-                &cache,
-                effort.cascade_kernel,
-            );
+            let report =
+                RedemptionReport::compute(&inst.graph, &inst.data, &seeds, &coupons, &cache);
             let lt = lt_influence(&inst.graph, &seeds, 200, effort.seed ^ 0x99);
             table.push_row(vec![
                 size.to_string(),
@@ -139,7 +127,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 4,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         }
     }

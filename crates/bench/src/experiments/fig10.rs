@@ -124,7 +124,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 21,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let t = all_results_vs_opt(&[40.0], 2, &effort);

@@ -132,7 +132,6 @@ mod tests {
             eval_worlds: 32,
             im_worlds: 8,
             seed: 11,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         }
     }

@@ -108,7 +108,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 5,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let t = seed_sc_vs_kappa(DatasetProfile::Facebook, &effort);

@@ -97,7 +97,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 2,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let (rate, ssc) = case_study(AIRBNB, &effort);

@@ -46,7 +46,6 @@ pub fn vs_network_size(sizes: &[usize], binv: f64, effort: &Effort) -> Table {
             "world_live_density",
             "world_sampling_us",
             "lane_kernel_worlds",
-            "scalar_kernel_worlds",
         ],
     );
     for &n in sizes {
@@ -64,7 +63,6 @@ pub fn vs_network_size(sizes: &[usize], binv: f64, effort: &Effort) -> Table {
             num(result.telemetry.world_live_density),
             result.telemetry.world_sampling_micros.to_string(),
             result.telemetry.lane_kernel_worlds.to_string(),
-            result.telemetry.scalar_kernel_worlds.to_string(),
         ]);
     }
     table
@@ -86,7 +84,6 @@ pub fn vs_budget(n: usize, budgets: &[f64], effort: &Effort) -> Table {
             "world_live_density",
             "world_sampling_us",
             "lane_kernel_worlds",
-            "scalar_kernel_worlds",
         ],
     );
     for &binv in budgets {
@@ -102,7 +99,6 @@ pub fn vs_budget(n: usize, budgets: &[f64], effort: &Effort) -> Table {
             num(result.telemetry.world_live_density),
             result.telemetry.world_sampling_micros.to_string(),
             result.telemetry.lane_kernel_worlds.to_string(),
-            result.telemetry.scalar_kernel_worlds.to_string(),
         ]);
     }
     table
@@ -135,12 +131,8 @@ mod tests {
             hi >= lo,
             "explored ratio should grow with budget: {lo} -> {hi}"
         );
-        // The kernel telemetry columns ride at the end of the row: the
-        // snapshot re-ranking runs on the default (lane) kernel, so the
-        // scalar counter stays zero.
+        // The lane-cascade counter rides at the end of the row.
         let lane: u64 = t.rows[1][9].parse().unwrap();
-        let scalar: u64 = t.rows[1][10].parse().unwrap();
-        assert_eq!(scalar, 0, "default cascade kernel is lane");
         assert!(lane > 0, "snapshot selection must report lane cascades");
     }
 }

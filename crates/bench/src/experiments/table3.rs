@@ -43,7 +43,6 @@ mod tests {
             eval_worlds: 16,
             im_worlds: 8,
             seed: 13,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let t = farthest_hops(&[DatasetProfile::Facebook], &effort);

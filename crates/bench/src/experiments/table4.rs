@@ -46,7 +46,6 @@ mod tests {
             eval_worlds: 8,
             im_worlds: 8,
             seed: 3,
-            estimator: s3crm_core::EstimatorBackend::Mc,
             ..Effort::micro()
         };
         let t = running_time(&[DatasetProfile::Facebook], &effort);

@@ -8,7 +8,7 @@ use osn_gen::powerlaw_cluster::powerlaw_cluster;
 use osn_gen::seeded_rng;
 use osn_gen::weights::{assign_weights, WeightModel};
 use osn_graph::{CsrGraph, NodeData};
-use osn_propagation::RedemptionReport;
+use osn_propagation::{RedemptionReport, WorldCache};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
@@ -105,8 +105,6 @@ pub fn run_algorithm(
     let im_cfg = ImConfig {
         worlds: effort.im_worlds,
         rng_seed: effort.seed ^ 0xD1CE,
-        world_storage: effort.world_storage,
-        cascade_kernel: effort.cascade_kernel,
         ..ImConfig::default()
     };
     let pm_cfg = PmConfig::default();
@@ -249,18 +247,17 @@ pub fn run_sweep(n: usize, grid: &SweepGrid, effort: &Effort) -> Vec<SweepCell> 
     };
     for &model in &grid.weight_models {
         let (graph, data, base_budget) = sweep_instance(n, model, effort.seed);
-        let cache = effort.sample_worlds(&graph, effort.eval_worlds, effort.seed ^ 0x5EE9);
+        let cache = WorldCache::sample(&graph, effort.eval_worlds, effort.seed ^ 0x5EE9);
         for &algo in &grid.algorithms {
             for &mult in &grid.budget_multipliers {
                 let binv = base_budget * mult;
                 let run = run_algorithm(&graph, &data, binv, algo, 32, effort);
-                let report = RedemptionReport::compute_with(
+                let report = RedemptionReport::compute(
                     &graph,
                     &data,
                     &run.deployment.seeds,
                     &run.deployment.coupons,
                     &cache,
-                    effort.cascade_kernel,
                 );
                 let mut table = Table::new(
                     format!(

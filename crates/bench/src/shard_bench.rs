@@ -6,9 +6,9 @@
 //! sharded v2 `.oscg` file (`osn_gen::stream` — the full edge list never
 //! exists in memory), open it with an LRU shard-residency budget
 //! ([`osn_graph::ShardedOscg`]), and run a degree-ranked budgeted
-//! investment-deployment (ID) pass evaluated with the shard-local scalar
-//! cascade kernel ([`osn_propagation::reach::world_cascade_shards`]) over
-//! deterministically hash-sampled worlds. The headline number is
+//! investment-deployment (ID) pass evaluated with the scalar cascade kernel
+//! ([`osn_propagation::reach::world_cascade`], paging shards through the
+//! LRU) over deterministically hash-sampled worlds. The headline number is
 //! `peak_rss / file_bytes`: the acceptance bar for the out-of-core path is
 //! that it stays **well below 1** even when the graph dwarfs the residency
 //! budget.
@@ -20,7 +20,7 @@
 
 use osn_gen::stream::{stream_powerlaw_cluster_oscg, StreamConfig};
 use osn_graph::{NodeId, ShardedOscg};
-use osn_propagation::reach::{world_cascade_shards, CascadeScratch};
+use osn_propagation::reach::{world_cascade, CascadeScratch};
 use osn_propagation::WorldRef;
 use std::path::{Path, PathBuf};
 
@@ -280,8 +280,8 @@ fn run_id_phase(
         funded += 1;
     }
 
-    // Evaluate the deployment over hash-sampled worlds with the sharded
-    // scalar kernel. Live edges are collected per world by scanning each
+    // Evaluate the deployment over hash-sampled worlds with the scalar
+    // kernel, shard by shard. Live edges are collected per world by scanning each
     // shard's probability slice (ascending global edge id by construction),
     // so the evaluation reads the file exactly the way the residency budget
     // meters it.
@@ -302,14 +302,13 @@ fn run_id_phase(
             }
             max_resident = max_resident.max(sharded.residency_stats().0);
         }
-        let outcome = world_cascade_shards(
+        let outcome = world_cascade(
             &sharded,
             data,
             &seeds,
             &coupons,
-            WorldRef::Sparse(&live),
+            WorldRef(&live),
             &mut scratch,
-            |_| {},
         );
         total_benefit += outcome.benefit;
         total_activated += outcome.activated;

@@ -50,13 +50,6 @@ pub struct S3caConfig {
     pub rng_seed: u64,
     /// Estimation backend of the ID phase.
     pub estimator: EstimatorBackend,
-    /// Storage of the snapshot-selection world cache. Representation only —
-    /// carried explicitly per run so concurrent campaigns can differ
-    /// without racing a process-wide default.
-    pub world_storage: osn_propagation::WorldStorage,
-    /// Cascade kernel of the snapshot-selection evaluator. Execution
-    /// strategy only — carried explicitly per run, same reason.
-    pub cascade_kernel: osn_propagation::CascadeKernel,
     /// Additive benefit-error target of the sketch index (ε of its
     /// Hoeffding guarantee). Only read when `estimator` is
     /// [`EstimatorBackend::Sketch`].
@@ -75,8 +68,6 @@ impl Default for S3caConfig {
             snapshot_worlds: 64,
             rng_seed: 0x53CA,
             estimator: EstimatorBackend::Mc,
-            world_storage: osn_propagation::WorldStorage::default(),
-            cascade_kernel: osn_propagation::CascadeKernel::default(),
             sketch_epsilon: SketchParams::default().epsilon,
             sketch_delta: SketchParams::default().delta,
         }
@@ -125,18 +116,15 @@ pub struct Telemetry {
     /// iteration).
     pub eval_lazy_rescores: u64,
     /// Resident bytes of the snapshot-selection world cache (0 when the MC
-    /// re-ranking was skipped) — the world-storage memory telemetry.
+    /// re-ranking was skipped) — the world-cache memory telemetry.
     pub world_cache_bytes: u64,
     /// Mean live-edge density of the sampled worlds.
     pub world_live_density: f64,
     /// Wall-clock microseconds spent sampling the world cache.
     pub world_sampling_micros: u64,
     /// World×candidate cascades the snapshot-selection evaluator ran on the
-    /// bit-parallel lane kernel (0 when MC re-ranking was skipped) — how
-    /// fig9 observes which cascade kernel carried a run.
+    /// bit-parallel lane kernel (0 when MC re-ranking was skipped).
     pub lane_kernel_worlds: u64,
-    /// As above, on the retained scalar reference kernel.
-    pub scalar_kernel_worlds: u64,
 }
 
 impl Telemetry {
@@ -163,7 +151,7 @@ pub fn s3ca(graph: &CsrGraph, data: &NodeData, binv: f64, config: &S3caConfig) -
 
 /// As [`s3ca`], with an optional caller-owned Monte-Carlo backend for the
 /// snapshot re-ranking (line 24). A resident server passes the backend it
-/// keeps per `(worlds, seed, storage, kernel)` so concurrent campaigns
+/// keeps per `(worlds, seed)` so concurrent campaigns
 /// share one world cache and its lane-block decodes zero-copy; `None`
 /// samples a fresh cache exactly as [`s3ca`] always did. The caller must
 /// hand in a backend sampled with `config.snapshot_worlds` worlds and
@@ -226,12 +214,10 @@ pub fn s3ca_with_snapshot_backend(
         let backend = match snapshot_backend {
             Some(shared) => shared,
             None => {
-                owned = osn_propagation::McBackend::sample_with(
+                owned = osn_propagation::McBackend::sample(
                     graph,
                     config.snapshot_worlds,
                     config.rng_seed,
-                    config.world_storage,
-                    config.cascade_kernel,
                 );
                 &owned
             }
@@ -282,9 +268,7 @@ pub fn s3ca_with_snapshot_backend(
             deployment = snap.clone();
             value = analytic;
         }
-        let (lane_worlds, scalar_worlds) = ev.kernel_world_counts();
-        telemetry.lane_kernel_worlds = lane_worlds;
-        telemetry.scalar_kernel_worlds = scalar_worlds;
+        telemetry.lane_kernel_worlds = ev.lane_world_count();
         telemetry.id_micros += t_sel.elapsed().as_micros() as u64;
     }
 

@@ -545,11 +545,6 @@ mod tests {
         let file = binary::load_oscg(&path).unwrap();
         assert_eq!(file.graph.node_count(), 300);
         assert_eq!(file.graph.edge_count() as u64, stats.directed_edges);
-        assert_eq!(
-            file.graph.shard_plan().map(|p| p.shard_count()),
-            Some(4),
-            "loaded graph must carry the shard plan"
-        );
         let w = file.workload.expect("workload block");
         assert_eq!(w.data.len(), 300);
         assert!((w.budget - 10_000.0).abs() < 1e-9);

@@ -591,7 +591,7 @@ fn read_ids(bytes: &[u8], offset: usize, count: usize) -> Vec<NodeId> {
 ///
 /// Handles both layouts: version 1 decodes directly; a version-2
 /// (partitioned, [`crate::shard`]) frame is opened shard by shard and
-/// assembled into the monolithic view with its shard plan attached.
+/// assembled into the monolithic view.
 pub fn from_bytes(bytes: &[u8]) -> Result<OscgFile, GraphError> {
     if peek_version(bytes) == Some(crate::shard::VERSION_SHARDED) {
         return crate::shard::ShardedOscg::from_owned_bytes(bytes.to_vec())?.to_oscg_file();
@@ -740,8 +740,7 @@ pub fn map_oscg(path: &Path) -> Result<Option<OscgFile>, GraphError> {
 /// both paths.
 ///
 /// Partitioned (version 2) files route through [`crate::shard`] and come
-/// back as the assembled monolithic view with their shard plan attached —
-/// callers that want shard-at-a-time residency open
+/// back as the assembled monolithic view — callers that want shard-at-a-time residency open
 /// [`crate::shard::ShardedOscg`] directly instead.
 pub fn load_oscg(path: &Path) -> Result<OscgFile, GraphError> {
     if sniff_oscg_version(path)? == Some(crate::shard::VERSION_SHARDED) {

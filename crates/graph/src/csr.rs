@@ -6,17 +6,16 @@
 //! is simply its index within the node's CSR slice.
 
 use crate::ids::NodeId;
-use crate::shard::ShardPlan;
 use crate::storage::Section;
-use std::sync::Arc;
 
 /// Immutable directed weighted graph in CSR form.
 ///
 /// Construction goes through [`GraphBuilder`](crate::GraphBuilder), or
 /// zero-copy from a memory-mapped `.oscg` file via [`crate::binary`] — every
 /// adjacency array is a [`Section`] that is either owned or a typed window
-/// into the map, so algorithms run unchanged over both.
-#[derive(Clone, Debug)]
+/// into the map, so algorithms run unchanged over both. Equality is by
+/// contents, whichever way the sections are backed.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrGraph {
     n: u32,
     /// Forward adjacency offsets, length `n + 1` (`u64` to match the on-disk
@@ -34,26 +33,6 @@ pub struct CsrGraph {
     /// `in_sources`) — needed by reverse-reachable sampling and the
     /// linear-threshold comparison model.
     in_probs: Section<f64>,
-    /// Shard boundaries carried over from a partitioned (v2) `.oscg` file,
-    /// or attached with [`with_shard_plan`](Self::with_shard_plan).
-    /// Representation metadata only: it routes the cascade kernels through
-    /// the shard-local execution schedule (bit-identical outcomes) and is
-    /// excluded from equality.
-    shard_plan: Option<Arc<ShardPlan>>,
-}
-
-/// Equality is by graph contents; the shard plan is an execution-layout
-/// hint and two graphs differing only in it compare equal.
-impl PartialEq for CsrGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.offsets == other.offsets
-            && self.targets == other.targets
-            && self.probs == other.probs
-            && self.in_offsets == other.in_offsets
-            && self.in_sources == other.in_sources
-            && self.in_probs == other.in_probs
-    }
 }
 
 impl CsrGraph {
@@ -112,7 +91,6 @@ impl CsrGraph {
             in_offsets: in_offsets.into(),
             in_sources: in_sources.into(),
             in_probs: in_probs.into(),
-            shard_plan: None,
         }
     }
 
@@ -140,7 +118,6 @@ impl CsrGraph {
             in_offsets,
             in_sources,
             in_probs,
-            shard_plan: None,
         }
     }
 
@@ -148,29 +125,6 @@ impl CsrGraph {
     /// (i.e. the graph came through the zero-copy `.oscg` path).
     pub fn is_mapped(&self) -> bool {
         self.offsets.is_mapped() || self.targets.is_mapped() || self.probs.is_mapped()
-    }
-
-    /// The shard plan carried by this graph, if any. `Some` routes the
-    /// cascade kernels through the shard-local frontier schedule; results
-    /// are bit-identical either way (see `osn-propagation`'s architecture
-    /// note on the cross-shard exchange).
-    #[inline]
-    pub fn shard_plan(&self) -> Option<&Arc<ShardPlan>> {
-        self.shard_plan.as_ref()
-    }
-
-    /// Attach (or clear) a shard plan. Panics if the plan's node space does
-    /// not match this graph.
-    pub fn with_shard_plan(mut self, plan: Option<Arc<ShardPlan>>) -> Self {
-        if let Some(p) = &plan {
-            assert_eq!(
-                p.node_count(),
-                self.n,
-                "shard plan covers a different node space"
-            );
-        }
-        self.shard_plan = plan;
-        self
     }
 
     /// Flat reverse-adjacency sources (grouped by target) — the reverse

@@ -51,7 +51,7 @@
 //! `fwd_edge_start .. fwd_edge_start + lm`, exactly the ids the monolithic
 //! layout assigns — so per-edge side arrays (Monte-Carlo live-edge worlds,
 //! probability buckets) index identically into both layouts, which is the
-//! foundation of the sharded kernels' bit-identity contract.
+//! foundation of the cascade kernel's bit-identity across layouts.
 
 use crate::binary::{checksum, Workload, HEADER_LEN, MAGIC};
 use crate::csr::CsrGraph;
@@ -1194,9 +1194,8 @@ impl ShardedOscg {
 
     /// Assemble the monolithic in-memory equivalent: owned global sections,
     /// fully cross-validated (including the forward/reverse transpose
-    /// bijection the per-shard open checks cannot see), with the file's
-    /// shard plan attached so the cascade kernels keep the shard-local
-    /// schedule.
+    /// bijection the per-shard open checks cannot see). The result is an
+    /// ordinary graph, equal to the one the file was written from.
     pub fn to_oscg_file(&self) -> Result<crate::binary::OscgFile, GraphError> {
         let n = self.n as usize;
         let m = self.m as usize;
@@ -1239,8 +1238,7 @@ impl ShardedOscg {
             in_offsets.into(),
             in_sources.into(),
             in_probs.into(),
-        )
-        .with_shard_plan(Some(Arc::clone(&self.plan)));
+        );
         Ok(crate::binary::OscgFile {
             graph,
             workload: self.workload.clone(),
@@ -1402,14 +1400,16 @@ impl FwdSlice<'_> {
 }
 
 /// Shard-sliced access to a graph's forward adjacency: the seam between the
-/// sharded cascade kernels and where the bytes actually live (a monolithic
-/// in-memory graph, or an out-of-core [`ShardedOscg`] behind its LRU).
+/// scalar cascade kernel and where the bytes actually live. An in-memory
+/// [`CsrGraph`] is the one-shard case; an out-of-core [`ShardedOscg`] pages
+/// shards through its LRU.
 pub trait ForwardShards {
     /// Total node count.
     fn node_count(&self) -> usize;
 
-    /// The shard plan (contiguous ascending node ranges).
-    fn plan(&self) -> &ShardPlan;
+    /// The shard holding `v`, and the first node past that shard. Shards
+    /// are contiguous ascending node ranges.
+    fn shard_span(&self, v: NodeId) -> (usize, u32);
 
     /// Run `f` over shard `s`'s forward slice. The slice is only valid for
     /// the duration of the call — out-of-core sources may evict the shard
@@ -1417,45 +1417,24 @@ pub trait ForwardShards {
     fn with_fwd<R>(&self, s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R;
 }
 
-/// [`ForwardShards`] over a monolithic in-memory graph: shard slices are
-/// windows of the global CSR sections. This is how a graph carrying a
-/// [`ShardPlan`] (e.g. loaded from a v2 file into memory) runs the sharded
-/// kernel schedule without any data movement.
-pub struct PlannedCsr<'g> {
-    graph: &'g CsrGraph,
-    plan: &'g ShardPlan,
-}
-
-impl<'g> PlannedCsr<'g> {
-    /// Slice `graph` under `plan` (which must cover the same node space).
-    pub fn new(graph: &'g CsrGraph, plan: &'g ShardPlan) -> Self {
-        assert_eq!(plan.node_count() as usize, graph.node_count());
-        PlannedCsr { graph, plan }
-    }
-}
-
-impl ForwardShards for PlannedCsr<'_> {
+impl ForwardShards for CsrGraph {
     fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    fn plan(&self) -> &ShardPlan {
-        self.plan
+        CsrGraph::node_count(self)
     }
 
     #[inline]
-    fn with_fwd<R>(&self, s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R {
-        let r = self.plan.node_range(s);
-        let (a, b) = (r.start as usize, r.end as usize);
-        let offsets = &self.graph.out_offsets()[a..=b];
-        let base = offsets[0];
-        let end = offsets[b - a];
+    fn shard_span(&self, _v: NodeId) -> (usize, u32) {
+        (0, CsrGraph::node_count(self) as u32)
+    }
+
+    #[inline]
+    fn with_fwd<R>(&self, _s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R {
         f(FwdSlice {
-            node_start: r.start,
-            edge_start: base,
-            base,
-            offsets,
-            targets: &self.graph.edge_targets_flat()[base as usize..end as usize],
+            node_start: 0,
+            edge_start: 0,
+            base: 0,
+            offsets: self.out_offsets(),
+            targets: self.edge_targets_flat(),
         })
     }
 }
@@ -1465,8 +1444,10 @@ impl ForwardShards for ShardedOscg {
         self.n as usize
     }
 
-    fn plan(&self) -> &ShardPlan {
-        &self.plan
+    #[inline]
+    fn shard_span(&self, v: NodeId) -> (usize, u32) {
+        let s = self.plan.shard_of(v.0);
+        (s, self.plan.node_range(s).end)
     }
 
     #[inline]
@@ -1562,7 +1543,6 @@ mod tests {
             assert_eq!(opened.plan().as_ref(), &plan);
             let back = opened.to_oscg_file().unwrap();
             assert_eq!(back.graph, g, "{shards} shards");
-            assert_eq!(back.graph.shard_plan().unwrap().as_ref(), &plan);
             assert!(back.workload.is_none());
         }
     }
@@ -1621,13 +1601,11 @@ mod tests {
     }
 
     #[test]
-    fn planned_csr_rows_match_the_graph() {
+    fn csr_graph_is_its_own_single_shard() {
         let g = chain_graph(9);
-        let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 4);
-        let sliced = PlannedCsr::new(&g, &plan);
         for v in g.nodes() {
-            let s = plan.shard_of(v.0);
-            sliced.with_fwd(s, |slice| {
+            assert_eq!(g.shard_span(v), (0, 9));
+            g.with_fwd(0, |slice| {
                 let (ids, lo) = slice.row(v);
                 assert_eq!(ids, g.out_edge_ids(v), "edge ids of v{}", v.0);
                 let k = (ids.end - ids.start) as usize;

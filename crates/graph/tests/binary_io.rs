@@ -668,8 +668,7 @@ fn sharded_file_roundtrips_through_every_path() {
     let w = file.workload.expect("workload survives partitioning");
     assert_eq!(w.budget.to_bits(), 7.5f64.to_bits());
 
-    // `load_oscg` transparently assembles v2 files into the monolithic view
-    // (with the shard plan attached for the shard-local kernels).
+    // `load_oscg` transparently assembles v2 files into the monolithic view.
     let tmp = TempFile::new("v2-roundtrip");
     std::fs::write(&tmp.0, &bytes).unwrap();
     assert_eq!(
@@ -678,11 +677,6 @@ fn sharded_file_roundtrips_through_every_path() {
     );
     let loaded = load_oscg(&tmp.0).expect("load_oscg dispatches on version");
     assert_graphs_bit_identical(&loaded.graph, &g, "v2/load_oscg");
-    assert_eq!(
-        loaded.graph.shard_plan().map(|p| p.shard_count()),
-        Some(2),
-        "assembled graph must carry the file's shard plan"
-    );
 }
 
 #[test]

@@ -15,8 +15,7 @@
 //! edge-rank order. Edges dead in all 64 lanes (the vast majority under
 //! Table II-scale probabilities) cost nothing per cascade, and because the
 //! block is a pure function of the world cache it is built once and reused
-//! across every batch and candidate — where the scalar path re-decodes
-//! each world on every `simulate_batch` call.
+//! across every batch and candidate.
 //!
 //! ## Bit-identity with the scalar kernel
 //!
@@ -43,12 +42,12 @@
 //! and blocks always start at 64-world boundaries, so one block covers
 //! exactly two aligned summation parts: lanes `0..32` are part `2b`, lanes
 //! `32..64` part `2b + 1`. Summing each half's lanes in ascending lane
-//! order reproduces the scalar fold's serial world-order summation bit for
-//! bit, which is how the lane dispatch in [`crate::monte_carlo`] keeps the
-//! determinism contract (fixed part grouping, part-order merge) unchanged.
+//! order reproduces the serial world-order summation bit for bit, which is
+//! how [`crate::monte_carlo`] keeps the determinism contract (fixed part
+//! grouping, part-order merge).
 
 use crate::bits::WordSet;
-use osn_graph::{CsrGraph, NodeData, NodeId, ShardPlan};
+use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// Worlds per lane block: one bit lane per world in a `u64` mask. Two
 /// aligned [`PART_WORLDS`](crate::monte_carlo::PART_WORLDS)-world
@@ -64,17 +63,13 @@ pub const LANE_WORLDS: usize = 64;
 /// seeds, coupons, or batch shape — so callers build it once per block and
 /// reuse it for every cascade (the Monte-Carlo evaluator caches one per
 /// 64-world block for its lifetime). Resident size is ~12 bytes per
-/// union-live edge, comparable to one dense bitmap per packed world.
+/// union-live edge.
 #[derive(Clone, Debug, Default)]
 pub struct LaneBlock {
     /// Populated-lane mask: all-ones for a full block, the low `count`
     /// bits for a ragged tail.
     pub valid: u64,
-    /// First node covered by this block (0 for whole-graph blocks; a
-    /// shard's `node_start` for shard-local blocks).
-    node_start: u32,
-    /// Per-node entry ranges (`covered nodes + 1` offsets, indexed by
-    /// `u - node_start`).
+    /// Per-node entry ranges (`node_count + 1` offsets).
     node_off: Vec<u32>,
     /// Lane masks of the union-live edges, edge-rank order per node.
     masks: Vec<u64>,
@@ -86,31 +81,19 @@ impl LaneBlock {
     /// Compact per-edge lane masks (`lane_live[e]` bit `j` = world
     /// `base + j`'s coin for edge `e`, as filled by
     /// [`WorldCache::world_fill_lanes`](crate::world::WorldCache::world_fill_lanes))
-    /// into the union live adjacency.
+    /// into the union live adjacency. The edge arrays are allocated at
+    /// their exact size: blocks stay resident for a cache's lifetime, so
+    /// growth slack would be paid per block for as long as the cache lives.
     pub fn from_edge_masks(graph: &CsrGraph, lane_live: &[u64], valid: u64) -> Self {
-        Self::from_edge_masks_range(graph, lane_live, valid, 0..graph.node_count() as u32)
-    }
-
-    /// [`from_edge_masks`](Self::from_edge_masks) restricted to the nodes
-    /// in `nodes` — the shard-local compaction: the block holds only those
-    /// nodes' union-live out-edges, and row lookups subtract
-    /// `nodes.start`. `lane_live` still spans the full edge space (lane
-    /// masks are indexed by global edge id).
-    pub fn from_edge_masks_range(
-        graph: &CsrGraph,
-        lane_live: &[u64],
-        valid: u64,
-        nodes: std::ops::Range<u32>,
-    ) -> Self {
         debug_assert_eq!(lane_live.len(), graph.edge_count());
-        debug_assert!(nodes.end as usize <= graph.node_count());
+        let live = lane_live.iter().filter(|&&mask| mask != 0).count();
         let flat = graph.edge_targets_flat();
-        let mut node_off = Vec::with_capacity(nodes.len() + 1);
-        let mut masks = Vec::new();
-        let mut targets = Vec::new();
+        let mut node_off = Vec::with_capacity(graph.node_count() + 1);
+        let mut masks = Vec::with_capacity(live);
+        let mut targets = Vec::with_capacity(live);
         node_off.push(0u32);
-        for u in nodes.clone() {
-            let ids = graph.out_edge_ids(NodeId(u));
+        for u in graph.nodes() {
+            let ids = graph.out_edge_ids(u);
             for e in ids.start as usize..ids.end as usize {
                 let mask = lane_live[e];
                 if mask != 0 {
@@ -122,7 +105,6 @@ impl LaneBlock {
         }
         LaneBlock {
             valid,
-            node_start: nodes.start,
             node_off,
             masks,
             targets,
@@ -272,10 +254,8 @@ fn credit(out: &mut LaneOutcome, benefit: f64, sc: Option<f64>, newly: u64) {
 }
 
 /// Expand one frontier node `u` (source lanes `src`) through `block`'s
-/// union live adjacency — the shared inner step of the whole-graph and
-/// sharded lane drivers. `block` must cover `u` (`node_start` is
-/// subtracted for the row lookup). Returns the lanes newly activated by
-/// this expansion, for the caller to fold into its round mask.
+/// union live adjacency. Returns the lanes newly activated by this
+/// expansion, for the caller to fold into its round mask.
 #[inline]
 fn expand_node(
     data: &NodeData,
@@ -286,14 +266,15 @@ fn expand_node(
     scratch: &mut LaneScratch,
     out: &mut LaneOutcome,
 ) -> u64 {
-    let mut round_newly = 0u64;
-    let round_newly = &mut round_newly;
     let k = coupons[u.index()];
     if k == 0 {
         return 0;
     }
-    let lu = (u.0 - block.node_start) as usize;
-    let (lo, hi) = (block.node_off[lu] as usize, block.node_off[lu + 1] as usize);
+    let mut round_newly = 0u64;
+    let (lo, hi) = (
+        block.node_off[u.index()] as usize,
+        block.node_off[u.index() + 1] as usize,
+    );
     let live = &block.masks[lo..hi];
     let tgts = &block.targets[lo..hi];
     if k as usize >= live.len() {
@@ -311,7 +292,7 @@ fn expand_node(
             let newly = attempt & !scratch.active[vi];
             if newly != 0 {
                 scratch.activate(vi, newly);
-                *round_newly |= newly;
+                round_newly |= newly;
                 credit(out, data.benefit(v), Some(data.sc_cost(v)), newly);
             }
         }
@@ -339,7 +320,7 @@ fn expand_node(
             let newly = attempt & !scratch.active[vi];
             if newly != 0 {
                 scratch.activate(vi, newly);
-                *round_newly |= newly;
+                round_newly |= newly;
                 credit(out, data.benefit(v), Some(data.sc_cost(v)), newly);
                 // Ripple-borrow decrement of the redeeming lanes.
                 let mut borrow = newly;
@@ -357,7 +338,7 @@ fn expand_node(
             }
         }
     }
-    *round_newly
+    round_newly
 }
 
 /// Run the deterministic cascade of one lane block over its compacted
@@ -374,7 +355,6 @@ pub fn lane_cascade_block(
     scratch: &mut LaneScratch,
 ) -> LaneOutcome {
     debug_assert_eq!(coupons.len(), graph.node_count());
-    debug_assert_eq!(block.node_start, 0);
     debug_assert_eq!(block.node_off.len(), graph.node_count() + 1);
     let valid = block.valid;
     let mut out = LaneOutcome::default();
@@ -406,96 +386,13 @@ pub fn lane_cascade_block(
         for &(u, src) in &frontier {
             round_newly |= expand_node(data, coupons, block, NodeId(u), src, scratch, &mut out);
         }
-        if round_newly != 0 {
-            let mut m = round_newly;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                out.farthest_hop[l] = round;
-                m &= m - 1;
-            }
+        let mut m = round_newly;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            out.farthest_hop[l] = round;
+            m &= m - 1;
         }
         // Hand the spent allocation back, then refill from the queue.
-        let mut spent = frontier;
-        spent.clear();
-        scratch.frontier = spent;
-        scratch.drain_frontier();
-    }
-    out
-}
-
-/// [`lane_cascade_block`] under a shard schedule: `blocks[s]` is the
-/// shard-local compaction of shard `s`'s nodes
-/// ([`LaneBlock::from_edge_masks_range`] over `plan.node_range(s)`), and
-/// each round's frontier is split at shard boundaries and expanded in
-/// ascending shard id.
-///
-/// The frontier is already ascending and shards are contiguous ascending
-/// node ranges, so the segment walk visits the exact nodes in the exact
-/// order of the whole-graph kernel — per-lane results stay bitwise equal
-/// to the scalar cascade of each world (the same argument as
-/// [`world_cascade_shards`](crate::reach::world_cascade_shards), lifted to
-/// 64 lanes at a time).
-pub fn lane_cascade_shards(
-    data: &NodeData,
-    seeds: &[NodeId],
-    coupons: &[u32],
-    blocks: &[LaneBlock],
-    plan: &ShardPlan,
-    scratch: &mut LaneScratch,
-) -> LaneOutcome {
-    debug_assert_eq!(coupons.len(), plan.node_count() as usize);
-    debug_assert_eq!(blocks.len(), plan.shard_count());
-    debug_assert!(blocks
-        .iter()
-        .enumerate()
-        .all(|(s, b)| b.node_start == plan.node_range(s).start
-            && b.node_off.len() == plan.node_range(s).len() + 1
-            && b.valid == blocks[0].valid));
-    let valid = match blocks.first() {
-        Some(b) => b.valid,
-        None => return LaneOutcome::default(),
-    };
-    let mut out = LaneOutcome::default();
-    if valid == 0 {
-        return out;
-    }
-    scratch.begin();
-
-    for &s in seeds {
-        let si = s.index();
-        scratch.touch(si);
-        let newly = valid & !scratch.active[si];
-        if newly != 0 {
-            scratch.activate(si, newly);
-            credit(&mut out, data.benefit(s), None, newly);
-        }
-    }
-    scratch.drain_frontier();
-
-    let mut round = 0u32;
-    while !scratch.frontier.is_empty() {
-        round += 1;
-        let mut round_newly = 0u64;
-        let frontier = std::mem::take(&mut scratch.frontier);
-        let mut i = 0;
-        while i < frontier.len() {
-            let s = plan.shard_of(frontier[i].0);
-            let seg_end = plan.node_range(s).end;
-            let j = i + frontier[i..].partition_point(|&(v, _)| v < seg_end);
-            let block = &blocks[s];
-            for &(u, src) in &frontier[i..j] {
-                round_newly |= expand_node(data, coupons, block, NodeId(u), src, scratch, &mut out);
-            }
-            i = j;
-        }
-        if round_newly != 0 {
-            let mut m = round_newly;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                out.farthest_hop[l] = round;
-                m &= m - 1;
-            }
-        }
         let mut spent = frontier;
         spent.clear();
         scratch.frontier = spent;
@@ -545,7 +442,7 @@ mod tests {
                 data,
                 seeds,
                 coupons,
-                WorldRef::Sparse(live),
+                WorldRef(live),
                 &mut scalar_scratch,
             );
             assert_eq!(
@@ -662,57 +559,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lane_schedule_matches_whole_graph_block() {
-        // Multi-hop woven graph crossing every shard boundary; 64 distinct
-        // worlds keyed by lane index.
-        let n = 48u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for v in 0..n {
-            if v + 1 < n {
-                b.add_edge(v, v + 1, 0.9).unwrap();
-            }
-            if v + 3 < n {
-                b.add_edge(v, v + 3, 0.6).unwrap();
-            }
-            if v % 5 == 0 && v + 11 < n {
-                b.add_edge(v, v + 11, 0.4).unwrap();
-            }
-        }
-        let g = b.build().unwrap();
-        let d = NodeData::uniform(n as usize, 1.0, 1.0, 1.0);
-        let m = g.edge_count();
-        let mut lanes = vec![0u64; m];
-        for (e, mask) in lanes.iter_mut().enumerate() {
-            // Deterministic per-edge lane pattern with varied liveness.
-            *mask = (e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        }
-        let valid = !0u64;
-        let whole = LaneBlock::from_edge_masks(&g, &lanes, valid);
-        let coupons: Vec<u32> = (0..n).map(|v| v % 3).collect();
-        let seeds = [NodeId(0), NodeId(17), NodeId(40)];
-        let mut scratch = LaneScratch::new(n as usize);
-        let base = lane_cascade_block(&g, &d, &seeds, &coupons, &whole, &mut scratch);
-
-        for shards in [1usize, 2, 3, 7] {
-            let plan = osn_graph::ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards);
-            let blocks: Vec<LaneBlock> = (0..plan.shard_count())
-                .map(|s| LaneBlock::from_edge_masks_range(&g, &lanes, valid, plan.node_range(s)))
-                .collect();
-            let got = lane_cascade_shards(&d, &seeds, &coupons, &blocks, &plan, &mut scratch);
-            for l in 0..LANE_WORLDS {
-                assert_eq!(
-                    got.benefit[l].to_bits(),
-                    base.benefit[l].to_bits(),
-                    "{shards} shards lane {l} benefit"
-                );
-                assert_eq!(
-                    got.redeemed_sc_cost[l].to_bits(),
-                    base.redeemed_sc_cost[l].to_bits(),
-                    "{shards} shards lane {l} cost"
-                );
-                assert_eq!(got.activated[l], base.activated[l]);
-                assert_eq!(got.farthest_hop[l], base.farthest_hop[l]);
-            }
-        }
+    fn block_edge_arrays_are_allocated_at_exact_size() {
+        let (g, _) = star();
+        let block = pack_lanes(&g, &[vec![0, 2], vec![2, 3]]);
+        assert_eq!(block.masks.len(), 3, "edges 0, 2, 3 are union-live");
+        assert_eq!(block.masks.capacity(), block.masks.len());
+        assert_eq!(block.targets.capacity(), block.targets.len());
+        assert_eq!(block.resident_bytes(), 6 * 4 + 3 * 8 + 3 * 4);
     }
 }

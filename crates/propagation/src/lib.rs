@@ -29,7 +29,7 @@
 //!   unchanged — and bit-identically — over graphs memory-mapped from
 //!   `.oscg` files (`osn_graph::binary`) as over in-memory builds. Worlds
 //!   are **skip-sampled** (geometric gaps over `osn_graph`'s probability
-//!   buckets) and stored **sparse** by default; see "World storage and
+//!   buckets) and stored **sparse** (gap-encoded); see "World storage and
 //!   sampling" below.
 //! * [`spread`] — the analytic evaluator: exact expected benefit on forests
 //!   (all of the paper's worked examples), a documented independent-parent
@@ -101,41 +101,41 @@
 //! between candidate live edges, thinning each candidate to its exact edge
 //! probability — `O(live)` RNG draws per world instead of `O(m)`. Worlds
 //! are held as a world-major CSR of ascending live edge ids, gap-encoded as
-//! `u8` deltas in `Section`-backed arrays ([`world::WorldStorage::Sparse`],
-//! the default); `--world-storage dense` (threaded explicitly through
-//! [`world::WorldCache::sample_with_storage`] — there is no process-wide
-//! override) materializes the same live sets as one-bit-per-edge
-//! [`bits::BitVec`]s instead. Storage is representation only: CI diffs
-//! experiment CSVs between the two forms byte for byte.
+//! `u8` deltas in `Section`-backed arrays — several times smaller than one
+//! bit per edge at the Table II densities.
 //!
-//! The cascade kernels consume a [`world::WorldRef`] view: evaluation
-//! decodes each sparse world once into a reusable per-worker buffer, then
-//! every candidate in the batch cascades against that decoded live
-//! adjacency through [`world::WorldRef::for_live_out`] — a binary-search
-//! cursor into the world's live list (sparse) or a word-skipping bit scan
-//! (dense). Frontier rounds are collected in a word-level bitset and
-//! drained in ascending node-id order, which makes the cascade outcome
-//! independent of seed ordering.
+//! The scalar kernel ([`reach::world_cascade`]) consumes a
+//! [`world::WorldRef`] view — one world decoded into a reusable buffer —
+//! through [`world::WorldRef::for_live_out`], a binary-search cursor into
+//! the world's live list. Frontier rounds are collected in a word-level
+//! bitset and drained in ascending node-id order, which makes the cascade
+//! outcome independent of seed ordering. It is generic over
+//! [`osn_graph::ForwardShards`]: an in-memory graph is the one-shard case
+//! and an out-of-core [`osn_graph::ShardedOscg`] pages shards through its
+//! LRU. Each round is expanded shard segment by shard segment in ascending
+//! shard id; shards are contiguous ascending node ranges, so the walk
+//! visits the same nodes in the same order at any shard count, against
+//! world liveness at the same **global edge ids** (the v2 layout preserves
+//! them) — bit-identical by construction, not by tolerance
+//! (`reach::tests::sharded_schedule_is_bit_identical_to_monolithic`).
+//! Graphs loaded from v2 files into memory are ordinary graphs and take
+//! the same path as monolithic ones.
 //!
 //! ## The bit-parallel lane kernel
 //!
-//! The default execution strategy transposes the world loop entirely
-//! ([`lane`], selected via [`monte_carlo::CascadeKernel`]): instead of one
-//! cascade per world, [`lane::LANE_WORLDS`] = 64 worlds are packed as one
-//! `u64` **lane mask per edge** — bit `j` of edge `e`'s mask is world
-//! `base + j`'s coin — materialized straight from the gap-encoded sparse
-//! CSR (or the dense bitmaps) by
-//! [`world::WorldCache::world_fill_lanes`], then compacted into a
+//! Monte-Carlo evaluation transposes the world loop entirely ([`lane`]):
+//! instead of one cascade per world, [`lane::LANE_WORLDS`] = 64 worlds are
+//! packed as one `u64` **lane mask per edge** — bit `j` of edge `e`'s mask
+//! is world `base + j`'s coin — materialized straight from the gap-encoded
+//! CSR by [`world::WorldCache::world_fill_lanes`], then compacted into a
 //! [`lane::LaneBlock`]: the union live adjacency holding, per node, only
 //! the out-edges live in at least one lane. One frontier expansion then
 //! advances all 64 worlds at once: per-edge liveness, the already-active
 //! skip, and the per-lane coupon budgets (binary counters held as bit
 //! planes with ripple-borrow decrements) are all word-wide AND/OR/XOR.
 //! Because a block depends only on the sampled worlds, the evaluator
-//! decodes each block once and caches it for its lifetime — repeat
-//! `simulate_batch` calls skip the per-call world decode the scalar fold
-//! pays every time (at a resident cost of ~12 bytes per union-live edge,
-//! comparable to dense world storage).
+//! decodes each block once and caches it for its lifetime (~12 bytes per
+//! union-live edge).
 //!
 //! **Lane layout / determinism-part alignment contract.** Lane blocks
 //! always start at 64-world boundaries, and 64 = 2 ×
@@ -144,40 +144,11 @@
 //! `2b + 1` (a ragged final block covers one full and one partial part, or
 //! just a partial first half). Each lane's accumulators receive additions
 //! in exactly the scalar kernel's per-world event order, and each part's
-//! totals fold its half-block lanes in ascending lane order — the scalar
-//! fold's serial world-order summation — so the merged estimates are
-//! **bit-identical** to the retained scalar kernel at every pool size,
-//! batch shape, and world storage (pinned by unit tests, proptests, and a
-//! CI kernel-diff smoke; `--cascade-kernel scalar` forces the reference).
-//!
-//! ## Sharded execution and the cross-shard exchange contract
-//!
-//! Graphs carrying an [`osn_graph::ShardPlan`] (attached by the v2
-//! partitioned `.oscg` loader, or explicitly) route both kernels through a
-//! **shard-local schedule**: each BFS round's frontier is split at shard
-//! boundaries and expanded segment by segment in ascending shard id
-//! ([`reach::world_cascade_shards`], [`lane::lane_cascade_shards`]), so
-//! only one shard's forward adjacency needs to be resident at a time —
-//! the out-of-core path for graphs larger than RAM.
-//!
-//! The cross-shard frontier exchange is **bit-identical by construction**,
-//! not by tolerance. The monolithic kernels already drain each round from
-//! a word-level bitset in ascending node id; shards are contiguous
-//! ascending node ranges, so the per-shard "inboxes" of the exchange are
-//! exactly shard-aligned windows of that global next-round bitset.
-//! Draining the whole bitset once per round and walking the segments in
-//! ascending shard id therefore visits the same nodes, in the same order,
-//! taking edges in the same rank order, against world liveness bits at the
-//! same **global edge ids** (the v2 layout preserves them per shard) — so
-//! every floating-point accumulator receives the same additions in the
-//! same sequence as the monolithic kernel. Activations targeting another
-//! shard land in that shard's bitset window mid-round and are expanded in
-//! the *next* round, exactly as the monolithic BFS would. Determinism
-//! tests pin plan-on vs plan-off bitwise equality at shard counts 1/2/3/7,
-//! both kernels, both storages, and pool sizes 1/2
-//! (`monte_carlo::tests::shard_plans_do_not_change_any_estimate`), and CI
-//! byte-diffs whole experiment CSVs between sharded and monolithic graph
-//! files.
+//! totals fold its half-block lanes in ascending lane order, so the merged
+//! estimates are **bit-identical** to
+//! [`monte_carlo::reference_simulate_batch`] — the scalar kernel folded
+//! serially in parts — at every pool size and batch shape (pinned by unit
+//! tests and proptests).
 //!
 //! **RNG-stream contract.** World `i` is always RNG stream `i` (the world
 //! index is mixed into the seed), so caches never depend on the pool size.
@@ -188,7 +159,7 @@
 //! live frequencies against the retained
 //! [`WorldCache::sample_dense_reference`] stream) but not bitwise. All
 //! determinism pins below — bit-identical across pool sizes 1/2/N, across
-//! storages, across text/binary graph loads — hold for the new stream.
+//! shard counts, across text/binary graph loads — hold for the new stream.
 //!
 //! ## Parallel execution and the determinism contract
 //!
@@ -238,12 +209,10 @@ pub use cost::{expected_sc_cost, redemption_rate, seed_cost, total_cost};
 pub use engine::{DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
 pub use estimator::{BenefitEstimator, McEstimator};
 pub use evaluator::{AnalyticEvaluator, BenefitEvaluator, DeploymentRef};
-pub use lane::{
-    lane_cascade_block, lane_cascade_shards, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS,
-};
+pub use lane::{lane_cascade_block, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS};
 pub use metrics::RedemptionReport;
 pub use monte_carlo::{
-    CascadeKernel, LaneBlockStore, McBackend, MonteCarloEvaluator, SimulationStats,
+    reference_simulate_batch, LaneBlockStore, McBackend, MonteCarloEvaluator, SimulationStats,
 };
 pub use spread::SpreadState;
-pub use world::{WorldCache, WorldRef, WorldStorage};
+pub use world::{WorldCache, WorldRef};

@@ -7,7 +7,7 @@
 
 use crate::cost::{expected_sc_cost, redemption_rate, seed_cost};
 use crate::evaluator::DeploymentRef;
-use crate::monte_carlo::{CascadeKernel, MonteCarloEvaluator, SimulationStats};
+use crate::monte_carlo::{MonteCarloEvaluator, SimulationStats};
 use crate::world::WorldCache;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use serde::{Deserialize, Serialize};
@@ -45,22 +45,7 @@ impl RedemptionReport {
         coupons: &[u32],
         cache: &WorldCache,
     ) -> Self {
-        Self::compute_with(graph, data, seeds, coupons, cache, CascadeKernel::default())
-    }
-
-    /// As [`compute`](Self::compute) with an explicit cascade kernel
-    /// (execution strategy only — both kernels report identical bits).
-    pub fn compute_with(
-        graph: &CsrGraph,
-        data: &NodeData,
-        seeds: &[NodeId],
-        coupons: &[u32],
-        cache: &WorldCache,
-        kernel: CascadeKernel,
-    ) -> Self {
-        let stats = MonteCarloEvaluator::new(graph, data, cache)
-            .with_kernel(kernel)
-            .simulate(seeds, coupons);
+        let stats = MonteCarloEvaluator::new(graph, data, cache).simulate(seeds, coupons);
         Self::from_stats(graph, data, seeds, coupons, stats)
     }
 
@@ -73,19 +58,7 @@ impl RedemptionReport {
         batch: &[DeploymentRef<'_>],
         cache: &WorldCache,
     ) -> Vec<Self> {
-        Self::compute_batch_with(graph, data, batch, cache, CascadeKernel::default())
-    }
-
-    /// As [`compute_batch`](Self::compute_batch) with an explicit kernel.
-    pub fn compute_batch_with(
-        graph: &CsrGraph,
-        data: &NodeData,
-        batch: &[DeploymentRef<'_>],
-        cache: &WorldCache,
-        kernel: CascadeKernel,
-    ) -> Vec<Self> {
         MonteCarloEvaluator::new(graph, data, cache)
-            .with_kernel(kernel)
             .simulate_batch(batch)
             .into_iter()
             .zip(batch)

@@ -15,107 +15,43 @@
 //! `PART_WORLDS`, never on the pool size or on which worker ran which part.
 //! Estimates are bit-identical across machines with any core count and
 //! across the serial and pooled paths; `tests/determinism.rs` pins this.
+//! [`reference_simulate_batch`] spells the contract out as a plain serial
+//! loop over the scalar [`world_cascade`]; evaluator results are checked
+//! against it bit for bit.
 //!
-//! ## Batched, cache-blocked evaluation
+//! ## Batched, bit-parallel evaluation
 //!
 //! [`MonteCarloEvaluator::simulate_batch`] evaluates many candidate
-//! deployments in **one pass over the world cache**, processing worlds in
-//! fixed [`PART_WORLDS`]-world blocks per pool worker: each part task
-//! decodes a world's sparse live-edge list once into a reusable per-worker
-//! buffer and runs every candidate's cascade against it before moving to
-//! the next world, so the decoded live adjacency (and the graph arrays it
-//! indexes) stays hot in cache across the whole batch. Greedy loops that
-//! used to issue N serial `simulate` calls submit one N-candidate batch
-//! instead. Per candidate, the part grouping above is unchanged, so batched
+//! deployments in **one pass over the world cache** on the bit-parallel
+//! lane kernel ([`crate::lane`]): worlds are packed [`LANE_WORLDS`] = 64 per
+//! block, one `u64` lane mask per edge, and a single frontier expansion
+//! advances all 64 worlds at once. Each block is decoded once per evaluator
+//! (or once per [`LaneBlockStore`]) and every candidate of every later batch
+//! cascades against it. A block spans exactly two aligned
+//! [`PART_WORLDS`]-world summation parts, and each part's totals fold the
+//! block's lanes in ascending lane order, so lane estimates equal the
+//! serial part-grouped fold bit for bit at every pool size. Greedy loops
+//! that used to issue N serial `simulate` calls submit one N-candidate
+//! batch instead; per candidate the grouping is unchanged, so batched
 //! results are bit-identical to per-candidate calls.
-//!
-//! ## Cascade kernels
-//!
-//! Two interchangeable kernels run the per-world cascades
-//! ([`CascadeKernel`]):
-//!
-//! * **Lane** (the default) — the bit-parallel kernel
-//!   ([`crate::lane`]): worlds are packed [`LANE_WORLDS`] = 64 per block,
-//!   one `u64` lane mask per edge, and a single frontier expansion advances
-//!   all 64 worlds at once. A block spans exactly two aligned
-//!   [`PART_WORLDS`]-world summation parts, and each part's totals are
-//!   folded from the block's lanes in ascending lane order, so lane
-//!   estimates are **bit-identical** to the scalar fold at every pool size
-//!   and world storage.
-//! * **Scalar** — the retained one-world-at-a-time visitor kernel
-//!   ([`crate::reach`]), kept as the bit-identity reference (`repro
-//!   --cascade-kernel scalar`; CI diffs the two kernels' experiment CSVs).
 
-use crate::bits::BitVec;
 use crate::evaluator::{BenefitEvaluator, DeploymentRef};
-use crate::lane::{lane_cascade_block, lane_cascade_shards, LaneBlock, LaneScratch, LANE_WORLDS};
+use crate::lane::{lane_cascade_block, LaneBlock, LaneScratch, LANE_WORLDS};
 use crate::reach::{world_cascade, world_cascade_visit, CascadeScratch, WorldOutcome};
-use crate::world::{WorldCache, WorldRef, WorldStorage};
+use crate::world::WorldCache;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Which cascade kernel an evaluator runs per world. Execution strategy
-/// only: both kernels produce bit-identical estimates (pinned by unit
-/// tests, proptests, and the CI kernel-diff smoke).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum CascadeKernel {
-    /// Bit-parallel world-per-lane kernel, 64 worlds per frontier sweep
-    /// (the default).
-    Lane = 0,
-    /// One-world-at-a-time visitor kernel — the bit-identity reference.
-    Scalar = 1,
-}
-
-/// Lane is the compile-time default everywhere. There is deliberately no
-/// process-wide mutable override: callers that want the scalar reference
-/// pass it explicitly ([`MonteCarloEvaluator::with_kernel`],
-/// [`McBackend::with_kernel`]), so two concurrent campaigns requesting
-/// different kernels can never race each other's configuration.
-impl Default for CascadeKernel {
-    fn default() -> Self {
-        CascadeKernel::Lane
-    }
-}
-
-/// Worker-local kernel scratch plus world-decode buffers, reused across
-/// part/block tasks and calls — one `O(node_count)`/`O(edge_count)` arena
-/// per worker thread (and per caller thread on the inline path), not one
-/// per part or per world. Scratch contents never influence results
-/// (stamp-based marking; the decode buffers are overwritten per world or
-/// block), so reuse cannot affect the determinism contract.
-struct WorkerScratch {
-    cascade: CascadeScratch,
-    decode: Vec<u32>,
-    bits: BitVec,
-    lane: LaneScratch,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch {
-        cascade: CascadeScratch::new(0),
-        decode: Vec::new(),
-        bits: BitVec::zeros(0),
-        lane: LaneScratch::new(0),
-    });
+    /// Worker-local lane scratch, reused across block tasks and calls — one
+    /// `O(node_count)` arena per worker thread (and per caller thread on the
+    /// inline path). Scratch contents never influence results (stamp-based
+    /// marking), so reuse cannot affect the determinism contract.
+    static SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::new(0));
 }
-
-fn with_scratch<R>(nodes: usize, f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        s.cascade.ensure_nodes(nodes);
-        s.lane.ensure_nodes(nodes);
-        f(&mut s)
-    })
-}
-
-/// Batch size from which materializing a sparse world into the scratch
-/// bitmap (then running the word-skipping dense kernel) beats per-node
-/// binary searches: the `O(live)` set/clear amortizes over the batch.
-const MATERIALIZE_BATCH: usize = 4;
 
 /// Worlds per summation part. Fixing the part size (rather than deriving it
 /// from the worker count) is what makes estimates machine-independent.
@@ -155,21 +91,16 @@ pub struct MonteCarloEvaluator<'a> {
     data: &'a NodeData,
     cache: &'a WorldCache,
     pool: &'a ThreadPool,
-    kernel: CascadeKernel,
     /// Lazily decoded [`LaneBlock`]s, one per 64-world block. A block is a
     /// pure function of the cache and the graph, so whichever worker first
-    /// cascades it builds it and every later batch reuses it — the lane
-    /// kernel pays the world decode once per evaluator where the scalar
-    /// fold re-decodes every `simulate_batch` call. Resident size is ~12
-    /// bytes per union-live edge per block (comparable to dense world
-    /// storage of the same worlds). Long-lived owners (the serve daemon's
-    /// resident backends) swap in a shared [`LaneBlockStore`] so the decode
-    /// survives the evaluator itself.
+    /// cascades it builds it and every later batch reuses it. Resident size
+    /// is ~12 bytes per union-live edge per block. Long-lived owners (the
+    /// serve daemon's resident backends) swap in a shared
+    /// [`LaneBlockStore`] so the decode survives the evaluator itself.
     lane_blocks: LaneBlocks<'a>,
-    /// World×candidate cascades run by each kernel (telemetry: fig9's
-    /// `lane_kernel_worlds` / `scalar_kernel_worlds` columns read these).
+    /// World×candidate cascades run so far (telemetry: fig9's
+    /// `lane_kernel_worlds` column reads this).
     lane_worlds: AtomicU64,
-    scalar_worlds: AtomicU64,
 }
 
 impl<'a> MonteCarloEvaluator<'a> {
@@ -196,10 +127,8 @@ impl<'a> MonteCarloEvaluator<'a> {
             data,
             cache,
             pool,
-            kernel: CascadeKernel::default(),
             lane_blocks: LaneBlocks::Owned(slots),
             lane_worlds: AtomicU64::new(0),
-            scalar_worlds: AtomicU64::new(0),
         }
     }
 
@@ -217,24 +146,10 @@ impl<'a> MonteCarloEvaluator<'a> {
         self
     }
 
-    /// Override the cascade kernel (constructors take the process default).
-    pub fn with_kernel(mut self, kernel: CascadeKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The cascade kernel this evaluator runs.
-    pub fn kernel(&self) -> CascadeKernel {
-        self.kernel
-    }
-
-    /// World×candidate cascades run so far as `(lane, scalar)` — how the
-    /// harness observes which kernel actually carried an experiment.
-    pub fn kernel_world_counts(&self) -> (u64, u64) {
-        (
-            self.lane_worlds.load(Ordering::Relaxed),
-            self.scalar_worlds.load(Ordering::Relaxed),
-        )
+    /// World×candidate cascades [`simulate_batch`](Self::simulate_batch)
+    /// has run so far.
+    pub fn lane_world_count(&self) -> u64 {
+        self.lane_worlds.load(Ordering::Relaxed)
     }
 
     /// Number of worlds backing each estimate.
@@ -257,93 +172,16 @@ impl<'a> MonteCarloEvaluator<'a> {
         if r == 0 || batch.is_empty() {
             return vec![SimulationStats::default(); batch.len()];
         }
-        let totals = self.fold_worlds_batch(batch);
-        let rf = r as f64;
-        totals
-            .into_iter()
-            .map(|t| SimulationStats {
-                expected_benefit: t.benefit / rf,
-                mean_activated: t.activated as f64 / rf,
-                cascade: Some(CascadeAverages {
-                    mean_redeemed_sc_cost: t.redeemed_sc_cost / rf,
-                    mean_farthest_hop: t.farthest_hop_sum / rf,
-                }),
-            })
-            .collect()
-    }
-
-    /// Sum one part (worlds `lo..hi`) for every candidate, worlds in order,
-    /// into `part` (cleared first; reusable across parts on one thread).
-    /// Each world is decoded once into the worker's reusable buffer and the
-    /// whole batch cascades against that decoded live adjacency.
-    fn fold_part(&self, batch: &[DeploymentRef<'_>], lo: usize, hi: usize, part: &mut Vec<Totals>) {
-        part.clear();
-        part.resize(batch.len(), Totals::default());
-        let m = self.graph.edge_count();
-        self.scalar_worlds
-            .fetch_add(((hi - lo) * batch.len()) as u64, Ordering::Relaxed);
-        with_scratch(self.graph.node_count(), |ws| {
-            let WorkerScratch {
-                cascade: scratch,
-                decode,
-                bits,
-                ..
-            } = ws;
-            let mut run_batch = |world: WorldRef<'_>, scratch: &mut CascadeScratch| {
-                for (acc, dep) in part.iter_mut().zip(batch) {
-                    acc.add(world_cascade(
-                        self.graph,
-                        self.data,
-                        dep.seeds,
-                        dep.coupons,
-                        world,
-                        scratch,
-                    ));
-                }
-            };
-            for w in lo..hi {
-                // With enough candidates, materialize each sparse world
-                // once into the worker's scratch bitmap (a fused
-                // gap-decode, no intermediate id list) so the whole batch
-                // runs the word-skipping dense kernel; otherwise decode to
-                // the id list and use the binary-search cursor. Identical
-                // results either way — the view never changes the cascade,
-                // only its edge traversal.
-                if batch.len() >= MATERIALIZE_BATCH {
-                    if bits.len() < m {
-                        *bits = BitVec::zeros(m);
-                    }
-                    // Clear BEFORE filling, not after the batch: the
-                    // thread-local bitmap survives a panicking cascade (the
-                    // pool re-throws at the scope but keeps the worker), so
-                    // a post-run clear could leak one world's bits into
-                    // every later evaluation on that worker.
-                    bits.clear();
-                    if self.cache.world_fill_bits(w, bits) {
-                        run_batch(WorldRef::Dense(bits), scratch);
-                        continue;
-                    }
-                }
-                let world = self.cache.world_into(w, decode);
-                run_batch(world, scratch);
-            }
-        });
-    }
-
-    fn fold_worlds_batch(&self, batch: &[DeploymentRef<'_>]) -> Vec<Totals> {
-        match self.kernel {
-            CascadeKernel::Lane => self.fold_worlds_lane(batch),
-            CascadeKernel::Scalar => self.fold_worlds_scalar(batch),
-        }
+        averages(self.fold_worlds(batch), r)
     }
 
     /// Cascade every candidate through one ≤ [`LANE_WORLDS`]-world block of
     /// the bit-parallel kernel, and append the block's one or two 32-world
     /// part totals to `out` as `(part index, per-candidate totals)`. Each
     /// part's totals fold the block's lanes in ascending lane order —
-    /// exactly the scalar fold's serial world-order summation, so lane
-    /// parts merge bit-identically into the existing part-order reduction.
-    fn fold_block_lane(
+    /// exactly the serial world-order summation of the determinism
+    /// contract.
+    fn fold_block(
         &self,
         batch: &[DeploymentRef<'_>],
         base: usize,
@@ -355,11 +193,8 @@ impl<'a> MonteCarloEvaluator<'a> {
         self.lane_worlds
             .fetch_add((count * batch.len()) as u64, Ordering::Relaxed);
         // First cascade over this block decodes it; every later batch and
-        // candidate reuses the compacted adjacency. Graphs carrying a shard
-        // plan decode one shard-local block per shard and run the sharded
-        // schedule (bit-identical; see `lane::lane_cascade_shards`).
-        let plan = self.graph.shard_plan().filter(|p| p.shard_count() > 1);
-        let blocks = self.lane_blocks.slot(base / LANE_WORLDS).get_or_init(|| {
+        // candidate reuses the compacted adjacency.
+        let block = self.lane_blocks.slot(base / LANE_WORLDS).get_or_init(|| {
             let valid = if count == LANE_WORLDS {
                 !0u64
             } else {
@@ -367,45 +202,26 @@ impl<'a> MonteCarloEvaluator<'a> {
             };
             let mut lanes = vec![0u64; self.graph.edge_count()];
             self.cache.world_fill_lanes(base, count, &mut lanes);
-            match plan {
-                Some(p) => (0..p.shard_count())
-                    .map(|s| {
-                        LaneBlock::from_edge_masks_range(self.graph, &lanes, valid, p.node_range(s))
-                    })
-                    .collect(),
-                None => vec![LaneBlock::from_edge_masks(self.graph, &lanes, valid)],
-            }
+            LaneBlock::from_edge_masks(self.graph, &lanes, valid)
         });
-        with_scratch(self.graph.node_count(), |ws| {
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            scratch.ensure_nodes(self.graph.node_count());
             let halves = count.div_ceil(PART_WORLDS);
             let first_part = base / PART_WORLDS;
             let start = out.len();
             for h in 0..halves {
                 out.push((first_part + h, vec![Totals::default(); batch.len()]));
             }
-            // A shared store populated by a plan-carrying evaluator holds
-            // per-shard blocks; only the whole-graph single-block form is
-            // usable without the matching plan.
-            debug_assert!(blocks.len() == 1 || plan.map(|p| p.shard_count()) == Some(blocks.len()));
             for (c, dep) in batch.iter().enumerate() {
-                let lanes = match plan {
-                    Some(p) if blocks.len() == p.shard_count() => lane_cascade_shards(
-                        self.data,
-                        dep.seeds,
-                        dep.coupons,
-                        blocks,
-                        p,
-                        &mut ws.lane,
-                    ),
-                    _ => lane_cascade_block(
-                        self.graph,
-                        self.data,
-                        dep.seeds,
-                        dep.coupons,
-                        &blocks[0],
-                        &mut ws.lane,
-                    ),
-                };
+                let lanes = lane_cascade_block(
+                    self.graph,
+                    self.data,
+                    dep.seeds,
+                    dep.coupons,
+                    block,
+                    scratch,
+                );
                 for h in 0..halves {
                     let acc = &mut out[start + h].1[c];
                     for l in h * PART_WORLDS..((h + 1) * PART_WORLDS).min(count) {
@@ -419,49 +235,44 @@ impl<'a> MonteCarloEvaluator<'a> {
         });
     }
 
-    /// The lane-kernel fold: workers claim 64-world blocks (each yielding
-    /// two aligned 32-world parts), and part totals merge in ascending part
-    /// order exactly as the scalar fold's.
-    fn fold_worlds_lane(&self, batch: &[DeploymentRef<'_>]) -> Vec<Totals> {
+    /// The fold scheduler: workers claim 64-world blocks (each yielding two
+    /// aligned 32-world parts) from a shared counter — one boxed job per
+    /// worker rather than per block — and part totals merge in ascending
+    /// part order, so the summation grouping stays independent of which job
+    /// claimed what.
+    fn fold_worlds(&self, batch: &[DeploymentRef<'_>]) -> Vec<Totals> {
         let r = self.cache.len();
         let parts = r.div_ceil(PART_WORLDS);
         let blocks = r.div_ceil(LANE_WORLDS);
         let block_bounds = |b: usize| (b * LANE_WORLDS, (b * LANE_WORLDS + LANE_WORLDS).min(r));
         let workers = self.pool.num_threads().min(blocks);
+        let mut in_order: Vec<(usize, Vec<Totals>)> = Vec::with_capacity(parts);
         if workers <= 1 {
             // Inline path: blocks in order emit parts in order.
-            let mut acc = vec![Totals::default(); batch.len()];
-            let mut block_parts = Vec::new();
             for b in 0..blocks {
                 let (lo, hi) = block_bounds(b);
-                block_parts.clear();
-                self.fold_block_lane(batch, lo, hi, &mut block_parts);
-                for (_, part) in &block_parts {
-                    merge_into(&mut acc, part);
+                self.fold_block(batch, lo, hi, &mut in_order);
+            }
+        } else {
+            let next = AtomicUsize::new(0);
+            let mut per_job: Vec<Vec<(usize, Vec<Totals>)>> = Vec::with_capacity(workers);
+            per_job.resize_with(workers, Vec::new);
+            self.pool.scope(|s| {
+                for slot in per_job.iter_mut() {
+                    let next = &next;
+                    s.spawn(move || loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        if b >= blocks {
+                            break;
+                        }
+                        let (lo, hi) = block_bounds(b);
+                        self.fold_block(batch, lo, hi, slot);
+                    });
                 }
-            }
-            return acc;
+            });
+            in_order.extend(per_job.into_iter().flatten());
+            in_order.sort_unstable_by_key(|&(p, _)| p);
         }
-        // Pooled path: the scalar fold's claim-by-counter scheme over blocks
-        // instead of parts.
-        let next = AtomicUsize::new(0);
-        let mut per_job: Vec<Vec<(usize, Vec<Totals>)>> = Vec::with_capacity(workers);
-        per_job.resize_with(workers, Vec::new);
-        self.pool.scope(|s| {
-            for slot in per_job.iter_mut() {
-                let next = &next;
-                s.spawn(move || loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= blocks {
-                        break;
-                    }
-                    let (lo, hi) = block_bounds(b);
-                    self.fold_block_lane(batch, lo, hi, slot);
-                });
-            }
-        });
-        let mut in_order: Vec<(usize, Vec<Totals>)> = per_job.into_iter().flatten().collect();
-        in_order.sort_unstable_by_key(|&(p, _)| p);
         assert_eq!(
             in_order.len(),
             parts,
@@ -473,61 +284,61 @@ impl<'a> MonteCarloEvaluator<'a> {
         }
         acc
     }
+}
 
-    fn fold_worlds_scalar(&self, batch: &[DeploymentRef<'_>]) -> Vec<Totals> {
-        let r = self.cache.len();
-        let parts = r.div_ceil(PART_WORLDS);
-        let part_bounds = |p: usize| (p * PART_WORLDS, (p * PART_WORLDS + PART_WORLDS).min(r));
-        let workers = self.pool.num_threads().min(parts);
-        if workers <= 1 {
-            // Inline path: identical part grouping, no scheduling overhead,
-            // one reused part buffer.
-            let mut acc = vec![Totals::default(); batch.len()];
-            let mut part = Vec::new();
-            for p in 0..parts {
-                let (lo, hi) = part_bounds(p);
-                self.fold_part(batch, lo, hi, &mut part);
-                merge_into(&mut acc, &part);
-            }
-            return acc;
-        }
-        // Pooled path: `workers` long-lived jobs pull part indices from a
-        // shared counter — one boxed job per worker rather than per part,
-        // so a 20k-world cache costs a handful of queue operations instead
-        // of hundreds. Each claimed part records its totals with its index,
-        // and parts are merged in ascending part order afterwards, so the
-        // summation grouping stays independent of which job claimed what.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut per_job: Vec<Vec<(usize, Vec<Totals>)>> = Vec::with_capacity(workers);
-        per_job.resize_with(workers, Vec::new);
-        self.pool.scope(|s| {
-            for slot in per_job.iter_mut() {
-                let next = &next;
-                s.spawn(move || loop {
-                    let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if p >= parts {
-                        break;
-                    }
-                    let (lo, hi) = part_bounds(p);
-                    let mut part = Vec::new();
-                    self.fold_part(batch, lo, hi, &mut part);
-                    slot.push((p, part));
-                });
-            }
-        });
-        let mut in_order: Vec<(usize, Vec<Totals>)> = per_job.into_iter().flatten().collect();
-        in_order.sort_unstable_by_key(|&(p, _)| p);
-        assert_eq!(
-            in_order.len(),
-            parts,
-            "every part must be claimed exactly once"
-        );
-        let mut acc = vec![Totals::default(); batch.len()];
-        for (_, part) in &in_order {
-            merge_into(&mut acc, part);
-        }
-        acc
+/// The determinism contract as the plainest possible loop: every
+/// candidate's scalar [`world_cascade`] per world, summed serially in
+/// [`PART_WORLDS`]-world parts that merge in part order — no lanes, no
+/// pool, no block cache. [`MonteCarloEvaluator::simulate_batch`] must
+/// reproduce this bit for bit at every pool size and batch shape; the
+/// tests, proptests, and benches check exactly that.
+pub fn reference_simulate_batch(
+    graph: &CsrGraph,
+    data: &NodeData,
+    cache: &WorldCache,
+    batch: &[DeploymentRef<'_>],
+) -> Vec<SimulationStats> {
+    let r = cache.len();
+    if r == 0 || batch.is_empty() {
+        return vec![SimulationStats::default(); batch.len()];
     }
+    let mut scratch = CascadeScratch::new(graph.node_count());
+    let mut buf = Vec::new();
+    let mut acc = vec![Totals::default(); batch.len()];
+    for lo in (0..r).step_by(PART_WORLDS) {
+        let mut part = vec![Totals::default(); batch.len()];
+        for w in lo..(lo + PART_WORLDS).min(r) {
+            let world = cache.world_into(w, &mut buf);
+            for (t, dep) in part.iter_mut().zip(batch) {
+                t.add(world_cascade(
+                    graph,
+                    data,
+                    dep.seeds,
+                    dep.coupons,
+                    world,
+                    &mut scratch,
+                ));
+            }
+        }
+        merge_into(&mut acc, &part);
+    }
+    averages(acc, r)
+}
+
+/// Per-candidate totals over `r` worlds, as averaged statistics.
+fn averages(totals: Vec<Totals>, r: usize) -> Vec<SimulationStats> {
+    let rf = r as f64;
+    totals
+        .into_iter()
+        .map(|t| SimulationStats {
+            expected_benefit: t.benefit / rf,
+            mean_activated: t.activated as f64 / rf,
+            cascade: Some(CascadeAverages {
+                mean_redeemed_sc_cost: t.redeemed_sc_cost / rf,
+                mean_farthest_hop: t.farthest_hop_sum / rf,
+            }),
+        })
+        .collect()
 }
 
 /// Lane-block slots per cache: one 64-world block per [`LANE_WORLDS`] worlds.
@@ -539,12 +350,12 @@ fn lane_block_count(cache: &WorldCache) -> usize {
 /// (the default — blocks die with the evaluator) or a caller-owned
 /// [`LaneBlockStore`] shared across evaluators over the same cache.
 enum LaneBlocks<'a> {
-    Owned(Vec<OnceLock<Vec<LaneBlock>>>),
+    Owned(Vec<OnceLock<LaneBlock>>),
     Shared(&'a LaneBlockStore),
 }
 
 impl LaneBlocks<'_> {
-    fn slot(&self, i: usize) -> &OnceLock<Vec<LaneBlock>> {
+    fn slot(&self, i: usize) -> &OnceLock<LaneBlock> {
         match self {
             LaneBlocks::Owned(slots) => &slots[i],
             LaneBlocks::Shared(store) => &store.blocks[i],
@@ -558,12 +369,9 @@ impl LaneBlocks<'_> {
 /// every later evaluator over the same store reuses them — so a resident
 /// server pays each block decode once per cache lifetime, not once per
 /// request. Blocks are pure functions of `(graph, cache)`; concurrent
-/// first-builders race benignly inside `OnceLock`. Each slot holds the
-/// block split per shard when the graph carries a
-/// [`ShardPlan`](osn_graph::ShardPlan) (one entry per shard), or a single
-/// whole-graph block otherwise.
+/// first-builders race benignly inside `OnceLock`.
 pub struct LaneBlockStore {
-    blocks: Vec<OnceLock<Vec<LaneBlock>>>,
+    blocks: Vec<OnceLock<LaneBlock>>,
 }
 
 impl LaneBlockStore {
@@ -579,7 +387,6 @@ impl LaneBlockStore {
         self.blocks
             .iter()
             .filter_map(|b| b.get())
-            .flatten()
             .map(|b| b.resident_bytes())
             .sum()
     }
@@ -590,69 +397,27 @@ impl LaneBlockStore {
     }
 }
 
-/// The owning Monte-Carlo backend factory: one sampled world cache, the
-/// cascade kernel its evaluators run, and a shared [`LaneBlockStore`] so
-/// repeated evaluator construction (one per campaign request in the serve
-/// daemon) reuses block decodes. This replaces the `WorldCache::sample` +
-/// `MonteCarloEvaluator::new(graph, data, &cache)` pair that used to be
-/// copy-pasted across `s3ca` and the bench experiments — sampling
+/// The owning Monte-Carlo backend factory: one sampled world cache and a
+/// shared [`LaneBlockStore`] so repeated evaluator construction (one per
+/// campaign request in the serve daemon) reuses block decodes. Sampling
 /// parameters and evaluator construction live in one place, with **no**
 /// process-global configuration involved.
 pub struct McBackend {
     cache: WorldCache,
-    kernel: CascadeKernel,
     lane_store: LaneBlockStore,
 }
 
 impl McBackend {
-    /// Sample `worlds` worlds with streams seeded from `seed` (default
-    /// sparse storage and lane kernel, the shared global pool).
+    /// Sample `worlds` worlds with streams seeded from `seed` on the shared
+    /// global pool.
     pub fn sample(graph: &CsrGraph, worlds: usize, seed: u64) -> Self {
-        Self::sample_with(
-            graph,
-            worlds,
-            seed,
-            WorldStorage::default(),
-            CascadeKernel::default(),
-        )
+        Self::from_cache(WorldCache::sample(graph, worlds, seed))
     }
 
-    /// Fully explicit construction: sample `worlds` worlds into `storage`
-    /// on the shared global pool, and run `kernel` in every evaluator this
-    /// backend hands out. This is the configuration seam that replaced the
-    /// old process-wide `set_default_*` globals.
-    pub fn sample_with(
-        graph: &CsrGraph,
-        worlds: usize,
-        seed: u64,
-        storage: WorldStorage,
-        kernel: CascadeKernel,
-    ) -> Self {
-        let cache =
-            WorldCache::sample_with_storage(graph, worlds, seed, storage, osn_pool::global());
-        Self::from_cache(cache).with_kernel(kernel)
-    }
-
-    /// Wrap an already-sampled cache (default lane kernel).
+    /// Wrap an already-sampled cache.
     pub fn from_cache(cache: WorldCache) -> Self {
         let lane_store = LaneBlockStore::for_cache(&cache);
-        McBackend {
-            cache,
-            kernel: CascadeKernel::default(),
-            lane_store,
-        }
-    }
-
-    /// Run `kernel` in every evaluator this backend hands out. Execution
-    /// strategy only; results never change.
-    pub fn with_kernel(mut self, kernel: CascadeKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The kernel this backend's evaluators run.
-    pub fn kernel(&self) -> CascadeKernel {
-        self.kernel
+        McBackend { cache, lane_store }
     }
 
     /// The backing world cache (telemetry reads sizes and densities here).
@@ -666,15 +431,13 @@ impl McBackend {
     }
 
     /// A batched evaluator over the backing cache on the global pool,
-    /// running this backend's kernel and sharing its lane-block store.
+    /// sharing this backend's lane-block store.
     pub fn evaluator<'a>(
         &'a self,
         graph: &'a CsrGraph,
         data: &'a NodeData,
     ) -> MonteCarloEvaluator<'a> {
-        MonteCarloEvaluator::new(graph, data, &self.cache)
-            .with_kernel(self.kernel)
-            .with_lane_store(&self.lane_store)
+        MonteCarloEvaluator::new(graph, data, &self.cache).with_lane_store(&self.lane_store)
     }
 
     /// As [`evaluator`](Self::evaluator), folding on an explicit pool.
@@ -685,7 +448,6 @@ impl McBackend {
         pool: &'a ThreadPool,
     ) -> MonteCarloEvaluator<'a> {
         MonteCarloEvaluator::with_pool(graph, data, &self.cache, pool)
-            .with_kernel(self.kernel)
             .with_lane_store(&self.lane_store)
     }
 }
@@ -728,12 +490,10 @@ impl BenefitEvaluator for MonteCarloEvaluator<'_> {
 
     fn activation_probabilities(&self, seeds: &[NodeId], coupons: &[u32]) -> Vec<f64> {
         // Frequency of activation per node across worlds (serial: only used
-        // for reports and tests, not in algorithm hot paths). Runs the one
-        // shared cascade kernel with a counting visitor.
+        // for reports and tests, not in algorithm hot paths). Runs the
+        // scalar cascade kernel with a counting visitor.
         let n = self.graph.node_count();
         let mut counts = vec![0u32; n];
-        self.scalar_worlds
-            .fetch_add(self.cache.len() as u64, Ordering::Relaxed);
         let mut scratch = CascadeScratch::new(n);
         let mut decode = Vec::new();
         for w in 0..self.cache.len() {
@@ -780,6 +540,30 @@ mod tests {
         (b.build().unwrap(), NodeData::uniform(7, 1.0, 1.0, 1.0))
     }
 
+    /// Two candidates with different seeds and coupon vectors over
+    /// [`example1`].
+    fn two_candidates() -> (Vec<NodeId>, Vec<NodeId>, Vec<u32>, Vec<u32>) {
+        (
+            vec![NodeId(0)],
+            vec![NodeId(0), NodeId(1)],
+            vec![2, 1, 1, 0, 0, 0, 0],
+            vec![1, 2, 2, 0, 0, 0, 0],
+        )
+    }
+
+    /// Assert `got` equals `want` bit for bit.
+    fn assert_bitwise(got: &[SimulationStats], want: &[SimulationStats], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(
+                g.expected_benefit.to_bits(),
+                w.expected_benefit.to_bits(),
+                "{what}"
+            );
+            assert_eq!(g, w, "{what}");
+        }
+    }
+
     #[test]
     fn monte_carlo_agrees_with_analytic_on_tree() {
         let (g, d) = example1();
@@ -810,6 +594,9 @@ mod tests {
         }
     }
 
+    /// The reference fold is literally the documented part grouping: a
+    /// hand-written 2-part serial sum reproduces it, and so does the pooled
+    /// evaluator.
     #[test]
     fn pooled_and_manual_folds_agree_exactly() {
         let (g, d) = example1();
@@ -818,8 +605,6 @@ mod tests {
         let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
         let mut k = vec![0u32; 7];
         k[0] = 2;
-        // Pooled path (64 worlds, 2 workers) vs manual serial fold in the
-        // documented 32-world part grouping.
         let pooled = ev.simulate(&[NodeId(0)], &k);
         let mut scratch = CascadeScratch::new(7);
         let mut buf = Vec::new();
@@ -837,6 +622,112 @@ mod tests {
             (total / 64.0).to_bits(),
             "pooled fold must reproduce the part-grouped serial sum exactly"
         );
+        let batch = [DeploymentRef {
+            seeds: &[NodeId(0)],
+            coupons: &k,
+        }];
+        assert_bitwise(
+            &[pooled],
+            &reference_simulate_batch(&g, &d, &cache, &batch),
+            "reference fold",
+        );
+    }
+
+    /// The lane kernel against the scalar reference fold, at pool sizes 1
+    /// and 2, on single-world, ragged sub-64, exact, and multi-block
+    /// caches.
+    #[test]
+    fn lane_and_scalar_kernels_agree_bitwise() {
+        let (g, d) = example1();
+        let (seeds_a, seeds_b, k1, k2) = two_candidates();
+        let batch = [
+            DeploymentRef {
+                seeds: &seeds_a,
+                coupons: &k1,
+            },
+            DeploymentRef {
+                seeds: &seeds_b,
+                coupons: &k2,
+            },
+        ];
+        for worlds in [1usize, 48, 64, 160] {
+            let cache = WorldCache::sample(&g, worlds, 5);
+            let want = reference_simulate_batch(&g, &d, &cache, &batch);
+            for threads in [1usize, 2] {
+                let pool = ThreadPool::new(threads);
+                let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
+                assert_bitwise(
+                    &ev.simulate_batch(&batch),
+                    &want,
+                    &format!("{worlds} worlds, {threads} workers"),
+                );
+                assert_eq!(ev.lane_world_count(), (worlds * batch.len()) as u64);
+            }
+        }
+    }
+
+    /// A v2 file assembled in memory is the same graph as the monolithic
+    /// one and runs the same lane path: every shard count gives
+    /// bit-identical statistics at pool sizes 1 and 2.
+    #[test]
+    fn shard_plans_do_not_change_any_estimate() {
+        use osn_graph::shard::{sharded_to_bytes, ShardPlan};
+
+        let n = 48u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            if v + 1 < n {
+                b.add_edge(v, v + 1, 0.6).unwrap();
+            }
+            if v + 3 < n {
+                b.add_edge(v, v + 3, 0.3).unwrap();
+            }
+            if v % 5 == 0 && v + 11 < n {
+                b.add_edge(v, v + 11, 0.2).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let d = NodeData::uniform(n as usize, 1.0, 1.0, 1.0);
+        let seeds_a = [NodeId(0), NodeId(17)];
+        let seeds_b = [NodeId(40)];
+        let k1: Vec<u32> = (0..n).map(|v| v % 3).collect();
+        let k2: Vec<u32> = (0..n).map(|v| (v + 1) % 2).collect();
+        let batch = [
+            DeploymentRef {
+                seeds: &seeds_a,
+                coupons: &k1,
+            },
+            DeploymentRef {
+                seeds: &seeds_b,
+                coupons: &k2,
+            },
+        ];
+        // 80 worlds: one full and one ragged lane block.
+        let cache = WorldCache::sample(&g, 80, 13);
+        let base = MonteCarloEvaluator::new(&g, &d, &cache).simulate_batch(&batch);
+        assert_bitwise(
+            &base,
+            &reference_simulate_batch(&g, &d, &cache, &batch),
+            "monolithic",
+        );
+        for shards in [1usize, 2, 3, 7] {
+            let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards);
+            let path = std::env::temp_dir().join(format!(
+                "osn-mc-shards-{shards}-{}.oscg",
+                std::process::id()
+            ));
+            std::fs::write(&path, sharded_to_bytes(&g, None, &plan).unwrap()).unwrap();
+            let loaded = osn_graph::binary::load_oscg(&path).unwrap().graph;
+            std::fs::remove_file(&path).ok();
+            assert_eq!(loaded, g, "{shards} shards");
+            let cache = WorldCache::sample(&loaded, 80, 13);
+            for threads in [1usize, 2] {
+                let pool = ThreadPool::new(threads);
+                let got = MonteCarloEvaluator::with_pool(&loaded, &d, &cache, &pool)
+                    .simulate_batch(&batch);
+                assert_bitwise(&got, &base, &format!("{shards} shards, {threads} workers"));
+            }
+        }
     }
 
     #[test]
@@ -895,6 +786,10 @@ mod tests {
             ev.simulate_batch(&batch),
             vec![SimulationStats::default(); 3]
         );
+        assert_eq!(
+            reference_simulate_batch(&g, &d, &cache, &batch),
+            vec![SimulationStats::default(); 3]
+        );
     }
 
     #[test]
@@ -928,208 +823,34 @@ mod tests {
     }
 
     #[test]
-    fn lane_and_scalar_kernels_agree_bitwise() {
-        use crate::world::WorldStorage;
-        let (g, d) = example1();
-        let pool1 = ThreadPool::new(1);
-        let pool2 = ThreadPool::new(2);
-        let seeds_a = [NodeId(0)];
-        let seeds_b = [NodeId(0), NodeId(1)];
-        let k1 = vec![2u32, 1, 1, 0, 0, 0, 0];
-        let k2 = vec![1u32, 2, 2, 0, 0, 0, 0];
-        let batch = [
-            DeploymentRef {
-                seeds: &seeds_a,
-                coupons: &k1,
-            },
-            DeploymentRef {
-                seeds: &seeds_b,
-                coupons: &k2,
-            },
-        ];
-        // 48 worlds: a ragged sub-64 block spanning 1.5 parts.
-        for storage in [WorldStorage::Sparse, WorldStorage::Dense] {
-            let cache = WorldCache::sample_with_storage(&g, 48, 5, storage, &pool1);
-            for pool in [&pool1, &pool2] {
-                let lane = MonteCarloEvaluator::with_pool(&g, &d, &cache, pool)
-                    .with_kernel(CascadeKernel::Lane);
-                let scalar = MonteCarloEvaluator::with_pool(&g, &d, &cache, pool)
-                    .with_kernel(CascadeKernel::Scalar);
-                let lr = lane.simulate_batch(&batch);
-                let sr = scalar.simulate_batch(&batch);
-                for (l, s) in lr.iter().zip(&sr) {
-                    assert_eq!(
-                        l.expected_benefit.to_bits(),
-                        s.expected_benefit.to_bits(),
-                        "{storage:?}"
-                    );
-                    assert_eq!(l, s, "{storage:?}");
-                }
-                let (lw, sw) = lane.kernel_world_counts();
-                assert_eq!((lw, sw), (48 * 2, 0));
-                let (lw, sw) = scalar.kernel_world_counts();
-                assert_eq!((lw, sw), (0, 48 * 2));
-            }
-        }
-    }
-
-    /// A shard plan is execution layout only: evaluators over the same
-    /// graph with and without a plan (shard counts 1/2/3/7), under both
-    /// kernels, both storages, and pool sizes 1/2, produce bit-identical
-    /// statistics.
-    #[test]
-    fn shard_plans_do_not_change_any_estimate() {
-        use crate::world::WorldStorage;
-        use osn_graph::ShardPlan;
-        use std::sync::Arc;
-
-        let n = 48u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for v in 0..n {
-            if v + 1 < n {
-                b.add_edge(v, v + 1, 0.6).unwrap();
-            }
-            if v + 3 < n {
-                b.add_edge(v, v + 3, 0.3).unwrap();
-            }
-            if v % 5 == 0 && v + 11 < n {
-                b.add_edge(v, v + 11, 0.2).unwrap();
-            }
-        }
-        let g = b.build().unwrap();
-        let d = NodeData::uniform(n as usize, 1.0, 1.0, 1.0);
-        let pool1 = ThreadPool::new(1);
-        let pool2 = ThreadPool::new(2);
-        let seeds_a = [NodeId(0), NodeId(17)];
-        let seeds_b = [NodeId(40)];
-        let k1: Vec<u32> = (0..n).map(|v| v % 3).collect();
-        let k2: Vec<u32> = (0..n).map(|v| (v + 1) % 2).collect();
-        let batch = [
-            DeploymentRef {
-                seeds: &seeds_a,
-                coupons: &k1,
-            },
-            DeploymentRef {
-                seeds: &seeds_b,
-                coupons: &k2,
-            },
-        ];
-        for storage in [WorldStorage::Sparse, WorldStorage::Dense] {
-            // 80 worlds: one full and one ragged lane block.
-            let cache = WorldCache::sample_with_storage(&g, 80, 13, storage, &pool1);
-            let base = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool1)
-                .with_kernel(CascadeKernel::Lane)
-                .simulate_batch(&batch);
-            for shards in [1usize, 2, 3, 7] {
-                let plan = Arc::new(ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards));
-                let sg = g.clone().with_shard_plan(Some(plan));
-                for pool in [&pool1, &pool2] {
-                    for kernel in [CascadeKernel::Lane, CascadeKernel::Scalar] {
-                        let got = MonteCarloEvaluator::with_pool(&sg, &d, &cache, pool)
-                            .with_kernel(kernel)
-                            .simulate_batch(&batch);
-                        for (b_, g_) in base.iter().zip(&got) {
-                            assert_eq!(
-                                b_.expected_benefit.to_bits(),
-                                g_.expected_benefit.to_bits(),
-                                "{storage:?} {shards} shards {kernel:?}"
-                            );
-                            assert_eq!(b_, g_, "{storage:?} {shards} shards {kernel:?}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lane_kernel_handles_edgeless_graphs() {
         let g = GraphBuilder::new(4).build().unwrap();
         let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
         let cache = WorldCache::sample(&g, 16, 3);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache).with_kernel(CascadeKernel::Lane);
-        let reference = MonteCarloEvaluator::new(&g, &d, &cache).with_kernel(CascadeKernel::Scalar);
+        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
         let k = vec![1u32; 4];
         let seeds = [NodeId(2), NodeId(0)];
-        assert_eq!(ev.simulate(&seeds, &k), reference.simulate(&seeds, &k));
-        assert_eq!(ev.simulate(&seeds, &k).mean_activated, 2.0);
-    }
-
-    #[test]
-    fn default_kernel_is_lane() {
-        assert_eq!(CascadeKernel::default(), CascadeKernel::Lane);
-        let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 4, 1);
-        assert_eq!(
-            MonteCarloEvaluator::new(&g, &d, &cache).kernel(),
-            CascadeKernel::Lane
+        let batch = [DeploymentRef {
+            seeds: &seeds,
+            coupons: &k,
+        }];
+        assert_bitwise(
+            &ev.simulate_batch(&batch),
+            &reference_simulate_batch(&g, &d, &cache, &batch),
+            "edgeless",
         );
-    }
-
-    /// Regression for the process-global kernel default that used to live
-    /// here: two threads standing up evaluators with *different* kernels at
-    /// the same time must each get exactly the kernel they asked for and
-    /// bit-identical results to their serial single-kernel runs. With the
-    /// old `set_default_cascade_kernel` AtomicU8, one thread's configuration
-    /// could leak into the other's freshly constructed evaluator.
-    #[test]
-    fn mixed_kernel_evaluators_from_two_threads_are_isolated() {
-        let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 96, 11);
-        let k = vec![2u32, 1, 1, 0, 0, 0, 0];
-        let seeds = [NodeId(0), NodeId(2)];
-        let serial = |kernel: CascadeKernel| {
-            MonteCarloEvaluator::new(&g, &d, &cache)
-                .with_kernel(kernel)
-                .simulate(&seeds, &k)
-        };
-        let want_lane = serial(CascadeKernel::Lane);
-        let want_scalar = serial(CascadeKernel::Scalar);
-        for _round in 0..8 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = [CascadeKernel::Lane, CascadeKernel::Scalar]
-                    .into_iter()
-                    .cycle()
-                    .take(8)
-                    .map(|kernel| {
-                        let (g, d, cache) = (&g, &d, &cache);
-                        let (seeds, k) = (&seeds, &k);
-                        s.spawn(move || {
-                            let ev = MonteCarloEvaluator::new(g, d, cache).with_kernel(kernel);
-                            (kernel, ev.kernel(), ev.simulate(seeds, k))
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (asked, got, stats) = h.join().unwrap();
-                    assert_eq!(asked, got, "evaluator changed kernel under concurrency");
-                    let want = match asked {
-                        CascadeKernel::Lane => want_lane,
-                        CascadeKernel::Scalar => want_scalar,
-                    };
-                    assert_eq!(
-                        stats.expected_benefit.to_bits(),
-                        want.expected_benefit.to_bits(),
-                        "{asked:?} diverged from its serial run"
-                    );
-                    assert_eq!(stats, want);
-                }
-            });
-        }
+        assert_eq!(ev.simulate(&seeds, &k).mean_activated, 2.0);
     }
 
     /// Many threads calling `simulate_batch` against ONE shared evaluator:
     /// the first callers race the `OnceLock<LaneBlock>` decode, and every
-    /// result must still be bit-identical to the serial answer.
+    /// result must still be bit-identical to the serial reference.
     #[test]
     fn concurrent_simulate_batch_on_shared_evaluator_is_bit_identical() {
         let (g, d) = example1();
         // 3 ragged lane blocks so several OnceLock slots race.
         let cache = WorldCache::sample(&g, 160, 23);
-        let seeds_a = [NodeId(0)];
-        let seeds_b = [NodeId(0), NodeId(1)];
-        let k1 = vec![2u32, 1, 1, 0, 0, 0, 0];
-        let k2 = vec![1u32, 2, 2, 0, 0, 0, 0];
+        let (seeds_a, seeds_b, k1, k2) = two_candidates();
         let batch = [
             DeploymentRef {
                 seeds: &seeds_a,
@@ -1140,32 +861,19 @@ mod tests {
                 coupons: &k2,
             },
         ];
-        for kernel in [CascadeKernel::Lane, CascadeKernel::Scalar] {
-            let serial = MonteCarloEvaluator::new(&g, &d, &cache)
-                .with_kernel(kernel)
-                .simulate_batch(&batch);
-            let shared = MonteCarloEvaluator::new(&g, &d, &cache).with_kernel(kernel);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..8)
-                    .map(|_| {
-                        let (shared, batch) = (&shared, &batch);
-                        s.spawn(move || shared.simulate_batch(batch))
-                    })
-                    .collect();
-                for h in handles {
-                    let got = h.join().unwrap();
-                    assert_eq!(got.len(), serial.len());
-                    for (got, want) in got.iter().zip(&serial) {
-                        assert_eq!(
-                            got.expected_benefit.to_bits(),
-                            want.expected_benefit.to_bits(),
-                            "{kernel:?} concurrent batch diverged from serial"
-                        );
-                        assert_eq!(got, want);
-                    }
-                }
-            });
-        }
+        let want = reference_simulate_batch(&g, &d, &cache, &batch);
+        let shared = MonteCarloEvaluator::new(&g, &d, &cache);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let (shared, batch) = (&shared, &batch);
+                    s.spawn(move || shared.simulate_batch(batch))
+                })
+                .collect();
+            for h in handles {
+                assert_bitwise(&h.join().unwrap(), &want, "concurrent batch");
+            }
+        });
     }
 
     /// Evaluators sharing one [`LaneBlockStore`] agree bitwise with an

@@ -8,25 +8,27 @@
 //! active node takes its live out-edges in rank order, skipping already
 //! active targets (no coupon consumed) and stopping after `k` redemptions.
 //!
-//! One kernel serves every caller: [`world_cascade`] returns the aggregate
-//! [`WorldOutcome`], and [`world_cascade_visit`] additionally reports each
-//! activated node to a visitor (how
+//! One scalar kernel serves every caller: [`world_cascade`] returns the
+//! aggregate [`WorldOutcome`], and [`world_cascade_visit`] additionally
+//! reports each activated node to a visitor (how
 //! [`MonteCarloEvaluator::activation_probabilities`](crate::monte_carlo::MonteCarloEvaluator)
 //! counts per-node activations without a second cascade implementation).
 //! The kernel runs on a [`WorldRef`] — live out-edges come from the world's
-//! live-adjacency cursor ([`WorldRef::for_live_out`]), so sparse worlds
-//! touch only live edges and dense worlds skip zero words.
+//! live-adjacency cursor ([`WorldRef::for_live_out`]), so it touches only
+//! live edges — and is generic over where the forward adjacency lives
+//! ([`ForwardShards`]): an in-memory [`osn_graph::CsrGraph`] is the
+//! one-shard case, an out-of-core [`osn_graph::ShardedOscg`] pages shards
+//! through its LRU.
 //!
 //! Frontier rounds are built through a **word-level bitset**: activations
 //! set a bit, and each round drains the touched words in ascending order,
 //! so every round processes nodes in ascending node id. That order is
-//! deterministic and independent of seed order, storage, and pool size
+//! deterministic and independent of seed order, partitioning, and pool size
 //! (ties for a shared target between two same-round activators resolve to
 //! the smaller activator id).
 
 use crate::world::WorldRef;
-use osn_graph::shard::PlannedCsr;
-use osn_graph::{CsrGraph, ForwardShards, NodeData, NodeId};
+use osn_graph::{ForwardShards, NodeData, NodeId};
 
 /// Reusable buffers for world cascades (one per worker thread).
 #[derive(Clone, Debug)]
@@ -140,8 +142,8 @@ pub struct WorldOutcome {
 }
 
 /// Run the deterministic cascade of `world` from `seeds` under `coupons`.
-pub fn world_cascade(
-    graph: &CsrGraph,
+pub fn world_cascade<G: ForwardShards>(
+    graph: &G,
     data: &NodeData,
     seeds: &[NodeId],
     coupons: &[u32],
@@ -153,8 +155,17 @@ pub fn world_cascade(
 
 /// [`world_cascade`] that additionally calls `visit` once per activated
 /// node (seeds included), in activation order.
-pub fn world_cascade_visit(
-    graph: &CsrGraph,
+///
+/// Each drained round is expanded shard segment by shard segment, in
+/// ascending shard id. Shards are contiguous ascending node ranges and the
+/// round is already ascending, so the segment walk visits the exact nodes
+/// in the exact order a single-shard walk would — the per-shard "inboxes"
+/// of the cross-shard exchange are shard-aligned windows of the one
+/// next-round bitset. The v2 layout preserves global edge ids, so world
+/// liveness is consulted at identical indices too: a graph cascades bit
+/// for bit the same in memory and out of core.
+pub fn world_cascade_visit<G: ForwardShards>(
+    graph: &G,
     data: &NodeData,
     seeds: &[NodeId],
     coupons: &[u32],
@@ -163,22 +174,8 @@ pub fn world_cascade_visit(
     mut visit: impl FnMut(NodeId),
 ) -> WorldOutcome {
     debug_assert_eq!(coupons.len(), graph.node_count());
-    if let Some(plan) = graph.shard_plan() {
-        if plan.shard_count() > 1 {
-            return world_cascade_shards(
-                &PlannedCsr::new(graph, plan),
-                data,
-                seeds,
-                coupons,
-                world,
-                scratch,
-                visit,
-            );
-        }
-    }
     scratch.begin();
     let mut out = WorldOutcome::default();
-    let targets = graph.edge_targets_flat();
 
     for &s in seeds {
         if !scratch.is_active(s) {
@@ -194,89 +191,11 @@ pub fn world_cascade_visit(
     while !scratch.frontier.is_empty() {
         // Swap out the frontier so we can mutate scratch inside the loop.
         let frontier = std::mem::take(&mut scratch.frontier);
-        for &u in &frontier {
-            let mut remaining = coupons[u.index()];
-            if remaining == 0 {
-                continue;
-            }
-            let ids = graph.out_edge_ids(u);
-            world.for_live_out(ids.start, ids.end, |e| {
-                let v = targets[e as usize];
-                if !scratch.is_active(v) {
-                    scratch.activate(v);
-                    visit(v);
-                    out.benefit += data.benefit(v);
-                    out.redeemed_sc_cost += data.sc_cost(v);
-                    out.activated += 1;
-                    remaining -= 1;
-                }
-                remaining > 0
-            });
-        }
-        // Hand the spent allocation back, then refill from the bitset.
-        let mut spent = frontier;
-        spent.clear();
-        scratch.frontier = spent;
-        scratch.drain_next_into_frontier();
-        if !scratch.frontier.is_empty() {
-            hop += 1;
-            out.farthest_hop = hop;
-        }
-    }
-    out
-}
-
-/// The shard-scheduled twin of [`world_cascade_visit`], generic over where
-/// the forward adjacency lives ([`ForwardShards`]): a monolithic graph
-/// sliced under a plan ([`PlannedCsr`]) or an out-of-core
-/// [`osn_graph::ShardedOscg`] paging shards through its LRU.
-///
-/// Bit-identity with the monolithic kernel is structural, not approximate.
-/// The monolithic kernel processes each BFS round in ascending node id
-/// (the frontier drains from a word bitset). Shards are contiguous
-/// ascending node ranges, so splitting the drained round at shard
-/// boundaries and walking the segments in ascending shard id visits the
-/// exact same nodes in the exact same order — the per-shard "inboxes" of
-/// the cross-shard exchange are just shard-aligned windows of the global
-/// next-round bitset, drained once per round. Global edge ids are
-/// preserved by the v2 layout, so the world's per-edge liveness bits are
-/// consulted at identical indices too.
-pub fn world_cascade_shards<G: ForwardShards>(
-    shards: &G,
-    data: &NodeData,
-    seeds: &[NodeId],
-    coupons: &[u32],
-    world: WorldRef<'_>,
-    scratch: &mut CascadeScratch,
-    mut visit: impl FnMut(NodeId),
-) -> WorldOutcome {
-    debug_assert_eq!(coupons.len(), shards.node_count());
-    let plan = shards.plan();
-    scratch.begin();
-    let mut out = WorldOutcome::default();
-
-    for &s in seeds {
-        if !scratch.is_active(s) {
-            scratch.activate(s);
-            visit(s);
-            out.benefit += data.benefit(s);
-            out.activated += 1;
-        }
-    }
-    scratch.drain_next_into_frontier();
-
-    let mut hop = 0u32;
-    while !scratch.frontier.is_empty() {
-        let frontier = std::mem::take(&mut scratch.frontier);
-        // Expand the round shard-segment by shard-segment, ascending shard
-        // id. The frontier is already ascending, so each segment is a
-        // contiguous run found by a partition point on the shard's end.
         let mut i = 0;
         while i < frontier.len() {
-            let s = plan.shard_of(frontier[i].0);
-            let seg_end = plan.node_range(s).end;
+            let (s, seg_end) = graph.shard_span(frontier[i]);
             let j = i + frontier[i..].partition_point(|v| v.0 < seg_end);
-            shards.with_fwd(s, |slice| {
+            graph.with_fwd(s, |slice| {
                 for &u in &frontier[i..j] {
                     let mut remaining = coupons[u.index()];
                     if remaining == 0 {
@@ -299,6 +218,7 @@ pub fn world_cascade_shards<G: ForwardShards>(
             });
             i = j;
         }
+        // Hand the spent allocation back, then refill from the bitset.
         let mut spent = frontier;
         spent.clear();
         scratch.frontier = spent;
@@ -314,46 +234,29 @@ pub fn world_cascade_shards<G: ForwardShards>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitVec;
-    use osn_graph::GraphBuilder;
+    use osn_graph::{CsrGraph, GraphBuilder};
 
-    fn star_world(live_ranks: &[usize]) -> (CsrGraph, NodeData, BitVec) {
-        // Center 0 with children 1..=4 at descending probs.
+    /// Center 0 with children 1..=4 at descending probs, so edge id = rank.
+    fn star() -> (CsrGraph, NodeData) {
         let mut b = GraphBuilder::new(5);
         b.add_edge(0, 1, 0.9).unwrap();
         b.add_edge(0, 2, 0.8).unwrap();
         b.add_edge(0, 3, 0.7).unwrap();
         b.add_edge(0, 4, 0.6).unwrap();
-        let g = b.build().unwrap();
-        let d = NodeData::uniform(5, 1.0, 1.0, 1.0);
-        let mut w = BitVec::zeros(g.edge_count());
-        for &r in live_ranks {
-            w.set(r, true);
-        }
-        (g, d, w)
-    }
-
-    /// The sparse twin of a dense test world.
-    fn sparse_ids(w: &BitVec) -> Vec<u32> {
-        let mut ids = Vec::new();
-        w.for_each_set_in(0, w.len(), |e| {
-            ids.push(e as u32);
-            true
-        });
-        ids
+        (b.build().unwrap(), NodeData::uniform(5, 1.0, 1.0, 1.0))
     }
 
     #[test]
     fn rank_order_decides_coupon_recipients() {
         // All four edges live but only 2 coupons: ranks 0 and 1 win.
-        let (g, d, w) = star_world(&[0, 1, 2, 3]);
+        let (g, d) = star();
         let mut scratch = CascadeScratch::new(5);
         let out = world_cascade(
             &g,
             &d,
             &[NodeId(0)],
             &[2, 0, 0, 0, 0],
-            WorldRef::Dense(&w),
+            WorldRef(&[0, 1, 2, 3]),
             &mut scratch,
         );
         assert_eq!(out.activated, 3);
@@ -363,67 +266,28 @@ mod tests {
     #[test]
     fn dead_high_rank_edges_let_low_ranks_redeem() {
         // Ranks 0 and 1 dead, 2 and 3 live, one coupon: rank 2 wins.
-        let (g, d, w) = star_world(&[2, 3]);
+        let (g, d) = star();
         let mut scratch = CascadeScratch::new(5);
         let out = world_cascade(
             &g,
             &d,
             &[NodeId(0)],
             &[1, 0, 0, 0, 0],
-            WorldRef::Dense(&w),
+            WorldRef(&[2, 3]),
             &mut scratch,
         );
         assert_eq!(out.activated, 2);
     }
 
     #[test]
-    fn dense_and_sparse_views_cascade_identically() {
-        let (g, d, w) = star_world(&[0, 2, 3]);
-        let ids = sparse_ids(&w);
-        let mut scratch = CascadeScratch::new(5);
-        for coupons in [[2, 0, 0, 0, 0], [4, 0, 0, 0, 0], [0; 5]] {
-            let dense = world_cascade(
-                &g,
-                &d,
-                &[NodeId(0)],
-                &coupons,
-                WorldRef::Dense(&w),
-                &mut scratch,
-            );
-            let sparse = world_cascade(
-                &g,
-                &d,
-                &[NodeId(0)],
-                &coupons,
-                WorldRef::Sparse(&ids),
-                &mut scratch,
-            );
-            assert_eq!(dense, sparse, "coupons {coupons:?}");
-        }
-    }
-
-    #[test]
     fn scratch_reuse_is_clean_across_runs() {
-        let (g, d, w) = star_world(&[0]);
+        let (g, d) = star();
+        let w = WorldRef(&[0]);
         let mut scratch = CascadeScratch::new(5);
-        let a = world_cascade(
-            &g,
-            &d,
-            &[NodeId(0)],
-            &[4, 0, 0, 0, 0],
-            WorldRef::Dense(&w),
-            &mut scratch,
-        );
-        let b = world_cascade(
-            &g,
-            &d,
-            &[NodeId(0)],
-            &[4, 0, 0, 0, 0],
-            WorldRef::Dense(&w),
-            &mut scratch,
-        );
+        let a = world_cascade(&g, &d, &[NodeId(0)], &[4, 0, 0, 0, 0], w, &mut scratch);
+        let b = world_cascade(&g, &d, &[NodeId(0)], &[4, 0, 0, 0, 0], w, &mut scratch);
         assert_eq!(a, b);
-        let empty = world_cascade(&g, &d, &[], &[0; 5], WorldRef::Dense(&w), &mut scratch);
+        let empty = world_cascade(&g, &d, &[], &[0; 5], w, &mut scratch);
         assert_eq!(empty.activated, 0);
         assert_eq!(empty.benefit, 0.0);
     }
@@ -435,16 +299,13 @@ mod tests {
         b.add_edge(1, 2, 0.5).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(3, 1.0, 1.0, 1.0);
-        let mut w = BitVec::zeros(2);
-        w.set(0, true);
-        w.set(1, true);
         let mut scratch = CascadeScratch::new(3);
         let out = world_cascade(
             &g,
             &d,
             &[NodeId(0)],
             &[1, 1, 0],
-            WorldRef::Dense(&w),
+            WorldRef(&[0, 1]),
             &mut scratch,
         );
         assert_eq!(out.farthest_hop, 2);
@@ -459,16 +320,13 @@ mod tests {
         b.add_edge(0, 2, 0.8).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(3, 1.0, 1.0, 1.0);
-        let mut w = BitVec::zeros(2);
-        w.set(0, true);
-        w.set(1, true);
         let mut scratch = CascadeScratch::new(3);
         let out = world_cascade(
             &g,
             &d,
             &[NodeId(0), NodeId(1)],
             &[1, 0, 0],
-            WorldRef::Dense(&w),
+            WorldRef(&[0, 1]),
             &mut scratch,
         );
         assert_eq!(out.activated, 3, "coupon must reach node 2");
@@ -477,7 +335,7 @@ mod tests {
 
     #[test]
     fn visitor_sees_every_activation_once() {
-        let (g, d, w) = star_world(&[0, 1, 2, 3]);
+        let (g, d) = star();
         let mut scratch = CascadeScratch::new(5);
         let mut seen = Vec::new();
         let out = world_cascade_visit(
@@ -485,7 +343,7 @@ mod tests {
             &d,
             &[NodeId(0), NodeId(0)],
             &[2, 0, 0, 0, 0],
-            WorldRef::Dense(&w),
+            WorldRef(&[0, 1, 2, 3]),
             &mut scratch,
             |v| seen.push(v),
         );
@@ -504,28 +362,11 @@ mod tests {
         b.add_edge(1, 3, 0.8).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
-        let mut w = BitVec::zeros(3);
-        for e in 0..3 {
-            w.set(e, true);
-        }
+        let w = WorldRef(&[0, 1, 2]);
         let mut scratch = CascadeScratch::new(4);
         let k = [1, 1, 0, 0];
-        let ab = world_cascade(
-            &g,
-            &d,
-            &[NodeId(0), NodeId(1)],
-            &k,
-            WorldRef::Dense(&w),
-            &mut scratch,
-        );
-        let ba = world_cascade(
-            &g,
-            &d,
-            &[NodeId(1), NodeId(0)],
-            &k,
-            WorldRef::Dense(&w),
-            &mut scratch,
-        );
+        let ab = world_cascade(&g, &d, &[NodeId(0), NodeId(1)], &k, w, &mut scratch);
+        let ba = world_cascade(&g, &d, &[NodeId(1), NodeId(0)], &k, w, &mut scratch);
         assert_eq!(ab, ba);
         // Node 0 (smaller id) wins the contested target; node 1 still has
         // its coupon for node 3.
@@ -556,22 +397,18 @@ mod tests {
         (g, d)
     }
 
+    /// The same kernel over an out-of-core [`osn_graph::ShardedOscg`] at
+    /// every shard count reproduces the in-memory run: outcome and
+    /// activation order.
     #[test]
     fn sharded_schedule_is_bit_identical_to_monolithic() {
-        use osn_graph::ShardPlan;
-        use std::sync::Arc;
+        use osn_graph::shard::{sharded_to_bytes, ShardPlan};
+        use osn_graph::ShardedOscg;
 
         let n = 48u32;
         let (g, d) = woven_graph(n);
-        let m = g.edge_count();
         // A deterministic, patterned world: ~2/3 of the edges live.
-        let mut w = BitVec::zeros(m);
-        for e in 0..m {
-            if e % 3 != 1 {
-                w.set(e, true);
-            }
-        }
-        let ids = sparse_ids(&w);
+        let ids: Vec<u32> = (0..g.edge_count() as u32).filter(|e| e % 3 != 1).collect();
         let coupons: Vec<u32> = (0..n).map(|v| v % 3).collect();
         let seeds = [NodeId(0), NodeId(17), NodeId(40)];
 
@@ -582,40 +419,28 @@ mod tests {
             &d,
             &seeds,
             &coupons,
-            WorldRef::Dense(&w),
+            WorldRef(&ids),
             &mut scratch,
             |v| base_seen.push(v),
         );
+        assert!(base.farthest_hop > 2, "the world must cross shards");
 
         for shards in [1usize, 2, 3, 7] {
-            let plan = Arc::new(ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards));
-            let sharded_g = g.clone().with_shard_plan(Some(Arc::clone(&plan)));
-            for world in [WorldRef::Dense(&w), WorldRef::Sparse(&ids)] {
-                // Through the public entry point (dispatches on the plan)…
-                let mut seen = Vec::new();
-                let got = world_cascade_visit(
-                    &sharded_g,
-                    &d,
-                    &seeds,
-                    &coupons,
-                    world,
-                    &mut scratch,
-                    |v| seen.push(v),
-                );
-                assert_eq!(got, base, "{shards} shards");
-                assert_eq!(seen, base_seen, "{shards} shards activation order");
-                // …and directly through the generic sharded kernel.
-                let direct = world_cascade_shards(
-                    &osn_graph::shard::PlannedCsr::new(&g, &plan),
-                    &d,
-                    &seeds,
-                    &coupons,
-                    world,
-                    &mut scratch,
-                    |_| {},
-                );
-                assert_eq!(direct, base, "{shards} shards (direct)");
-            }
+            let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards);
+            let sharded =
+                ShardedOscg::from_owned_bytes(sharded_to_bytes(&g, None, &plan).unwrap()).unwrap();
+            let mut seen = Vec::new();
+            let got = world_cascade_visit(
+                &sharded,
+                &d,
+                &seeds,
+                &coupons,
+                WorldRef(&ids),
+                &mut scratch,
+                |v| seen.push(v),
+            );
+            assert_eq!(got, base, "{shards} shards");
+            assert_eq!(seen, base_seen, "{shards} shards activation order");
         }
     }
 }

@@ -22,17 +22,13 @@
 //!
 //! ## Storage
 //!
-//! Worlds are held in one of two representations ([`WorldStorage`]):
-//!
-//! * **Sparse** (default) — a world-major CSR of ascending live edge ids,
-//!   gap-encoded as `u8` deltas (255 escapes), [`Section`]-backed so it can
-//!   later ride the `.oscg` mmap path. At the Table II profiles' densities
-//!   this is several times smaller than one bit per edge; evaluation
-//!   decodes one world at a time into a reusable `u32` buffer that a whole
-//!   candidate batch then shares (see [`crate::monte_carlo`]).
-//! * **Dense** — one [`BitVec`] bit per edge per world, the same live sets
-//!   materialized differently. `repro --world-storage dense` forces it; CI
-//!   pins that both representations produce byte-identical experiment CSVs.
+//! Worlds are held as a world-major CSR of ascending live edge ids,
+//! gap-encoded as `u8` deltas (255 escapes), [`Section`]-backed so it can
+//! later ride the `.oscg` mmap path. At the Table II profiles' densities
+//! this is several times smaller than one bit per edge. The scalar kernel
+//! decodes one world at a time into a reusable `u32` buffer
+//! ([`WorldCache::world_into`]); the lane kernel ORs a 64-world block
+//! straight into per-edge lane masks ([`WorldCache::world_fill_lanes`]).
 //!
 //! ## RNG-stream contract
 //!
@@ -55,28 +51,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// How sampled worlds are held in memory. Representation only: both forms
-/// hold bit-for-bit identical live-edge sets for the same `(graph, count,
-/// seed)` and drive byte-identical experiment output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum WorldStorage {
-    /// Gap-encoded world-major CSR of live edge ids (the default).
-    Sparse = 0,
-    /// One bit per edge per world.
-    Dense = 1,
-}
-
-/// Sparse is the compile-time default everywhere. There is deliberately no
-/// process-wide mutable override: callers that want dense storage pass it
-/// explicitly ([`WorldCache::sample_with_storage`]), so concurrent callers
-/// can never race each other's configuration.
-impl Default for WorldStorage {
-    fn default() -> Self {
-        WorldStorage::Sparse
-    }
-}
-
 /// Sparse worlds: a world-major CSR over a gap-encoded live-edge stream.
 #[derive(Clone, Debug)]
 struct SparseWorlds {
@@ -89,73 +63,50 @@ struct SparseWorlds {
     gaps: Section<u8>,
 }
 
-#[derive(Clone, Debug)]
-enum Repr {
-    Sparse(SparseWorlds),
-    Dense(Vec<BitVec>),
+impl SparseWorlds {
+    /// World `i`'s gap bytes.
+    fn bytes(&self, i: usize) -> &[u8] {
+        &self.gaps[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
-/// A borrowed view of one world's live-edge set.
+/// A borrowed view of one world's live-edge set: its live edge ids,
+/// ascending.
 #[derive(Clone, Copy, Debug)]
-pub enum WorldRef<'a> {
-    /// One bit per edge.
-    Dense(&'a BitVec),
-    /// Ascending live edge ids.
-    Sparse(&'a [u32]),
-}
+pub struct WorldRef<'a>(pub &'a [u32]);
 
-impl<'a> WorldRef<'a> {
-    /// Is edge `e` live? (Sparse worlds answer by binary search — use
+impl WorldRef<'_> {
+    /// Is edge `e` live? (Answers by binary search — use
     /// [`for_live_out`](Self::for_live_out) on hot paths.)
     pub fn get(&self, e: usize) -> bool {
-        match *self {
-            WorldRef::Dense(bits) => bits.get(e),
-            WorldRef::Sparse(live) => live.binary_search(&(e as u32)).is_ok(),
-        }
+        self.0.binary_search(&(e as u32)).is_ok()
     }
 
     /// Number of live edges in the world.
     pub fn live_count(&self) -> usize {
-        match *self {
-            WorldRef::Dense(bits) => bits.count_ones(),
-            WorldRef::Sparse(live) => live.len(),
-        }
+        self.0.len()
     }
 
     /// Visit the live edge ids in `[lo, hi)` (one node's out-edge range)
     /// in ascending order (= rank order within the node's out-edges),
-    /// stopping early when `f` returns `false`. This is the cascade
-    /// kernels' live-adjacency cursor: sparse worlds position it with one
-    /// binary search and then touch only live out-edges; dense worlds skip
-    /// whole zero words.
+    /// stopping early when `f` returns `false`. This is the scalar
+    /// kernel's live-adjacency cursor: one binary search positions it, and
+    /// it then touches only live out-edges.
     #[inline]
     pub fn for_live_out(&self, lo: u32, hi: u32, mut f: impl FnMut(u32) -> bool) {
-        match *self {
-            WorldRef::Dense(bits) => {
-                bits.for_each_set_in(lo as usize, hi as usize, |e| f(e as u32))
-            }
-            WorldRef::Sparse(live) => {
-                let start = live.partition_point(|&e| e < lo);
-                for &e in &live[start..] {
-                    if e >= hi || !f(e) {
-                        return;
-                    }
-                }
+        let start = self.0.partition_point(|&e| e < lo);
+        for &e in &self.0[start..] {
+            if e >= hi || !f(e) {
+                return;
             }
         }
-    }
-}
-
-impl<'a> From<&'a BitVec> for WorldRef<'a> {
-    fn from(bits: &'a BitVec) -> Self {
-        WorldRef::Dense(bits)
     }
 }
 
 /// A cache of `R` live-edge worlds for one graph.
 #[derive(Clone, Debug)]
 pub struct WorldCache {
-    repr: Repr,
+    worlds: SparseWorlds,
     edges: usize,
     live_edges: u64,
     sampling_micros: u64,
@@ -165,7 +116,7 @@ impl WorldCache {
     /// Sample `count` worlds with streams seeded from `seed` (each world
     /// has an independent deterministic stream, so caches are reproducible
     /// and workers can generate disjoint world ranges), generating on the
-    /// shared [`osn_pool::global`] pool in the default (sparse) storage.
+    /// shared [`osn_pool::global`] pool.
     pub fn sample(graph: &CsrGraph, count: usize, seed: u64) -> Self {
         Self::sample_with_pool(graph, count, seed, osn_pool::global())
     }
@@ -173,20 +124,8 @@ impl WorldCache {
     /// Sample on an explicit pool. World `i` is always RNG stream `i`, so
     /// the cache contents never depend on the pool size.
     pub fn sample_with_pool(graph: &CsrGraph, count: usize, seed: u64, pool: &ThreadPool) -> Self {
-        Self::sample_with_storage(graph, count, seed, WorldStorage::default(), pool)
-    }
-
-    /// Sample into an explicit storage representation. Both storages
-    /// materialize the same skip-sampled live sets.
-    pub fn sample_with_storage(
-        graph: &CsrGraph,
-        count: usize,
-        seed: u64,
-        storage: WorldStorage,
-        pool: &ThreadPool,
-    ) -> Self {
         let index = graph.prob_bucket_index();
-        Self::sample_with_index(graph, &index, count, seed, storage, pool)
+        Self::sample_with_index(graph, &index, count, seed, pool)
     }
 
     /// Sample against a prebuilt [`ProbBucketIndex`] — callers that draw
@@ -196,7 +135,6 @@ impl WorldCache {
         index: &ProbBucketIndex,
         count: usize,
         seed: u64,
-        storage: WorldStorage,
         pool: &ThreadPool,
     ) -> Self {
         assert_eq!(
@@ -228,15 +166,16 @@ impl WorldCache {
                 scratch.ids.sort_unstable();
             }
         };
-        let mut cache = Self::build(m, count, storage, pool, &sampler);
+        let mut cache = Self::build(m, count, pool, &sampler);
         cache.sampling_micros = t0.elapsed().as_micros() as u64;
         cache
     }
 
-    /// The original dense per-edge Bernoulli sampler, kept as the reference
-    /// the skip sampler is statistically checked against. Its RNG stream
+    /// The original per-edge Bernoulli sampler, kept as the reference the
+    /// skip sampler is statistically checked against. Its RNG stream
     /// predates skip sampling and differs from [`sample`](Self::sample);
-    /// the worlds are equal in distribution, not bitwise.
+    /// the worlds are equal in distribution, not bitwise. They are stored
+    /// like every other cache.
     pub fn sample_dense_reference(graph: &CsrGraph, count: usize, seed: u64) -> Self {
         Self::sample_dense_reference_with_pool(graph, count, seed, osn_pool::global())
     }
@@ -254,24 +193,17 @@ impl WorldCache {
         let sampler = move |world: u64, scratch: &mut SampleScratch| {
             sample_world_live_reference(probs, seed, world, &mut scratch.ids);
         };
-        let mut cache = Self::build(
-            graph.edge_count(),
-            count,
-            WorldStorage::Dense,
-            pool,
-            &sampler,
-        );
+        let mut cache = Self::build(graph.edge_count(), count, pool, &sampler);
         cache.sampling_micros = t0.elapsed().as_micros() as u64;
         cache
     }
 
     /// Shared generation driver: run `sampler` for every world index
     /// (chunk-parallel over `pool`, world `i` always stream `i`) and pack
-    /// the sorted live lists into the requested representation.
+    /// the sorted live lists into the gap-encoded CSR.
     fn build(
         edges: usize,
         count: usize,
-        storage: WorldStorage,
         pool: &ThreadPool,
         sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync),
     ) -> Self {
@@ -284,53 +216,45 @@ impl WorldCache {
         };
         let n_chunks = if count == 0 { 0 } else { count.div_ceil(chunk) };
         let mut chunks: Vec<Chunk> = Vec::new();
-        chunks.resize_with(n_chunks, || Chunk::new(storage));
+        chunks.resize_with(n_chunks, Chunk::default);
         if serial {
             for (t, slot) in chunks.iter_mut().enumerate() {
-                fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), edges, sampler);
+                fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), sampler);
             }
         } else {
             pool.scope(|s| {
                 for (t, slot) in chunks.iter_mut().enumerate() {
                     s.spawn(move || {
-                        fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), edges, sampler);
+                        fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), sampler);
                     });
                 }
             });
         }
-        let live_edges: u64 = chunks.iter().map(Chunk::live_edges).sum();
-        let repr = match storage {
-            WorldStorage::Dense => {
-                let mut worlds = Vec::with_capacity(count);
-                for c in &mut chunks {
-                    worlds.append(&mut c.dense);
-                }
-                Repr::Dense(worlds)
+        let live_edges: u64 = chunks
+            .iter()
+            .flat_map(|c| &c.counts)
+            .map(|&c| c as u64)
+            .sum();
+        let total_bytes: usize = chunks.iter().map(|c| c.gaps.len()).sum();
+        let mut offsets = Vec::with_capacity(count + 1);
+        let mut counts = Vec::with_capacity(count);
+        let mut gaps = Vec::with_capacity(total_bytes);
+        offsets.push(0u64);
+        let mut at = 0u64;
+        for c in &chunks {
+            gaps.extend_from_slice(&c.gaps);
+            for (&cnt, &len) in c.counts.iter().zip(&c.byte_lens) {
+                counts.push(cnt);
+                at += len as u64;
+                offsets.push(at);
             }
-            WorldStorage::Sparse => {
-                let total_bytes: usize = chunks.iter().map(|c| c.gaps.len()).sum();
-                let mut offsets = Vec::with_capacity(count + 1);
-                let mut counts = Vec::with_capacity(count);
-                let mut gaps = Vec::with_capacity(total_bytes);
-                offsets.push(0u64);
-                let mut at = 0u64;
-                for c in &chunks {
-                    gaps.extend_from_slice(&c.gaps);
-                    for (&cnt, &len) in c.counts.iter().zip(&c.byte_lens) {
-                        counts.push(cnt);
-                        at += len as u64;
-                        offsets.push(at);
-                    }
-                }
-                Repr::Sparse(SparseWorlds {
-                    offsets: offsets.into(),
-                    counts: counts.into(),
-                    gaps: gaps.into(),
-                })
-            }
-        };
+        }
         WorldCache {
-            repr,
+            worlds: SparseWorlds {
+                offsets: offsets.into(),
+                counts: counts.into(),
+                gaps: gaps.into(),
+            },
             edges,
             live_edges,
             sampling_micros: 0,
@@ -339,10 +263,7 @@ impl WorldCache {
 
     /// Number of cached worlds.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(s) => s.counts.len(),
-            Repr::Dense(v) => v.len(),
-        }
+        self.worlds.counts.len()
     }
 
     /// True when no worlds are cached.
@@ -356,100 +277,35 @@ impl WorldCache {
         self.edges
     }
 
-    /// The representation this cache holds.
-    pub fn storage(&self) -> WorldStorage {
-        match &self.repr {
-            Repr::Sparse(_) => WorldStorage::Sparse,
-            Repr::Dense(_) => WorldStorage::Dense,
-        }
-    }
-
-    /// Borrow world `i`, decoding sparse worlds into `buf` (dense worlds
-    /// borrow the cache directly and leave `buf` untouched). Callers that
-    /// walk many worlds reuse one buffer across the loop.
+    /// Borrow world `i`, decoded into `buf`. Callers that walk many worlds
+    /// reuse one buffer across the loop.
     #[inline]
     pub fn world_into<'a>(&'a self, i: usize, buf: &'a mut Vec<u32>) -> WorldRef<'a> {
-        match &self.repr {
-            Repr::Dense(v) => WorldRef::Dense(&v[i]),
-            Repr::Sparse(s) => {
-                let bytes = &s.gaps[s.offsets[i] as usize..s.offsets[i + 1] as usize];
-                decode_gaps(bytes, s.counts[i] as usize, buf);
-                WorldRef::Sparse(buf)
-            }
-        }
+        decode_gaps(self.worlds.bytes(i), self.worlds.counts[i] as usize, buf);
+        WorldRef(buf)
     }
 
-    /// Materialize world `i` directly into a caller bitmap (must already
-    /// span [`edge_count`](Self::edge_count) bits, and be clear): sparse
-    /// worlds decode their gap stream straight into bit sets with no
-    /// intermediate id list; dense worlds return `false` to signal the
-    /// caller should borrow the stored bitmap via
-    /// [`world_into`](Self::world_into) instead of copying.
-    pub fn world_fill_bits(&self, i: usize, bits: &mut BitVec) -> bool {
-        match &self.repr {
-            Repr::Dense(_) => false,
-            Repr::Sparse(s) => {
-                debug_assert!(bits.len() >= self.edges);
-                let bytes = &s.gaps[s.offsets[i] as usize..s.offsets[i + 1] as usize];
-                let mut cur = 0u32;
-                let mut delta = 0u32;
-                let mut first = true;
-                for &b in bytes {
-                    delta += b as u32;
-                    if b < 255 {
-                        cur = if first { delta } else { cur + delta };
-                        first = false;
-                        bits.set(cur as usize, true);
-                        delta = 0;
-                    }
-                }
-                true
-            }
-        }
+    /// Materialize world `i` into a caller bitmap (must already span
+    /// [`edge_count`](Self::edge_count) bits): the gap stream decodes
+    /// straight into bit sets with no intermediate id list. Bits of edges
+    /// dead in world `i` are left as they were.
+    pub fn world_fill_bits(&self, i: usize, bits: &mut BitVec) {
+        debug_assert!(bits.len() >= self.edges);
+        for_each_gap_id(self.worlds.bytes(i), |e| bits.set(e as usize, true));
     }
 
     /// Materialize worlds `base..base + count` (`count` ≤ 64) as lane
     /// masks: bit `j` of `lanes[e]` is set iff edge `e` is live in world
     /// `base + j`. `lanes` must span [`edge_count`](Self::edge_count) and
-    /// be zero on entry. Sparse worlds OR their gap streams straight into
-    /// the masks with the same fused decode as
-    /// [`world_fill_bits`](Self::world_fill_bits) — no intermediate id
-    /// list; dense worlds OR from their stored bitmaps. This is how the
-    /// bit-parallel cascade kernel ([`crate::lane`]) packs a block of
-    /// worlds.
+    /// be zero on entry. Each world's gap stream ORs straight into the
+    /// masks with no intermediate id list. This is how the bit-parallel
+    /// cascade kernel ([`crate::lane`]) packs a block of worlds.
     pub fn world_fill_lanes(&self, base: usize, count: usize, lanes: &mut [u64]) {
         assert!(count <= 64, "at most 64 worlds per lane block");
         debug_assert!(lanes.len() >= self.edges);
-        match &self.repr {
-            Repr::Sparse(s) => {
-                for j in 0..count {
-                    let i = base + j;
-                    let bit = 1u64 << j;
-                    let bytes = &s.gaps[s.offsets[i] as usize..s.offsets[i + 1] as usize];
-                    let mut cur = 0u32;
-                    let mut delta = 0u32;
-                    let mut first = true;
-                    for &b in bytes {
-                        delta += b as u32;
-                        if b < 255 {
-                            cur = if first { delta } else { cur + delta };
-                            first = false;
-                            lanes[cur as usize] |= bit;
-                            delta = 0;
-                        }
-                    }
-                }
-            }
-            Repr::Dense(v) => {
-                for j in 0..count {
-                    let bit = 1u64 << j;
-                    let w = &v[base + j];
-                    w.for_each_set_in(0, w.len(), |e| {
-                        lanes[e] |= bit;
-                        true
-                    });
-                }
-            }
+        for j in 0..count {
+            let bit = 1u64 << j;
+            for_each_gap_id(self.worlds.bytes(base + j), |e| lanes[e as usize] |= bit);
         }
     }
 
@@ -457,17 +313,8 @@ impl WorldCache {
     /// diagnostics; hot paths use [`world_into`](Self::world_into)).
     pub fn live_edge_ids(&self, i: usize) -> Vec<u32> {
         let mut buf = Vec::new();
-        match self.world_into(i, &mut buf) {
-            WorldRef::Sparse(live) => live.to_vec(),
-            WorldRef::Dense(bits) => {
-                let mut out = Vec::with_capacity(bits.count_ones());
-                bits.for_each_set_in(0, bits.len(), |e| {
-                    out.push(e as u32);
-                    true
-                });
-                out
-            }
-        }
+        self.world_into(i, &mut buf);
+        buf
     }
 
     /// Total live edges across all cached worlds.
@@ -488,17 +335,10 @@ impl WorldCache {
     /// Resident bytes of the world payload (what the fig9-style telemetry
     /// columns report).
     pub fn resident_bytes(&self) -> u64 {
-        match &self.repr {
-            Repr::Sparse(s) => {
-                (s.offsets.len() * std::mem::size_of::<u64>()
-                    + s.counts.len() * std::mem::size_of::<u32>()
-                    + s.gaps.len()) as u64
-            }
-            Repr::Dense(v) => v
-                .iter()
-                .map(|b| (b.resident_bytes() + std::mem::size_of::<BitVec>()) as u64)
-                .sum(),
-        }
+        let w = &self.worlds;
+        (w.offsets.len() * std::mem::size_of::<u64>()
+            + w.counts.len() * std::mem::size_of::<u32>()
+            + w.gaps.len()) as u64
     }
 
     /// Wall time the sampling pass took, in microseconds.
@@ -507,33 +347,12 @@ impl WorldCache {
     }
 }
 
-/// Per-chunk generation output; only the fields of the requested storage
-/// are populated.
+/// Per-chunk generation output.
+#[derive(Default)]
 struct Chunk {
-    dense: Vec<BitVec>,
     gaps: Vec<u8>,
     counts: Vec<u32>,
     byte_lens: Vec<usize>,
-    storage: WorldStorage,
-}
-
-impl Chunk {
-    fn new(storage: WorldStorage) -> Self {
-        Chunk {
-            dense: Vec::new(),
-            gaps: Vec::new(),
-            counts: Vec::new(),
-            byte_lens: Vec::new(),
-            storage,
-        }
-    }
-
-    fn live_edges(&self) -> u64 {
-        match self.storage {
-            WorldStorage::Sparse => self.counts.iter().map(|&c| c as u64).sum(),
-            WorldStorage::Dense => self.dense.iter().map(|b| b.count_ones() as u64).sum(),
-        }
-    }
 }
 
 /// Per-chunk sampler workspace: the world's live ids plus an optional
@@ -543,42 +362,24 @@ struct SampleScratch {
     bits: BitVec,
 }
 
-impl SampleScratch {
-    fn new() -> Self {
-        SampleScratch {
-            ids: Vec::new(),
-            bits: BitVec::zeros(0),
-        }
-    }
-}
-
 fn fill_chunk(
     chunk: &mut Chunk,
     lo: usize,
     hi: usize,
-    edges: usize,
     sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync),
 ) {
-    let mut scratch = SampleScratch::new();
+    let mut scratch = SampleScratch {
+        ids: Vec::new(),
+        bits: BitVec::zeros(0),
+    };
     for w in lo..hi {
         sampler(w as u64, &mut scratch);
         let live = &scratch.ids;
         debug_assert!(live.windows(2).all(|p| p[0] < p[1]), "live ids not sorted");
-        match chunk.storage {
-            WorldStorage::Dense => {
-                let mut bits = BitVec::zeros(edges);
-                for &e in live {
-                    bits.set(e as usize, true);
-                }
-                chunk.dense.push(bits);
-            }
-            WorldStorage::Sparse => {
-                let before = chunk.gaps.len();
-                encode_gaps(live, &mut chunk.gaps);
-                chunk.counts.push(live.len() as u32);
-                chunk.byte_lens.push(chunk.gaps.len() - before);
-            }
-        }
+        let before = chunk.gaps.len();
+        encode_gaps(live, &mut chunk.gaps);
+        chunk.counts.push(live.len() as u32);
+        chunk.byte_lens.push(chunk.gaps.len() - before);
     }
 }
 
@@ -783,11 +584,10 @@ pub fn encode_gaps(live: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a gap stream back into ascending edge ids (the inverse of
+/// Call `f` with every id of a gap stream, ascending (the inverse of
 /// [`encode_gaps`]).
-pub fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(count);
+#[inline]
+fn for_each_gap_id(bytes: &[u8], mut f: impl FnMut(u32)) {
     let mut cur = 0u32;
     let mut delta = 0u32;
     let mut first = true;
@@ -796,10 +596,18 @@ pub fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
         if b < 255 {
             cur = if first { delta } else { cur + delta };
             first = false;
-            out.push(cur);
+            f(cur);
             delta = 0;
         }
     }
+}
+
+/// Decode a gap stream back into ascending edge ids (the inverse of
+/// [`encode_gaps`]).
+pub fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve(count);
+    for_each_gap_id(bytes, |e| out.push(e));
     debug_assert_eq!(out.len(), count, "gap stream count mismatch");
 }
 
@@ -893,46 +701,36 @@ mod tests {
     }
 
     #[test]
-    fn storages_hold_identical_worlds() {
-        let g = graph();
-        let pool = ThreadPool::new(2);
-        let sparse = WorldCache::sample_with_storage(&g, 64, 11, WorldStorage::Sparse, &pool);
-        let dense = WorldCache::sample_with_storage(&g, 64, 11, WorldStorage::Dense, &pool);
-        assert_eq!(sparse.storage(), WorldStorage::Sparse);
-        assert_eq!(dense.storage(), WorldStorage::Dense);
-        assert_eq!(sparse.live_edge_count(), dense.live_edge_count());
-        for w in 0..64 {
-            assert_eq!(sparse.live_edge_ids(w), dense.live_edge_ids(w), "world {w}");
-        }
-    }
-
-    #[test]
-    fn lane_masks_match_per_world_ids_in_both_storages() {
+    fn lane_masks_match_per_world_ids() {
         let mut b = GraphBuilder::new(40);
         for i in 0u32..40 {
             b.add_edge(i, (i + 1) % 40, 0.6).unwrap();
             b.add_edge(i, (i + 7) % 40, 0.25).unwrap();
         }
         let g = b.build().unwrap();
-        let pool = ThreadPool::new(1);
-        for storage in [WorldStorage::Sparse, WorldStorage::Dense] {
-            let cache = WorldCache::sample_with_storage(&g, 70, 3, storage, &pool);
-            // A full 64-world block and a ragged 6-world tail.
-            for (base, count) in [(0usize, 64usize), (64, 6)] {
-                let mut lanes = vec![0u64; cache.edge_count()];
-                cache.world_fill_lanes(base, count, &mut lanes);
-                for j in 0..count {
-                    let want = cache.live_edge_ids(base + j);
-                    let got: Vec<u32> = (0..cache.edge_count())
-                        .filter(|&e| lanes[e] >> j & 1 == 1)
-                        .map(|e| e as u32)
-                        .collect();
-                    assert_eq!(got, want, "{storage:?} world {}", base + j);
-                }
-                if count < 64 {
-                    for (e, &mask) in lanes.iter().enumerate() {
-                        assert_eq!(mask >> count, 0, "bits beyond the block at {e}");
-                    }
+        let cache = WorldCache::sample_with_pool(&g, 70, 3, &ThreadPool::new(1));
+        // A full 64-world block and a ragged 6-world tail.
+        for (base, count) in [(0usize, 64usize), (64, 6)] {
+            let mut lanes = vec![0u64; cache.edge_count()];
+            cache.world_fill_lanes(base, count, &mut lanes);
+            for j in 0..count {
+                let want = cache.live_edge_ids(base + j);
+                let got: Vec<u32> = (0..cache.edge_count())
+                    .filter(|&e| lanes[e] >> j & 1 == 1)
+                    .map(|e| e as u32)
+                    .collect();
+                assert_eq!(got, want, "world {}", base + j);
+                let mut bits = BitVec::zeros(cache.edge_count());
+                cache.world_fill_bits(base + j, &mut bits);
+                let from_bits: Vec<u32> = (0..cache.edge_count())
+                    .filter(|&e| bits.get(e))
+                    .map(|e| e as u32)
+                    .collect();
+                assert_eq!(from_bits, want, "bitmap of world {}", base + j);
+            }
+            if count < 64 {
+                for (e, &mask) in lanes.iter().enumerate() {
+                    assert_eq!(mask >> count, 0, "bits beyond the block at {e}");
                 }
             }
         }
@@ -992,14 +790,12 @@ mod tests {
     #[test]
     fn zero_worlds_keep_the_graph_edge_count() {
         let g = graph();
-        for storage in [WorldStorage::Sparse, WorldStorage::Dense] {
-            let cache = WorldCache::sample_with_storage(&g, 0, 1, storage, &ThreadPool::new(2));
-            assert_eq!(cache.len(), 0);
-            assert!(cache.is_empty());
-            assert_eq!(cache.edge_count(), g.edge_count(), "evaluators assert this");
-            assert_eq!(cache.live_edge_count(), 0);
-            assert_eq!(cache.live_density(), 0.0);
-        }
+        let cache = WorldCache::sample_with_pool(&g, 0, 1, &ThreadPool::new(2));
+        assert_eq!(cache.len(), 0);
+        assert!(cache.is_empty());
+        assert_eq!(cache.edge_count(), g.edge_count(), "evaluators assert this");
+        assert_eq!(cache.live_edge_count(), 0);
+        assert_eq!(cache.live_density(), 0.0);
     }
 
     #[test]
@@ -1019,7 +815,7 @@ mod tests {
     #[test]
     fn all_extreme_probabilities() {
         // Every edge either certain or impossible: no RNG draw decides
-        // anything, both samplers and both storages must agree exactly.
+        // anything, both samplers must agree exactly.
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1, 1.0).unwrap();
         b.add_edge(0, 2, 0.0).unwrap();
@@ -1043,25 +839,24 @@ mod tests {
 
     #[test]
     fn sparse_storage_is_smaller_at_low_density() {
-        // A 4000-edge path at p = 0.02: dense pays 1 bit/edge/world, the
-        // gap stream ≈ 1 byte per live edge (~80 per world).
+        // A 4000-edge path at p = 0.02: one bit per edge per world would
+        // cost 500 bytes a world, the gap stream ≈ 1 byte per live edge
+        // (~80 per world).
         let n = 4001u32;
         let mut b = GraphBuilder::new(n as usize);
         for i in 0..n - 1 {
             b.add_edge(i, i + 1, 0.02).unwrap();
         }
         let g = b.build().unwrap();
-        let pool = ThreadPool::new(1);
-        let sparse = WorldCache::sample_with_storage(&g, 64, 3, WorldStorage::Sparse, &pool);
-        let dense = WorldCache::sample_with_storage(&g, 64, 3, WorldStorage::Dense, &pool);
+        let cache = WorldCache::sample_with_pool(&g, 64, 3, &ThreadPool::new(1));
+        let bitmap_bytes = 64 * g.edge_count().div_ceil(64) as u64 * 8;
         assert!(
-            sparse.resident_bytes() * 3 < dense.resident_bytes(),
-            "sparse {} vs dense {} bytes",
-            sparse.resident_bytes(),
-            dense.resident_bytes()
+            cache.resident_bytes() * 3 < bitmap_bytes,
+            "sparse {} vs one-bit-per-edge {} bytes",
+            cache.resident_bytes(),
+            bitmap_bytes
         );
-        assert!(sparse.sampling_micros() > 0 || dense.sampling_micros() > 0);
-        let d = sparse.live_density();
+        let d = cache.live_density();
         assert!((d - 0.02).abs() < 0.005, "density {d} far from p");
     }
 
@@ -1131,12 +926,5 @@ mod tests {
                 assert_eq!(got, want, "world {w}, node {u:?}");
             }
         }
-    }
-
-    #[test]
-    fn default_storage_is_sparse() {
-        assert_eq!(WorldStorage::default(), WorldStorage::Sparse);
-        let g = graph();
-        assert_eq!(WorldCache::sample(&g, 4, 1).storage(), WorldStorage::Sparse);
     }
 }

@@ -4,9 +4,9 @@ use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::rank::{exhaustion_probability, redemption_probs};
 use osn_propagation::spread::SpreadState;
-use osn_propagation::world::{WorldCache, WorldStorage};
+use osn_propagation::world::WorldCache;
 use osn_propagation::{
-    expected_sc_cost, BenefitEvaluator, CascadeKernel, DeltaScratch, DeploymentRef,
+    expected_sc_cost, reference_simulate_batch, BenefitEvaluator, DeltaScratch, DeploymentRef,
     MonteCarloEvaluator, SpreadEngine,
 };
 use proptest::prelude::*;
@@ -257,11 +257,12 @@ proptest! {
     }
 
     /// The lane-kernel contract: the bit-parallel 64-worlds-per-sweep
-    /// kernel equals the retained scalar reference bit for bit — on random
-    /// cyclic digraphs, in both world storages, at pool sizes 1 and 2,
-    /// across world counts covering empty caches, single worlds, ragged
-    /// sub-64 tails, exact blocks, and multi-block caches (edgeless worlds
-    /// arise naturally from the random probabilities).
+    /// evaluator equals the scalar kernel folded serially in parts
+    /// ([`reference_simulate_batch`]) bit for bit — on random cyclic
+    /// digraphs, at pool sizes 1 and 2, across world counts covering empty
+    /// caches, single worlds, ragged sub-64 tails, exact blocks, and
+    /// multi-block caches (edgeless worlds arise naturally from the random
+    /// probabilities).
     #[test]
     fn lane_kernel_matches_scalar_bitwise(
         edges in digraph_strategy(),
@@ -281,46 +282,39 @@ proptest! {
             .zip(seed_sets)
             .map(|(k, seeds)| DeploymentRef { seeds, coupons: k })
             .collect();
-        let serial_pool = ThreadPool::new(1);
-        for storage in [WorldStorage::Sparse, WorldStorage::Dense] {
-            let cache = WorldCache::sample_with_storage(&g, worlds, seed, storage, &serial_pool);
-            for threads in [1usize, 2] {
-                let pool = ThreadPool::new(threads);
-                let lane = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool)
-                    .with_kernel(CascadeKernel::Lane);
-                let scalar = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool)
-                    .with_kernel(CascadeKernel::Scalar);
-                let lr = lane.simulate_batch(&batch);
-                let sr = scalar.simulate_batch(&batch);
-                prop_assert_eq!(lr.len(), sr.len());
-                for (i, (l, s)) in lr.iter().zip(sr.iter()).enumerate() {
+        let cache = WorldCache::sample_with_pool(&g, worlds, seed, &ThreadPool::new(1));
+        let want = reference_simulate_batch(&g, &d, &cache, &batch);
+        for threads in [1usize, 2] {
+            let pool = ThreadPool::new(threads);
+            let got = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool).simulate_batch(&batch);
+            prop_assert_eq!(got.len(), want.len());
+            for (i, (l, s)) in got.iter().zip(want.iter()).enumerate() {
+                prop_assert_eq!(
+                    l.expected_benefit.to_bits(),
+                    s.expected_benefit.to_bits(),
+                    "candidate {} benefit, {} workers, {} worlds",
+                    i, threads, worlds
+                );
+                prop_assert_eq!(
+                    l.mean_activated.to_bits(),
+                    s.mean_activated.to_bits(),
+                    "candidate {} activated", i
+                );
+                // An empty cache returns default stats with `cascade: None`
+                // from both folds.
+                prop_assert_eq!(l.cascade.is_some(), s.cascade.is_some());
+                prop_assert_eq!(l.cascade.is_some(), worlds > 0);
+                if let (Some(lc), Some(sc)) = (l.cascade, s.cascade) {
                     prop_assert_eq!(
-                        l.expected_benefit.to_bits(),
-                        s.expected_benefit.to_bits(),
-                        "candidate {} benefit, {:?}, {} workers, {} worlds",
-                        i, storage, threads, worlds
+                        lc.mean_redeemed_sc_cost.to_bits(),
+                        sc.mean_redeemed_sc_cost.to_bits(),
+                        "candidate {} redeemed cost", i
                     );
                     prop_assert_eq!(
-                        l.mean_activated.to_bits(),
-                        s.mean_activated.to_bits(),
-                        "candidate {} activated", i
+                        lc.mean_farthest_hop.to_bits(),
+                        sc.mean_farthest_hop.to_bits(),
+                        "candidate {} hops", i
                     );
-    // An empty cache returns default stats with `cascade: None`
-                    // from both kernels.
-                    prop_assert_eq!(l.cascade.is_some(), s.cascade.is_some());
-                    prop_assert_eq!(l.cascade.is_some(), worlds > 0);
-                    if let (Some(lc), Some(sc)) = (l.cascade, s.cascade) {
-                        prop_assert_eq!(
-                            lc.mean_redeemed_sc_cost.to_bits(),
-                            sc.mean_redeemed_sc_cost.to_bits(),
-                            "candidate {} redeemed cost", i
-                        );
-                        prop_assert_eq!(
-                            lc.mean_farthest_hop.to_bits(),
-                            sc.mean_farthest_hop.to_bits(),
-                            "candidate {} hops", i
-                        );
-                    }
                 }
             }
         }

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Campaign `i`'s spec is the deterministic [`spec_for`] mix (algorithms ×
-//! budgets × kernels × storages), identical in both modes, so the files a
+//! budgets × estimators × evaluation world counts), identical in both
+//! modes, so the files a
 //! concurrent client run writes must be byte-identical to the serial
 //! reference's — `repro csvdiff A B 0` per pair is the CI check. Client
 //! mode prints a throughput/latency summary line (the heavy-traffic bench
@@ -37,11 +38,12 @@ fn die(msg: &str) -> ! {
 }
 
 /// The deterministic campaign mix: cycles algorithms, budget multipliers,
-/// world storages, and cascade kernels so a run of ≥ 12 campaigns exercises
-/// every axis, including mixed kernels in flight at once.
+/// S3CA estimators, and evaluation world counts so a run of ≥ 12 campaigns
+/// exercises every axis, with several distinct resident backends in flight
+/// at once.
 fn spec_for(i: usize) -> CampaignSpec {
-    use osn_propagation::{CascadeKernel, WorldStorage};
     use s3crm_bench::Algorithm;
+    use s3crm_core::EstimatorBackend;
     let algorithms = [
         Algorithm::S3ca,
         Algorithm::ImU,
@@ -52,16 +54,12 @@ fn spec_for(i: usize) -> CampaignSpec {
     CampaignSpec {
         algorithm: algorithms[i % algorithms.len()],
         budget_mult: budgets[i % budgets.len()],
-        world_storage: if (i / 2).is_multiple_of(2) {
-            WorldStorage::Sparse
+        estimator: if (i / 4).is_multiple_of(2) {
+            EstimatorBackend::Mc
         } else {
-            WorldStorage::Dense
+            EstimatorBackend::Sketch
         },
-        cascade_kernel: if i.is_multiple_of(2) {
-            CascadeKernel::Lane
-        } else {
-            CascadeKernel::Scalar
-        },
+        eval_worlds: if (i / 3).is_multiple_of(2) { 64 } else { 96 },
         ..CampaignSpec::default()
     }
 }

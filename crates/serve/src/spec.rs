@@ -6,7 +6,6 @@
 
 use osn_gen::weights::WeightModel;
 use osn_graph::NodeId;
-use osn_propagation::{CascadeKernel, WorldStorage};
 use s3crm_bench::{Algorithm, Effort};
 use s3crm_core::EstimatorBackend;
 
@@ -68,10 +67,6 @@ pub struct CampaignSpec {
     pub epsilon: f64,
     /// Sketch δ (failure probability; sketch estimator only).
     pub delta: f64,
-    /// World-cache representation for every cache this campaign touches.
-    pub world_storage: WorldStorage,
-    /// Cascade kernel for every evaluator this campaign stands up.
-    pub cascade_kernel: CascadeKernel,
     /// Worlds in the final-evaluation cache.
     pub eval_worlds: usize,
     /// Worlds inside the IM-family baselines' greedy selection.
@@ -92,8 +87,6 @@ impl Default for CampaignSpec {
             estimator: EstimatorBackend::Mc,
             epsilon: 0.1,
             delta: 0.1,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
             eval_worlds: 64,
             im_worlds: 8,
             seed: quick.seed,
@@ -130,22 +123,6 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     })
 }
 
-fn parse_storage(s: &str) -> Result<WorldStorage, String> {
-    match s {
-        "sparse" => Ok(WorldStorage::Sparse),
-        "dense" => Ok(WorldStorage::Dense),
-        other => Err(format!("storage must be sparse|dense, got {other:?}")),
-    }
-}
-
-fn parse_kernel(s: &str) -> Result<CascadeKernel, String> {
-    match s {
-        "lane" => Ok(CascadeKernel::Lane),
-        "scalar" => Ok(CascadeKernel::Scalar),
-        other => Err(format!("kernel must be lane|scalar, got {other:?}")),
-    }
-}
-
 fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {key}={v:?}"))
 }
@@ -173,8 +150,6 @@ impl CampaignSpec {
                 }
                 "epsilon" => spec.epsilon = num(k, v)?,
                 "delta" => spec.delta = num(k, v)?,
-                "storage" => spec.world_storage = parse_storage(v)?,
-                "kernel" => spec.cascade_kernel = parse_kernel(v)?,
                 "eval_worlds" => spec.eval_worlds = num(k, v)?,
                 "im_worlds" => spec.im_worlds = num(k, v)?,
                 "seed" => spec.seed = num(k, v)?,
@@ -198,8 +173,8 @@ impl CampaignSpec {
     /// the spec.
     pub fn to_line(&self) -> String {
         format!(
-            "algo={} budget={} cap={} estimator={} epsilon={} delta={} storage={} kernel={} \
-             eval_worlds={} im_worlds={} seed={} weights={}",
+            "algo={} budget={} cap={} estimator={} epsilon={} delta={} eval_worlds={} \
+             im_worlds={} seed={} weights={}",
             algorithm_token(self.algorithm),
             self.budget_mult,
             self.limited_cap,
@@ -209,14 +184,6 @@ impl CampaignSpec {
             },
             self.epsilon,
             self.delta,
-            match self.world_storage {
-                WorldStorage::Sparse => "sparse",
-                WorldStorage::Dense => "dense",
-            },
-            match self.cascade_kernel {
-                CascadeKernel::Lane => "lane",
-                CascadeKernel::Scalar => "scalar",
-            },
             self.eval_worlds,
             self.im_worlds,
             self.seed,
@@ -233,8 +200,6 @@ impl CampaignSpec {
         e.im_worlds = self.im_worlds;
         e.seed = self.seed;
         e.estimator = self.estimator;
-        e.world_storage = self.world_storage;
-        e.cascade_kernel = self.cascade_kernel;
         e
     }
 }
@@ -245,8 +210,6 @@ impl CampaignSpec {
 pub struct ProbeSpec {
     pub worlds: usize,
     pub seed: u64,
-    pub world_storage: WorldStorage,
-    pub cascade_kernel: CascadeKernel,
     pub weights: WeightChoice,
     pub seeds: Vec<NodeId>,
     pub coupons: Vec<(NodeId, u32)>,
@@ -259,8 +222,6 @@ impl ProbeSpec {
         let mut spec = ProbeSpec {
             worlds: 64,
             seed: 42,
-            world_storage: WorldStorage::default(),
-            cascade_kernel: CascadeKernel::default(),
             weights: WeightChoice::Dataset,
             seeds: Vec::new(),
             coupons: Vec::new(),
@@ -272,8 +233,6 @@ impl ProbeSpec {
             match k {
                 "worlds" => spec.worlds = num(k, v)?,
                 "seed" => spec.seed = num(k, v)?,
-                "storage" => spec.world_storage = parse_storage(v)?,
-                "kernel" => spec.cascade_kernel = parse_kernel(v)?,
                 "weights" => spec.weights = WeightChoice::parse(v)?,
                 "seeds" => {
                     spec.seeds = v
@@ -317,8 +276,6 @@ mod tests {
             estimator: EstimatorBackend::Sketch,
             epsilon: 0.05,
             delta: 0.2,
-            world_storage: WorldStorage::Dense,
-            cascade_kernel: CascadeKernel::Scalar,
             eval_worlds: 96,
             im_worlds: 12,
             seed: 77,
@@ -348,5 +305,26 @@ mod tests {
         assert_eq!(p.coupons, vec![(NodeId(2), 1), (NodeId(7), 3)]);
         assert!(ProbeSpec::parse("coupons=2").is_err());
         assert!(ProbeSpec::parse("worlds=0").is_err());
+    }
+
+    /// Execution-strategy keys are gone: every result has one cascade
+    /// path, so `storage=` and `kernel=` are plain unknown keys.
+    #[test]
+    fn strategy_keys_are_unknown_keys() {
+        for body in [
+            "storage=sparse",
+            "storage=dense",
+            "kernel=lane",
+            "kernel=scalar",
+        ] {
+            let key = body.split('=').next().unwrap();
+            let want = format!("unknown key {key:?}");
+            assert_eq!(
+                CampaignSpec::parse(body).unwrap_err(),
+                want,
+                "CAMPAIGN {body}"
+            );
+            assert_eq!(ProbeSpec::parse(body).unwrap_err(), want, "PROBE {body}");
+        }
     }
 }

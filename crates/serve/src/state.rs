@@ -6,7 +6,10 @@
 //! decoded lane blocks are all read-only after construction, so campaigns
 //! borrow them zero-copy through `Arc`s — there is no per-campaign copy of
 //! anything sized by the graph. The only mutable state is the two cache
-//! maps (guarded by plain mutexes on the cold miss path) and counters.
+//! maps and counters. Each map holds one `OnceLock` slot per key, so its
+//! mutex only guards slot lookup: building a variant or sampling a backend
+//! happens off the lock, and concurrent requesters of one key share the
+//! single build.
 
 use crate::admission::Admission;
 use crate::batcher::ProbeBatcher;
@@ -14,7 +17,7 @@ use crate::spec::{algorithm_token, CampaignSpec, ProbeSpec, WeightChoice};
 use osn_gen::seeded_rng;
 use osn_gen::weights::assign_weights;
 use osn_graph::{binary, GraphBuilder, ShardedOscg};
-use osn_propagation::{CascadeKernel, McBackend, RedemptionReport, SimulationStats, WorldStorage};
+use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
 use s3crm_bench::dataset::{instance_from_parts, load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::Algorithm;
@@ -26,11 +29,30 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cache locks recover from poisoning: a campaign that panics while
-/// building a variant or backend must not brick the cache for every later
-/// request (the panic itself is reported via the dispatcher's isolation;
-/// an interrupted `or_insert_with` leaves no partial entry behind).
+/// holding one must not brick the cache for every later request (the panic
+/// itself is reported via the dispatcher's isolation).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A cache of lazily built values, one `OnceLock` slot per key. The map
+/// lock is held only to find or insert a slot; the build runs outside it,
+/// so building one key never stalls lookups of another, and concurrent
+/// requesters of the same key block on its slot and share one build. A
+/// build that panics leaves its slot empty for the next requester.
+type SlotMap<T> = Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>;
+
+fn get_or_build<T>(map: &SlotMap<T>, key: &str, build: impl FnOnce() -> T) -> Arc<T> {
+    let slot = lock(map).entry(key.to_string()).or_default().clone();
+    slot.get_or_init(|| Arc::new(build())).clone()
+}
+
+/// The values of `map` built so far.
+fn built<T>(map: &SlotMap<T>) -> Vec<Arc<T>> {
+    lock(map)
+        .values()
+        .filter_map(|slot| slot.get().cloned())
+        .collect()
 }
 
 /// Salt separating evaluation worlds from the worlds the IM baselines
@@ -48,18 +70,17 @@ pub struct ServeState {
     dataset: Arc<LoadedDataset>,
     /// When the dataset file is a partitioned (v2) `.oscg`, the open
     /// sharded handle is kept for the process lifetime: campaigns run on
-    /// the assembled monolithic view (with the shard plan attached for the
-    /// shard-local kernels), while this handle meters shard residency under
-    /// `--resident-mb` and feeds the `INFO` accounting lines.
+    /// the assembled monolithic view, while this handle meters shard
+    /// residency under `--resident-mb` and feeds the `INFO` accounting
+    /// lines.
     sharded: Option<Arc<ShardedOscg>>,
-    /// Re-weighted graph variants, keyed by [`WeightChoice::label`].
-    variants: Mutex<HashMap<String, Arc<LoadedDataset>>>,
-    /// Resident backends keyed by `(variant, worlds, seed, storage,
-    /// kernel)`. The `OnceLock` indirection keeps the map lock off the
-    /// sampling path: concurrent campaigns needing *different* backends
-    /// sample in parallel, while campaigns needing the *same* one block on
-    /// its `OnceLock` and share the single sampled cache.
-    backends: Mutex<HashMap<String, Arc<OnceLock<Arc<McBackend>>>>>,
+    /// Re-weighted graph variants, keyed by [`WeightChoice::label`]. Each
+    /// copies the whole graph, so it is built off the map lock.
+    variants: SlotMap<LoadedDataset>,
+    /// Resident backends keyed by `(variant, worlds, seed)`: concurrent
+    /// campaigns needing *different* backends sample in parallel, while
+    /// campaigns needing the *same* one share the single sampled cache.
+    backends: SlotMap<McBackend>,
     admission: Admission,
     /// How long a campaign may wait for an admission slot before being shed
     /// with `BUSY retry-after-ms=…`.
@@ -154,8 +175,8 @@ impl ServeState {
         Ok(ServeState {
             dataset: Arc::new(dataset),
             sharded,
-            variants: Mutex::new(HashMap::new()),
-            backends: Mutex::new(HashMap::new()),
+            variants: SlotMap::default(),
+            backends: SlotMap::default(),
             admission: Admission::new(max_inflight),
             // Generous default: campaigns on small fixtures finish in
             // milliseconds, so shedding only kicks in under real overload.
@@ -186,67 +207,42 @@ impl ServeState {
             WeightChoice::Model(m) => *m,
         };
         let label = weights.label();
-        let mut variants = lock(&self.variants);
-        variants
-            .entry(label.clone())
-            .or_insert_with(|| {
-                let base = &self.dataset;
-                let mut builder = GraphBuilder::new(base.graph.node_count());
-                for u in base.graph.nodes() {
-                    for (v, p) in base.graph.ranked_out(u) {
-                        builder
-                            .add_edge(u.0, v.0, p)
-                            .expect("copying a valid graph cannot fail");
-                    }
+        get_or_build(&self.variants, &label, || {
+            let base = &self.dataset;
+            let mut builder = GraphBuilder::new(base.graph.node_count());
+            for u in base.graph.nodes() {
+                for (v, p) in base.graph.ranked_out(u) {
+                    builder
+                        .add_edge(u.0, v.0, p)
+                        .expect("copying a valid graph cannot fail");
                 }
-                assign_weights(&mut builder, model, &mut seeded_rng(REWEIGHT_SEED));
-                let graph = builder.build().expect("re-weighted build");
-                Arc::new(LoadedDataset {
-                    name: format!("{}+{label}", base.name),
-                    graph,
-                    // Node attributes are weight-independent; keep them so
-                    // variants stay comparable to the base instance.
-                    data: base.data.clone(),
-                    budget: base.budget,
-                })
-            })
-            .clone()
+            }
+            assign_weights(&mut builder, model, &mut seeded_rng(REWEIGHT_SEED));
+            LoadedDataset {
+                name: format!("{}+{label}", base.name),
+                graph: builder.build().expect("re-weighted build"),
+                // Node attributes are weight-independent; keep them so
+                // variants stay comparable to the base instance.
+                data: base.data.clone(),
+                budget: base.budget,
+            }
+        })
     }
 
-    fn backend_key(
-        variant: &str,
-        worlds: usize,
-        seed: u64,
-        storage: WorldStorage,
-        kernel: CascadeKernel,
-    ) -> String {
-        format!("{variant}|w{worlds}|s{seed}|{storage:?}|{kernel:?}")
-    }
-
-    /// The resident backend for `(variant, worlds, seed, storage, kernel)`,
-    /// sampling it on first use. Returns the key alongside so callers can
-    /// address the probe batcher consistently.
+    /// The resident backend for `(variant, worlds, seed)`, sampling it on
+    /// first use. Returns the key alongside so callers can address the
+    /// probe batcher consistently.
     fn backend(
         &self,
         variant_label: &str,
         ds: &LoadedDataset,
         worlds: usize,
         seed: u64,
-        storage: WorldStorage,
-        kernel: CascadeKernel,
     ) -> (String, Arc<McBackend>) {
-        let key = Self::backend_key(variant_label, worlds, seed, storage, kernel);
-        let slot = {
-            let mut backends = lock(&self.backends);
-            backends.entry(key.clone()).or_default().clone()
-        };
-        let backend = slot
-            .get_or_init(|| {
-                Arc::new(McBackend::sample_with(
-                    &ds.graph, worlds, seed, storage, kernel,
-                ))
-            })
-            .clone();
+        let key = format!("{variant_label}|w{worlds}|s{seed}");
+        let backend = get_or_build(&self.backends, &key, || {
+            McBackend::sample(&ds.graph, worlds, seed)
+        });
         (key, backend)
     }
 
@@ -284,14 +280,8 @@ impl ServeState {
                 };
                 cfg.sketch_epsilon = spec.epsilon;
                 cfg.sketch_delta = spec.delta;
-                let (_, backend) = self.backend(
-                    &variant_label,
-                    &ds,
-                    cfg.snapshot_worlds,
-                    cfg.rng_seed,
-                    spec.world_storage,
-                    spec.cascade_kernel,
-                );
+                let (_, backend) =
+                    self.backend(&variant_label, &ds, cfg.snapshot_worlds, cfg.rng_seed);
                 let r = s3ca_with_snapshot_backend(&ds.graph, &ds.data, binv, &cfg, Some(&backend));
                 (r.deployment, Some(r.telemetry))
             }
@@ -304,14 +294,8 @@ impl ServeState {
 
         // Final evaluation on the resident eval backend, through the probe
         // batcher so concurrent campaigns' evaluations share cache passes.
-        let (eval_key, eval_backend) = self.backend(
-            &variant_label,
-            &ds,
-            spec.eval_worlds,
-            spec.seed ^ EVAL_SALT,
-            spec.world_storage,
-            spec.cascade_kernel,
-        );
+        let (eval_key, eval_backend) =
+            self.backend(&variant_label, &ds, spec.eval_worlds, spec.seed ^ EVAL_SALT);
         let stats = self
             .batcher
             .submit(
@@ -360,14 +344,13 @@ impl ServeState {
         let telemetry = match telemetry {
             Some(t) => format!(
                 "wall_ms={wall_ms} id_micros={} gpi_micros={} scm_micros={} explored_ratio={} \
-                 world_cache_bytes={} lane_worlds={} scalar_worlds={}",
+                 world_cache_bytes={} lane_worlds={}",
                 t.id_micros,
                 t.gpi_micros,
                 t.scm_micros,
                 t.explored_ratio,
                 t.world_cache_bytes,
                 t.lane_kernel_worlds,
-                t.scalar_kernel_worlds,
             ),
             None => format!("wall_ms={wall_ms}"),
         };
@@ -394,14 +377,7 @@ impl ServeState {
         if let Some(bad) = spec.seeds.iter().find(|s| s.index() >= n) {
             return Err(format!("seed {} outside graph of {n} nodes", bad.0));
         }
-        let (key, backend) = self.backend(
-            &variant_label,
-            &ds,
-            spec.worlds,
-            spec.seed ^ EVAL_SALT,
-            spec.world_storage,
-            spec.cascade_kernel,
-        );
+        let (key, backend) = self.backend(&variant_label, &ds, spec.worlds, spec.seed ^ EVAL_SALT);
         let stats: SimulationStats = self
             .batcher
             .submit(&key, &backend, &ds, spec.seeds.clone(), coupons)
@@ -418,17 +394,13 @@ impl ServeState {
 
     /// `key=value` lines answering an `INFO` request.
     pub fn info_lines(&self) -> Vec<String> {
-        let backends = lock(&self.backends);
         let mut resident_bytes = 0usize;
         let mut decoded_blocks = 0usize;
         let mut sampled = 0usize;
-        for slot in backends.values() {
-            if let Some(b) = slot.get() {
-                sampled += 1;
-                resident_bytes +=
-                    b.cache().resident_bytes() as usize + b.lane_store().resident_bytes();
-                decoded_blocks += b.lane_store().decoded_blocks();
-            }
+        for b in built(&self.backends) {
+            sampled += 1;
+            resident_bytes += b.cache().resident_bytes() as usize + b.lane_store().resident_bytes();
+            decoded_blocks += b.lane_store().decoded_blocks();
         }
         let (probes, batches) = self.batcher.counters();
         let mut lines = vec![
@@ -436,7 +408,7 @@ impl ServeState {
             format!("nodes={}", self.dataset.graph.node_count()),
             format!("edges={}", self.dataset.graph.edge_count()),
             format!("base_budget={}", self.dataset.budget),
-            format!("variants={}", lock(&self.variants).len()),
+            format!("variants={}", built(&self.variants).len()),
             format!("backends={sampled}"),
             format!("resident_bytes={resident_bytes}"),
             format!("decoded_lane_blocks={decoded_blocks}"),
@@ -489,26 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_kernel_campaigns_report_identical_deployments() {
-        // Kernel and storage are execution/representation choices only; two
-        // campaigns differing in nothing else must reply byte-identically.
-        let state = ServeState::open(&fixture(), 4).expect("open");
-        let lane = CampaignSpec {
-            cascade_kernel: CascadeKernel::Lane,
-            world_storage: WorldStorage::Sparse,
-            ..CampaignSpec::default()
-        };
-        let scalar = CampaignSpec {
-            cascade_kernel: CascadeKernel::Scalar,
-            world_storage: WorldStorage::Dense,
-            ..CampaignSpec::default()
-        };
-        let a = state.run_campaign(&lane).expect("lane campaign");
-        let b = state.run_campaign(&scalar).expect("scalar campaign");
-        assert_eq!(a.deterministic_lines(), b.deterministic_lines());
-    }
-
-    #[test]
     fn reweighted_variants_are_cached_and_differ_from_the_dataset() {
         let state = ServeState::open(&fixture(), 2).expect("open");
         let uniform = WeightChoice::Model(osn_gen::weights::WeightModel::Uniform(0.05));
@@ -519,6 +471,37 @@ mod tests {
         assert_eq!(v1.graph.edge_count(), state.dataset.graph.edge_count());
         let base = state.variant(&WeightChoice::Dataset);
         assert!(Arc::ptr_eq(&base, &state.dataset));
+    }
+
+    /// Variants build off the map lock: concurrent requests for one label
+    /// share a single build, and distinct labels are each cached.
+    #[test]
+    fn concurrent_variant_requests_share_one_build_per_label() {
+        use osn_gen::weights::WeightModel;
+        let state = ServeState::open(&fixture(), 2).expect("open");
+        let labels = [
+            WeightChoice::Model(WeightModel::Uniform(0.1)),
+            WeightChoice::Model(WeightModel::InverseInDegree),
+        ];
+        let built: Vec<(usize, Arc<LoadedDataset>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    let (state, labels) = (&state, &labels);
+                    s.spawn(move || (i % 2, state.variant(&labels[i % 2])))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (label, ds) in &built {
+            let again = state.variant(&labels[*label]);
+            assert!(Arc::ptr_eq(ds, &again), "label {label} was built twice");
+        }
+        assert!(!Arc::ptr_eq(&built[0].1, &built[1].1));
+        assert!(
+            state.info_lines().contains(&"variants=2".to_string()),
+            "both labels stay cached: {:?}",
+            state.info_lines()
+        );
     }
 
     #[test]

@@ -25,23 +25,19 @@ fn fixture() -> PathBuf {
 /// The same deterministic mixed spec set the loadgen uses, small enough
 /// for a test.
 fn specs(n: usize) -> Vec<CampaignSpec> {
-    use osn_propagation::{CascadeKernel, WorldStorage};
     use s3crm_bench::Algorithm;
+    use s3crm_core::EstimatorBackend;
     let algorithms = [Algorithm::S3ca, Algorithm::ImU, Algorithm::PmL];
     (0..n)
         .map(|i| CampaignSpec {
             algorithm: algorithms[i % algorithms.len()],
             budget_mult: [1.0, 0.5, 2.0][i % 3],
-            cascade_kernel: if i % 2 == 0 {
-                CascadeKernel::Lane
+            estimator: if (i / 3) % 2 == 0 {
+                EstimatorBackend::Mc
             } else {
-                CascadeKernel::Scalar
+                EstimatorBackend::Sketch
             },
-            world_storage: if (i / 2) % 2 == 0 {
-                WorldStorage::Sparse
-            } else {
-                WorldStorage::Dense
-            },
+            eval_worlds: if i % 2 == 0 { 64 } else { 96 },
             ..CampaignSpec::default()
         })
         .collect()

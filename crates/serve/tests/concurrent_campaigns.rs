@@ -10,26 +10,23 @@ fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/fixtures/smoke_snap.txt")
 }
 
-/// A small mixed spec set: kernels, storages, algorithms, and budgets all
-/// vary, so distinct configurations are genuinely in flight at once.
+/// A small mixed spec set: algorithms, budgets, estimators, and evaluation
+/// world counts all vary, so distinct resident backends are genuinely in
+/// flight at once.
 fn specs() -> Vec<CampaignSpec> {
-    use osn_propagation::{CascadeKernel, WorldStorage};
     use s3crm_bench::Algorithm;
+    use s3crm_core::EstimatorBackend;
     let algorithms = [Algorithm::S3ca, Algorithm::ImU, Algorithm::PmL];
     (0..9)
         .map(|i| CampaignSpec {
             algorithm: algorithms[i % algorithms.len()],
             budget_mult: [1.0, 0.5, 2.0][i % 3],
-            cascade_kernel: if i % 2 == 0 {
-                CascadeKernel::Lane
+            estimator: if (i / 3) % 2 == 0 {
+                EstimatorBackend::Mc
             } else {
-                CascadeKernel::Scalar
+                EstimatorBackend::Sketch
             },
-            world_storage: if (i / 2) % 2 == 0 {
-                WorldStorage::Sparse
-            } else {
-                WorldStorage::Dense
-            },
+            eval_worlds: if i % 2 == 0 { 64 } else { 96 },
             ..CampaignSpec::default()
         })
         .collect()

@@ -31,7 +31,7 @@ use osn_graph::storage::Section;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::bits::BitVec;
-use osn_propagation::world::{decode_gaps, encode_gaps, WorldCache, WorldRef};
+use osn_propagation::world::{decode_gaps, encode_gaps, WorldCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -506,15 +506,7 @@ fn extract_worlds(
     let t = params.roots_per_world;
     let per_world: Vec<Vec<RawSketch>> = pool.map_indexed(cache.len(), |w| {
         let mut bits = BitVec::zeros(graph.edge_count());
-        let mut buf = Vec::new();
-        if !cache.world_fill_bits(w, &mut bits) {
-            if let WorldRef::Dense(b) = cache.world_into(w, &mut buf) {
-                b.for_each_set_in(0, b.len(), |e| {
-                    bits.set(e, true);
-                    true
-                });
-            }
-        }
+        cache.world_fill_bits(w, &mut bits);
         let mut scratch = ExtractScratch::new(graph.node_count());
         (0..t)
             .map(|ti| {

@@ -186,7 +186,6 @@ fn baseline_selections_are_pool_size_independent() {
         CouponStrategy::Limited(2),
         &im_ref,
         &cache,
-        osn_propagation::CascadeKernel::default(),
         &reference_pool,
     );
     let pm_ref = pm_with_strategy_on(
@@ -210,7 +209,6 @@ fn baseline_selections_are_pool_size_independent() {
             CouponStrategy::Limited(2),
             &im,
             &cache,
-            osn_propagation::CascadeKernel::default(),
             &pool,
         );
         assert_eq!(
@@ -409,46 +407,6 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
         assert_eq!(
             rows[0], rows[1],
             "{profile:?}: pipeline CSV drifted between pool sizes 1 and 2"
-        );
-    }
-}
-
-/// World storage is representation only: the sparse gap-encoded CSR and
-/// the dense bitset hold bit-for-bit identical skip-sampled live sets, and
-/// every Monte-Carlo statistic (hence every CSV cell) is bit-identical
-/// between them at pool sizes 1 and 2. This is the contract behind the
-/// `repro --world-storage` escape hatch and CI's dense-vs-sparse drift
-/// check.
-#[test]
-fn world_storage_is_representation_only() {
-    use osn_propagation::world::WorldStorage;
-
-    let inst = DatasetProfile::Facebook
-        .generate(0.02, 37)
-        .expect("generation");
-    let result = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
-    for threads in [1usize, 2] {
-        let pool = ThreadPool::new(threads);
-        let sparse =
-            WorldCache::sample_with_storage(&inst.graph, 96, 23, WorldStorage::Sparse, &pool);
-        let dense =
-            WorldCache::sample_with_storage(&inst.graph, 96, 23, WorldStorage::Dense, &pool);
-        assert_eq!(sparse.live_edge_count(), dense.live_edge_count());
-        for w in 0..96 {
-            assert_eq!(
-                sparse.live_edge_ids(w),
-                dense.live_edge_ids(w),
-                "{threads}-worker: world {w} live set diverged between storages"
-            );
-        }
-        let stats_of = |cache: &WorldCache| {
-            MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, cache, &pool)
-                .simulate(&result.deployment.seeds, &result.deployment.coupons)
-        };
-        assert_stats_bit_identical(
-            &stats_of(&sparse),
-            &stats_of(&dense),
-            &format!("{threads}-worker sparse vs dense storage"),
         );
     }
 }
