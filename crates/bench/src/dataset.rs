@@ -119,8 +119,8 @@ pub fn load_dataset(path: &Path, effort: &Effort) -> Result<LoadedDataset, Graph
 /// Shape an already-loaded graph (plus its optional stored workload) into a
 /// [`LoadedDataset`], synthesizing the deterministic default workload where
 /// the file carries none — the exact policy of [`load_dataset`], exposed
-/// for callers that open the file themselves (e.g. `osn-serve` keeping a
-/// [`osn_graph::ShardedOscg`] handle for residency accounting).
+/// for callers that open the file themselves (e.g. through
+/// [`osn_graph::ShardedOscg`] to time the open on its own).
 pub fn instance_from_parts(
     name: String,
     graph: CsrGraph,

@@ -36,7 +36,7 @@ impl Effort {
         }
     }
 
-    /// Smaller preset for Criterion micro-benches (seconds-scale kernels).
+    /// Smaller preset for `repro --micro` smoke runs (seconds-scale).
     pub fn micro() -> Self {
         Effort {
             graph_scale: 0.3,
@@ -106,7 +106,7 @@ mod tests {
         assert!(f.graph_scale > q.graph_scale);
         assert!(f.eval_worlds > q.eval_worlds);
         // Micro sits strictly below quick on every sizing knob (it exists
-        // so benches and smoke tests stay seconds-scale).
+        // so smoke runs and tests stay seconds-scale).
         assert!(m.graph_scale < q.graph_scale);
         assert!(m.eval_worlds < q.eval_worlds);
         assert!(m.im_worlds < q.im_worlds);

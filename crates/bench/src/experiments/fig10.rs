@@ -31,7 +31,7 @@ pub const EPSILON: f64 = 0.05;
 /// `c0 = 3`, so the Theorem 2 ratio `1 − e^{−1/(b0·c0)} − ε ≈ 0.23` gives a
 /// *meaningful* worst-case curve like the paper's Fig. 10 (degree-dependent
 /// seed costs would blow `c0` up and clamp the bound to zero).
-pub fn small_instance(margin: f64, seed: u64) -> (CsrGraph, NodeData, f64) {
+fn small_instance(margin: f64, seed: u64) -> (CsrGraph, NodeData, f64) {
     let mut rng = seeded_rng(seed);
     let topo = powerlaw_cluster(SMALL_N, 3, 0.9, &mut rng); // clustering ≈ PPGG's 0.64
     let mut builder = topo.into_directed(1.0, &mut rng).expect("conversion");

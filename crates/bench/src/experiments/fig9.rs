@@ -17,7 +17,7 @@ use osn_graph::{CsrGraph, NodeData};
 use s3crm_core::s3ca;
 
 /// Build one synthetic scalability instance.
-pub fn synthetic_instance(n: usize, seed: u64) -> (CsrGraph, NodeData) {
+fn synthetic_instance(n: usize, seed: u64) -> (CsrGraph, NodeData) {
     let mut rng = seeded_rng(seed);
     let topo = powerlaw_cluster(n, 8, 0.6, &mut rng);
     let mut builder = topo.into_directed(1.0, &mut rng).expect("conversion");

@@ -10,7 +10,7 @@ use s3crm_core::s3ca;
 
 /// Budget factors matching the paper's five-point sweeps
 /// (e.g. Facebook 6K..14K around the 10K default).
-pub const BUDGET_FACTORS: [f64; 5] = [0.6, 0.8, 1.0, 1.2, 1.4];
+const BUDGET_FACTORS: [f64; 5] = [0.6, 0.8, 1.0, 1.2, 1.4];
 
 /// Build the runtime table for the given profiles.
 pub fn running_time(profiles: &[DatasetProfile], effort: &Effort) -> Table {

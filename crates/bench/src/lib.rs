@@ -16,9 +16,8 @@
 //! | [`experiments::ablation`] | (extension) phase & evaluator ablations |
 //! | [`experiments::dataset`] | (extension) Fig. 6-style sweep over a user dataset (`repro --data`) |
 //!
-//! Run everything with `cargo run -p s3crm-bench --release --bin repro`;
-//! Criterion micro-benches live under `crates/bench/benches/`. The
-//! [`dataset`] module is the instance choke point: it loads real SNAP /
+//! Run everything with `cargo run -p s3crm-bench --release --bin repro`.
+//! The [`dataset`] module is the instance choke point: it loads real SNAP /
 //! `.oscg` datasets (`--data`, `convert`) and routes profile generation
 //! through the `.oscg` cache (`--cache`).
 //!

@@ -32,7 +32,7 @@
 //! [`investment_deployment_reference`] selects. That reference
 //! implementation (the seed code path: full `SpreadState` re-evaluation
 //! per move, full candidate rescan per iteration) is kept verbatim as the
-//! equivalence oracle for tests and the `incremental_eval` bench.
+//! equivalence oracle for tests.
 
 use crate::deployment::Deployment;
 use crate::objective::{self, ObjectiveValue};
@@ -531,8 +531,7 @@ where
 /// The seed implementation: full [`SpreadState`] re-evaluation after every
 /// move and an exhaustive candidate rescan per iteration. Kept verbatim as
 /// the equivalence oracle for [`investment_deployment`] (pinned by
-/// `tests/determinism.rs`) and as the from-scratch side of the
-/// `incremental_eval` bench.
+/// `tests/determinism.rs`).
 pub fn investment_deployment_reference(
     graph: &CsrGraph,
     data: &NodeData,

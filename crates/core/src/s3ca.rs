@@ -29,7 +29,8 @@ pub enum EstimatorBackend {
 }
 
 /// Tunables of the algorithm. The defaults run the full three-phase
-/// pipeline; the phase switches exist for the `ablation_phases` bench.
+/// pipeline; the phase switches serve the phase ablation (`repro ablation`)
+/// and the ID-only variant.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct S3caConfig {
     /// Run Guaranteed-Path Identification (phase 2).

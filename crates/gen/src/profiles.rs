@@ -12,7 +12,7 @@
 //! graph whose node count, average degree and reciprocity match the real
 //! network, with influence probabilities `1/in-degree` and the standard
 //! Sec. VI-A workload. A `scale ∈ (0, 1]` knob shrinks node counts (and
-//! `Binv` proportionally) so benches stay laptop-sized.
+//! `Binv` proportionally) so experiments stay laptop-sized.
 
 use crate::attrs::standard_workload;
 use crate::powerlaw_cluster::powerlaw_cluster;

@@ -111,38 +111,6 @@ impl BitVec {
             }
         }
     }
-
-    /// Visit the set bit positions in `[lo, hi)` in ascending order,
-    /// stopping early when `f` returns `false`. Whole zero words are
-    /// skipped, so sparse ranges cost one word test per 64 bits instead of
-    /// one `get` per bit.
-    pub fn for_each_set_in(&self, lo: usize, hi: usize, mut f: impl FnMut(usize) -> bool) {
-        debug_assert!(lo <= hi && hi <= self.len);
-        if lo >= hi {
-            return;
-        }
-        let first_w = lo >> 6;
-        let last_w = (hi - 1) >> 6;
-        for w in first_w..=last_w {
-            let mut word = self.words[w];
-            if w == first_w {
-                word &= !0u64 << (lo & 63);
-            }
-            if w == last_w {
-                let top = hi & 63;
-                if top != 0 {
-                    word &= (1u64 << top) - 1;
-                }
-            }
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                if !f((w << 6) | b) {
-                    return;
-                }
-                word &= word - 1;
-            }
-        }
-    }
 }
 
 /// A word-level index set with dirty-word tracking — the frontier bitset of
@@ -257,30 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn range_iteration_matches_per_bit_scan() {
-        let mut b = BitVec::zeros(200);
-        for i in [0, 1, 63, 64, 65, 127, 128, 130, 199] {
-            b.set(i, true);
-        }
-        for (lo, hi) in [
-            (0, 200),
-            (1, 199),
-            (63, 65),
-            (64, 128),
-            (130, 130),
-            (66, 127),
-        ] {
-            let mut seen = Vec::new();
-            b.for_each_set_in(lo, hi, |i| {
-                seen.push(i);
-                true
-            });
-            let want: Vec<usize> = (lo..hi).filter(|&i| b.get(i)).collect();
-            assert_eq!(seen, want, "range [{lo}, {hi})");
-        }
-    }
-
-    #[test]
     fn count_ones_in_matches_naive_scan() {
         let mut b = BitVec::zeros(200);
         for i in [0, 3, 63, 64, 65, 127, 128, 199] {
@@ -311,20 +255,6 @@ mod tests {
         b.drain_set_into(&mut out);
         assert_eq!(out, set.iter().map(|&i| i as u32).collect::<Vec<_>>());
         assert_eq!(b.count_ones(), 0, "drain must clear the bitset");
-    }
-
-    #[test]
-    fn range_iteration_stops_on_false() {
-        let mut b = BitVec::zeros(100);
-        for i in 0..100 {
-            b.set(i, true);
-        }
-        let mut seen = 0;
-        b.for_each_set_in(10, 90, |_| {
-            seen += 1;
-            seen < 3
-        });
-        assert_eq!(seen, 3);
     }
 
     #[test]

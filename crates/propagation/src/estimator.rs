@@ -9,18 +9,13 @@
 //! [`BenefitEvaluator`](crate::evaluator::BenefitEvaluator) interface — an
 //! estimator is an evaluator bound to one evolving deployment.
 //!
-//! Three implementations exist:
+//! Two implementations exist:
 //!
 //! * [`SpreadEngine`](crate::engine::SpreadEngine) — the exact analytic
 //!   reference. Its impl is pure delegation to the inherent methods, so the
 //!   generic greedy loops monomorphize to the very same floating-point
 //!   sequences as before the seam existed; the PR 4 bit-identity pins hold
 //!   unchanged.
-//! * [`McEstimator`] (this module) — forward Monte-Carlo estimation over a
-//!   [`WorldCache`](crate::world::WorldCache): every benefit read is `O(worlds
-//!   × cascade)`. This is the paper's "estimate by sampling" path made
-//!   drivable by the greedy loops, and the honest baseline the `osn-sketch`
-//!   backend is benchmarked against (`bench sketch_selection`).
 //! * `SketchEstimator` (crate `osn-sketch`) — reverse-reachability coverage
 //!   oracle with exact analytic costs.
 //!
@@ -39,15 +34,9 @@
 //!   lazy-greedy heap re-scores exactly the union of those reports, so an
 //!   under-report silently serves stale marginals.
 
-use crate::cost::expected_sc_cost;
 use crate::engine::{DeltaScratch, EngineCounters, RefreshDelta};
-use crate::evaluator::{BenefitEvaluator, DeploymentRef};
-use crate::monte_carlo::MonteCarloEvaluator;
-use crate::rank::redemption_probs_into;
 use crate::spread::edge_eligible;
-use crate::world::WorldCache;
-use osn_graph::{CsrGraph, NodeData, NodeId};
-use std::cell::RefCell;
+use osn_graph::{CsrGraph, NodeId};
 
 /// Stateful benefit/cost estimator of one evolving deployment — the seam
 /// between the greedy phases and the estimation backend. See the module
@@ -100,269 +89,6 @@ pub trait BenefitEstimator {
     /// Retrieve up to `count` coupons from `u`. Returns the number removed
     /// and the change report.
     fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta);
-}
-
-/// Reusable probe state of [`McEstimator`]: the batched marginal-benefit
-/// cache (all candidates scored by one pass over the world cache) plus the
-/// scratch vectors of the exact local cost probe.
-#[derive(Clone, Debug, Default)]
-struct McProbes {
-    /// Whether `db` reflects the current deployment.
-    valid: bool,
-    /// Cached `ΔB` per node (meaningful only for current candidates).
-    db: Vec<f64>,
-    /// Eligible ranked out-targets of the node being probed.
-    targets: Vec<NodeId>,
-    probs: Vec<f64>,
-    q_old: Vec<f64>,
-    q_new: Vec<f64>,
-}
-
-/// Forward Monte-Carlo [`BenefitEstimator`]: benefit reads are cascade
-/// averages over a pre-sampled [`WorldCache`], costs are exact analytic
-/// sums. Every committed move re-estimates the full deployment (one world
-/// pass for the benefit, one for the activation frequencies), and marginal
-/// benefit probes are served from a per-deployment batch: the first probe
-/// after a move scores *every* candidate in one
-/// [`simulate_batch`](MonteCarloEvaluator::simulate_batch) pass, so an ID
-/// iteration costs a constant number of world-cache sweeps instead of one
-/// per candidate. This is still O(worlds × cascade) per sweep — the
-/// scaling wall the sketch backend removes.
-#[derive(Clone)]
-pub struct McEstimator<'a> {
-    graph: &'a CsrGraph,
-    data: &'a NodeData,
-    cache: &'a WorldCache,
-    seeds: Vec<NodeId>,
-    seed_mask: Vec<bool>,
-    coupons: Vec<u32>,
-    order: Vec<NodeId>,
-    active_prob: Vec<f64>,
-    benefit: f64,
-    seed_cost: f64,
-    sc_cost: f64,
-    counters: EngineCounters,
-    probes: RefCell<McProbes>,
-}
-
-impl<'a> McEstimator<'a> {
-    /// Estimator of `(seeds, coupons)` over `cache`'s pre-sampled worlds.
-    pub fn new(
-        graph: &'a CsrGraph,
-        data: &'a NodeData,
-        cache: &'a WorldCache,
-        seeds: &[NodeId],
-        coupons: &[u32],
-    ) -> McEstimator<'a> {
-        debug_assert_eq!(coupons.len(), graph.node_count());
-        let n = graph.node_count();
-        let mut seed_mask = vec![false; n];
-        for &s in seeds {
-            seed_mask[s.index()] = true;
-        }
-        let mut est = McEstimator {
-            graph,
-            data,
-            cache,
-            seeds: seeds.to_vec(),
-            seed_mask,
-            coupons: coupons.to_vec(),
-            order: Vec::new(),
-            active_prob: vec![0.0; n],
-            benefit: 0.0,
-            seed_cost: crate::cost::seed_cost(data, seeds),
-            sc_cost: 0.0,
-            counters: EngineCounters::default(),
-            probes: RefCell::new(McProbes::default()),
-        };
-        est.refresh();
-        est
-    }
-
-    fn evaluator(&self) -> MonteCarloEvaluator<'a> {
-        MonteCarloEvaluator::new(self.graph, self.data, self.cache)
-    }
-
-    /// Full re-estimation of the current deployment; every move pays this.
-    fn refresh(&mut self) -> RefreshDelta {
-        let ev = self.evaluator();
-        self.benefit = ev.expected_benefit(&self.seeds, &self.coupons);
-        self.active_prob = ev.activation_probabilities(&self.seeds, &self.coupons);
-        self.sc_cost = expected_sc_cost(self.graph, self.data, &self.seeds, &self.coupons);
-        self.order.clear();
-        for i in 0..self.active_prob.len() {
-            if self.active_prob[i] > 0.0 || self.seed_mask[i] {
-                self.order.push(NodeId::from_index(i));
-            }
-        }
-        self.counters.full_rebuilds += 1;
-        self.probes.get_mut().valid = false;
-        // A Monte-Carlo estimate is global: every candidate's marginal is
-        // stale after any committed move, so the report names the whole
-        // support and forces a structural heap rebuild.
-        RefreshDelta {
-            structural: true,
-            probs_changed: self.order.clone(),
-            ..RefreshDelta::default()
-        }
-    }
-
-    /// Score `ΔB` of every current candidate in one batched world pass.
-    fn fill_probe_batch(&self, probes: &mut McProbes) {
-        let n = self.graph.node_count();
-        probes.db.clear();
-        probes.db.resize(n, 0.0);
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut trial_coupons: Vec<Vec<u32>> = Vec::new();
-        for &u in &self.order {
-            if self.coupons[u.index()] >= self.graph.out_degree(u) as u32 {
-                continue;
-            }
-            let mut k = self.coupons.clone();
-            k[u.index()] += 1;
-            nodes.push(u);
-            trial_coupons.push(k);
-        }
-        let batch: Vec<DeploymentRef<'_>> = trial_coupons
-            .iter()
-            .map(|k| DeploymentRef {
-                seeds: &self.seeds,
-                coupons: k,
-            })
-            .collect();
-        let stats = self.evaluator().simulate_batch(&batch);
-        for (u, s) in nodes.iter().zip(stats) {
-            probes.db[u.index()] = s.expected_benefit - self.benefit;
-        }
-        probes.valid = true;
-    }
-
-    /// Exact `ΔCsc` of moving `u` from `k` to `new_k` coupons — the Table I
-    /// local-cost difference over `u`'s eligible ranked children.
-    fn local_cost_delta(&self, u: NodeId, k: u32, new_k: u32, probes: &mut McProbes) -> f64 {
-        eligible_children(
-            self.graph,
-            &self.seed_mask,
-            u,
-            &mut probes.targets,
-            &mut probes.probs,
-        );
-        if probes.targets.is_empty() {
-            return 0.0;
-        }
-        probes.q_old.resize(probes.targets.len(), 0.0);
-        probes.q_new.resize(probes.targets.len(), 0.0);
-        redemption_probs_into(&probes.probs, k, &mut probes.q_old);
-        redemption_probs_into(&probes.probs, new_k, &mut probes.q_new);
-        let mut dc = 0.0;
-        for ((&v, &qo), &qn) in probes
-            .targets
-            .iter()
-            .zip(probes.q_old.iter())
-            .zip(probes.q_new.iter())
-        {
-            dc += (qn - qo) * self.data.sc_cost(v);
-        }
-        dc
-    }
-}
-
-impl BenefitEstimator for McEstimator<'_> {
-    fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    fn active_prob(&self) -> &[f64] {
-        &self.active_prob
-    }
-
-    fn coupons(&self) -> &[u32] {
-        &self.coupons
-    }
-
-    fn seeds(&self) -> &[NodeId] {
-        &self.seeds
-    }
-
-    fn is_seed(&self, v: NodeId) -> bool {
-        self.seed_mask[v.index()]
-    }
-
-    fn expected_benefit(&self) -> f64 {
-        self.benefit
-    }
-
-    fn seed_cost(&self) -> f64 {
-        self.seed_cost
-    }
-
-    fn sc_cost(&self) -> f64 {
-        self.sc_cost
-    }
-
-    fn counters(&self) -> EngineCounters {
-        self.counters
-    }
-
-    fn coupon_add_delta(&self, u: NodeId, _scratch: &mut DeltaScratch) -> (f64, f64) {
-        let mut probes = self.probes.borrow_mut();
-        if !probes.valid {
-            self.fill_probe_batch(&mut probes);
-        }
-        let db = probes.db[u.index()];
-        let k = self.coupons[u.index()];
-        let dc = self.local_cost_delta(u, k, k + 1, &mut probes);
-        (db, dc)
-    }
-
-    fn coupon_removal_delta(&self, u: NodeId, _scratch: &mut DeltaScratch) -> (f64, f64) {
-        let k = self.coupons[u.index()];
-        if k == 0 {
-            return (0.0, 0.0);
-        }
-        let mut trial = self.coupons.clone();
-        trial[u.index()] = k - 1;
-        let db = self.evaluator().expected_benefit(&self.seeds, &trial) - self.benefit;
-        let mut probes = self.probes.borrow_mut();
-        let dc = self.local_cost_delta(u, k, k - 1, &mut probes);
-        (db, dc)
-    }
-
-    fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let cap = self.graph.out_degree(u) as u32;
-        let cur = self.coupons[u.index()];
-        let add = count.min(cap.saturating_sub(cur));
-        if add == 0 {
-            return (0, RefreshDelta::default());
-        }
-        self.coupons[u.index()] = cur + add;
-        self.counters.incremental_updates += u64::from(add);
-        (add, self.refresh())
-    }
-
-    fn add_seed_package(&mut self, v: NodeId, coupons: u32) -> RefreshDelta {
-        if !self.seed_mask[v.index()] {
-            self.seeds.push(v);
-            self.seed_mask[v.index()] = true;
-            self.seed_cost += self.data.seed_cost(v);
-        }
-        if coupons > 0 {
-            let cap = self.graph.out_degree(v) as u32;
-            let cur = self.coupons[v.index()];
-            let add = coupons.min(cap.saturating_sub(cur));
-            self.coupons[v.index()] = cur + add;
-        }
-        self.refresh()
-    }
-
-    fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let take = count.min(self.coupons[u.index()]);
-        if take == 0 {
-            return (0, RefreshDelta::default());
-        }
-        self.coupons[u.index()] -= take;
-        (take, self.refresh())
-    }
 }
 
 /// Collect `u`'s eligible ranked children (non-seed out-neighbors, rank
@@ -447,7 +173,7 @@ impl BenefitEstimator for crate::engine::SpreadEngine<'_> {
 mod tests {
     use super::*;
     use crate::engine::SpreadEngine;
-    use osn_graph::GraphBuilder;
+    use osn_graph::{GraphBuilder, NodeData};
 
     fn example1() -> (CsrGraph, NodeData) {
         let mut b = GraphBuilder::new(7);
@@ -485,57 +211,5 @@ mod tests {
             SpreadEngine::sc_cost(&engine).to_bits()
         );
         assert_eq!(est.order(), SpreadEngine::order(&engine));
-    }
-
-    /// On a tree with many worlds the MC estimator's surface tracks the
-    /// exact engine closely, and its costs are exactly the analytic ones.
-    #[test]
-    fn mc_estimator_tracks_engine_on_tree() {
-        let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 4096, 7);
-        let mut k = vec![0u32; 7];
-        k[0] = 1;
-        let mut mc = McEstimator::new(&g, &d, &cache, &[NodeId(0)], &k);
-        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &k);
-        let mut scratch = DeltaScratch::default();
-
-        assert_eq!(mc.seed_cost().to_bits(), engine.seed_cost().to_bits());
-        assert_eq!(
-            mc.sc_cost().to_bits(),
-            SpreadEngine::sc_cost(&engine).to_bits()
-        );
-        assert!((mc.expected_benefit() - engine.expected_benefit()).abs() < 0.1);
-
-        // Probes: exact cost component, estimated benefit component.
-        let (db_mc, dc_mc) = BenefitEstimator::coupon_add_delta(&mc, NodeId(0), &mut scratch);
-        let (db_ex, dc_ex) = SpreadEngine::coupon_add_delta(&engine, NodeId(0), &mut scratch);
-        assert_eq!(dc_mc.to_bits(), dc_ex.to_bits(), "ΔCsc must be exact");
-        assert!((db_mc - db_ex).abs() < 0.1, "ΔB {db_mc} vs exact {db_ex}");
-
-        // Moves keep the surfaces in lockstep.
-        let (a1, delta) = BenefitEstimator::add_coupons(&mut mc, NodeId(0), 1);
-        let (a2, _) = SpreadEngine::add_coupons(&mut engine, NodeId(0), 1);
-        assert_eq!(a1, a2);
-        assert!(delta.structural);
-        assert_eq!(
-            mc.sc_cost().to_bits(),
-            SpreadEngine::sc_cost(&engine).to_bits()
-        );
-        let r = BenefitEstimator::add_seed_package(&mut mc, NodeId(2), 1);
-        SpreadEngine::add_seed_package(&mut engine, NodeId(2), 1);
-        assert!(r.structural);
-        assert_eq!(mc.seed_cost().to_bits(), engine.seed_cost().to_bits());
-        assert_eq!(
-            mc.sc_cost().to_bits(),
-            SpreadEngine::sc_cost(&engine).to_bits()
-        );
-        assert!((mc.expected_benefit() - engine.expected_benefit()).abs() < 0.15);
-        let (t1, _) = BenefitEstimator::remove_coupons(&mut mc, NodeId(2), 1);
-        let (t2, _) = SpreadEngine::remove_coupons(&mut engine, NodeId(2), 1);
-        assert_eq!(t1, t2);
-        assert_eq!(
-            mc.sc_cost().to_bits(),
-            SpreadEngine::sc_cost(&engine).to_bits()
-        );
     }
 }

@@ -3,8 +3,8 @@
 //! Two implementations back the Lemma 2 estimation story:
 //! [`AnalyticEvaluator`] (closed form; exact on forests) and
 //! [`MonteCarloEvaluator`](crate::monte_carlo::MonteCarloEvaluator)
-//! (`(1−ε)`-accurate sampling over a world cache). The ablation bench
-//! `ablation_evaluator` measures the trade-off between them.
+//! (`(1−ε)`-accurate sampling over a world cache). `repro ablation`
+//! (its `ablation_evaluator` table) measures the trade-off between them.
 //!
 //! Both expose a **batched** entry point, [`BenefitEvaluator::simulate_batch`]:
 //! greedy loops submit whole candidate lists instead of serial per-candidate

@@ -54,8 +54,7 @@
 //! deployment view + committed moves + marginal probes) that
 //! `s3crm-core`'s ID phase, SCM, and the baselines are generic over. The
 //! incremental [`SpreadEngine`] is the exact reference implementation (its
-//! trait impl is pure delegation, so the seam costs no bits);
-//! [`estimator::McEstimator`] is the forward Monte-Carlo backend; the
+//! trait impl is pure delegation, so the seam costs no bits); the
 //! `osn-sketch` crate provides the reverse-reachability coverage oracle.
 //! Costs (`Cseed`, `Csc`, probe ΔCsc) are exact analytic values in **every**
 //! backend — only the benefit side carries estimation error — so budget
@@ -207,7 +206,7 @@ pub mod world;
 pub use cascade::{simulate_cascade, CascadeOutcome};
 pub use cost::{expected_sc_cost, redemption_rate, seed_cost, total_cost};
 pub use engine::{DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
-pub use estimator::{BenefitEstimator, McEstimator};
+pub use estimator::BenefitEstimator;
 pub use evaluator::{AnalyticEvaluator, BenefitEvaluator, DeploymentRef};
 pub use lane::{lane_cascade_block, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS};
 pub use metrics::RedemptionReport;

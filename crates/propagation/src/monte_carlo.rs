@@ -291,7 +291,7 @@ impl<'a> MonteCarloEvaluator<'a> {
 /// [`PART_WORLDS`]-world parts that merge in part order — no lanes, no
 /// pool, no block cache. [`MonteCarloEvaluator::simulate_batch`] must
 /// reproduce this bit for bit at every pool size and batch shape; the
-/// tests, proptests, and benches check exactly that.
+/// tests and proptests check exactly that.
 pub fn reference_simulate_batch(
     graph: &CsrGraph,
     data: &NodeData,

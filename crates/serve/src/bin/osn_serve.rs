@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! osn-serve --data PATH [--addr 127.0.0.1:7171] [--pool-size N] [--max-inflight K]
-//!           [--resident-mb MB] [--admission-wait-ms MS] [--read-timeout-ms MS]
-//!           [--write-timeout-ms MS] [--max-line-bytes B] [--drain-timeout-ms MS]
+//!           [--admission-wait-ms MS] [--read-timeout-ms MS] [--write-timeout-ms MS]
+//!           [--max-line-bytes B] [--drain-timeout-ms MS]
 //! ```
 //!
 //! Loads the dataset, binds the address, prints one `listening on …` line
@@ -31,7 +31,6 @@ fn main() {
     let mut data: Option<PathBuf> = None;
     let mut addr = "127.0.0.1:7171".to_string();
     let mut max_inflight = 32usize;
-    let mut resident_budget: Option<usize> = None;
     let mut admission_wait: Option<Duration> = None;
     let mut options = ServeOptions::default();
     let mut it = std::env::args().skip(1);
@@ -53,12 +52,6 @@ fn main() {
                 max_inflight = value("--max-inflight")
                     .parse()
                     .unwrap_or_else(|_| die("--max-inflight needs a positive integer"));
-            }
-            "--resident-mb" => {
-                let mb: usize = value("--resident-mb")
-                    .parse()
-                    .unwrap_or_else(|_| die("--resident-mb needs a positive integer"));
-                resident_budget = Some(mb << 20);
             }
             "--admission-wait-ms" => {
                 admission_wait = Some(ms("--admission-wait-ms", value("--admission-wait-ms")));
@@ -86,9 +79,9 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: osn-serve --data PATH [--addr HOST:PORT] \
-                     [--pool-size N] [--max-inflight K] [--resident-mb MB] \
-                     [--admission-wait-ms MS] [--read-timeout-ms MS] \
-                     [--write-timeout-ms MS] [--max-line-bytes B] [--drain-timeout-ms MS]"
+                     [--pool-size N] [--max-inflight K] [--admission-wait-ms MS] \
+                     [--read-timeout-ms MS] [--write-timeout-ms MS] [--max-line-bytes B] \
+                     [--drain-timeout-ms MS]"
                 );
                 return;
             }
@@ -101,8 +94,7 @@ fn main() {
         Err(e) => die(&format!("invalid OSN_FAULTS: {e}")),
     }
     let data = data.unwrap_or_else(|| die("--data PATH is required"));
-    let mut state = ServeState::open_with_budget(&data, max_inflight, resident_budget)
-        .unwrap_or_else(|e| die(&e));
+    let mut state = ServeState::open(&data, max_inflight).unwrap_or_else(|e| die(&e));
     if let Some(wait) = admission_wait {
         state = state.with_admission_wait(wait);
     }

@@ -163,8 +163,16 @@ impl CampaignSpec {
                 spec.budget_mult
             ));
         }
+        for (key, v) in [("epsilon", spec.epsilon), ("delta", spec.delta)] {
+            if !(v > 0.0 && v < 1.0) {
+                return Err(format!("{key} must be in (0, 1), got {v}"));
+            }
+        }
         if spec.eval_worlds == 0 {
             return Err("eval_worlds must be positive".to_string());
+        }
+        if spec.im_worlds == 0 {
+            return Err("im_worlds must be positive".to_string());
         }
         Ok(spec)
     }
@@ -294,6 +302,20 @@ mod tests {
         assert!(CampaignSpec::parse("algo=quantum").is_err());
         assert!(CampaignSpec::parse("budget=-1").is_err());
         assert!(CampaignSpec::parse("eval_worlds=0").is_err());
+        // Sketch bounds fail at parse time with a reason naming the key,
+        // not later inside the estimator.
+        for (body, key) in [
+            ("estimator=sketch epsilon=0", "epsilon"),
+            ("epsilon=1", "epsilon"),
+            ("epsilon=nan", "epsilon"),
+            ("estimator=sketch delta=1", "delta"),
+            ("delta=-0.5", "delta"),
+            ("delta=NaN", "delta"),
+            ("im_worlds=0", "im_worlds"),
+        ] {
+            let err = CampaignSpec::parse(body).unwrap_err();
+            assert!(err.starts_with(key), "CAMPAIGN {body}: {err}");
+        }
         assert!(CampaignSpec::parse("weights=uniform:1.5").is_err());
         assert!(CampaignSpec::parse("").is_ok(), "empty body takes defaults");
     }

@@ -16,9 +16,9 @@ use crate::batcher::ProbeBatcher;
 use crate::spec::{algorithm_token, CampaignSpec, ProbeSpec, WeightChoice};
 use osn_gen::seeded_rng;
 use osn_gen::weights::assign_weights;
-use osn_graph::{binary, GraphBuilder, ShardedOscg};
+use osn_graph::GraphBuilder;
 use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
-use s3crm_bench::dataset::{instance_from_parts, load_dataset, LoadedDataset};
+use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::Algorithm;
 use s3crm_core::{s3ca_with_snapshot_backend, Telemetry};
@@ -68,12 +68,6 @@ const REWEIGHT_SEED: u64 = 0x0E1_6B7;
 /// thread works through the same `Arc<ServeState>`.
 pub struct ServeState {
     dataset: Arc<LoadedDataset>,
-    /// When the dataset file is a partitioned (v2) `.oscg`, the open
-    /// sharded handle is kept for the process lifetime: campaigns run on
-    /// the assembled monolithic view, while this handle meters shard
-    /// residency under `--resident-mb` and feeds the `INFO` accounting
-    /// lines.
-    sharded: Option<Arc<ShardedOscg>>,
     /// Re-weighted graph variants, keyed by [`WeightChoice::label`]. Each
     /// copies the whole graph, so it is built off the map lock.
     variants: SlotMap<LoadedDataset>,
@@ -139,42 +133,15 @@ impl CampaignReply {
 }
 
 impl ServeState {
-    /// Load `path` (SNAP text or `.oscg` binary) and stand up the resident
-    /// state with the given admission bound.
+    /// Load `path` (SNAP text or `.oscg` binary, monolithic or sharded) and
+    /// stand up the resident state with the given admission bound. The
+    /// dataset goes through [`load_dataset`], as `repro --data` loads it, so
+    /// a sharded file is assembled into one in-memory graph.
     pub fn open(path: &Path, max_inflight: usize) -> Result<Self, String> {
-        Self::open_with_budget(path, max_inflight, None)
-    }
-
-    /// [`open`](Self::open) with an LRU shard-residency budget (bytes) for
-    /// partitioned datasets. For monolithic files the budget is ignored.
-    pub fn open_with_budget(
-        path: &Path,
-        max_inflight: usize,
-        resident_budget: Option<usize>,
-    ) -> Result<Self, String> {
-        let effort = s3crm_bench::Effort::quick();
-        let fail =
-            |e: osn_graph::GraphError| format!("cannot load dataset {}: {e}", path.display());
-        let is_sharded = binary::sniff_oscg_version(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?
-            == Some(osn_graph::shard::VERSION_SHARDED);
-        let (dataset, sharded) = if is_sharded {
-            let sharded =
-                Arc::new(ShardedOscg::open_with_budget(path, resident_budget).map_err(fail)?);
-            let file = sharded.to_oscg_file().map_err(fail)?;
-            let name = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("dataset")
-                .to_string();
-            let ds = instance_from_parts(name, file.graph, file.workload, &effort).map_err(fail)?;
-            (ds, Some(sharded))
-        } else {
-            (load_dataset(path, &effort).map_err(fail)?, None)
-        };
+        let dataset = load_dataset(path, &s3crm_bench::Effort::quick())
+            .map_err(|e| format!("cannot load dataset {}: {e}", path.display()))?;
         Ok(ServeState {
             dataset: Arc::new(dataset),
-            sharded,
             variants: SlotMap::default(),
             backends: SlotMap::default(),
             admission: Admission::new(max_inflight),
@@ -403,7 +370,7 @@ impl ServeState {
             decoded_blocks += b.lane_store().decoded_blocks();
         }
         let (probes, batches) = self.batcher.counters();
-        let mut lines = vec![
+        vec![
             format!("dataset={}", self.dataset.name),
             format!("nodes={}", self.dataset.graph.node_count()),
             format!("edges={}", self.dataset.graph.edge_count()),
@@ -422,16 +389,7 @@ impl ServeState {
             format!("probes={probes}"),
             format!("probe_batches={batches}"),
             format!("probe_batches_failed={}", self.batcher.failed_probes()),
-        ];
-        if let Some(sharded) = &self.sharded {
-            let (resident, bytes, loads, evictions) = sharded.residency_stats();
-            lines.push(format!("shards={}", sharded.table().len()));
-            lines.push(format!("resident_shards={resident}"));
-            lines.push(format!("resident_shard_bytes={bytes}"));
-            lines.push(format!("shard_loads={loads}"));
-            lines.push(format!("shard_evictions={evictions}"));
-        }
-        lines
+        ]
     }
 }
 
@@ -505,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_dataset_reports_residency_and_matches_monolithic() {
+    fn sharded_dataset_matches_monolithic() {
         use s3crm_bench::dataset::{convert_sharded, ShardSpec};
         let dir = s3crm_tests::TempDir::new("serve-sharded");
         let sharded_path = dir.file("smoke.oscg");
@@ -513,33 +471,14 @@ mod tests {
             convert_sharded(&fixture(), &sharded_path, ShardSpec::Count(2)).expect("convert");
         assert_eq!(shards, 2);
 
-        let sharded = ServeState::open_with_budget(&sharded_path, 2, Some(1 << 20)).expect("open");
-        let info = sharded.info_lines();
-        assert!(info.contains(&"shards=2".to_string()), "info: {info:?}");
-        assert!(
-            info.iter().any(|l| l.starts_with("resident_shard_bytes=")),
-            "info: {info:?}"
-        );
-        assert!(
-            info.iter().any(|l| l.starts_with("shard_loads=")),
-            "info: {info:?}"
-        );
-
         // Partitioning is a storage choice only: the same campaign spec on
         // the monolithic fixture must reply byte-identically.
+        let sharded = ServeState::open(&sharded_path, 2).expect("open sharded");
         let monolithic = ServeState::open(&fixture(), 2).expect("open monolithic");
         let spec = CampaignSpec::default();
         let a = sharded.run_campaign(&spec).expect("sharded campaign");
         let b = monolithic.run_campaign(&spec).expect("monolithic campaign");
         assert_eq!(a.deterministic_lines(), b.deterministic_lines());
-        // Monolithic files carry no shard accounting.
-        assert!(
-            !monolithic
-                .info_lines()
-                .iter()
-                .any(|l| l.starts_with("shards=")),
-            "monolithic info must not report shard lines"
-        );
     }
 
     #[test]

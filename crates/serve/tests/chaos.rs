@@ -59,7 +59,7 @@ fn chaos_suite() {
     drop(reference_state);
 
     faults_cost_retries_never_correctness(&expected);
-    injected_graph_io_errors_surface_as_clean_open_failures();
+    injected_graph_io_errors_surface_as_clean_open_failures(&expected);
     shutdown_drains_in_flight_campaigns_under_injected_delays(&expected);
     saturated_admission_sheds_busy_and_retries_recover(&expected);
 }
@@ -134,7 +134,7 @@ fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
 /// Storage-layer faults: an injected I/O error while opening a sharded
 /// `.oscg` must surface as a clean `Err` from `ServeState::open` — no
 /// panic, no partial state — and the very next open (fault spent) works.
-fn injected_graph_io_errors_surface_as_clean_open_failures() {
+fn injected_graph_io_errors_surface_as_clean_open_failures(expected: &[Vec<String>]) {
     let dir = s3crm_tests::TempDir::new("chaos-sharded");
     let sharded_path = dir.file("smoke.oscg");
     s3crm_bench::dataset::convert_sharded(
@@ -145,7 +145,7 @@ fn injected_graph_io_errors_surface_as_clean_open_failures() {
     .expect("convert fixture");
 
     let _scenario = Scenario::new("graph.shard.open=ioerr@1");
-    let err = match ServeState::open_with_budget(&sharded_path, 2, Some(1 << 20)) {
+    let err = match ServeState::open(&sharded_path, 2) {
         Err(e) => e,
         Ok(_) => panic!("injected open fault must fail the load"),
     };
@@ -153,13 +153,15 @@ fn injected_graph_io_errors_surface_as_clean_open_failures() {
         err.contains("injected fault") && err.contains("graph.shard.open"),
         "error should carry the injected cause: {err}"
     );
-    // `@1` fires exactly once: the retried open succeeds.
-    let state = ServeState::open_with_budget(&sharded_path, 2, Some(1 << 20))
-        .expect("second open succeeds after the one-shot fault");
-    assert!(
-        state.info_lines().contains(&"shards=2".to_string()),
-        "recovered open must expose the sharded dataset"
-    );
+    // `@1` fires exactly once: the retried open succeeds and serves the
+    // same graph as the monolithic fixture.
+    let state =
+        ServeState::open(&sharded_path, 2).expect("second open succeeds after the one-shot fault");
+    let got = state
+        .run_campaign(&specs(9)[0])
+        .expect("campaign on the recovered state")
+        .deterministic_lines();
+    assert_eq!(got, expected[0], "recovered open serves a different graph");
 }
 
 /// `SHUTDOWN` while campaigns are genuinely in flight (linger stretched by

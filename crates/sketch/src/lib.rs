@@ -8,15 +8,13 @@
 //!
 //! ## Why reverse sketches
 //!
-//! The forward backends pay per *query*: every marginal probe of the ID
-//! phase re-cascades the deployment over the world cache
-//! (`O(worlds × cascade)` — see
-//! [`McEstimator`](osn_propagation::McEstimator)). Reverse sketches pay
-//! per *build*: sample live-edge worlds once, extract benefit-weighted
-//! reverse-reachable sets, and every subsequent probe is a postings-list
-//! walk over the sketches containing the probed node. Greedy selection
-//! over thousands of probes amortizes the build many times over — the
-//! `bench sketch_selection` harness measures the end-to-end ratio.
+//! A forward Monte-Carlo backend pays per *query*: every marginal probe of
+//! the ID phase re-cascades the deployment over the world cache
+//! (`O(worlds × cascade)`). Reverse sketches pay per *build*: sample
+//! live-edge worlds once, extract benefit-weighted reverse-reachable sets,
+//! and every subsequent probe is a postings-list walk over the sketches
+//! containing the probed node. Greedy selection over thousands of probes
+//! amortizes the build many times over.
 //!
 //! ## Adaptation to the coupon-constrained cascade
 //!

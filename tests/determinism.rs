@@ -8,7 +8,9 @@
 use osn_gen::DatasetProfile;
 use osn_pool::ThreadPool;
 use osn_propagation::world::WorldCache;
-use osn_propagation::{BenefitEvaluator, DeploymentRef, MonteCarloEvaluator, SimulationStats};
+use osn_propagation::{
+    reference_simulate_batch, BenefitEvaluator, DeploymentRef, MonteCarloEvaluator, SimulationStats,
+};
 use s3crm_core::{s3ca, S3caConfig};
 use s3crm_tests::assert_stats_bit_identical;
 
@@ -131,15 +133,21 @@ fn simulate_batch_is_bit_identical_across_pool_sizes() {
         .iter()
         .map(|(seeds, coupons)| serial_ev.simulate(seeds, coupons))
         .collect();
+    let batch: Vec<DeploymentRef<'_>> = candidates
+        .iter()
+        .map(|(seeds, coupons)| DeploymentRef { seeds, coupons })
+        .collect();
+    // The serial evaluator is the documented fold: the scalar kernel per
+    // world, summed in 32-world parts (96 worlds end in a ragged lane block).
+    let scalar = reference_simulate_batch(&inst.graph, &inst.data, &serial_cache, &batch);
+    for (i, (got, want)) in reference.iter().zip(&scalar).enumerate() {
+        assert_stats_bit_identical(got, want, &format!("candidate {i}, lane vs scalar fold"));
+    }
 
     for threads in [1usize, 2, osn_pool::default_parallelism()] {
         let pool = ThreadPool::new(threads);
         let cache = WorldCache::sample_with_pool(&inst.graph, 96, 23, &pool);
         let ev = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &cache, &pool);
-        let batch: Vec<DeploymentRef<'_>> = candidates
-            .iter()
-            .map(|(seeds, coupons)| DeploymentRef { seeds, coupons })
-            .collect();
         let stats = ev.simulate_batch(&batch);
         assert_eq!(stats.len(), candidates.len());
         for (i, (got, want)) in stats.iter().zip(&reference).enumerate() {
@@ -337,23 +345,19 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
         investment_deployment, investment_deployment_reference, ExploreTracker,
     };
 
-    for (profile, seed) in [
-        (DatasetProfile::Facebook, 19u64),
-        (DatasetProfile::Epinions, 5u64),
+    for (profile, seed, budget_mult) in [
+        (DatasetProfile::Facebook, 19u64, 1.0),
+        (DatasetProfile::Facebook, 19u64, 0.5),
+        (DatasetProfile::Epinions, 5u64, 1.0),
     ] {
         let inst = profile.generate(0.02, seed).expect("generation");
         let n = inst.graph.node_count();
+        let binv = inst.budget * budget_mult;
 
         let mut t_engine = ExploreTracker::new(n);
         let mut t_ref = ExploreTracker::new(n);
-        let a = investment_deployment(&inst.graph, &inst.data, inst.budget, &mut t_engine, 200_000);
-        let b = investment_deployment_reference(
-            &inst.graph,
-            &inst.data,
-            inst.budget,
-            &mut t_ref,
-            200_000,
-        );
+        let a = investment_deployment(&inst.graph, &inst.data, binv, &mut t_engine, 200_000);
+        let b = investment_deployment_reference(&inst.graph, &inst.data, binv, &mut t_ref, 200_000);
         assert_eq!(
             a.deployment, b.deployment,
             "{profile:?}: engine and reference D* diverged"
@@ -393,7 +397,7 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
                 cascade.mean_farthest_hop
             )
         };
-        let full = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
+        let full = s3ca(&inst.graph, &inst.data, binv, &S3caConfig::default());
         let mut rows = Vec::new();
         for threads in [1usize, 2] {
             let pool = ThreadPool::new(threads);

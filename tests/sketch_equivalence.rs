@@ -182,6 +182,14 @@ fn sketch_backed_id_matches_reference_within_epsilon() {
         let reference = s3ca(&inst.graph, &inst.data, inst.budget, &mc_cfg);
         let sketch = s3ca(&inst.graph, &inst.data, inst.budget, &sk_cfg);
         assert!(sketch.objective.within_budget(inst.budget * 1.001));
+        assert!(
+            !reference.deployment.seeds.is_empty(),
+            "seed {seed}: no seeds"
+        );
+        assert!(
+            !sketch.deployment.seeds.is_empty(),
+            "seed {seed}: no sketch seeds"
+        );
 
         let backend = McBackend::sample(&inst.graph, 512, 0xE7A1 ^ seed);
         let ev = backend.evaluator(&inst.graph, &inst.data);
