@@ -48,7 +48,7 @@ const USAGE: &str = "usage: repro [--full|--micro] [--scale X] [--worlds N] [--s
                      [--cache DIR] [--data PATH] \
                      [fig6 fig7 fig8 fig9 fig10 table3 table4 ablation extensions data]...\n\
                      \x20      repro convert [--shards N | --shard-mb M] INPUT OUTPUT\n\
-                     \x20                                   # re-encode a dataset as .oscg (v2 when sharded)\n\
+                     \x20                                   # re-encode a dataset as .oscg (default: one shard)\n\
                      \x20      repro sniff FILE             # print an .oscg header / shard table\n\
                      \x20      repro bench shard_cascade    # out-of-core trajectory benchmark\n\
                      \x20      repro csvdiff A B TOL        # compare two CSVs (relative tolerance)";
@@ -67,6 +67,14 @@ fn flag_number<T: std::str::FromStr>(
     let v = flag_value(it, flag)?;
     v.parse()
         .map_err(|_| format!("{flag} must be {what}, got {v:?}"))
+}
+
+/// The value following `flag`, parsed as a positive integer.
+fn flag_positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    match flag_number(it, flag, "a positive integer")? {
+        0 => Err(format!("{flag} must be a positive integer, got 0")),
+        v => Ok(v),
+    }
 }
 
 /// Parse the global command line (program name excluded). Malformed input
@@ -99,10 +107,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 // the flag exists for perf tuning and for CI's 2-worker
                 // drift check. The pool cannot be resized once built, so a
                 // repeated flag is an error rather than silently ignored.
-                let threads: usize = flag_number(&mut it, "--pool-size", "a positive integer")?;
-                if threads == 0 {
-                    return Err("--pool-size must be a positive integer, got 0".to_string());
-                }
+                let threads = flag_positive(&mut it, "--pool-size")?;
                 if pool_size.replace(threads).is_some() {
                     return Err("--pool-size given twice".to_string());
                 }
@@ -287,14 +292,13 @@ fn run_csvdiff(paths: &[String]) -> ! {
 }
 
 /// `repro convert [--shards N | --shard-mb M] INPUT OUTPUT` — runs before
-/// the experiment loop. Without a shard flag the output is the monolithic
-/// v1 layout; with one it is the partitioned v2 layout.
+/// the experiment loop. Without a shard flag the output is one shard.
 fn run_convert(args: &[String]) -> ! {
     let usage = || -> ! {
         eprintln!("usage: repro convert [--shards N | --shard-mb M] INPUT OUTPUT");
         std::process::exit(2);
     };
-    let mut spec: Option<dataset::ShardSpec> = None;
+    let mut spec = dataset::ShardSpec::Count(1);
     let mut paths: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -305,7 +309,7 @@ fn run_convert(args: &[String]) -> ! {
                     eprintln!("convert: --shards must be a positive integer, got {v:?}");
                     std::process::exit(2);
                 });
-                spec = Some(dataset::ShardSpec::Count(count));
+                spec = dataset::ShardSpec::Count(count);
             }
             "--shard-mb" => {
                 let v = it.next().unwrap_or_else(|| usage());
@@ -313,26 +317,17 @@ fn run_convert(args: &[String]) -> ! {
                     eprintln!("convert: --shard-mb must be a positive integer, got {v:?}");
                     std::process::exit(2);
                 });
-                spec = Some(dataset::ShardSpec::PayloadMb(mb));
+                spec = dataset::ShardSpec::PayloadMb(mb);
             }
             _ => paths.push(arg),
         }
     }
     let [input, output] = paths[..] else { usage() };
     let (input_p, output_p) = (std::path::Path::new(input), std::path::Path::new(output));
-    let result = match spec {
-        None => dataset::convert(input_p, output_p).map(|()| None),
-        Some(spec) => dataset::convert_sharded(input_p, output_p, spec).map(Some),
-    };
-    match result {
+    match dataset::convert_sharded(input_p, output_p, spec) {
         Ok(shards) => {
             let size = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-            match shards {
-                None => println!("converted {input} -> {output} ({size} bytes, monolithic v1)"),
-                Some(s) => {
-                    println!("converted {input} -> {output} ({size} bytes, {s} shards, v2)")
-                }
-            }
+            println!("converted {input} -> {output} ({size} bytes, {shards} shards, v2)");
             std::process::exit(0);
         }
         Err(e) => {
@@ -342,9 +337,9 @@ fn run_convert(args: &[String]) -> ! {
     }
 }
 
-/// `repro sniff FILE` — print an `.oscg` file's header, and for partitioned
-/// (v2) files the full shard table. Opening a v2 file validates every
-/// shard checksum, so a clean sniff doubles as an integrity check.
+/// `repro sniff FILE` — print an `.oscg` file's header and shard table (a
+/// legacy v1 file is its one shard). Opening validates every shard
+/// checksum, so a clean sniff doubles as an integrity check.
 fn run_sniff(paths: &[String]) -> ! {
     let [path] = paths else {
         eprintln!("usage: repro sniff FILE");
@@ -362,70 +357,118 @@ fn run_sniff(paths: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let size = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-    match version {
-        2 => match osn_graph::ShardedOscg::open(p) {
-            Ok(file) => {
-                println!(
-                    "{path}: .oscg v2 (partitioned), {} nodes, {} edges, {} shards, \
-                     {size} bytes, workload {}",
-                    file.node_count(),
-                    file.edge_count(),
-                    file.shard_count(),
-                    if file.workload().is_some() {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                );
-                println!(
-                    "{:>5}  {:>22}  {:>11}  {:>11}  {:>12}  {:>16}",
-                    "shard", "nodes", "fwd_edges", "rev_edges", "bytes", "checksum"
-                );
-                for (s, info) in file.table().iter().enumerate() {
-                    println!(
-                        "{s:>5}  [{:>9}, {:>9})  {:>11}  {:>11}  {:>12}  {:016x}",
-                        info.node_start,
-                        info.node_end,
-                        info.fwd_edges,
-                        info.rev_edges,
-                        info.byte_len,
-                        info.checksum,
-                    );
-                }
-                println!("all shard checksums verified");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("sniff: {path} is a v2 .oscg but failed validation: {e}");
-                std::process::exit(1);
-            }
-        },
-        1 => match osn_graph::binary::load_oscg(p) {
-            Ok(file) => {
-                println!(
-                    "{path}: .oscg v1 (monolithic), {} nodes, {} edges, {size} bytes, \
-                     workload {}",
-                    file.graph.node_count(),
-                    file.graph.edge_count(),
-                    if file.workload.is_some() {
-                        "present"
-                    } else {
-                        "absent"
-                    },
-                );
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("sniff: {path} is a v1 .oscg but failed validation: {e}");
-                std::process::exit(1);
-            }
-        },
-        v => {
-            eprintln!("sniff: {path} declares unsupported .oscg version {v}");
+    let file = match osn_graph::ShardedOscg::open(p) {
+        Ok(file) => file,
+        Err(e) => {
+            eprintln!("sniff: {path} is a v{version} .oscg but failed validation: {e}");
             std::process::exit(1);
         }
+    };
+    println!(
+        "{path}: .oscg v{version}{}, {} nodes, {} edges, {} shards, {} bytes, workload {}",
+        if version == 1 {
+            " (legacy, one shard)"
+        } else {
+            ""
+        },
+        file.node_count(),
+        file.edge_count(),
+        file.shard_count(),
+        file.file_bytes(),
+        if file.workload().is_some() {
+            "present"
+        } else {
+            "absent"
+        },
+    );
+    println!(
+        "{:>5}  {:>22}  {:>11}  {:>11}  {:>12}  {:>16}",
+        "shard", "nodes", "fwd_edges", "rev_edges", "bytes", "checksum"
+    );
+    for (s, info) in file.table().iter().enumerate() {
+        println!(
+            "{s:>5}  [{:>9}, {:>9})  {:>11}  {:>11}  {:>12}  {:016x}",
+            info.node_start,
+            info.node_end,
+            info.fwd_edges,
+            info.rev_edges,
+            info.byte_len,
+            info.checksum,
+        );
     }
+    println!("all shard checksums verified");
+    std::process::exit(0);
+}
+
+const BENCH_USAGE: &str = "usage: repro bench shard_cascade [--nodes N] [--edges-per-node M] \
+                           [--shards S] [--resident-mb MB] [--worlds W] [--coupons K] \
+                           [--seeds-cap C] [--seed SEED] [--file PATH] [--keep] \
+                           [--json PATH|none] [--max-rss-mb MB]";
+
+/// A parsed `repro bench shard_cascade` command line.
+struct BenchArgs {
+    cfg: s3crm_bench::shard_bench::ShardBenchConfig,
+    json: Option<PathBuf>,
+    max_rss_mb: Option<u64>,
+}
+
+/// Parse `repro bench` arguments (benchmark name first). Malformed input,
+/// and values the generator cannot honor, are usage errors, never panics.
+fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
+    let mut it = args.iter().cloned();
+    match it.next().as_deref() {
+        Some("shard_cascade") => {}
+        Some(name) => {
+            return Err(format!(
+                "unknown benchmark {name:?} (only shard_cascade exists)"
+            ))
+        }
+        None => return Err("missing benchmark name".to_string()),
+    }
+    let mut cfg = s3crm_bench::shard_bench::ShardBenchConfig::default();
+    let mut json: Option<PathBuf> = Some(PathBuf::from("BENCH_TRAJECTORY.json"));
+    let mut max_rss_mb: Option<u64> = None;
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--nodes" => cfg.nodes = flag_positive(&mut it, "--nodes")?,
+            "--edges-per-node" => cfg.edges_per_node = flag_positive(&mut it, "--edges-per-node")?,
+            "--shards" => cfg.shards = flag_positive(&mut it, "--shards")?,
+            "--worlds" => cfg.worlds = flag_positive(&mut it, "--worlds")?,
+            "--resident-mb" => {
+                cfg.resident_mb = flag_number(&mut it, "--resident-mb", "an integer")?
+            }
+            "--coupons" => cfg.coupons_per_node = flag_number(&mut it, "--coupons", "an integer")?,
+            "--seeds-cap" => cfg.seeds_cap = flag_number(&mut it, "--seeds-cap", "an integer")?,
+            "--seed" => cfg.seed = flag_number(&mut it, "--seed", "an integer")?,
+            "--file" => cfg.file = PathBuf::from(flag_value(&mut it, "--file")?),
+            "--keep" => cfg.keep = true,
+            "--json" => {
+                let v = flag_value(&mut it, "--json")?;
+                json = (v != "none").then(|| PathBuf::from(v));
+            }
+            "--max-rss-mb" => {
+                max_rss_mb = Some(flag_number(&mut it, "--max-rss-mb", "an integer")?)
+            }
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    if cfg.nodes <= cfg.edges_per_node {
+        return Err(format!(
+            "--nodes ({}) must exceed --edges-per-node ({})",
+            cfg.nodes, cfg.edges_per_node
+        ));
+    }
+    if cfg.nodes > u32::MAX as usize {
+        return Err(format!(
+            "--nodes {} exceeds the u32 node-id space",
+            cfg.nodes
+        ));
+    }
+    Ok(BenchArgs {
+        cfg,
+        json,
+        max_rss_mb,
+    })
 }
 
 /// `repro bench shard_cascade [...]` — the out-of-core trajectory
@@ -433,56 +476,14 @@ fn run_sniff(paths: &[String]) -> ! {
 /// budget, run the degree-greedy budgeted ID pass on the shard-local
 /// kernel, and append the measured point to the trajectory file.
 fn run_bench(args: &[String]) -> ! {
-    let usage = || -> ! {
-        eprintln!(
-            "usage: repro bench shard_cascade [--nodes N] [--edges-per-node M] \
-             [--shards S] [--resident-mb MB] [--worlds W] [--coupons K] \
-             [--seeds-cap C] [--seed SEED] [--file PATH] [--keep] \
-             [--json PATH|none] [--max-rss-mb MB]"
-        );
+    let BenchArgs {
+        cfg,
+        json,
+        max_rss_mb,
+    } = parse_bench_args(args).unwrap_or_else(|e| {
+        eprintln!("bench: {e}\n{BENCH_USAGE}");
         std::process::exit(2);
-    };
-    let Some((name, rest)) = args.split_first() else {
-        usage()
-    };
-    if name != "shard_cascade" {
-        eprintln!("bench: unknown benchmark {name:?} (only shard_cascade exists)");
-        usage();
-    }
-    let mut cfg = s3crm_bench::shard_bench::ShardBenchConfig::default();
-    let mut json: Option<PathBuf> = Some(PathBuf::from("BENCH_TRAJECTORY.json"));
-    let mut max_rss_mb: Option<u64> = None;
-    let mut it = rest.iter();
-    let parse = |flag: &str, v: Option<&String>| -> u64 {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("bench: {flag} needs a positive integer");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--nodes" => cfg.nodes = parse("--nodes", it.next()) as usize,
-            "--edges-per-node" => {
-                cfg.edges_per_node = parse("--edges-per-node", it.next()) as usize
-            }
-            "--shards" => cfg.shards = parse("--shards", it.next()) as usize,
-            "--resident-mb" => cfg.resident_mb = parse("--resident-mb", it.next()) as usize,
-            "--worlds" => cfg.worlds = parse("--worlds", it.next()) as usize,
-            "--coupons" => cfg.coupons_per_node = parse("--coupons", it.next()) as u32,
-            "--seeds-cap" => cfg.seeds_cap = parse("--seeds-cap", it.next()) as usize,
-            "--seed" => cfg.seed = parse("--seed", it.next()),
-            "--file" => {
-                cfg.file = PathBuf::from(it.next().unwrap_or_else(|| usage()));
-            }
-            "--keep" => cfg.keep = true,
-            "--json" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                json = (v != "none").then(|| PathBuf::from(v));
-            }
-            "--max-rss-mb" => max_rss_mb = Some(parse("--max-rss-mb", it.next())),
-            _ => usage(),
-        }
-    }
+    });
     println!(
         "# bench shard_cascade: {} nodes x {} edges/node, {} shards, \
          {} MiB residency, {} worlds, seed {}",
@@ -786,7 +787,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{diff_csv, numeric_cells_match, parse_args, Cli};
+    use super::{diff_csv, numeric_cells_match, parse_args, parse_bench_args, Cli};
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         parse_args(args.iter().map(|a| a.to_string()))
@@ -814,6 +815,63 @@ mod tests {
         }
         let err = parse(&["--worlds", "x"]).err().unwrap();
         assert!(err.contains("--worlds"), "{err}");
+    }
+
+    fn bench(args: &[&str]) -> Result<super::BenchArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_bench_args(&args)
+    }
+
+    /// `repro bench shard_cascade` flags the generator would reject with a
+    /// panic (or silently round up) are usage errors naming the flag.
+    #[test]
+    fn malformed_bench_flags_are_usage_errors_not_panics() {
+        for (args, flag) in [
+            (&["shard_cascade", "--shards", "0"][..], "--shards"),
+            (&["shard_cascade", "--nodes", "0"], "--nodes"),
+            (
+                &["shard_cascade", "--edges-per-node", "0"],
+                "--edges-per-node",
+            ),
+            (&["shard_cascade", "--worlds", "0"], "--worlds"),
+            (
+                &["shard_cascade", "--nodes", "8", "--edges-per-node", "8"],
+                "--nodes",
+            ),
+            (&["shard_cascade", "--nodes", "99999999999"], "--nodes"),
+            (&["shard_cascade", "--worlds", "-1"], "--worlds"),
+            (&["shard_cascade", "--seed", "x"], "--seed"),
+            (&["shard_cascade", "--coupons", "5000000000"], "--coupons"),
+            (&["shard_cascade", "--file"], "--file"),
+            (&["shard_cascade", "--bogus"], "--bogus"),
+            (&["other_bench"], "other_bench"),
+        ] {
+            let err = bench(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} accepted"));
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+        assert!(bench(&[]).is_err());
+        let ok = bench(&[
+            "shard_cascade",
+            "--nodes",
+            "30000",
+            "--edges-per-node",
+            "8",
+            "--shards",
+            "8",
+            "--resident-mb",
+            "16",
+            "--worlds",
+            "2",
+            "--json",
+            "none",
+            "--max-rss-mb",
+            "256",
+        ])
+        .expect("the CI command line parses");
+        assert_eq!((ok.cfg.nodes, ok.cfg.shards, ok.cfg.worlds), (30000, 8, 2));
+        assert_eq!((ok.json, ok.max_rss_mb), (None, Some(256)));
     }
 
     #[test]

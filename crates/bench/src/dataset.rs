@@ -152,35 +152,26 @@ pub fn instance_from_parts(
     })
 }
 
-/// `repro convert`: re-encode `input` (text or binary, same auto-detection
-/// and weight policy as [`load_graph`]) as an `.oscg` file at `output`.
-/// A workload block on a binary input is preserved.
-///
-/// The write is atomic ([`binary::write_oscg_atomic`]): an interrupted
-/// convert never leaves a truncated `.oscg` behind, and re-converting over
-/// a file another process has memory-mapped replaces the directory entry
-/// instead of truncating pages under the live map.
-pub fn convert(input: &Path, output: &Path) -> Result<(), GraphError> {
-    let (graph, workload) = load_graph(input)?;
-    binary::write_oscg_atomic(
-        output,
-        &graph,
-        workload.as_ref().map(|w| (&w.data, w.budget)),
-    )
-}
-
-/// How `repro convert --shards N` / `--shard-mb M` picks shard boundaries.
+/// How `repro convert` picks shard boundaries.
 #[derive(Clone, Copy, Debug)]
 pub enum ShardSpec {
-    /// Split into (up to) this many incident-edge-balanced shards.
+    /// Split into (up to) this many incident-edge-balanced shards; plain
+    /// `repro convert` is `Count(1)`.
     Count(usize),
     /// Cap each shard's on-disk payload at this many MiB.
     PayloadMb(u64),
 }
 
-/// [`convert`], but emitting the partitioned v2 layout. Returns the shard
-/// count actually written (a balanced plan never produces empty shards, so
-/// tiny graphs may get fewer than requested).
+/// `repro convert`: re-encode `input` (text or binary, same auto-detection
+/// and weight policy as [`load_graph`]) as an `.oscg` file at `output`,
+/// partitioned per `spec`. A workload block on a binary input is preserved.
+/// Returns the shard count actually written (a balanced plan never produces
+/// empty shards, so tiny graphs may get fewer than requested).
+///
+/// The write is atomic ([`write_sharded_oscg_atomic`]): an interrupted
+/// convert never leaves a truncated `.oscg` behind, and re-converting over
+/// a file another process has memory-mapped replaces the directory entry
+/// instead of truncating pages under the live map.
 pub fn convert_sharded(input: &Path, output: &Path, spec: ShardSpec) -> Result<usize, GraphError> {
     let (graph, workload) = load_graph(input)?;
     let plan = match spec {
@@ -248,7 +239,10 @@ mod tests {
         let text = dir.file("src.txt");
         let bin = dir.file("dst.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 0\n0 2\n").unwrap();
-        convert(&text, &bin).unwrap();
+        assert_eq!(
+            convert_sharded(&text, &bin, ShardSpec::Count(1)).unwrap(),
+            1
+        );
         let (from_text, _) = load_graph(&text).unwrap();
         let (from_bin, _) = load_graph(&bin).unwrap();
         assert_eq!(from_text, from_bin);
@@ -261,7 +255,7 @@ mod tests {
         let mono = dir.file("mono.oscg");
         let sharded = dir.file("sharded.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 3\n3 0\n1 3\n0 2\n").unwrap();
-        convert(&text, &mono).unwrap();
+        convert_sharded(&text, &mono, ShardSpec::Count(1)).unwrap();
         let written = convert_sharded(&text, &sharded, ShardSpec::Count(2)).unwrap();
         assert_eq!(written, 2);
         let effort = Effort::micro();
@@ -285,7 +279,7 @@ mod tests {
         let text = dir.file("src.txt");
         let bin = dir.file("dst.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 3\n3 0\n1 3\n").unwrap();
-        convert(&text, &bin).unwrap();
+        convert_sharded(&text, &bin, ShardSpec::Count(1)).unwrap();
         let effort = Effort::micro();
         let a = load_dataset(&text, &effort).unwrap();
         let b = load_dataset(&bin, &effort).unwrap();

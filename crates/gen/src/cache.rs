@@ -26,8 +26,9 @@ pub const GENERATOR_VERSION: u32 = 1;
 
 /// Content-hash key of a generation request.
 ///
-/// Word-wise FNV-1a (the same hash the `.oscg` checksum uses) over the
-/// profile name, scale bits, seed, and the generator/format versions.
+/// Word-wise FNV-1a (the `.oscg` checksum) over the profile name, scale
+/// bits, seed, and the generator version and the format version the cache
+/// writes.
 pub fn cache_key(profile: DatasetProfile, scale: f64, seed: u64) -> u64 {
     let mut bytes = Vec::with_capacity(64);
     bytes.extend_from_slice(profile.name().as_bytes());
@@ -35,7 +36,7 @@ pub fn cache_key(profile: DatasetProfile, scale: f64, seed: u64) -> u64 {
     bytes.extend_from_slice(&seed.to_le_bytes());
     bytes.extend_from_slice(&GENERATOR_VERSION.to_le_bytes());
     bytes.extend_from_slice(&(binary::VERSION as u32).to_le_bytes());
-    binary::checksum(&bytes)
+    osn_graph::shard::checksum(&bytes)
 }
 
 /// The cache file path for a generation request:

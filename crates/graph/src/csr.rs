@@ -11,7 +11,7 @@ use crate::storage::Section;
 /// Immutable directed weighted graph in CSR form.
 ///
 /// Construction goes through [`GraphBuilder`](crate::GraphBuilder), or
-/// zero-copy from a memory-mapped `.oscg` file via [`crate::binary`] — every
+/// zero-copy from a memory-mapped `.oscg` file via [`crate::shard`] — every
 /// adjacency array is a [`Section`] that is either owned or a typed window
 /// into the map, so algorithms run unchanged over both. Equality is by
 /// contents, whichever way the sections are backed.
@@ -95,7 +95,7 @@ impl CsrGraph {
     }
 
     /// Assemble from pre-validated sections (the binary loader's entry
-    /// point — see [`crate::binary`], which checks every structural
+    /// point — see [`crate::shard`], which checks every structural
     /// invariant before calling this).
     pub(crate) fn from_sections(
         n: u32,
@@ -138,16 +138,6 @@ impl CsrGraph {
     /// [`in_sources_flat`](Self::in_sources_flat)).
     pub(crate) fn in_probs_flat(&self) -> &[f64] {
         &self.in_probs
-    }
-
-    /// Forward adjacency offsets, length `n + 1`.
-    pub(crate) fn offsets_raw(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Reverse adjacency offsets, length `n + 1`.
-    pub(crate) fn in_offsets_raw(&self) -> &[u64] {
-        &self.in_offsets
     }
 
     /// Number of nodes.

@@ -10,7 +10,7 @@ use std::fmt;
 /// Identifier of a user in the social network, dense in `0..n`.
 ///
 /// `#[repr(transparent)]` over `u32` is load-bearing: the binary CSR reader
-/// ([`crate::binary`]) reinterprets memory-mapped `u32` target sections as
+/// ([`crate::shard`]) reinterprets memory-mapped `u32` target sections as
 /// `&[NodeId]` without copying.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 #[serde(transparent)]

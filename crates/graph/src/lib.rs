@@ -29,16 +29,16 @@
 //!   can be substituted for the synthetic profiles when available.
 //! * [`prob_index`] — edges bucketed by probability exponent, the reusable
 //!   substrate for geometric skip sampling of Monte-Carlo live-edge worlds.
-//! * [`binary`] — the versioned `.oscg` binary CSR format: graphs (and
-//!   optional workload attributes) serialize to a checksummed little-endian
-//!   file that loads back through a zero-copy memory map, skipping the O(E)
-//!   text parse entirely.
+//! * [`shard`] — the `.oscg` binary CSR format, its one reader and writer:
+//!   the node space split into contiguous degree-balanced shards, each
+//!   independently checksummed and loadable under an LRU residency budget,
+//!   which is what lets graphs larger than RAM stream through the same
+//!   kernels. Legacy version-1 files read as one-shard frames.
+//! * [`binary`] — whole-graph `.oscg` entry points: graphs (and optional
+//!   workload attributes) serialize to a one-shard file that loads back
+//!   through a zero-copy memory map, skipping the O(E) text parse entirely.
 //! * [`storage`] — the owned-or-mapped [`storage::Section`] abstraction the
 //!   CSR arrays are built on; algorithms see plain slices either way.
-//! * [`shard`] — the partitioned (version 2) `.oscg` layout: the node space
-//!   split into contiguous degree-balanced shards, each independently
-//!   checksummed and loadable under an LRU residency budget, which is what
-//!   lets graphs larger than RAM stream through the same kernels.
 //!
 //! ```
 //! use osn_graph::{GraphBuilder, NodeId};

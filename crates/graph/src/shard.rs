@@ -1,16 +1,24 @@
-//! Partitioned (version 2) `.oscg` layout: sharded out-of-core graphs.
+//! `.oscg` — the binary CSR graph format: its one layout, reader and writer.
 //!
-//! The monolithic v1 layout ([`crate::binary`]) stores one pair of global
-//! CSR sections, so loading any of the graph means validating and (page by
-//! page) touching all of it. Version 2 splits the **node space into
-//! contiguous shards** — boundaries chosen so each shard carries roughly the
-//! same number of incident edges, which under the builder's arbitrary node
-//! ids is the degree-balanced ("degree-ordered") partition — and stores each
-//! shard's forward and reverse CSR slices as an independently checksummed,
-//! independently loadable payload. A shard can be mapped, validated, and
-//! dropped without ever touching its neighbors, which is what lets graphs
-//! larger than RAM stream through the existing [`MappedFile`]/[`Section`]
-//! machinery under an LRU residency budget.
+//! Plain-text edge lists ([`crate::io`]) cost an O(E) tokenize-and-sort on
+//! every run; for the paper's larger graphs (Google+ 13.7M edges, Douban
+//! 86M) that parse dominates experiment setup. `.oscg` stores the *built*
+//! CSR — both adjacency directions, pre-sorted — so loading is a memory map
+//! plus one O(N + M) structural validation pass with no parsing or sorting.
+//! On little-endian Unix targets the sections are used in place (zero-copy,
+//! [`Section::Mapped`]); elsewhere the reader falls back to owned copies
+//! with identical results.
+//!
+//! The **node space is split into contiguous shards** — boundaries chosen
+//! so each shard carries roughly the same number of incident edges, which
+//! under the builder's arbitrary node ids is the degree-balanced
+//! ("degree-ordered") partition — and each shard's forward and reverse CSR
+//! slices are an independently checksummed, independently loadable
+//! payload. A shard can be mapped, validated, and dropped without ever
+//! touching its neighbors, which is what lets graphs larger than RAM stream
+//! through the existing [`MappedFile`]/[`Section`] machinery under an LRU
+//! residency budget. A whole in-memory graph is the one-shard case
+//! ([`crate::binary::to_bytes`]).
 //!
 //! # Layout (version 2, all integers little-endian)
 //!
@@ -37,7 +45,11 @@
 //!           u64[ln+1]          reverse offsets, rebased
 //!           u32[lrm] (+pad 8)  reverse sources, grouped by target
 //!           f64[lrm]           reverse probabilities
-//!         ...       workload block (iff flag bit 0), as in version 1
+//!         ...       workload block (iff flag bit 0):
+//!           f64                budget Binv
+//!           f64[n]             benefit b(v)
+//!           f64[n]             seed cost c_seed(v)
+//!           f64[n]             SC cost c_sc(v)
 //! ```
 //!
 //! `ln`, `lm`, `lrm` (shard node/forward-edge/reverse-slot counts) are
@@ -45,15 +57,28 @@
 //! must be contiguous and the payloads gap-free, so a reordered, truncated,
 //! or overlapping table is rejected before any payload is trusted. The
 //! header checksum covers the table (and workload); each payload is covered
-//! by its own shard checksum, verified once when the file is opened.
+//! by its own shard checksum, verified once when the file is opened,
+//! together with the per-edge invariants (monotone offsets, ids `< n`, no
+//! self-loops, probabilities in `[0, 1]`, rank order, no duplicate edges).
+//! A corrupt or adversarial file yields a typed [`GraphError`] — never a
+//! panic or out-of-bounds read.
 //!
 //! Global edge ids are preserved: shard `s` owns forward edge ids
-//! `fwd_edge_start .. fwd_edge_start + lm`, exactly the ids the monolithic
-//! layout assigns — so per-edge side arrays (Monte-Carlo live-edge worlds,
-//! probability buckets) index identically into both layouts, which is the
-//! foundation of the cascade kernel's bit-identity across layouts.
+//! `fwd_edge_start .. fwd_edge_start + lm`, exactly the ids of the
+//! assembled in-memory graph — so per-edge side arrays (Monte-Carlo
+//! live-edge worlds, probability buckets) index identically into a shard
+//! and the whole graph.
+//!
+//! # Legacy version 1
+//!
+//! Version 1 is read, never written. A version-1 file is a one-shard
+//! version-2 file without the shard count and table: the payload starts
+//! right after the 32-byte header, and the header checksum covers
+//! everything after the header (payload and workload block). The reader
+//! synthesizes the one-entry table (nodes `0..n`, edges `0..m`, payload at
+//! byte 32), after which both versions share every check and decoder.
 
-use crate::binary::{checksum, Workload, HEADER_LEN, MAGIC};
+use crate::binary::{OscgFile, Workload};
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::NodeId;
@@ -65,8 +90,14 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Format version of the partitioned layout.
+/// The four magic bytes opening every `.oscg` file.
+pub(crate) const MAGIC: [u8; 4] = *b"OSCG";
+/// Fixed header size in bytes.
+const HEADER_LEN: usize = 32;
+/// Format version of the partitioned layout — the only one written.
 pub const VERSION_SHARDED: u16 = 2;
+/// The legacy monolithic layout, read as a one-shard frame.
+const VERSION_LEGACY: u16 = 1;
 
 const FLAG_WORKLOAD: u16 = 1;
 /// Bytes per shard-table entry (6 × u64).
@@ -74,6 +105,46 @@ const TABLE_ENTRY_LEN: usize = 48;
 /// Upper bound on the shard count a reader will accept — far above any real
 /// partition, low enough that a corrupt count cannot drive a huge allocation.
 const MAX_SHARDS: u64 = 1 << 20;
+
+/// Word-wise FNV-1a-64, the format checksum. Hashing 8 bytes per round
+/// keeps verification a small fraction of a text parse while still catching
+/// the bit flips and truncations that matter for cached experiment inputs.
+///
+/// Incremental, so streamed sections hash without buffering: every update
+/// but the last must be whole 8-byte words, which every section satisfies
+/// by construction (u32 sections are padded to 8); a ragged final tail is
+/// zero-padded.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.0 ^= u64::from_le_bytes(c.try_into().unwrap());
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            self.0 ^= u64::from_le_bytes(tail);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+}
+
+/// The format checksum (word-wise FNV-1a-64) over one byte slice, tail
+/// zero-padded to 8 bytes.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv::new();
+    hash.update(bytes);
+    hash.0
+}
 
 // ---------------------------------------------------------------------------
 // Shard plan
@@ -234,26 +305,6 @@ fn workload_len(n: u64, present: bool) -> u64 {
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
-
-/// Incremental word-wise FNV-1a-64 (the format checksum), for hashing
-/// streamed sections without buffering them. Only whole 8-byte words may be
-/// fed, which every section satisfies by construction (u32 sections are
-/// padded to 8).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len() % 8, 0, "checksum input must be whole words");
-        for c in bytes.chunks_exact(8) {
-            self.0 ^= u64::from_le_bytes(c.try_into().unwrap());
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 struct TableEntry {
@@ -524,24 +575,24 @@ fn write_f64s<W: Write>(
     Ok(())
 }
 
-/// Serialize an in-memory graph as a partitioned v2 file under `plan`.
-pub fn sharded_to_bytes(
+/// Stream an in-memory graph as a partitioned file under `plan` into `out`
+/// (returned flushed).
+fn write_sharded<W: Write + Seek>(
     graph: &CsrGraph,
     workload: Option<(&NodeData, f64)>,
     plan: &ShardPlan,
-) -> Result<Vec<u8>, GraphError> {
+    out: W,
+) -> Result<W, GraphError> {
     assert_eq!(plan.node_count() as usize, graph.node_count());
-    let cursor = std::io::Cursor::new(Vec::new());
     let mut w = ShardedWriter::new(
-        cursor,
+        out,
         graph.node_count() as u64,
         graph.edge_count() as u64,
         plan.shard_count(),
     )?;
     let offsets = graph.out_offsets();
     let in_offsets = graph.in_offsets();
-    let targets = graph.edge_targets_flat();
-    let probs = graph.edge_probs_flat();
+    let ids = |ids: &[NodeId]| -> Vec<u32> { ids.iter().map(|v| v.0).collect() };
     for s in 0..plan.shard_count() {
         let r = plan.node_range(s);
         let (a, b) = (r.start as usize, r.end as usize);
@@ -550,23 +601,38 @@ pub fn sharded_to_bytes(
             .iter()
             .map(|o| o - in_offsets[a])
             .collect();
-        let (flo, fhi) = (offsets[a] as usize, offsets[b] as usize);
-        let (rlo, rhi) = (in_offsets[a] as usize, in_offsets[b] as usize);
-        let tgt: Vec<u32> = targets[flo..fhi].iter().map(|t| t.0).collect();
-        let mut src = Vec::with_capacity(rhi - rlo);
-        let mut rprobs = Vec::with_capacity(rhi - rlo);
-        for v in r.clone() {
-            let v = NodeId(v);
-            src.extend(graph.in_sources(v).iter().map(|s| s.0));
-            rprobs.extend_from_slice(graph.in_probs(v));
-        }
-        w.write_shard(&fwd, &tgt, &probs[flo..fhi], &rev, &src, &rprobs)?;
+        let fwd_edges = offsets[a] as usize..offsets[b] as usize;
+        let rev_slots = in_offsets[a] as usize..in_offsets[b] as usize;
+        w.write_shard(
+            &fwd,
+            &ids(&graph.edge_targets_flat()[fwd_edges.clone()]),
+            &graph.edge_probs_flat()[fwd_edges],
+            &rev,
+            &ids(&graph.in_sources_flat()[rev_slots.clone()]),
+            &graph.in_probs_flat()[rev_slots],
+        )?;
     }
-    Ok(w.finish(workload)?.into_inner())
+    w.finish(workload)
 }
 
-/// Write a partitioned `.oscg` file **atomically** (temp file + rename),
-/// mirroring [`crate::binary::write_oscg_atomic`].
+/// Serialize an in-memory graph as a partitioned v2 file under `plan`.
+pub fn sharded_to_bytes(
+    graph: &CsrGraph,
+    workload: Option<(&NodeData, f64)>,
+    plan: &ShardPlan,
+) -> Result<Vec<u8>, GraphError> {
+    Ok(write_sharded(graph, workload, plan, std::io::Cursor::new(Vec::new()))?.into_inner())
+}
+
+/// Write a partitioned `.oscg` file **atomically**: stream it to a unique
+/// temp file in the destination directory, then rename over `path`.
+///
+/// An interrupted write never leaves a truncated file at `path`, replacing
+/// an existing file swaps the directory entry rather than truncating pages
+/// under a live map of the old contents, and the temp name is unique per
+/// process *and* per call so concurrent writers (threads or processes)
+/// never interleave into one temp file. The profile cache and
+/// `repro convert` both write through here.
 pub fn write_sharded_oscg_atomic(
     path: &Path,
     graph: &CsrGraph,
@@ -580,10 +646,11 @@ pub fn write_sharded_oscg_atomic(
         TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     let result = (|| -> Result<(), GraphError> {
-        let bytes = sharded_to_bytes(graph, workload, plan)?;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.flush()?;
+        let file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        // `finish` flushes explicitly: BufWriter's Drop swallows flush
+        // errors, and a short write (e.g. ENOSPC) must fail the write, not
+        // get renamed into place as a truncated file.
+        write_sharded(graph, workload, plan, file)?;
         std::fs::rename(&tmp, path)?;
         Ok(())
     })();
@@ -735,7 +802,7 @@ struct Residency {
     evictions: u64,
 }
 
-/// An open partitioned `.oscg` file: the shard table plus an LRU of
+/// An open `.oscg` file: the shard table plus an LRU of
 /// resident shards under a byte budget.
 ///
 /// Opening validates the header, the table, and every shard (checksum and
@@ -768,7 +835,7 @@ impl std::fmt::Debug for ShardedOscg {
 }
 
 impl ShardedOscg {
-    /// Open and fully validate a partitioned `.oscg` file.
+    /// Open and fully validate an `.oscg` file (either version).
     ///
     /// `budget_bytes` is the LRU residency budget (`None` = unbounded).
     /// With a budget set, validation releases each shard's pages as it
@@ -793,19 +860,21 @@ impl ShardedOscg {
         Self::open_with_budget(path, None)
     }
 
-    /// Open from owned bytes (the explicit-read path; used by
-    /// [`crate::binary::from_bytes`] when it meets a v2 frame).
+    /// Open from owned bytes (the explicit-read path behind
+    /// [`crate::binary::from_bytes`]).
     pub fn from_owned_bytes(bytes: Vec<u8>) -> Result<Self, GraphError> {
         Self::from_backing(Backing::Owned(Arc::new(bytes)), None)
     }
 
+    /// The one frame parser: header, shard table (synthesized for a legacy
+    /// v1 frame), lengths, checksums, workload, then every shard.
     fn from_backing(backing: Backing, budget_bytes: Option<usize>) -> Result<Self, GraphError> {
         let bytes = backing.bytes();
         let corrupt =
             |section: &'static str, detail: String| GraphError::CorruptSection { section, detail };
-        if bytes.len() < HEADER_LEN + 8 {
+        if bytes.len() < HEADER_LEN {
             return Err(GraphError::Truncated {
-                needed: (HEADER_LEN + 8) as u64,
+                needed: HEADER_LEN as u64,
                 got: bytes.len() as u64,
             });
         }
@@ -813,10 +882,11 @@ impl ShardedOscg {
         if magic != MAGIC {
             return Err(GraphError::BadMagic { got: magic });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-        if version != VERSION_SHARDED {
-            return Err(GraphError::UnsupportedVersion { got: version });
-        }
+        let legacy = match u16::from_le_bytes(bytes[4..6].try_into().unwrap()) {
+            VERSION_LEGACY => true,
+            VERSION_SHARDED => false,
+            got => return Err(GraphError::UnsupportedVersion { got }),
+        };
         let flags = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
         if flags & !FLAG_WORKLOAD != 0 {
             return Err(corrupt(
@@ -827,6 +897,8 @@ impl ShardedOscg {
         let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         let m = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         let stored_checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        // Node and edge ids are u32 throughout the workspace; a header that
+        // claims more is either corrupt or a graph this build cannot represent.
         if n > u32::MAX as u64 {
             return Err(corrupt(
                 "header",
@@ -840,39 +912,25 @@ impl ShardedOscg {
             ));
         }
 
-        let shards = u64::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap());
-        if shards == 0 || shards > MAX_SHARDS {
-            return Err(corrupt(
-                "shard_table",
-                format!("shard count {shards} out of range"),
-            ));
-        }
-        let table_end = HEADER_LEN + 8 + shards as usize * TABLE_ENTRY_LEN;
-        if bytes.len() < table_end {
-            return Err(GraphError::Truncated {
-                needed: table_end as u64,
-                got: bytes.len() as u64,
-            });
-        }
-
-        // Parse and structurally validate the table: contiguous ascending
-        // node/edge coverage, gap-free 8-aligned payloads inside the file.
-        let mut table = Vec::with_capacity(shards as usize);
-        let mut raw = Vec::with_capacity(shards as usize);
-        for s in 0..shards as usize {
-            let off = HEADER_LEN + 8 + s * TABLE_ENTRY_LEN;
-            let f = |i: usize| {
-                u64::from_le_bytes(bytes[off + 8 * i..off + 8 * i + 8].try_into().unwrap())
+        let (raw, table_end) = if legacy {
+            // A v1 file is one shard whose payload follows the header; its
+            // checksum is verified with the header's below.
+            let whole = TableEntry {
+                node_start: 0,
+                node_end: n,
+                fwd_edge_start: 0,
+                rev_edge_start: 0,
+                byte_off: HEADER_LEN as u64,
+                checksum: 0,
             };
-            raw.push(TableEntry {
-                node_start: f(0),
-                node_end: f(1),
-                fwd_edge_start: f(2),
-                rev_edge_start: f(3),
-                byte_off: f(4),
-                checksum: f(5),
-            });
-        }
+            (vec![whole], HEADER_LEN)
+        } else {
+            Self::read_table(bytes)?
+        };
+
+        // Structurally validate the table: contiguous ascending node/edge
+        // coverage, gap-free 8-aligned payloads inside the file.
+        let mut table = Vec::with_capacity(raw.len());
         let mut cursor = table_end as u64;
         for (s, e) in raw.iter().enumerate() {
             let expect_node = if s == 0 { 0 } else { raw[s - 1].node_end };
@@ -991,10 +1049,17 @@ impl ShardedOscg {
             ));
         }
 
-        // Header checksum covers the table and the workload block; shard
-        // payloads carry their own checksums, verified per shard below.
+        // The v2 header checksum covers the table and the workload block;
+        // shard payloads carry their own checksums, verified per shard
+        // below. The v1 header checksum runs on through the payload, whose
+        // prefix hash is therefore the synthesized shard's checksum.
         let mut hash = Fnv::new();
-        hash.update(&bytes[HEADER_LEN..table_end]);
+        if legacy {
+            hash.update(&bytes[HEADER_LEN..cursor as usize]);
+            table[0].checksum = hash.0;
+        } else {
+            hash.update(&bytes[HEADER_LEN..table_end]);
+        }
         hash.update(&bytes[cursor as usize..total as usize]);
         if hash.0 != stored_checksum {
             return Err(GraphError::ChecksumMismatch {
@@ -1004,11 +1069,7 @@ impl ShardedOscg {
         }
 
         let workload = if has_workload {
-            Some(crate::binary::decode_workload_at(
-                bytes,
-                cursor as usize,
-                n as usize,
-            )?)
+            Some(decode_workload(bytes, cursor as usize, n as usize)?)
         } else {
             None
         };
@@ -1035,28 +1096,74 @@ impl ShardedOscg {
                 evictions: 0,
             }),
         };
-        this.validate_shards(budget_bytes.is_some())?;
+        this.validate_shards(budget_bytes.is_some(), !legacy)?;
         Ok(this)
     }
 
-    /// Verify every shard's checksum and structural invariants. With
-    /// `release`, each shard's pages are dropped as validation moves on —
-    /// the open-time resident set stays near one shard.
-    fn validate_shards(&self, release: bool) -> Result<(), GraphError> {
+    /// Read a v2 shard count and table: the raw rows and the byte offset
+    /// just past the table.
+    fn read_table(bytes: &[u8]) -> Result<(Vec<TableEntry>, usize), GraphError> {
+        if bytes.len() < HEADER_LEN + 8 {
+            return Err(GraphError::Truncated {
+                needed: (HEADER_LEN + 8) as u64,
+                got: bytes.len() as u64,
+            });
+        }
+        let shards = u64::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap());
+        if shards == 0 || shards > MAX_SHARDS {
+            return Err(GraphError::CorruptSection {
+                section: "shard_table",
+                detail: format!("shard count {shards} out of range"),
+            });
+        }
+        let table_end = HEADER_LEN + 8 + shards as usize * TABLE_ENTRY_LEN;
+        if bytes.len() < table_end {
+            return Err(GraphError::Truncated {
+                needed: table_end as u64,
+                got: bytes.len() as u64,
+            });
+        }
+        let raw = (0..shards as usize)
+            .map(|s| {
+                let off = HEADER_LEN + 8 + s * TABLE_ENTRY_LEN;
+                let f = |i: usize| {
+                    u64::from_le_bytes(bytes[off + 8 * i..off + 8 * i + 8].try_into().unwrap())
+                };
+                TableEntry {
+                    node_start: f(0),
+                    node_end: f(1),
+                    fwd_edge_start: f(2),
+                    rev_edge_start: f(3),
+                    byte_off: f(4),
+                    checksum: f(5),
+                }
+            })
+            .collect();
+        Ok((raw, table_end))
+    }
+
+    /// Verify every shard's structural invariants and, with
+    /// `verify_checksums`, its payload checksum (a legacy v1 frame's payload
+    /// was already covered by the header checksum). With `release`, each
+    /// shard's pages are dropped as validation moves on — the open-time
+    /// resident set stays near one shard.
+    fn validate_shards(&self, release: bool, verify_checksums: bool) -> Result<(), GraphError> {
         // Forward duplicate-edge detection reuses one last-ref array across
         // shards (entries are keyed by source node, which never repeats
         // across shards).
         let mut last_ref = vec![u32::MAX; self.n as usize];
         for s in 0..self.table.len() {
             let info = self.table[s];
-            let payload = &self.backing.bytes()
-                [info.byte_off as usize..(info.byte_off + info.byte_len) as usize];
-            let computed = checksum(payload);
-            if computed != info.checksum {
-                return Err(GraphError::ChecksumMismatch {
-                    stored: info.checksum,
-                    computed,
-                });
+            if verify_checksums {
+                let payload = &self.backing.bytes()
+                    [info.byte_off as usize..(info.byte_off + info.byte_len) as usize];
+                let computed = checksum(payload);
+                if computed != info.checksum {
+                    return Err(GraphError::ChecksumMismatch {
+                        stored: info.checksum,
+                        computed,
+                    });
+                }
             }
             let shard = self.build_shard(s)?;
             validate_shard_sections(self.n, &shard, &info, &mut last_ref)?;
@@ -1192,37 +1299,59 @@ impl ShardedOscg {
         (r.resident.len(), r.resident_bytes, r.loads, r.evictions)
     }
 
-    /// Assemble the monolithic in-memory equivalent: owned global sections,
-    /// fully cross-validated (including the forward/reverse transpose
-    /// bijection the per-shard open checks cannot see). The result is an
-    /// ordinary graph, equal to the one the file was written from.
-    pub fn to_oscg_file(&self) -> Result<crate::binary::OscgFile, GraphError> {
-        let n = self.n as usize;
-        let m = self.m as usize;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(m);
-        let mut probs = Vec::with_capacity(m);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_sources: Vec<NodeId> = Vec::with_capacity(m);
-        let mut in_probs = Vec::with_capacity(m);
-        offsets.push(0u64);
-        in_offsets.push(0u64);
-        for s in 0..self.table.len() {
-            let shard = self.shard(s);
-            offsets.extend(shard.offsets[1..].iter().map(|o| o + shard.fwd_edge_start));
-            in_offsets.extend(
-                shard.in_offsets[1..]
-                    .iter()
-                    .map(|o| o + shard.rev_edge_start),
-            );
-            targets.extend_from_slice(&shard.targets);
-            probs.extend_from_slice(&shard.probs);
-            in_sources.extend_from_slice(&shard.in_sources);
-            in_probs.extend_from_slice(&shard.in_probs);
-        }
-        crate::binary::validate_sections(
-            self.n as u64,
-            self.m,
+    /// Assemble the whole graph in memory, equal to the one the file was
+    /// written from. A one-shard file hands its sections over as they are
+    /// (its rebased offsets are the global ones), so a mapped file stays
+    /// zero-copy; more shards are concatenated into owned sections. The
+    /// per-edge invariants were checked shard by shard at open; only the
+    /// forward/reverse transpose bijection, which no single shard can see,
+    /// is checked here.
+    pub fn to_oscg_file(&self) -> Result<OscgFile, GraphError> {
+        let (offsets, targets, probs, in_offsets, in_sources, in_probs) = if self.table.len() == 1 {
+            let s = self.build_shard(0)?;
+            (
+                s.offsets,
+                s.targets,
+                s.probs,
+                s.in_offsets,
+                s.in_sources,
+                s.in_probs,
+            )
+        } else {
+            let n = self.n as usize;
+            let m = self.m as usize;
+            let mut offsets = Vec::with_capacity(n + 1);
+            let mut targets: Vec<NodeId> = Vec::with_capacity(m);
+            let mut probs = Vec::with_capacity(m);
+            let mut in_offsets = Vec::with_capacity(n + 1);
+            let mut in_sources: Vec<NodeId> = Vec::with_capacity(m);
+            let mut in_probs = Vec::with_capacity(m);
+            offsets.push(0u64);
+            in_offsets.push(0u64);
+            for s in 0..self.table.len() {
+                let shard = self.shard(s);
+                offsets.extend(shard.offsets[1..].iter().map(|o| o + shard.fwd_edge_start));
+                in_offsets.extend(
+                    shard.in_offsets[1..]
+                        .iter()
+                        .map(|o| o + shard.rev_edge_start),
+                );
+                targets.extend_from_slice(&shard.targets);
+                probs.extend_from_slice(&shard.probs);
+                in_sources.extend_from_slice(&shard.in_sources);
+                in_probs.extend_from_slice(&shard.in_probs);
+            }
+            (
+                offsets.into(),
+                targets.into(),
+                probs.into(),
+                in_offsets.into(),
+                in_sources.into(),
+                in_probs.into(),
+            )
+        };
+        validate_transpose(
+            self.n,
             &offsets,
             &targets,
             &probs,
@@ -1230,26 +1359,85 @@ impl ShardedOscg {
             &in_sources,
             &in_probs,
         )?;
-        let graph = CsrGraph::from_sections(
-            self.n,
-            offsets.into(),
-            targets.into(),
-            probs.into(),
-            in_offsets.into(),
-            in_sources.into(),
-            in_probs.into(),
-        );
-        Ok(crate::binary::OscgFile {
-            graph,
+        Ok(OscgFile {
+            graph: CsrGraph::from_sections(
+                self.n, offsets, targets, probs, in_offsets, in_sources, in_probs,
+            ),
             workload: self.workload.clone(),
         })
     }
 }
 
-/// Per-shard structural validation: everything
-/// [`crate::binary`]'s monolithic validators check, restricted to what one
-/// shard can see (the cross-shard transpose bijection is checked when the
-/// monolithic view is assembled).
+/// Decode the workload block starting at byte `off`: the budget, then the
+/// three per-node attribute arrays. `NodeData` owns its arrays, so the
+/// block is copied.
+fn decode_workload(bytes: &[u8], off: usize, n: usize) -> Result<Workload, GraphError> {
+    let budget = f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+    if !budget.is_finite() || budget < 0.0 {
+        return Err(GraphError::CorruptSection {
+            section: "workload",
+            detail: format!("budget {budget} is not a finite non-negative number"),
+        });
+    }
+    let f64s = |at: usize| -> Vec<f64> {
+        bytes[at..at + 8 * n]
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    };
+    // NodeData::new re-validates lengths and attribute ranges.
+    let data = NodeData::new(f64s(off + 8), f64s(off + 8 + 8 * n), f64s(off + 8 + 16 * n))?;
+    Ok(Workload { data, budget })
+}
+
+/// Check that the reverse sections are exactly the transpose of the forward
+/// edges (same `(u, v, p)` set, reverse lists grouped by target with
+/// sources ascending — the builder's counting-sort layout). Without this, a
+/// checksum-valid foreign file could drive reverse-based algorithms (RIS
+/// sampling, the linear-threshold comparison) on a different graph than the
+/// forward cascade sees. Runs on per-shard-validated sections: offsets are
+/// monotone and end at `m`, ids are `< n`.
+fn validate_transpose(
+    n: u32,
+    offsets: &[u64],
+    targets: &[NodeId],
+    probs: &[f64],
+    in_offsets: &[u64],
+    in_sources: &[NodeId],
+    in_probs: &[f64],
+) -> Result<(), GraphError> {
+    // Walking forward edges in ascending-source order emits each target's
+    // sources in ascending order, which is exactly the canonical reverse
+    // layout — so a single cursor sweep proves the bijection.
+    let mut cursor: Vec<u64> = in_offsets[..n as usize].to_vec();
+    for u in 0..n as usize {
+        for e in offsets[u] as usize..offsets[u + 1] as usize {
+            let v = targets[e].index();
+            let slot = cursor[v] as usize;
+            if slot >= in_offsets[v + 1] as usize
+                || in_sources[slot].index() != u
+                || in_probs[slot].to_bits() != probs[e].to_bits()
+            {
+                return Err(GraphError::CorruptSection {
+                    section: "in_sources",
+                    detail: format!(
+                        "reverse adjacency is not the transpose of the forward \
+                         edges (mismatch at forward edge {e}, v{u} -> v{v})"
+                    ),
+                });
+            }
+            cursor[v] += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Per-shard structural validation — the format's one per-edge validator:
+/// monotone offsets ending at the shard's edge count, ids in range, no
+/// self-loops, probabilities in `[0, 1]`; forward rows in the canonical
+/// rank order (descending probability, ties by ascending target) with no
+/// duplicate targets; reverse rows with ascending sources. The transpose
+/// bijection is checked when the whole graph is assembled.
 fn validate_shard_sections(
     n: u32,
     shard: &ShardCsr,
@@ -1259,20 +1447,22 @@ fn validate_shard_sections(
     let corrupt =
         |section: &'static str, detail: String| GraphError::CorruptSection { section, detail };
     let ln = shard.node_count();
+    // Plain slices: indexing a `Section` re-dispatches on its backing at
+    // every access, which the per-edge loop below cannot afford.
     for (side, offsets, total, ids, probs) in [
         (
             "fwd",
-            &shard.offsets,
+            &shard.offsets[..],
             info.fwd_edges,
-            &shard.targets,
-            &shard.probs,
+            &shard.targets[..],
+            &shard.probs[..],
         ),
         (
             "rev",
-            &shard.in_offsets,
+            &shard.in_offsets[..],
             info.rev_edges,
-            &shard.in_sources,
-            &shard.in_probs,
+            &shard.in_sources[..],
+            &shard.in_probs[..],
         ),
     ] {
         let fwd = side == "fwd";

@@ -2,7 +2,7 @@
 //!
 //! Every CSR section (offsets, targets, probabilities — forward and reverse)
 //! is a [`Section<T>`]: either an owned `Vec<T>` built in memory, or a typed
-//! window into a memory-mapped `.oscg` file (see [`crate::binary`]). Both
+//! window into a memory-mapped `.oscg` file (see [`crate::shard`]). Both
 //! deref to `&[T]`, so every algorithm in the workspace runs unchanged over
 //! mapped graphs — the map is the zero-copy path that lets multi-million-edge
 //! graphs load without an O(E) parse.

@@ -1,12 +1,11 @@
 //! The `.oscg` binary format test battery: property-based round trips
-//! (text → binary → mmap → `CsrGraph` equality) and a corrupt-input suite
-//! pinning that malformed files yield typed [`GraphError`]s — never panics,
-//! never out-of-bounds reads.
+//! (text → binary → mmap → `CsrGraph` equality across legacy v1, one-shard
+//! and multi-shard v2 files) and a corrupt-input suite pinning that
+//! malformed files — in either version — yield typed [`GraphError`]s, never
+//! panics, never out-of-bounds reads.
 
-use osn_graph::binary::{
-    self, from_bytes, load_oscg, map_oscg, read_oscg, sniff_is_oscg, to_bytes, write_oscg,
-};
-use osn_graph::shard::{sharded_to_bytes, VERSION_SHARDED};
+use osn_graph::binary::{self, from_bytes, load_oscg, sniff_is_oscg, to_bytes, write_oscg};
+use osn_graph::shard::{checksum, sharded_to_bytes, VERSION_SHARDED};
 use osn_graph::{CsrGraph, GraphBuilder, GraphError, NodeData, NodeId, ShardPlan, ShardedOscg};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -89,35 +88,57 @@ fn assert_graphs_bit_identical(a: &CsrGraph, b: &CsrGraph, what: &str) {
     }
 }
 
-/// Serialize, reload through every read path (owned bytes, reader, mmap),
-/// and assert bit-identical contents.
+/// Legacy v1 bytes of a graph, from its one-shard v2 bytes: drop the shard
+/// count and table, stamp version 1, and re-stamp the header checksum over
+/// everything after the header. v1 is otherwise byte-identical.
+fn legacy_v1(one_shard: &[u8]) -> Vec<u8> {
+    assert_eq!(
+        u64::from_le_bytes(one_shard[32..40].try_into().unwrap()),
+        1,
+        "legacy frames come from one-shard files"
+    );
+    let mut v1 = [&one_shard[..32], &one_shard[32 + 8 + 48..]].concat();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = checksum(&v1[32..]);
+    v1[24..32].copy_from_slice(&sum.to_le_bytes());
+    v1
+}
+
+/// Serialize as legacy v1, one-shard v2 and 3-shard v2 bytes; reload each
+/// through every read path (owned bytes, file load) and assert bit-identical
+/// contents. One-shard files must load zero-copy where mmap is available.
 fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
-    let bytes = to_bytes(g, None).expect("serialize");
+    let one_shard = to_bytes(g, None).expect("serialize");
+    let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 3);
+    let multi = sharded_to_bytes(g, None, &plan).expect("serialize sharded");
+    for (form, bytes) in [
+        ("v1", legacy_v1(&one_shard)),
+        ("v2", one_shard.clone()),
+        ("v2x3", multi),
+    ] {
+        let tag = format!("{tag}/{form}");
+        let owned = from_bytes(&bytes).expect("from_bytes");
+        assert!(!owned.graph.is_mapped(), "{tag}: from_bytes owns its data");
+        assert_graphs_bit_identical(&owned.graph, g, &format!("{tag}/from_bytes"));
 
-    let owned = from_bytes(&bytes).expect("from_bytes");
-    assert_graphs_bit_identical(&owned.graph, g, &format!("{tag}/from_bytes"));
-
-    let read = read_oscg(bytes.as_slice()).expect("read_oscg");
-    assert_graphs_bit_identical(&read.graph, g, &format!("{tag}/read_oscg"));
-
-    let tmp = TempFile::new(tag);
-    std::fs::write(&tmp.0, &bytes).expect("write temp file");
-    assert!(sniff_is_oscg(&tmp.0).expect("sniff"));
-    let loaded = load_oscg(&tmp.0).expect("load_oscg");
-    assert_graphs_bit_identical(&loaded.graph, g, &format!("{tag}/load_oscg"));
-    if cfg!(all(
-        unix,
-        target_endian = "little",
-        target_pointer_width = "64"
-    )) {
-        let mapped = map_oscg(&tmp.0)
-            .expect("map_oscg")
-            .expect("mmap available on unix");
-        assert!(mapped.graph.is_mapped(), "{tag}: map path must borrow");
-        assert_graphs_bit_identical(&mapped.graph, g, &format!("{tag}/map_oscg"));
-        // A clone of a mapped graph shares the map and compares equal.
-        let clone = mapped.graph.clone();
-        assert_graphs_bit_identical(&clone, g, &format!("{tag}/mapped clone"));
+        let tmp = TempFile::new("roundtrip");
+        std::fs::write(&tmp.0, &bytes).expect("write temp file");
+        assert!(sniff_is_oscg(&tmp.0).expect("sniff"));
+        let loaded = load_oscg(&tmp.0).expect("load_oscg");
+        assert_graphs_bit_identical(&loaded.graph, g, &format!("{tag}/load_oscg"));
+        let one = ShardedOscg::from_owned_bytes(bytes).unwrap().shard_count() == 1;
+        if one
+            && cfg!(all(
+                unix,
+                target_endian = "little",
+                target_pointer_width = "64"
+            ))
+        {
+            assert!(loaded.graph.is_mapped(), "{tag}: one shard must borrow");
+            // A clone of a mapped graph shares the map and compares equal.
+            let clone = loaded.graph.clone();
+            assert_graphs_bit_identical(&clone, g, &format!("{tag}/mapped clone"));
+        }
     }
 }
 
@@ -128,7 +149,7 @@ fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// text → CSR → binary → {owned, reader, mmap} → CSR equality for
+    /// text → CSR → {v1, v2, 3-shard v2} → {owned, mmap} → CSR equality for
     /// arbitrary graphs including self-loops, duplicates, and 0-weights.
     #[test]
     fn text_to_binary_to_mmap_roundtrip((n, edges) in edges_strategy()) {
@@ -209,146 +230,205 @@ fn sniff_distinguishes_text_from_binary() {
 // Corrupt inputs — typed errors, no panics
 // ---------------------------------------------------------------------------
 
-fn sample_bytes() -> Vec<u8> {
+/// One serialized instance in one format version.
+struct Frame {
+    tag: &'static str,
+    bytes: Vec<u8>,
+    /// Byte offset of the (single) shard payload: 32 in v1, after the
+    /// 8-byte shard count and one 48-byte table row in v2.
+    payload: usize,
+}
+
+/// `g` (plus an optional workload) as legacy v1 bytes and as one-shard v2
+/// bytes — the corrupt-input cases run against both at the same offsets
+/// relative to `payload`.
+fn frames(g: &CsrGraph, workload: Option<(&NodeData, f64)>) -> [Frame; 2] {
+    let v2 = to_bytes(g, workload).unwrap();
+    [
+        Frame {
+            tag: "v1",
+            bytes: legacy_v1(&v2),
+            payload: 32,
+        },
+        Frame {
+            tag: "v2",
+            bytes: v2,
+            payload: 32 + 8 + 48,
+        },
+    ]
+}
+
+/// The diamond instance with a workload block, in both versions.
+fn sample_frames() -> [Frame; 2] {
     let g = graph_from_text("0 1 0.9\n0 2 0.4\n1 3 0.5\n2 3 0.8\n", 0);
     let data = NodeData::uniform(4, 1.0, 2.0, 0.5);
-    to_bytes(&g, Some((&data, 7.5))).unwrap()
+    frames(&g, Some((&data, 7.5)))
 }
 
-/// Re-stamp the header checksum after tampering with the payload, so the
-/// tampering reaches the structural validators instead of the checksum gate.
+/// Re-stamp every checksum after tampering, so the tampering reaches the
+/// structural validators instead of a checksum gate: the v1 header checksum
+/// over everything after the header, or each v2 shard checksum and then the
+/// v2 header checksum.
 fn fix_checksum(bytes: &mut [u8]) {
-    let sum = binary::checksum(&bytes[32..]);
-    bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+    if u16::from_le_bytes([bytes[4], bytes[5]]) == 1 {
+        let sum = checksum(&bytes[32..]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        return;
+    }
+    let (_, table_end, workload_start) = v2_landmarks(bytes);
+    let row = |s: usize| 40 + 48 * s;
+    let byte_off = |b: &[u8], s: usize| {
+        u64::from_le_bytes(b[row(s) + 32..row(s) + 40].try_into().unwrap()) as usize
+    };
+    let shards = (table_end - 40) / 48;
+    for s in 0..shards {
+        let end = if s + 1 < shards {
+            byte_off(bytes, s + 1)
+        } else {
+            workload_start
+        };
+        let sum = checksum(&bytes[byte_off(bytes, s)..end]);
+        bytes[row(s) + 40..row(s) + 48].copy_from_slice(&sum.to_le_bytes());
+    }
+    fix_v2_checksum(bytes);
 }
 
-/// Corrupt files must fail identically on the owned and mmap paths.
+/// Corrupt files must fail identically on the owned-bytes and file paths.
 fn assert_both_paths_reject(bytes: &[u8], tag: &str, check: impl Fn(&GraphError)) {
     let err = from_bytes(bytes).expect_err(tag);
     check(&err);
-    if cfg!(all(
-        unix,
-        target_endian = "little",
-        target_pointer_width = "64"
-    )) {
-        let tmp = TempFile::new(tag);
-        std::fs::write(&tmp.0, bytes).unwrap();
-        let err = map_oscg(&tmp.0)
-            .map(|_| ())
-            .expect_err(&format!("{tag} via mmap"));
-        check(&err);
-    }
+    let tmp = TempFile::new("reject");
+    std::fs::write(&tmp.0, bytes).unwrap();
+    let err = load_oscg(&tmp.0)
+        .map(|_| ())
+        .expect_err(&format!("{tag} via load_oscg"));
+    check(&err);
 }
 
 #[test]
 fn truncated_header_is_typed() {
-    let bytes = sample_bytes();
-    for cut in [0usize, 1, 4, 10, 31] {
-        match from_bytes(&bytes[..cut]) {
-            Err(GraphError::Truncated { needed, got }) => {
-                assert_eq!(needed, 32);
-                assert_eq!(got, cut as u64);
+    for f in sample_frames() {
+        for cut in [0usize, 1, 4, 10, 31] {
+            match from_bytes(&f.bytes[..cut]) {
+                Err(GraphError::Truncated { needed, got }) => {
+                    assert_eq!(needed, 32);
+                    assert_eq!(got, cut as u64);
+                }
+                other => panic!("{} cut at {cut}: expected Truncated, got {other:?}", f.tag),
             }
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn truncated_payload_is_typed() {
-    let bytes = sample_bytes();
-    let cut = bytes.len() - 8;
-    assert_both_paths_reject(&bytes[..cut], "truncated payload", |e| {
-        assert!(
-            matches!(e, GraphError::Truncated { .. }),
-            "expected Truncated, got {e:?}"
-        )
-    });
+    for f in sample_frames() {
+        let cut = f.bytes.len() - 8;
+        assert_both_paths_reject(&f.bytes[..cut], f.tag, |e| {
+            assert!(
+                matches!(e, GraphError::Truncated { .. }),
+                "expected Truncated, got {e:?}"
+            )
+        });
+    }
 }
 
 #[test]
 fn trailing_bytes_are_typed() {
-    let mut bytes = sample_bytes();
-    bytes.extend_from_slice(&[0u8; 16]);
-    assert_both_paths_reject(&bytes, "trailing bytes", |e| {
-        assert!(
-            matches!(
-                e,
-                GraphError::CorruptSection {
-                    section: "payload",
-                    ..
-                }
-            ),
-            "expected CorruptSection(payload), got {e:?}"
-        )
-    });
+    for mut f in sample_frames() {
+        f.bytes.extend_from_slice(&[0u8; 16]);
+        assert_both_paths_reject(&f.bytes, f.tag, |e| {
+            assert!(
+                matches!(
+                    e,
+                    GraphError::CorruptSection {
+                        section: "payload",
+                        ..
+                    }
+                ),
+                "expected CorruptSection(payload), got {e:?}"
+            )
+        });
+    }
 }
 
 #[test]
 fn wrong_magic_is_typed() {
-    let mut bytes = sample_bytes();
-    bytes[0..4].copy_from_slice(b"PNG\0");
-    assert_both_paths_reject(&bytes, "wrong magic", |e| {
-        assert!(
-            matches!(e, GraphError::BadMagic { got } if got == b"PNG\0"),
-            "expected BadMagic, got {e:?}"
-        )
-    });
+    for mut f in sample_frames() {
+        f.bytes[0..4].copy_from_slice(b"PNG\0");
+        assert_both_paths_reject(&f.bytes, f.tag, |e| {
+            assert!(
+                matches!(e, GraphError::BadMagic { got } if got == b"PNG\0"),
+                "expected BadMagic, got {e:?}"
+            )
+        });
+    }
 }
 
 #[test]
 fn unsupported_version_is_typed() {
-    let mut bytes = sample_bytes();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    assert_both_paths_reject(&bytes, "bad version", |e| {
-        assert!(
-            matches!(e, GraphError::UnsupportedVersion { got: 99 }),
-            "expected UnsupportedVersion(99), got {e:?}"
-        )
-    });
+    for mut f in sample_frames() {
+        f.bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
+        assert_both_paths_reject(&f.bytes, f.tag, |e| {
+            assert!(
+                matches!(e, GraphError::UnsupportedVersion { got: 99 }),
+                "expected UnsupportedVersion(99), got {e:?}"
+            )
+        });
+    }
 }
 
 #[test]
 fn unknown_flags_are_typed() {
-    let mut bytes = sample_bytes();
-    bytes[6..8].copy_from_slice(&0x8001u16.to_le_bytes());
-    let err = from_bytes(&bytes).expect_err("unknown flags");
-    assert!(
-        matches!(
-            err,
-            GraphError::CorruptSection {
-                section: "header",
-                ..
-            }
-        ),
-        "expected CorruptSection(header), got {err:?}"
-    );
+    for mut f in sample_frames() {
+        f.bytes[6..8].copy_from_slice(&0x8001u16.to_le_bytes());
+        let err = from_bytes(&f.bytes).expect_err("unknown flags");
+        assert!(
+            matches!(
+                err,
+                GraphError::CorruptSection {
+                    section: "header",
+                    ..
+                }
+            ),
+            "{}: expected CorruptSection(header), got {err:?}",
+            f.tag
+        );
+    }
 }
 
 #[test]
 fn checksum_mismatch_is_typed() {
-    let mut bytes = sample_bytes();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF; // flip payload bits; header checksum now lies
-    assert_both_paths_reject(&bytes, "checksum", |e| {
-        assert!(
-            matches!(e, GraphError::ChecksumMismatch { .. }),
-            "expected ChecksumMismatch, got {e:?}"
-        )
-    });
+    for mut f in sample_frames() {
+        let last = f.bytes.len() - 1;
+        f.bytes[last] ^= 0xFF; // flip workload bits; header checksum now lies
+        assert_both_paths_reject(&f.bytes, f.tag, |e| {
+            assert!(
+                matches!(e, GraphError::ChecksumMismatch { .. }),
+                "expected ChecksumMismatch, got {e:?}"
+            )
+        });
+    }
+}
+
+/// Overwrite `value` at `payload + at` in every sample frame, re-stamp the
+/// checksums, and require both read paths to reject with `check`.
+fn assert_patch_rejected(at: usize, value: &[u8], what: &str, check: impl Fn(&GraphError)) {
+    for mut f in sample_frames() {
+        let pos = f.payload + at;
+        f.bytes[pos..pos + value.len()].copy_from_slice(value);
+        fix_checksum(&mut f.bytes);
+        assert_both_paths_reject(&f.bytes, &format!("{what} ({})", f.tag), &check);
+    }
 }
 
 #[test]
 fn offsets_out_of_bounds_are_typed() {
-    // Patch the last forward offset (offsets[n], at header + 8*n) to point
+    // Patch the last forward offset (offsets[n], at payload + 8*n) to point
     // past the edge section, then re-stamp the checksum so the structural
     // validator — not the checksum gate — must catch it.
-    let mut bytes = sample_bytes();
     let n = 4usize;
-    let pos = 32 + 8 * n;
-    bytes[pos..pos + 8].copy_from_slice(&1_000_000u64.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "offsets oob", |e| {
+    assert_patch_rejected(8 * n, &1_000_000u64.to_le_bytes(), "offsets oob", |e| {
         assert!(
             matches!(
                 e,
@@ -364,14 +444,10 @@ fn offsets_out_of_bounds_are_typed() {
 
 #[test]
 fn decreasing_offsets_are_typed() {
-    let mut bytes = sample_bytes();
     // The diamond has offsets [0, 2, 3, 4, 4]; dropping offsets[2] to 1
     // makes node 1's range 2..1 — a decrease — while leaving node 0's
     // slice (and its rank order) untouched.
-    let pos = 32 + 16;
-    bytes[pos..pos + 8].copy_from_slice(&1u64.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "decreasing offsets", |e| {
+    assert_patch_rejected(16, &1u64.to_le_bytes(), "decreasing offsets", |e| {
         assert!(
             matches!(
                 e,
@@ -387,12 +463,9 @@ fn decreasing_offsets_are_typed() {
 
 #[test]
 fn target_out_of_range_is_typed() {
-    let mut bytes = sample_bytes();
     let n = 4usize;
-    let targets_pos = 32 + 8 * (n + 1); // first u32 of the targets section
-    bytes[targets_pos..targets_pos + 4].copy_from_slice(&77u32.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "target oob", |e| {
+    let targets = 8 * (n + 1); // first u32 of the targets section
+    assert_patch_rejected(targets, &77u32.to_le_bytes(), "target oob", |e| {
         assert!(
             matches!(
                 e,
@@ -408,14 +481,11 @@ fn target_out_of_range_is_typed() {
 
 #[test]
 fn self_loop_in_file_is_typed() {
-    let mut bytes = sample_bytes();
-    let n = 4usize;
     // Node 0's first target becomes 0 — a self-loop the builder can never
     // produce, so it must have come from corruption or a foreign writer.
-    let targets_pos = 32 + 8 * (n + 1);
-    bytes[targets_pos..targets_pos + 4].copy_from_slice(&0u32.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "self-loop", |e| {
+    let n = 4usize;
+    let targets = 8 * (n + 1);
+    assert_patch_rejected(targets, &0u32.to_le_bytes(), "self-loop", |e| {
         assert!(
             matches!(
                 e,
@@ -431,13 +501,10 @@ fn self_loop_in_file_is_typed() {
 
 #[test]
 fn probability_out_of_range_is_typed() {
-    let mut bytes = sample_bytes();
     let n = 4usize;
     let m = 4usize;
-    let probs_pos = 32 + 8 * (n + 1) + 4 * m; // m even: no padding
-    bytes[probs_pos..probs_pos + 8].copy_from_slice(&2.5f64.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "bad probability", |e| {
+    let probs = 8 * (n + 1) + 4 * m; // m even: no padding
+    assert_patch_rejected(probs, &2.5f64.to_le_bytes(), "bad probability", |e| {
         assert!(
             matches!(e, GraphError::InvalidProbability { .. }),
             "expected InvalidProbability, got {e:?}"
@@ -449,16 +516,11 @@ fn probability_out_of_range_is_typed() {
 fn rank_order_violation_is_typed() {
     // Swap node 0's two probabilities (0.9, 0.4 -> 0.4, 0.9): the slice is
     // no longer in descending-probability rank order, which every
-    // rank-based algorithm depends on. Layout: header 32B, offsets
-    // u64[n+1] = 40B, targets u32[m] = 16B -> probs start at byte 88.
-    let mut bytes = sample_bytes();
-    let probs_pos = 32 + 8 * 5 + 4 * 4;
-    let p0: [u8; 8] = bytes[probs_pos..probs_pos + 8].try_into().unwrap();
-    let p1: [u8; 8] = bytes[probs_pos + 8..probs_pos + 16].try_into().unwrap();
-    bytes[probs_pos..probs_pos + 8].copy_from_slice(&p1);
-    bytes[probs_pos + 8..probs_pos + 16].copy_from_slice(&p0);
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "rank order", |e| {
+    // rank-based algorithm depends on. Payload layout: offsets u64[n+1] =
+    // 40B, targets u32[m] = 16B -> probs start 56 bytes in.
+    let mut swapped = 0.4f64.to_le_bytes().to_vec();
+    swapped.extend_from_slice(&0.9f64.to_le_bytes());
+    assert_patch_rejected(8 * 5 + 4 * 4, &swapped, "rank order", |e| {
         assert!(
             matches!(
                 e,
@@ -478,13 +540,9 @@ fn reverse_transpose_mismatch_is_typed() {
     // every per-section invariant still holds, but the reverse sections no
     // longer transpose the forward edges. Reverse probs start after the
     // forward sections and the reverse offsets/sources:
-    // 32 + 40 (offsets) + 16 (targets) + 32 (probs) + 40 (in_offsets)
-    // + 16 (in_sources) = 176.
-    let mut bytes = sample_bytes();
-    let in_probs_pos = 176;
-    bytes[in_probs_pos..in_probs_pos + 8].copy_from_slice(&0.123f64.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "transpose", |e| {
+    // 40 (offsets) + 16 (targets) + 32 (probs) + 40 (in_offsets)
+    // + 16 (in_sources) = 144 bytes into the payload.
+    assert_patch_rejected(144, &0.123f64.to_le_bytes(), "transpose", |e| {
         assert!(
             matches!(
                 e,
@@ -506,80 +564,90 @@ fn duplicate_parallel_edges_are_typed() {
     // real per-node uniqueness check can catch. The builder can never emit
     // parallel edges, so such a file is foreign or corrupt.
     let g = graph_from_text("0 1 0.9\n0 2 0.5\n0 3 0.2\n", 0);
-    let mut bytes = to_bytes(&g, None).unwrap();
-    // n = 4, m = 3: offsets u64[5] at 32, targets u32[3] at 72.
-    let third_target = 72 + 8;
-    bytes[third_target..third_target + 4].copy_from_slice(&1u32.to_le_bytes());
-    fix_checksum(&mut bytes);
-    assert_both_paths_reject(&bytes, "duplicate edge", |e| {
-        assert!(
-            matches!(
-                e,
-                GraphError::CorruptSection {
-                    section: "targets",
-                    ..
-                }
-            ),
-            "expected CorruptSection(targets), got {e:?}"
-        )
-    });
+    for mut f in frames(&g, None) {
+        // n = 4, m = 3: offsets u64[5], then targets u32[3] 40 bytes in.
+        let third_target = f.payload + 40 + 8;
+        f.bytes[third_target..third_target + 4].copy_from_slice(&1u32.to_le_bytes());
+        fix_checksum(&mut f.bytes);
+        assert_both_paths_reject(&f.bytes, f.tag, |e| {
+            assert!(
+                matches!(
+                    e,
+                    GraphError::CorruptSection {
+                        section: "targets",
+                        ..
+                    }
+                ),
+                "expected CorruptSection(targets), got {e:?}"
+            )
+        });
+    }
 }
 
 #[test]
 fn header_node_count_overflow_is_typed() {
-    let mut bytes = sample_bytes();
-    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    let err = from_bytes(&bytes).expect_err("huge node count");
-    assert!(
-        matches!(
-            err,
-            GraphError::CorruptSection {
-                section: "header",
-                ..
-            }
-        ),
-        "expected CorruptSection(header), got {err:?}"
-    );
+    for mut f in sample_frames() {
+        f.bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = from_bytes(&f.bytes).expect_err("huge node count");
+        assert!(
+            matches!(
+                err,
+                GraphError::CorruptSection {
+                    section: "header",
+                    ..
+                }
+            ),
+            "{}: expected CorruptSection(header), got {err:?}",
+            f.tag
+        );
+    }
+}
+
+/// The one-edge instance with a workload block (n = 2), in both versions.
+fn workload_frames() -> [Frame; 2] {
+    let g = graph_from_text("0 1 0.5\n", 0);
+    let data = NodeData::uniform(2, 1.0, 1.0, 1.0);
+    frames(&g, Some((&data, 3.0)))
 }
 
 #[test]
 fn corrupt_workload_budget_is_typed() {
-    let g = graph_from_text("0 1 0.5\n", 0);
-    let data = NodeData::uniform(2, 1.0, 1.0, 1.0);
-    let mut bytes = to_bytes(&g, Some((&data, 3.0))).unwrap();
-    // The workload budget is the first f64 of the workload block, which is
-    // the last 8 * (1 + 3n) bytes of the file.
-    let n = 2usize;
-    let pos = bytes.len() - 8 * (1 + 3 * n);
-    bytes[pos..pos + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
-    fix_checksum(&mut bytes);
-    let err = from_bytes(&bytes).expect_err("bad budget");
-    assert!(
-        matches!(
-            err,
-            GraphError::CorruptSection {
-                section: "workload",
-                ..
-            }
-        ),
-        "expected CorruptSection(workload), got {err:?}"
-    );
+    for mut f in workload_frames() {
+        // The workload budget is the first f64 of the workload block, which
+        // is the last 8 * (1 + 3n) bytes of the file.
+        let n = 2usize;
+        let pos = f.bytes.len() - 8 * (1 + 3 * n);
+        f.bytes[pos..pos + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        fix_checksum(&mut f.bytes);
+        let err = from_bytes(&f.bytes).expect_err("bad budget");
+        assert!(
+            matches!(
+                err,
+                GraphError::CorruptSection {
+                    section: "workload",
+                    ..
+                }
+            ),
+            "{}: expected CorruptSection(workload), got {err:?}",
+            f.tag
+        );
+    }
 }
 
 #[test]
 fn corrupt_workload_attribute_is_typed() {
-    let g = graph_from_text("0 1 0.5\n", 0);
-    let data = NodeData::uniform(2, 1.0, 1.0, 1.0);
-    let mut bytes = to_bytes(&g, Some((&data, 3.0))).unwrap();
-    let n = 2usize;
-    let benefit_pos = bytes.len() - 8 * (3 * n); // first benefit entry
-    bytes[benefit_pos..benefit_pos + 8].copy_from_slice(&(-4.0f64).to_le_bytes());
-    fix_checksum(&mut bytes);
-    let err = from_bytes(&bytes).expect_err("negative benefit");
-    assert!(
-        matches!(err, GraphError::InvalidAttribute { .. }),
-        "expected InvalidAttribute, got {err:?}"
-    );
+    for mut f in workload_frames() {
+        let n = 2usize;
+        let benefit_pos = f.bytes.len() - 8 * (3 * n); // first benefit entry
+        f.bytes[benefit_pos..benefit_pos + 8].copy_from_slice(&(-4.0f64).to_le_bytes());
+        fix_checksum(&mut f.bytes);
+        let err = from_bytes(&f.bytes).expect_err("negative benefit");
+        assert!(
+            matches!(err, GraphError::InvalidAttribute { .. }),
+            "{}: expected InvalidAttribute, got {err:?}",
+            f.tag
+        );
+    }
 }
 
 #[test]
@@ -588,13 +656,15 @@ fn random_mutations_never_panic() {
     // Ok or a typed error — never a panic. (An Ok is possible when the
     // mutation lands in a don't-care position such as padding plus a
     // matching checksum, so only absence-of-panic is asserted.)
-    let bytes = sample_bytes();
-    for pos in 0..bytes.len() {
-        let mut mutated = bytes.clone();
-        mutated[pos] ^= 0x5A;
-        let _ = from_bytes(&mutated);
-        // Truncations at every length, too.
-        let _ = from_bytes(&bytes[..pos]);
+    for f in sample_frames() {
+        let bytes = f.bytes;
+        for pos in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[pos] ^= 0x5A;
+            let _ = from_bytes(&mutated);
+            // Truncations at every length, too.
+            let _ = from_bytes(&bytes[..pos]);
+        }
     }
 }
 
@@ -616,18 +686,20 @@ fn sharded_sample_bytes() -> Vec<u8> {
 }
 
 /// v2 layout landmarks: `(table_start, table_end, workload_start)`. The
-/// shard count sits right after the 32-byte header; the workload block is
-/// the last `8 * (1 + 3n)` bytes.
+/// shard count sits right after the 32-byte header; the workload block, if
+/// flagged, is the last `8 * (1 + 3n)` bytes.
 fn v2_landmarks(bytes: &[u8]) -> (usize, usize, usize) {
     let shards = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
     let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     // Saturating arithmetic: fuzzed counts may be absurd, and the caller
     // guards against landmarks that fall outside the file.
     let table_end = shards.saturating_mul(48).saturating_add(40);
-    let workload_start = bytes
-        .len()
-        .saturating_sub(n.saturating_mul(3).saturating_add(1).saturating_mul(8));
-    (32, table_end, workload_start)
+    let workload_len = if bytes[6] & 1 == 1 {
+        n.saturating_mul(3).saturating_add(1).saturating_mul(8)
+    } else {
+        0
+    };
+    (32, table_end, bytes.len().saturating_sub(workload_len))
 }
 
 /// Re-stamp the v2 header checksum (which covers the shard count + table +
@@ -641,7 +713,7 @@ fn fix_v2_checksum(bytes: &mut [u8]) {
     }
     let mut covered = bytes[table_start..table_end].to_vec();
     covered.extend_from_slice(&bytes[workload_start..]);
-    let sum = binary::checksum(&covered);
+    let sum = checksum(&covered);
     bytes[24..32].copy_from_slice(&sum.to_le_bytes());
 }
 

@@ -65,6 +65,10 @@
 //!   holds a thread, and request lines are read under a byte cap — an
 //!   oversized line is drained in constant memory and answered with
 //!   `ERR line too long` (the connection survives).
+//!   World counts (`worlds=`, `eval_worlds=`, `im_worlds=`) above
+//!   [`spec::MAX_WORLDS`] are refused at parse time with an `ERR` naming
+//!   the key, so one request cannot make the daemon sample and keep a
+//!   huge world cache.
 //! * **Shutdown drains.** `SHUTDOWN` stops the accept loop, refuses new
 //!   requests with `ERR draining`, lets in-flight campaigns finish under a
 //!   deadline, then force-closes stragglers; [`server::Server::wait`]
@@ -75,7 +79,7 @@
 //!   `osn-fault` plan fires injected I/O errors, delays, and panics.
 //!
 //! The injection points themselves (`serve.campaign.run`,
-//! `serve.batcher.*`, `serve.conn.*`, `graph.oscg.*`, `graph.shard.*`)
+//! `serve.batcher.*`, `serve.conn.*`, `graph.shard.*`)
 //! compile to no-ops unless the `fault-injection` feature is on.
 
 pub mod admission;

@@ -127,6 +127,20 @@ fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {key}={v:?}"))
 }
 
+/// Largest world count a request may name (`PROBE worlds=`, `CAMPAIGN
+/// eval_worlds=`/`im_worlds=`). Every distinct count samples a world cache
+/// the daemon keeps resident, so the wire bounds it. It covers every
+/// in-repo caller: benchmark probes send 1024, the campaign default is 64.
+pub const MAX_WORLDS: usize = 4096;
+
+fn check_worlds(key: &str, worlds: usize) -> Result<(), String> {
+    if (1..=MAX_WORLDS).contains(&worlds) {
+        Ok(())
+    } else {
+        Err(format!("{key} must be in 1..={MAX_WORLDS}, got {worlds}"))
+    }
+}
+
 impl CampaignSpec {
     /// Parse the body of a `CAMPAIGN` request (everything after the verb).
     /// Unknown keys are rejected so typos fail loudly instead of silently
@@ -168,12 +182,8 @@ impl CampaignSpec {
                 return Err(format!("{key} must be in (0, 1), got {v}"));
             }
         }
-        if spec.eval_worlds == 0 {
-            return Err("eval_worlds must be positive".to_string());
-        }
-        if spec.im_worlds == 0 {
-            return Err("im_worlds must be positive".to_string());
-        }
+        check_worlds("eval_worlds", spec.eval_worlds)?;
+        check_worlds("im_worlds", spec.im_worlds)?;
         Ok(spec)
     }
 
@@ -264,9 +274,7 @@ impl ProbeSpec {
                 other => return Err(format!("unknown key {other:?}")),
             }
         }
-        if spec.worlds == 0 {
-            return Err("worlds must be positive".to_string());
-        }
+        check_worlds("worlds", spec.worlds)?;
         Ok(spec)
     }
 }
@@ -312,10 +320,14 @@ mod tests {
             ("delta=-0.5", "delta"),
             ("delta=NaN", "delta"),
             ("im_worlds=0", "im_worlds"),
+            ("eval_worlds=4097", "eval_worlds"),
+            ("im_worlds=4097", "im_worlds"),
+            ("eval_worlds=1000000000", "eval_worlds"),
         ] {
             let err = CampaignSpec::parse(body).unwrap_err();
             assert!(err.starts_with(key), "CAMPAIGN {body}: {err}");
         }
+        assert!(CampaignSpec::parse("eval_worlds=4096 im_worlds=4096").is_ok());
         assert!(CampaignSpec::parse("weights=uniform:1.5").is_err());
         assert!(CampaignSpec::parse("").is_ok(), "empty body takes defaults");
     }
@@ -327,6 +339,88 @@ mod tests {
         assert_eq!(p.coupons, vec![(NodeId(2), 1), (NodeId(7), 3)]);
         assert!(ProbeSpec::parse("coupons=2").is_err());
         assert!(ProbeSpec::parse("worlds=0").is_err());
+        assert_eq!(ProbeSpec::parse("worlds=4096").unwrap().worlds, MAX_WORLDS);
+        for body in ["worlds=4097", "worlds=1000000000 seeds=0"] {
+            let err = ProbeSpec::parse(body).unwrap_err();
+            assert!(err.starts_with("worlds"), "PROBE {body}: {err}");
+        }
+    }
+
+    /// SplitMix64 step: the deterministic stream behind the mutation test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Byte flips, truncations, and splices of valid `CAMPAIGN` and `PROBE`
+    /// bodies never panic the parser, and every body it accepts satisfies
+    /// the parse-time bounds.
+    #[test]
+    fn mutated_bodies_never_panic_and_accepted_specs_are_bounded() {
+        let campaigns = [
+            CampaignSpec::default().to_line(),
+            "algo=s3ca budget=0.5 estimator=sketch epsilon=0.05 delta=0.2 eval_worlds=4096 \
+             im_worlds=12 seed=77 weights=uniform:0.25"
+                .to_string(),
+            "algo=pm-l cap=3 budget=2 weights=trivalency".to_string(),
+        ];
+        let probes = [
+            "worlds=1024 seed=9 seeds=0;3;5 coupons=2:1;7:3 weights=invdeg".to_string(),
+            "worlds=4096 seeds=1 coupons=1:4".to_string(),
+        ];
+        let pool: Vec<&[u8]> = campaigns
+            .iter()
+            .chain(&probes)
+            .map(|s| s.as_bytes())
+            .collect();
+        let mut rng = 0x5eed_u64;
+        let mut accepted = 0;
+        for round in 0..20_000 {
+            let mut body = pool[round % pool.len()].to_vec();
+            for _ in 0..1 + splitmix(&mut rng) % 3 {
+                let r = splitmix(&mut rng);
+                let at = (r >> 8) as usize % (body.len() + 1);
+                match r % 4 {
+                    // Flip one byte, biased toward printable ASCII so the
+                    // key=value structure stays reachable.
+                    0 | 1 if at < body.len() => {
+                        body[at] = if r & 0x10 == 0 {
+                            b"0123456789=.;:-e x"[(r >> 40) as usize % 18]
+                        } else {
+                            (r >> 40) as u8
+                        };
+                    }
+                    2 => body.truncate(at),
+                    // Splice in a slice of another valid body.
+                    _ => {
+                        let donor = pool[(r >> 32) as usize % pool.len()];
+                        let from = (r >> 16) as usize % donor.len();
+                        let len = (r >> 48) as usize % (donor.len() - from + 1);
+                        body.splice(at..at, donor[from..from + len].iter().copied());
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&body);
+            if let Ok(c) = CampaignSpec::parse(&text) {
+                accepted += 1;
+                assert!(c.budget_mult.is_finite() && c.budget_mult > 0.0, "{text}");
+                assert!(c.epsilon > 0.0 && c.epsilon < 1.0, "{text}");
+                assert!(c.delta > 0.0 && c.delta < 1.0, "{text}");
+                assert!((1..=MAX_WORLDS).contains(&c.eval_worlds), "{text}");
+                assert!((1..=MAX_WORLDS).contains(&c.im_worlds), "{text}");
+            }
+            if let Ok(p) = ProbeSpec::parse(&text) {
+                accepted += 1;
+                assert!((1..=MAX_WORLDS).contains(&p.worlds), "{text}");
+            }
+        }
+        assert!(
+            accepted > 100,
+            "mutations too destructive: {accepted} accepted"
+        );
     }
 
     /// Execution-strategy keys are gone: every result has one cascade
