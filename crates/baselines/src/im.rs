@@ -20,7 +20,7 @@ use crate::common::{deployment_with_strategy, seed_size_sweep, value_of};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::{WorldCache, WorldRef};
-use osn_propagation::{DeploymentRef, MonteCarloEvaluator};
+use osn_propagation::{DeploymentRef, McBackend};
 use s3crm_core::deployment::Deployment;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -86,7 +86,7 @@ pub fn greedy_seed_ranking(
 
 /// [`greedy_seed_ranking`] on an explicit worker pool. The pool size never
 /// changes the ranking (gains land in index-order slots); tests pin that
-/// with size-1 and size-2 pools, mirroring the evaluator's `with_pool`.
+/// with size-1 and size-2 pools, mirroring `McBackend::evaluator_on`.
 pub fn greedy_seed_ranking_on(
     graph: &CsrGraph,
     cache: &WorldCache,
@@ -241,9 +241,9 @@ pub fn im_with_strategy(
     strategy: CouponStrategy,
     cfg: &ImConfig,
 ) -> Deployment {
-    let cache = WorldCache::sample(graph, cfg.worlds, cfg.rng_seed);
-    let ranking = greedy_seed_ranking(graph, &cache, cfg.candidate_pool, cfg.max_seeds);
-    best_feasible_prefix(graph, data, binv, strategy, &ranking, &cache)
+    let backend = McBackend::sample(graph, cfg.worlds, cfg.rng_seed);
+    let ranking = greedy_seed_ranking(graph, backend.cache(), cfg.candidate_pool, cfg.max_seeds);
+    best_feasible_prefix(graph, data, binv, strategy, &ranking, &backend)
 }
 
 /// The paper's seed-size sweep over a precomputed influence ranking: try
@@ -259,7 +259,7 @@ pub fn best_feasible_prefix(
     binv: f64,
     strategy: CouponStrategy,
     ranking: &[NodeId],
-    cache: &WorldCache,
+    backend: &McBackend,
 ) -> Deployment {
     best_feasible_prefix_on(
         graph,
@@ -267,21 +267,21 @@ pub fn best_feasible_prefix(
         binv,
         strategy,
         ranking,
-        cache,
+        backend,
         osn_pool::global(),
     )
 }
 
 /// [`best_feasible_prefix`] scoring its batch on an explicit worker pool,
-/// mirroring the `_on`/`with_pool` pattern of the other parallel entry
-/// points so tests can force pool sizes (which never change results).
+/// mirroring [`McBackend::evaluator_on`] so tests can force pool sizes
+/// (which never change results).
 pub fn best_feasible_prefix_on(
     graph: &CsrGraph,
     data: &NodeData,
     binv: f64,
     strategy: CouponStrategy,
     ranking: &[NodeId],
-    cache: &WorldCache,
+    backend: &McBackend,
     workers: &osn_pool::ThreadPool,
 ) -> Deployment {
     let mut candidates: Vec<Deployment> = Vec::new();
@@ -299,7 +299,7 @@ pub fn best_feasible_prefix_on(
         return Deployment::empty(graph.node_count());
     }
     let unit = NodeData::uniform(graph.node_count(), 1.0, 0.0, 0.0);
-    let ev = MonteCarloEvaluator::with_pool(graph, &unit, cache, workers);
+    let ev = backend.evaluator_on(graph, &unit, workers);
     let batch: Vec<DeploymentRef<'_>> = candidates.iter().map(DeploymentRef::from).collect();
     let influences = ev.simulate_batch(&batch);
     // Strictly-greater keeps the smallest of tied sizes, matching the old

@@ -48,7 +48,7 @@ pub fn pm_with_strategy(
 /// [`pm_with_strategy`] on an explicit worker pool. The pool size never
 /// changes the selection (results reduce in pool order with first-maximum
 /// tie-breaking); tests pin that with size-1 and size-2 pools, mirroring
-/// the evaluator's `with_pool`.
+/// `McBackend::evaluator_on`.
 pub fn pm_with_strategy_on(
     graph: &CsrGraph,
     data: &NodeData,

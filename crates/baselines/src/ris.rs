@@ -105,29 +105,6 @@ pub fn ris_seed_ranking(graph: &CsrGraph, cfg: &RisConfig, max_seeds: usize) -> 
     ranking
 }
 
-/// RIS-ranked IM paired with a coupon strategy — a drop-in alternative to
-/// [`im_with_strategy`](crate::im::im_with_strategy) whose ranking stage
-/// scales to graphs where forward CELF becomes too slow. The seed-size
-/// sweep rides on the batched
-/// [`best_feasible_prefix`](crate::im::best_feasible_prefix): every
-/// feasible prefix is scored in one pass over the evaluation worlds.
-pub fn ris_with_strategy(
-    graph: &CsrGraph,
-    data: &osn_graph::NodeData,
-    binv: f64,
-    strategy: crate::strategy::CouponStrategy,
-    cfg: &RisConfig,
-    max_seeds: usize,
-    eval_worlds: usize,
-) -> s3crm_core::Deployment {
-    let ranking: Vec<NodeId> = ris_seed_ranking(graph, cfg, max_seeds)
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect();
-    let cache = osn_propagation::world::WorldCache::sample(graph, eval_worlds, cfg.rng_seed ^ 0x11);
-    crate::im::best_feasible_prefix(graph, data, binv, strategy, &ranking, &cache)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

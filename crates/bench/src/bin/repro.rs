@@ -98,7 +98,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 }
                 effort.graph_scale = scale;
             }
-            "--worlds" => effort.eval_worlds = flag_number(&mut it, "--worlds", "an integer")?,
+            "--worlds" => effort.eval_worlds = flag_positive(&mut it, "--worlds")?,
             "--seed" => effort.seed = flag_number(&mut it, "--seed", "an integer")?,
             "--pool-size" => {
                 // The shared worker pool is built once, up front; every
@@ -795,11 +795,12 @@ mod tests {
 
     #[test]
     fn malformed_flags_are_usage_errors_not_panics() {
-        let cases: [&[&str]; 13] = [
+        let cases: [&[&str]; 14] = [
             &["--scale", "abc"],
             &["--scale", "nan"],
             &["--scale", "-1"],
             &["--worlds", "x"],
+            &["--worlds", "0"],
             &["--seed", "x"],
             &["--pool-size", "0"],
             &["--pool-size", "two"],

@@ -1,6 +1,5 @@
-//! Extension experiments: ablations of S3CA's design choices (DESIGN.md's
-//! ablation index). Not in the paper, but they quantify the claims its
-//! design sections make.
+//! Extension experiments: ablations of S3CA's design choices. Not in the
+//! paper, but they quantify the claims its design sections make.
 //!
 //! * **Phase ablation** — ID only vs the full ID+GPI+SCM pipeline: what the
 //!   guaranteed-path maneuvering actually buys (the paper's Example 3
@@ -12,8 +11,7 @@
 use crate::effort::Effort;
 use crate::table::{num, Table};
 use osn_gen::DatasetProfile;
-use osn_propagation::evaluator::BenefitEvaluator;
-use osn_propagation::{AnalyticEvaluator, McBackend};
+use osn_propagation::{McBackend, SpreadState};
 use s3crm_core::s3ca;
 use std::time::Instant;
 
@@ -68,11 +66,12 @@ pub fn evaluator_ablation(profile: DatasetProfile, effort: &Effort) -> Table {
     let ref_backend = McBackend::sample(&inst.graph, effort.eval_worlds * 4, effort.seed ^ 0xBEEF);
     let reference = ref_backend
         .evaluator(&inst.graph, &inst.data)
-        .expected_benefit(&dep.seeds, &dep.coupons);
+        .simulate(&dep.seeds, &dep.coupons)
+        .expected_benefit;
 
     let t0 = Instant::now();
     let analytic =
-        AnalyticEvaluator::new(&inst.graph, &inst.data).expected_benefit(&dep.seeds, &dep.coupons);
+        SpreadState::evaluate(&inst.graph, &inst.data, &dep.seeds, &dep.coupons).expected_benefit;
     let analytic_us = t0.elapsed().as_micros() as f64;
     table.push_row(vec![
         "analytic".into(),
@@ -85,7 +84,7 @@ pub fn evaluator_ablation(profile: DatasetProfile, effort: &Effort) -> Table {
         let backend = McBackend::sample(&inst.graph, worlds, effort.seed ^ 0xAB);
         let ev = backend.evaluator(&inst.graph, &inst.data);
         let t1 = Instant::now();
-        let est = ev.expected_benefit(&dep.seeds, &dep.coupons);
+        let est = ev.simulate(&dep.seeds, &dep.coupons).expected_benefit;
         let us = t1.elapsed().as_micros() as f64;
         table.push_row(vec![
             format!("MC-{worlds}"),

@@ -18,7 +18,7 @@ use crate::table::{num, Table};
 use osn_gen::DatasetProfile;
 use osn_graph::NodeId;
 use osn_propagation::linear_threshold::lt_influence;
-use osn_propagation::{RedemptionReport, WorldCache};
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{best_feasible_prefix, greedy_seed_ranking};
 use s3crm_baselines::ris::{ris_seed_ranking, RisConfig};
 use s3crm_baselines::strategy::CouponStrategy;
@@ -27,7 +27,7 @@ use std::time::Instant;
 /// CELF-greedy vs RIS ranking on one profile.
 pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
     let inst = crate::dataset::profile_instance(profile, effort);
-    let cache = WorldCache::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0xC0DE);
+    let eval = McBackend::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0xC0DE);
     let mut table = Table::new(
         format!(
             "Extension: IM ranking stage, CELF vs RIS [{}]",
@@ -36,9 +36,9 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
         &["ranking", "time_ms", "seeds", "redemption_rate", "benefit"],
     );
 
-    let celf_cache = WorldCache::sample(&inst.graph, effort.im_worlds, effort.seed ^ 0xD1CE);
+    let celf_backend = McBackend::sample(&inst.graph, effort.im_worlds, effort.seed ^ 0xD1CE);
     let t0 = Instant::now();
-    let celf = greedy_seed_ranking(&inst.graph, &celf_cache, 256, 64);
+    let celf = greedy_seed_ranking(&inst.graph, celf_backend.cache(), 256, 64);
     let celf_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
@@ -62,10 +62,10 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
             inst.budget,
             CouponStrategy::Unlimited,
             &ranking,
-            &celf_cache,
+            &celf_backend,
         );
         let report =
-            RedemptionReport::compute(&inst.graph, &inst.data, &dep.seeds, &dep.coupons, &cache);
+            RedemptionReport::compute(&inst.graph, &inst.data, &dep.seeds, &dep.coupons, &eval);
         table.push_row(vec![
             name.into(),
             num(ms),
@@ -80,7 +80,7 @@ pub fn ris_vs_celf(profile: DatasetProfile, effort: &Effort) -> Table {
 /// LT vs coupon-constrained IC influence of the same seed sets.
 pub fn lt_vs_coupon_ic(profile: DatasetProfile, effort: &Effort) -> Table {
     let inst = crate::dataset::profile_instance(profile, effort);
-    let cache = WorldCache::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0x17);
+    let eval = McBackend::sample(&inst.graph, effort.eval_worlds, effort.seed ^ 0x17);
     let mut table = Table::new(
         format!("Extension: LT vs coupon-IC activation [{}]", profile.name()),
         &["seeds", "coupon_cap", "ic_activated", "lt_activated"],
@@ -97,7 +97,7 @@ pub fn lt_vs_coupon_ic(profile: DatasetProfile, effort: &Effort) -> Table {
                 .map(|v| (inst.graph.out_degree(v) as u32).min(cap))
                 .collect();
             let report =
-                RedemptionReport::compute(&inst.graph, &inst.data, &seeds, &coupons, &cache);
+                RedemptionReport::compute(&inst.graph, &inst.data, &seeds, &coupons, &eval);
             let lt = lt_influence(&inst.graph, &seeds, 200, effort.seed ^ 0x99);
             table.push_row(vec![
                 size.to_string(),

@@ -22,9 +22,9 @@
 //! through the `.oscg` cache (`--cache`).
 //!
 //! Absolute numbers differ from the paper (synthetic dataset substitutes,
-//! different hardware — see `DESIGN.md`); the harness is about reproducing
-//! the *shape*: who wins, by roughly what factor, and how curves move with
-//! each swept parameter. `EXPERIMENTS.md` records paper-vs-measured.
+//! different hardware); the harness is about reproducing the *shape*: who
+//! wins, by roughly what factor, and how curves move with each swept
+//! parameter.
 
 pub mod dataset;
 pub mod effort;

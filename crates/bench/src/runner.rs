@@ -5,7 +5,7 @@
 use crate::effort::Effort;
 use crate::scenario::{run_algorithm, AlgoRun, Algorithm};
 use osn_graph::{CsrGraph, NodeData};
-use osn_propagation::{DeploymentRef, RedemptionReport, WorldCache};
+use osn_propagation::{DeploymentRef, McBackend, RedemptionReport};
 use s3crm_core::Telemetry;
 
 /// One algorithm's evaluated result on one instance.
@@ -31,7 +31,7 @@ pub fn evaluate_all(
 ) -> Vec<Row> {
     // Distinct salt keeps evaluation worlds independent of the worlds the
     // IM baselines optimized on (no self-grading).
-    let cache = WorldCache::sample(graph, effort.eval_worlds, effort.seed ^ 0x0E7A_15A1);
+    let backend = McBackend::sample(graph, effort.eval_worlds, effort.seed ^ 0x0E7A_15A1);
     let runs: Vec<AlgoRun> = algorithms
         .iter()
         .map(|&algo| run_algorithm(graph, data, binv, algo, limited_cap, effort))
@@ -40,7 +40,7 @@ pub fn evaluate_all(
         .iter()
         .map(|run| DeploymentRef::from(&run.deployment))
         .collect();
-    let reports = RedemptionReport::compute_batch(graph, data, &batch, &cache);
+    let reports = RedemptionReport::compute_batch(graph, data, &batch, &backend);
     runs.into_iter()
         .zip(reports)
         .map(|(run, report)| Row {

@@ -8,7 +8,7 @@ use osn_gen::powerlaw_cluster::powerlaw_cluster;
 use osn_gen::seeded_rng;
 use osn_gen::weights::{assign_weights, WeightModel};
 use osn_graph::{CsrGraph, NodeData};
-use osn_propagation::{RedemptionReport, WorldCache};
+use osn_propagation::{McBackend, RedemptionReport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
@@ -247,7 +247,7 @@ pub fn run_sweep(n: usize, grid: &SweepGrid, effort: &Effort) -> Vec<SweepCell> 
     };
     for &model in &grid.weight_models {
         let (graph, data, base_budget) = sweep_instance(n, model, effort.seed);
-        let cache = WorldCache::sample(&graph, effort.eval_worlds, effort.seed ^ 0x5EE9);
+        let backend = McBackend::sample(&graph, effort.eval_worlds, effort.seed ^ 0x5EE9);
         for &algo in &grid.algorithms {
             for &mult in &grid.budget_multipliers {
                 let binv = base_budget * mult;
@@ -257,7 +257,7 @@ pub fn run_sweep(n: usize, grid: &SweepGrid, effort: &Effort) -> Vec<SweepCell> 
                     &data,
                     &run.deployment.seeds,
                     &run.deployment.coupons,
-                    &cache,
+                    &backend,
                 );
                 let mut table = Table::new(
                     format!(

@@ -66,16 +66,6 @@ impl Deployment {
         take
     }
 
-    /// The internal node set `I` = coupon holders.
-    pub fn internal_nodes(&self) -> Vec<NodeId> {
-        self.coupons
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k > 0)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
-    }
-
     /// Total allocated coupons `Σ k_i`.
     pub fn total_coupons(&self) -> u64 {
         self.coupons.iter().map(|&k| k as u64).sum()
@@ -114,16 +104,6 @@ mod tests {
         assert_eq!(d.add_coupons(&g, NodeId(0), 1), 0);
         // Leaf node can hold no coupons at all.
         assert_eq!(d.add_coupons(&g, NodeId(1), 3), 0);
-    }
-
-    #[test]
-    fn internal_nodes_are_coupon_holders() {
-        let g = graph();
-        let mut d = Deployment::empty(3);
-        assert!(d.internal_nodes().is_empty());
-        d.add_coupons(&g, NodeId(0), 1);
-        assert_eq!(d.internal_nodes(), vec![NodeId(0)]);
-        assert_eq!(d.total_coupons(), 1);
     }
 
     #[test]

@@ -269,7 +269,7 @@ pub fn s3ca_with_snapshot_backend(
             deployment = snap.clone();
             value = analytic;
         }
-        telemetry.lane_kernel_worlds = ev.lane_world_count();
+        telemetry.lane_kernel_worlds = (batch.len() * backend.cache().len()) as u64;
         telemetry.id_micros += t_sel.elapsed().as_micros() as u64;
     }
 

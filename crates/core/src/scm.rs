@@ -12,8 +12,8 @@
 //! * **Maneuver Gap** `β`: the bar a donor must clear. We instantiate `β`
 //!   as the path's amelioration index — donating is only sensible while the
 //!   donor's loss rate undercuts the path's gain rate. (The paper's
-//!   `β^{m,M*}` is the marginal form of the same quantity; the constant-β
-//!   simplification is documented in `DESIGN.md`.)
+//!   `β^{m,M*}` is the marginal form of the same quantity; this module uses
+//!   the constant-β simplification.)
 //!
 //! A guaranteed path is *created* only when (a) the full coupon deficit
 //! `δK` could be sourced from donors with `Id < β`, and (b) the resulting

@@ -30,21 +30,6 @@ pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> UndirectedTopology {
     topo
 }
 
-/// G(n, p): every possible undirected edge present independently with
-/// probability `p`. O(n²); intended for small test graphs.
-pub fn gnp<R: Rng>(n: usize, p: f64, rng: &mut R) -> UndirectedTopology {
-    assert!((0.0..=1.0).contains(&p), "p must lie in [0, 1]");
-    let mut topo = UndirectedTopology::new(n);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            if rng.gen_bool(p) {
-                topo.push(u, v);
-            }
-        }
-    }
-    topo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,22 +61,5 @@ mod tests {
     #[should_panic(expected = "possible")]
     fn gnm_rejects_impossible_edge_count() {
         gnm(3, 4, &mut seeded_rng(1));
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert_eq!(gnp(10, 0.0, &mut seeded_rng(2)).edge_count(), 0);
-        assert_eq!(gnp(10, 1.0, &mut seeded_rng(2)).edge_count(), 45);
-    }
-
-    #[test]
-    fn gnp_density_is_plausible() {
-        let t = gnp(100, 0.1, &mut seeded_rng(4));
-        let expected = 0.1 * (100.0 * 99.0 / 2.0);
-        let got = t.edge_count() as f64;
-        assert!(
-            (got - expected).abs() < expected * 0.3,
-            "edge count {got} too far from expectation {expected}"
-        );
     }
 }

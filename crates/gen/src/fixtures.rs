@@ -97,32 +97,6 @@ pub fn example1() -> Fixture {
     }
 }
 
-/// A showcase instance where the SC-Maneuver phase provably improves the
-/// redemption rate (the shape of Fig. 5: a cheap seed whose local spread is
-/// mediocre, plus a distant high-benefit user reachable through a guaranteed
-/// path of cheap high-probability edges).
-///
-/// ```text
-///   v0 (seed, cheap) --0.6--> v1 --0.5--> v2        (benefit 1 each)
-///   v0 --0.9--> v3 --0.95--> v4 [benefit 50]        (the "v15" analogue)
-/// ```
-pub fn scm_showcase() -> Fixture {
-    let mut b = GraphBuilder::new(5);
-    b.add_edge(0, 3, 0.9).unwrap();
-    b.add_edge(0, 1, 0.6).unwrap();
-    b.add_edge(1, 2, 0.5).unwrap();
-    b.add_edge(3, 4, 0.95).unwrap();
-    let graph = b.build().unwrap();
-    let mut seed_costs = vec![100.0; 5];
-    seed_costs[0] = 0.1;
-    let data = NodeData::new(vec![1.0, 1.0, 1.0, 1.0, 50.0], seed_costs, vec![1.0; 5]).unwrap();
-    Fixture {
-        graph,
-        data,
-        budget: 4.0,
-    }
-}
-
 /// The Theorem 1 hardness-reduction instance (Sec. III).
 ///
 /// `V = {v_u} ∪ V_a ∪ V_b` with `|V_a| = |V_b| = m`:
@@ -235,13 +209,6 @@ mod tests {
         // Only v1 is an affordable seed.
         assert_eq!(f.data.seed_cost(NodeId(0)), 0.0);
         assert!(f.data.seed_cost(NodeId(1)) > f.budget);
-    }
-
-    #[test]
-    fn scm_showcase_has_remote_high_benefit_user() {
-        let f = scm_showcase();
-        assert_eq!(f.data.benefit(NodeId(4)), 50.0);
-        assert_eq!(f.graph.edge_rank(NodeId(0), NodeId(3)), Some(0));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! The paper evaluates on four real datasets (SNAP Facebook/Epinions/Google+
 //! and the KDD-16 Douban graph) plus PPGG-generated synthetic graphs. None of
 //! those assets are redistributable here, so this crate provides the closest
-//! synthetic equivalents (see `DESIGN.md`, *Substitutions*):
+//! synthetic equivalents (real SNAP edge lists still load through
+//! `repro --data`; see the README's "Real datasets" section):
 //!
-//! * [`erdos_renyi`] — G(n,m) / G(n,p) baselines for tests;
+//! * [`erdos_renyi`] — G(n,m) baselines for tests;
 //! * [`barabasi_albert`] — preferential attachment (pure power law);
 //! * [`powerlaw_cluster`] — Holme–Kim triad-formation model controlling both
 //!   the degree exponent and the clustering coefficient (the two quantities

@@ -7,10 +7,11 @@
 //! | Google+  | 108K  | 13.7M  | 200K | 50, 10   |
 //! | Douban   | 5.5M  | 86M    | 1M   | 100, 20  |
 //!
-//! The real datasets are not redistributable (see `DESIGN.md`,
-//! *Substitutions*); each profile generates a Holme–Kim power-law-cluster
-//! graph whose node count, average degree and reciprocity match the real
-//! network, with influence probabilities `1/in-degree` and the standard
+//! The real datasets are not redistributable (real edge lists load through
+//! `repro --data`, see the README's "Real datasets" section); each profile
+//! generates a Holme–Kim power-law-cluster graph whose node count, average
+//! degree and reciprocity match the real network, with influence
+//! probabilities `1/in-degree` and the standard
 //! Sec. VI-A workload. A `scale ∈ (0, 1]` knob shrinks node counts (and
 //! `Binv` proportionally) so experiments stay laptop-sized.
 

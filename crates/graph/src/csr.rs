@@ -240,11 +240,6 @@ impl CsrGraph {
         self.out_targets(u).iter().position(|&t| t == v)
     }
 
-    /// Total number of directed edges leaving the node set `set`.
-    pub fn out_edges_of_set(&self, set: &[NodeId]) -> usize {
-        set.iter().map(|&v| self.out_degree(v)).sum()
-    }
-
     /// All edge probabilities, indexed by the stable edge id of
     /// [`out_edge_ids`](Self::out_edge_ids). Used by Monte-Carlo world
     /// sampling to flip every edge coin in one flat pass.

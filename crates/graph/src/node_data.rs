@@ -96,11 +96,6 @@ impl NodeData {
         self.sc_cost[v.index()]
     }
 
-    /// Mutable access used by workload calibration (λ/κ scaling).
-    pub fn benefit_mut(&mut self) -> &mut [f64] {
-        &mut self.benefit
-    }
-
     /// Mutable seed costs.
     pub fn seed_cost_mut(&mut self) -> &mut [f64] {
         &mut self.seed_cost
@@ -242,9 +237,9 @@ mod tests {
     #[test]
     fn calibration_mutators() {
         let mut d = NodeData::uniform(2, 1.0, 1.0, 1.0);
-        for b in d.benefit_mut() {
-            *b *= 3.0;
+        for c in d.sc_cost_mut() {
+            *c *= 3.0;
         }
-        assert_eq!(d.total_benefit(), 6.0);
+        assert_eq!(d.total_sc_cost(), 6.0);
     }
 }

@@ -779,17 +779,6 @@ impl ShardCsr {
     pub fn node_count(&self) -> usize {
         (self.node_end - self.node_start) as usize
     }
-
-    /// Global out-edge id range and local section index of node `v`
-    /// (which must belong to this shard).
-    #[inline]
-    pub fn fwd_row(&self, v: NodeId) -> (std::ops::Range<u32>, usize) {
-        let lv = (v.0 - self.node_start) as usize;
-        let lo = self.offsets[lv];
-        let hi = self.offsets[lv + 1];
-        let base = self.fwd_edge_start;
-        (((base + lo) as u32)..((base + hi) as u32), lo as usize)
-    }
 }
 
 struct Residency {

@@ -39,19 +39,6 @@ pub fn degree_stats(graph: &CsrGraph) -> DegreeStats {
     }
 }
 
-/// Out-degree histogram: `hist[d]` = number of nodes with out-degree `d`.
-pub fn out_degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in graph.nodes() {
-        let d = graph.out_degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Average local clustering coefficient over out-neighborhoods, treating the
 /// graph as undirected for triangle detection (the convention used when
 /// reporting clustering for directed social graphs).
@@ -159,14 +146,6 @@ mod tests {
         assert_eq!(s.max_out_degree, 2);
         assert_eq!(s.max_in_degree, 2);
         assert!((s.mean_out_degree - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = triangle();
-        let h = out_degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 3);
-        assert_eq!(h[2], 3);
     }
 
     #[test]

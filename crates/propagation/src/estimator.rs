@@ -5,9 +5,11 @@
 //! `active_prob`, benefit and cost accessors), the committed moves
 //! (`add_coupons`, `add_seed_package`, `remove_coupons`) with their
 //! [`RefreshDelta`] change reports, and the read-only marginal probes
-//! (`coupon_add_delta`, `coupon_removal_delta`). It subsumes the one-shot
-//! [`BenefitEvaluator`](crate::evaluator::BenefitEvaluator) interface — an
-//! estimator is an evaluator bound to one evolving deployment.
+//! (`coupon_add_delta`, `coupon_removal_delta`). One-shot evaluation of a
+//! fixed deployment needs no seam: it is
+//! [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate)
+//! (analytic) or [`McBackend::evaluator`](crate::monte_carlo::McBackend::evaluator)
+//! (Monte Carlo).
 //!
 //! Two implementations exist:
 //!

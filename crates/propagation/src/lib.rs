@@ -11,9 +11,9 @@
 //! neighbor succeeds with the edge probability and **consumes one coupon**;
 //! after `k_i` successful redemptions `v_i` stops. Attempts on already-active
 //! neighbors are skipped without consuming a coupon (this is what the paper's
-//! Fig. 1(c) arithmetic implies — see `DESIGN.md`). An edge whose rank
-//! exceeds the remaining coupons is the paper's *dependent edge*: it can only
-//! fire if enough earlier-ranked attempts failed.
+//! Fig. 1(c) arithmetic implies; `tests/paper_fig1.rs` pins it). An edge
+//! whose rank exceeds the remaining coupons is the paper's *dependent edge*:
+//! it can only fire if enough earlier-ranked attempts failed.
 //!
 //! ## What lives here
 //!
@@ -41,9 +41,12 @@
 //!   below).
 //! * [`cost`] — the paper's expected-SC-cost `Csc(K(I))` (local per internal
 //!   node, Table I) and seed cost.
-//! * [`evaluator`] / [`monte_carlo`] — a common benefit-evaluator interface
-//!   (including the batched [`BenefitEvaluator::simulate_batch`] entry
-//!   point) with analytic and pool-parallel Monte-Carlo implementations.
+//! * [`monte_carlo`] — the Monte-Carlo estimator of `B(S, K(I))`: an
+//!   [`McBackend`] owns one world cache and its decoded lane blocks, and is
+//!   the only way to build a [`MonteCarloEvaluator`], whose batched
+//!   [`simulate_batch`](MonteCarloEvaluator::simulate_batch) scores many
+//!   [`DeploymentRef`] candidates ([`evaluator`]) in one pool-parallel pass.
+//!   One-shot analytic evaluation is [`SpreadState::evaluate`].
 //! * [`metrics`] — the reported quantities of Sec. VI: redemption rate,
 //!   total benefit, seed–SC rate, average farthest hop.
 //!
@@ -132,9 +135,9 @@
 //! advances all 64 worlds at once: per-edge liveness, the already-active
 //! skip, and the per-lane coupon budgets (binary counters held as bit
 //! planes with ripple-borrow decrements) are all word-wide AND/OR/XOR.
-//! Because a block depends only on the sampled worlds, the evaluator
-//! decodes each block once and caches it for its lifetime (~12 bytes per
-//! union-live edge).
+//! Because a block depends only on the sampled worlds, each block decodes
+//! once into its [`McBackend`]'s [`LaneBlockStore`] and lives as long as the
+//! backend (~12 bytes per union-live edge).
 //!
 //! **Lane layout / determinism-part alignment contract.** Lane blocks
 //! always start at 64-world boundaries, and 64 = 2 ×
@@ -164,13 +167,14 @@
 //!
 //! All parallelism in this crate runs on a shared [`osn_pool`]
 //! work-stealing pool (per-worker deques + a shared injector; see that
-//! crate's docs). [`MonteCarloEvaluator`] and
-//! [`WorldCache::sample`](crate::world::WorldCache::sample) default to the
+//! crate's docs). [`McBackend::evaluator`] and
+//! [`WorldCache::sample`](crate::world::WorldCache::sample) use the
 //! process-wide [`osn_pool::global`] pool, so S3CA's greedy loop, the
 //! baselines, and the bench harness share one set of workers instead of
-//! spawning scoped threads per evaluation; `with_pool`/`sample_with_pool`
-//! builders accept an explicit pool (how the determinism tests force sizes
-//! 1, 2, and `available_parallelism`).
+//! spawning scoped threads per evaluation. [`McBackend::evaluator_on`] and
+//! [`WorldCache::sample_with_pool`](crate::world::WorldCache::sample_with_pool)
+//! take an explicit pool (how the determinism tests force sizes 1, 2, and
+//! `available_parallelism`).
 //!
 //! The determinism contract, pinned by `tests/determinism.rs`:
 //!
@@ -184,7 +188,7 @@
 //!
 //! Together these make every estimate bit-identical across pool sizes,
 //! machines, and the serial vs. pooled paths. Batched evaluation
-//! ([`BenefitEvaluator::simulate_batch`]) keeps per-candidate accumulators
+//! ([`MonteCarloEvaluator::simulate_batch`]) keeps per-candidate accumulators
 //! through the same grouping, so batching never changes results either —
 //! only how many candidates one pass over the world cache serves.
 
@@ -207,7 +211,7 @@ pub use cascade::{simulate_cascade, CascadeOutcome};
 pub use cost::{expected_sc_cost, redemption_rate, seed_cost, total_cost};
 pub use engine::{DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
 pub use estimator::BenefitEstimator;
-pub use evaluator::{AnalyticEvaluator, BenefitEvaluator, DeploymentRef};
+pub use evaluator::DeploymentRef;
 pub use lane::{lane_cascade_block, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS};
 pub use metrics::RedemptionReport;
 pub use monte_carlo::{

@@ -7,8 +7,7 @@
 
 use crate::cost::{expected_sc_cost, redemption_rate, seed_cost};
 use crate::evaluator::DeploymentRef;
-use crate::monte_carlo::{MonteCarloEvaluator, SimulationStats};
-use crate::world::WorldCache;
+use crate::monte_carlo::{McBackend, SimulationStats};
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -37,28 +36,29 @@ pub struct RedemptionReport {
 
 impl RedemptionReport {
     /// Evaluate `(seeds, coupons)` with Monte-Carlo benefit/hop estimates
-    /// over `cache` and the analytic Table-I cost model.
+    /// over `backend`'s worlds and the analytic Table-I cost model.
     pub fn compute(
         graph: &CsrGraph,
         data: &NodeData,
         seeds: &[NodeId],
         coupons: &[u32],
-        cache: &WorldCache,
+        backend: &McBackend,
     ) -> Self {
-        let stats = MonteCarloEvaluator::new(graph, data, cache).simulate(seeds, coupons);
+        let stats = backend.evaluator(graph, data).simulate(seeds, coupons);
         Self::from_stats(graph, data, seeds, coupons, stats)
     }
 
     /// Evaluate many deployments with **one pass over the world cache**
-    /// (see [`MonteCarloEvaluator::simulate_batch`]); element `i` is
-    /// bit-identical to `compute(…, batch[i], …)`.
+    /// (see [`MonteCarloEvaluator::simulate_batch`](crate::MonteCarloEvaluator::simulate_batch));
+    /// element `i` is bit-identical to `compute(…, batch[i], …)`.
     pub fn compute_batch(
         graph: &CsrGraph,
         data: &NodeData,
         batch: &[DeploymentRef<'_>],
-        cache: &WorldCache,
+        backend: &McBackend,
     ) -> Vec<Self> {
-        MonteCarloEvaluator::new(graph, data, cache)
+        backend
+            .evaluator(graph, data)
             .simulate_batch(batch)
             .into_iter()
             .zip(batch)
@@ -67,11 +67,7 @@ impl RedemptionReport {
     }
 
     /// Assemble a report from already-simulated statistics plus the
-    /// analytic Table-I cost model. The hop column (Table III) requires
-    /// per-world cascade data; statistics from an evaluator that never ran
-    /// cascades carry [`SimulationStats::cascade`]` = None` and would
-    /// silently report a bogus zero hop count here, so that is rejected in
-    /// debug builds.
+    /// analytic Table-I cost model.
     pub fn from_stats(
         graph: &CsrGraph,
         data: &NodeData,
@@ -79,14 +75,11 @@ impl RedemptionReport {
         coupons: &[u32],
         stats: SimulationStats,
     ) -> Self {
-        debug_assert!(
-            stats.cascade.is_some(),
-            "RedemptionReport::from_stats needs cascade statistics; \
-             use from_parts for analytic-only estimates"
-        );
-        let cascade = stats.cascade.unwrap_or_default();
-        Self::from_parts(graph, data, seeds, coupons, stats.expected_benefit)
-            .with_hops(cascade.mean_farthest_hop, stats.mean_activated)
+        RedemptionReport {
+            avg_farthest_hop: stats.mean_farthest_hop,
+            avg_activated: stats.mean_activated,
+            ..Self::from_parts(graph, data, seeds, coupons, stats.expected_benefit)
+        }
     }
 
     /// Build a report from a pre-computed benefit estimate (used when the
@@ -112,12 +105,6 @@ impl RedemptionReport {
             avg_activated: 0.0,
         }
     }
-
-    fn with_hops(mut self, hops: f64, activated: f64) -> Self {
-        self.avg_farthest_hop = hops;
-        self.avg_activated = activated;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -135,8 +122,8 @@ mod tests {
     #[test]
     fn report_assembles_costs_and_rate() {
         let (g, d) = instance();
-        let cache = WorldCache::sample(&g, 2000, 9);
-        let r = RedemptionReport::compute(&g, &d, &[NodeId(0)], &[1, 1, 0], &cache);
+        let backend = McBackend::sample(&g, 2000, 9);
+        let r = RedemptionReport::compute(&g, &d, &[NodeId(0)], &[1, 1, 0], &backend);
         // Costs are analytic: seed 3, sc = 1·1.0 + 1·0.5 = 1.5.
         assert!((r.seed_cost - 3.0).abs() < 1e-12);
         assert!((r.sc_cost - 1.5).abs() < 1e-12);
@@ -151,8 +138,8 @@ mod tests {
     #[test]
     fn no_coupons_gives_infinite_seed_sc_rate() {
         let (g, d) = instance();
-        let cache = WorldCache::sample(&g, 10, 2);
-        let r = RedemptionReport::compute(&g, &d, &[NodeId(0)], &[0; 3], &cache);
+        let backend = McBackend::sample(&g, 10, 2);
+        let r = RedemptionReport::compute(&g, &d, &[NodeId(0)], &[0; 3], &backend);
         assert!(r.seed_sc_rate.is_infinite());
         assert_eq!(r.sc_cost, 0.0);
         assert_eq!(r.avg_farthest_hop, 0.0);
@@ -161,7 +148,7 @@ mod tests {
     #[test]
     fn compute_batch_matches_lone_compute() {
         let (g, d) = instance();
-        let cache = WorldCache::sample(&g, 256, 6);
+        let backend = McBackend::sample(&g, 256, 6);
         let seeds = [NodeId(0)];
         let ks: [[u32; 3]; 3] = [[0, 0, 0], [1, 0, 0], [1, 1, 0]];
         let batch: Vec<DeploymentRef<'_>> = ks
@@ -171,10 +158,10 @@ mod tests {
                 coupons: k,
             })
             .collect();
-        let reports = RedemptionReport::compute_batch(&g, &d, &batch, &cache);
+        let reports = RedemptionReport::compute_batch(&g, &d, &batch, &backend);
         assert_eq!(reports.len(), 3);
         for (report, k) in reports.iter().zip(ks.iter()) {
-            let lone = RedemptionReport::compute(&g, &d, &seeds, k, &cache);
+            let lone = RedemptionReport::compute(&g, &d, &seeds, k, &backend);
             assert_eq!(report, &lone);
             assert_eq!(
                 report.expected_benefit.to_bits(),

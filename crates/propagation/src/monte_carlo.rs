@@ -25,9 +25,10 @@
 //! deployments in **one pass over the world cache** on the bit-parallel
 //! lane kernel ([`crate::lane`]): worlds are packed [`LANE_WORLDS`] = 64 per
 //! block, one `u64` lane mask per edge, and a single frontier expansion
-//! advances all 64 worlds at once. Each block is decoded once per evaluator
-//! (or once per [`LaneBlockStore`]) and every candidate of every later batch
-//! cascades against it. A block spans exactly two aligned
+//! advances all 64 worlds at once. Each block is decoded once per
+//! [`McBackend`] (its [`LaneBlockStore`]) and every candidate of every later
+//! batch, through any evaluator of that backend, cascades against it. A
+//! block spans exactly two aligned
 //! [`PART_WORLDS`]-world summation parts, and each part's totals fold the
 //! block's lanes in ascending lane order, so lane estimates equal the
 //! serial part-grouped fold bit for bit at every pool size. Greedy loops
@@ -35,14 +36,14 @@
 //! batch instead; per candidate the grouping is unchanged, so batched
 //! results are bit-identical to per-candidate calls.
 
-use crate::evaluator::{BenefitEvaluator, DeploymentRef};
+use crate::evaluator::DeploymentRef;
 use crate::lane::{lane_cascade_block, LaneBlock, LaneScratch, LANE_WORLDS};
-use crate::reach::{world_cascade, world_cascade_visit, CascadeScratch, WorldOutcome};
+use crate::reach::{world_cascade, CascadeScratch, WorldOutcome};
 use crate::world::WorldCache;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 thread_local! {
@@ -57,13 +58,14 @@ thread_local! {
 /// from the worker count) is what makes estimates machine-independent.
 pub const PART_WORLDS: usize = 32;
 
-/// Per-world cascade averages that only a world-simulating evaluator can
-/// produce. Analytic backends have no notion of a realized cascade, so
-/// [`SimulationStats`] carries these as an explicit `Option` instead of
-/// silently zeroed fields — a consumer that needs hop or redeemed-cost
-/// columns must confront the `None` case.
+/// Aggregated Monte-Carlo statistics of a deployment. An empty world cache
+/// yields all zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CascadeAverages {
+pub struct SimulationStats {
+    /// Mean total benefit across worlds — the estimate of `B(S, K(I))`.
+    pub expected_benefit: f64,
+    /// Mean number of activated users.
+    pub mean_activated: f64,
     /// Mean redeemed coupon cost (the *realized* coupon spend, as opposed to
     /// the Table-I allocation cost used in the objective).
     pub mean_redeemed_sc_cost: f64,
@@ -71,90 +73,36 @@ pub struct CascadeAverages {
     pub mean_farthest_hop: f64,
 }
 
-/// Aggregated Monte-Carlo statistics of a deployment.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SimulationStats {
-    /// Mean total benefit across worlds — the estimate of `B(S, K(I))`.
-    pub expected_benefit: f64,
-    /// Mean number of activated users.
-    pub mean_activated: f64,
-    /// Per-world cascade statistics; `None` when the evaluator runs no
-    /// cascades (the [`BenefitEvaluator`] default and the analytic
-    /// implementation).
-    pub cascade: Option<CascadeAverages>,
-}
-
-/// Monte-Carlo evaluator bound to one instance, one world cache, and one
-/// thread pool.
+/// Monte-Carlo evaluator bound to one instance, one [`McBackend`] (world
+/// cache plus lane-block store), and one thread pool. Built only through
+/// [`McBackend::evaluator`] and [`McBackend::evaluator_on`].
 pub struct MonteCarloEvaluator<'a> {
     graph: &'a CsrGraph,
     data: &'a NodeData,
     cache: &'a WorldCache,
+    /// The backend's lazily decoded [`LaneBlock`]s, one per 64-world block.
+    /// A block is a pure function of the cache and the graph, so whichever
+    /// worker first cascades it builds it and every later batch — of this
+    /// evaluator or any other over the same backend — reuses it.
+    lane_blocks: &'a LaneBlockStore,
     pool: &'a ThreadPool,
-    /// Lazily decoded [`LaneBlock`]s, one per 64-world block. A block is a
-    /// pure function of the cache and the graph, so whichever worker first
-    /// cascades it builds it and every later batch reuses it. Resident size
-    /// is ~12 bytes per union-live edge per block. Long-lived owners (the
-    /// serve daemon's resident backends) swap in a shared
-    /// [`LaneBlockStore`] so the decode survives the evaluator itself.
-    lane_blocks: LaneBlocks<'a>,
-    /// World×candidate cascades run so far (telemetry: fig9's
-    /// `lane_kernel_worlds` column reads this).
-    lane_worlds: AtomicU64,
 }
 
 impl<'a> MonteCarloEvaluator<'a> {
-    /// Evaluator over `cache`'s pre-sampled worlds, folding on the shared
-    /// [`osn_pool::global`] pool.
-    pub fn new(graph: &'a CsrGraph, data: &'a NodeData, cache: &'a WorldCache) -> Self {
-        Self::with_pool(graph, data, cache, osn_pool::global())
-    }
-
-    /// Evaluator folding on an explicit pool. The pool size never changes
-    /// results (see the module docs); tests use size-1 and size-2 pools to
-    /// pin that.
-    pub fn with_pool(
+    pub(crate) fn new(
         graph: &'a CsrGraph,
         data: &'a NodeData,
-        cache: &'a WorldCache,
+        backend: &'a McBackend,
         pool: &'a ThreadPool,
     ) -> Self {
-        assert_eq!(cache.edge_count(), graph.edge_count());
-        let mut slots = Vec::new();
-        slots.resize_with(lane_block_count(cache), OnceLock::new);
+        assert_eq!(backend.cache.edge_count(), graph.edge_count());
         MonteCarloEvaluator {
             graph,
             data,
-            cache,
+            cache: &backend.cache,
+            lane_blocks: &backend.lane_store,
             pool,
-            lane_blocks: LaneBlocks::Owned(slots),
-            lane_worlds: AtomicU64::new(0),
         }
-    }
-
-    /// Share lane-block decodes through `store` instead of this evaluator's
-    /// own slots. `store` must have been built ([`LaneBlockStore::for_cache`])
-    /// for the exact cache this evaluator reads: blocks are cached by block
-    /// index, so a store from a different cache would serve wrong worlds.
-    pub fn with_lane_store(mut self, store: &'a LaneBlockStore) -> Self {
-        assert_eq!(
-            store.blocks.len(),
-            lane_block_count(self.cache),
-            "lane store sized for a different world cache"
-        );
-        self.lane_blocks = LaneBlocks::Shared(store);
-        self
-    }
-
-    /// World×candidate cascades [`simulate_batch`](Self::simulate_batch)
-    /// has run so far.
-    pub fn lane_world_count(&self) -> u64 {
-        self.lane_worlds.load(Ordering::Relaxed)
-    }
-
-    /// Number of worlds backing each estimate.
-    pub fn sample_count(&self) -> usize {
-        self.cache.len()
     }
 
     /// Full per-world statistics, averaged.
@@ -190,11 +138,9 @@ impl<'a> MonteCarloEvaluator<'a> {
     ) {
         debug_assert_eq!(base % LANE_WORLDS, 0, "blocks start at lane boundaries");
         let count = hi - base;
-        self.lane_worlds
-            .fetch_add((count * batch.len()) as u64, Ordering::Relaxed);
         // First cascade over this block decodes it; every later batch and
         // candidate reuses the compacted adjacency.
-        let block = self.lane_blocks.slot(base / LANE_WORLDS).get_or_init(|| {
+        let block = self.lane_blocks.blocks[base / LANE_WORLDS].get_or_init(|| {
             let valid = if count == LANE_WORLDS {
                 !0u64
             } else {
@@ -333,55 +279,24 @@ fn averages(totals: Vec<Totals>, r: usize) -> Vec<SimulationStats> {
         .map(|t| SimulationStats {
             expected_benefit: t.benefit / rf,
             mean_activated: t.activated as f64 / rf,
-            cascade: Some(CascadeAverages {
-                mean_redeemed_sc_cost: t.redeemed_sc_cost / rf,
-                mean_farthest_hop: t.farthest_hop_sum / rf,
-            }),
+            mean_redeemed_sc_cost: t.redeemed_sc_cost / rf,
+            mean_farthest_hop: t.farthest_hop_sum / rf,
         })
         .collect()
 }
 
-/// Lane-block slots per cache: one 64-world block per [`LANE_WORLDS`] worlds.
-fn lane_block_count(cache: &WorldCache) -> usize {
-    cache.len().div_ceil(LANE_WORLDS)
-}
-
-/// Where an evaluator keeps its lazily decoded lane blocks: its own slots
-/// (the default — blocks die with the evaluator) or a caller-owned
-/// [`LaneBlockStore`] shared across evaluators over the same cache.
-enum LaneBlocks<'a> {
-    Owned(Vec<OnceLock<LaneBlock>>),
-    Shared(&'a LaneBlockStore),
-}
-
-impl LaneBlocks<'_> {
-    fn slot(&self, i: usize) -> &OnceLock<LaneBlock> {
-        match self {
-            LaneBlocks::Owned(slots) => &slots[i],
-            LaneBlocks::Shared(store) => &store.blocks[i],
-        }
-    }
-}
-
-/// A cache-lifetime home for lane-block decodes: one [`OnceLock`] slot per
-/// 64-world block of one [`WorldCache`]. Evaluators attached via
-/// [`MonteCarloEvaluator::with_lane_store`] fill slots on first use and
-/// every later evaluator over the same store reuses them — so a resident
-/// server pays each block decode once per cache lifetime, not once per
-/// request. Blocks are pure functions of `(graph, cache)`; concurrent
-/// first-builders race benignly inside `OnceLock`.
+/// The one home for lane-block decodes: one [`OnceLock`] slot per 64-world
+/// block of one [`WorldCache`], owned by its [`McBackend`]. Evaluators fill
+/// slots on first use and every later evaluator over the same backend
+/// reuses them — so a resident server pays each block decode once per cache
+/// lifetime, not once per request. Blocks are pure functions of
+/// `(graph, cache)`; concurrent first-builders race benignly inside
+/// `OnceLock`.
 pub struct LaneBlockStore {
     blocks: Vec<OnceLock<LaneBlock>>,
 }
 
 impl LaneBlockStore {
-    /// An empty store sized for `cache` (blocks decode lazily on first use).
-    pub fn for_cache(cache: &WorldCache) -> Self {
-        let mut blocks = Vec::new();
-        blocks.resize_with(lane_block_count(cache), OnceLock::new);
-        LaneBlockStore { blocks }
-    }
-
     /// Bytes held by the blocks decoded so far.
     pub fn resident_bytes(&self) -> usize {
         self.blocks
@@ -414,10 +329,15 @@ impl McBackend {
         Self::from_cache(WorldCache::sample(graph, worlds, seed))
     }
 
-    /// Wrap an already-sampled cache.
+    /// Wrap an already-sampled cache. Its lane blocks decode lazily on
+    /// first use.
     pub fn from_cache(cache: WorldCache) -> Self {
-        let lane_store = LaneBlockStore::for_cache(&cache);
-        McBackend { cache, lane_store }
+        let mut blocks = Vec::new();
+        blocks.resize_with(cache.len().div_ceil(LANE_WORLDS), OnceLock::new);
+        McBackend {
+            cache,
+            lane_store: LaneBlockStore { blocks },
+        }
     }
 
     /// The backing world cache (telemetry reads sizes and densities here).
@@ -437,18 +357,20 @@ impl McBackend {
         graph: &'a CsrGraph,
         data: &'a NodeData,
     ) -> MonteCarloEvaluator<'a> {
-        MonteCarloEvaluator::new(graph, data, &self.cache).with_lane_store(&self.lane_store)
+        self.evaluator_on(graph, data, osn_pool::global())
     }
 
-    /// As [`evaluator`](Self::evaluator), folding on an explicit pool.
+    /// As [`evaluator`](Self::evaluator), folding on an explicit pool. The
+    /// pool size never changes results (see the module docs); the
+    /// determinism tests use size-1, size-2 and `available_parallelism`
+    /// pools to pin that.
     pub fn evaluator_on<'a>(
         &'a self,
         graph: &'a CsrGraph,
         data: &'a NodeData,
         pool: &'a ThreadPool,
     ) -> MonteCarloEvaluator<'a> {
-        MonteCarloEvaluator::with_pool(graph, data, &self.cache, pool)
-            .with_lane_store(&self.lane_store)
+        MonteCarloEvaluator::new(graph, data, self, pool)
     }
 }
 
@@ -483,51 +405,16 @@ impl Totals {
     }
 }
 
-impl BenefitEvaluator for MonteCarloEvaluator<'_> {
-    fn expected_benefit(&self, seeds: &[NodeId], coupons: &[u32]) -> f64 {
-        self.simulate(seeds, coupons).expected_benefit
-    }
-
-    fn activation_probabilities(&self, seeds: &[NodeId], coupons: &[u32]) -> Vec<f64> {
-        // Frequency of activation per node across worlds (serial: only used
-        // for reports and tests, not in algorithm hot paths). Runs the
-        // scalar cascade kernel with a counting visitor.
-        let n = self.graph.node_count();
-        let mut counts = vec![0u32; n];
-        let mut scratch = CascadeScratch::new(n);
-        let mut decode = Vec::new();
-        for w in 0..self.cache.len() {
-            let world = self.cache.world_into(w, &mut decode);
-            world_cascade_visit(
-                self.graph,
-                self.data,
-                seeds,
-                coupons,
-                world,
-                &mut scratch,
-                |v| {
-                    counts[v.index()] += 1;
-                },
-            );
-        }
-        let r = self.cache.len().max(1) as f64;
-        counts.iter().map(|&c| c as f64 / r).collect()
-    }
-
-    fn simulate(&self, seeds: &[NodeId], coupons: &[u32]) -> SimulationStats {
-        MonteCarloEvaluator::simulate(self, seeds, coupons)
-    }
-
-    fn simulate_batch(&self, batch: &[DeploymentRef<'_>]) -> Vec<SimulationStats> {
-        MonteCarloEvaluator::simulate_batch(self, batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spread::SpreadState;
     use osn_graph::GraphBuilder;
+
+    /// A backend over `worlds` freshly sampled worlds of `g`.
+    fn backend(g: &CsrGraph, worlds: usize, seed: u64) -> McBackend {
+        McBackend::from_cache(WorldCache::sample(g, worlds, seed))
+    }
 
     fn example1() -> (CsrGraph, NodeData) {
         let mut b = GraphBuilder::new(7);
@@ -567,31 +454,17 @@ mod tests {
     #[test]
     fn monte_carlo_agrees_with_analytic_on_tree() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 20_000, 1234);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
+        let mc_backend = backend(&g, 20_000, 1234);
+        let ev = mc_backend.evaluator(&g, &d);
         let mut k = vec![0u32; 7];
         k[0] = 1;
         k[1] = 2;
-        let mc = ev.expected_benefit(&[NodeId(0)], &k);
+        let mc = ev.simulate(&[NodeId(0)], &k).expected_benefit;
         let exact = SpreadState::evaluate(&g, &d, &[NodeId(0)], &k).expected_benefit;
         assert!(
             (mc - exact).abs() < 0.03,
             "MC {mc} vs analytic {exact} diverged"
         );
-    }
-
-    #[test]
-    fn activation_probabilities_match_analytic_on_tree() {
-        let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 20_000, 77);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
-        let mut k = vec![0u32; 7];
-        k[0] = 1;
-        let mc = ev.activation_probabilities(&[NodeId(0)], &k);
-        let exact = SpreadState::evaluate(&g, &d, &[NodeId(0)], &k).active_prob;
-        for (i, (a, b)) in mc.iter().zip(exact.iter()).enumerate() {
-            assert!((a - b).abs() < 0.02, "node {i}: MC {a} vs exact {b}");
-        }
     }
 
     /// The reference fold is literally the documented part grouping: a
@@ -600,9 +473,10 @@ mod tests {
     #[test]
     fn pooled_and_manual_folds_agree_exactly() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 64, 5);
+        let mc_backend = backend(&g, 64, 5);
+        let cache = mc_backend.cache();
         let pool = ThreadPool::new(2);
-        let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
+        let ev = mc_backend.evaluator_on(&g, &d, &pool);
         let mut k = vec![0u32; 7];
         k[0] = 2;
         let pooled = ev.simulate(&[NodeId(0)], &k);
@@ -628,7 +502,7 @@ mod tests {
         }];
         assert_bitwise(
             &[pooled],
-            &reference_simulate_batch(&g, &d, &cache, &batch),
+            &reference_simulate_batch(&g, &d, cache, &batch),
             "reference fold",
         );
     }
@@ -651,17 +525,17 @@ mod tests {
             },
         ];
         for worlds in [1usize, 48, 64, 160] {
-            let cache = WorldCache::sample(&g, worlds, 5);
-            let want = reference_simulate_batch(&g, &d, &cache, &batch);
+            let mc_backend = backend(&g, worlds, 5);
+            let want = reference_simulate_batch(&g, &d, mc_backend.cache(), &batch);
             for threads in [1usize, 2] {
                 let pool = ThreadPool::new(threads);
-                let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
                 assert_bitwise(
-                    &ev.simulate_batch(&batch),
+                    &mc_backend
+                        .evaluator_on(&g, &d, &pool)
+                        .simulate_batch(&batch),
                     &want,
                     &format!("{worlds} worlds, {threads} workers"),
                 );
-                assert_eq!(ev.lane_world_count(), (worlds * batch.len()) as u64);
             }
         }
     }
@@ -703,11 +577,11 @@ mod tests {
             },
         ];
         // 80 worlds: one full and one ragged lane block.
-        let cache = WorldCache::sample(&g, 80, 13);
-        let base = MonteCarloEvaluator::new(&g, &d, &cache).simulate_batch(&batch);
+        let mono = backend(&g, 80, 13);
+        let base = mono.evaluator(&g, &d).simulate_batch(&batch);
         assert_bitwise(
             &base,
-            &reference_simulate_batch(&g, &d, &cache, &batch),
+            &reference_simulate_batch(&g, &d, mono.cache(), &batch),
             "monolithic",
         );
         for shards in [1usize, 2, 3, 7] {
@@ -720,10 +594,11 @@ mod tests {
             let loaded = osn_graph::binary::load_oscg(&path).unwrap().graph;
             std::fs::remove_file(&path).ok();
             assert_eq!(loaded, g, "{shards} shards");
-            let cache = WorldCache::sample(&loaded, 80, 13);
+            let sharded = backend(&loaded, 80, 13);
             for threads in [1usize, 2] {
                 let pool = ThreadPool::new(threads);
-                let got = MonteCarloEvaluator::with_pool(&loaded, &d, &cache, &pool)
+                let got = sharded
+                    .evaluator_on(&loaded, &d, &pool)
                     .simulate_batch(&batch);
                 assert_bitwise(&got, &base, &format!("{shards} shards, {threads} workers"));
             }
@@ -733,9 +608,9 @@ mod tests {
     #[test]
     fn batch_matches_per_candidate_bitwise() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 96, 21);
+        let mc_backend = backend(&g, 96, 21);
         let pool = ThreadPool::new(2);
-        let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
+        let ev = mc_backend.evaluator_on(&g, &d, &pool);
         let seeds_a = [NodeId(0)];
         let seeds_b = [NodeId(0), NodeId(1)];
         let k0 = vec![0u32; 7];
@@ -769,8 +644,8 @@ mod tests {
     #[test]
     fn empty_cache_degenerates_to_zero() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 0, 1);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
+        let mc_backend = backend(&g, 0, 1);
+        let ev = mc_backend.evaluator(&g, &d);
         assert_eq!(
             ev.simulate(&[NodeId(0)], &[0; 7]),
             SimulationStats::default()
@@ -787,7 +662,7 @@ mod tests {
             vec![SimulationStats::default(); 3]
         );
         assert_eq!(
-            reference_simulate_batch(&g, &d, &cache, &batch),
+            reference_simulate_batch(&g, &d, mc_backend.cache(), &batch),
             vec![SimulationStats::default(); 3]
         );
     }
@@ -795,19 +670,21 @@ mod tests {
     #[test]
     fn empty_batch_yields_empty_result() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 8, 1);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
-        assert!(ev.simulate_batch(&[]).is_empty());
+        assert!(backend(&g, 8, 1)
+            .evaluator(&g, &d)
+            .simulate_batch(&[])
+            .is_empty());
     }
 
     #[test]
     fn single_world_cache_is_one_part() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 1, 9);
+        let mc_backend = backend(&g, 1, 9);
         let pool = ThreadPool::new(2);
-        let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
         let k = vec![2u32, 2, 2, 0, 0, 0, 0];
-        let stats = ev.simulate(&[NodeId(0)], &k);
+        let stats = mc_backend
+            .evaluator_on(&g, &d, &pool)
+            .simulate(&[NodeId(0)], &k);
         let mut scratch = CascadeScratch::new(7);
         let mut buf = Vec::new();
         let lone = world_cascade(
@@ -815,7 +692,7 @@ mod tests {
             &d,
             &[NodeId(0)],
             &k,
-            cache.world_into(0, &mut buf),
+            mc_backend.cache().world_into(0, &mut buf),
             &mut scratch,
         );
         assert_eq!(stats.expected_benefit.to_bits(), lone.benefit.to_bits());
@@ -826,8 +703,8 @@ mod tests {
     fn lane_kernel_handles_edgeless_graphs() {
         let g = GraphBuilder::new(4).build().unwrap();
         let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
-        let cache = WorldCache::sample(&g, 16, 3);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
+        let mc_backend = backend(&g, 16, 3);
+        let ev = mc_backend.evaluator(&g, &d);
         let k = vec![1u32; 4];
         let seeds = [NodeId(2), NodeId(0)];
         let batch = [DeploymentRef {
@@ -836,7 +713,7 @@ mod tests {
         }];
         assert_bitwise(
             &ev.simulate_batch(&batch),
-            &reference_simulate_batch(&g, &d, &cache, &batch),
+            &reference_simulate_batch(&g, &d, mc_backend.cache(), &batch),
             "edgeless",
         );
         assert_eq!(ev.simulate(&seeds, &k).mean_activated, 2.0);
@@ -849,7 +726,7 @@ mod tests {
     fn concurrent_simulate_batch_on_shared_evaluator_is_bit_identical() {
         let (g, d) = example1();
         // 3 ragged lane blocks so several OnceLock slots race.
-        let cache = WorldCache::sample(&g, 160, 23);
+        let mc_backend = backend(&g, 160, 23);
         let (seeds_a, seeds_b, k1, k2) = two_candidates();
         let batch = [
             DeploymentRef {
@@ -861,8 +738,8 @@ mod tests {
                 coupons: &k2,
             },
         ];
-        let want = reference_simulate_batch(&g, &d, &cache, &batch);
-        let shared = MonteCarloEvaluator::new(&g, &d, &cache);
+        let want = reference_simulate_batch(&g, &d, mc_backend.cache(), &batch);
+        let shared = mc_backend.evaluator(&g, &d);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
@@ -876,27 +753,30 @@ mod tests {
         });
     }
 
-    /// Evaluators sharing one [`LaneBlockStore`] agree bitwise with an
-    /// evaluator owning its blocks, and the store retains the decodes.
+    /// Evaluators of one backend share its [`LaneBlockStore`]: each block
+    /// decodes once, and every evaluator matches the reference bit for bit.
     #[test]
-    fn shared_lane_store_matches_owned_blocks() {
+    fn evaluators_share_the_backend_lane_store() {
         let (g, d) = example1();
-        let cache = WorldCache::sample(&g, 96, 31);
+        let mc_backend = backend(&g, 96, 31);
         let k = vec![1u32, 2, 0, 0, 1, 0, 0];
         let seeds = [NodeId(0)];
-        let owned = MonteCarloEvaluator::new(&g, &d, &cache).simulate(&seeds, &k);
-        let store = LaneBlockStore::for_cache(&cache);
-        assert_eq!(store.decoded_blocks(), 0);
+        let batch = [DeploymentRef {
+            seeds: &seeds,
+            coupons: &k,
+        }];
+        let want = reference_simulate_batch(&g, &d, mc_backend.cache(), &batch);
+        assert_eq!(mc_backend.lane_store().decoded_blocks(), 0);
         for _ in 0..3 {
-            let ev = MonteCarloEvaluator::new(&g, &d, &cache).with_lane_store(&store);
-            let got = ev.simulate(&seeds, &k);
-            assert_eq!(
-                got.expected_benefit.to_bits(),
-                owned.expected_benefit.to_bits()
-            );
+            let got = mc_backend.evaluator(&g, &d).simulate_batch(&batch);
+            assert_bitwise(&got, &want, "shared lane store");
         }
-        assert_eq!(store.decoded_blocks(), 2, "96 worlds = 2 lane blocks");
-        assert!(store.resident_bytes() > 0);
+        assert_eq!(
+            mc_backend.lane_store().decoded_blocks(),
+            2,
+            "96 worlds = 2 lane blocks"
+        );
+        assert!(mc_backend.lane_store().resident_bytes() > 0);
     }
 
     #[test]
@@ -906,11 +786,10 @@ mod tests {
         b.add_edge(1, 2, 1.0).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(3, 1.0, 1.0, 1.0);
-        let cache = WorldCache::sample(&g, 8, 2);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
-        let stats = ev.simulate(&[NodeId(0)], &[1, 1, 0]);
-        let cascade = stats.cascade.expect("MC stats carry cascade data");
-        assert_eq!(cascade.mean_farthest_hop, 2.0);
+        let stats = backend(&g, 8, 2)
+            .evaluator(&g, &d)
+            .simulate(&[NodeId(0)], &[1, 1, 0]);
+        assert_eq!(stats.mean_farthest_hop, 2.0);
         assert_eq!(stats.mean_activated, 3.0);
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! One scalar kernel serves every caller: [`world_cascade`] returns the
 //! aggregate [`WorldOutcome`], and [`world_cascade_visit`] additionally
-//! reports each activated node to a visitor (how
-//! [`MonteCarloEvaluator::activation_probabilities`](crate::monte_carlo::MonteCarloEvaluator)
-//! counts per-node activations without a second cascade implementation).
+//! reports each activated node to a visitor (how the tests observe the
+//! activated set without a second cascade implementation).
 //! The kernel runs on a [`WorldRef`] — live out-edges come from the world's
 //! live-adjacency cursor ([`WorldRef::for_live_out`]), so it touches only
 //! live edges — and is generic over where the forward adjacency lives

@@ -17,7 +17,7 @@
 //! Concretely, the eligible ranked children of `u` are the out-neighbors
 //! that are not seeds and do not sit at a hop level ≤ `level(u)`. This is
 //! the interpretation forced by Fig. 1(c) case 2, where the seed `v1` is
-//! excluded from `v2`'s rank competition (see `DESIGN.md`).
+//! excluded from `v2`'s rank competition (`tests/paper_fig1.rs` pins it).
 
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};

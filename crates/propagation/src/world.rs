@@ -82,11 +82,6 @@ impl WorldRef<'_> {
         self.0.binary_search(&(e as u32)).is_ok()
     }
 
-    /// Number of live edges in the world.
-    pub fn live_count(&self) -> usize {
-        self.0.len()
-    }
-
     /// Visit the live edge ids in `[lo, hi)` (one node's out-edge range)
     /// in ascending order (= rank order within the node's out-edges),
     /// stopping early when `f` returns `false`. This is the scalar
@@ -124,24 +119,7 @@ impl WorldCache {
     /// Sample on an explicit pool. World `i` is always RNG stream `i`, so
     /// the cache contents never depend on the pool size.
     pub fn sample_with_pool(graph: &CsrGraph, count: usize, seed: u64, pool: &ThreadPool) -> Self {
-        let index = graph.prob_bucket_index();
-        Self::sample_with_index(graph, &index, count, seed, pool)
-    }
-
-    /// Sample against a prebuilt [`ProbBucketIndex`] — callers that draw
-    /// several caches from one graph build the index once.
-    pub fn sample_with_index(
-        graph: &CsrGraph,
-        index: &ProbBucketIndex,
-        count: usize,
-        seed: u64,
-        pool: &ThreadPool,
-    ) -> Self {
-        assert_eq!(
-            index.edge_count(),
-            graph.edge_count(),
-            "index/graph mismatch"
-        );
+        let index = &graph.prob_bucket_index();
         let t0 = Instant::now();
         let probs = graph.edge_probs_flat();
         let m = graph.edge_count();
@@ -315,11 +293,6 @@ impl WorldCache {
         let mut buf = Vec::new();
         self.world_into(i, &mut buf);
         buf
-    }
-
-    /// Total live edges across all cached worlds.
-    pub fn live_edge_count(&self) -> u64 {
-        self.live_edges
     }
 
     /// Mean live-edge density (`live / (R·m)`), 0 for degenerate caches.
@@ -794,7 +767,6 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert!(cache.is_empty());
         assert_eq!(cache.edge_count(), g.edge_count(), "evaluators assert this");
-        assert_eq!(cache.live_edge_count(), 0);
         assert_eq!(cache.live_density(), 0.0);
     }
 
@@ -805,7 +777,6 @@ mod tests {
             let cache = WorldCache::sample(&g, 16, 9);
             assert_eq!(cache.len(), 16);
             assert_eq!(cache.edge_count(), 0);
-            assert_eq!(cache.live_edge_count(), 0);
             for w in 0..16 {
                 assert!(cache.live_edge_ids(w).is_empty());
             }

@@ -6,10 +6,21 @@ use osn_propagation::rank::{exhaustion_probability, redemption_probs};
 use osn_propagation::spread::SpreadState;
 use osn_propagation::world::WorldCache;
 use osn_propagation::{
-    expected_sc_cost, reference_simulate_batch, BenefitEvaluator, DeltaScratch, DeploymentRef,
-    MonteCarloEvaluator, SpreadEngine,
+    expected_sc_cost, reference_simulate_batch, DeltaScratch, DeploymentRef, McBackend,
+    SimulationStats, SpreadEngine,
 };
 use proptest::prelude::*;
+
+/// The four statistics as raw bits: equality is bit identity (it tells
+/// `0.0` from `-0.0`).
+fn bits(s: &SimulationStats) -> [u64; 4] {
+    [
+        s.expected_benefit.to_bits(),
+        s.mean_activated.to_bits(),
+        s.mean_redeemed_sc_cost.to_bits(),
+        s.mean_farthest_hop.to_bits(),
+    ]
+}
 
 fn tree_strategy() -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     // A random out-tree over ≤ 20 nodes: parent of node i is drawn from
@@ -123,8 +134,10 @@ proptest! {
             .map(|i| (g.out_degree(NodeId(i as u32)) as u32).min(k_cap))
             .collect();
         let exact = SpreadState::evaluate(&g, &d, &[NodeId(0)], &coupons).expected_benefit;
-        let cache = WorldCache::sample(&g, 6000, 7);
-        let mc = MonteCarloEvaluator::new(&g, &d, &cache).expected_benefit(&[NodeId(0)], &coupons);
+        let mc = McBackend::sample(&g, 6000, 7)
+            .evaluator(&g, &d)
+            .simulate(&[NodeId(0)], &coupons)
+            .expected_benefit;
         // 6000 worlds: ~4 standard errors of slack on a ≤ 20-benefit sum.
         prop_assert!((exact - mc).abs() < 0.30, "exact {exact} vs MC {mc}");
     }
@@ -221,36 +234,19 @@ proptest! {
             .collect();
         // 48 worlds = 2 parts (one full, one ragged).
         let serial_pool = ThreadPool::new(1);
-        let cache = WorldCache::sample_with_pool(&g, 48, seed, &serial_pool);
-        let serial = MonteCarloEvaluator::with_pool(&g, &d, &cache, &serial_pool);
+        let backend =
+            McBackend::from_cache(WorldCache::sample_with_pool(&g, 48, seed, &serial_pool));
+        let serial = backend.evaluator_on(&g, &d, &serial_pool);
         for threads in [1usize, 2] {
             let pool = ThreadPool::new(threads);
-            let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
-            let batched = ev.simulate_batch(&batch);
+            let batched = backend.evaluator_on(&g, &d, &pool).simulate_batch(&batch);
             prop_assert_eq!(batched.len(), batch.len());
             for (i, (got, dep)) in batched.iter().zip(batch.iter()).enumerate() {
                 let want = serial.simulate(dep.seeds, dep.coupons);
                 prop_assert_eq!(
-                    got.expected_benefit.to_bits(),
-                    want.expected_benefit.to_bits(),
-                    "candidate {} benefit, {} workers", i, threads
-                );
-                let got_cascade = got.cascade.expect("MC stats carry cascade data");
-                let want_cascade = want.cascade.expect("MC stats carry cascade data");
-                prop_assert_eq!(
-                    got_cascade.mean_redeemed_sc_cost.to_bits(),
-                    want_cascade.mean_redeemed_sc_cost.to_bits(),
-                    "candidate {} redeemed cost, {} workers", i, threads
-                );
-                prop_assert_eq!(
-                    got.mean_activated.to_bits(),
-                    want.mean_activated.to_bits(),
-                    "candidate {} activated, {} workers", i, threads
-                );
-                prop_assert_eq!(
-                    got_cascade.mean_farthest_hop.to_bits(),
-                    want_cascade.mean_farthest_hop.to_bits(),
-                    "candidate {} hops, {} workers", i, threads
+                    bits(got),
+                    bits(&want),
+                    "candidate {}, {} workers", i, threads
                 );
             }
         }
@@ -259,10 +255,10 @@ proptest! {
     /// The lane-kernel contract: the bit-parallel 64-worlds-per-sweep
     /// evaluator equals the scalar kernel folded serially in parts
     /// ([`reference_simulate_batch`]) bit for bit — on random cyclic
-    /// digraphs, at pool sizes 1 and 2, across world counts covering empty
-    /// caches, single worlds, ragged sub-64 tails, exact blocks, and
-    /// multi-block caches (edgeless worlds arise naturally from the random
-    /// probabilities).
+    /// digraphs, at pool sizes 1, 2 and `default_parallelism`, across world
+    /// counts covering empty caches, single worlds, ragged sub-64 tails,
+    /// exact blocks, and multi-block caches (edgeless worlds arise
+    /// naturally from the random probabilities).
     #[test]
     fn lane_kernel_matches_scalar_bitwise(
         edges in digraph_strategy(),
@@ -283,38 +279,21 @@ proptest! {
             .map(|(k, seeds)| DeploymentRef { seeds, coupons: k })
             .collect();
         let cache = WorldCache::sample_with_pool(&g, worlds, seed, &ThreadPool::new(1));
-        let want = reference_simulate_batch(&g, &d, &cache, &batch);
-        for threads in [1usize, 2] {
+        let backend = McBackend::from_cache(cache);
+        let want = reference_simulate_batch(&g, &d, backend.cache(), &batch);
+        for threads in [1usize, 2, osn_pool::default_parallelism()] {
             let pool = ThreadPool::new(threads);
-            let got = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool).simulate_batch(&batch);
+            let got = backend.evaluator_on(&g, &d, &pool).simulate_batch(&batch);
             prop_assert_eq!(got.len(), want.len());
             for (i, (l, s)) in got.iter().zip(want.iter()).enumerate() {
                 prop_assert_eq!(
-                    l.expected_benefit.to_bits(),
-                    s.expected_benefit.to_bits(),
-                    "candidate {} benefit, {} workers, {} worlds",
-                    i, threads, worlds
+                    bits(l),
+                    bits(s),
+                    "candidate {}, {} workers, {} worlds", i, threads, worlds
                 );
-                prop_assert_eq!(
-                    l.mean_activated.to_bits(),
-                    s.mean_activated.to_bits(),
-                    "candidate {} activated", i
-                );
-                // An empty cache returns default stats with `cascade: None`
-                // from both folds.
-                prop_assert_eq!(l.cascade.is_some(), s.cascade.is_some());
-                prop_assert_eq!(l.cascade.is_some(), worlds > 0);
-                if let (Some(lc), Some(sc)) = (l.cascade, s.cascade) {
-                    prop_assert_eq!(
-                        lc.mean_redeemed_sc_cost.to_bits(),
-                        sc.mean_redeemed_sc_cost.to_bits(),
-                        "candidate {} redeemed cost", i
-                    );
-                    prop_assert_eq!(
-                        lc.mean_farthest_hop.to_bits(),
-                        sc.mean_farthest_hop.to_bits(),
-                        "candidate {} hops", i
-                    );
+                // An empty cache yields all zeros from both folds.
+                if worlds == 0 {
+                    prop_assert_eq!(*l, SimulationStats::default());
                 }
             }
         }
@@ -330,13 +309,13 @@ proptest! {
         let n = edges.len() + 1;
         let g = build(n, &edges);
         let d = NodeData::uniform(n, 1.0, 1.0, 1.0);
-        let cache = WorldCache::sample(&g, 64, seed);
-        let ev = MonteCarloEvaluator::new(&g, &d, &cache);
+        let backend = McBackend::sample(&g, 64, seed);
+        let ev = backend.evaluator(&g, &d);
         let base: Vec<u32> = (0..n)
             .map(|i| (g.out_degree(NodeId(i as u32)) as u32).min(1))
             .collect();
         let seeds = [NodeId(0)];
-        let current = ev.expected_benefit(&seeds, &base);
+        let current = ev.simulate(&seeds, &base).expected_benefit;
         // Coupon marginals, batched: one probe per node with headroom.
         let probes: Vec<Vec<u32>> = (0..n)
             .filter(|&v| base[v] < g.out_degree(NodeId(v as u32)) as u32)
@@ -359,7 +338,7 @@ proptest! {
         }
         // Seed marginal: adding a second seed never hurts either.
         let two_seeds = [NodeId(0), NodeId((n / 2) as u32)];
-        let with_seed = ev.expected_benefit(&two_seeds, &base);
+        let with_seed = ev.simulate(&two_seeds, &base).expected_benefit;
         prop_assert!(
             with_seed >= current,
             "extra seed lost benefit: {with_seed} < {current}"

@@ -377,6 +377,18 @@ mod tests {
                     }))
                 })
             };
+            // Followers start only once the malformed submitter holds (or
+            // has already lost) the leadership, so it is the thread whose
+            // batch panics rather than a follower that raced ahead of it.
+            let elected = || {
+                lock(&batcher.groups).get("k").is_some_and(|g| {
+                    let st = lock(&g.state);
+                    st.leader_active || st.generation > 0
+                })
+            };
+            while !elected() {
+                std::thread::yield_now();
+            }
             let followers: Vec<_> = (0..4)
                 .map(|i| {
                     let (batcher, backend, ds) = (Arc::clone(&batcher), &backend, &ds);

@@ -349,13 +349,12 @@ impl ServeState {
             .batcher
             .submit(&key, &backend, &ds, spec.seeds.clone(), coupons)
             .map_err(|e| format!("internal: {e}"))?;
-        let cascade = stats.cascade.unwrap_or_default();
         Ok(format!(
             "STATS benefit={} activated={} redeemed_sc_cost={} farthest_hop={}",
             stats.expected_benefit,
             stats.mean_activated,
-            cascade.mean_redeemed_sc_cost,
-            cascade.mean_farthest_hop,
+            stats.mean_redeemed_sc_cost,
+            stats.mean_farthest_hop,
         ))
     }
 

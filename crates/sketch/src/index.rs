@@ -71,7 +71,6 @@ struct RawSketch {
 /// (sketch, local-slot) postings the estimator's incremental updates walk.
 pub struct SketchIndex {
     n: usize,
-    worlds: usize,
     /// `B_total` at build time.
     b_total: f64,
     /// `B_total / sketch_count` — the benefit mass one covered sketch adds
@@ -153,7 +152,7 @@ impl SketchIndex {
         let b_total = data.total_benefit();
         let mut stats = BuildStats::default();
         if n == 0 || b_total <= 0.0 || params.max_sketches == 0 {
-            return Self::assemble(n, b_total, Vec::new(), 0, stats);
+            return Self::assemble(n, b_total, Vec::new(), stats);
         }
 
         // Benefit CDF for root draws (strictly increasing over nodes with
@@ -213,16 +212,10 @@ impl SketchIndex {
         }
 
         stats.worlds = worlds_done;
-        Self::assemble(n, b_total, sketches, worlds_done, stats)
+        Self::assemble(n, b_total, sketches, stats)
     }
 
-    fn assemble(
-        n: usize,
-        b_total: f64,
-        sketches: Vec<RawSketch>,
-        worlds: usize,
-        mut stats: BuildStats,
-    ) -> Self {
+    fn assemble(n: usize, b_total: f64, sketches: Vec<RawSketch>, mut stats: BuildStats) -> Self {
         let r = sketches.len();
         stats.sketches = r;
         let mut roots = Vec::with_capacity(r);
@@ -321,7 +314,6 @@ impl SketchIndex {
         let unit = if r > 0 { b_total / r as f64 } else { 0.0 };
         SketchIndex {
             n,
-            worlds,
             b_total,
             unit,
             stats,
@@ -354,12 +346,6 @@ impl SketchIndex {
     /// Number of sketches `R`.
     pub fn sketch_count(&self) -> usize {
         self.roots.len()
-    }
-
-    /// Number of sampled worlds `G` (the independence unit of the
-    /// Hoeffding bound).
-    pub fn world_count(&self) -> usize {
-        self.worlds
     }
 
     /// `B_total` at build time.

@@ -11,8 +11,7 @@ use osn_gen::adoption::{
 };
 use osn_gen::{seeded_rng, DatasetProfile};
 use osn_graph::NodeData;
-use osn_propagation::world::WorldCache;
-use osn_propagation::RedemptionReport;
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_core::{s3ca, S3caConfig};
 
 fn main() {
@@ -37,7 +36,7 @@ fn main() {
         let mut rng = seeded_rng(1234);
         let adoption = adoption_probabilities(&sc_costs, &mut rng);
         let graph = apply_adoption(&base.graph, &adoption).expect("adoption");
-        let cache = WorldCache::sample(&graph, 300, 5);
+        let backend = McBackend::sample(&graph, 300, 5);
         let budget = policy.sc_cost * n as f64 * 0.05;
 
         for margin in [40.0, 60.0, 80.0] {
@@ -53,7 +52,7 @@ fn main() {
                 &data,
                 &result.deployment.seeds,
                 &result.deployment.coupons,
-                &cache,
+                &backend,
             );
             println!(
                 "{:<12} {:>8.0} {:>8} {:>10.0} {:>10.0} {:>8.3}",

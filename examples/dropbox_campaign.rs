@@ -11,8 +11,7 @@
 //! ```
 
 use osn_gen::DatasetProfile;
-use osn_propagation::world::WorldCache;
-use osn_propagation::RedemptionReport;
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
 use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
 use s3crm_baselines::strategy::CouponStrategy;
@@ -31,7 +30,7 @@ fn main() {
     );
 
     let dropbox = CouponStrategy::DROPBOX; // Limited(32)
-    let cache = WorldCache::sample(graph, 500, 99);
+    let backend = McBackend::sample(graph, 500, 99);
     let im_cfg = ImConfig::default();
 
     let mut results: Vec<(&str, s3crm_core::Deployment)> = Vec::new();
@@ -51,7 +50,7 @@ fn main() {
         "algo", "seeds", "benefit", "cost", "rate", "hops", "activated"
     );
     for (name, dep) in &results {
-        let r = RedemptionReport::compute(graph, data, &dep.seeds, &dep.coupons, &cache);
+        let r = RedemptionReport::compute(graph, data, &dep.seeds, &dep.coupons, &backend);
         println!(
             "{:<6} {:>8} {:>10.1} {:>10.1} {:>8.3} {:>7.2} {:>9.1}",
             name,

@@ -5,8 +5,7 @@
 //! ```
 
 use osn_graph::{GraphBuilder, NodeData};
-use osn_propagation::world::WorldCache;
-use osn_propagation::RedemptionReport;
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_core::{s3ca, S3caConfig};
 
 fn main() {
@@ -54,13 +53,13 @@ fn main() {
     );
 
     // 4. Verify with Monte-Carlo simulation (10 000 sampled worlds).
-    let cache = WorldCache::sample(&graph, 10_000, 7);
+    let backend = McBackend::sample(&graph, 10_000, 7);
     let report = RedemptionReport::compute(
         &graph,
         &data,
         &result.deployment.seeds,
         &result.deployment.coupons,
-        &cache,
+        &backend,
     );
     println!(
         "  simulated: benefit {:.3}, redemption rate {:.3}, avg farthest hop {:.2}",

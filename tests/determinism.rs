@@ -8,9 +8,7 @@
 use osn_gen::DatasetProfile;
 use osn_pool::ThreadPool;
 use osn_propagation::world::WorldCache;
-use osn_propagation::{
-    reference_simulate_batch, BenefitEvaluator, DeploymentRef, MonteCarloEvaluator, SimulationStats,
-};
+use osn_propagation::{reference_simulate_batch, DeploymentRef, McBackend, SimulationStats};
 use s3crm_core::{s3ca, S3caConfig};
 use s3crm_tests::assert_stats_bit_identical;
 
@@ -79,10 +77,12 @@ fn monte_carlo_evaluation_is_deterministic_across_runs() {
         .expect("generation");
     let run = || {
         // 64 worlds exercises the parallel path in both sampling and folding.
-        let cache = WorldCache::sample(&inst.graph, 64, 11);
+        let backend = McBackend::sample(&inst.graph, 64, 11);
         let result = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
-        let mc = MonteCarloEvaluator::new(&inst.graph, &inst.data, &cache)
-            .expected_benefit(&result.deployment.seeds, &result.deployment.coupons);
+        let mc = backend
+            .evaluator(&inst.graph, &inst.data)
+            .simulate(&result.deployment.seeds, &result.deployment.coupons)
+            .expected_benefit;
         (result.deployment, mc)
     };
     let (dep_a, mc_a) = run();
@@ -99,8 +99,9 @@ fn monte_carlo_evaluation_is_deterministic_across_runs() {
 /// The batched evaluator must be bit-identical to serial per-candidate
 /// evaluation at **every pool size** — 1 worker (the inline fold), 2
 /// workers (the smallest pooled fold), and whatever this machine has. Pool
-/// sizes are forced through the `with_pool`/`sample_with_pool` builders,
-/// never ambient state, so the test means the same thing on every runner.
+/// sizes are forced through `McBackend::evaluator_on` and
+/// `WorldCache::sample_with_pool`, never ambient state, so the test means
+/// the same thing on every runner.
 #[test]
 fn simulate_batch_is_bit_identical_across_pool_sizes() {
     let inst = DatasetProfile::Facebook
@@ -126,9 +127,13 @@ fn simulate_batch_is_bit_identical_across_pool_sizes() {
 
     // 96 worlds = 3 parts: uneven distribution over 2 workers.
     let serial_pool = ThreadPool::new(1);
-    let serial_cache = WorldCache::sample_with_pool(&inst.graph, 96, 23, &serial_pool);
-    let serial_ev =
-        MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &serial_cache, &serial_pool);
+    let serial_backend = McBackend::from_cache(WorldCache::sample_with_pool(
+        &inst.graph,
+        96,
+        23,
+        &serial_pool,
+    ));
+    let serial_ev = serial_backend.evaluator_on(&inst.graph, &inst.data, &serial_pool);
     let reference: Vec<SimulationStats> = candidates
         .iter()
         .map(|(seeds, coupons)| serial_ev.simulate(seeds, coupons))
@@ -139,15 +144,16 @@ fn simulate_batch_is_bit_identical_across_pool_sizes() {
         .collect();
     // The serial evaluator is the documented fold: the scalar kernel per
     // world, summed in 32-world parts (96 worlds end in a ragged lane block).
-    let scalar = reference_simulate_batch(&inst.graph, &inst.data, &serial_cache, &batch);
+    let scalar = reference_simulate_batch(&inst.graph, &inst.data, serial_backend.cache(), &batch);
     for (i, (got, want)) in reference.iter().zip(&scalar).enumerate() {
         assert_stats_bit_identical(got, want, &format!("candidate {i}, lane vs scalar fold"));
     }
 
     for threads in [1usize, 2, osn_pool::default_parallelism()] {
         let pool = ThreadPool::new(threads);
-        let cache = WorldCache::sample_with_pool(&inst.graph, 96, 23, &pool);
-        let ev = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &cache, &pool);
+        let backend =
+            McBackend::from_cache(WorldCache::sample_with_pool(&inst.graph, 96, 23, &pool));
+        let ev = backend.evaluator_on(&inst.graph, &inst.data, &pool);
         let stats = ev.simulate_batch(&batch);
         assert_eq!(stats.len(), candidates.len());
         for (i, (got, want)) in stats.iter().zip(&reference).enumerate() {
@@ -173,7 +179,7 @@ fn simulate_batch_is_bit_identical_across_pool_sizes() {
 /// The baselines' parallel fan-outs (IM's round-0 CELF sweep, PM's
 /// per-round candidate scoring) must also be pool-size independent —
 /// forced through the `_on` variants' explicit-pool args, never ambient
-/// state, like the evaluator's `with_pool` builders.
+/// state, like `McBackend::evaluator_on`.
 #[test]
 fn baseline_selections_are_pool_size_independent() {
     use s3crm_baselines::im::{best_feasible_prefix_on, greedy_seed_ranking_on};
@@ -183,17 +189,17 @@ fn baseline_selections_are_pool_size_independent() {
     let inst = DatasetProfile::Facebook
         .generate(0.02, 29)
         .expect("generation");
-    let cache = WorldCache::sample(&inst.graph, 64, 31);
+    let backend = McBackend::sample(&inst.graph, 64, 31);
 
     let reference_pool = ThreadPool::new(1);
-    let im_ref = greedy_seed_ranking_on(&inst.graph, &cache, 32, 6, &reference_pool);
+    let im_ref = greedy_seed_ranking_on(&inst.graph, backend.cache(), 32, 6, &reference_pool);
     let prefix_ref = best_feasible_prefix_on(
         &inst.graph,
         &inst.data,
         inst.budget,
         CouponStrategy::Limited(2),
         &im_ref,
-        &cache,
+        &backend,
         &reference_pool,
     );
     let pm_ref = pm_with_strategy_on(
@@ -208,7 +214,7 @@ fn baseline_selections_are_pool_size_independent() {
 
     for threads in [2usize, osn_pool::default_parallelism()] {
         let pool = ThreadPool::new(threads);
-        let im = greedy_seed_ranking_on(&inst.graph, &cache, 32, 6, &pool);
+        let im = greedy_seed_ranking_on(&inst.graph, backend.cache(), 32, 6, &pool);
         assert_eq!(im, im_ref, "IM ranking diverged on a {threads}-worker pool");
         let prefix = best_feasible_prefix_on(
             &inst.graph,
@@ -216,7 +222,7 @@ fn baseline_selections_are_pool_size_independent() {
             inst.budget,
             CouponStrategy::Limited(2),
             &im,
-            &cache,
+            &backend,
             &pool,
         );
         assert_eq!(
@@ -290,9 +296,10 @@ fn binary_loaded_graph_byte_matches_text_loaded_run() {
     // then a Monte-Carlo report over a shared world seed.
     let run = |graph: &osn_graph::CsrGraph, pool: &ThreadPool| {
         let result = s3ca(graph, &inst.data, inst.budget, &S3caConfig::default());
-        let cache = WorldCache::sample_with_pool(graph, 96, 23, pool);
-        let ev = MonteCarloEvaluator::with_pool(graph, &inst.data, &cache, pool);
-        let stats = ev.simulate(&result.deployment.seeds, &result.deployment.coupons);
+        let backend = McBackend::from_cache(WorldCache::sample_with_pool(graph, 96, 23, pool));
+        let stats = backend
+            .evaluator_on(graph, &inst.data, pool)
+            .simulate(&result.deployment.seeds, &result.deployment.coupons);
         (result.deployment, stats)
     };
 
@@ -316,13 +323,12 @@ fn binary_loaded_graph_byte_matches_text_loaded_run() {
         // The rendered CSV cells — what an experiment actually writes —
         // must match byte for byte, not just numerically.
         let csv = |stats: &SimulationStats| {
-            let cascade = stats.cascade.expect("MC stats carry cascade data");
             format!(
                 "{},{},{},{}",
                 stats.expected_benefit,
-                cascade.mean_redeemed_sc_cost,
+                stats.mean_redeemed_sc_cost,
                 stats.mean_activated,
-                cascade.mean_farthest_hop
+                stats.mean_farthest_hop
             )
         };
         assert_eq!(
@@ -385,16 +391,17 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
         // byte-identical across pinned pool sizes, and identical whether
         // the scored deployment came from the engine or the reference path.
         let csv_cells = |dep: &s3crm_core::Deployment, pool: &ThreadPool| {
-            let cache = WorldCache::sample_with_pool(&inst.graph, 96, 23, pool);
-            let ev = MonteCarloEvaluator::with_pool(&inst.graph, &inst.data, &cache, pool);
-            let stats = ev.simulate(&dep.seeds, &dep.coupons);
-            let cascade = stats.cascade.expect("MC stats carry cascade data");
+            let backend =
+                McBackend::from_cache(WorldCache::sample_with_pool(&inst.graph, 96, 23, pool));
+            let stats = backend
+                .evaluator_on(&inst.graph, &inst.data, pool)
+                .simulate(&dep.seeds, &dep.coupons);
             format!(
                 "{},{},{},{}",
                 stats.expected_benefit,
-                cascade.mean_redeemed_sc_cost,
+                stats.mean_redeemed_sc_cost,
                 stats.mean_activated,
-                cascade.mean_farthest_hop
+                stats.mean_farthest_hop
             )
         };
         let full = s3ca(&inst.graph, &inst.data, binv, &S3caConfig::default());

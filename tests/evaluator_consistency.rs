@@ -6,11 +6,31 @@
 //! `s3crm_tests` (`tests/common.rs`).
 
 use osn_gen::{erdos_renyi, seeded_rng, weights};
-use osn_graph::{GraphBuilder, NodeData, NodeId};
+use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::world::WorldCache;
-use osn_propagation::{AnalyticEvaluator, BenefitEvaluator, DeploymentRef, MonteCarloEvaluator};
+use osn_propagation::{reference_simulate_batch, DeploymentRef, McBackend, SpreadState};
 use s3crm_tests::{assert_stats_bit_identical, random_tree, root_heavy_coupons, unit_data};
+
+/// Analytic `B(S, K)`.
+fn analytic_benefit(g: &CsrGraph, d: &NodeData, seeds: &[NodeId], k: &[u32]) -> f64 {
+    SpreadState::evaluate(g, d, seeds, k).expected_benefit
+}
+
+/// Monte-Carlo `B(S, K)` over `worlds` worlds sampled from `seed`.
+fn mc_benefit(
+    g: &CsrGraph,
+    d: &NodeData,
+    seeds: &[NodeId],
+    k: &[u32],
+    worlds: usize,
+    seed: u64,
+) -> f64 {
+    McBackend::sample(g, worlds, seed)
+        .evaluator(g, d)
+        .simulate(seeds, k)
+        .expected_benefit
+}
 
 #[test]
 fn exact_on_random_trees() {
@@ -20,9 +40,8 @@ fn exact_on_random_trees() {
         let d = unit_data(&g);
         // Coupons on the first two levels.
         let k = root_heavy_coupons(n, 10);
-        let cache = WorldCache::sample(&g, 30_000, seed ^ 0xF00D);
-        let analytic = AnalyticEvaluator::new(&g, &d).expected_benefit(&[NodeId(0)], &k);
-        let mc = MonteCarloEvaluator::new(&g, &d, &cache).expected_benefit(&[NodeId(0)], &k);
+        let analytic = analytic_benefit(&g, &d, &[NodeId(0)], &k);
+        let mc = mc_benefit(&g, &d, &[NodeId(0)], &k, 30_000, seed ^ 0xF00D);
         let tol = 3.0 * (analytic / 30_000f64).sqrt().max(0.02);
         assert!(
             (analytic - mc).abs() < tol.max(analytic * 0.02),
@@ -31,15 +50,15 @@ fn exact_on_random_trees() {
     }
 }
 
-/// The batched path must agree with the serial path **bitwise** and with
-/// the analytic evaluator within Monte-Carlo tolerance — for every batch
-/// element, at more than one pool size.
+/// The batched path must agree with the serial path and the scalar
+/// reference fold **bitwise**, and with the analytic evaluator within
+/// Monte-Carlo tolerance — for every batch element, at pool sizes 1, 2
+/// and `default_parallelism`.
 #[test]
 fn batched_path_is_consistent_with_serial_and_analytic() {
     let g = random_tree(4, 3, 11);
     let n = g.node_count();
     let d = unit_data(&g);
-    let analytic_ev = AnalyticEvaluator::new(&g, &d);
 
     // A batch mixing coupon depths and seed sets.
     let seeds_root = [NodeId(0)];
@@ -63,11 +82,17 @@ fn batched_path_is_consistent_with_serial_and_analytic() {
     ];
 
     let serial_pool = ThreadPool::new(1);
-    let cache = WorldCache::sample_with_pool(&g, 20_000, 0xBA7C4, &serial_pool);
-    let serial = MonteCarloEvaluator::with_pool(&g, &d, &cache, &serial_pool);
-    for threads in [1usize, 2] {
+    let backend = McBackend::from_cache(WorldCache::sample_with_pool(
+        &g,
+        20_000,
+        0xBA7C4,
+        &serial_pool,
+    ));
+    let serial = backend.evaluator_on(&g, &d, &serial_pool);
+    let reference = reference_simulate_batch(&g, &d, backend.cache(), &batch);
+    for threads in [1usize, 2, osn_pool::default_parallelism()] {
         let pool = ThreadPool::new(threads);
-        let ev = MonteCarloEvaluator::with_pool(&g, &d, &cache, &pool);
+        let ev = backend.evaluator_on(&g, &d, &pool);
         for (i, (stats, dep)) in ev.simulate_batch(&batch).iter().zip(&batch).enumerate() {
             let lone = serial.simulate(dep.seeds, dep.coupons);
             assert_stats_bit_identical(
@@ -75,7 +100,12 @@ fn batched_path_is_consistent_with_serial_and_analytic() {
                 &lone,
                 &format!("batch[{i}] at {threads} workers vs serial simulate"),
             );
-            let exact = analytic_ev.expected_benefit(dep.seeds, dep.coupons);
+            assert_stats_bit_identical(
+                stats,
+                &reference[i],
+                &format!("batch[{i}] at {threads} workers vs reference fold"),
+            );
+            let exact = analytic_benefit(&g, &d, dep.seeds, dep.coupons);
             let tol = (3.0 * (exact / 20_000f64).sqrt()).max(0.05);
             assert!(
                 (stats.expected_benefit - exact).abs() < tol.max(exact * 0.02),
@@ -112,9 +142,8 @@ fn close_on_random_graphs() {
             .map(|v| g.out_degree(NodeId(v as u32)).min(2) as u32)
             .collect();
         let seeds = [NodeId(0), NodeId(1)];
-        let cache = WorldCache::sample(&g, 20_000, seed ^ 0xBEEF);
-        let analytic = AnalyticEvaluator::new(&g, &d).expected_benefit(&seeds, &k);
-        let mc = MonteCarloEvaluator::new(&g, &d, &cache).expected_benefit(&seeds, &k);
+        let analytic = analytic_benefit(&g, &d, &seeds, &k);
+        let mc = mc_benefit(&g, &d, &seeds, &k, 20_000, seed ^ 0xBEEF);
         let rel = (analytic - mc).abs() / mc.max(1e-9);
         assert!(
             rel < 0.25,
@@ -145,8 +174,7 @@ fn stochastic_cascade_matches_world_reachability() {
     }
     let fresh = sum / trials as f64;
 
-    let cache = WorldCache::sample(&g, trials, 43);
-    let worlds = MonteCarloEvaluator::new(&g, &d, &cache).expected_benefit(&[NodeId(0)], &k);
+    let worlds = mc_benefit(&g, &d, &[NodeId(0)], &k, trials, 43);
     assert!(
         (fresh - worlds).abs() < 0.03,
         "fresh-flip {fresh} vs world-cache {worlds}"

@@ -4,8 +4,7 @@
 
 use osn_gen::fixtures::fig1;
 use osn_graph::NodeId;
-use osn_propagation::world::WorldCache;
-use osn_propagation::{BenefitEvaluator, MonteCarloEvaluator};
+use osn_propagation::McBackend;
 use s3crm_baselines::opt::{exhaustive_opt, OptConfig};
 use s3crm_core::{s3ca, S3caConfig};
 use s3crm_tests::{analytic, deployment};
@@ -84,10 +83,12 @@ fn s3ca_beats_both_im_and_pm_packages() {
 #[test]
 fn monte_carlo_confirms_the_analytic_numbers() {
     let f = fig1();
-    let cache = WorldCache::sample(&f.graph, 60_000, 17);
-    let ev = MonteCarloEvaluator::new(&f.graph, &f.data, &cache);
+    let backend = McBackend::sample(&f.graph, 60_000, 17);
     let dep = deployment(5, &[0], &[(0, 1), (3, 1)]);
-    let mc = ev.expected_benefit(&dep.seeds, &dep.coupons);
+    let mc = backend
+        .evaluator(&f.graph, &f.data)
+        .simulate(&dep.seeds, &dep.coupons)
+        .expected_benefit;
     assert!(
         (mc - 8.295).abs() < 0.05,
         "Monte-Carlo benefit {mc} should approach 8.295"

@@ -3,8 +3,7 @@
 //! evaluation relies on.
 
 use osn_gen::DatasetProfile;
-use osn_propagation::world::WorldCache;
-use osn_propagation::RedemptionReport;
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
 use s3crm_baselines::im_s::im_s;
 use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
@@ -80,13 +79,13 @@ fn s3ca_wins_the_redemption_rate_comparison() {
     // The headline claim: S3CA's redemption rate beats the IM/PM baselines
     // (paper: up to 30x). Evaluate everything on a shared world cache.
     let inst = small_facebook();
-    let cache = WorldCache::sample(&inst.graph, 400, 5);
+    let backend = McBackend::sample(&inst.graph, 400, 5);
     let im_cfg = ImConfig {
         worlds: 16,
         ..ImConfig::default()
     };
     let report = |dep: &s3crm_core::Deployment| {
-        RedemptionReport::compute(&inst.graph, &inst.data, &dep.seeds, &dep.coupons, &cache)
+        RedemptionReport::compute(&inst.graph, &inst.data, &dep.seeds, &dep.coupons, &backend)
             .redemption_rate
     };
 
@@ -143,7 +142,7 @@ fn phases_never_hurt_the_objective() {
 fn budget_monotonicity_of_benefit() {
     // Fig. 6(b): more budget → at least as much total benefit for S3CA.
     let inst = small_facebook();
-    let cache = WorldCache::sample(&inst.graph, 300, 9);
+    let backend = McBackend::sample(&inst.graph, 300, 9);
     let mut last = -1.0f64;
     for factor in [0.5, 1.0, 2.0] {
         let r = s3ca(
@@ -157,7 +156,7 @@ fn budget_monotonicity_of_benefit() {
             &inst.data,
             &r.deployment.seeds,
             &r.deployment.coupons,
-            &cache,
+            &backend,
         );
         assert!(
             rep.expected_benefit >= last * 0.9,
@@ -177,14 +176,14 @@ fn s3ca_spreads_multiple_hops() {
     // reaches deeper, so the cross-algorithm ordering is reported in
     // EXPERIMENTS.md rather than asserted here.)
     let inst = small_facebook();
-    let cache = WorldCache::sample(&inst.graph, 400, 3);
+    let backend = McBackend::sample(&inst.graph, 400, 3);
     let s3 = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
     let s3_hops = RedemptionReport::compute(
         &inst.graph,
         &inst.data,
         &s3.deployment.seeds,
         &s3.deployment.coupons,
-        &cache,
+        &backend,
     )
     .avg_farthest_hop;
     assert!(

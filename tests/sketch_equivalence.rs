@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
-use osn_propagation::evaluator::BenefitEvaluator;
 use osn_propagation::{BenefitEstimator, McBackend, SpreadEngine};
 use osn_sketch::{SketchEstimator, SketchIndex, SketchParams};
 use s3crm_core::{s3ca, EstimatorBackend, S3caConfig};
@@ -193,9 +192,12 @@ fn sketch_backed_id_matches_reference_within_epsilon() {
 
         let backend = McBackend::sample(&inst.graph, 512, 0xE7A1 ^ seed);
         let ev = backend.evaluator(&inst.graph, &inst.data);
-        let ref_benefit =
-            ev.expected_benefit(&reference.deployment.seeds, &reference.deployment.coupons);
-        let sk_benefit = ev.expected_benefit(&sketch.deployment.seeds, &sketch.deployment.coupons);
+        let ref_benefit = ev
+            .simulate(&reference.deployment.seeds, &reference.deployment.coupons)
+            .expected_benefit;
+        let sk_benefit = ev
+            .simulate(&sketch.deployment.seeds, &sketch.deployment.coupons)
+            .expected_benefit;
         let tol = p.epsilon * inst.data.total_benefit();
         assert!(
             sk_benefit >= ref_benefit - tol,
