@@ -12,7 +12,7 @@
 //!    seed selection under the remaining budget `Binv − Csc(K̂)`.
 //!
 //! These reductions are implemented directly and double as an executable
-//! sanity check of the claims: the integration tests verify the reduced
+//! sanity check of the claims: this module's unit tests verify the reduced
 //! solvers agree with the general objective evaluated on the restricted
 //! decision space.
 

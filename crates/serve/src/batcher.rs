@@ -1,13 +1,17 @@
-//! Coalescing of concurrent evaluation probes into batched simulation,
-//! with panic failover for parked followers.
+//! Coalescing of concurrent evaluation probes into batched simulation by
+//! group commit, with panic failover for parked followers.
 //!
 //! Every campaign ends with one Monte-Carlo evaluation of its final
 //! deployment, and `PROBE` requests issue ad-hoc evaluations; under load,
 //! many of these target the *same* resident backend at the same time.
 //! Scoring `k` deployments with [`MonteCarloEvaluator::simulate_batch`] is
-//! one pass over the world cache instead of `k`, so the batcher elects the
-//! first arrival per backend as leader, lingers briefly to let concurrent
-//! probes pile on, and runs the whole group as a single batch.
+//! one pass over the world cache instead of `k`, so the batcher groups
+//! probes per backend by **group commit**: an arrival on an idle group
+//! becomes leader and at once runs everything queued as one batch. Probes
+//! that arrive while a batch runs park; once that batch's results are
+//! delivered, leadership passes to the first parked probe, whose thread
+//! runs the whole queue as the next batch. An idle backend never waits,
+//! and batches grow only as far as the load makes probes overlap.
 //!
 //! Coalescing is **result-neutral**: batched simulation is bit-identical
 //! to lone simulation (element `i` of `simulate_batch` equals a lone
@@ -19,13 +23,15 @@
 //! The leader runs follower jobs on *its* thread, so a panic there (a bug,
 //! or an injected fault) would otherwise strand every parked follower on a
 //! condvar nobody will ever signal. [`LeaderReign`] is the RAII failover:
-//! from election to completion the leader holds a guard whose drop —
-//! normal or during unwind — clears the leadership flag, bumps the group's
-//! generation counter, and fails over any jobs that never got results.
-//! Followers then observe a typed [`BatchFailed`] instead of a hang, the
-//! next submission elects a fresh leader, and the panic itself propagates
-//! to the leader's own caller (where the connection layer turns it into an
-//! `ERR internal` reply).
+//! from taking leadership to the end of its batch the leader holds a guard
+//! whose drop — normal or during unwind — hands leadership to the first
+//! parked probe (or idles the group). If the batch never delivered, the
+//! drop first bumps the group's generation and fails the jobs that batch
+//! had taken (everything parked, if it died before the take). Those
+//! followers observe a typed [`BatchFailed`] instead of a hang; probes
+//! that parked during the dying batch were never in it and run on the
+//! next one, and the panic itself propagates to the leader's own caller
+//! (where the connection layer turns it into an `ERR internal` reply).
 //!
 //! [`MonteCarloEvaluator::simulate_batch`]: osn_propagation::MonteCarloEvaluator::simulate_batch
 
@@ -35,12 +41,6 @@ use s3crm_bench::dataset::LoadedDataset;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
-
-/// How long a leader waits for followers before running the batch. Long
-/// enough for genuinely concurrent probes to enqueue, far below any
-/// campaign's evaluation time.
-const LINGER: Duration = Duration::from_millis(1);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -64,16 +64,37 @@ impl std::fmt::Display for BatchFailed {
     }
 }
 
+/// What a parked probe wakes up to: its result, or leadership of the next
+/// batch, handed over by the leader whose batch just ended.
+enum Outcome {
+    Done(Result<SimulationStats, BatchFailed>),
+    Lead,
+}
+
 #[derive(Default)]
 struct Slot {
-    result: Mutex<Option<Result<SimulationStats, BatchFailed>>>,
+    outcome: Mutex<Option<Outcome>>,
     cv: Condvar,
 }
 
 impl Slot {
-    fn fill(&self, value: Result<SimulationStats, BatchFailed>) {
-        *lock(&self.result) = Some(value);
+    fn fill(&self, value: Outcome) {
+        *lock(&self.outcome) = Some(value);
         self.cv.notify_all();
+    }
+
+    /// Block until the slot is filled, and empty it.
+    fn wait(&self) -> Outcome {
+        let mut outcome = lock(&self.outcome);
+        loop {
+            if let Some(value) = outcome.take() {
+                return value;
+            }
+            outcome = self
+                .cv
+                .wait(outcome)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -86,6 +107,8 @@ struct Job {
 #[derive(Default)]
 struct GroupState {
     jobs: Vec<Job>,
+    /// Some thread leads this group: set at election, kept across
+    /// hand-offs, cleared when a batch ends with nothing parked.
     leader_active: bool,
     /// Bumped every time a leader reign ends without serving its jobs;
     /// failed followers carry the generation in their error.
@@ -97,9 +120,10 @@ struct Group {
     state: Mutex<GroupState>,
 }
 
-/// RAII leadership over one group: covers the window from election to
-/// result delivery. Drop without [`complete`](Self::complete) — any panic
-/// escape path — fails over parked followers instead of stranding them.
+/// RAII leadership over one group for one batch: covers the window from
+/// election (or hand-off) to result delivery. Its drop passes leadership
+/// on; a drop without [`complete`](Self::complete) — any panic escape
+/// path — first fails the batch's followers instead of stranding them.
 struct LeaderReign<'a> {
     group: &'a Group,
     /// Jobs taken out of the group (None until the take step; a panic
@@ -117,13 +141,10 @@ impl<'a> LeaderReign<'a> {
         }
     }
 
-    /// End the linger: clear the leadership flag and claim every parked
-    /// job. New arrivals elect a fresh leader from here on.
+    /// Claim every parked job — the leader's own among them — for this
+    /// batch. Arrivals from here on park for the next one.
     fn take_jobs(&mut self) -> &[Job] {
-        let mut st = lock(&self.group.state);
-        st.leader_active = false;
-        let jobs = std::mem::take(&mut st.jobs);
-        drop(st);
+        let jobs = std::mem::take(&mut lock(&self.group.state).jobs);
         self.taken.insert(jobs).as_slice()
     }
 
@@ -131,7 +152,7 @@ impl<'a> LeaderReign<'a> {
     fn complete(mut self, stats: Vec<SimulationStats>) {
         let jobs = self.taken.take().unwrap_or_default();
         for (job, s) in jobs.iter().zip(stats) {
-            job.slot.fill(Ok(s));
+            job.slot.fill(Outcome::Done(Ok(s)));
         }
         self.served = true;
     }
@@ -139,24 +160,33 @@ impl<'a> LeaderReign<'a> {
 
 impl Drop for LeaderReign<'_> {
     fn drop(&mut self) {
-        if self.served {
-            return;
-        }
-        // The reign is ending abnormally (panic unwind, or a bug skipped
-        // `complete`). Fail over everything this leader was responsible
-        // for: jobs it already took, plus — if it died before the take —
-        // whatever is still parked in the group.
         let mut st = lock(&self.group.state);
-        st.leader_active = false;
-        st.generation += 1;
-        let generation = st.generation;
-        let mut orphans = std::mem::take(&mut st.jobs);
-        drop(st);
-        if let Some(taken) = self.taken.take() {
-            orphans.extend(taken);
+        let mut failed = Vec::new();
+        if !self.served {
+            // The batch is ending abnormally (panic unwind, or a bug
+            // skipped `complete`). Fail what it was responsible for: the
+            // jobs it took — or, if it died before the take, everything
+            // parked, which it was about to take.
+            st.generation += 1;
+            failed = self
+                .taken
+                .take()
+                .unwrap_or_else(|| std::mem::take(&mut st.jobs));
         }
-        for job in orphans {
-            job.slot.fill(Err(BatchFailed { generation }));
+        let generation = st.generation;
+        // Pick the next leader under the lock: the first probe parked
+        // meanwhile leads the next batch, or the group goes idle. With
+        // `leader_active` still set, no arrival can elect itself before
+        // that probe wakes up and takes the queue.
+        let next = st.jobs.first().map(|job| Arc::clone(&job.slot));
+        st.leader_active = next.is_some();
+        drop(st);
+        for job in failed {
+            job.slot
+                .fill(Outcome::Done(Err(BatchFailed { generation })));
+        }
+        if let Some(slot) = next {
+            slot.fill(Outcome::Lead);
         }
     }
 }
@@ -187,61 +217,79 @@ impl ProbeBatcher {
         seeds: Vec<NodeId>,
         coupons: Vec<u32>,
     ) -> Result<SimulationStats, BatchFailed> {
+        self.submit_with(key, seeds, coupons, |batch| {
+            backend.evaluator(&ds.graph, &ds.data).simulate_batch(batch)
+        })
+    }
+
+    /// [`submit`](Self::submit) with the batch simulation passed in. If
+    /// this probe's thread ends up leading, `simulate` scores its batch;
+    /// every caller on one `key` must pass the same simulation.
+    fn submit_with(
+        &self,
+        key: &str,
+        seeds: Vec<NodeId>,
+        coupons: Vec<u32>,
+        simulate: impl FnOnce(&[DeploymentRef<'_>]) -> Vec<SimulationStats>,
+    ) -> Result<SimulationStats, BatchFailed> {
         let group = {
             let mut groups = lock(&self.groups);
             groups.entry(key.to_string()).or_default().clone()
         };
         let slot = Arc::new(Slot::default());
-        let is_leader = {
+        let elected = {
             let mut st = lock(&group.state);
             st.jobs.push(Job {
                 seeds,
                 coupons,
                 slot: slot.clone(),
             });
-            if st.leader_active {
-                false
-            } else {
-                st.leader_active = true;
-                true
-            }
+            !std::mem::replace(&mut st.leader_active, true)
         };
-        if is_leader {
-            // From here to `complete`, the reign guard guarantees parked
-            // followers are failed over if this thread dies.
-            let mut reign = LeaderReign::new(&group);
-            std::thread::sleep(LINGER);
-            // Chaos hook: stretch the linger (so tests can deterministically
-            // pile followers onto one batch) or kill the leader before the
-            // take — either way the reign guard keeps followers unblocked.
-            osn_fault::point("serve.batcher.linger");
-            let jobs = reign.take_jobs();
-            let batch: Vec<DeploymentRef<'_>> = jobs
-                .iter()
-                .map(|j| DeploymentRef {
-                    seeds: &j.seeds,
-                    coupons: &j.coupons,
-                })
-                .collect();
-            let n_jobs = jobs.len();
-            // Chaos hook: a panic here is the "leader dies mid-batch" case.
-            osn_fault::point("serve.batcher.batch");
-            let stats = backend
-                .evaluator(&ds.graph, &ds.data)
-                .simulate_batch(&batch);
-            self.probes.fetch_add(n_jobs as u64, Ordering::Relaxed);
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            reign.complete(stats);
+        let mut outcome = if elected { Outcome::Lead } else { slot.wait() };
+        if let Outcome::Lead = outcome {
+            self.lead(&group, simulate);
+            // This probe's job was queued when the batch took the queue,
+            // so the batch just delivered its result.
+            outcome = slot.wait();
         }
-        let mut r = lock(&slot.result);
-        while r.is_none() {
-            r = slot.cv.wait(r).unwrap_or_else(PoisonError::into_inner);
-        }
-        let outcome = r.take().expect("batcher result present");
-        if outcome.is_err() {
+        let Outcome::Done(result) = outcome else {
+            unreachable!("a leader's own job rides its batch");
+        };
+        if result.is_err() {
             self.failed_batches.fetch_add(1, Ordering::Relaxed);
         }
-        outcome
+        result
+    }
+
+    /// Run one batch as the group's leader: take every parked job,
+    /// simulate them together, deliver, and hand leadership on.
+    fn lead(
+        &self,
+        group: &Group,
+        simulate: impl FnOnce(&[DeploymentRef<'_>]) -> Vec<SimulationStats>,
+    ) {
+        // From here to the reign's drop, parked followers are failed over
+        // or handed leadership even if this thread dies.
+        let mut reign = LeaderReign::new(group);
+        // Chaos hook: delay the take (so tests can deterministically pile
+        // followers onto one batch) or kill the leader before it — either
+        // way the reign guard keeps followers unblocked.
+        osn_fault::point("serve.batcher.take");
+        let jobs = reign.take_jobs();
+        let batch: Vec<DeploymentRef<'_>> = jobs
+            .iter()
+            .map(|j| DeploymentRef {
+                seeds: &j.seeds,
+                coupons: &j.coupons,
+            })
+            .collect();
+        // Chaos hook: a panic here is the "leader dies mid-batch" case.
+        osn_fault::point("serve.batcher.batch");
+        let stats = simulate(&batch);
+        self.probes.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        reign.complete(stats);
     }
 
     /// `(probes evaluated, batches run)` — `probes > batches` means
@@ -263,6 +311,7 @@ impl ProbeBatcher {
 mod tests {
     use super::*;
     use s3crm_bench::Effort;
+    use std::sync::mpsc;
 
     fn tiny_dataset() -> LoadedDataset {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -270,18 +319,79 @@ mod tests {
         s3crm_bench::dataset::load_dataset(&fixture, &Effort::micro()).expect("fixture loads")
     }
 
+    /// A small deployment that differs per `i`.
+    fn deployment(ds: &LoadedDataset, i: usize) -> (Vec<NodeId>, Vec<u32>) {
+        let n = ds.graph.node_count();
+        let mut coupons = vec![0u32; n];
+        coupons[(i * 5) % n] = 1 + i as u32 % 3;
+        (vec![NodeId((i % n) as u32)], coupons)
+    }
+
+    fn assert_matches_lone(
+        backend: &McBackend,
+        ds: &LoadedDataset,
+        (seeds, coupons): &(Vec<NodeId>, Vec<u32>),
+        got: &SimulationStats,
+    ) {
+        let lone = backend
+            .evaluator(&ds.graph, &ds.data)
+            .simulate(seeds, coupons);
+        for (g, l) in [
+            (got.expected_benefit, lone.expected_benefit),
+            (got.mean_activated, lone.mean_activated),
+            (got.mean_redeemed_sc_cost, lone.mean_redeemed_sc_cost),
+            (got.mean_farthest_hop, lone.mean_farthest_hop),
+        ] {
+            assert_eq!(
+                g.to_bits(),
+                l.to_bits(),
+                "batched probe diverged from lone simulation"
+            );
+        }
+    }
+
+    /// Block until exactly `n` probes are parked on `key`: the tests below
+    /// step on observed group state, never on elapsed time.
+    fn await_parked(batcher: &ProbeBatcher, key: &str, n: usize) {
+        let parked = || {
+            lock(&batcher.groups)
+                .get(key)
+                .map_or(0, |g| lock(&g.state).jobs.len())
+        };
+        while parked() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    type BoxedSim<'a> = Box<dyn FnOnce(&[DeploymentRef<'_>]) -> Vec<SimulationStats> + Send + 'a>;
+
+    /// The test's side of a held batch: `entered` hears when the batch
+    /// starts, and it finishes only once `release` sends.
+    struct Hold {
+        entered: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    }
+
+    /// Wrap a batch simulation in a [`Hold`].
+    fn held<'a>(
+        then: impl FnOnce(&[DeploymentRef<'_>]) -> Vec<SimulationStats> + Send + 'a,
+    ) -> (BoxedSim<'a>, Hold) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let simulate = move |batch: &[DeploymentRef<'_>]| {
+            entered_tx.send(()).expect("test awaits the batch");
+            release_rx.recv().expect("test releases the batch");
+            then(batch)
+        };
+        (Box::new(simulate), Hold { entered, release })
+    }
+
     #[test]
     fn coalesced_probes_are_bit_identical_to_lone_simulation() {
         let ds = tiny_dataset();
         let backend = McBackend::sample(&ds.graph, 64, 7);
         let batcher = ProbeBatcher::default();
-        let deployments: Vec<(Vec<NodeId>, Vec<u32>)> = (0..8)
-            .map(|i| {
-                let mut coupons = vec![0u32; ds.graph.node_count()];
-                coupons[(i * 5) % ds.graph.node_count()] = 1 + i as u32 % 3;
-                (vec![NodeId(i as u32)], coupons)
-            })
-            .collect();
+        let deployments: Vec<_> = (0..8).map(|i| deployment(&ds, i)).collect();
         let batched: Vec<SimulationStats> = std::thread::scope(|s| {
             let handles: Vec<_> = deployments
                 .iter()
@@ -296,16 +406,8 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for ((seeds, coupons), got) in deployments.iter().zip(&batched) {
-            let lone = backend
-                .evaluator(&ds.graph, &ds.data)
-                .simulate(seeds, coupons);
-            assert_eq!(
-                got.expected_benefit.to_bits(),
-                lone.expected_benefit.to_bits(),
-                "coalesced probe diverged from lone simulation"
-            );
-            assert_eq!(got.mean_activated.to_bits(), lone.mean_activated.to_bits());
+        for (dep, got) in deployments.iter().zip(&batched) {
+            assert_matches_lone(&backend, &ds, dep, got);
         }
         let (probes, batches) = batcher.counters();
         assert_eq!(probes, 8);
@@ -407,5 +509,125 @@ mod tests {
                 let _ = f.join().unwrap();
             }
         });
+    }
+
+    /// An arrival on an idle group runs at once as a batch of one, and the
+    /// group is idle again by the time the probe returns.
+    #[test]
+    fn a_lone_probe_on_an_idle_group_runs_as_a_batch_of_one() {
+        let ds = tiny_dataset();
+        let backend = McBackend::sample(&ds.graph, 32, 3);
+        let batcher = ProbeBatcher::default();
+        let dep = deployment(&ds, 1);
+        let got = batcher
+            .submit("k", &backend, &ds, dep.0.clone(), dep.1.clone())
+            .expect("healthy batch");
+        assert_matches_lone(&backend, &ds, &dep, &got);
+        assert_eq!(batcher.counters(), (1, 1));
+        let group = lock(&batcher.groups)["k"].clone();
+        let st = lock(&group.state);
+        assert!(!st.leader_active && st.jobs.is_empty(), "group left busy");
+    }
+
+    /// Probes that park behind a running batch are served together by the
+    /// next batch, led by the first of them, with results bit-identical to
+    /// lone simulation.
+    #[test]
+    fn probes_parked_behind_a_running_batch_share_the_next_batch() {
+        const N: usize = 5;
+        let ds = tiny_dataset();
+        let backend = McBackend::sample(&ds.graph, 64, 7);
+        let batcher = &ProbeBatcher::default();
+        let deps: Vec<_> = (0..=N).map(|i| deployment(&ds, i)).collect();
+        let sim = |batch: &[DeploymentRef<'_>]| {
+            backend.evaluator(&ds.graph, &ds.data).simulate_batch(batch)
+        };
+        let (first_sim, hold) = held(sim);
+        let results: Vec<SimulationStats> = std::thread::scope(|s| {
+            let (seeds, coupons) = deps[0].clone();
+            let first = s.spawn(move || batcher.submit_with("k", seeds, coupons, first_sim));
+            hold.entered.recv().expect("first batch starts");
+            let parked: Vec<_> = deps[1..]
+                .iter()
+                .cloned()
+                .map(|(seeds, coupons)| {
+                    s.spawn(move || batcher.submit_with("k", seeds, coupons, sim))
+                })
+                .collect();
+            await_parked(batcher, "k", N);
+            hold.release.send(()).expect("first batch is waiting");
+            std::iter::once(first)
+                .chain(parked)
+                .map(|h| h.join().unwrap().expect("healthy batch"))
+                .collect()
+        });
+        for (dep, got) in deps.iter().zip(&results) {
+            assert_matches_lone(&backend, &ds, dep, got);
+        }
+        assert_eq!(batcher.counters(), (N as u64 + 1, 2));
+        assert_eq!(batcher.failed_probes(), 0);
+    }
+
+    /// A leader that dies after its take fails only the jobs it took;
+    /// probes that parked during its batch were never in it and succeed on
+    /// the next batch, led by the first of them.
+    #[test]
+    fn a_leader_dying_after_its_take_fails_only_its_batch() {
+        const TAKEN: usize = 4;
+        const LATE: usize = 3;
+        let ds = tiny_dataset();
+        let backend = McBackend::sample(&ds.graph, 32, 3);
+        let batcher = &ProbeBatcher::default();
+        let deps: Vec<_> = (0..1 + TAKEN + LATE).map(|i| deployment(&ds, i)).collect();
+        let sim = |batch: &[DeploymentRef<'_>]| {
+            backend.evaluator(&ds.graph, &ds.data).simulate_batch(batch)
+        };
+        let (first_sim, first) = held(sim);
+        let (dying_sim, dying) = held(|_: &[DeploymentRef<'_>]| -> Vec<SimulationStats> {
+            panic!("batch dies after its take")
+        });
+        std::thread::scope(|s| {
+            let submit = |i: usize, simulate| {
+                let (seeds, coupons) = deps[i].clone();
+                s.spawn(move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        batcher.submit_with("k", seeds, coupons, simulate)
+                    }))
+                })
+            };
+            // Batch 1 holds while the doomed batch's jobs park behind it;
+            // the first of them will lead batch 2 with a dying simulation.
+            let first_probe = submit(0, first_sim);
+            first.entered.recv().expect("batch 1 starts");
+            let dying_probe = submit(1, dying_sim);
+            await_parked(batcher, "k", 1);
+            let taken: Vec<_> = (2..=TAKEN).map(|i| submit(i, Box::new(sim))).collect();
+            await_parked(batcher, "k", TAKEN);
+            first.release.send(()).expect("batch 1 is waiting");
+            // Batch 2 has taken its jobs; late probes park behind it.
+            dying.entered.recv().expect("batch 2 starts");
+            let late: Vec<_> = (1 + TAKEN..deps.len())
+                .map(|i| submit(i, Box::new(sim)))
+                .collect();
+            await_parked(batcher, "k", LATE);
+            dying.release.send(()).expect("batch 2 is waiting");
+
+            let joined = first_probe.join().unwrap().expect("no panic");
+            assert_matches_lone(&backend, &ds, &deps[0], &joined.expect("healthy batch"));
+            assert!(
+                dying_probe.join().unwrap().is_err(),
+                "batch 2's leader panics"
+            );
+            for h in taken {
+                let joined = h.join().unwrap().expect("no panic");
+                assert_eq!(joined.expect_err("rode the dead batch").generation, 1);
+            }
+            for (h, dep) in late.into_iter().zip(&deps[1 + TAKEN..]) {
+                let joined = h.join().unwrap().expect("no panic");
+                assert_matches_lone(&backend, &ds, dep, &joined.expect("healthy batch"));
+            }
+        });
+        assert_eq!(batcher.counters(), (1 + LATE as u64, 2));
+        assert_eq!(batcher.failed_probes(), TAKEN as u64 - 1);
     }
 }

@@ -13,7 +13,9 @@
 //! concurrent client run writes must be byte-identical to the serial
 //! reference's — `repro csvdiff A B 0` per pair is the CI check. Client
 //! mode prints a throughput/latency summary line (the heavy-traffic bench
-//! trajectory point).
+//! trajectory point), ending with the daemon's `probes=` and
+//! `probe_batches=` counters from `INFO` so the log shows how much
+//! evaluation traffic coalesced.
 //!
 //! `--chaos` is the fault-tolerance benchmark: it drives the same campaign
 //! mix through the retrying client (jittered backoff on `BUSY`, transport
@@ -312,10 +314,22 @@ fn run_concurrent(addr: Option<String>, campaigns: usize, threads: usize, out: &
         eprintln!("loadgen: {failed} of {campaigns} campaigns failed");
         std::process::exit(1);
     }
+    // The daemon's coalescing counters (cumulative since it started): how
+    // many probes its batcher served in how many batches. Timing-dependent,
+    // so reported, never checked.
+    let coalescing = Client::connect(addr.as_str())
+        .and_then(|mut client| client.request("INFO"))
+        .map(|info| {
+            info.into_iter()
+                .filter(|l| l.starts_with("probes=") || l.starts_with("probe_batches="))
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .unwrap_or_else(|e| format!("(INFO failed: {e})"));
     let pct = |p: f64| lat[((lat.len() - 1) as f64 * p).round() as usize];
     println!(
         "loadgen: {campaigns} campaigns over {threads} threads in {wall:.2}s — \
-         {:.1} campaigns/s, p50 {:.1} ms, p99 {:.1} ms",
+         {:.1} campaigns/s, p50 {:.1} ms, p99 {:.1} ms, {coalescing}",
         campaigns as f64 / wall,
         pct(0.50),
         pct(0.99),

@@ -41,8 +41,10 @@
 //! `osn-pool` for their inner parallelism. The [`admission::Admission`]
 //! gate bounds in-flight campaigns, and the [`batcher::ProbeBatcher`]
 //! coalesces concurrent evaluation probes against the same resident
-//! backend into single `simulate_batch` passes (batching is result-neutral
-//! because batched simulation is bit-identical to lone simulation).
+//! backend into single `simulate_batch` passes by group commit: a probe on
+//! an idle backend runs at once, and probes that arrive while a batch runs
+//! park and share the next one (batching is result-neutral because
+//! batched simulation is bit-identical to lone simulation).
 //!
 //! # Failure semantics
 //!
@@ -54,8 +56,9 @@
 //!   `catch_unwind`; a panicking request becomes a one-line
 //!   `ERR internal: …` reply. Every resource it held returns via RAII —
 //!   the admission [`admission::Permit`] releases on unwind, and a dying
-//!   batch leader's [`batcher`] reign guard bumps the group generation and
-//!   fails parked followers over with a typed error instead of a hang.
+//!   batch leader's [`batcher`] reign guard bumps the group generation,
+//!   gives the followers its batch had taken a typed error instead of a
+//!   hang, and hands leadership to the probes parked behind it.
 //! * **Overload sheds, it does not queue.** A campaign that cannot get an
 //!   admission slot within the configured wait is refused with
 //!   `ERR BUSY retry-after-ms=N`; the [`client::RetryingClient`] honors

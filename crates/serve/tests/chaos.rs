@@ -75,7 +75,7 @@ fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
          serve.batcher.batch=panic@2 \
          serve.conn.write=ioerr@3 \
          serve.conn.read=delay,2:0.2 \
-         serve.batcher.linger=delay,1:0.5",
+         serve.batcher.take=delay,1:0.5",
     );
     let state = Arc::new(ServeState::open(&fixture(), 4).expect("daemon state"));
     let srv = server::spawn(state, "127.0.0.1:0").expect("bind");
@@ -164,11 +164,11 @@ fn injected_graph_io_errors_surface_as_clean_open_failures(expected: &[Vec<Strin
     assert_eq!(got, expected[0], "recovered open serves a different graph");
 }
 
-/// `SHUTDOWN` while campaigns are genuinely in flight (linger stretched by
+/// `SHUTDOWN` while campaigns are genuinely in flight (batch take stretched by
 /// an injected delay): in-flight requests finish with correct replies, the
 /// drain is clean, and late requests are refused with `ERR draining`.
 fn shutdown_drains_in_flight_campaigns_under_injected_delays(expected: &[Vec<String>]) {
-    let _scenario = Scenario::new("serve.batcher.linger=delay,150");
+    let _scenario = Scenario::new("serve.batcher.take=delay,150");
     let state = Arc::new(ServeState::open(&fixture(), 4).expect("daemon state"));
     let srv = server::spawn(state, "127.0.0.1:0").expect("bind");
     let addr = srv.addr();
@@ -223,7 +223,7 @@ fn shutdown_drains_in_flight_campaigns_under_injected_delays(expected: &[Vec<Str
 /// of queueing, the retrying client recovers, and the shed counter proves
 /// shedding actually happened.
 fn saturated_admission_sheds_busy_and_retries_recover(expected: &[Vec<String>]) {
-    let _scenario = Scenario::new("serve.batcher.linger=delay,100");
+    let _scenario = Scenario::new("serve.batcher.take=delay,100");
     let state = Arc::new(
         ServeState::open(&fixture(), 1)
             .expect("daemon state")
