@@ -10,7 +10,6 @@
 //! cargo run -p s3crm-bench --release --bin repro -- convert edges.txt edges.oscg
 //! cargo run -p s3crm-bench --release --bin repro -- convert --shards 4 edges.txt edges.oscg
 //! cargo run -p s3crm-bench --release --bin repro -- sniff edges.oscg
-//! cargo run -p s3crm-bench --release --bin repro -- bench shard_cascade --nodes 1000000
 //! cargo run -p s3crm-bench --release --bin repro -- --estimator sketch fig9
 //! cargo run -p s3crm-bench --release --bin repro -- csvdiff a.csv b.csv 0.05
 //! ```
@@ -47,10 +46,9 @@ const USAGE: &str = "usage: repro [--full|--micro] [--scale X] [--worlds N] [--s
                      [--pool-size N] [--estimator mc|sketch] [--out DIR] \
                      [--cache DIR] [--data PATH] \
                      [fig6 fig7 fig8 fig9 fig10 table3 table4 ablation extensions data]...\n\
-                     \x20      repro convert [--shards N | --shard-mb M] INPUT OUTPUT\n\
+                     \x20      repro convert [--shards N] INPUT OUTPUT\n\
                      \x20                                   # re-encode a dataset as .oscg (default: one shard)\n\
                      \x20      repro sniff FILE             # print an .oscg header / shard table\n\
-                     \x20      repro bench shard_cascade    # out-of-core trajectory benchmark\n\
                      \x20      repro csvdiff A B TOL        # compare two CSVs (relative tolerance)";
 
 /// The value following `flag`.
@@ -133,11 +131,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             other => {
                 artifacts.push(other.to_string());
                 // Subcommands own the rest of the command line: their flags
-                // (e.g. `bench … --seed`, `convert … --shards`) must not be
-                // eaten by the global parser above.
-                if artifacts.len() == 1
-                    && matches!(other, "convert" | "sniff" | "bench" | "csvdiff")
-                {
+                // (e.g. `convert … --shards`) must not be eaten by the
+                // global parser above.
+                if artifacts.len() == 1 && matches!(other, "convert" | "sniff" | "csvdiff") {
                     artifacts.extend(it.by_ref());
                     break;
                 }
@@ -291,40 +287,31 @@ fn run_csvdiff(paths: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// `repro convert [--shards N | --shard-mb M] INPUT OUTPUT` — runs before
-/// the experiment loop. Without a shard flag the output is one shard.
+/// `repro convert [--shards N] INPUT OUTPUT` — runs before the experiment
+/// loop. Without `--shards` the output is one shard.
 fn run_convert(args: &[String]) -> ! {
     let usage = || -> ! {
-        eprintln!("usage: repro convert [--shards N | --shard-mb M] INPUT OUTPUT");
+        eprintln!("usage: repro convert [--shards N] INPUT OUTPUT");
         std::process::exit(2);
     };
-    let mut spec = dataset::ShardSpec::Count(1);
+    let mut shards = 1;
     let mut paths: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--shards" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                let count = v.parse().ok().filter(|&c| c >= 1).unwrap_or_else(|| {
+                shards = v.parse().ok().filter(|&c| c >= 1).unwrap_or_else(|| {
                     eprintln!("convert: --shards must be a positive integer, got {v:?}");
                     std::process::exit(2);
                 });
-                spec = dataset::ShardSpec::Count(count);
-            }
-            "--shard-mb" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let mb = v.parse().ok().filter(|&m| m >= 1).unwrap_or_else(|| {
-                    eprintln!("convert: --shard-mb must be a positive integer, got {v:?}");
-                    std::process::exit(2);
-                });
-                spec = dataset::ShardSpec::PayloadMb(mb);
             }
             _ => paths.push(arg),
         }
     }
     let [input, output] = paths[..] else { usage() };
     let (input_p, output_p) = (std::path::Path::new(input), std::path::Path::new(output));
-    match dataset::convert_sharded(input_p, output_p, spec) {
+    match dataset::convert_sharded(input_p, output_p, shards) {
         Ok(shards) => {
             let size = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
             println!("converted {input} -> {output} ({size} bytes, {shards} shards, v2)");
@@ -400,158 +387,6 @@ fn run_sniff(paths: &[String]) -> ! {
     std::process::exit(0);
 }
 
-const BENCH_USAGE: &str = "usage: repro bench shard_cascade [--nodes N] [--edges-per-node M] \
-                           [--shards S] [--resident-mb MB] [--worlds W] [--coupons K] \
-                           [--seeds-cap C] [--seed SEED] [--file PATH] [--keep] \
-                           [--json PATH|none] [--max-rss-mb MB]";
-
-/// A parsed `repro bench shard_cascade` command line.
-struct BenchArgs {
-    cfg: s3crm_bench::shard_bench::ShardBenchConfig,
-    json: Option<PathBuf>,
-    max_rss_mb: Option<u64>,
-}
-
-/// Parse `repro bench` arguments (benchmark name first). Malformed input,
-/// and values the generator cannot honor, are usage errors, never panics.
-fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
-    let mut it = args.iter().cloned();
-    match it.next().as_deref() {
-        Some("shard_cascade") => {}
-        Some(name) => {
-            return Err(format!(
-                "unknown benchmark {name:?} (only shard_cascade exists)"
-            ))
-        }
-        None => return Err("missing benchmark name".to_string()),
-    }
-    let mut cfg = s3crm_bench::shard_bench::ShardBenchConfig::default();
-    let mut json: Option<PathBuf> = Some(PathBuf::from("BENCH_TRAJECTORY.json"));
-    let mut max_rss_mb: Option<u64> = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--nodes" => cfg.nodes = flag_positive(&mut it, "--nodes")?,
-            "--edges-per-node" => cfg.edges_per_node = flag_positive(&mut it, "--edges-per-node")?,
-            "--shards" => cfg.shards = flag_positive(&mut it, "--shards")?,
-            "--worlds" => cfg.worlds = flag_positive(&mut it, "--worlds")?,
-            "--resident-mb" => {
-                cfg.resident_mb = flag_number(&mut it, "--resident-mb", "an integer")?
-            }
-            "--coupons" => cfg.coupons_per_node = flag_number(&mut it, "--coupons", "an integer")?,
-            "--seeds-cap" => cfg.seeds_cap = flag_number(&mut it, "--seeds-cap", "an integer")?,
-            "--seed" => cfg.seed = flag_number(&mut it, "--seed", "an integer")?,
-            "--file" => cfg.file = PathBuf::from(flag_value(&mut it, "--file")?),
-            "--keep" => cfg.keep = true,
-            "--json" => {
-                let v = flag_value(&mut it, "--json")?;
-                json = (v != "none").then(|| PathBuf::from(v));
-            }
-            "--max-rss-mb" => {
-                max_rss_mb = Some(flag_number(&mut it, "--max-rss-mb", "an integer")?)
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if cfg.nodes <= cfg.edges_per_node {
-        return Err(format!(
-            "--nodes ({}) must exceed --edges-per-node ({})",
-            cfg.nodes, cfg.edges_per_node
-        ));
-    }
-    if cfg.nodes > u32::MAX as usize {
-        return Err(format!(
-            "--nodes {} exceeds the u32 node-id space",
-            cfg.nodes
-        ));
-    }
-    Ok(BenchArgs {
-        cfg,
-        json,
-        max_rss_mb,
-    })
-}
-
-/// `repro bench shard_cascade [...]` — the out-of-core trajectory
-/// benchmark: stream-generate a sharded graph, open it under a residency
-/// budget, run the degree-greedy budgeted ID pass on the shard-local
-/// kernel, and append the measured point to the trajectory file.
-fn run_bench(args: &[String]) -> ! {
-    let BenchArgs {
-        cfg,
-        json,
-        max_rss_mb,
-    } = parse_bench_args(args).unwrap_or_else(|e| {
-        eprintln!("bench: {e}\n{BENCH_USAGE}");
-        std::process::exit(2);
-    });
-    println!(
-        "# bench shard_cascade: {} nodes x {} edges/node, {} shards, \
-         {} MiB residency, {} worlds, seed {}",
-        cfg.nodes, cfg.edges_per_node, cfg.shards, cfg.resident_mb, cfg.worlds, cfg.seed
-    );
-    let point = match s3crm_bench::shard_bench::run(&cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bench shard_cascade failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "generated {} directed edges into {} bytes ({} shards) in {:.1}s \
-         (generator peak RSS {:.1} MiB)",
-        point.directed_edges,
-        point.file_bytes,
-        point.shards,
-        point.gen_secs,
-        point.gen_peak_rss_bytes as f64 / (1 << 20) as f64,
-    );
-    println!(
-        "opened + validated in {:.1}s; ID pass ({} seeds, {} funded nodes, \
-         {} worlds) in {:.1}s: mean benefit {:.3}, mean activated {:.1}",
-        point.open_secs,
-        point.seeds,
-        point.funded_nodes,
-        point.worlds,
-        point.id_secs,
-        point.mean_benefit,
-        point.mean_activated,
-    );
-    println!(
-        "peak RSS {:.1} MiB = {:.1}% of the {:.1} MiB file \
-         ({} shard loads, {} evictions, max {} resident)",
-        point.peak_rss_bytes as f64 / (1 << 20) as f64,
-        point.rss_to_file_ratio * 100.0,
-        point.file_bytes as f64 / (1 << 20) as f64,
-        point.shard_loads,
-        point.shard_evictions,
-        point.max_resident_shards,
-    );
-    if let Some(path) = json {
-        let unix_secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        match s3crm_bench::shard_bench::append_trajectory_point(&path, &point.to_json(unix_secs)) {
-            Ok(()) => println!("trajectory point appended to {}", path.display()),
-            Err(e) => {
-                eprintln!("could not append to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(cap) = max_rss_mb {
-        if point.peak_rss_bytes > cap * (1 << 20) {
-            eprintln!(
-                "peak RSS {} bytes exceeds the --max-rss-mb {cap} bound",
-                point.peak_rss_bytes
-            );
-            std::process::exit(1);
-        }
-        println!("peak RSS within the {cap} MiB bound");
-    }
-    std::process::exit(0);
-}
-
 fn emit(table: Table, out_dir: &std::path::Path, name: &str) {
     table.print();
     if let Err(e) = table.write_csv(out_dir, &format!("{name}.csv")) {
@@ -585,9 +420,6 @@ fn main() {
     }
     if args.artifacts.first().map(String::as_str) == Some("sniff") {
         run_sniff(&args.artifacts[1..]);
-    }
-    if args.artifacts.first().map(String::as_str) == Some("bench") {
-        run_bench(&args.artifacts[1..]);
     }
     if args.artifacts.first().map(String::as_str) == Some("csvdiff") {
         run_csvdiff(&args.artifacts[1..]);
@@ -787,7 +619,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{diff_csv, numeric_cells_match, parse_args, parse_bench_args, Cli};
+    use super::{diff_csv, numeric_cells_match, parse_args, Cli};
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         parse_args(args.iter().map(|a| a.to_string()))
@@ -818,63 +650,6 @@ mod tests {
         assert!(err.contains("--worlds"), "{err}");
     }
 
-    fn bench(args: &[&str]) -> Result<super::BenchArgs, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_bench_args(&args)
-    }
-
-    /// `repro bench shard_cascade` flags the generator would reject with a
-    /// panic (or silently round up) are usage errors naming the flag.
-    #[test]
-    fn malformed_bench_flags_are_usage_errors_not_panics() {
-        for (args, flag) in [
-            (&["shard_cascade", "--shards", "0"][..], "--shards"),
-            (&["shard_cascade", "--nodes", "0"], "--nodes"),
-            (
-                &["shard_cascade", "--edges-per-node", "0"],
-                "--edges-per-node",
-            ),
-            (&["shard_cascade", "--worlds", "0"], "--worlds"),
-            (
-                &["shard_cascade", "--nodes", "8", "--edges-per-node", "8"],
-                "--nodes",
-            ),
-            (&["shard_cascade", "--nodes", "99999999999"], "--nodes"),
-            (&["shard_cascade", "--worlds", "-1"], "--worlds"),
-            (&["shard_cascade", "--seed", "x"], "--seed"),
-            (&["shard_cascade", "--coupons", "5000000000"], "--coupons"),
-            (&["shard_cascade", "--file"], "--file"),
-            (&["shard_cascade", "--bogus"], "--bogus"),
-            (&["other_bench"], "other_bench"),
-        ] {
-            let err = bench(args)
-                .err()
-                .unwrap_or_else(|| panic!("{args:?} accepted"));
-            assert!(err.contains(flag), "{args:?}: {err}");
-        }
-        assert!(bench(&[]).is_err());
-        let ok = bench(&[
-            "shard_cascade",
-            "--nodes",
-            "30000",
-            "--edges-per-node",
-            "8",
-            "--shards",
-            "8",
-            "--resident-mb",
-            "16",
-            "--worlds",
-            "2",
-            "--json",
-            "none",
-            "--max-rss-mb",
-            "256",
-        ])
-        .expect("the CI command line parses");
-        assert_eq!((ok.cfg.nodes, ok.cfg.shards, ok.cfg.worlds), (30000, 8, 2));
-        assert_eq!((ok.json, ok.max_rss_mb), (None, Some(256)));
-    }
-
     #[test]
     fn well_formed_flags_parse() {
         let Ok(Cli::Run(args)) = parse(&[
@@ -900,10 +675,10 @@ mod tests {
         assert_eq!(args.artifacts, vec!["table3".to_string()]);
         assert!(matches!(parse(&["--help"]), Ok(Cli::Help)));
         // Subcommands keep their own flags.
-        let Ok(Cli::Run(args)) = parse(&["bench", "shard_cascade", "--seed", "x"]) else {
+        let Ok(Cli::Run(args)) = parse(&["convert", "--shards", "x"]) else {
             panic!("subcommand flags must pass through");
         };
-        assert_eq!(args.artifacts.len(), 4);
+        assert_eq!(args.artifacts.len(), 3);
     }
 
     fn lines(rows: &[&str]) -> Vec<String> {

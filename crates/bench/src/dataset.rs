@@ -152,34 +152,21 @@ pub fn instance_from_parts(
     })
 }
 
-/// How `repro convert` picks shard boundaries.
-#[derive(Clone, Copy, Debug)]
-pub enum ShardSpec {
-    /// Split into (up to) this many incident-edge-balanced shards; plain
-    /// `repro convert` is `Count(1)`.
-    Count(usize),
-    /// Cap each shard's on-disk payload at this many MiB.
-    PayloadMb(u64),
-}
-
 /// `repro convert`: re-encode `input` (text or binary, same auto-detection
 /// and weight policy as [`load_graph`]) as an `.oscg` file at `output`,
-/// partitioned per `spec`. A workload block on a binary input is preserved.
-/// Returns the shard count actually written (a balanced plan never produces
-/// empty shards, so tiny graphs may get fewer than requested).
+/// split into (up to) `shards` incident-edge-balanced shards; plain
+/// `repro convert` writes one. A workload block on a binary input is
+/// preserved. Returns the shard count actually written (a balanced plan
+/// never produces empty shards, so tiny graphs may get fewer than
+/// requested).
 ///
 /// The write is atomic ([`write_sharded_oscg_atomic`]): an interrupted
 /// convert never leaves a truncated `.oscg` behind, and re-converting over
 /// a file another process has memory-mapped replaces the directory entry
 /// instead of truncating pages under the live map.
-pub fn convert_sharded(input: &Path, output: &Path, spec: ShardSpec) -> Result<usize, GraphError> {
+pub fn convert_sharded(input: &Path, output: &Path, shards: usize) -> Result<usize, GraphError> {
     let (graph, workload) = load_graph(input)?;
-    let plan = match spec {
-        ShardSpec::Count(s) => ShardPlan::balanced(graph.out_offsets(), graph.in_offsets(), s),
-        ShardSpec::PayloadMb(mb) => {
-            ShardPlan::by_payload_bytes(graph.out_offsets(), graph.in_offsets(), mb << 20)
-        }
-    };
+    let plan = ShardPlan::balanced(graph.out_offsets(), graph.in_offsets(), shards);
     write_sharded_oscg_atomic(
         output,
         &graph,
@@ -239,10 +226,7 @@ mod tests {
         let text = dir.file("src.txt");
         let bin = dir.file("dst.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 0\n0 2\n").unwrap();
-        assert_eq!(
-            convert_sharded(&text, &bin, ShardSpec::Count(1)).unwrap(),
-            1
-        );
+        assert_eq!(convert_sharded(&text, &bin, 1).unwrap(), 1);
         let (from_text, _) = load_graph(&text).unwrap();
         let (from_bin, _) = load_graph(&bin).unwrap();
         assert_eq!(from_text, from_bin);
@@ -255,8 +239,8 @@ mod tests {
         let mono = dir.file("mono.oscg");
         let sharded = dir.file("sharded.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 3\n3 0\n1 3\n0 2\n").unwrap();
-        convert_sharded(&text, &mono, ShardSpec::Count(1)).unwrap();
-        let written = convert_sharded(&text, &sharded, ShardSpec::Count(2)).unwrap();
+        convert_sharded(&text, &mono, 1).unwrap();
+        let written = convert_sharded(&text, &sharded, 2).unwrap();
         assert_eq!(written, 2);
         let effort = Effort::micro();
         let a = load_dataset(&mono, &effort).unwrap();
@@ -265,12 +249,6 @@ mod tests {
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.data, b.data);
         assert_eq!(a.budget.to_bits(), b.budget.to_bits());
-        // A payload cap of 1 MiB comfortably holds this whole graph.
-        let one = dir.file("one.oscg");
-        assert_eq!(
-            convert_sharded(&text, &one, ShardSpec::PayloadMb(1)).unwrap(),
-            1
-        );
     }
 
     #[test]
@@ -279,7 +257,7 @@ mod tests {
         let text = dir.file("src.txt");
         let bin = dir.file("dst.oscg");
         std::fs::write(&text, "0 1\n1 2\n2 3\n3 0\n1 3\n").unwrap();
-        convert_sharded(&text, &bin, ShardSpec::Count(1)).unwrap();
+        convert_sharded(&text, &bin, 1).unwrap();
         let effort = Effort::micro();
         let a = load_dataset(&text, &effort).unwrap();
         let b = load_dataset(&bin, &effort).unwrap();

@@ -31,7 +31,6 @@ pub mod effort;
 pub mod experiments;
 pub mod runner;
 pub mod scenario;
-pub mod shard_bench;
 pub mod table;
 
 pub use effort::Effort;

@@ -30,7 +30,8 @@
 //!
 //! The output is a complete, checksummed, validated v2 `.oscg` (with an
 //! optional Sec. VI-A workload block) that loads through
-//! [`osn_graph::ShardedOscg`] under an LRU residency budget.
+//! [`osn_graph::ShardedOscg`] like any other file. Peak memory is bounded
+//! in `tests/stream_rss.rs`.
 
 use crate::attrs::{calibrate_kappa, calibrate_lambda, normal_benefits};
 use crate::seeded_rng;

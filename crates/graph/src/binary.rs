@@ -5,8 +5,9 @@
 //! here is the one-shard case of it. Writers emit a one-shard version-2
 //! file. Loaders accept any shard count and legacy version-1 files, and
 //! assemble the whole graph — a one-shard file through a zero-copy memory
-//! map where the platform allows. Callers that want shard-at-a-time
-//! residency open [`ShardedOscg`] directly instead.
+//! map where the platform allows. Callers that want the shard table, or
+//! want to time validation apart from assembly, open [`ShardedOscg`]
+//! directly.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;

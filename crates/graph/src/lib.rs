@@ -20,7 +20,7 @@
 //!   reverse adjacency.
 //! * [`NodeData`] — struct-of-arrays per-node attributes: benefit `b(v)`,
 //!   seed cost `c_seed(v)`, coupon cost `c_sc(v)`.
-//! * [`traversal`] — BFS hop distances from a seed set, reachability, DFS.
+//! * [`traversal`] — BFS hop distances from a seed set and reachability.
 //! * [`shortest_path`] — Dijkstra under the `w(e) = 1 − P(e)` metric used by
 //!   the IM-S baseline (Sec. VI-A).
 //! * [`stats`] — degree distributions and clustering coefficient, used to
@@ -31,9 +31,10 @@
 //!   substrate for geometric skip sampling of Monte-Carlo live-edge worlds.
 //! * [`shard`] — the `.oscg` binary CSR format, its one reader and writer:
 //!   the node space split into contiguous degree-balanced shards, each
-//!   independently checksummed and loadable under an LRU residency budget,
-//!   which is what lets graphs larger than RAM stream through the same
-//!   kernels. Legacy version-1 files read as one-shard frames.
+//!   independently checksummed, so a streamed generator can write a graph
+//!   shard by shard. Reading validates every shard and assembles one
+//!   in-memory [`CsrGraph`]. Legacy version-1 files read as one-shard
+//!   frames.
 //! * [`binary`] — whole-graph `.oscg` entry points: graphs (and optional
 //!   workload attributes) serialize to a one-shard file that loads back
 //!   through a zero-copy memory map, skipping the O(E) text parse entirely.
@@ -55,7 +56,6 @@
 
 pub mod binary;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod error;
 pub mod ids;
@@ -74,4 +74,4 @@ pub use error::GraphError;
 pub use ids::NodeId;
 pub use node_data::NodeData;
 pub use prob_index::{ProbBucket, ProbBucketIndex};
-pub use shard::{ForwardShards, FwdSlice, ShardPlan, ShardedOscg};
+pub use shard::{ShardPlan, ShardedOscg};

@@ -13,11 +13,12 @@
 //! so each shard carries roughly the same number of incident edges, which
 //! under the builder's arbitrary node ids is the degree-balanced
 //! ("degree-ordered") partition — and each shard's forward and reverse CSR
-//! slices are an independently checksummed, independently loadable
-//! payload. A shard can be mapped, validated, and dropped without ever
-//! touching its neighbors, which is what lets graphs larger than RAM stream
-//! through the existing [`MappedFile`]/[`Section`] machinery under an LRU
-//! residency budget. A whole in-memory graph is the one-shard case
+//! slices are an independently checksummed payload. That is what lets the
+//! streaming generator ([`ShardedWriter`]) emit a graph one shard at a time
+//! without ever holding it whole. Readers have one path:
+//! [`ShardedOscg::open`] validates every shard, then
+//! [`ShardedOscg::to_oscg_file`] assembles the in-memory [`CsrGraph`] every
+//! algorithm runs on. A whole in-memory graph is the one-shard case
 //! ([`crate::binary::to_bytes`]).
 //!
 //! # Layout (version 2, all integers little-endian)
@@ -84,11 +85,9 @@ use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::node_data::NodeData;
 use crate::storage::{MappedFile, Section};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The four magic bytes opening every `.oscg` file.
 pub(crate) const MAGIC: [u8; 4] = *b"OSCG";
@@ -105,6 +104,17 @@ const TABLE_ENTRY_LEN: usize = 48;
 /// Upper bound on the shard count a reader will accept — far above any real
 /// partition, low enough that a corrupt count cannot drive a huge allocation.
 const MAX_SHARDS: u64 = 1 << 20;
+
+/// The one shard-count rule, shared by the writer and the reader.
+fn check_shard_count(shards: u64) -> Result<(), GraphError> {
+    if shards == 0 || shards > MAX_SHARDS {
+        return Err(GraphError::CorruptSection {
+            section: "shard_table",
+            detail: format!("shard count {shards} out of range"),
+        });
+    }
+    Ok(())
+}
 
 /// Word-wise FNV-1a-64, the format checksum. Hashing 8 bytes per round
 /// keeps verification a small fraction of a text parse while still catching
@@ -161,38 +171,6 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Build a plan from explicit boundaries. `starts` must begin with 0,
-    /// end with `n`, and increase strictly in between (non-decreasing when
-    /// `n = 0`).
-    pub fn from_starts(starts: Vec<u32>) -> Result<Self, GraphError> {
-        let bad = |detail: String| GraphError::CorruptSection {
-            section: "shard_table",
-            detail,
-        };
-        if starts.len() < 2 {
-            return Err(bad(format!(
-                "shard plan needs at least one shard, got {} boundaries",
-                starts.len()
-            )));
-        }
-        if starts[0] != 0 {
-            return Err(bad(format!(
-                "first shard starts at {}, expected 0",
-                starts[0]
-            )));
-        }
-        let n = *starts.last().unwrap();
-        for w in starts.windows(2) {
-            if w[0] > w[1] || (w[0] == w[1] && n != 0) {
-                return Err(bad(format!(
-                    "shard boundaries are not strictly increasing: {} then {}",
-                    w[0], w[1]
-                )));
-            }
-        }
-        Ok(ShardPlan { starts })
-    }
-
     /// The single-shard plan over `0..n` (the monolithic schedule).
     pub fn single(n: u32) -> Self {
         ShardPlan { starts: vec![0, n] }
@@ -224,34 +202,6 @@ impl ShardPlan {
             starts.push(b.clamp(min, max));
         }
         starts.push(n);
-        ShardPlan { starts }
-    }
-
-    /// Plan whose shards each hold at most `budget_bytes` of on-disk payload
-    /// (forward + reverse slices), single-node shards excepted.
-    pub fn by_payload_bytes(offsets: &[u64], in_offsets: &[u64], budget_bytes: u64) -> Self {
-        let n = (offsets.len() - 1) as u32;
-        if n == 0 {
-            return ShardPlan::single(0);
-        }
-        let mut starts = vec![0u32];
-        let mut a = 0u32;
-        while a < n {
-            let mut b = a + 1;
-            while b < n {
-                let bytes = shard_payload_len(
-                    (b + 1 - a) as u64,
-                    offsets[b as usize + 1] - offsets[a as usize],
-                    in_offsets[b as usize + 1] - in_offsets[a as usize],
-                );
-                if bytes > budget_bytes {
-                    break;
-                }
-                b += 1;
-            }
-            starts.push(b);
-            a = b;
-        }
         ShardPlan { starts }
     }
 
@@ -361,6 +311,8 @@ pub struct ShardedWriter<W: Write + Seek> {
 impl<W: Write + Seek> ShardedWriter<W> {
     /// Start a v2 file for a graph of `n` nodes and `m` edges split into
     /// `shards` shards. Space for the header and table is reserved up front.
+    /// A shard count the reader would refuse (0 or above 2^20) is rejected
+    /// here with the reader's error, before a byte is written.
     pub fn new(mut out: W, n: u64, m: u64, shards: usize) -> Result<Self, GraphError> {
         if n > u32::MAX as u64 || m > u32::MAX as u64 {
             return Err(GraphError::CorruptSection {
@@ -368,6 +320,7 @@ impl<W: Write + Seek> ShardedWriter<W> {
                 detail: format!("graph of {n} nodes / {m} edges exceeds u32 id range"),
             });
         }
+        check_shard_count(shards as u64)?;
         let table_len = 8 + (shards * TABLE_ENTRY_LEN) as u64;
         let reserved = HEADER_LEN as u64 + table_len;
         out.seek(SeekFrom::Start(reserved))?;
@@ -680,13 +633,6 @@ impl Backing {
         }
     }
 
-    /// Drop resident pages of a byte window (mapped backing only).
-    fn release(&self, offset: usize, len: usize) {
-        if let Backing::Mapped(m) = self {
-            m.advise_dont_need(offset, len);
-        }
-    }
-
     fn section<T: crate::storage::Pod>(
         &self,
         offset: usize,
@@ -745,69 +691,53 @@ pub struct ShardInfo {
     pub checksum: u64,
 }
 
-/// One resident shard: the shard's CSR slices as typed sections (windows
-/// into the map, or owned copies on non-mappable platforms).
+/// One shard's CSR slices as typed sections (windows into the map, or
+/// owned copies on non-mappable platforms).
 #[derive(Debug)]
-pub struct ShardCsr {
+struct ShardCsr {
     /// First node of the shard.
-    pub node_start: u32,
+    node_start: u32,
     /// One past the last node.
-    pub node_end: u32,
+    node_end: u32,
     /// Global edge id of `targets[0]`.
-    pub fwd_edge_start: u64,
+    fwd_edge_start: u64,
     /// Global reverse slot of `in_sources[0]`.
-    pub rev_edge_start: u64,
+    rev_edge_start: u64,
     /// Rebased forward offsets (`node_end - node_start + 1` entries).
-    pub offsets: Section<u64>,
+    offsets: Section<u64>,
     /// Forward targets (global node ids), rank-sorted per source.
-    pub targets: Section<NodeId>,
+    targets: Section<NodeId>,
     /// Forward probabilities.
-    pub probs: Section<f64>,
+    probs: Section<f64>,
     /// Rebased reverse offsets.
-    pub in_offsets: Section<u64>,
+    in_offsets: Section<u64>,
     /// Reverse sources (global node ids), grouped by local target.
-    pub in_sources: Section<NodeId>,
+    in_sources: Section<NodeId>,
     /// Reverse probabilities.
-    pub in_probs: Section<f64>,
-    /// On-disk payload size (the residency accounting unit).
-    pub payload_bytes: usize,
+    in_probs: Section<f64>,
 }
 
 impl ShardCsr {
     /// Number of nodes in the shard.
     #[inline]
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         (self.node_end - self.node_start) as usize
     }
 }
 
-struct Residency {
-    budget: Option<usize>,
-    resident: HashMap<usize, Arc<ShardCsr>>,
-    /// LRU order: least-recently-used shard at the front.
-    order: VecDeque<usize>,
-    resident_bytes: usize,
-    loads: u64,
-    evictions: u64,
-}
-
-/// An open `.oscg` file: the shard table plus an LRU of
-/// resident shards under a byte budget.
+/// An open, fully validated `.oscg` file: the shard table, the workload
+/// block, and the bytes behind them.
 ///
 /// Opening validates the header, the table, and every shard (checksum and
-/// per-shard structural invariants), so later [`shard`](Self::shard) calls
-/// are infallible section constructions. Eviction drops a shard's sections
-/// and releases its mapped pages, so the process's resident set tracks the
-/// budget rather than the file size.
+/// per-shard structural invariants); [`to_oscg_file`](Self::to_oscg_file)
+/// then assembles the graph in memory.
 pub struct ShardedOscg {
     backing: Backing,
     n: u32,
     m: u64,
     table: Vec<ShardInfo>,
-    plan: Arc<ShardPlan>,
     workload: Option<Workload>,
     file_len: u64,
-    residency: Mutex<Residency>,
 }
 
 impl std::fmt::Debug for ShardedOscg {
@@ -825,12 +755,7 @@ impl std::fmt::Debug for ShardedOscg {
 
 impl ShardedOscg {
     /// Open and fully validate an `.oscg` file (either version).
-    ///
-    /// `budget_bytes` is the LRU residency budget (`None` = unbounded).
-    /// With a budget set, validation releases each shard's pages as it
-    /// finishes, so even opening a beyond-RAM file keeps the resident set
-    /// near one shard.
-    pub fn open_with_budget(path: &Path, budget_bytes: Option<usize>) -> Result<Self, GraphError> {
+    pub fn open(path: &Path) -> Result<Self, GraphError> {
         osn_fault::io_point("graph.shard.open")?;
         let backing = if cfg!(target_endian = "little") {
             let file = std::fs::File::open(path)?;
@@ -841,23 +766,25 @@ impl ShardedOscg {
         } else {
             Backing::Owned(Arc::new(std::fs::read(path)?))
         };
-        Self::from_backing(backing, budget_bytes)
+        Self::from_backing(backing)
     }
 
-    /// [`open_with_budget`](Self::open_with_budget) with no budget.
-    pub fn open(path: &Path) -> Result<Self, GraphError> {
-        Self::open_with_budget(path, None)
+    /// [`open`](Self::open), kept for callers written against the former
+    /// residency budget. Graphs are always assembled whole in memory, so
+    /// the budget is ignored.
+    pub fn open_with_budget(path: &Path, _budget_bytes: Option<usize>) -> Result<Self, GraphError> {
+        Self::open(path)
     }
 
     /// Open from owned bytes (the explicit-read path behind
     /// [`crate::binary::from_bytes`]).
     pub fn from_owned_bytes(bytes: Vec<u8>) -> Result<Self, GraphError> {
-        Self::from_backing(Backing::Owned(Arc::new(bytes)), None)
+        Self::from_backing(Backing::Owned(Arc::new(bytes)))
     }
 
     /// The one frame parser: header, shard table (synthesized for a legacy
     /// v1 frame), lengths, checksums, workload, then every shard.
-    fn from_backing(backing: Backing, budget_bytes: Option<usize>) -> Result<Self, GraphError> {
+    fn from_backing(backing: Backing) -> Result<Self, GraphError> {
         let bytes = backing.bytes();
         let corrupt =
             |section: &'static str, detail: String| GraphError::CorruptSection { section, detail };
@@ -1063,29 +990,15 @@ impl ShardedOscg {
             None
         };
 
-        let starts: Vec<u32> = table
-            .iter()
-            .map(|e| e.node_start)
-            .chain(std::iter::once(n as u32))
-            .collect();
         let this = ShardedOscg {
             backing,
             n: n as u32,
             m,
-            plan: Arc::new(ShardPlan::from_starts(starts)?),
             table,
             workload,
             file_len: total,
-            residency: Mutex::new(Residency {
-                budget: budget_bytes,
-                resident: HashMap::new(),
-                order: VecDeque::new(),
-                resident_bytes: 0,
-                loads: 0,
-                evictions: 0,
-            }),
         };
-        this.validate_shards(budget_bytes.is_some(), !legacy)?;
+        this.validate_shards(!legacy)?;
         Ok(this)
     }
 
@@ -1099,12 +1012,7 @@ impl ShardedOscg {
             });
         }
         let shards = u64::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap());
-        if shards == 0 || shards > MAX_SHARDS {
-            return Err(GraphError::CorruptSection {
-                section: "shard_table",
-                detail: format!("shard count {shards} out of range"),
-            });
-        }
+        check_shard_count(shards)?;
         let table_end = HEADER_LEN + 8 + shards as usize * TABLE_ENTRY_LEN;
         if bytes.len() < table_end {
             return Err(GraphError::Truncated {
@@ -1133,10 +1041,8 @@ impl ShardedOscg {
 
     /// Verify every shard's structural invariants and, with
     /// `verify_checksums`, its payload checksum (a legacy v1 frame's payload
-    /// was already covered by the header checksum). With `release`, each
-    /// shard's pages are dropped as validation moves on — the open-time
-    /// resident set stays near one shard.
-    fn validate_shards(&self, release: bool, verify_checksums: bool) -> Result<(), GraphError> {
+    /// was already covered by the header checksum).
+    fn validate_shards(&self, verify_checksums: bool) -> Result<(), GraphError> {
         // Forward duplicate-edge detection reuses one last-ref array across
         // shards (entries are keyed by source node, which never repeats
         // across shards).
@@ -1156,10 +1062,6 @@ impl ShardedOscg {
             }
             let shard = self.build_shard(s)?;
             validate_shard_sections(self.n, &shard, &info, &mut last_ref)?;
-            if release {
-                self.backing
-                    .release(info.byte_off as usize, info.byte_len as usize);
-            }
         }
         Ok(())
     }
@@ -1188,57 +1090,7 @@ impl ShardedOscg {
             in_offsets: self.backing.section(o_rev, ln + 1, "in_offsets")?,
             in_sources: self.backing.section(o_src, lrm, "in_sources")?,
             in_probs: self.backing.section(o_rpb, lrm, "in_probs")?,
-            payload_bytes: info.byte_len as usize,
         })
-    }
-
-    /// Fetch shard `s` through the LRU, loading it on a miss and evicting
-    /// least-recently-used shards past the residency budget.
-    pub fn shard(&self, s: usize) -> Arc<ShardCsr> {
-        let mut r = self.residency.lock().expect("shard residency lock");
-        if let Some(hit) = r.resident.get(&s).cloned() {
-            if r.order.back() != Some(&s) {
-                if let Some(pos) = r.order.iter().position(|&x| x == s) {
-                    r.order.remove(pos);
-                }
-                r.order.push_back(s);
-            }
-            return hit;
-        }
-        // Delay-only injection point: the LRU miss path has no error
-        // channel (sections were validated at open), but a chaos run can
-        // still stretch the load to surface lock-hold and deadline bugs.
-        osn_fault::point("graph.shard.load");
-        let shard = Arc::new(
-            self.build_shard(s)
-                .expect("shard sections were validated at open"),
-        );
-        r.loads += 1;
-        r.resident_bytes += shard.payload_bytes;
-        r.resident.insert(s, Arc::clone(&shard));
-        r.order.push_back(s);
-        if let Some(budget) = r.budget {
-            while r.resident_bytes > budget && r.order.len() > 1 {
-                let victim = r.order.pop_front().expect("non-empty LRU");
-                if victim == s {
-                    // Never evict the shard just requested.
-                    r.order.push_back(victim);
-                    if r.order.len() == 1 {
-                        break;
-                    }
-                    continue;
-                }
-                if let Some(gone) = r.resident.remove(&victim) {
-                    r.resident_bytes -= gone.payload_bytes;
-                    r.evictions += 1;
-                    let info = self.table[victim];
-                    drop(gone);
-                    self.backing
-                        .release(info.byte_off as usize, info.byte_len as usize);
-                }
-            }
-        }
-        shard
     }
 
     /// Number of shards.
@@ -1249,11 +1101,6 @@ impl ShardedOscg {
     /// The shard table (for `repro sniff` and diagnostics).
     pub fn table(&self) -> &[ShardInfo] {
         &self.table
-    }
-
-    /// The plan implied by the table boundaries.
-    pub fn plan(&self) -> &Arc<ShardPlan> {
-        &self.plan
     }
 
     /// Node count.
@@ -1274,18 +1121,6 @@ impl ShardedOscg {
     /// Total file size in bytes.
     pub fn file_bytes(&self) -> u64 {
         self.file_len
-    }
-
-    /// Change the LRU residency budget (`None` = unbounded). Takes effect
-    /// on the next load; resident shards are not proactively evicted.
-    pub fn set_resident_budget(&self, budget_bytes: Option<usize>) {
-        self.residency.lock().expect("shard residency lock").budget = budget_bytes;
-    }
-
-    /// `(resident shards, resident payload bytes, loads, evictions)`.
-    pub fn residency_stats(&self) -> (usize, usize, u64, u64) {
-        let r = self.residency.lock().expect("shard residency lock");
-        (r.resident.len(), r.resident_bytes, r.loads, r.evictions)
     }
 
     /// Assemble the whole graph in memory, equal to the one the file was
@@ -1318,7 +1153,7 @@ impl ShardedOscg {
             offsets.push(0u64);
             in_offsets.push(0u64);
             for s in 0..self.table.len() {
-                let shard = self.shard(s);
+                let shard = self.build_shard(s)?;
                 offsets.extend(shard.offsets[1..].iter().map(|o| o + shard.fwd_edge_start));
                 in_offsets.extend(
                     shard.in_offsets[1..]
@@ -1537,111 +1372,6 @@ fn validate_shard_sections(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Shard-sliced forward adjacency access (the kernels' seam)
-// ---------------------------------------------------------------------------
-
-/// Forward adjacency of one shard, as the cascade kernels consume it.
-///
-/// Works identically over a slice of a monolithic in-memory graph (where
-/// `edge_start == base == offsets[0]` and offsets are the global array's
-/// window) and over a shard payload's rebased sections (where `base == 0`
-/// and `edge_start` comes from the shard table). Either way,
-/// [`row`](Self::row) yields **global** edge ids — the ids per-edge side
-/// arrays such as Monte-Carlo live-edge worlds are indexed by.
-#[derive(Clone, Copy)]
-pub struct FwdSlice<'a> {
-    /// First node of the shard.
-    pub node_start: u32,
-    /// Global edge id of `targets[0]`.
-    pub edge_start: u64,
-    /// Value of `offsets[0]` (0 for rebased shard payloads).
-    pub base: u64,
-    /// Offset window, `shard nodes + 1` entries.
-    pub offsets: &'a [u64],
-    /// Targets of the shard's edges, local index `offsets[lv] - base`.
-    pub targets: &'a [NodeId],
-}
-
-impl FwdSlice<'_> {
-    /// Global out-edge id range of `v` plus the local index of its first
-    /// edge in [`targets`](Self::targets).
-    #[inline]
-    pub fn row(&self, v: NodeId) -> (std::ops::Range<u32>, usize) {
-        let lv = (v.0 - self.node_start) as usize;
-        let lo = self.offsets[lv] - self.base;
-        let hi = self.offsets[lv + 1] - self.base;
-        (
-            ((self.edge_start + lo) as u32)..((self.edge_start + hi) as u32),
-            lo as usize,
-        )
-    }
-}
-
-/// Shard-sliced access to a graph's forward adjacency: the seam between the
-/// scalar cascade kernel and where the bytes actually live. An in-memory
-/// [`CsrGraph`] is the one-shard case; an out-of-core [`ShardedOscg`] pages
-/// shards through its LRU.
-pub trait ForwardShards {
-    /// Total node count.
-    fn node_count(&self) -> usize;
-
-    /// The shard holding `v`, and the first node past that shard. Shards
-    /// are contiguous ascending node ranges.
-    fn shard_span(&self, v: NodeId) -> (usize, u32);
-
-    /// Run `f` over shard `s`'s forward slice. The slice is only valid for
-    /// the duration of the call — out-of-core sources may evict the shard
-    /// afterwards.
-    fn with_fwd<R>(&self, s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R;
-}
-
-impl ForwardShards for CsrGraph {
-    fn node_count(&self) -> usize {
-        CsrGraph::node_count(self)
-    }
-
-    #[inline]
-    fn shard_span(&self, _v: NodeId) -> (usize, u32) {
-        (0, CsrGraph::node_count(self) as u32)
-    }
-
-    #[inline]
-    fn with_fwd<R>(&self, _s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R {
-        f(FwdSlice {
-            node_start: 0,
-            edge_start: 0,
-            base: 0,
-            offsets: self.out_offsets(),
-            targets: self.edge_targets_flat(),
-        })
-    }
-}
-
-impl ForwardShards for ShardedOscg {
-    fn node_count(&self) -> usize {
-        self.n as usize
-    }
-
-    #[inline]
-    fn shard_span(&self, v: NodeId) -> (usize, u32) {
-        let s = self.plan.shard_of(v.0);
-        (s, self.plan.node_range(s).end)
-    }
-
-    #[inline]
-    fn with_fwd<R>(&self, s: usize, f: impl FnOnce(FwdSlice<'_>) -> R) -> R {
-        let shard = self.shard(s);
-        f(FwdSlice {
-            node_start: shard.node_start,
-            edge_start: shard.fwd_edge_start,
-            base: 0,
-            offsets: &shard.offsets,
-            targets: &shard.targets,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1683,35 +1413,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_by_payload_bytes_respects_budget() {
-        let g = chain_graph(12);
-        let plan = ShardPlan::by_payload_bytes(g.out_offsets(), g.in_offsets(), 256);
-        assert!(plan.shard_count() > 1);
-        for s in 0..plan.shard_count() {
-            let r = plan.node_range(s);
-            let (a, b) = (r.start as usize, r.end as usize);
-            let bytes = shard_payload_len(
-                (b - a) as u64,
-                g.out_offsets()[b] - g.out_offsets()[a],
-                g.in_offsets()[b] - g.in_offsets()[a],
-            );
-            assert!(bytes <= 256 || b - a == 1, "shard {s}: {bytes} bytes");
-        }
-    }
-
-    #[test]
-    fn rejected_plans_are_typed() {
-        assert!(ShardPlan::from_starts(vec![0]).is_err());
-        assert!(ShardPlan::from_starts(vec![1, 4]).is_err());
-        assert!(ShardPlan::from_starts(vec![0, 3, 3, 5]).is_err());
-        assert!(ShardPlan::from_starts(vec![0, 4, 2, 5]).is_err());
-        assert!(
-            ShardPlan::from_starts(vec![0, 0]).is_ok(),
-            "empty graph plan"
-        );
-    }
-
-    #[test]
     fn sharded_roundtrip_matches_original() {
         let g = chain_graph(11);
         for shards in [1usize, 2, 3, 7] {
@@ -1719,7 +1420,9 @@ mod tests {
             let bytes = sharded_to_bytes(&g, None, &plan).unwrap();
             let opened = ShardedOscg::from_owned_bytes(bytes).unwrap();
             assert_eq!(opened.shard_count(), plan.shard_count());
-            assert_eq!(opened.plan().as_ref(), &plan);
+            for (s, info) in opened.table().iter().enumerate() {
+                assert_eq!(info.node_start..info.node_end, plan.node_range(s));
+            }
             let back = opened.to_oscg_file().unwrap();
             assert_eq!(back.graph, g, "{shards} shards");
             assert!(back.workload.is_none());
@@ -1741,55 +1444,44 @@ mod tests {
         assert_eq!(w.budget, 9.5);
     }
 
+    /// Each shard's forward span in the table is exactly the global edge-id
+    /// range its rows take in the assembled graph, row for row.
     #[test]
     fn sharded_rows_match_via_forward_shards() {
         let g = chain_graph(10);
         let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 3);
         let bytes = sharded_to_bytes(&g, None, &plan).unwrap();
         let sharded = ShardedOscg::from_owned_bytes(bytes).unwrap();
-        for v in g.nodes() {
-            let s = sharded.plan().shard_of(v.0);
-            sharded.with_fwd(s, |slice| {
-                let (ids, lo) = slice.row(v);
+        let assembled = sharded.to_oscg_file().unwrap().graph;
+        for info in sharded.table() {
+            let mut next = info.fwd_edge_start as u32;
+            for v in (info.node_start..info.node_end).map(NodeId) {
+                let ids = assembled.out_edge_ids(v);
                 assert_eq!(ids, g.out_edge_ids(v), "edge ids of v{}", v.0);
-                let k = (ids.end - ids.start) as usize;
-                assert_eq!(&slice.targets[lo..lo + k], g.out_targets(v));
-            });
+                assert_eq!(ids.start, next, "v{} row starts inside its shard", v.0);
+                assert_eq!(assembled.out_targets(v), g.out_targets(v));
+                next = ids.end;
+            }
+            assert_eq!(next as u64, info.fwd_edge_start + info.fwd_edges);
         }
     }
 
     #[test]
-    fn lru_budget_bounds_residency() {
-        let g = chain_graph(16);
-        let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 4);
-        let bytes = sharded_to_bytes(&g, None, &plan).unwrap();
-        let sharded = ShardedOscg::from_owned_bytes(bytes).unwrap();
-        let one_shard = sharded.table()[0].byte_len as usize;
-        sharded.set_resident_budget(Some(2 * one_shard + one_shard / 2));
-        for s in (0..4).chain(0..4) {
-            let _ = sharded.shard(s);
-        }
-        let (resident, bytes_now, loads, evictions) = sharded.residency_stats();
-        assert!(
-            resident <= 3,
-            "resident {resident} shards under a ~2.5-shard budget"
-        );
-        assert!(bytes_now <= 3 * one_shard);
-        assert!(loads >= 4, "every shard loaded at least once");
-        assert!(evictions > 0, "budget pressure must evict");
-    }
-
-    #[test]
-    fn csr_graph_is_its_own_single_shard() {
-        let g = chain_graph(9);
-        for v in g.nodes() {
-            assert_eq!(g.shard_span(v), (0, 9));
-            g.with_fwd(0, |slice| {
-                let (ids, lo) = slice.row(v);
-                assert_eq!(ids, g.out_edge_ids(v), "edge ids of v{}", v.0);
-                let k = (ids.end - ids.start) as usize;
-                assert_eq!(&slice.targets[lo..lo + k], g.out_targets(v));
-            });
+    fn writer_rejects_shard_counts_the_reader_refuses() {
+        for shards in [0, MAX_SHARDS as usize + 1] {
+            let err = ShardedWriter::new(std::io::Cursor::new(vec![]), 4, 0, shards)
+                .err()
+                .unwrap_or_else(|| panic!("{shards} shards accepted"));
+            assert!(
+                matches!(
+                    err,
+                    GraphError::CorruptSection {
+                        section: "shard_table",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
     }
 }

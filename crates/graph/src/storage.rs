@@ -56,7 +56,6 @@ mod sys {
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
-    pub const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         pub fn mmap(
@@ -68,7 +67,6 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 }
 
@@ -116,36 +114,6 @@ impl MappedFile {
     #[inline]
     pub fn bytes(&self) -> &[u8] {
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Tell the kernel the byte window `offset..offset + len` will not be
-    /// needed soon (`madvise(MADV_DONTNEED)`), dropping its resident pages.
-    ///
-    /// Best-effort residency control for the shard LRU: the mapping is a
-    /// clean read-only file map, so dropped pages simply refault from the
-    /// file on the next access — contents are never affected. The window is
-    /// rounded inward to page boundaries; a failed or unsupported call is a
-    /// no-op.
-    pub fn advise_dont_need(&self, offset: usize, len: usize) {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            const PAGE: usize = 4096;
-            let start = offset.next_multiple_of(PAGE);
-            let end = offset.saturating_add(len).min(self.len) & !(PAGE - 1);
-            if end > start {
-                unsafe {
-                    sys::madvise(
-                        self.ptr.add(start) as *mut std::os::raw::c_void,
-                        end - start,
-                        sys::MADV_DONTNEED,
-                    );
-                }
-            }
-        }
-        #[cfg(not(all(unix, target_pointer_width = "64")))]
-        {
-            let _ = (offset, len);
-        }
     }
 }
 

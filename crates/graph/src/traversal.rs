@@ -1,4 +1,4 @@
-//! Breadth- and depth-first traversals.
+//! Breadth-first traversals.
 //!
 //! Used for the hop statistics of Table III (average farthest hop from the
 //! seed set) and for reachability checks throughout the algorithms.
@@ -33,32 +33,6 @@ pub fn bfs_hops(graph: &CsrGraph, sources: &[NodeId]) -> Vec<u32> {
     dist
 }
 
-/// BFS hop distances restricted to an activated node subset: traversal only
-/// moves between nodes for which `active` is true. This is the distance used
-/// for the paper's "average farthest hop from seeds" — hops are counted
-/// along the realized influence spread, not the whole graph.
-pub fn bfs_hops_within(graph: &CsrGraph, sources: &[NodeId], active: &[bool]) -> Vec<u32> {
-    debug_assert_eq!(active.len(), graph.node_count());
-    let mut dist = vec![UNREACHED; graph.node_count()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if active[s.index()] && dist[s.index()] == UNREACHED {
-            dist[s.index()] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        for &v in graph.out_targets(u) {
-            if active[v.index()] && dist[v.index()] == UNREACHED {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// The farthest finite hop in a distance array; 0 when nothing is reached.
 pub fn farthest_hop(dist: &[u32]) -> u32 {
     dist.iter()
@@ -77,30 +51,6 @@ pub fn reachable_set(graph: &CsrGraph, sources: &[NodeId]) -> Vec<NodeId> {
         .filter(|(_, &d)| d != UNREACHED)
         .map(|(i, _)| NodeId::from_index(i))
         .collect()
-}
-
-/// Pre-order DFS from `source`, visiting children in **descending influence
-/// probability** — the traversal order of the GPI phase (Alg. 2 traverses
-/// "from its child with the highest to the lowest influence probability").
-pub fn dfs_ranked_preorder(graph: &CsrGraph, source: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push in reverse rank order so the highest-probability child pops
-        // first.
-        for &v in graph.out_targets(u).iter().rev() {
-            if !visited[v.index()] {
-                stack.push(v);
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -133,15 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn hops_within_respects_active_mask() {
-        let g = chain();
-        // Node 2 inactive: the spread cannot pass through it.
-        let active = vec![true, true, false, true, false];
-        let d = bfs_hops_within(&g, &[NodeId(0)], &active);
-        assert_eq!(d, vec![0, 1, UNREACHED, UNREACHED, UNREACHED]);
-    }
-
-    #[test]
     fn farthest_hop_empty_is_zero() {
         assert_eq!(farthest_hop(&[UNREACHED, UNREACHED]), 0);
         assert_eq!(farthest_hop(&[]), 0);
@@ -152,32 +93,5 @@ mod tests {
         let g = chain();
         let r = reachable_set(&g, &[NodeId(2)]);
         assert_eq!(r, vec![NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn dfs_follows_rank_order() {
-        // 0 -> 1 (0.9) and 0 -> 2 (0.1); 1 -> 3; 2 -> 4.
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 2, 0.1).unwrap();
-        b.add_edge(0, 1, 0.9).unwrap();
-        b.add_edge(1, 3, 0.5).unwrap();
-        b.add_edge(2, 4, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let order = dfs_ranked_preorder(&g, NodeId(0));
-        assert_eq!(
-            order,
-            vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2), NodeId(4)]
-        );
-    }
-
-    #[test]
-    fn dfs_handles_cycles() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 2, 0.5).unwrap();
-        b.add_edge(2, 0, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let order = dfs_ranked_preorder(&g, NodeId(0));
-        assert_eq!(order.len(), 3);
     }
 }

@@ -111,17 +111,12 @@
 //! through [`world::WorldRef::for_live_out`], a binary-search cursor into
 //! the world's live list. Frontier rounds are collected in a word-level
 //! bitset and drained in ascending node-id order, which makes the cascade
-//! outcome independent of seed ordering. It is generic over
-//! [`osn_graph::ForwardShards`]: an in-memory graph is the one-shard case
-//! and an out-of-core [`osn_graph::ShardedOscg`] pages shards through its
-//! LRU. Each round is expanded shard segment by shard segment in ascending
-//! shard id; shards are contiguous ascending node ranges, so the walk
-//! visits the same nodes in the same order at any shard count, against
-//! world liveness at the same **global edge ids** (the v2 layout preserves
-//! them) — bit-identical by construction, not by tolerance
+//! outcome independent of seed ordering. It runs on an in-memory
+//! [`osn_graph::CsrGraph`]: a sharded v2 file is assembled into one graph
+//! with the same **global edge ids** (the layout preserves them), so world
+//! liveness is read at the same indices at any shard count — bit-identical
+//! by construction, not by tolerance
 //! (`reach::tests::sharded_schedule_is_bit_identical_to_monolithic`).
-//! Graphs loaded from v2 files into memory are ordinary graphs and take
-//! the same path as monolithic ones.
 //!
 //! ## The bit-parallel lane kernel
 //!

@@ -12,12 +12,11 @@
 //! aggregate [`WorldOutcome`], and [`world_cascade_visit`] additionally
 //! reports each activated node to a visitor (how the tests observe the
 //! activated set without a second cascade implementation).
-//! The kernel runs on a [`WorldRef`] — live out-edges come from the world's
-//! live-adjacency cursor ([`WorldRef::for_live_out`]), so it touches only
-//! live edges — and is generic over where the forward adjacency lives
-//! ([`ForwardShards`]): an in-memory [`osn_graph::CsrGraph`] is the
-//! one-shard case, an out-of-core [`osn_graph::ShardedOscg`] pages shards
-//! through its LRU.
+//! The kernel runs on a [`WorldRef`] over an in-memory [`CsrGraph`] — live
+//! out-edges come from the world's live-adjacency cursor
+//! ([`WorldRef::for_live_out`]), so it touches only live edges. Graphs read
+//! from sharded `.oscg` files are assembled into one [`CsrGraph`] first, so
+//! every graph takes this one path.
 //!
 //! Frontier rounds are built through a **word-level bitset**: activations
 //! set a bit, and each round drains the touched words in ascending order,
@@ -27,7 +26,7 @@
 //! the smaller activator id).
 
 use crate::world::WorldRef;
-use osn_graph::{ForwardShards, NodeData, NodeId};
+use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// Reusable buffers for world cascades (one per worker thread).
 #[derive(Clone, Debug)]
@@ -141,8 +140,8 @@ pub struct WorldOutcome {
 }
 
 /// Run the deterministic cascade of `world` from `seeds` under `coupons`.
-pub fn world_cascade<G: ForwardShards>(
-    graph: &G,
+pub fn world_cascade(
+    graph: &CsrGraph,
     data: &NodeData,
     seeds: &[NodeId],
     coupons: &[u32],
@@ -154,17 +153,8 @@ pub fn world_cascade<G: ForwardShards>(
 
 /// [`world_cascade`] that additionally calls `visit` once per activated
 /// node (seeds included), in activation order.
-///
-/// Each drained round is expanded shard segment by shard segment, in
-/// ascending shard id. Shards are contiguous ascending node ranges and the
-/// round is already ascending, so the segment walk visits the exact nodes
-/// in the exact order a single-shard walk would — the per-shard "inboxes"
-/// of the cross-shard exchange are shard-aligned windows of the one
-/// next-round bitset. The v2 layout preserves global edge ids, so world
-/// liveness is consulted at identical indices too: a graph cascades bit
-/// for bit the same in memory and out of core.
-pub fn world_cascade_visit<G: ForwardShards>(
-    graph: &G,
+pub fn world_cascade_visit(
+    graph: &CsrGraph,
     data: &NodeData,
     seeds: &[NodeId],
     coupons: &[u32],
@@ -173,6 +163,7 @@ pub fn world_cascade_visit<G: ForwardShards>(
     mut visit: impl FnMut(NodeId),
 ) -> WorldOutcome {
     debug_assert_eq!(coupons.len(), graph.node_count());
+    let targets = graph.edge_targets_flat();
     scratch.begin();
     let mut out = WorldOutcome::default();
 
@@ -190,32 +181,24 @@ pub fn world_cascade_visit<G: ForwardShards>(
     while !scratch.frontier.is_empty() {
         // Swap out the frontier so we can mutate scratch inside the loop.
         let frontier = std::mem::take(&mut scratch.frontier);
-        let mut i = 0;
-        while i < frontier.len() {
-            let (s, seg_end) = graph.shard_span(frontier[i]);
-            let j = i + frontier[i..].partition_point(|v| v.0 < seg_end);
-            graph.with_fwd(s, |slice| {
-                for &u in &frontier[i..j] {
-                    let mut remaining = coupons[u.index()];
-                    if remaining == 0 {
-                        continue;
-                    }
-                    let (ids, lo) = slice.row(u);
-                    world.for_live_out(ids.start, ids.end, |e| {
-                        let v = slice.targets[lo + (e - ids.start) as usize];
-                        if !scratch.is_active(v) {
-                            scratch.activate(v);
-                            visit(v);
-                            out.benefit += data.benefit(v);
-                            out.redeemed_sc_cost += data.sc_cost(v);
-                            out.activated += 1;
-                            remaining -= 1;
-                        }
-                        remaining > 0
-                    });
+        for &u in &frontier {
+            let mut remaining = coupons[u.index()];
+            if remaining == 0 {
+                continue;
+            }
+            let ids = graph.out_edge_ids(u);
+            world.for_live_out(ids.start, ids.end, |e| {
+                let v = targets[e as usize];
+                if !scratch.is_active(v) {
+                    scratch.activate(v);
+                    visit(v);
+                    out.benefit += data.benefit(v);
+                    out.redeemed_sc_cost += data.sc_cost(v);
+                    out.activated += 1;
+                    remaining -= 1;
                 }
+                remaining > 0
             });
-            i = j;
         }
         // Hand the spent allocation back, then refill from the bitset.
         let mut spent = frontier;
@@ -233,7 +216,7 @@ pub fn world_cascade_visit<G: ForwardShards>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osn_graph::{CsrGraph, GraphBuilder};
+    use osn_graph::GraphBuilder;
 
     /// Center 0 with children 1..=4 at descending probs, so edge id = rank.
     fn star() -> (CsrGraph, NodeData) {
@@ -396,8 +379,8 @@ mod tests {
         (g, d)
     }
 
-    /// The same kernel over an out-of-core [`osn_graph::ShardedOscg`] at
-    /// every shard count reproduces the in-memory run: outcome and
+    /// A graph written at any shard count and assembled back from the file
+    /// cascades exactly like the graph it was written from: outcome and
     /// activation order.
     #[test]
     fn sharded_schedule_is_bit_identical_to_monolithic() {
@@ -426,11 +409,15 @@ mod tests {
 
         for shards in [1usize, 2, 3, 7] {
             let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), shards);
-            let sharded =
-                ShardedOscg::from_owned_bytes(sharded_to_bytes(&g, None, &plan).unwrap()).unwrap();
+            let assembled =
+                ShardedOscg::from_owned_bytes(sharded_to_bytes(&g, None, &plan).unwrap())
+                    .unwrap()
+                    .to_oscg_file()
+                    .unwrap()
+                    .graph;
             let mut seen = Vec::new();
             let got = world_cascade_visit(
-                &sharded,
+                &assembled,
                 &d,
                 &seeds,
                 &coupons,

@@ -82,7 +82,7 @@
 //!   `osn-fault` plan fires injected I/O errors, delays, and panics.
 //!
 //! The injection points themselves (`serve.campaign.run`,
-//! `serve.batcher.*`, `serve.conn.*`, `graph.shard.*`)
+//! `serve.batcher.*`, `serve.conn.*`, `graph.shard.open`)
 //! compile to no-ops unless the `fault-injection` feature is on.
 
 pub mod admission;

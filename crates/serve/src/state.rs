@@ -463,11 +463,10 @@ mod tests {
 
     #[test]
     fn sharded_dataset_matches_monolithic() {
-        use s3crm_bench::dataset::{convert_sharded, ShardSpec};
+        use s3crm_bench::dataset::convert_sharded;
         let dir = s3crm_tests::TempDir::new("serve-sharded");
         let sharded_path = dir.file("smoke.oscg");
-        let shards =
-            convert_sharded(&fixture(), &sharded_path, ShardSpec::Count(2)).expect("convert");
+        let shards = convert_sharded(&fixture(), &sharded_path, 2).expect("convert");
         assert_eq!(shards, 2);
 
         // Partitioning is a storage choice only: the same campaign spec on

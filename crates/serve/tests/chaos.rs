@@ -137,12 +137,7 @@ fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
 fn injected_graph_io_errors_surface_as_clean_open_failures(expected: &[Vec<String>]) {
     let dir = s3crm_tests::TempDir::new("chaos-sharded");
     let sharded_path = dir.file("smoke.oscg");
-    s3crm_bench::dataset::convert_sharded(
-        &fixture(),
-        &sharded_path,
-        s3crm_bench::dataset::ShardSpec::Count(2),
-    )
-    .expect("convert fixture");
+    s3crm_bench::dataset::convert_sharded(&fixture(), &sharded_path, 2).expect("convert fixture");
 
     let _scenario = Scenario::new("graph.shard.open=ioerr@1");
     let err = match ServeState::open(&sharded_path, 2) {
