@@ -53,6 +53,8 @@ pub mod special_cases;
 pub use deployment::Deployment;
 pub use instance::Instance;
 pub use objective::ObjectiveValue;
+pub use osn_sketch::SketchIndex;
 pub use s3ca::{
-    s3ca, s3ca_with_snapshot_backend, EstimatorBackend, S3caConfig, S3caResult, Telemetry,
+    s3ca, s3ca_with_resident, s3ca_with_snapshot_backend, EstimatorBackend, S3caConfig, S3caResult,
+    Telemetry,
 };

@@ -84,6 +84,18 @@ impl S3caConfig {
             ..Self::default()
         }
     }
+
+    /// The sketch-index parameters this configuration implies — the one
+    /// place they are derived, so a caller-built index matches the one
+    /// [`s3ca`] would build.
+    pub fn sketch_params(&self) -> SketchParams {
+        SketchParams {
+            seed: self.rng_seed,
+            epsilon: self.sketch_epsilon,
+            delta: self.sketch_delta,
+            ..SketchParams::default()
+        }
+    }
 }
 
 /// Runtime/exploration instrumentation (Fig. 9, Table IV).
@@ -147,22 +159,45 @@ pub struct S3caResult {
 
 /// Run S3CA on an instance under budget `binv`.
 pub fn s3ca(graph: &CsrGraph, data: &NodeData, binv: f64, config: &S3caConfig) -> S3caResult {
-    s3ca_with_snapshot_backend(graph, data, binv, config, None)
+    s3ca_with_resident(graph, data, binv, config, None, None)
 }
 
-/// As [`s3ca`], with an optional caller-owned Monte-Carlo backend for the
-/// snapshot re-ranking (line 24). A resident server passes the backend it
-/// keeps per `(worlds, seed)` so concurrent campaigns
-/// share one world cache and its lane-block decodes zero-copy; `None`
-/// samples a fresh cache exactly as [`s3ca`] always did. The caller must
-/// hand in a backend sampled with `config.snapshot_worlds` worlds and
-/// `config.rng_seed` — results are then bit-identical to the `None` path.
+/// As [`s3ca`], with an optional caller-owned snapshot backend and no
+/// resident sketch index; see [`s3ca_with_resident`]. The benchmark's
+/// traced replay calls it.
 pub fn s3ca_with_snapshot_backend(
     graph: &CsrGraph,
     data: &NodeData,
     binv: f64,
     config: &S3caConfig,
     snapshot_backend: Option<&osn_propagation::McBackend>,
+) -> S3caResult {
+    s3ca_with_resident(graph, data, binv, config, snapshot_backend, None)
+}
+
+/// As [`s3ca`], on caller-owned resident structures. A resident server
+/// keeps them across campaigns and passes them in, so concurrent campaigns
+/// share them zero-copy; each `None` builds a fresh one exactly as [`s3ca`]
+/// does, and results are bit-identical either way.
+///
+/// * `snapshot_backend` — the Monte-Carlo backend of the snapshot
+///   re-ranking (line 24), sampled with `config.snapshot_worlds` worlds and
+///   `config.rng_seed`.
+/// * `sketch_index` — the ID phase's index under
+///   [`EstimatorBackend::Sketch`], built over `graph`/`data` with
+///   [`S3caConfig::sketch_params`]. Ignored by the other backends.
+///
+/// # Panics
+///
+/// If `sketch_index` was built with other parameters or over a graph of
+/// another size: a mismatched index would silently change the result.
+pub fn s3ca_with_resident(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    config: &S3caConfig,
+    snapshot_backend: Option<&osn_propagation::McBackend>,
+    sketch_index: Option<&SketchIndex>,
 ) -> S3caResult {
     let n = graph.node_count();
     let mut explored = ExploreTracker::new(n);
@@ -175,20 +210,31 @@ pub fn s3ca_with_snapshot_backend(
             investment_deployment(graph, data, binv, &mut explored, config.max_id_iterations)
         }
         EstimatorBackend::Sketch => {
-            let params = SketchParams {
-                seed: config.rng_seed,
-                epsilon: config.sketch_epsilon,
-                delta: config.sketch_delta,
-                ..SketchParams::default()
+            let params = config.sketch_params();
+            let owned;
+            let index = match sketch_index {
+                Some(index) => {
+                    assert!(
+                        *index.params() == params && index.node_count() == n,
+                        "sketch index built for {:?} over {} nodes, campaign needs {params:?} \
+                         over {n}",
+                        index.params(),
+                        index.node_count(),
+                    );
+                    index
+                }
+                None => {
+                    owned = SketchIndex::build(graph, data, &params);
+                    &owned
+                }
             };
-            let index = SketchIndex::build(graph, data, &params);
             investment_deployment_with(
                 graph,
                 data,
                 binv,
                 &mut explored,
                 config.max_id_iterations,
-                |seeds, coupons| SketchEstimator::new(graph, data, &index, seeds, coupons),
+                |seeds, coupons| SketchEstimator::new(graph, data, index, seeds, coupons),
             )
         }
     };
@@ -425,6 +471,40 @@ mod tests {
         let b = s3ca(&g, &d, 4.0, &cfg);
         assert_eq!(a.deployment, b.deployment);
         assert_eq!(a.objective, b.objective);
+    }
+
+    /// A caller-built index at the config's own parameters gives the same
+    /// deployment as the index `s3ca` builds itself, at every budget.
+    #[test]
+    fn resident_sketch_index_matches_a_fresh_build() {
+        let (g, d) = showcase();
+        let cfg = S3caConfig {
+            estimator: EstimatorBackend::Sketch,
+            ..S3caConfig::default()
+        };
+        let index = SketchIndex::build(&g, &d, &cfg.sketch_params());
+        for binv in [1.0, 4.0, 8.0] {
+            let fresh = s3ca(&g, &d, binv, &cfg);
+            let resident = s3ca_with_resident(&g, &d, binv, &cfg, None, Some(&index));
+            assert_eq!(fresh.deployment, resident.deployment, "binv {binv}");
+            assert_eq!(fresh.objective, resident.objective, "binv {binv}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch index built for")]
+    fn a_mismatched_sketch_index_is_refused() {
+        let (g, d) = showcase();
+        let cfg = S3caConfig {
+            estimator: EstimatorBackend::Sketch,
+            ..S3caConfig::default()
+        };
+        let other = S3caConfig {
+            sketch_epsilon: 0.2,
+            ..cfg
+        };
+        let index = SketchIndex::build(&g, &d, &other.sketch_params());
+        s3ca_with_resident(&g, &d, 4.0, &cfg, None, Some(&index));
     }
 
     #[test]

@@ -152,6 +152,16 @@ impl CsrGraph {
         self.targets.len()
     }
 
+    /// Bytes held by the forward and reverse CSR sections.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.offsets)
+            + std::mem::size_of_val(&*self.targets)
+            + std::mem::size_of_val(&*self.probs)
+            + std::mem::size_of_val(&*self.in_offsets)
+            + std::mem::size_of_val(&*self.in_sources)
+            + std::mem::size_of_val(&*self.in_probs)
+    }
+
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.n).map(NodeId)
@@ -324,6 +334,8 @@ mod tests {
         assert_eq!(g.out_degree(NodeId(3)), 0);
         assert_eq!(g.in_degree(NodeId(3)), 2);
         assert_eq!(g.in_degree(NodeId(0)), 0);
+        // Offsets (n + 1 u64s), targets (u32 ids) and probabilities, twice.
+        assert_eq!(g.resident_bytes(), 2 * (5 * 8 + 4 * 4 + 4 * 8));
     }
 
     #[test]

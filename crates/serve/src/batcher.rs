@@ -292,6 +292,29 @@ impl ProbeBatcher {
         reign.complete(stats);
     }
 
+    /// Drop `key`'s group if it is idle: no parked jobs and no leader. The
+    /// daemon calls this when it evicts the backend behind `key`, so the
+    /// group map stays as bounded as the resident backends. A probe that
+    /// found the group just before it was dropped still runs on it alone,
+    /// which is result-neutral; the next probe on `key` starts a new group.
+    pub fn forget(&self, key: &str) {
+        let mut groups = lock(&self.groups);
+        let idle = groups.get(key).is_some_and(|g| {
+            let st = lock(&g.state);
+            st.jobs.is_empty() && !st.leader_active
+        });
+        if idle {
+            groups.remove(key);
+        }
+    }
+
+    /// Groups currently tracked (one per backend key probed and not yet
+    /// forgotten).
+    #[cfg(test)]
+    pub(crate) fn group_count(&self) -> usize {
+        lock(&self.groups).len()
+    }
+
     /// `(probes evaluated, batches run)` — `probes > batches` means
     /// coalescing actually merged traffic.
     pub fn counters(&self) -> (u64, u64) {
@@ -527,6 +550,48 @@ mod tests {
         let group = lock(&batcher.groups)["k"].clone();
         let st = lock(&group.state);
         assert!(!st.leader_active && st.jobs.is_empty(), "group left busy");
+    }
+
+    /// `forget` drops an idle group, leaves a busy one alone, and a probe
+    /// after the drop starts a fresh group with the same result.
+    #[test]
+    fn forget_drops_only_idle_groups() {
+        let ds = tiny_dataset();
+        let backend = McBackend::sample(&ds.graph, 32, 3);
+        let batcher = &ProbeBatcher::default();
+        let dep = deployment(&ds, 2);
+        let sim = |batch: &[DeploymentRef<'_>]| {
+            backend.evaluator(&ds.graph, &ds.data).simulate_batch(batch)
+        };
+        for key in ["a", "b"] {
+            batcher
+                .submit_with(key, dep.0.clone(), dep.1.clone(), sim)
+                .expect("healthy batch");
+        }
+        assert_eq!(batcher.group_count(), 2);
+        batcher.forget("a");
+        batcher.forget("never-probed");
+        assert_eq!(batcher.group_count(), 1);
+
+        // A group whose batch is running is not idle.
+        let (held_sim, hold) = held(sim);
+        std::thread::scope(|s| {
+            let (seeds, coupons) = dep.clone();
+            let running = s.spawn(move || batcher.submit_with("b", seeds, coupons, held_sim));
+            hold.entered.recv().expect("batch starts");
+            batcher.forget("b");
+            assert_eq!(batcher.group_count(), 1, "busy group was dropped");
+            hold.release.send(()).expect("batch is waiting");
+            let got = running.join().unwrap().expect("healthy batch");
+            assert_matches_lone(&backend, &ds, &dep, &got);
+        });
+        batcher.forget("b");
+        assert_eq!(batcher.group_count(), 0);
+        let again = batcher
+            .submit_with("a", dep.0.clone(), dep.1.clone(), sim)
+            .expect("fresh group");
+        assert_matches_lone(&backend, &ds, &dep, &again);
+        assert_eq!(batcher.group_count(), 1);
     }
 
     /// Probes that park behind a running batch are served together by the

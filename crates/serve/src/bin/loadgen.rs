@@ -40,9 +40,9 @@ fn die(msg: &str) -> ! {
 }
 
 /// The deterministic campaign mix: cycles algorithms, budget multipliers,
-/// S3CA estimators, and evaluation world counts so a run of ≥ 12 campaigns
-/// exercises every axis, with several distinct resident backends in flight
-/// at once.
+/// S3CA estimators, sketch ε, and evaluation world counts so a run of ≥ 16
+/// campaigns exercises every axis, with several distinct resident backends
+/// and two sketch indexes in flight at once.
 fn spec_for(i: usize) -> CampaignSpec {
     use s3crm_bench::Algorithm;
     use s3crm_core::EstimatorBackend;
@@ -53,13 +53,21 @@ fn spec_for(i: usize) -> CampaignSpec {
         Algorithm::ImS,
     ];
     let budgets = [1.0, 0.5, 2.0];
+    let sketch = !(i / 4).is_multiple_of(2);
     CampaignSpec {
         algorithm: algorithms[i % algorithms.len()],
         budget_mult: budgets[i % budgets.len()],
-        estimator: if (i / 4).is_multiple_of(2) {
-            EstimatorBackend::Mc
-        } else {
+        estimator: if sketch {
             EstimatorBackend::Sketch
+        } else {
+            EstimatorBackend::Mc
+        },
+        // Sketch S3CA campaigns (i = 4, 12, 20, …) alternate between two
+        // index keys, so both are in flight at once.
+        epsilon: if sketch && !(i / 8).is_multiple_of(2) {
+            0.05
+        } else {
+            0.1
         },
         eval_worlds: if (i / 3).is_multiple_of(2) { 64 } else { 96 },
         ..CampaignSpec::default()

@@ -7,7 +7,7 @@
 use osn_gen::weights::WeightModel;
 use osn_graph::NodeId;
 use s3crm_bench::{Algorithm, Effort};
-use s3crm_core::EstimatorBackend;
+use s3crm_core::{EstimatorBackend, S3caConfig};
 
 /// Which edge probabilities a campaign runs on.
 #[derive(Clone, Copy, Debug)]
@@ -128,9 +128,12 @@ fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
 }
 
 /// Largest world count a request may name (`PROBE worlds=`, `CAMPAIGN
-/// eval_worlds=`/`im_worlds=`). Every distinct count samples a world cache
-/// the daemon keeps resident, so the wire bounds it. It covers every
-/// in-repo caller: benchmark probes send 1024, the campaign default is 64.
+/// eval_worlds=`/`im_worlds=`), and the largest sketch world floor a
+/// campaign's `epsilon=`/`delta=` may imply (the first round of a sketch
+/// build samples that many worlds at once). Every distinct count samples a
+/// world cache the daemon keeps resident, so the wire bounds it. It covers
+/// every in-repo caller: benchmark probes send 1024, the campaign default
+/// is 64, and the default ε = δ = 0.1 floors at 150 sketch worlds.
 pub const MAX_WORLDS: usize = 4096;
 
 fn check_worlds(key: &str, worlds: usize) -> Result<(), String> {
@@ -182,6 +185,13 @@ impl CampaignSpec {
                 return Err(format!("{key} must be in (0, 1), got {v}"));
             }
         }
+        let floor = spec.s3ca_config().sketch_params().world_floor();
+        if floor > MAX_WORLDS {
+            return Err(format!(
+                "epsilon={} delta={} imply a {floor}-world sketch round, above {MAX_WORLDS}",
+                spec.epsilon, spec.delta
+            ));
+        }
         check_worlds("eval_worlds", spec.eval_worlds)?;
         check_worlds("im_worlds", spec.im_worlds)?;
         Ok(spec)
@@ -219,6 +229,22 @@ impl CampaignSpec {
         e.seed = self.seed;
         e.estimator = self.estimator;
         e
+    }
+
+    /// The S3CA configuration this spec runs (the ID-only one for
+    /// `s3ca-id`), carrying its sketch ε and δ.
+    pub fn s3ca_config(&self) -> S3caConfig {
+        let effort = self.effort();
+        let cfg = if self.algorithm == Algorithm::S3caIdOnly {
+            effort.s3ca_id_only()
+        } else {
+            effort.s3ca_config()
+        };
+        S3caConfig {
+            sketch_epsilon: self.epsilon,
+            sketch_delta: self.delta,
+            ..cfg
+        }
     }
 }
 
@@ -323,11 +349,17 @@ mod tests {
             ("eval_worlds=4097", "eval_worlds"),
             ("im_worlds=4097", "im_worlds"),
             ("eval_worlds=1000000000", "eval_worlds"),
+            // A sketch world floor above MAX_WORLDS: ⌈ln 20 / 2·10⁻⁴⌉ worlds.
+            ("estimator=sketch epsilon=0.01", "epsilon"),
+            ("epsilon=0.001 delta=0.5", "epsilon"),
+            ("epsilon=1e-300", "epsilon"),
         ] {
             let err = CampaignSpec::parse(body).unwrap_err();
             assert!(err.starts_with(key), "CAMPAIGN {body}: {err}");
         }
         assert!(CampaignSpec::parse("eval_worlds=4096 im_worlds=4096").is_ok());
+        // ε = 0.02 floors at 3,745 sketch worlds, under the cap.
+        assert!(CampaignSpec::parse("estimator=sketch epsilon=0.02").is_ok());
         assert!(CampaignSpec::parse("weights=uniform:1.5").is_err());
         assert!(CampaignSpec::parse("").is_ok(), "empty body takes defaults");
     }
@@ -409,6 +441,8 @@ mod tests {
                 assert!(c.budget_mult.is_finite() && c.budget_mult > 0.0, "{text}");
                 assert!(c.epsilon > 0.0 && c.epsilon < 1.0, "{text}");
                 assert!(c.delta > 0.0 && c.delta < 1.0, "{text}");
+                let floor = c.s3ca_config().sketch_params().world_floor();
+                assert!(floor <= MAX_WORLDS, "{text}");
                 assert!((1..=MAX_WORLDS).contains(&c.eval_worlds), "{text}");
                 assert!((1..=MAX_WORLDS).contains(&c.im_worlds), "{text}");
             }

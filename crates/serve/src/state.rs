@@ -1,15 +1,20 @@
 //! Resident daemon state: the loaded dataset, its re-weighted variants,
-//! and every sampled Monte-Carlo backend, shared across concurrent
-//! campaigns for the lifetime of the process.
+//! the sampled Monte-Carlo backends and the sketch indexes, shared across
+//! concurrent campaigns and kept under one byte budget.
 //!
-//! Immutability is the sharing model: graphs, node data, world caches, and
-//! decoded lane blocks are all read-only after construction, so campaigns
-//! borrow them zero-copy through `Arc`s — there is no per-campaign copy of
-//! anything sized by the graph. The only mutable state is the two cache
-//! maps and counters. Each map holds one `OnceLock` slot per key, so its
-//! mutex only guards slot lookup: building a variant or sampling a backend
-//! happens off the lock, and concurrent requesters of one key share the
-//! single build.
+//! Immutability is the sharing model: graphs, node data, world caches,
+//! decoded lane blocks and sketch indexes are all read-only after
+//! construction, so campaigns borrow them zero-copy through `Arc`s — there
+//! is no per-campaign copy of anything sized by the graph. The only
+//! mutable state is the three cache maps and counters. Each map holds one
+//! `OnceLock` slot per key, so its mutex only guards slot lookup: building
+//! a variant, sampling a backend or building an index happens off the
+//! lock, and concurrent requesters of one key share the single build.
+//!
+//! Every cached value is a deterministic function of its key, so the maps
+//! may drop an entry and rebuild it later without changing any reply. They
+//! do so under [`RESIDENT_BUDGET_BYTES`]: after a miss, least-recently-used
+//! entries that no request holds are evicted until the three maps fit.
 
 use crate::admission::Admission;
 use crate::batcher::ProbeBatcher;
@@ -21,10 +26,10 @@ use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
 use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::Algorithm;
-use s3crm_core::{s3ca_with_snapshot_backend, Telemetry};
+use s3crm_core::{s3ca_with_resident, EstimatorBackend, S3caConfig, SketchIndex, Telemetry};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -35,23 +40,78 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Byte budget over every evictable resident entry: re-weighted variants,
+/// Monte-Carlo backends and sketch indexes. The base dataset is not
+/// counted. The benchmark's largest resident set (one 1024-world backend
+/// on 1.6M edges) is about 500 MB, so no shipped workload evicts.
+pub const RESIDENT_BUDGET_BYTES: usize = 2 << 30;
+
+/// Bytes a cached value charges against [`RESIDENT_BUDGET_BYTES`].
+trait Resident {
+    fn resident_bytes(&self) -> usize;
+}
+
+impl Resident for LoadedDataset {
+    /// A variant's own graph; its node data is the base dataset's.
+    fn resident_bytes(&self) -> usize {
+        self.graph.resident_bytes()
+    }
+}
+
+impl Resident for McBackend {
+    fn resident_bytes(&self) -> usize {
+        self.cache().resident_bytes() as usize + self.lane_store().resident_bytes()
+    }
+}
+
+impl Resident for SketchIndex {
+    fn resident_bytes(&self) -> usize {
+        SketchIndex::resident_bytes(self)
+    }
+}
+
+/// One cached value: its build slot, and the tick of its last lookup.
+struct Entry<T> {
+    slot: Arc<OnceLock<Arc<T>>>,
+    used: u64,
+}
+
 /// A cache of lazily built values, one `OnceLock` slot per key. The map
 /// lock is held only to find or insert a slot; the build runs outside it,
 /// so building one key never stalls lookups of another, and concurrent
 /// requesters of the same key block on its slot and share one build. A
 /// build that panics leaves its slot empty for the next requester.
-type SlotMap<T> = Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>;
+type SlotMap<T> = Mutex<HashMap<String, Entry<T>>>;
 
-fn get_or_build<T>(map: &SlotMap<T>, key: &str, build: impl FnOnce() -> T) -> Arc<T> {
-    let slot = lock(map).entry(key.to_string()).or_default().clone();
-    slot.get_or_init(|| Arc::new(build())).clone()
+/// Resident bytes of the values `map` has built.
+fn built_bytes<T: Resident>(map: &HashMap<String, Entry<T>>) -> usize {
+    map.values()
+        .filter_map(|e| e.slot.get())
+        .map(|v| v.resident_bytes())
+        .sum()
 }
 
-/// The values of `map` built so far.
-fn built<T>(map: &SlotMap<T>) -> Vec<Arc<T>> {
+/// The number of values `map` has built.
+fn built_count<T>(map: &SlotMap<T>) -> usize {
     lock(map)
         .values()
-        .filter_map(|slot| slot.get().cloned())
+        .filter(|e| e.slot.get().is_some())
+        .count()
+}
+
+/// `(last use, key, bytes)` of every entry no request holds: the map has
+/// the only reference to both its slot and its value. Slots are cloned
+/// only under the map lock, so with the slot unique nobody can take a new
+/// reference to the value while the caller holds that lock.
+fn evictable<T: Resident>(map: &mut HashMap<String, Entry<T>>) -> Vec<(u64, String, usize)> {
+    map.iter_mut()
+        .filter_map(|(key, e)| {
+            let bytes = match Arc::get_mut(&mut e.slot)?.get_mut() {
+                Some(value) => Arc::get_mut(value)?.resident_bytes(),
+                None => 0,
+            };
+            Some((e.used, key.clone(), bytes))
+        })
         .collect()
 }
 
@@ -75,6 +135,19 @@ pub struct ServeState {
     /// campaigns needing *different* backends sample in parallel, while
     /// campaigns needing the *same* one share the single sampled cache.
     backends: SlotMap<McBackend>,
+    /// Sketch indexes keyed by `(variant, ε, δ, seed)` — everything an
+    /// index depends on — so every budget of one sketch campaign family
+    /// runs on one build.
+    indexes: SlotMap<SketchIndex>,
+    /// Byte budget over the three maps ([`RESIDENT_BUDGET_BYTES`]).
+    resident_budget: usize,
+    /// Source of the entries' last-use stamps (LRU order across maps).
+    tick: AtomicU64,
+    /// A request that ends should run an eviction pass: set by every miss
+    /// (a new entry may still grow, e.g. by decoding lane blocks) and by a
+    /// pass that found held entries over the budget.
+    settle_due: AtomicBool,
+    evictions: AtomicU64,
     admission: Admission,
     /// How long a campaign may wait for an admission slot before being shed
     /// with `BUSY retry-after-ms=…`.
@@ -144,6 +217,11 @@ impl ServeState {
             dataset: Arc::new(dataset),
             variants: SlotMap::default(),
             backends: SlotMap::default(),
+            indexes: SlotMap::default(),
+            resident_budget: RESIDENT_BUDGET_BYTES,
+            tick: AtomicU64::new(0),
+            settle_due: AtomicBool::new(false),
+            evictions: AtomicU64::new(0),
             admission: Admission::new(max_inflight),
             // Generous default: campaigns on small fixtures finish in
             // milliseconds, so shedding only kicks in under real overload.
@@ -161,6 +239,14 @@ impl ServeState {
         self
     }
 
+    /// Override the resident byte budget (tests exercise eviction with
+    /// small ones).
+    #[cfg(test)]
+    pub(crate) fn with_resident_budget(mut self, bytes: usize) -> Self {
+        self.resident_budget = bytes;
+        self
+    }
+
     /// Campaigns shed with `BUSY` because the admission wait expired.
     pub fn shed_campaigns(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
@@ -174,7 +260,7 @@ impl ServeState {
             WeightChoice::Model(m) => *m,
         };
         let label = weights.label();
-        get_or_build(&self.variants, &label, || {
+        self.get_or_build(&self.variants, &label, || {
             let base = &self.dataset;
             let mut builder = GraphBuilder::new(base.graph.node_count());
             for u in base.graph.nodes() {
@@ -207,10 +293,121 @@ impl ServeState {
         seed: u64,
     ) -> (String, Arc<McBackend>) {
         let key = format!("{variant_label}|w{worlds}|s{seed}");
-        let backend = get_or_build(&self.backends, &key, || {
+        let backend = self.get_or_build(&self.backends, &key, || {
             McBackend::sample(&ds.graph, worlds, seed)
         });
         (key, backend)
+    }
+
+    /// The resident sketch index for S3CA under `cfg` on a variant,
+    /// building it on first use.
+    fn sketch_index(
+        &self,
+        variant_label: &str,
+        ds: &LoadedDataset,
+        cfg: &S3caConfig,
+    ) -> Arc<SketchIndex> {
+        let params = cfg.sketch_params();
+        let key = format!(
+            "{variant_label}|e{:?}|d{:?}|s{}",
+            params.epsilon, params.delta, params.seed
+        );
+        self.get_or_build(&self.indexes, &key, || {
+            SketchIndex::build(&ds.graph, &ds.data, &params)
+        })
+    }
+
+    /// Look `key` up in `map`, stamping its last use, and build it on a
+    /// miss. Hits do nothing more; a miss then runs an eviction pass.
+    fn get_or_build<T: Resident>(
+        &self,
+        map: &SlotMap<T>,
+        key: &str,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let slot = {
+            let mut map = lock(map);
+            let entry = map.entry(key.to_string()).or_insert_with(|| Entry {
+                slot: Arc::default(),
+                used: 0,
+            });
+            entry.used = self.tick.fetch_add(1, Ordering::Relaxed);
+            entry.slot.clone()
+        };
+        let mut missed = false;
+        let value = slot
+            .get_or_init(|| {
+                missed = true;
+                Arc::new(build())
+            })
+            .clone();
+        drop(slot);
+        if missed {
+            self.settle();
+            self.settle_due.store(true, Ordering::SeqCst);
+        }
+        value
+    }
+
+    /// Evict least-recently-used entries no request holds until the three
+    /// maps fit the budget. An entry larger than the budget stays while it
+    /// is held and goes on the first pass after that.
+    fn settle(&self) {
+        // One fixed lock order, so concurrent passes cannot deadlock;
+        // lookups take one map lock at a time.
+        let mut variants = lock(&self.variants);
+        let mut backends = lock(&self.backends);
+        let mut indexes = lock(&self.indexes);
+        let mut resident = built_bytes(&variants) + built_bytes(&backends) + built_bytes(&indexes);
+        let mut lru: Vec<(u64, usize, String, usize)> = Vec::new();
+        for (map, candidates) in [
+            evictable(&mut variants),
+            evictable(&mut backends),
+            evictable(&mut indexes),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            lru.extend(
+                candidates
+                    .into_iter()
+                    .map(|(used, key, bytes)| (used, map, key, bytes)),
+            );
+        }
+        lru.sort_unstable_by_key(|&(used, ..)| used);
+        // Values are dropped after the locks are released.
+        let (mut gone_variants, mut gone_backends, mut gone_indexes) = (vec![], vec![], vec![]);
+        let mut gone_backend_keys = Vec::new();
+        for (_, map, key, bytes) in lru {
+            if resident <= self.resident_budget {
+                break;
+            }
+            match map {
+                0 => gone_variants.extend(variants.remove(&key)),
+                1 => {
+                    gone_backends.extend(backends.remove(&key));
+                    gone_backend_keys.push(key);
+                }
+                _ => gone_indexes.extend(indexes.remove(&key)),
+            }
+            resident -= bytes;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.settle_due
+            .store(resident > self.resident_budget, Ordering::SeqCst);
+        drop((variants, backends, indexes));
+        drop((gone_variants, gone_backends, gone_indexes));
+        for key in gone_backend_keys {
+            self.batcher.forget(&key);
+        }
+    }
+
+    /// Run the eviction pass a finished request owes, if any. Called once a
+    /// request has released everything it looked up.
+    fn settle_if_due(&self) {
+        if self.settle_due.load(Ordering::SeqCst) {
+            self.settle();
+        }
     }
 
     /// Run one campaign end to end. Waits a bounded time on the admission
@@ -219,6 +416,12 @@ impl ServeState {
     /// reply's deterministic lines depend only on the spec and the dataset —
     /// never on what else is in flight.
     pub fn run_campaign(&self, spec: &CampaignSpec) -> Result<CampaignReply, String> {
+        let reply = self.campaign(spec);
+        self.settle_if_due();
+        reply
+    }
+
+    fn campaign(&self, spec: &CampaignSpec) -> Result<CampaignReply, String> {
         let Some(_permit) = self.admission.acquire_within(self.admission_wait) else {
             self.shed.fetch_add(1, Ordering::Relaxed);
             // Hint scaled to the configured wait: by then a slot has either
@@ -236,20 +439,24 @@ impl ServeState {
 
         let t0 = Instant::now();
         let (deployment, telemetry): (_, Option<Telemetry>) = match spec.algorithm {
-            // The S3CA variants go through the snapshot-backend seam so the
-            // line-24 re-ranking runs on a resident world cache instead of
-            // sampling one per request (bit-identical either way).
+            // The S3CA variants run on resident structures: the line-24
+            // re-ranking on a resident world cache and the sketch ID phase
+            // on a resident index, instead of building either per request
+            // (bit-identical either way).
             Algorithm::S3ca | Algorithm::S3caIdOnly => {
-                let mut cfg = if spec.algorithm == Algorithm::S3ca {
-                    effort.s3ca_config()
-                } else {
-                    effort.s3ca_id_only()
-                };
-                cfg.sketch_epsilon = spec.epsilon;
-                cfg.sketch_delta = spec.delta;
+                let cfg = spec.s3ca_config();
                 let (_, backend) =
                     self.backend(&variant_label, &ds, cfg.snapshot_worlds, cfg.rng_seed);
-                let r = s3ca_with_snapshot_backend(&ds.graph, &ds.data, binv, &cfg, Some(&backend));
+                let index = (cfg.estimator == EstimatorBackend::Sketch)
+                    .then(|| self.sketch_index(&variant_label, &ds, &cfg));
+                let r = s3ca_with_resident(
+                    &ds.graph,
+                    &ds.data,
+                    binv,
+                    &cfg,
+                    Some(&backend),
+                    index.as_deref(),
+                );
                 (r.deployment, Some(r.telemetry))
             }
             other => {
@@ -331,6 +538,12 @@ impl ServeState {
 
     /// Answer a `PROBE` request: one `STATS …` line.
     pub fn probe(&self, spec: &ProbeSpec) -> Result<String, String> {
+        let reply = self.probe_reply(spec);
+        self.settle_if_due();
+        reply
+    }
+
+    fn probe_reply(&self, spec: &ProbeSpec) -> Result<String, String> {
         let variant_label = spec.weights.label();
         let ds = self.variant(&spec.weights);
         let n = ds.graph.node_count();
@@ -359,24 +572,28 @@ impl ServeState {
     }
 
     /// `key=value` lines answering an `INFO` request.
+    /// `resident_bytes=` sums the three budgeted maps.
     pub fn info_lines(&self) -> Vec<String> {
-        let mut resident_bytes = 0usize;
-        let mut decoded_blocks = 0usize;
-        let mut sampled = 0usize;
-        for b in built(&self.backends) {
-            sampled += 1;
-            resident_bytes += b.cache().resident_bytes() as usize + b.lane_store().resident_bytes();
-            decoded_blocks += b.lane_store().decoded_blocks();
-        }
+        let resident_bytes = built_bytes(&lock(&self.variants))
+            + built_bytes(&lock(&self.backends))
+            + built_bytes(&lock(&self.indexes));
+        let decoded_blocks: usize = lock(&self.backends)
+            .values()
+            .filter_map(|e| e.slot.get())
+            .map(|b| b.lane_store().decoded_blocks())
+            .sum();
         let (probes, batches) = self.batcher.counters();
         vec![
             format!("dataset={}", self.dataset.name),
             format!("nodes={}", self.dataset.graph.node_count()),
             format!("edges={}", self.dataset.graph.edge_count()),
             format!("base_budget={}", self.dataset.budget),
-            format!("variants={}", built(&self.variants).len()),
-            format!("backends={sampled}"),
+            format!("variants={}", built_count(&self.variants)),
+            format!("backends={}", built_count(&self.backends)),
+            format!("sketch_indexes={}", built_count(&self.indexes)),
             format!("resident_bytes={resident_bytes}"),
+            format!("resident_budget_bytes={}", self.resident_budget),
+            format!("evictions={}", self.evictions.load(Ordering::Relaxed)),
             format!("decoded_lane_blocks={decoded_blocks}"),
             format!("inflight={}", self.admission.in_flight()),
             format!("inflight_cap={}", self.admission.capacity()),
@@ -477,6 +694,178 @@ mod tests {
         let a = sharded.run_campaign(&spec).expect("sharded campaign");
         let b = monolithic.run_campaign(&spec).expect("monolithic campaign");
         assert_eq!(a.deterministic_lines(), b.deterministic_lines());
+    }
+
+    /// The value of `key=` in `INFO`.
+    fn info(state: &ServeState, key: &str) -> usize {
+        let prefix = format!("{key}=");
+        state
+            .info_lines()
+            .iter()
+            .find_map(|l| l.strip_prefix(&prefix)?.parse().ok())
+            .unwrap_or_else(|| panic!("INFO has no numeric {key}="))
+    }
+
+    fn sketch_spec(body: &str) -> CampaignSpec {
+        CampaignSpec::parse(&format!("estimator=sketch {body}")).expect("valid spec")
+    }
+
+    /// A hit and a miss reply with the same bytes. At a zero budget every
+    /// entry is evicted after use, so every request rebuilds; at a budget
+    /// of half the working set some entries survive; at the default none is
+    /// evicted. Each spec runs twice per state.
+    #[test]
+    fn sketch_campaigns_reply_the_same_bytes_at_every_budget() {
+        let specs: Vec<CampaignSpec> = [("0.1", "0.1"), ("0.05", "0.2")]
+            .iter()
+            .flat_map(|(e, d)| {
+                ["data", "invdeg"]
+                    .map(|w| sketch_spec(&format!("epsilon={e} delta={d} weights={w}")))
+            })
+            .collect();
+        let reference = ServeState::open(&fixture(), 2).expect("open");
+        let expected: Vec<Vec<String>> = specs
+            .iter()
+            .map(|s| {
+                reference
+                    .run_campaign(s)
+                    .expect("campaign")
+                    .deterministic_lines()
+            })
+            .collect();
+        assert_eq!(info(&reference, "sketch_indexes"), 4);
+        let working_set = info(&reference, "resident_bytes");
+        for budget in [0, working_set / 2, RESIDENT_BUDGET_BYTES] {
+            let state = ServeState::open(&fixture(), 2)
+                .expect("open")
+                .with_resident_budget(budget);
+            for _ in 0..2 {
+                for (spec, want) in specs.iter().zip(&expected) {
+                    let got = state.run_campaign(spec).expect("campaign");
+                    assert_eq!(&got.deterministic_lines(), want, "budget {budget}");
+                    if budget == 0 {
+                        assert_eq!(info(&state, "resident_bytes"), 0);
+                        assert_eq!(info(&state, "sketch_indexes"), 0);
+                    }
+                }
+            }
+            let evictions = info(&state, "evictions");
+            if budget == RESIDENT_BUDGET_BYTES {
+                assert_eq!(evictions, 0);
+            } else {
+                assert!(evictions > 0, "budget {budget} never evicted");
+            }
+        }
+    }
+
+    /// The index depends on the variant, ε, δ and seed, never on the
+    /// budget: a 9-rung budget ladder at one key builds it once.
+    #[test]
+    fn a_budget_ladder_builds_one_sketch_index() {
+        let state = ServeState::open(&fixture(), 2).expect("open");
+        for m in [0.5, 0.6, 0.7, 0.85, 1.0, 1.2, 1.4, 1.7, 2.0] {
+            state
+                .run_campaign(&sketch_spec(&format!("budget={m}")))
+                .expect("campaign");
+        }
+        assert_eq!(info(&state, "sketch_indexes"), 1);
+        assert_eq!(info(&state, "evictions"), 0);
+    }
+
+    /// Every distinct `seed=` samples a new backend. Under a budget of one
+    /// sketch campaign's working set, a flood of them keeps the resident
+    /// bytes within the budget, and the batcher forgets the groups of the
+    /// backends it evicts.
+    #[test]
+    fn a_distinct_seed_flood_stays_within_the_budget() {
+        let measure = ServeState::open(&fixture(), 2).expect("open");
+        measure
+            .run_campaign(&sketch_spec("seed=0"))
+            .expect("campaign");
+        let budget = info(&measure, "resident_bytes");
+        let state = ServeState::open(&fixture(), 2)
+            .expect("open")
+            .with_resident_budget(budget);
+        for i in 1..=16u64 {
+            if i % 2 == 0 {
+                state
+                    .run_campaign(&sketch_spec(&format!("seed={i}")))
+                    .expect("campaign");
+            } else {
+                let probe = format!("worlds=64 seed={i} seeds=0;1 coupons=2:1");
+                state
+                    .probe(&ProbeSpec::parse(&probe).unwrap())
+                    .expect("probe");
+            }
+            let resident = info(&state, "resident_bytes");
+            assert!(resident <= budget, "request {i}: {resident} > {budget}");
+            if i >= 2 {
+                assert!(info(&state, "evictions") > 0, "request {i}");
+            }
+            assert!(
+                state.batcher.group_count() <= info(&state, "backends"),
+                "request {i}: batcher groups outlive their backends"
+            );
+        }
+    }
+
+    /// No request loses an entry it holds: concurrent campaigns under a
+    /// one-byte budget reply as a serial default state does, and a variant
+    /// the test holds survives every eviction pass until it is released.
+    #[test]
+    fn held_entries_survive_eviction_and_replies_match_serial() {
+        use osn_gen::weights::WeightModel;
+        let invdeg = WeightChoice::Model(WeightModel::InverseInDegree);
+        let specs: Vec<CampaignSpec> = (0..8)
+            .map(|i| {
+                let epsilon = if i % 2 == 0 { "0.1" } else { "0.05" };
+                let weights = if i % 4 < 2 { "invdeg" } else { "data" };
+                sketch_spec(&format!(
+                    "epsilon={epsilon} weights={weights} seed={}",
+                    i / 2
+                ))
+            })
+            .collect();
+        let serial = ServeState::open(&fixture(), 2).expect("open");
+        let expected: Vec<Vec<String>> = specs
+            .iter()
+            .map(|s| {
+                serial
+                    .run_campaign(s)
+                    .expect("campaign")
+                    .deterministic_lines()
+            })
+            .collect();
+
+        let state = ServeState::open(&fixture(), 4)
+            .expect("open")
+            .with_resident_budget(1);
+        let held = state.variant(&invdeg);
+        let got: Vec<Vec<String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| {
+                    let state = &state;
+                    s.spawn(move || state.run_campaign(spec).expect("campaign"))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap().deterministic_lines())
+                .collect()
+        });
+        assert_eq!(got, expected);
+        assert!(info(&state, "evictions") > 0);
+        assert!(
+            Arc::ptr_eq(&held, &state.variant(&invdeg)),
+            "a held variant was evicted"
+        );
+        drop(held);
+        state
+            .run_campaign(&sketch_spec("seed=99"))
+            .expect("campaign");
+        assert_eq!(info(&state, "variants"), 0, "released variant stayed");
+        assert_eq!(info(&state, "resident_bytes"), 0);
     }
 
     #[test]

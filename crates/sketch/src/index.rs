@@ -71,6 +71,8 @@ struct RawSketch {
 /// (sketch, local-slot) postings the estimator's incremental updates walk.
 pub struct SketchIndex {
     n: usize,
+    /// The parameters the index was built with.
+    params: SketchParams,
     /// `B_total` at build time.
     b_total: f64,
     /// `B_total / sketch_count` — the benefit mass one covered sketch adds
@@ -152,7 +154,7 @@ impl SketchIndex {
         let b_total = data.total_benefit();
         let mut stats = BuildStats::default();
         if n == 0 || b_total <= 0.0 || params.max_sketches == 0 {
-            return Self::assemble(n, b_total, Vec::new(), stats);
+            return Self::assemble(n, *params, b_total, Vec::new(), stats);
         }
 
         // Benefit CDF for root draws (strictly increasing over nodes with
@@ -212,10 +214,16 @@ impl SketchIndex {
         }
 
         stats.worlds = worlds_done;
-        Self::assemble(n, b_total, sketches, stats)
+        Self::assemble(n, *params, b_total, sketches, stats)
     }
 
-    fn assemble(n: usize, b_total: f64, sketches: Vec<RawSketch>, mut stats: BuildStats) -> Self {
+    fn assemble(
+        n: usize,
+        params: SketchParams,
+        b_total: f64,
+        sketches: Vec<RawSketch>,
+        mut stats: BuildStats,
+    ) -> Self {
         let r = sketches.len();
         stats.sketches = r;
         let mut roots = Vec::with_capacity(r);
@@ -314,6 +322,7 @@ impl SketchIndex {
         let unit = if r > 0 { b_total / r as f64 } else { 0.0 };
         SketchIndex {
             n,
+            params,
             b_total,
             unit,
             stats,
@@ -341,6 +350,11 @@ impl SketchIndex {
     /// Nodes the index spans.
     pub fn node_count(&self) -> usize {
         self.n
+    }
+
+    /// The parameters the index was built with.
+    pub fn params(&self) -> &SketchParams {
+        &self.params
     }
 
     /// Number of sketches `R`.
