@@ -18,6 +18,8 @@
 //! * [`opt`] — branch-and-bound exhaustive search for the Fig. 10 optimum
 //!   on small instances, with the Theorem 2 worst-case bound check.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod im;
 pub mod im_s;

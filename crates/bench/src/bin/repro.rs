@@ -20,6 +20,8 @@
 //! re-encodes a dataset as binary; `--cache DIR` memoizes generated
 //! profiles as `.oscg` files.
 
+#![forbid(unsafe_code)]
+
 use osn_gen::DatasetProfile;
 use s3crm_bench::experiments::{
     ablation, dataset as data_experiment, extensions, fig10, fig6, fig7, fig8, fig9, table3, table4,
@@ -325,8 +327,9 @@ fn run_convert(args: &[String]) -> ! {
 }
 
 /// `repro sniff FILE` — print an `.oscg` file's header and shard table (a
-/// legacy v1 file is its one shard). Opening validates every shard
-/// checksum, so a clean sniff doubles as an integrity check.
+/// legacy v1 file is its one shard). Opening decodes and validates the
+/// whole file — every checksum, every shard and the transpose — so a clean
+/// sniff proves the file.
 fn run_sniff(paths: &[String]) -> ! {
     let [path] = paths else {
         eprintln!("usage: repro sniff FILE");
@@ -561,16 +564,11 @@ fn main() {
                     }
                 };
                 println!(
-                    "# dataset {}: {} nodes, {} edges, default Binv {:.1}{}",
+                    "# dataset {}: {} nodes, {} edges, default Binv {:.1}",
                     ds.name,
                     ds.graph.node_count(),
                     ds.graph.edge_count(),
                     ds.budget,
-                    if ds.graph.is_mapped() {
-                        " (memory-mapped)"
-                    } else {
-                        ""
-                    }
                 );
                 let (rate, benefit) = data_experiment::budget_sweep(&ds, e);
                 emit(rate, &args.out_dir, "data_rate_vs_budget");

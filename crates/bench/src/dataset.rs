@@ -69,8 +69,8 @@ pub struct LoadedDataset {
 
 /// Read just the graph from `path`, auto-detecting the format.
 ///
-/// * `.oscg` magic → the binary loader (zero-copy mapped where possible);
-///   a workload block, if present, rides along.
+/// * `.oscg` magic → the binary loader; a workload block, if present,
+///   rides along.
 /// * anything else → SNAP-style text edge list. When **no** line carries an
 ///   explicit probability column, edges get the paper's default
 ///   `P(e(i,j)) = 1 / in-degree(v_j)` weights; if *any* line carries one,
@@ -162,8 +162,8 @@ pub fn instance_from_parts(
 ///
 /// The write is atomic ([`write_sharded_oscg_atomic`]): an interrupted
 /// convert never leaves a truncated `.oscg` behind, and re-converting over
-/// a file another process has memory-mapped replaces the directory entry
-/// instead of truncating pages under the live map.
+/// a file another process is reading replaces the directory entry instead
+/// of truncating the file under the reader.
 pub fn convert_sharded(input: &Path, output: &Path, shards: usize) -> Result<usize, GraphError> {
     let (graph, workload) = load_graph(input)?;
     let plan = ShardPlan::balanced(graph.out_offsets(), graph.in_offsets(), shards);

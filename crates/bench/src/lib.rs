@@ -26,6 +26,8 @@
 //! wins, by roughly what factor, and how curves move with each swept
 //! parameter.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod effort;
 pub mod experiments;

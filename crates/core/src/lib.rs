@@ -39,6 +39,8 @@
 //! experiments. [`bounds`] computes the Theorem 2 approximation ratio
 //! `1 − e^{−1/(b0·c0)} − ε` backing the Fig. 10 worst-case curves.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod deployment;
 pub mod gpi;
@@ -48,7 +50,6 @@ pub mod objective;
 pub mod pivot;
 pub mod s3ca;
 pub mod scm;
-pub mod special_cases;
 
 pub use deployment::Deployment;
 pub use instance::Instance;

@@ -10,15 +10,13 @@
 //! `repro --data`; see the README's "Real datasets" section):
 //!
 //! * [`erdos_renyi`] — G(n,m) baselines for tests;
-//! * [`barabasi_albert`] — preferential attachment (pure power law);
 //! * [`powerlaw_cluster`] — Holme–Kim triad-formation model controlling both
 //!   the degree exponent and the clustering coefficient (the two quantities
 //!   PPGG is parameterized by in Sec. VI-D);
-//! * [`configuration`] — power-law configuration model for the η sweep;
 //! * [`profiles`] — dataset-shaped presets replicating Table II
 //!   (node/edge counts, `Binv`, benefit µ/σ) with a `scale` knob;
 //! * [`cache`] — content-hash-keyed `.oscg` memoization of generated
-//!   profile instances, so repeated runs mmap the finished CSR instead of
+//!   profile instances, so repeated runs load the finished CSR instead of
 //!   regenerating it;
 //! * [`fixtures`] — the exact worked-example instances of the paper (Fig. 1
 //!   and Example 1) used by the integration tests;
@@ -35,18 +33,17 @@
 //!
 //! All generators take an explicit `u64` seed and are deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod adoption;
 pub mod attrs;
-pub mod barabasi_albert;
 pub mod cache;
-pub mod configuration;
 pub mod erdos_renyi;
 pub mod fixtures;
 pub mod powerlaw_cluster;
 pub mod profiles;
 pub mod stream;
 pub mod topology;
-pub mod watts_strogatz;
 pub mod weights;
 
 pub use profiles::DatasetProfile;

@@ -587,8 +587,8 @@ mod tests {
         assert_eq!(sharded.node_count(), 500);
         assert_eq!(sharded.edge_count(), stats.directed_edges as usize);
         assert!(sharded.workload().is_none());
-        // Converting to a monolithic in-memory graph revalidates the
-        // transpose bijection end to end.
+        // The open checked the transpose bijection end to end; the
+        // hand-over keeps every edge.
         let file = sharded.to_oscg_file().unwrap();
         assert_eq!(file.graph.edge_count() as u64, stats.directed_edges);
         std::fs::remove_file(&path).ok();

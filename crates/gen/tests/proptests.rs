@@ -1,12 +1,9 @@
 //! Property-based tests of the generators: every generator must produce a
 //! valid simple topology, deterministically per seed.
 
-use osn_gen::barabasi_albert::barabasi_albert;
-use osn_gen::configuration::{configuration_model, powerlaw_degree_sequence};
 use osn_gen::erdos_renyi::gnm;
 use osn_gen::powerlaw_cluster::powerlaw_cluster;
 use osn_gen::seeded_rng;
-use osn_gen::watts_strogatz::watts_strogatz;
 use proptest::prelude::*;
 
 fn is_simple(topo: &osn_gen::UndirectedTopology) -> bool {
@@ -30,40 +27,10 @@ proptest! {
     }
 
     #[test]
-    fn ba_is_simple(n in 6usize..80, m in 1usize..5, seed in 0u64..500) {
-        prop_assume!(n > m + 1);
-        let t = barabasi_albert(n, m, &mut seeded_rng(seed));
-        prop_assert!(is_simple(&t));
-        let expected = m * (m + 1) / 2 + (n - m - 1) * m;
-        prop_assert_eq!(t.edge_count(), expected);
-    }
-
-    #[test]
     fn holme_kim_is_simple(n in 6usize..80, m in 1usize..4, p in 0.0f64..=1.0, seed in 0u64..500) {
         prop_assume!(n > m + 1);
         let t = powerlaw_cluster(n, m, p, &mut seeded_rng(seed));
         prop_assert!(is_simple(&t));
-    }
-
-    #[test]
-    fn ws_preserves_edge_count(n in 10usize..60, half_k in 1usize..4, beta in 0.0f64..=1.0, seed in 0u64..500) {
-        let k = 2 * half_k;
-        prop_assume!(k < n);
-        let t = watts_strogatz(n, k, beta, &mut seeded_rng(seed));
-        prop_assert_eq!(t.edge_count(), n * k / 2);
-        prop_assert!(is_simple(&t));
-    }
-
-    #[test]
-    fn configuration_model_is_simple(n in 10usize..100, eta in 1.5f64..3.5, seed in 0u64..500) {
-        let degrees = powerlaw_degree_sequence(n, eta, 1, 12, &mut seeded_rng(seed));
-        let t = configuration_model(&degrees, &mut seeded_rng(seed ^ 1));
-        prop_assert!(is_simple(&t));
-        // Realized degrees never exceed the targets.
-        let realized = t.degrees();
-        let target_sum: u32 = degrees.iter().sum();
-        let realized_sum: u32 = realized.iter().sum();
-        prop_assert!(realized_sum <= target_sum);
     }
 
     #[test]

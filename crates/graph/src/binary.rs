@@ -4,10 +4,9 @@
 //! The layout, reader, and writer live in [`crate::shard`]; everything
 //! here is the one-shard case of it. Writers emit a one-shard version-2
 //! file. Loaders accept any shard count and legacy version-1 files, and
-//! assemble the whole graph — a one-shard file through a zero-copy memory
-//! map where the platform allows. Callers that want the shard table, or
-//! want to time validation apart from assembly, open [`ShardedOscg`]
-//! directly.
+//! decode the whole graph through the one streaming reader,
+//! [`ShardedOscg::from_reader`]. Callers that want the shard table open
+//! [`ShardedOscg`] directly.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
@@ -67,14 +66,15 @@ pub fn write_oscg_atomic(
     write_sharded_oscg_atomic(path, graph, workload, &whole(graph))
 }
 
-/// Decode `.oscg` bytes (any version, any shard count) into owned sections.
+/// Decode `.oscg` bytes (any version, any shard count) without copying
+/// the slice first.
 pub fn from_bytes(bytes: &[u8]) -> Result<OscgFile, GraphError> {
-    ShardedOscg::from_owned_bytes(bytes.to_vec())?.to_oscg_file()
+    ShardedOscg::from_reader(std::io::Cursor::new(bytes))?.to_oscg_file()
 }
 
-/// Load an `.oscg` file (any version, any shard count) as the whole graph:
-/// memory-mapped where the platform allows, explicit reads otherwise.
-/// Corrupt files fail identically on both paths.
+/// Load an `.oscg` file (any version, any shard count) as the whole graph,
+/// through a buffered reader. Corrupt files fail exactly as in
+/// [`from_bytes`].
 pub fn load_oscg(path: &Path) -> Result<OscgFile, GraphError> {
     ShardedOscg::open(path)?.to_oscg_file()
 }
@@ -122,7 +122,6 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.graph, g);
         assert!(back.workload.is_none());
-        assert!(!back.graph.is_mapped());
     }
 
     #[test]

@@ -6,33 +6,30 @@
 //! is simply its index within the node's CSR slice.
 
 use crate::ids::NodeId;
-use crate::storage::Section;
 
 /// Immutable directed weighted graph in CSR form.
 ///
 /// Construction goes through [`GraphBuilder`](crate::GraphBuilder), or
-/// zero-copy from a memory-mapped `.oscg` file via [`crate::shard`] — every
-/// adjacency array is a [`Section`] that is either owned or a typed window
-/// into the map, so algorithms run unchanged over both. Equality is by
-/// contents, whichever way the sections are backed.
+/// through the `.oscg` reader ([`crate::shard`]), which decodes a file
+/// straight into these arrays. Equality is by contents.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrGraph {
     n: u32,
     /// Forward adjacency offsets, length `n + 1` (`u64` to match the on-disk
     /// section layout; edge ids still fit `u32`, which `build` asserts).
-    offsets: Section<u64>,
+    offsets: Vec<u64>,
     /// Edge targets, grouped by source, sorted by descending probability.
-    targets: Section<NodeId>,
+    targets: Vec<NodeId>,
     /// Influence probability of each forward edge (parallel to `targets`).
-    probs: Section<f64>,
+    probs: Vec<f64>,
     /// Reverse adjacency offsets, length `n + 1`.
-    in_offsets: Section<u64>,
+    in_offsets: Vec<u64>,
     /// Edge sources, grouped by target (ascending source id).
-    in_sources: Section<NodeId>,
+    in_sources: Vec<NodeId>,
     /// Influence probability of each reverse edge (parallel to
     /// `in_sources`) — needed by reverse-reachable sampling and the
     /// linear-threshold comparison model.
-    in_probs: Section<f64>,
+    in_probs: Vec<f64>,
 }
 
 impl CsrGraph {
@@ -85,26 +82,26 @@ impl CsrGraph {
 
         CsrGraph {
             n,
-            offsets: offsets.into(),
-            targets: targets.into(),
-            probs: probs.into(),
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-            in_probs: in_probs.into(),
+            offsets,
+            targets,
+            probs,
+            in_offsets,
+            in_sources,
+            in_probs,
         }
     }
 
-    /// Assemble from pre-validated sections (the binary loader's entry
+    /// Assemble from pre-validated arrays (the binary loader's entry
     /// point — see [`crate::shard`], which checks every structural
     /// invariant before calling this).
-    pub(crate) fn from_sections(
+    pub(crate) fn from_arrays(
         n: u32,
-        offsets: Section<u64>,
-        targets: Section<NodeId>,
-        probs: Section<f64>,
-        in_offsets: Section<u64>,
-        in_sources: Section<NodeId>,
-        in_probs: Section<f64>,
+        offsets: Vec<u64>,
+        targets: Vec<NodeId>,
+        probs: Vec<f64>,
+        in_offsets: Vec<u64>,
+        in_sources: Vec<NodeId>,
+        in_probs: Vec<f64>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), n as usize + 1);
         debug_assert_eq!(in_offsets.len(), n as usize + 1);
@@ -119,12 +116,6 @@ impl CsrGraph {
             in_sources,
             in_probs,
         }
-    }
-
-    /// True when at least one adjacency section borrows a memory map
-    /// (i.e. the graph came through the zero-copy `.oscg` path).
-    pub fn is_mapped(&self) -> bool {
-        self.offsets.is_mapped() || self.targets.is_mapped() || self.probs.is_mapped()
     }
 
     /// Flat reverse-adjacency sources (grouped by target) — the reverse

@@ -8,13 +8,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a user in the social network, dense in `0..n`.
-///
-/// `#[repr(transparent)]` over `u32` is load-bearing: the binary CSR reader
-/// ([`crate::shard`]) reinterprets memory-mapped `u32` target sections as
-/// `&[NodeId]` without copying.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 #[serde(transparent)]
-#[repr(transparent)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

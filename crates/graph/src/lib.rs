@@ -32,14 +32,12 @@
 //! * [`shard`] — the `.oscg` binary CSR format, its one reader and writer:
 //!   the node space split into contiguous degree-balanced shards, each
 //!   independently checksummed, so a streamed generator can write a graph
-//!   shard by shard. Reading validates every shard and assembles one
-//!   in-memory [`CsrGraph`]. Legacy version-1 files read as one-shard
-//!   frames.
+//!   shard by shard. Reading decodes every shard in one streaming pass
+//!   straight into one in-memory [`CsrGraph`], validating as it goes.
+//!   Legacy version-1 files read as one-shard frames.
 //! * [`binary`] — whole-graph `.oscg` entry points: graphs (and optional
 //!   workload attributes) serialize to a one-shard file that loads back
-//!   through a zero-copy memory map, skipping the O(E) text parse entirely.
-//! * [`storage`] — the owned-or-mapped [`storage::Section`] abstraction the
-//!   CSR arrays are built on; algorithms see plain slices either way.
+//!   without the O(E) text parse and sort.
 //!
 //! ```
 //! use osn_graph::{GraphBuilder, NodeId};
@@ -54,6 +52,8 @@
 //! assert_eq!(ranked[1], (NodeId(1), 0.4));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binary;
 pub mod builder;
 pub mod csr;
@@ -65,7 +65,6 @@ pub mod prob_index;
 pub mod shard;
 pub mod shortest_path;
 pub mod stats;
-pub mod storage;
 pub mod traversal;
 
 pub use builder::GraphBuilder;

@@ -3,11 +3,11 @@
 //! Plain-text edge lists ([`crate::io`]) cost an O(E) tokenize-and-sort on
 //! every run; for the paper's larger graphs (Google+ 13.7M edges, Douban
 //! 86M) that parse dominates experiment setup. `.oscg` stores the *built*
-//! CSR — both adjacency directions, pre-sorted — so loading is a memory map
-//! plus one O(N + M) structural validation pass with no parsing or sorting.
-//! On little-endian Unix targets the sections are used in place (zero-copy,
-//! [`Section::Mapped`]); elsewhere the reader falls back to owned copies
-//! with identical results.
+//! CSR — both adjacency directions, pre-sorted — so loading is one
+//! streaming pass that decodes each section with `from_le_bytes` straight
+//! into the graph's arrays, plus O(N + M) structural validation, with no
+//! parsing or sorting. Decoding by value makes the reader endian-correct on
+//! any host.
 //!
 //! The **node space is split into contiguous shards** — boundaries chosen
 //! so each shard carries roughly the same number of incident edges, which
@@ -16,10 +16,11 @@
 //! slices are an independently checksummed payload. That is what lets the
 //! streaming generator ([`ShardedWriter`]) emit a graph one shard at a time
 //! without ever holding it whole. Readers have one path:
-//! [`ShardedOscg::open`] validates every shard, then
-//! [`ShardedOscg::to_oscg_file`] assembles the in-memory [`CsrGraph`] every
-//! algorithm runs on. A whole in-memory graph is the one-shard case
-//! ([`crate::binary::to_bytes`]).
+//! [`ShardedOscg::open`] (a buffered file) or [`ShardedOscg::from_reader`]
+//! (any `Read + Seek`) decodes and validates every shard into the in-memory
+//! [`CsrGraph`] every algorithm runs on, and
+//! [`ShardedOscg::to_oscg_file`] hands it over. A whole in-memory graph is
+//! the one-shard case ([`crate::binary::to_bytes`]).
 //!
 //! # Layout (version 2, all integers little-endian)
 //!
@@ -84,10 +85,8 @@ use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::node_data::NodeData;
-use crate::storage::{MappedFile, Section};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The four magic bytes opening every `.oscg` file.
 pub(crate) const MAGIC: [u8; 4] = *b"OSCG";
@@ -581,8 +580,8 @@ pub fn sharded_to_bytes(
 /// temp file in the destination directory, then rename over `path`.
 ///
 /// An interrupted write never leaves a truncated file at `path`, replacing
-/// an existing file swaps the directory entry rather than truncating pages
-/// under a live map of the old contents, and the temp name is unique per
+/// an existing file swaps the directory entry rather than truncating a file
+/// another reader may be partway through, and the temp name is unique per
 /// process *and* per call so concurrent writers (threads or processes)
 /// never interleave into one temp file. The profile cache and
 /// `repro convert` both write through here.
@@ -617,56 +616,9 @@ pub fn write_sharded_oscg_atomic(
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Storage behind an open sharded file: a zero-copy memory map on mappable
-/// platforms, the file's owned bytes otherwise.
-#[derive(Clone, Debug)]
-enum Backing {
-    Mapped(Arc<MappedFile>),
-    Owned(Arc<Vec<u8>>),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Owned(v) => v,
-        }
-    }
-
-    fn section<T: crate::storage::Pod>(
-        &self,
-        offset: usize,
-        len: usize,
-        name: &'static str,
-    ) -> Result<Section<T>, GraphError> {
-        match self {
-            Backing::Mapped(m) => Section::map(Arc::clone(m), offset, len, name),
-            Backing::Owned(bytes) => {
-                let size = std::mem::size_of::<T>();
-                let end = offset.saturating_add(len.saturating_mul(size));
-                if end > bytes.len() {
-                    return Err(GraphError::CorruptSection {
-                        section: name,
-                        detail: "section window is out of bounds".into(),
-                    });
-                }
-                // Owned backing: copy the window into an owned, properly
-                // aligned vector (alignment of the source is irrelevant).
-                let raw = &bytes[offset..end];
-                let mut out: Vec<T> = Vec::with_capacity(len);
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        raw.as_ptr(),
-                        out.as_mut_ptr() as *mut u8,
-                        raw.len(),
-                    );
-                    out.set_len(len);
-                }
-                Ok(Section::Owned(out))
-            }
-        }
-    }
-}
+/// Bytes the reader moves per `read` call: a whole number of 8-byte words,
+/// so every incremental checksum update but a section's last is whole words.
+const CHUNK: usize = 1 << 16;
 
 /// One parsed shard-table row with its derived sizes.
 #[derive(Clone, Copy, Debug)]
@@ -691,50 +643,15 @@ pub struct ShardInfo {
     pub checksum: u64,
 }
 
-/// One shard's CSR slices as typed sections (windows into the map, or
-/// owned copies on non-mappable platforms).
-#[derive(Debug)]
-struct ShardCsr {
-    /// First node of the shard.
-    node_start: u32,
-    /// One past the last node.
-    node_end: u32,
-    /// Global edge id of `targets[0]`.
-    fwd_edge_start: u64,
-    /// Global reverse slot of `in_sources[0]`.
-    rev_edge_start: u64,
-    /// Rebased forward offsets (`node_end - node_start + 1` entries).
-    offsets: Section<u64>,
-    /// Forward targets (global node ids), rank-sorted per source.
-    targets: Section<NodeId>,
-    /// Forward probabilities.
-    probs: Section<f64>,
-    /// Rebased reverse offsets.
-    in_offsets: Section<u64>,
-    /// Reverse sources (global node ids), grouped by local target.
-    in_sources: Section<NodeId>,
-    /// Reverse probabilities.
-    in_probs: Section<f64>,
-}
-
-impl ShardCsr {
-    /// Number of nodes in the shard.
-    #[inline]
-    fn node_count(&self) -> usize {
-        (self.node_end - self.node_start) as usize
-    }
-}
-
 /// An open, fully validated `.oscg` file: the shard table, the workload
-/// block, and the bytes behind them.
+/// block, and the decoded graph.
 ///
-/// Opening validates the header, the table, and every shard (checksum and
-/// per-shard structural invariants); [`to_oscg_file`](Self::to_oscg_file)
-/// then assembles the graph in memory.
+/// Opening decodes every section straight into the graph's arrays in one
+/// streaming pass, and validates the header, the table, every shard
+/// (checksum and per-edge invariants) and the forward/reverse transpose.
+/// [`to_oscg_file`](Self::to_oscg_file) then hands the graph over.
 pub struct ShardedOscg {
-    backing: Backing,
-    n: u32,
-    m: u64,
+    graph: CsrGraph,
     table: Vec<ShardInfo>,
     workload: Option<Workload>,
     file_len: u64,
@@ -745,8 +662,8 @@ impl std::fmt::Debug for ShardedOscg {
         write!(
             f,
             "ShardedOscg({} nodes, {} edges, {} shards, {} bytes)",
-            self.n,
-            self.m,
+            self.graph.node_count(),
+            self.graph.edge_count(),
             self.table.len(),
             self.file_len
         )
@@ -757,16 +674,7 @@ impl ShardedOscg {
     /// Open and fully validate an `.oscg` file (either version).
     pub fn open(path: &Path) -> Result<Self, GraphError> {
         osn_fault::io_point("graph.shard.open")?;
-        let backing = if cfg!(target_endian = "little") {
-            let file = std::fs::File::open(path)?;
-            match MappedFile::map(&file)? {
-                Some(map) => Backing::Mapped(Arc::new(map)),
-                None => Backing::Owned(Arc::new(std::fs::read(path)?)),
-            }
-        } else {
-            Backing::Owned(Arc::new(std::fs::read(path)?))
-        };
-        Self::from_backing(backing)
+        Self::from_reader(std::io::BufReader::new(std::fs::File::open(path)?))
     }
 
     /// [`open`](Self::open), kept for callers written against the former
@@ -776,43 +684,51 @@ impl ShardedOscg {
         Self::open(path)
     }
 
-    /// Open from owned bytes (the explicit-read path behind
-    /// [`crate::binary::from_bytes`]).
+    /// Open from bytes already in memory.
     pub fn from_owned_bytes(bytes: Vec<u8>) -> Result<Self, GraphError> {
-        Self::from_backing(Backing::Owned(Arc::new(bytes)))
+        Self::from_reader(std::io::Cursor::new(bytes))
     }
 
-    /// The one frame parser: header, shard table (synthesized for a legacy
-    /// v1 frame), lengths, checksums, workload, then every shard.
-    fn from_backing(backing: Backing) -> Result<Self, GraphError> {
-        let bytes = backing.bytes();
+    /// The one decoder: header, shard table (synthesized for a legacy v1
+    /// frame), lengths, checksums, workload, then every shard, read from
+    /// `r` in 64 KiB pieces.
+    ///
+    /// Nothing is allocated from the header's counts until the table has
+    /// been checked against the stream length, so a hostile header cannot
+    /// drive a huge allocation. Beyond the final arrays the reader holds
+    /// one chunk buffer and O(n) validation scratch.
+    pub fn from_reader<R: Read + Seek>(mut r: R) -> Result<Self, GraphError> {
+        let file_len = r.seek(SeekFrom::End(0))?;
+        r.seek(SeekFrom::Start(0))?;
         let corrupt =
             |section: &'static str, detail: String| GraphError::CorruptSection { section, detail };
-        if bytes.len() < HEADER_LEN {
+        if file_len < HEADER_LEN as u64 {
             return Err(GraphError::Truncated {
                 needed: HEADER_LEN as u64,
-                got: bytes.len() as u64,
+                got: file_len,
             });
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().unwrap();
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        let magic: [u8; 4] = header[0..4].try_into().unwrap();
         if magic != MAGIC {
             return Err(GraphError::BadMagic { got: magic });
         }
-        let legacy = match u16::from_le_bytes(bytes[4..6].try_into().unwrap()) {
+        let legacy = match u16::from_le_bytes(header[4..6].try_into().unwrap()) {
             VERSION_LEGACY => true,
             VERSION_SHARDED => false,
             got => return Err(GraphError::UnsupportedVersion { got }),
         };
-        let flags = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
+        let flags = u16::from_le_bytes(header[6..8].try_into().unwrap());
         if flags & !FLAG_WORKLOAD != 0 {
             return Err(corrupt(
                 "header",
                 format!("unknown flag bits {:#06x}", flags & !FLAG_WORKLOAD),
             ));
         }
-        let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let m = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let stored_checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        let n = u64::from_le_bytes(header[8..16].try_into().unwrap());
+        let m = u64::from_le_bytes(header[16..24].try_into().unwrap());
+        let stored_checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
         // Node and edge ids are u32 throughout the workspace; a header that
         // claims more is either corrupt or a graph this build cannot represent.
         if n > u32::MAX as u64 {
@@ -828,7 +744,7 @@ impl ShardedOscg {
             ));
         }
 
-        let (raw, table_end) = if legacy {
+        let (raw, table_bytes) = if legacy {
             // A v1 file is one shard whose payload follows the header; its
             // checksum is verified with the header's below.
             let whole = TableEntry {
@@ -839,15 +755,16 @@ impl ShardedOscg {
                 byte_off: HEADER_LEN as u64,
                 checksum: 0,
             };
-            (vec![whole], HEADER_LEN)
+            (vec![whole], Vec::new())
         } else {
-            Self::read_table(bytes)?
+            read_table(&mut r, file_len)?
         };
+        let table_end = (HEADER_LEN + table_bytes.len()) as u64;
 
         // Structurally validate the table: contiguous ascending node/edge
         // coverage, gap-free 8-aligned payloads inside the file.
         let mut table = Vec::with_capacity(raw.len());
-        let mut cursor = table_end as u64;
+        let mut cursor = table_end;
         for (s, e) in raw.iter().enumerate() {
             let expect_node = if s == 0 { 0 } else { raw[s - 1].node_end };
             if e.node_start != expect_node {
@@ -949,147 +866,64 @@ impl ShardedOscg {
         }
         let has_workload = flags & FLAG_WORKLOAD != 0;
         let total = cursor + workload_len(n, has_workload);
-        if (bytes.len() as u64) < total {
+        if file_len < total {
             return Err(GraphError::Truncated {
                 needed: total,
-                got: bytes.len() as u64,
+                got: file_len,
             });
         }
-        if bytes.len() as u64 > total {
+        if file_len > total {
             return Err(corrupt(
                 "payload",
-                format!(
-                    "{} trailing bytes after the last section",
-                    bytes.len() as u64 - total
-                ),
+                format!("{} trailing bytes after the last section", file_len - total),
             ));
         }
 
-        // The v2 header checksum covers the table and the workload block;
-        // shard payloads carry their own checksums, verified per shard
-        // below. The v1 header checksum runs on through the payload, whose
-        // prefix hash is therefore the synthesized shard's checksum.
+        // The stream length now bounds every count, so the final arrays
+        // can be sized. Checks run in one fixed order whatever the version:
+        // the header checksum, the workload's values, then shard by shard
+        // its checksum and per-edge invariants, then the transpose. The v2
+        // header checksum covers the table and the workload block, and each
+        // shard payload carries its own. The v1 header checksum runs on
+        // through the payload, whose prefix hash is therefore the
+        // synthesized shard's checksum.
+        let mut arrays = CsrArrays::with_capacity(n as usize, m as usize);
+        let mut last_ref = vec![u32::MAX; n as usize];
+        let mut buf = vec![0u8; CHUNK];
         let mut hash = Fnv::new();
-        if legacy {
-            hash.update(&bytes[HEADER_LEN..cursor as usize]);
+        let workload = if legacy {
+            arrays.read_shard(&mut r, &table[0], &mut buf, &mut hash)?;
             table[0].checksum = hash.0;
+            let raw = read_workload(&mut r, n as usize, has_workload, &mut buf, &mut hash)?;
+            check_header(stored_checksum, &hash)?;
+            let workload = raw.map(decode_workload).transpose()?;
+            arrays.accept_shard(n as u32, &table[0], &mut last_ref)?;
+            workload
         } else {
-            hash.update(&bytes[HEADER_LEN..table_end]);
-        }
-        hash.update(&bytes[cursor as usize..total as usize]);
-        if hash.0 != stored_checksum {
-            return Err(GraphError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed: hash.0,
-            });
-        }
-
-        let workload = if has_workload {
-            Some(decode_workload(bytes, cursor as usize, n as usize)?)
-        } else {
-            None
-        };
-
-        let this = ShardedOscg {
-            backing,
-            n: n as u32,
-            m,
-            table,
-            workload,
-            file_len: total,
-        };
-        this.validate_shards(!legacy)?;
-        Ok(this)
-    }
-
-    /// Read a v2 shard count and table: the raw rows and the byte offset
-    /// just past the table.
-    fn read_table(bytes: &[u8]) -> Result<(Vec<TableEntry>, usize), GraphError> {
-        if bytes.len() < HEADER_LEN + 8 {
-            return Err(GraphError::Truncated {
-                needed: (HEADER_LEN + 8) as u64,
-                got: bytes.len() as u64,
-            });
-        }
-        let shards = u64::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 8].try_into().unwrap());
-        check_shard_count(shards)?;
-        let table_end = HEADER_LEN + 8 + shards as usize * TABLE_ENTRY_LEN;
-        if bytes.len() < table_end {
-            return Err(GraphError::Truncated {
-                needed: table_end as u64,
-                got: bytes.len() as u64,
-            });
-        }
-        let raw = (0..shards as usize)
-            .map(|s| {
-                let off = HEADER_LEN + 8 + s * TABLE_ENTRY_LEN;
-                let f = |i: usize| {
-                    u64::from_le_bytes(bytes[off + 8 * i..off + 8 * i + 8].try_into().unwrap())
-                };
-                TableEntry {
-                    node_start: f(0),
-                    node_end: f(1),
-                    fwd_edge_start: f(2),
-                    rev_edge_start: f(3),
-                    byte_off: f(4),
-                    checksum: f(5),
-                }
-            })
-            .collect();
-        Ok((raw, table_end))
-    }
-
-    /// Verify every shard's structural invariants and, with
-    /// `verify_checksums`, its payload checksum (a legacy v1 frame's payload
-    /// was already covered by the header checksum).
-    fn validate_shards(&self, verify_checksums: bool) -> Result<(), GraphError> {
-        // Forward duplicate-edge detection reuses one last-ref array across
-        // shards (entries are keyed by source node, which never repeats
-        // across shards).
-        let mut last_ref = vec![u32::MAX; self.n as usize];
-        for s in 0..self.table.len() {
-            let info = self.table[s];
-            if verify_checksums {
-                let payload = &self.backing.bytes()
-                    [info.byte_off as usize..(info.byte_off + info.byte_len) as usize];
-                let computed = checksum(payload);
-                if computed != info.checksum {
+            hash.update(&table_bytes);
+            r.seek(SeekFrom::Start(cursor))?;
+            let raw = read_workload(&mut r, n as usize, has_workload, &mut buf, &mut hash)?;
+            check_header(stored_checksum, &hash)?;
+            let workload = raw.map(decode_workload).transpose()?;
+            r.seek(SeekFrom::Start(table_end))?;
+            for info in &table {
+                let mut hash = Fnv::new();
+                arrays.read_shard(&mut r, info, &mut buf, &mut hash)?;
+                if hash.0 != info.checksum {
                     return Err(GraphError::ChecksumMismatch {
                         stored: info.checksum,
-                        computed,
+                        computed: hash.0,
                     });
                 }
+                arrays.accept_shard(n as u32, info, &mut last_ref)?;
             }
-            let shard = self.build_shard(s)?;
-            validate_shard_sections(self.n, &shard, &info, &mut last_ref)?;
-        }
-        Ok(())
-    }
-
-    fn build_shard(&self, s: usize) -> Result<ShardCsr, GraphError> {
-        let info = self.table[s];
-        let ln = (info.node_end - info.node_start) as usize;
-        let lm = info.fwd_edges as usize;
-        let lrm = info.rev_edges as usize;
-        let pad = |c: usize| 4 * c + if c % 2 == 1 { 4 } else { 0 };
-        let base = info.byte_off as usize;
-        let o_fwd = base;
-        let o_tgt = o_fwd + 8 * (ln + 1);
-        let o_prb = o_tgt + pad(lm);
-        let o_rev = o_prb + 8 * lm;
-        let o_src = o_rev + 8 * (ln + 1);
-        let o_rpb = o_src + pad(lrm);
-        Ok(ShardCsr {
-            node_start: info.node_start,
-            node_end: info.node_end,
-            fwd_edge_start: info.fwd_edge_start,
-            rev_edge_start: info.rev_edge_start,
-            offsets: self.backing.section(o_fwd, ln + 1, "offsets")?,
-            targets: self.backing.section(o_tgt, lm, "targets")?,
-            probs: self.backing.section(o_prb, lm, "probs")?,
-            in_offsets: self.backing.section(o_rev, ln + 1, "in_offsets")?,
-            in_sources: self.backing.section(o_src, lrm, "in_sources")?,
-            in_probs: self.backing.section(o_rpb, lrm, "in_probs")?,
+            workload
+        };
+        Ok(ShardedOscg {
+            graph: arrays.into_graph(n as u32)?,
+            table,
+            workload,
+            file_len,
         })
     }
 
@@ -1105,12 +939,12 @@ impl ShardedOscg {
 
     /// Node count.
     pub fn node_count(&self) -> usize {
-        self.n as usize
+        self.graph.node_count()
     }
 
     /// Edge count.
     pub fn edge_count(&self) -> usize {
-        self.m as usize
+        self.graph.edge_count()
     }
 
     /// The workload block, if present.
@@ -1123,95 +957,245 @@ impl ShardedOscg {
         self.file_len
     }
 
-    /// Assemble the whole graph in memory, equal to the one the file was
-    /// written from. A one-shard file hands its sections over as they are
-    /// (its rebased offsets are the global ones), so a mapped file stays
-    /// zero-copy; more shards are concatenated into owned sections. The
-    /// per-edge invariants were checked shard by shard at open; only the
-    /// forward/reverse transpose bijection, which no single shard can see,
-    /// is checked here.
-    pub fn to_oscg_file(&self) -> Result<OscgFile, GraphError> {
-        let (offsets, targets, probs, in_offsets, in_sources, in_probs) = if self.table.len() == 1 {
-            let s = self.build_shard(0)?;
-            (
-                s.offsets,
-                s.targets,
-                s.probs,
-                s.in_offsets,
-                s.in_sources,
-                s.in_probs,
-            )
-        } else {
-            let n = self.n as usize;
-            let m = self.m as usize;
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut targets: Vec<NodeId> = Vec::with_capacity(m);
-            let mut probs = Vec::with_capacity(m);
-            let mut in_offsets = Vec::with_capacity(n + 1);
-            let mut in_sources: Vec<NodeId> = Vec::with_capacity(m);
-            let mut in_probs = Vec::with_capacity(m);
-            offsets.push(0u64);
-            in_offsets.push(0u64);
-            for s in 0..self.table.len() {
-                let shard = self.build_shard(s)?;
-                offsets.extend(shard.offsets[1..].iter().map(|o| o + shard.fwd_edge_start));
-                in_offsets.extend(
-                    shard.in_offsets[1..]
-                        .iter()
-                        .map(|o| o + shard.rev_edge_start),
-                );
-                targets.extend_from_slice(&shard.targets);
-                probs.extend_from_slice(&shard.probs);
-                in_sources.extend_from_slice(&shard.in_sources);
-                in_probs.extend_from_slice(&shard.in_probs);
-            }
-            (
-                offsets.into(),
-                targets.into(),
-                probs.into(),
-                in_offsets.into(),
-                in_sources.into(),
-                in_probs.into(),
-            )
-        };
-        validate_transpose(
-            self.n,
-            &offsets,
-            &targets,
-            &probs,
-            &in_offsets,
-            &in_sources,
-            &in_probs,
-        )?;
+    /// Hand over the decoded graph and workload, without a copy. Every
+    /// check ran at open, so this cannot fail; the `Result` and the `to_`
+    /// name stay because `perfbench/src/trace.rs` calls it as
+    /// `sharded.to_oscg_file().map_err(..)`.
+    #[allow(clippy::wrong_self_convention)]
+    pub fn to_oscg_file(self) -> Result<OscgFile, GraphError> {
         Ok(OscgFile {
-            graph: CsrGraph::from_sections(
-                self.n, offsets, targets, probs, in_offsets, in_sources, in_probs,
-            ),
-            workload: self.workload.clone(),
+            graph: self.graph,
+            workload: self.workload,
         })
     }
 }
 
-/// Decode the workload block starting at byte `off`: the budget, then the
-/// three per-node attribute arrays. `NodeData` owns its arrays, so the
-/// block is copied.
-fn decode_workload(bytes: &[u8], off: usize, n: usize) -> Result<Workload, GraphError> {
-    let budget = f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+/// Read a v2 shard count and table: the raw rows, and the table's bytes
+/// (shard count included) for the header checksum.
+fn read_table<R: Read>(r: &mut R, file_len: u64) -> Result<(Vec<TableEntry>, Vec<u8>), GraphError> {
+    if file_len < (HEADER_LEN + 8) as u64 {
+        return Err(GraphError::Truncated {
+            needed: (HEADER_LEN + 8) as u64,
+            got: file_len,
+        });
+    }
+    let mut count = [0u8; 8];
+    r.read_exact(&mut count)?;
+    let shards = u64::from_le_bytes(count);
+    check_shard_count(shards)?;
+    let table_len = 8 + shards as usize * TABLE_ENTRY_LEN;
+    if file_len < (HEADER_LEN + table_len) as u64 {
+        return Err(GraphError::Truncated {
+            needed: (HEADER_LEN + table_len) as u64,
+            got: file_len,
+        });
+    }
+    let mut bytes = vec![0u8; table_len];
+    bytes[..8].copy_from_slice(&count);
+    r.read_exact(&mut bytes[8..])?;
+    let raw = bytes[8..]
+        .chunks_exact(TABLE_ENTRY_LEN)
+        .map(|row| {
+            let f = |i: usize| u64::from_le_bytes(row[8 * i..8 * i + 8].try_into().unwrap());
+            TableEntry {
+                node_start: f(0),
+                node_end: f(1),
+                fwd_edge_start: f(2),
+                rev_edge_start: f(3),
+                byte_off: f(4),
+                checksum: f(5),
+            }
+        })
+        .collect();
+    Ok((raw, bytes))
+}
+
+fn check_header(stored: u64, hash: &Fnv) -> Result<(), GraphError> {
+    if hash.0 != stored {
+        return Err(GraphError::ChecksumMismatch {
+            stored,
+            computed: hash.0,
+        });
+    }
+    Ok(())
+}
+
+/// Stream one section of `count` little-endian `N`-byte values from `r`
+/// into `out`, hashing the raw bytes as they pass. On disk every section
+/// fills whole 8-byte words (a `u32` section of odd count ends in 4 zero
+/// bytes); the padding is hashed and dropped.
+fn read_section<R: Read, T, const N: usize>(
+    r: &mut R,
+    count: usize,
+    buf: &mut [u8],
+    hash: &mut Fnv,
+    out: &mut Vec<T>,
+    decode: impl Fn([u8; N]) -> T,
+) -> std::io::Result<()> {
+    let data = count * N;
+    let total = data.next_multiple_of(8);
+    let mut at = 0;
+    while at < total {
+        let chunk = &mut buf[..(total - at).min(CHUNK)];
+        r.read_exact(chunk)?;
+        hash.update(chunk);
+        let values = data.saturating_sub(at).min(chunk.len());
+        out.extend(
+            chunk[..values]
+                .chunks_exact(N)
+                .map(|c| decode(c.try_into().unwrap())),
+        );
+        at += chunk.len();
+    }
+    Ok(())
+}
+
+/// Read the workload block's raw values — the budget and the three
+/// per-node attribute arrays — hashing the bytes as they pass. They are
+/// checked by [`decode_workload`] once the header checksum holds.
+fn read_workload<R: Read>(
+    r: &mut R,
+    n: usize,
+    present: bool,
+    buf: &mut [u8],
+    hash: &mut Fnv,
+) -> std::io::Result<Option<(f64, [Vec<f64>; 3])>> {
+    if !present {
+        return Ok(None);
+    }
+    let mut budget = [0u8; 8];
+    r.read_exact(&mut budget)?;
+    hash.update(&budget);
+    let mut arrays: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(n));
+    for arr in &mut arrays {
+        read_section(r, n, buf, hash, arr, f64::from_le_bytes)?;
+    }
+    Ok(Some((f64::from_le_bytes(budget), arrays)))
+}
+
+/// Check the workload block's values: a finite non-negative budget, then
+/// the attribute arrays through [`NodeData::new`].
+fn decode_workload(
+    (budget, [benefit, seed_cost, sc_cost]): (f64, [Vec<f64>; 3]),
+) -> Result<Workload, GraphError> {
     if !budget.is_finite() || budget < 0.0 {
         return Err(GraphError::CorruptSection {
             section: "workload",
             detail: format!("budget {budget} is not a finite non-negative number"),
         });
     }
-    let f64s = |at: usize| -> Vec<f64> {
-        bytes[at..at + 8 * n]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    };
     // NodeData::new re-validates lengths and attribute ranges.
-    let data = NodeData::new(f64s(off + 8), f64s(off + 8 + 8 * n), f64s(off + 8 + 16 * n))?;
+    let data = NodeData::new(benefit, seed_cost, sc_cost)?;
     Ok(Workload { data, budget })
+}
+
+/// The graph's six CSR arrays while the reader fills them, shard by shard.
+struct CsrArrays {
+    offsets: Vec<u64>,
+    targets: Vec<NodeId>,
+    probs: Vec<f64>,
+    in_offsets: Vec<u64>,
+    in_sources: Vec<NodeId>,
+    in_probs: Vec<f64>,
+}
+
+impl CsrArrays {
+    fn with_capacity(n: usize, m: usize) -> Self {
+        CsrArrays {
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(m),
+            probs: Vec::with_capacity(m),
+            in_offsets: Vec::with_capacity(n + 1),
+            in_sources: Vec::with_capacity(m),
+            in_probs: Vec::with_capacity(m),
+        }
+    }
+
+    /// Append shard `info`'s payload from `r`, hashing its raw bytes into
+    /// `hash`. The offsets stay as stored, rebased to the shard, until
+    /// [`accept_shard`](Self::accept_shard) has checked them. The shard's
+    /// first offset replaces the previous shard's last, which names the
+    /// same global edge id.
+    fn read_shard<R: Read>(
+        &mut self,
+        r: &mut R,
+        info: &ShardInfo,
+        buf: &mut [u8],
+        hash: &mut Fnv,
+    ) -> std::io::Result<()> {
+        let ln = (info.node_end - info.node_start) as usize;
+        let (lm, lrm) = (info.fwd_edges as usize, info.rev_edges as usize);
+        let node = |b| NodeId(u32::from_le_bytes(b));
+        self.offsets.truncate(info.node_start as usize);
+        self.in_offsets.truncate(info.node_start as usize);
+        read_section(r, ln + 1, buf, hash, &mut self.offsets, u64::from_le_bytes)?;
+        read_section(r, lm, buf, hash, &mut self.targets, node)?;
+        read_section(r, lm, buf, hash, &mut self.probs, f64::from_le_bytes)?;
+        read_section(
+            r,
+            ln + 1,
+            buf,
+            hash,
+            &mut self.in_offsets,
+            u64::from_le_bytes,
+        )?;
+        read_section(r, lrm, buf, hash, &mut self.in_sources, node)?;
+        read_section(r, lrm, buf, hash, &mut self.in_probs, f64::from_le_bytes)
+    }
+
+    /// Check the shard just read (see [`validate_shard_sections`]), then
+    /// rebase its offsets to global edge ids.
+    fn accept_shard(
+        &mut self,
+        n: u32,
+        info: &ShardInfo,
+        last_ref: &mut [u32],
+    ) -> Result<(), GraphError> {
+        let a = info.node_start as usize;
+        let (f, r) = (info.fwd_edge_start as usize, info.rev_edge_start as usize);
+        validate_shard_sections(
+            n,
+            info,
+            (&self.offsets[a..], &self.targets[f..], &self.probs[f..]),
+            (
+                &self.in_offsets[a..],
+                &self.in_sources[r..],
+                &self.in_probs[r..],
+            ),
+            last_ref,
+        )?;
+        // Validated offsets lie in `0..=edges`, so the sums stay `<= m`.
+        self.offsets[a..]
+            .iter_mut()
+            .for_each(|o| *o += info.fwd_edge_start);
+        self.in_offsets[a..]
+            .iter_mut()
+            .for_each(|o| *o += info.rev_edge_start);
+        Ok(())
+    }
+
+    /// Check the transpose, which no single shard can see, and build the
+    /// graph from the arrays.
+    fn into_graph(self, n: u32) -> Result<CsrGraph, GraphError> {
+        validate_transpose(
+            n,
+            &self.offsets,
+            &self.targets,
+            &self.probs,
+            &self.in_offsets,
+            &self.in_sources,
+            &self.in_probs,
+        )?;
+        Ok(CsrGraph::from_arrays(
+            n,
+            self.offsets,
+            self.targets,
+            self.probs,
+            self.in_offsets,
+            self.in_sources,
+            self.in_probs,
+        ))
+    }
 }
 
 /// Check that the reverse sections are exactly the transpose of the forward
@@ -1256,39 +1240,32 @@ fn validate_transpose(
     Ok(())
 }
 
+/// One side of one shard's CSR: rebased offsets, ids, probabilities.
+type Side<'a> = (&'a [u64], &'a [NodeId], &'a [f64]);
+
 /// Per-shard structural validation — the format's one per-edge validator:
 /// monotone offsets ending at the shard's edge count, ids in range, no
 /// self-loops, probabilities in `[0, 1]`; forward rows in the canonical
 /// rank order (descending probability, ties by ascending target) with no
 /// duplicate targets; reverse rows with ascending sources. The transpose
-/// bijection is checked when the whole graph is assembled.
+/// bijection is checked once every shard is in.
+///
+/// Forward duplicate-edge detection shares one `last_ref` array across
+/// shards: entries are keyed by target and hold the last source seen, and
+/// a source never repeats across shards.
 fn validate_shard_sections(
     n: u32,
-    shard: &ShardCsr,
     info: &ShardInfo,
+    fwd: Side,
+    rev: Side,
     last_ref: &mut [u32],
 ) -> Result<(), GraphError> {
     let corrupt =
         |section: &'static str, detail: String| GraphError::CorruptSection { section, detail };
-    let ln = shard.node_count();
-    // Plain slices: indexing a `Section` re-dispatches on its backing at
-    // every access, which the per-edge loop below cannot afford.
-    for (side, offsets, total, ids, probs) in [
-        (
-            "fwd",
-            &shard.offsets[..],
-            info.fwd_edges,
-            &shard.targets[..],
-            &shard.probs[..],
-        ),
-        (
-            "rev",
-            &shard.in_offsets[..],
-            info.rev_edges,
-            &shard.in_sources[..],
-            &shard.in_probs[..],
-        ),
-    ] {
+    let ln = (info.node_end - info.node_start) as usize;
+    for (side, (offsets, ids, probs), total) in
+        [("fwd", fwd, info.fwd_edges), ("rev", rev, info.rev_edges)]
+    {
         let fwd = side == "fwd";
         let (off_name, ids_name): (&'static str, &'static str) = if fwd {
             ("offsets", "targets")
@@ -1452,8 +1429,9 @@ mod tests {
         let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 3);
         let bytes = sharded_to_bytes(&g, None, &plan).unwrap();
         let sharded = ShardedOscg::from_owned_bytes(bytes).unwrap();
+        let table = sharded.table().to_vec();
         let assembled = sharded.to_oscg_file().unwrap().graph;
-        for info in sharded.table() {
+        for info in &table {
             let mut next = info.fwd_edge_start as u32;
             for v in (info.node_start..info.node_end).map(NodeId) {
                 let ids = assembled.out_edge_ids(v);

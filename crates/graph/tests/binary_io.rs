@@ -1,6 +1,7 @@
 //! The `.oscg` binary format test battery: property-based round trips
-//! (text → binary → mmap → `CsrGraph` equality across legacy v1, one-shard
-//! and multi-shard v2 files) and a corrupt-input suite pinning that
+//! (text → binary → load → `CsrGraph` equality across legacy v1, one-shard
+//! and multi-shard v2 files), a streaming-decode suite that feeds the
+//! reader a few bytes per `read`, and a corrupt-input suite pinning that
 //! malformed files — in either version — yield typed [`GraphError`]s, never
 //! panics, never out-of-bounds reads.
 
@@ -8,6 +9,7 @@ use osn_graph::binary::{self, from_bytes, load_oscg, sniff_is_oscg, to_bytes, wr
 use osn_graph::shard::{checksum, sharded_to_bytes, VERSION_SHARDED};
 use osn_graph::{CsrGraph, GraphBuilder, GraphError, NodeData, NodeId, ShardPlan, ShardedOscg};
 use proptest::prelude::*;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,7 +108,7 @@ fn legacy_v1(one_shard: &[u8]) -> Vec<u8> {
 
 /// Serialize as legacy v1, one-shard v2 and 3-shard v2 bytes; reload each
 /// through every read path (owned bytes, file load) and assert bit-identical
-/// contents. One-shard files must load zero-copy where mmap is available.
+/// contents.
 fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
     let one_shard = to_bytes(g, None).expect("serialize");
     let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 3);
@@ -118,7 +120,6 @@ fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
     ] {
         let tag = format!("{tag}/{form}");
         let owned = from_bytes(&bytes).expect("from_bytes");
-        assert!(!owned.graph.is_mapped(), "{tag}: from_bytes owns its data");
         assert_graphs_bit_identical(&owned.graph, g, &format!("{tag}/from_bytes"));
 
         let tmp = TempFile::new("roundtrip");
@@ -126,19 +127,9 @@ fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
         assert!(sniff_is_oscg(&tmp.0).expect("sniff"));
         let loaded = load_oscg(&tmp.0).expect("load_oscg");
         assert_graphs_bit_identical(&loaded.graph, g, &format!("{tag}/load_oscg"));
-        let one = ShardedOscg::from_owned_bytes(bytes).unwrap().shard_count() == 1;
-        if one
-            && cfg!(all(
-                unix,
-                target_endian = "little",
-                target_pointer_width = "64"
-            ))
-        {
-            assert!(loaded.graph.is_mapped(), "{tag}: one shard must borrow");
-            // A clone of a mapped graph shares the map and compares equal.
-            let clone = loaded.graph.clone();
-            assert_graphs_bit_identical(&clone, g, &format!("{tag}/mapped clone"));
-        }
+        // A clone of a loaded graph compares equal.
+        let clone = loaded.graph.clone();
+        assert_graphs_bit_identical(&clone, g, &format!("{tag}/clone"));
     }
 }
 
@@ -149,7 +140,7 @@ fn roundtrip_all_paths(g: &CsrGraph, tag: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// text → CSR → {v1, v2, 3-shard v2} → {owned, mmap} → CSR equality for
+    /// text → CSR → {v1, v2, 3-shard v2} → {bytes, file} → CSR equality for
     /// arbitrary graphs including self-loops, duplicates, and 0-weights.
     #[test]
     fn text_to_binary_to_mmap_roundtrip((n, edges) in edges_strategy()) {
@@ -330,6 +321,120 @@ fn truncated_payload_is_typed() {
                 "expected Truncated, got {e:?}"
             )
         });
+    }
+}
+
+/// A reader that hands out at most 7 bytes per `read`, so section
+/// boundaries and checksum words straddle read calls.
+struct SevenBytes(std::io::Cursor<Vec<u8>>);
+
+impl Read for SevenBytes {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let k = buf.len().min(7);
+        self.0.read(&mut buf[..k])
+    }
+}
+
+impl Seek for SevenBytes {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.0.seek(pos)
+    }
+}
+
+/// A 40-node graph with an odd edge count (padded `u32` sections).
+fn small_streaming_graph() -> CsrGraph {
+    let mut text = String::new();
+    for u in 0..40u32 {
+        for step in [1, 7, 13] {
+            let v = (u * step + 3) % 40;
+            let p = f64::from((u * 13 + v * 7) % 10 + 1) / 10.0;
+            text.push_str(&format!("{u} {v} {p}\n"));
+        }
+    }
+    text.push_str("0 39 0.05\n");
+    let g = graph_from_text(&text, 40);
+    assert_eq!(g.edge_count() % 2, 1, "odd edge count exercises padding");
+    g
+}
+
+/// A graph whose edge sections span several of the reader's 64 KiB chunks,
+/// even split three ways.
+fn large_streaming_graph() -> CsrGraph {
+    let n = 8000u32;
+    let mut b = GraphBuilder::new(n as usize);
+    for u in 0..n {
+        for step in [1, 7, 13, 101] {
+            let v = (u * step + 3) % n;
+            if v != u {
+                let p = f64::from((u * 13 + v * 7) % 10 + 1) / 10.0;
+                b.add_edge(u, v, p).unwrap();
+            }
+        }
+    }
+    let g = b.build().unwrap();
+    assert!(
+        8 * g.edge_count() / 3 > 1 << 16,
+        "sections must span chunks"
+    );
+    g
+}
+
+/// `g` as v1, one-shard v2 and 3-shard v2 bytes, each with and without a
+/// workload block.
+fn streaming_frames(g: &CsrGraph) -> Vec<(String, Vec<u8>)> {
+    let data = NodeData::uniform(g.node_count(), 1.5, 2.5, 0.5);
+    let plan = ShardPlan::balanced(g.out_offsets(), g.in_offsets(), 3);
+    assert_eq!(plan.shard_count(), 3);
+    let mut frames = Vec::new();
+    for (w, workload) in [("plain", None), ("workload", Some((&data, 4.25)))] {
+        let one = to_bytes(g, workload).unwrap();
+        frames.push((format!("v1/{w}"), legacy_v1(&one)));
+        frames.push((format!("v2/{w}"), one));
+        frames.push((
+            format!("v2x3/{w}"),
+            sharded_to_bytes(g, workload, &plan).unwrap(),
+        ));
+    }
+    frames
+}
+
+#[test]
+fn streaming_decode_across_read_boundaries_is_bit_identical() {
+    for g in [small_streaming_graph(), large_streaming_graph()] {
+        for (tag, bytes) in streaming_frames(&g) {
+            let tag = format!("{} nodes/{tag}", g.node_count());
+            let whole = from_bytes(&bytes).expect(&tag);
+            let streamed = ShardedOscg::from_reader(SevenBytes(std::io::Cursor::new(bytes)))
+                .and_then(ShardedOscg::to_oscg_file)
+                .expect(&tag);
+            assert_graphs_bit_identical(&whole.graph, &g, &tag);
+            assert_graphs_bit_identical(&streamed.graph, &whole.graph, &tag);
+            match (streamed.workload, whole.workload) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.budget.to_bits(), b.budget.to_bits(), "{tag}: budget");
+                    assert_eq!(a.data, b.data, "{tag}: attributes");
+                }
+                _ => panic!("{tag}: workload presence differs"),
+            }
+        }
+    }
+}
+
+#[test]
+fn streaming_cuts_fail_like_from_bytes() {
+    for (tag, bytes) in streaming_frames(&small_streaming_graph()) {
+        for cut in (0..bytes.len()).step_by(97) {
+            let want = from_bytes(&bytes[..cut]).expect_err(&tag);
+            let got =
+                ShardedOscg::from_reader(SevenBytes(std::io::Cursor::new(bytes[..cut].to_vec())))
+                    .expect_err(&tag);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{tag} cut at {cut}"
+            );
+        }
     }
 }
 

@@ -25,9 +25,9 @@
 //! * [`world`] / [`reach`] — pre-sampled live-edge **worlds** (the paper's
 //!   "tosses a coin for each edge ... to generate a graph") and the
 //!   deterministic coupon-constrained reachability inside one world. World
-//!   construction only touches the graph's flat edge sections, so it runs
-//!   unchanged — and bit-identically — over graphs memory-mapped from
-//!   `.oscg` files (`osn_graph::binary`) as over in-memory builds. Worlds
+//!   construction only touches the graph's flat edge arrays, so it runs
+//!   bit-identically over graphs loaded from `.oscg` files
+//!   (`osn_graph::binary`) and over in-memory builds. Worlds
 //!   are **skip-sampled** (geometric gaps over `osn_graph`'s probability
 //!   buckets) and stored **sparse** (gap-encoded); see "World storage and
 //!   sampling" below.
@@ -103,7 +103,7 @@
 //! between candidate live edges, thinning each candidate to its exact edge
 //! probability — `O(live)` RNG draws per world instead of `O(m)`. Worlds
 //! are held as a world-major CSR of ascending live edge ids, gap-encoded as
-//! `u8` deltas in `Section`-backed arrays — several times smaller than one
+//! `u8` deltas in flat arrays — several times smaller than one
 //! bit per edge at the Table II densities.
 //!
 //! The scalar kernel ([`reach::world_cascade`]) consumes a
@@ -186,6 +186,8 @@
 //! ([`MonteCarloEvaluator::simulate_batch`]) keeps per-candidate accumulators
 //! through the same grouping, so batching never changes results either —
 //! only how many candidates one pass over the world cache serves.
+
+#![forbid(unsafe_code)]
 
 pub mod bits;
 pub mod cascade;

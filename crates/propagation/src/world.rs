@@ -23,12 +23,12 @@
 //! ## Storage
 //!
 //! Worlds are held as a world-major CSR of ascending live edge ids,
-//! gap-encoded as `u8` deltas (255 escapes), [`Section`]-backed so it can
-//! later ride the `.oscg` mmap path. At the Table II profiles' densities
-//! this is several times smaller than one bit per edge. The scalar kernel
-//! decodes one world at a time into a reusable `u32` buffer
-//! ([`WorldCache::world_into`]); the lane kernel ORs a 64-world block
-//! straight into per-edge lane masks ([`WorldCache::world_fill_lanes`]).
+//! gap-encoded as `u8` deltas (255 escapes) in plain arrays. At the Table
+//! II profiles' densities this is several times smaller than one bit per
+//! edge. The scalar kernel decodes one world at a time into a reusable
+//! `u32` buffer ([`WorldCache::world_into`]); the lane kernel ORs a
+//! 64-world block straight into per-edge lane masks
+//! ([`WorldCache::world_fill_lanes`]).
 //!
 //! ## RNG-stream contract
 //!
@@ -44,7 +44,6 @@
 
 use crate::bits::BitVec;
 use osn_graph::prob_index::ProbBucketIndex;
-use osn_graph::storage::Section;
 use osn_graph::CsrGraph;
 use osn_pool::ThreadPool;
 use rand::rngs::SmallRng;
@@ -55,12 +54,12 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 struct SparseWorlds {
     /// Byte offsets into `gaps`, length `R + 1`.
-    offsets: Section<u64>,
+    offsets: Vec<u64>,
     /// Live-edge count per world (exact decode preallocation), length `R`.
-    counts: Section<u32>,
+    counts: Vec<u32>,
     /// Ascending live edge ids as `u8` deltas; a 255 byte adds 255 to the
     /// pending delta and continues, any other byte terminates it.
-    gaps: Section<u8>,
+    gaps: Vec<u8>,
 }
 
 impl SparseWorlds {
@@ -229,9 +228,9 @@ impl WorldCache {
         }
         WorldCache {
             worlds: SparseWorlds {
-                offsets: offsets.into(),
-                counts: counts.into(),
-                gaps: gaps.into(),
+                offsets,
+                counts,
+                gaps,
             },
             edges,
             live_edges,
@@ -712,9 +711,9 @@ mod tests {
     #[test]
     fn mapped_graph_samples_identical_worlds() {
         // World construction reads the graph only through its flat edge
-        // sections; a zero-copy memory-mapped CSR (`osn_graph::binary`)
-        // must therefore produce bit-identical worlds to the owned build
-        // it round-tripped from.
+        // arrays; a CSR loaded from a `.oscg` file (`osn_graph::binary`)
+        // must therefore produce bit-identical worlds to the in-memory
+        // build it round-tripped from.
         let g = graph();
         let path =
             std::env::temp_dir().join(format!("osn-world-mapped-{}.oscg", std::process::id()));
@@ -723,13 +722,6 @@ mod tests {
             osn_graph::binary::write_oscg(&g, None, file).unwrap();
         }
         let loaded = osn_graph::binary::load_oscg(&path).unwrap().graph;
-        if cfg!(all(
-            unix,
-            target_endian = "little",
-            target_pointer_width = "64"
-        )) {
-            assert!(loaded.is_mapped(), "expected the zero-copy load path");
-        }
         let owned = WorldCache::sample(&g, 64, 11);
         let mapped = WorldCache::sample(&loaded, 64, 11);
         assert_eq!(owned.edge_count(), mapped.edge_count());

@@ -1,4 +1,4 @@
-//! Heavy-traffic load generator for `osn-serve`.
+//! Byte-identity load generator for `osn-serve`.
 //!
 //! ```text
 //! loadgen --data PATH --serial --campaigns N [--out DIR]
@@ -9,30 +9,26 @@
 //!
 //! Campaign `i`'s spec is the deterministic [`spec_for`] mix (algorithms ×
 //! budgets × estimators × evaluation world counts), identical in both
-//! modes, so the files a
-//! concurrent client run writes must be byte-identical to the serial
-//! reference's — `repro csvdiff A B 0` per pair is the CI check. Client
-//! mode prints a throughput/latency summary line (the heavy-traffic bench
-//! trajectory point), ending with the daemon's `probes=` and
-//! `probe_batches=` counters from `INFO` so the log shows how much
-//! evaluation traffic coalesced.
+//! modes, so the files a concurrent client run writes must be
+//! byte-identical to the serial reference's — `repro csvdiff A B 0` per
+//! pair is the CI check. Every mode prints counts only (campaigns ok,
+//! failed or divergent); throughput and latency are perfbench's job.
 //!
 //! `--chaos` is the fault-tolerance benchmark: it drives the same campaign
 //! mix through the retrying client (jittered backoff on `BUSY`, transport
 //! drops, and panic-isolated internal errors — typically against a daemon
 //! running with an `OSN_FAULTS` plan), computes the serial in-process
 //! reference from `--data`, and demands every successful reply be
-//! **byte-identical** to it. It reports goodput and retry counts and exits
+//! **byte-identical** to it. It reports campaign and retry counts and exits
 //! nonzero on any wrong answer or exhausted retry budget: faults may cost
-//! throughput, never correctness.
+//! retries, never correctness.
+
+#![forbid(unsafe_code)]
 
 use s3crm_serve::client::{RetryPolicy, RetryingClient};
 use s3crm_serve::{CampaignSpec, Client, ServeState};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 fn die(msg: &str) -> ! {
     eprintln!("loadgen: {msg}");
@@ -152,23 +148,19 @@ fn main() {
 fn run_serial(data: Option<PathBuf>, campaigns: usize, out: &Option<PathBuf>) {
     let data = data.unwrap_or_else(|| die("--serial needs --data PATH"));
     let state = ServeState::open(&data, 1).unwrap_or_else(|e| die(&e));
-    let t0 = Instant::now();
     for i in 0..campaigns {
         let reply = state
             .run_campaign(&spec_for(i))
             .unwrap_or_else(|e| die(&format!("campaign {i}: {e}")));
         write_reply(out, i, &reply.deterministic_lines());
     }
-    println!(
-        "loadgen: {campaigns} serial campaigns in {:.2}s",
-        t0.elapsed().as_secs_f64()
-    );
+    println!("loadgen: {campaigns} serial campaigns ok");
 }
 
 /// Chaos mode: the same campaign mix through the retrying client, against
 /// a (typically fault-injecting) daemon, verified byte-for-byte against
-/// the in-process serial reference. Prints a goodput summary and exits
-/// nonzero on any wrong answer or exhausted retry budget.
+/// the in-process serial reference. Prints campaign and retry counts and
+/// exits nonzero on any wrong answer or exhausted retry budget.
 fn run_chaos(
     addr: Option<String>,
     data: Option<PathBuf>,
@@ -198,16 +190,15 @@ fn run_chaos(
         .collect();
 
     let next = AtomicUsize::new(0);
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(campaigns));
+    let oks = AtomicUsize::new(0);
     let failures = AtomicUsize::new(0);
     let mismatches = AtomicUsize::new(0);
     let retries = AtomicU64::new(0);
-    let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (next, latencies, failures, mismatches, retries, reference, out) = (
+            let (next, oks, failures, mismatches, retries, reference, out) = (
                 &next,
-                &latencies,
+                &oks,
                 &failures,
                 &mismatches,
                 &retries,
@@ -221,12 +212,10 @@ fn run_chaos(
                     if i >= campaigns {
                         break;
                     }
-                    let started = Instant::now();
                     match client.campaign(&spec_for(i)) {
                         Ok(lines) => {
-                            let ms = started.elapsed().as_secs_f64() * 1e3;
                             if lines == reference[i] {
-                                latencies.lock().expect("latency lock").push(ms);
+                                oks.fetch_add(1, Ordering::SeqCst);
                                 write_reply(out, i, &lines);
                             } else {
                                 eprintln!("loadgen: campaign {i} diverged from the reference");
@@ -243,13 +232,10 @@ fn run_chaos(
             });
         }
     });
-    let wall = t0.elapsed().as_secs_f64();
-    let mut lat = latencies.into_inner().expect("latency lock");
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let ok = oks.load(Ordering::SeqCst);
     let failed = failures.load(Ordering::SeqCst);
     let wrong = mismatches.load(Ordering::SeqCst);
     let retried = retries.load(Ordering::SeqCst);
-    let ok = lat.len();
     if wrong > 0 {
         eprintln!("loadgen: CHAOS FAILURE — {wrong} replies diverged from the serial reference");
         std::process::exit(1);
@@ -258,27 +244,20 @@ fn run_chaos(
         eprintln!("loadgen: {failed} of {campaigns} campaigns exhausted their retry budget");
         std::process::exit(1);
     }
-    let pct = |p: f64| lat[((lat.len() - 1) as f64 * p).round() as usize];
     println!(
-        "loadgen: chaos {ok}/{campaigns} campaigns over {threads} threads in {wall:.2}s — \
-         goodput {:.1} campaigns/s, {retried} retries, p50 {:.1} ms, p99 {:.1} ms, \
-         0 divergent replies",
-        ok as f64 / wall,
-        pct(0.50),
-        pct(0.99),
+        "loadgen: chaos {ok}/{campaigns} campaigns ok over {threads} threads, \
+         0 failed, 0 divergent, {retried} retries"
     );
-    std::io::stdout().flush().ok();
 }
 
 fn run_concurrent(addr: Option<String>, campaigns: usize, threads: usize, out: &Option<PathBuf>) {
     let addr = addr.unwrap_or_else(|| die("client mode needs --addr HOST:PORT (or use --serial)"));
     let next = AtomicUsize::new(0);
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(campaigns));
+    let oks = AtomicUsize::new(0);
     let failures = AtomicUsize::new(0);
-    let t0 = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let (addr, next, latencies, failures) = (&addr, &next, &latencies, &failures);
+            let (addr, next, oks, failures) = (&addr, &next, &oks, &failures);
             s.spawn(move || {
                 let mut client = match Client::connect(addr.as_str()) {
                     Ok(c) => c,
@@ -293,11 +272,9 @@ fn run_concurrent(addr: Option<String>, campaigns: usize, threads: usize, out: &
                     if i >= campaigns {
                         break;
                     }
-                    let t = Instant::now();
                     match client.campaign(&spec_for(i)) {
                         Ok(Ok(lines)) => {
-                            let ms = t.elapsed().as_secs_f64() * 1e3;
-                            latencies.lock().expect("latency lock").push(ms);
+                            oks.fetch_add(1, Ordering::SeqCst);
                             write_reply(out, i, &lines);
                         }
                         Ok(Err(msg)) => {
@@ -314,33 +291,11 @@ fn run_concurrent(addr: Option<String>, campaigns: usize, threads: usize, out: &
             });
         }
     });
-    let wall = t0.elapsed().as_secs_f64();
-    let mut lat = latencies.into_inner().expect("latency lock");
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let ok = oks.load(Ordering::SeqCst);
     let failed = failures.load(Ordering::SeqCst);
-    if lat.is_empty() || failed > 0 {
+    if ok == 0 || failed > 0 {
         eprintln!("loadgen: {failed} of {campaigns} campaigns failed");
         std::process::exit(1);
     }
-    // The daemon's coalescing counters (cumulative since it started): how
-    // many probes its batcher served in how many batches. Timing-dependent,
-    // so reported, never checked.
-    let coalescing = Client::connect(addr.as_str())
-        .and_then(|mut client| client.request("INFO"))
-        .map(|info| {
-            info.into_iter()
-                .filter(|l| l.starts_with("probes=") || l.starts_with("probe_batches="))
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .unwrap_or_else(|e| format!("(INFO failed: {e})"));
-    let pct = |p: f64| lat[((lat.len() - 1) as f64 * p).round() as usize];
-    println!(
-        "loadgen: {campaigns} campaigns over {threads} threads in {wall:.2}s — \
-         {:.1} campaigns/s, p50 {:.1} ms, p99 {:.1} ms, {coalescing}",
-        campaigns as f64 / wall,
-        pct(0.50),
-        pct(0.99),
-    );
-    std::io::stdout().flush().ok();
+    println!("loadgen: {ok}/{campaigns} campaigns ok over {threads} threads, 0 failed");
 }

@@ -17,6 +17,8 @@
 //! environment variable installs a deterministic fault plan at startup
 //! (see `osn-fault`); in default builds the variable is ignored.
 
+#![forbid(unsafe_code)]
+
 use s3crm_serve::server::{self, ServeOptions};
 use s3crm_serve::ServeState;
 use std::io::Write;

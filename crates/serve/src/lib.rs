@@ -85,6 +85,8 @@
 //! `serve.batcher.*`, `serve.conn.*`, `graph.shard.open`)
 //! compile to no-ops unless the `fault-injection` feature is on.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod batcher;
 pub mod client;

@@ -27,7 +27,6 @@
 //! in [`BuildStats`], never silent.
 
 use crate::SketchParams;
-use osn_graph::storage::Section;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::bits::BitVec;
@@ -66,7 +65,7 @@ struct RawSketch {
     truncated: bool,
 }
 
-/// The immutable sketch store: `Section`-backed flat arrays (member lists
+/// The immutable sketch store: flat arrays (member lists
 /// gap-encoded exactly like sparse worlds), plus the inverted node →
 /// (sketch, local-slot) postings the estimator's incremental updates walk.
 pub struct SketchIndex {
@@ -81,42 +80,42 @@ pub struct SketchIndex {
     stats: BuildStats,
 
     /// Root node id per sketch.
-    roots: Section<u32>,
+    roots: Vec<u32>,
     /// Root's slot in the sketch's ascending member list.
-    root_locals: Section<u32>,
+    root_locals: Vec<u32>,
     /// Member count per sketch.
-    member_counts: Section<u32>,
+    member_counts: Vec<u32>,
     /// Byte offsets into `member_gaps`, length `R + 1`.
-    member_gap_offsets: Section<u64>,
+    member_gap_offsets: Vec<u64>,
     /// Gap-encoded ascending member ids (same codec as sparse worlds).
-    member_gaps: Section<u8>,
+    member_gaps: Vec<u8>,
     /// Flat member-slot offsets, length `R + 1`: sketch `i`'s slots are
     /// `member_offsets[i]..member_offsets[i + 1]` in every per-slot array.
-    member_offsets: Section<u64>,
+    member_offsets: Vec<u64>,
 
     /// Edge-range offsets, length `R + 1`.
-    edge_offsets: Section<u64>,
-    edge_src_local: Section<u32>,
-    edge_dst_local: Section<u32>,
-    edge_demand: Section<u32>,
+    edge_offsets: Vec<u64>,
+    edge_src_local: Vec<u32>,
+    edge_dst_local: Vec<u32>,
+    edge_demand: Vec<u32>,
     /// Per-sketch forward CSR over `edges` grouped by `src_local`: sketch
     /// `i`'s starts are `fwd_start_offsets[i]..fwd_start_offsets[i + 1]`
     /// (length `|members| + 1`), values are edge indices relative to the
     /// sketch's edge range.
-    fwd_start_offsets: Section<u64>,
-    fwd_starts: Section<u32>,
+    fwd_start_offsets: Vec<u64>,
+    fwd_starts: Vec<u32>,
     /// Same shape, grouped by `dst_local`; values index the sketch's edge
     /// range. The estimator's backward reach propagation walks this.
-    rev_start_offsets: Section<u64>,
-    rev_starts: Section<u32>,
-    rev_edges: Section<u32>,
+    rev_start_offsets: Vec<u64>,
+    rev_starts: Vec<u32>,
+    rev_edges: Vec<u32>,
 
     /// Inverted postings: node `v`'s memberships are
     /// `post_offsets[v]..post_offsets[v + 1]` into `post_sketch` /
     /// `post_local`.
-    post_offsets: Section<u64>,
-    post_sketch: Section<u32>,
-    post_local: Section<u32>,
+    post_offsets: Vec<u64>,
+    post_sketch: Vec<u32>,
+    post_local: Vec<u32>,
 }
 
 /// Deterministic per-sketch RNG stream (root draws), salted away from the
@@ -326,24 +325,24 @@ impl SketchIndex {
             b_total,
             unit,
             stats,
-            roots: roots.into(),
-            root_locals: root_locals.into(),
-            member_counts: member_counts.into(),
-            member_gap_offsets: member_gap_offsets.into(),
-            member_gaps: member_gaps.into(),
-            member_offsets: member_offsets.into(),
-            edge_offsets: edge_offsets.into(),
-            edge_src_local: edge_src_local.into(),
-            edge_dst_local: edge_dst_local.into(),
-            edge_demand: edge_demand.into(),
-            fwd_start_offsets: fwd_start_offsets.into(),
-            fwd_starts: fwd_starts.into(),
-            rev_start_offsets: rev_start_offsets.into(),
-            rev_starts: rev_starts.into(),
-            rev_edges: rev_edges.into(),
-            post_offsets: post_counts.into(),
-            post_sketch: post_sketch.into(),
-            post_local: post_local.into(),
+            roots,
+            root_locals,
+            member_counts,
+            member_gap_offsets,
+            member_gaps,
+            member_offsets,
+            edge_offsets,
+            edge_src_local,
+            edge_dst_local,
+            edge_demand,
+            fwd_start_offsets,
+            fwd_starts,
+            rev_start_offsets,
+            rev_starts,
+            rev_edges,
+            post_offsets: post_counts,
+            post_sketch,
+            post_local,
         }
     }
 

@@ -39,7 +39,7 @@
 //! ## Crate layout
 //!
 //! * [`index`] — [`SketchIndex::build`]: world sampling (the same
-//!   geometric skip sampler and `Section`-backed gap encoding as the
+//!   geometric skip sampler and gap encoding as the
 //!   forward world cache), benefit-proportional root draws, reverse BFS
 //!   extraction with per-edge demands, Hoeffding sample-count floor with
 //!   an OPIM-style adaptive doubling rule.
@@ -49,6 +49,8 @@
 //!   activation/reach state incrementally through inverted postings, and
 //!   all costs are the exact Table I analytic values (shared with the
 //!   other backends via `osn_propagation::estimator::eligible_children`).
+
+#![forbid(unsafe_code)]
 
 pub mod estimator;
 pub mod index;

@@ -249,13 +249,12 @@ fn baseline_selections_are_pool_size_independent() {
     }
 }
 
-/// A graph loaded from the binary `.oscg` format (zero-copy mapped where
-/// the platform allows) must drive a fig6-style run to **byte-identical**
-/// results as the same graph loaded from a text edge list — same S3CA
-/// deployment, bit-identical Monte-Carlo statistics, identical formatted
-/// CSV cells — at pool sizes 1 and 2. This is the contract that lets the
-/// harness cache instances on disk and substitute real datasets without
-/// perturbing any experiment.
+/// A graph loaded from the binary `.oscg` format must drive a fig6-style
+/// run to **byte-identical** results as the same graph loaded from a text
+/// edge list — same S3CA deployment, bit-identical Monte-Carlo statistics,
+/// identical formatted CSV cells — at pool sizes 1 and 2. This is the
+/// contract that lets the harness cache instances on disk and substitute
+/// real datasets without perturbing any experiment.
 #[test]
 fn binary_loaded_graph_byte_matches_text_loaded_run() {
     let inst = DatasetProfile::Facebook
@@ -272,7 +271,7 @@ fn binary_loaded_graph_byte_matches_text_loaded_run() {
         .build()
         .expect("build");
 
-    // Binary pipeline: .oscg file -> load (mmap where available).
+    // Binary pipeline: .oscg file -> streaming load.
     let path = std::env::temp_dir().join(format!(
         "s3crm-determinism-binary-{}.oscg",
         std::process::id()
