@@ -63,7 +63,7 @@ impl CouponStrategy {
         binv: f64,
     ) -> Vec<u32> {
         use osn_propagation::rank::redemption_probs;
-        use osn_propagation::spread::{edge_eligible, spread_levels};
+        use osn_propagation::spread::{eligible_children, spread_levels};
 
         let n = graph.node_count();
         let mut coupons = vec![0u32; n];
@@ -73,13 +73,13 @@ impl CouponStrategy {
             return coupons;
         }
         let full = self.coupons_for(graph, seeds);
-        let (levels, order) = spread_levels(graph, seeds, &full);
+        let (_, order) = spread_levels(graph, seeds, &full);
         let mut seed_mask = vec![false; n];
         for &s in seeds {
             seed_mask[s.index()] = true;
         }
+        let mut targets: Vec<NodeId> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
-        let mut costs: Vec<f64> = Vec::new();
         // Each funded node's expected local distribution cost, cached so the
         // trim loop below can re-total in O(n) instead of re-running the
         // whole O(Σ deg·k) rank-DP sweep of `expected_sc_cost` per trimmed
@@ -92,17 +92,13 @@ impl CouponStrategy {
             if k == 0 {
                 continue;
             }
-            probs.clear();
-            costs.clear();
-            let lv = levels[v.index()];
-            for (t, p) in graph.ranked_out(v) {
-                if edge_eligible(&seed_mask, lv, levels[t.index()], t) {
-                    probs.push(p);
-                    costs.push(data.sc_cost(t));
-                }
-            }
+            eligible_children(graph, &seed_mask, v, &mut targets, &mut probs);
             let q = redemption_probs(&probs, k);
-            let local: f64 = q.iter().zip(costs.iter()).map(|(a, b)| a * b).sum();
+            let local: f64 = q
+                .iter()
+                .zip(targets.iter())
+                .map(|(a, &t)| a * data.sc_cost(t))
+                .sum();
             if local <= remaining {
                 coupons[v.index()] = k;
                 local_cost[v.index()] = local;
@@ -111,10 +107,11 @@ impl CouponStrategy {
                 break; // the budget ran out at this point of the spread
             }
         }
-        // The per-node local costs were computed against the *full*
-        // allocation's spread levels; trim until the exact cost fits. The
-        // ascending-node-order re-total reproduces `expected_sc_cost`'s
-        // summation bit-for-bit (pinned by the tests below).
+        // The running `remaining` subtraction above sums in spread order;
+        // the exact cost sums in ascending node order, so rounding can
+        // differ: trim until the exact cost fits. The ascending-node-order
+        // re-total reproduces `expected_sc_cost`'s summation bit-for-bit
+        // (pinned by the tests below).
         let total_sc = |coupons: &[u32], local_cost: &[f64]| -> f64 {
             let mut total = 0.0;
             for i in 0..coupons.len() {

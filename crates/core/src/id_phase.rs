@@ -245,7 +245,8 @@ impl CandidateHeap {
 
     /// Full re-index after a structural change: positions shift, membership
     /// may change, but exact cached marginals of untouched candidates are
-    /// reused as-is.
+    /// reused as-is. Versions stay: the heap is emptied first, so no stale
+    /// entry survives to be told apart.
     fn rebuild_all<E: BenefitEstimator + ?Sized>(
         &mut self,
         est: &E,
@@ -253,9 +254,6 @@ impl CandidateHeap {
         scratch: &mut DeltaScratch,
     ) {
         self.heap.clear();
-        for v in self.version.iter_mut() {
-            *v = v.wrapping_add(1);
-        }
         for (p, &u) in est.order().iter().enumerate() {
             self.pos[u.index()] = p as u32;
             if !Self::is_candidate(est, graph, u) {
@@ -351,15 +349,18 @@ impl CandidateHeap {
     }
 }
 
-/// Mark every node the exhaustive scan would have expanded this iteration
-/// (candidate-set parity with the reference implementation keeps Fig. 9's
-/// explored ratio byte-identical).
+/// Mark every node of `nodes` the exhaustive scan would expand this
+/// iteration (candidate-set parity with the reference implementation keeps
+/// Fig. 9's explored ratio byte-identical). The loop passes the whole order
+/// only at the start and after structural moves; see
+/// [`investment_deployment_with`].
 fn mark_explored<E: BenefitEstimator + ?Sized>(
     est: &E,
     graph: &CsrGraph,
+    nodes: &[NodeId],
     explored: &mut ExploreTracker,
 ) {
-    for &u in est.order() {
+    for &u in nodes {
         if est.active_prob()[u.index()] <= 0.0 {
             continue;
         }
@@ -443,10 +444,20 @@ where
     }];
     let milestone = (binv / 12.0).max(f64::MIN_POSITIVE);
     let mut next_milestone = value.total_cost() + milestone;
+    // Explored marking is incremental. Marks are never cleared, and a node
+    // turns into a candidate (positive probability, coupons below its
+    // out-degree) only when the order changes (a structural move: rescan it
+    // whole, `None`) or when its own probability changes (a broaden keeps
+    // the order and only raises the moved node's coupons: scan its
+    // `probs_changed`). A pivot advance changes nothing: scan nothing.
+    let mut explore_next: Option<Vec<NodeId>> = None;
 
     while iterations < max_iterations {
         // Best coupon move (strategies 1–2) over the current spread.
-        mark_explored(&engine, graph, explored);
+        match explore_next.replace(Vec::new()) {
+            None => mark_explored(&engine, graph, engine.order(), explored),
+            Some(nodes) => mark_explored(&engine, graph, &nodes, explored),
+        }
         let best_node = cache.pop_best(value.total_cost(), binv);
 
         // Strategy 3: the pivot source's standalone rate.
@@ -478,6 +489,7 @@ where
             dep.add_coupons(graph, u, 1);
             let (_, delta) = engine.add_coupons(u, 1);
             cache.apply(&engine, graph, &delta, u, &mut scratch);
+            explore_next = (!delta.structural).then_some(delta.probs_changed);
         } else {
             let pkg = pivot.take().expect("guarded by pivot_feasible");
             apply_package(graph, &mut dep, &pkg);
@@ -485,6 +497,7 @@ where
             pivot = next_usable_pivot(&mut queue, &dep);
             let delta = engine.add_seed_package(pkg.node, pkg.coupons);
             cache.apply(&engine, graph, &delta, pkg.node, &mut scratch);
+            explore_next = None;
         }
         iterations += 1;
 

@@ -44,20 +44,14 @@ pub fn evaluate(graph: &CsrGraph, data: &NodeData, dep: &Deployment) -> Objectiv
     value_from_state(graph, data, dep, &state)
 }
 
-/// As [`evaluate`], reading every component off an incrementally maintained
-/// [`SpreadEngine`](osn_propagation::SpreadEngine). Bit-identical to
-/// [`evaluate`] of the engine's deployment: the engine maintains benefit and
-/// SC cost under the same contract, and the seed cost is the same running
-/// sum.
-pub fn value_from_engine(engine: &osn_propagation::SpreadEngine<'_>) -> ObjectiveValue {
-    value_from_estimator(engine)
-}
-
-/// Objective of any maintained [`BenefitEstimator`]: the costs are exact by
-/// the estimator contract, the benefit carries the backend's estimation
-/// error. Same arithmetic as [`value_from_engine`] (which is this function
-/// monomorphized to the exact engine), so swapping backends changes the
-/// benefit estimate only, never how the rate is assembled.
+/// Objective of any maintained [`BenefitEstimator`](osn_propagation::BenefitEstimator):
+/// the costs are exact by the estimator contract, the benefit carries the
+/// backend's estimation error. One arithmetic for every backend, so
+/// swapping backends changes the benefit estimate only, never how the rate
+/// is assembled. On the exact [`SpreadEngine`](osn_propagation::SpreadEngine)
+/// it is bit-identical to [`evaluate`] of the engine's deployment: the
+/// engine maintains benefit and SC cost under the same contract, and the
+/// seed cost is the same running sum.
 pub fn value_from_estimator<E: osn_propagation::BenefitEstimator + ?Sized>(
     est: &E,
 ) -> ObjectiveValue {

@@ -9,7 +9,7 @@
 //!   `0.5 + 0.2`, not `0.6·(0.5 + 0.2)`).
 
 use crate::rank::redemption_probs;
-use crate::spread::{edge_eligible, spread_levels};
+use crate::spread::edge_eligible;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// `Cseed(S)`: total seed cost.
@@ -18,8 +18,9 @@ pub fn seed_cost(data: &NodeData, seeds: &[NodeId]) -> f64 {
 }
 
 /// `Csc(K(I))`: expected coupon cost of the allocation, using the same
-/// rank/eligibility semantics as the benefit evaluator (seeds and spread
-/// ancestors never receive coupons).
+/// rank/eligibility semantics as the benefit evaluator (seeds never receive
+/// coupons). One pass over the holders' out-edges: eligibility reads only
+/// the seed mask, so no spread BFS is needed.
 pub fn expected_sc_cost(
     graph: &CsrGraph,
     data: &NodeData,
@@ -31,21 +32,18 @@ pub fn expected_sc_cost(
     for &s in seeds {
         seed_mask[s.index()] = true;
     }
-    let (levels, _) = spread_levels(graph, seeds, coupons);
     let mut probs: Vec<f64> = Vec::new();
     let mut costs: Vec<f64> = Vec::new();
     let mut total = 0.0;
-    for i in 0..graph.node_count() {
-        let k = coupons[i];
+    for (i, &k) in coupons.iter().enumerate() {
         if k == 0 {
             continue;
         }
         let u = NodeId::from_index(i);
         probs.clear();
         costs.clear();
-        let lu = levels[i];
         for (v, p) in graph.ranked_out(u) {
-            if edge_eligible(&seed_mask, lu, levels[v.index()], v) {
+            if edge_eligible(&seed_mask, v) {
                 probs.push(p);
                 costs.push(data.sc_cost(v));
             }

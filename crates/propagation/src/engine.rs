@@ -20,6 +20,21 @@
 //!   answer "what if `u` got one more coupon" in O(deg) from the cached
 //!   availability sums, replacing two O(deg·k) DP sweeps per candidate.
 //!
+//! ## Per-move cost: O(spread + targets), not O(|V|)
+//!
+//! No pass a move pays touches every node. Outside the spread a node's
+//! probability is 0 and its gain is its own benefit, so a refresh works on
+//! the spread alone: `propagate_activation` zeroes, resets and
+//! Jacobi-updates only the members (precondition: `active_prob` is 0
+//! outside them — a structural refresh first zeroes the nodes that left),
+//! gains reset only on the previous and current distribution holders, and
+//! the exact-bit change report diffs only previous ∪ current members
+//! (probabilities) and holders (gains), in ascending node order. A
+//! non-structural refresh keeps both sets and diffs the current ones
+//! without any copy. [`sc_cost`](SpreadEngine::sc_cost) sums a holder list
+//! kept in ascending node order. Structural moves also re-run the spread
+//! BFS, which allocates an n-sized level array.
+//!
 //! ## The bit-identity contract
 //!
 //! The engine is an optimization, not a semantic change: after **any**
@@ -37,7 +52,7 @@
 use crate::cost::seed_cost;
 use crate::rank::{redemption_probs_into, RankDp};
 use crate::spread::{
-    accumulate_gains, benefit_sum, collect_eligible, propagate_activation, spread_levels, DistRef,
+    accumulate_gains, benefit_sum, eligible_children, propagate_activation, spread_levels, DistRef,
     SpreadState,
 };
 use osn_graph::{CsrGraph, NodeData, NodeId};
@@ -133,13 +148,23 @@ pub struct SpreadEngine<'a> {
     /// Node → holder slot (`NO_SLOT` when the node holds no coupons).
     slot: Vec<u32>,
     holders: Vec<Holder>,
+    /// Every holder's node in ascending node order: the summation order of
+    /// [`sc_cost`](Self::sc_cost).
+    holder_nodes: Vec<NodeId>,
     /// Holder slots that participate in propagation: spread members with at
     /// least one eligible child, in spread order (mirrors
     /// `SpreadState::evaluate`'s `distributions`).
     spread_dists: Vec<u32>,
+    /// `order` in ascending node order: the candidates of the probability
+    /// diff.
+    sorted_members: Vec<NodeId>,
+    /// The `spread_dists` holders' nodes in ascending node order: the only
+    /// nodes whose subtree gain can differ from their own benefit.
+    sorted_dists: Vec<NodeId>,
     /// Fixpoint scratch.
     complement: Vec<f64>,
-    /// Previous pass results, for exact-bit change detection.
+    /// Previous pass results, for exact-bit change detection. Equal to
+    /// `active_prob`/`subtree_gain` everywhere between moves.
     prev_active: Vec<f64>,
     prev_gain: Vec<f64>,
     counters: EngineCounters,
@@ -156,6 +181,11 @@ impl<'a> SpreadEngine<'a> {
     ) -> SpreadEngine<'a> {
         debug_assert_eq!(coupons.len(), graph.node_count());
         let n = graph.node_count();
+        // Outside the spread every probability is 0 and every gain is the
+        // node's own benefit; the refreshes maintain exactly that.
+        let benefits: Vec<f64> = (0..n)
+            .map(|i| data.benefit(NodeId::from_index(i)))
+            .collect();
         let mut engine = SpreadEngine {
             graph,
             data,
@@ -166,14 +196,17 @@ impl<'a> SpreadEngine<'a> {
             levels: vec![None; n],
             order: Vec::new(),
             active_prob: vec![0.0; n],
-            subtree_gain: vec![0.0; n],
+            subtree_gain: benefits.clone(),
             expected_benefit: 0.0,
             slot: vec![NO_SLOT; n],
             holders: Vec::new(),
+            holder_nodes: Vec::new(),
             spread_dists: Vec::new(),
+            sorted_members: Vec::new(),
+            sorted_dists: Vec::new(),
             complement: vec![1.0; n],
             prev_active: vec![0.0; n],
-            prev_gain: vec![0.0; n],
+            prev_gain: benefits,
             counters: EngineCounters::default(),
         };
         engine.rebuild();
@@ -190,6 +223,7 @@ impl<'a> SpreadEngine<'a> {
             *s = NO_SLOT;
         }
         self.holders.clear();
+        self.holder_nodes.clear();
         for i in 0..self.graph.node_count() {
             self.seed_mask[i] = false;
         }
@@ -201,8 +235,7 @@ impl<'a> SpreadEngine<'a> {
             if self.coupons[i] > 0 {
                 let node = NodeId::from_index(i);
                 let holder = self.build_holder(node, self.coupons[i]);
-                self.slot[i] = self.holders.len() as u32;
-                self.holders.push(holder);
+                self.insert_holder(holder);
             }
         }
         self.counters.full_rebuilds += 1;
@@ -260,11 +293,8 @@ impl<'a> SpreadEngine<'a> {
     /// [`expected_sc_cost`](crate::cost::expected_sc_cost).
     pub fn sc_cost(&self) -> f64 {
         let mut total = 0.0;
-        for i in 0..self.slot.len() {
-            let s = self.slot[i];
-            if s != NO_SLOT {
-                total += self.holders[s as usize].local_cost;
-            }
+        for &v in &self.holder_nodes {
+            total += self.holders[self.slot[v.index()] as usize].local_cost;
         }
         total
     }
@@ -320,8 +350,7 @@ impl<'a> SpreadEngine<'a> {
             (add, self.refresh(false))
         } else {
             let holder = self.build_holder(u, add);
-            self.slot[u.index()] = self.holders.len() as u32;
-            self.holders.push(holder);
+            self.insert_holder(holder);
             self.derive_structure();
             (add, self.refresh(true))
         }
@@ -362,8 +391,7 @@ impl<'a> SpreadEngine<'a> {
                     self.holders[s] = self.build_holder(v, k);
                 } else {
                     let holder = self.build_holder(v, add);
-                    self.slot[v.index()] = self.holders.len() as u32;
-                    self.holders.push(holder);
+                    self.insert_holder(holder);
                 }
             }
         }
@@ -394,6 +422,11 @@ impl<'a> SpreadEngine<'a> {
                 let moved = self.holders[s].node;
                 self.slot[moved.index()] = s as u32;
             }
+            let at = self
+                .holder_nodes
+                .binary_search(&u)
+                .expect("every holder is listed");
+            self.holder_nodes.remove(at);
             // The node no longer relays: descendants may leave the spread.
             self.derive_structure();
             (take, self.refresh(true))
@@ -424,10 +457,9 @@ impl<'a> SpreadEngine<'a> {
             holder.dp.extended_q_into(&holder.probs, &mut scratch.q_new);
             self.delta_from_q(pu, &holder.targets, holder.dp.q(), &scratch.q_new)
         } else {
-            collect_eligible(
+            eligible_children(
                 self.graph,
                 &self.seed_mask,
-                &self.levels,
                 u,
                 &mut scratch.targets,
                 &mut scratch.probs,
@@ -499,14 +531,7 @@ impl<'a> SpreadEngine<'a> {
     fn build_holder(&mut self, node: NodeId, k: u32) -> Holder {
         let mut targets = Vec::new();
         let mut probs = Vec::new();
-        collect_eligible(
-            self.graph,
-            &self.seed_mask,
-            &self.levels,
-            node,
-            &mut targets,
-            &mut probs,
-        );
+        eligible_children(self.graph, &self.seed_mask, node, &mut targets, &mut probs);
         let dp = RankDp::build(&probs, k);
         let local_cost = local_cost(self.data, &targets, dp.q());
         self.counters.holder_rebuilds += 1;
@@ -517,6 +542,19 @@ impl<'a> SpreadEngine<'a> {
             dp,
             local_cost,
         }
+    }
+
+    /// Register a freshly built holder: give it a slot and list its node in
+    /// ascending order.
+    fn insert_holder(&mut self, holder: Holder) {
+        let node = holder.node;
+        self.slot[node.index()] = self.holders.len() as u32;
+        self.holders.push(holder);
+        let at = self
+            .holder_nodes
+            .binary_search(&node)
+            .expect_err("a node holds at most one distribution");
+        self.holder_nodes.insert(at, node);
     }
 
     /// Re-derive the spread structure (BFS levels/order and the ordered
@@ -539,11 +577,43 @@ impl<'a> SpreadEngine<'a> {
         self.counters.structural_refreshes += 1;
     }
 
+    /// After a structural change: re-sort the member and distribution-node
+    /// lists, zero the nodes that left the spread, and return what the
+    /// refresh must scan — the previous ∪ current members and the previous
+    /// ∪ current distribution nodes, each ascending.
+    fn restructure_scans(&mut self) -> (Vec<NodeId>, Vec<NodeId>) {
+        let mut members = self.order.clone();
+        members.sort_unstable();
+        let mut dists: Vec<NodeId> = self
+            .spread_dists
+            .iter()
+            .map(|&s| self.holders[s as usize].node)
+            .collect();
+        dists.sort_unstable();
+        let old_members = std::mem::replace(&mut self.sorted_members, members);
+        let old_dists = std::mem::replace(&mut self.sorted_dists, dists);
+        for &v in &old_members {
+            if self.levels[v.index()].is_none() {
+                self.active_prob[v.index()] = 0.0;
+            }
+        }
+        (
+            sorted_union(&old_members, &self.sorted_members),
+            sorted_union(&old_dists, &self.sorted_dists),
+        )
+    }
+
     /// Re-run the propagation passes (the same `pub(crate)` functions
     /// `SpreadState::evaluate` uses) over the cached distributions and
-    /// report, with exact-bit granularity, which nodes changed.
+    /// report, with exact-bit granularity, which nodes changed — in
+    /// O(spread + targets), as the module docs describe.
     fn refresh(&mut self, structural: bool) -> RefreshDelta {
-        let n = self.graph.node_count();
+        let restructured = structural.then(|| self.restructure_scans());
+        let (member_scan, dist_scan) = match &restructured {
+            Some((members, dists)) => (members.as_slice(), dists.as_slice()),
+            None => (self.sorted_members.as_slice(), self.sorted_dists.as_slice()),
+        };
+
         let dists: Vec<DistRef<'_>> = self
             .spread_dists
             .iter()
@@ -558,33 +628,49 @@ impl<'a> SpreadEngine<'a> {
             .collect();
         propagate_activation(
             &dists,
+            &self.order,
             &self.seeds,
             &self.seed_mask,
             &mut self.active_prob,
             &mut self.complement,
         );
-        for i in 0..n {
-            self.subtree_gain[i] = self.data.benefit(NodeId::from_index(i));
+        for &v in dist_scan {
+            self.subtree_gain[v.index()] = self.data.benefit(v);
         }
         accumulate_gains(&dists, self.data, &mut self.subtree_gain);
         self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.data);
 
-        let mut delta = RefreshDelta {
+        RefreshDelta {
             structural,
+            probs_changed: diff_bits(member_scan, &self.active_prob, &mut self.prev_active),
+            gains_changed: diff_bits(dist_scan, &self.subtree_gain, &mut self.prev_gain),
             ..RefreshDelta::default()
-        };
-        for i in 0..n {
-            if self.active_prob[i].to_bits() != self.prev_active[i].to_bits() {
-                delta.probs_changed.push(NodeId::from_index(i));
-            }
-            if self.subtree_gain[i].to_bits() != self.prev_gain[i].to_bits() {
-                delta.gains_changed.push(NodeId::from_index(i));
-            }
         }
-        self.prev_active.copy_from_slice(&self.active_prob);
-        self.prev_gain.copy_from_slice(&self.subtree_gain);
-        delta
     }
+}
+
+/// The ascending union of two ascending node lists.
+fn sorted_union(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The nodes of the ascending `scan` whose value bits differ between `cur`
+/// and `prev`, in ascending order; brings `prev` up to date on the way.
+fn diff_bits(scan: &[NodeId], cur: &[f64], prev: &mut [f64]) -> Vec<NodeId> {
+    let mut changed = Vec::new();
+    for &v in scan {
+        let i = v.index();
+        if cur[i].to_bits() != prev[i].to_bits() {
+            prev[i] = cur[i];
+            changed.push(v);
+        }
+    }
+    changed
 }
 
 /// Reusable scratch buffers for the marginal probes (one per greedy loop;

@@ -37,8 +37,7 @@
 //!   under-report silently serves stale marginals.
 
 use crate::engine::{DeltaScratch, EngineCounters, RefreshDelta};
-use crate::spread::edge_eligible;
-use osn_graph::{CsrGraph, NodeId};
+use osn_graph::NodeId;
 
 /// Stateful benefit/cost estimator of one evolving deployment — the seam
 /// between the greedy phases and the estimation backend. See the module
@@ -91,26 +90,6 @@ pub trait BenefitEstimator {
     /// Retrieve up to `count` coupons from `u`. Returns the number removed
     /// and the change report.
     fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta);
-}
-
-/// Collect `u`'s eligible ranked children (non-seed out-neighbors, rank
-/// order) — the public-rule counterpart of the engine's internal child
-/// collection, shared with the sketch backend's exact cost probes.
-pub fn eligible_children(
-    graph: &CsrGraph,
-    seed_mask: &[bool],
-    u: NodeId,
-    targets: &mut Vec<NodeId>,
-    probs: &mut Vec<f64>,
-) {
-    targets.clear();
-    probs.clear();
-    for (v, p) in graph.ranked_out(u) {
-        if edge_eligible(seed_mask, None, None, v) {
-            targets.push(v);
-            probs.push(p);
-        }
-    }
 }
 
 impl BenefitEstimator for crate::engine::SpreadEngine<'_> {
@@ -175,7 +154,7 @@ impl BenefitEstimator for crate::engine::SpreadEngine<'_> {
 mod tests {
     use super::*;
     use crate::engine::SpreadEngine;
-    use osn_graph::{GraphBuilder, NodeData};
+    use osn_graph::{CsrGraph, GraphBuilder, NodeData};
 
     fn example1() -> (CsrGraph, NodeData) {
         let mut b = GraphBuilder::new(7);

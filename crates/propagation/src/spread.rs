@@ -13,10 +13,9 @@
 //! ground truth there.
 //!
 //! **Eligibility.** A node `u` never distributes a coupon to a friend that
-//! is already deterministically active — its seeds and its spread ancestors.
-//! Concretely, the eligible ranked children of `u` are the out-neighbors
-//! that are not seeds and do not sit at a hop level ≤ `level(u)`. This is
-//! the interpretation forced by Fig. 1(c) case 2, where the seed `v1` is
+//! is already deterministically active: the eligible ranked children of
+//! `u` are its out-neighbors that are not seeds. This is the
+//! interpretation forced by Fig. 1(c) case 2, where the seed `v1` is
 //! excluded from `v2`'s rank competition (`tests/paper_fig1.rs` pins it).
 
 use crate::rank::redemption_probs;
@@ -79,13 +78,31 @@ pub fn spread_levels(
 /// Eligibility of the edge `u -> v` for coupon distribution: a coupon is
 /// never spent on a **seed** (deterministically active already — the
 /// interpretation forced by Fig. 1(c) case 2), and on nothing else. This is
-/// the literal reading of the Table-I cost sum `Σ_{v_i∈I} Σ_{v_j∈N(v_i)}`.
-/// The level arguments are kept for signature stability; they no longer
-/// restrict eligibility (cross- and back-edges participate via the fixpoint
-/// refinement below).
+/// the literal reading of the Table-I cost sum `Σ_{v_i∈I} Σ_{v_j∈N(v_i)}`;
+/// cross- and back-edges participate via the fixpoint refinement below.
 #[inline]
-pub fn edge_eligible(seed_mask: &[bool], _lu: Option<u32>, _lv: Option<u32>, v: NodeId) -> bool {
+pub fn edge_eligible(seed_mask: &[bool], v: NodeId) -> bool {
     !seed_mask[v.index()]
+}
+
+/// Gather `u`'s eligible ranked children (non-seed out-neighbors, rank
+/// order) and their influence probabilities into the scratch vectors — the
+/// one child collection every evaluator, cost sum and backend shares.
+pub fn eligible_children(
+    graph: &CsrGraph,
+    seed_mask: &[bool],
+    u: NodeId,
+    targets: &mut Vec<NodeId>,
+    probs: &mut Vec<f64>,
+) {
+    targets.clear();
+    probs.clear();
+    for (v, p) in graph.ranked_out(u) {
+        if edge_eligible(seed_mask, v) {
+            targets.push(v);
+            probs.push(p);
+        }
+    }
 }
 
 /// A borrowed coupon distribution: one spread holder's eligible ranked
@@ -103,8 +120,17 @@ pub(crate) struct DistRef<'a> {
 
 /// Forward pass: activation probabilities in ascending level order (one
 /// exact pass on forests), then Jacobi fixpoint refinement so cross- and
-/// back-edges of cyclic graphs contribute too. `active_prob` and
-/// `complement` must be `n`-sized scratch; both are fully overwritten.
+/// back-edges of cyclic graphs contribute too.
+///
+/// Every pass runs over the spread `members` only, so its cost is
+/// O(members + distribution targets), not O(n). `active_prob` and
+/// `complement` are `n`-sized scratch; the members' entries of both are
+/// overwritten. **Precondition:** `active_prob` is 0 outside `members`
+/// (every distribution holder and target is a member, so the non-member
+/// entries are never written and stay 0). Restricting the Jacobi update
+/// to members changes no bit: a non-member's complement would stay 1.0,
+/// giving `new_p = 0 = old`, and the max-|Δ| convergence test does not
+/// depend on iteration order.
 ///
 /// The fixpoint round count is deliberately small: iterating to the true
 /// fixpoint over-amplifies through short cycles (the independence
@@ -114,13 +140,15 @@ pub(crate) struct DistRef<'a> {
 /// 0 after one round), so the pinned paper numbers are untouched.
 pub(crate) fn propagate_activation(
     dists: &[DistRef<'_>],
+    members: &[NodeId],
     seeds: &[NodeId],
     seed_mask: &[bool],
     active_prob: &mut [f64],
     complement: &mut [f64],
 ) {
-    let n = seed_mask.len();
-    active_prob.fill(0.0);
+    for &v in members {
+        active_prob[v.index()] = 0.0;
+    }
     for &s in seeds {
         active_prob[s.index()] = 1.0;
     }
@@ -136,11 +164,11 @@ pub(crate) fn propagate_activation(
             *pv = 1.0 - (1.0 - *pv) * (1.0 - c);
         }
     }
-    // Bounded fixpoint refinement: recompute every non-seed probability
-    // from all incoming distributions.
+    // Bounded fixpoint refinement: recompute every non-seed member's
+    // probability from all incoming distributions.
     for _ in 0..3 {
-        for c in complement.iter_mut() {
-            *c = 1.0;
+        for &v in members {
+            complement[v.index()] = 1.0;
         }
         for d in dists {
             let pu = active_prob[d.node.index()];
@@ -152,12 +180,12 @@ pub(crate) fn propagate_activation(
             }
         }
         let mut delta = 0.0f64;
-        for i in 0..n {
+        for &v in members {
+            let i = v.index();
             if seed_mask[i] {
                 continue;
             }
             let new_p = 1.0 - complement[i];
-            // Only nodes receiving coupons can be active.
             let old = active_prob[i];
             if (new_p - old).abs() > delta {
                 delta = (new_p - old).abs();
@@ -221,14 +249,7 @@ impl SpreadState {
             if k == 0 {
                 continue;
             }
-            collect_eligible(
-                graph,
-                &seed_mask,
-                &levels,
-                u,
-                &mut elig_targets,
-                &mut elig_probs,
-            );
+            eligible_children(graph, &seed_mask, u, &mut elig_targets, &mut elig_probs);
             if elig_targets.is_empty() {
                 continue;
             }
@@ -246,7 +267,14 @@ impl SpreadState {
 
         let mut active_prob = vec![0.0f64; n];
         let mut complement = vec![1.0f64; n];
-        propagate_activation(&dists, seeds, &seed_mask, &mut active_prob, &mut complement);
+        propagate_activation(
+            &dists,
+            &order,
+            seeds,
+            &seed_mask,
+            &mut active_prob,
+            &mut complement,
+        );
 
         // Outside the spread every node's gain is just its own benefit (no
         // coupons reach it during the current deployment).
@@ -315,14 +343,7 @@ impl SpreadState {
         let k_old = self.coupons[u.index()];
         let mut targets = Vec::new();
         let mut probs = Vec::new();
-        collect_eligible(
-            graph,
-            &self.seed_mask,
-            &self.levels,
-            u,
-            &mut targets,
-            &mut probs,
-        );
+        eligible_children(graph, &self.seed_mask, u, &mut targets, &mut probs);
         if targets.is_empty() {
             return (0.0, 0.0);
         }
@@ -337,27 +358,6 @@ impl SpreadState {
             dc += dq * data.sc_cost(v);
         }
         (db, dc)
-    }
-}
-
-/// Gather `u`'s eligible ranked children into the scratch vectors (preserving
-/// rank order).
-pub(crate) fn collect_eligible(
-    graph: &CsrGraph,
-    seed_mask: &[bool],
-    levels: &[Option<u32>],
-    u: NodeId,
-    targets: &mut Vec<NodeId>,
-    probs: &mut Vec<f64>,
-) {
-    targets.clear();
-    probs.clear();
-    let lu = levels[u.index()];
-    for (v, p) in graph.ranked_out(u) {
-        if edge_eligible(seed_mask, lu, levels[v.index()], v) {
-            targets.push(v);
-            probs.push(p);
-        }
     }
 }
 

@@ -410,6 +410,50 @@ proptest! {
         );
     }
 
+    /// Every committed move's change report is exact: `probs_changed` and
+    /// `gains_changed` are precisely the ascending list of nodes whose
+    /// activation probability / subtree gain bits changed, found here by a
+    /// full scan. The state checks above cannot see an under-reported
+    /// delta — only the lazy-greedy heap would, by serving a stale marginal.
+    #[test]
+    fn engine_change_report_is_exact(
+        edges in digraph_strategy(),
+        moves in moves_strategy(),
+    ) {
+        let g = build_digraph(&edges);
+        let d = NodeData::uniform(DG_N, 1.0, 1.0, 1.0);
+        let mut coupons = vec![0u32; DG_N];
+        coupons[0] = (g.out_degree(NodeId(0)) as u32).min(1);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &coupons);
+        let changed = |before: &[f64], after: &[f64]| -> Vec<NodeId> {
+            (0..DG_N)
+                .filter(|&i| before[i].to_bits() != after[i].to_bits())
+                .map(|i| NodeId(i as u32))
+                .collect()
+        };
+        for &(op, node, amount) in &moves {
+            let v = NodeId(node);
+            let prev_prob = engine.active_prob().to_vec();
+            let prev_gain = engine.subtree_gain().to_vec();
+            let delta = match op {
+                0 => engine.add_coupons(v, amount).1,
+                1 => engine.add_seed_package(v, amount),
+                2 => engine.remove_coupons(v, amount).1,
+                _ => engine.rebuild(),
+            };
+            prop_assert_eq!(
+                &delta.probs_changed,
+                &changed(&prev_prob, engine.active_prob()),
+                "probs_changed after op {} on node {}", op, node
+            );
+            prop_assert_eq!(
+                &delta.gains_changed,
+                &changed(&prev_gain, engine.subtree_gain()),
+                "gains_changed after op {} on node {}", op, node
+            );
+        }
+    }
+
     /// O(deg) engine probes equal the O(deg·k) `SpreadState` deltas bit for
     /// bit — on cyclic graphs, for holders and fresh candidates alike.
     #[test]

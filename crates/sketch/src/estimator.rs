@@ -36,8 +36,9 @@
 use crate::index::SketchIndex;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::engine::{DeltaScratch, EngineCounters, RefreshDelta};
-use osn_propagation::estimator::{eligible_children, BenefitEstimator};
+use osn_propagation::estimator::BenefitEstimator;
 use osn_propagation::rank::redemption_probs_into;
+use osn_propagation::spread::eligible_children;
 use osn_propagation::{expected_sc_cost, seed_cost};
 use std::cell::RefCell;
 

@@ -48,7 +48,7 @@
 //!   reads are `unit × covered`, committed moves update the per-sketch
 //!   activation/reach state incrementally through inverted postings, and
 //!   all costs are the exact Table I analytic values (shared with the
-//!   other backends via `osn_propagation::estimator::eligible_children`).
+//!   other backends via `osn_propagation::spread::eligible_children`).
 
 #![forbid(unsafe_code)]
 
