@@ -7,9 +7,9 @@
 //! the paper's whole point). To keep the first CELF sweep affordable the
 //! candidate pool is restricted to the highest out-degree users (a standard
 //! IM engineering practice; the pool size is configurable), and the
-//! whole-pool round-0 sweep fans out on the shared work-stealing pool
-//! (per-candidate gains land in index-order slots, so the ranking is
-//! independent of the worker count).
+//! whole-pool round-0 sweep fans out with `osn-pool`'s one primitive,
+//! `map_indexed`, on the shared pool (per-candidate gains land in
+//! index-order slots, so the ranking is independent of the worker count).
 //!
 //! The paper then pairs the ranking with a coupon strategy and sweeps the
 //! seed size over `|V|/2^n (n = 0..10)`, keeping the size of maximum

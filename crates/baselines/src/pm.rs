@@ -5,8 +5,8 @@
 //! the coupon strategy supplying the SC allocation and the budget bounding
 //! the total cost. Candidate evaluation is analytic; the pool is restricted
 //! to the highest out-degree users like the IM baseline. Each greedy round
-//! submits the whole candidate pool as one batch to the shared
-//! work-stealing pool; per-candidate results come back in pool order, and
+//! submits the whole candidate pool as one `map_indexed` call on the shared
+//! `osn-pool`; per-candidate results come back in pool order, and
 //! the serial reduction keeps the original first-maximum tie-breaking, so
 //! selections are identical at any worker count.
 

@@ -108,6 +108,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 // drift check. The pool cannot be resized once built, so a
                 // repeated flag is an error rather than silently ignored.
                 let threads = flag_positive(&mut it, "--pool-size")?;
+                if threads > osn_pool::MAX_THREADS {
+                    return Err(format!(
+                        "--pool-size must be at most {}, got {threads}",
+                        osn_pool::MAX_THREADS
+                    ));
+                }
                 if pool_size.replace(threads).is_some() {
                     return Err("--pool-size given twice".to_string());
                 }
@@ -625,7 +631,7 @@ mod tests {
 
     #[test]
     fn malformed_flags_are_usage_errors_not_panics() {
-        let cases: [&[&str]; 14] = [
+        let cases: [&[&str]; 16] = [
             &["--scale", "abc"],
             &["--scale", "nan"],
             &["--scale", "-1"],
@@ -634,6 +640,8 @@ mod tests {
             &["--seed", "x"],
             &["--pool-size", "0"],
             &["--pool-size", "two"],
+            &["--pool-size", "257"],
+            &["--pool-size", "100000"],
             &["--pool-size", "1", "--pool-size", "2"],
             &["--estimator", "foo"],
             &["--scale"],

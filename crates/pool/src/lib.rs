@@ -1,345 +1,279 @@
 //! # osn-pool
 //!
-//! A minimal work-stealing thread pool for the S3CRM workspace (crates.io is
-//! unreachable in the build environment, so rayon cannot be used — this is
-//! the rayon-style subset the evaluators need, dependency-free).
+//! A minimal thread pool for the S3CRM workspace (crates.io is unreachable
+//! in the build environment, so rayon cannot be used). It has one fan-out
+//! primitive, [`ThreadPool::map_indexed`]: evaluate `f(i)` for every
+//! `i in 0..len` and return the results in index order. Every evaluator
+//! fan-out in the workspace (Monte-Carlo folds, world sampling, sketch
+//! builds, the IM/PM baselines) is that flat loop.
 //!
-//! ## Architecture
+//! ## How a call runs
 //!
-//! * **Per-worker deques.** Every worker owns a deque. Jobs spawned *from*
-//!   a worker go to the back of its own deque and are popped LIFO (depth
-//!   first, cache hot); idle workers steal from the *front* of other deques
-//!   FIFO (breadth first, coarsest units move between threads).
-//! * **Shared injector.** Jobs submitted from outside the pool land in a
-//!   shared FIFO injector that every worker drains before stealing.
-//! * **Scoped API.** [`ThreadPool::scope`] mirrors `std::thread::scope`:
-//!   spawned closures may borrow from the caller's stack because `scope`
-//!   does not return until every spawned job has finished — including jobs
-//!   spawned transitively from other jobs. The calling thread *participates*
-//!   while it waits (it runs queued jobs), so a scope on a single-worker
-//!   pool cannot deadlock on nested scopes.
-//! * **Panic propagation.** A panicking job does not poison the pool: the
-//!   payload is captured and re-thrown from the owning `scope` call after
-//!   all sibling jobs have completed.
+//! * A call publishes one **task**: `len`, an atomic next-index counter, a
+//!   finished count and the first panic payload.
+//! * Idle workers and the calling thread claim indices from that counter.
+//!   Once it runs out, the caller waits only for the indices other threads
+//!   already claimed from **its own** task; it never runs another caller's
+//!   work. A nested call (from inside `f`) is a new task whose caller can
+//!   finish it alone, so nesting cannot deadlock.
+//! * With `len <= 1` or a one-worker pool the caller runs every index
+//!   inline.
+//! * A panic in `f` does not poison the pool: the first payload is
+//!   re-raised from `map_indexed` after every claimed index has finished.
 //!
 //! ## Determinism
 //!
-//! The pool makes **no ordering guarantees** between jobs; deterministic
-//! users (the Monte-Carlo evaluator) achieve bit-identical results by
-//! assigning each job an index and writing into pre-sized output slots, then
-//! reducing in index order. [`ThreadPool::map_indexed`] packages that
-//! pattern. Nothing in this crate inspects the worker count to decide *what*
-//! to compute — only *where* — so results never depend on pool size.
+//! The pool makes **no ordering guarantees** between indices, but results
+//! land in index-order slots, so callers that reduce in index order get
+//! bit-identical values at any pool size. Nothing in this crate inspects
+//! the worker count to decide *what* to compute — only *where*.
 //!
 //! ## Sharing
 //!
 //! [`global()`] returns a process-wide pool built on first use with one
 //! worker per available core; [`init_global`] installs a specific size
-//! *before* first use (the `repro --pool-size N` flag). Evaluators default
-//! to the global pool so S3CA's greedy loop, the baselines, and the bench
-//! harness all share one set of workers instead of spawning scoped threads
-//! per evaluation.
+//! *before* first use (the `--pool-size N` flags). Evaluators default to
+//! the global pool so S3CA's greedy loop, the baselines, and the bench
+//! harness all share one set of workers.
+//!
+//! ## The one `unsafe` invariant
+//!
+//! A task holds the caller's closure with its lifetime erased, so workers
+//! can run a closure that borrows the caller's stack. This is sound under
+//! one invariant: **the closure is called only for a claimed index
+//! `< len`, and the caller does not return (not even by unwinding) until
+//! every claimed index has finished.** Each `unsafe` site below names it.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// A type-erased unit of work. Jobs are `'static` at the queue level; the
-/// scoped API transmutes shorter-lived closures in (sound because `scope`
-/// blocks until they all ran — see [`Scope::spawn`]).
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Largest worker count a pool accepts. `--pool-size` parsers reject a
+/// larger value as a usage error; [`ThreadPool::new`] clamps to it.
+pub const MAX_THREADS: usize = 256;
 
-/// Wakeup state guarded by [`Shared::signal`].
-struct Signal {
-    /// Generation counter — bumped on every push and every scope-job
-    /// completion so sleepers can detect missed signals before parking.
-    generation: u64,
-    /// Threads currently parked on the condvar. When zero, a bump can skip
-    /// the notification entirely (the common case while all workers are
-    /// busy: every job push and completion would otherwise wake the whole
-    /// pool just to find nothing new).
-    sleepers: usize,
+/// Lock without propagating poison. No code in this crate panics while
+/// holding a lock, and the wait in [`ThreadPool::map_indexed`] must never
+/// unwind early, so a poisoned lock is simply used as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared between the pool handle and its workers.
+/// The caller's per-index closure with its lifetime erased to `'static`.
+/// A raw pointer, so a task that outlives its call (a worker may still
+/// hold its `Arc` after finding the counter exhausted) holds no dangling
+/// reference.
+struct ErasedFn(*const (dyn Fn(usize) + Sync));
+
+// SAFETY: the pointee is `Sync`, so calling it from any thread is allowed.
+// It is dereferenced only under the invariant in the crate docs: for a
+// claimed index `< len`, while the caller is still blocked in
+// `map_indexed`, so the borrow it erases is alive whenever it is used.
+unsafe impl Send for ErasedFn {}
+// SAFETY: as for `Send` above — shared access only ever calls the `Sync`
+// closure, and only for a claimed index `< len` before the caller returns.
+unsafe impl Sync for ErasedFn {}
+
+/// One `map_indexed` call, shared between its caller and the workers.
+struct Task {
+    len: usize,
+    /// Next unclaimed index; claims at or past `len` fail. `Relaxed` is
+    /// enough: the read-modify-write alone makes each claim unique, and
+    /// results and completion are published through the slot and
+    /// `finished` mutexes.
+    next: AtomicUsize,
+    /// Indices that have finished running (panicked ones included).
+    finished: Mutex<usize>,
+    all_finished: Condvar,
+    /// First panic payload, re-raised by the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    run: ErasedFn,
+}
+
+impl Task {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.len
+    }
+
+    /// Claim and run indices until the counter runs out.
+    fn run_claimed(&self) {
+        let mut ran = 0;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                break;
+            }
+            // SAFETY: `i` is a claimed index `< len`, and the caller stays
+            // in `map_indexed` until `finished` (incremented below, after
+            // this call returns or unwinds) reaches `len` — so the erased
+            // closure and everything it borrows are still alive.
+            let call = || unsafe { (*self.run.0)(i) };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(call)) {
+                lock(&self.panic).get_or_insert(payload);
+            }
+            ran += 1;
+        }
+        if ran > 0 {
+            let mut finished = lock(&self.finished);
+            *finished += ran;
+            if *finished == self.len {
+                self.all_finished.notify_all();
+            }
+        }
+    }
+}
+
+/// Published tasks plus the shutdown flag, under one lock.
+struct Queue {
+    tasks: VecDeque<Arc<Task>>,
+    shutdown: bool,
+}
+
 struct Shared {
-    /// FIFO queue for jobs submitted from outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// One deque per worker: owner pops the back, thieves pop the front.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    signal: Mutex<Signal>,
-    condvar: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    work: Condvar,
 }
 
-impl Shared {
-    fn bump(&self) {
-        let mut sig = self.signal.lock().expect("pool signal lock");
-        sig.generation = sig.generation.wrapping_add(1);
-        let wake = sig.sleepers > 0;
-        drop(sig);
-        if wake {
-            self.condvar.notify_all();
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        self.signal.lock().expect("pool signal lock").generation
-    }
-
-    /// Pop own deque (LIFO), else the injector (FIFO), else steal (FIFO).
-    fn find_job(&self, me: Option<usize>) -> Option<Job> {
-        if let Some(i) = me {
-            if let Some(job) = self.deques[i].lock().expect("worker deque lock").pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self
-            .injector
-            .lock()
-            .expect("pool injector lock")
-            .pop_front()
-        {
-            return Some(job);
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = self.deques[victim]
-                .lock()
-                .expect("worker deque lock")
-                .pop_front()
-            {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-std::thread_local! {
-    /// `(pool identity, worker index)` of the current thread, if it is a
-    /// pool worker. The identity disambiguates nested or concurrent pools.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
-}
-
-fn current_worker(shared: &Arc<Shared>) -> Option<usize> {
-    WORKER
-        .with(|w| w.get())
-        .and_then(|(pool, index)| (pool == Arc::as_ptr(shared) as usize).then_some(index))
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, index))));
+fn worker_loop(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
     loop {
-        let seen = shared.generation();
-        if let Some(job) = shared.find_job(Some(index)) {
-            job();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+        if let Some(task) = queue.tasks.iter().find(|t| !t.exhausted()).cloned() {
+            drop(queue);
+            task.run_claimed();
+            queue = lock(&shared.queue);
+        } else if queue.shutdown {
             return;
-        }
-        let mut sig = shared.signal.lock().expect("pool signal lock");
-        while sig.generation == seen && !shared.shutdown.load(Ordering::Acquire) {
-            sig.sleepers += 1;
-            sig = shared.condvar.wait(sig).expect("pool signal wait");
-            sig.sleepers -= 1;
+        } else {
+            queue = shared
+                .work
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// A fixed-size work-stealing thread pool. Dropping the pool joins every
-/// worker (outstanding scopes have completed by then — `scope` cannot
-/// return earlier).
+/// A fixed-size thread pool. Dropping the pool joins every worker (no call
+/// can be outstanding then: `map_indexed` borrows the pool).
 pub struct ThreadPool {
     shared: Arc<Shared>,
+    threads: usize,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    /// Spawn a pool with `threads` workers (clamped to at least one).
+    /// A pool of `threads` workers, clamped to `1..=MAX_THREADS`. A
+    /// one-worker pool starts no thread: every call runs inline.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
+        let threads = threads.clamp(1, MAX_THREADS);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            signal: Mutex::new(Signal {
-                generation: 0,
-                sleepers: 0,
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
             }),
-            condvar: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            work: Condvar::new(),
         });
-        let handles = (0..threads)
+        let spawned = if threads > 1 { threads } else { 0 };
+        let handles = (0..spawned)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("osn-pool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
-        ThreadPool { shared, handles }
+        ThreadPool {
+            shared,
+            threads,
+            handles,
+        }
     }
 
-    /// Number of worker threads.
+    /// Number of workers.
     pub fn num_threads(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    fn push(&self, job: Job) {
-        match current_worker(&self.shared) {
-            Some(i) => self.shared.deques[i]
-                .lock()
-                .expect("worker deque lock")
-                .push_back(job),
-            None => self
-                .shared
-                .injector
-                .lock()
-                .expect("pool injector lock")
-                .push_back(job),
-        }
-        self.shared.bump();
-    }
-
-    /// Run `f` with a [`Scope`] whose spawned jobs may borrow from the
-    /// enclosing stack frame. Returns after every spawned job finished;
-    /// re-throws the first job panic (or `f`'s own panic) afterwards.
-    pub fn scope<'env, F, R>(&'env self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-            }),
-            scope_marker: PhantomData,
-            env_marker: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-
-        // Participate until all spawned jobs (incl. transitive ones) drained.
-        // Waiting must happen even when `f` panicked — jobs still hold
-        // borrows into this stack frame until `pending` hits zero.
-        let me = current_worker(&self.shared);
-        loop {
-            if scope.state.pending.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let seen = self.shared.generation();
-            if let Some(job) = self.shared.find_job(me) {
-                job();
-                continue;
-            }
-            let mut sig = self.shared.signal.lock().expect("pool signal lock");
-            while sig.generation == seen && scope.state.pending.load(Ordering::Acquire) != 0 {
-                sig.sleepers += 1;
-                sig = self.shared.condvar.wait(sig).expect("pool signal wait");
-                sig.sleepers -= 1;
-            }
-        }
-
-        match result {
-            Err(payload) => resume_unwind(payload),
-            Ok(value) => {
-                let panicked = scope.state.panic.lock().expect("scope panic slot").take();
-                if let Some(payload) = panicked {
-                    resume_unwind(payload);
-                }
-                value
-            }
-        }
+        self.threads
     }
 
     /// Evaluate `f(0..len)` on the pool and collect the results **in index
-    /// order** — the deterministic fan-out primitive: output position never
-    /// depends on scheduling, so callers get identical vectors at any pool
-    /// size.
+    /// order**: output position never depends on scheduling, so callers
+    /// get identical vectors at any pool size. The calling thread claims
+    /// indices too, then waits only for its own task; the first panic in
+    /// `f` is re-raised once every claimed index has finished.
     pub fn map_indexed<T, F>(&self, len: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut out: Vec<Option<T>> = Vec::with_capacity(len);
-        out.resize_with(len, || None);
-        self.scope(|s| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let f = &f;
-                s.spawn(move || *slot = Some(f(i)));
-            }
+        if len <= 1 || self.threads <= 1 {
+            return (0..len).map(f).collect();
+        }
+        let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
+        let job = |i: usize| {
+            let value = f(i);
+            *lock(&slots[i]) = Some(value);
+        };
+        let job: &(dyn Fn(usize) + Sync + '_) = &job;
+        // SAFETY: only the lifetime changes. The erased closure is called
+        // only for a claimed index `< len`, and this function does not
+        // return or unwind past `job`/`slots` until every claimed index
+        // has finished (the wait below cannot panic).
+        let run = ErasedFn(unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(usize) + Sync + '_),
+                *const (dyn Fn(usize) + Sync + 'static),
+            >(job)
         });
-        out.into_iter()
-            .map(|slot| slot.expect("every index produced a value"))
+        let task = Arc::new(Task {
+            len,
+            next: AtomicUsize::new(0),
+            finished: Mutex::new(0),
+            all_finished: Condvar::new(),
+            panic: Mutex::new(None),
+            run,
+        });
+        {
+            let mut queue = lock(&self.shared.queue);
+            queue.tasks.push_back(Arc::clone(&task));
+        }
+        for _ in 1..len.min(self.threads + 1) {
+            self.shared.work.notify_one();
+        }
+        task.run_claimed();
+        lock(&self.shared.queue)
+            .tasks
+            .retain(|t| !Arc::ptr_eq(t, &task));
+        let mut finished = lock(&task.finished);
+        while *finished < len {
+            finished = task
+                .all_finished
+                .wait(finished)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(finished);
+        if let Some(payload) = lock(&task.panic).take() {
+            resume_unwind(payload);
+        }
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every index produced a value")
+            })
             .collect()
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.bump();
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.work.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-struct ScopeState {
-    /// Spawned-but-unfinished job count; the scope owner spins/parks on it.
-    pending: AtomicUsize,
-    /// First captured job panic, re-thrown when the scope closes.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-}
-
-/// Spawn handle passed to [`ThreadPool::scope`] closures. `'scope` is the
-/// duration of the scope call, `'env` the enclosing environment jobs may
-/// borrow from (`'env: 'scope`), exactly as in `std::thread::scope`.
-pub struct Scope<'scope, 'env: 'scope> {
-    pool: &'scope ThreadPool,
-    state: Arc<ScopeState>,
-    scope_marker: PhantomData<&'scope mut &'scope ()>,
-    env_marker: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Queue `f` on the pool. May be called from inside another spawned job
-    /// (the job lands on that worker's own deque and is stolen from there).
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        let shared = Arc::clone(&self.pool.shared);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock().expect("scope panic slot");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            state.pending.fetch_sub(1, Ordering::AcqRel);
-            shared.bump();
-        });
-        // SAFETY: `ThreadPool::scope` does not return (not even by unwind)
-        // until `pending` reaches zero, i.e. until this closure has run to
-        // completion, so every `'scope` borrow it captures outlives its
-        // execution. This is the same lifetime erasure `std::thread::scope`
-        // performs internally.
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.pool.push(job);
     }
 }
 
@@ -383,8 +317,9 @@ pub fn init_global(threads: usize) -> Result<(), GlobalPoolAlreadyInitialized> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Barrier;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn map_indexed_preserves_index_order() {
@@ -397,7 +332,7 @@ mod tests {
     fn uneven_work_distributes_across_sizes() {
         // Part counts that do not divide the worker count evenly, with
         // wildly uneven per-part cost: every size must produce the same
-        // result and complete (work stealing rebalances the tail).
+        // result and complete (the shared counter rebalances the tail).
         let expected: Vec<u64> = (0..23)
             .map(|i| (0..(i % 7) * 1000 + 1).sum::<u64>())
             .collect();
@@ -410,66 +345,100 @@ mod tests {
 
     #[test]
     fn two_workers_run_concurrently() {
-        // Both jobs block on one barrier: passing requires two threads to
-        // be inside jobs at the same time, i.e. real work distribution.
+        // Every index blocks on one barrier of 3: passing requires both
+        // workers and the caller to be inside indices at the same time.
         let pool = ThreadPool::new(2);
-        let barrier = Barrier::new(2);
-        pool.scope(|s| {
-            for _ in 0..2 {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                });
-            }
+        let barrier = Barrier::new(3);
+        let out = pool.map_indexed(3, |i| {
+            barrier.wait();
+            i
         });
+        assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
-    fn zero_and_single_job_scopes() {
+    fn zero_and_single_index_calls() {
         let pool = ThreadPool::new(2);
-        let empty: i32 = pool.scope(|_| 7);
-        assert_eq!(empty, 7);
         assert_eq!(pool.map_indexed(0, |_| 0u8), Vec::<u8>::new());
         assert_eq!(pool.map_indexed(1, |i| i + 41), vec![41]);
     }
 
     #[test]
-    fn nested_spawns_complete_before_scope_returns() {
-        // A job fans out further jobs from inside the pool; the scope must
-        // wait for the whole tree, and thieves must drain worker deques.
-        let pool = ThreadPool::new(3);
-        let count = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                let count = &count;
-                s.spawn(move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    s.spawn(move || {
-                        count.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
+    fn a_caller_runs_only_its_own_indices() {
+        // Caller A's 4 indices hold both workers and A itself at a gate,
+        // leaving A's 4th index unclaimed. Caller B must finish its own
+        // 2-index call without picking up A's leftover (which would block
+        // B on the gate until the timeout below).
+        let pool = ThreadPool::new(2);
+        let inside = AtomicUsize::new(0);
+        let open = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                pool.map_indexed(4, |i| {
+                    inside.fetch_add(1, Ordering::SeqCst);
+                    while !open.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            });
+            while inside.load(Ordering::SeqCst) < 3 {
+                std::thread::yield_now();
             }
+            let (tx, rx) = mpsc::channel();
+            let pool = &pool;
+            let b = s.spawn(move || tx.send(pool.map_indexed(2, |i| i)));
+            let got = rx.recv_timeout(Duration::from_secs(5));
+            open.store(true, Ordering::SeqCst);
+            assert_eq!(got.ok(), Some(vec![0, 1]), "B waited on A's work");
+            b.join().unwrap().unwrap();
+            assert_eq!(a.join().unwrap(), vec![0, 1, 2, 3]);
         });
-        assert_eq!(count.load(Ordering::Relaxed), 8);
     }
 
     #[test]
-    fn worker_panic_propagates_to_the_scope() {
+    fn nested_and_concurrent_calls_complete() {
+        // Four OS threads fan out at once, and every index fans out again
+        // on the same pool: each caller can finish its own task alone, so
+        // nothing deadlocks, and every level keeps index order.
+        let pool = ThreadPool::new(3);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|c| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        pool.map_indexed(8, |i| pool.map_indexed(3, |j| c * 100 + i * 10 + j))
+                    })
+                })
+                .collect();
+            for (c, caller) in callers.into_iter().enumerate() {
+                let expected: Vec<Vec<usize>> = (0..8)
+                    .map(|i| (0..3).map(|j| c * 100 + i * 10 + j).collect())
+                    .collect();
+                assert_eq!(caller.join().unwrap(), expected, "caller {c}");
+            }
+        });
+    }
+
+    #[test]
+    fn worker_panic_propagates_to_the_caller() {
         let pool = ThreadPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("job exploded"));
-            });
+            pool.map_indexed(6, |i| {
+                if i == 3 {
+                    panic!("index exploded");
+                }
+                i
+            })
         }));
-        assert!(result.is_err(), "scope must re-throw the job panic");
+        assert!(result.is_err(), "map_indexed must re-throw the index panic");
         // The pool survives and keeps processing work afterwards.
         assert_eq!(pool.map_indexed(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn scope_on_single_worker_pool_makes_progress() {
-        // The calling thread participates, so even a 1-worker pool finishes
-        // more jobs than workers.
+        // A one-worker pool runs every index inline on the caller.
         let pool = ThreadPool::new(1);
         let out = pool.map_indexed(64, |i| i as u64 + 1);
         assert_eq!(out.iter().sum::<u64>(), (1..=64).sum::<u64>());

@@ -160,9 +160,13 @@
 //!
 //! ## Parallel execution and the determinism contract
 //!
-//! All parallelism in this crate runs on a shared [`osn_pool`]
-//! work-stealing pool (per-worker deques + a shared injector; see that
-//! crate's docs). [`McBackend::evaluator`] and
+//! All parallelism in this crate goes through one primitive,
+//! [`osn_pool::ThreadPool::map_indexed`]: `f(i)` for every `i in 0..len`,
+//! results in index order. Idle workers and the calling thread claim
+//! indices from a shared counter, and a caller waits only for its own
+//! call, never running another caller's work (see that crate's docs).
+//! Sampling fans out one index per chunk of worlds, folds one index per
+//! 64-world block. [`McBackend::evaluator`] and
 //! [`WorldCache::sample`](crate::world::WorldCache::sample) use the
 //! process-wide [`osn_pool::global`] pool, so S3CA's greedy loop, the
 //! baselines, and the bench harness share one set of workers instead of
@@ -181,11 +185,12 @@
 //! 3. **Merge order.** Part totals are merged in part order on the calling
 //!    thread, never in completion order.
 //!
-//! Together these make every estimate bit-identical across pool sizes,
-//! machines, and the serial vs. pooled paths. Batched evaluation
-//! ([`MonteCarloEvaluator::simulate_batch`]) keeps per-candidate accumulators
-//! through the same grouping, so batching never changes results either —
-//! only how many candidates one pass over the world cache serves.
+//! Together these make every estimate bit-identical across pool sizes
+//! (a one-worker pool runs every index inline) and machines. Batched
+//! evaluation ([`MonteCarloEvaluator::simulate_batch`]) keeps per-candidate
+//! accumulators through the same grouping, so batching never changes
+//! results either — only how many candidates one pass over the world cache
+//! serves.
 
 #![forbid(unsafe_code)]
 

@@ -4,8 +4,9 @@
 //! such as Monte Carlo [2]", with accuracy `(1 − ε)` growing in the sample
 //! count. Worlds are pre-sampled once per instance
 //! ([`WorldCache`](crate::world::WorldCache)) and each evaluation runs the
-//! deterministic coupon-constrained cascade per world, on a shared
-//! [`osn_pool`] work-stealing pool.
+//! deterministic coupon-constrained cascade per world, fanned out over
+//! 64-world blocks with [`osn_pool`]'s one primitive,
+//! [`ThreadPool::map_indexed`].
 //!
 //! ## Determinism contract
 //!
@@ -13,8 +14,8 @@
 //! is always summed serially in world order, and part totals are merged in
 //! part order — so the floating-point summation grouping depends only on
 //! `PART_WORLDS`, never on the pool size or on which worker ran which part.
-//! Estimates are bit-identical across machines with any core count and
-//! across the serial and pooled paths; `tests/determinism.rs` pins this.
+//! Estimates are bit-identical across machines with any core count and at
+//! every pool size; `tests/determinism.rs` pins this.
 //! [`reference_simulate_batch`] spells the contract out as a plain serial
 //! loop over the scalar [`world_cascade`]; evaluator results are checked
 //! against it bit for bit.
@@ -43,13 +44,13 @@ use crate::world::WorldCache;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 thread_local! {
-    /// Worker-local lane scratch, reused across block tasks and calls — one
-    /// `O(node_count)` arena per worker thread (and per caller thread on the
-    /// inline path). Scratch contents never influence results (stamp-based
+    /// Thread-local lane scratch, reused across blocks and calls — one
+    /// `O(node_count)` arena per thread that ever folds a block: every pool
+    /// worker, and every calling thread (callers claim blocks of their own
+    /// fold too). Scratch contents never influence results (stamp-based
     /// marking), so reuse cannot affect the determinism contract.
     static SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::new(0));
 }
@@ -123,24 +124,18 @@ impl<'a> MonteCarloEvaluator<'a> {
         averages(self.fold_worlds(batch), r)
     }
 
-    /// Cascade every candidate through one ≤ [`LANE_WORLDS`]-world block of
-    /// the bit-parallel kernel, and append the block's one or two 32-world
-    /// part totals to `out` as `(part index, per-candidate totals)`. Each
+    /// Cascade every candidate through 64-world block `b` of the
+    /// bit-parallel kernel and return the block's one or two 32-world part
+    /// totals as `(part index, per-candidate totals)`, in part order. Each
     /// part's totals fold the block's lanes in ascending lane order —
     /// exactly the serial world-order summation of the determinism
     /// contract.
-    fn fold_block(
-        &self,
-        batch: &[DeploymentRef<'_>],
-        base: usize,
-        hi: usize,
-        out: &mut Vec<(usize, Vec<Totals>)>,
-    ) {
-        debug_assert_eq!(base % LANE_WORLDS, 0, "blocks start at lane boundaries");
-        let count = hi - base;
+    fn fold_block(&self, batch: &[DeploymentRef<'_>], b: usize) -> Vec<(usize, Vec<Totals>)> {
+        let base = b * LANE_WORLDS;
+        let count = LANE_WORLDS.min(self.cache.len() - base);
         // First cascade over this block decodes it; every later batch and
         // candidate reuses the compacted adjacency.
-        let block = self.lane_blocks.blocks[base / LANE_WORLDS].get_or_init(|| {
+        let block = self.lane_blocks.blocks[b].get_or_init(|| {
             let valid = if count == LANE_WORLDS {
                 !0u64
             } else {
@@ -150,15 +145,14 @@ impl<'a> MonteCarloEvaluator<'a> {
             self.cache.world_fill_lanes(base, count, &mut lanes);
             LaneBlock::from_edge_masks(self.graph, &lanes, valid)
         });
+        let halves = count.div_ceil(PART_WORLDS);
+        let first_part = base / PART_WORLDS;
+        let mut out: Vec<(usize, Vec<Totals>)> = (0..halves)
+            .map(|h| (first_part + h, vec![Totals::default(); batch.len()]))
+            .collect();
         SCRATCH.with(|s| {
             let scratch = &mut *s.borrow_mut();
             scratch.ensure_nodes(self.graph.node_count());
-            let halves = count.div_ceil(PART_WORLDS);
-            let first_part = base / PART_WORLDS;
-            let start = out.len();
-            for h in 0..halves {
-                out.push((first_part + h, vec![Totals::default(); batch.len()]));
-            }
             for (c, dep) in batch.iter().enumerate() {
                 let lanes = lane_cascade_block(
                     self.graph,
@@ -168,8 +162,8 @@ impl<'a> MonteCarloEvaluator<'a> {
                     block,
                     scratch,
                 );
-                for h in 0..halves {
-                    let acc = &mut out[start + h].1[c];
+                for (h, (_, part)) in out.iter_mut().enumerate() {
+                    let acc = &mut part[c];
                     for l in h * PART_WORLDS..((h + 1) * PART_WORLDS).min(count) {
                         acc.benefit += lanes.benefit[l];
                         acc.redeemed_sc_cost += lanes.redeemed_sc_cost[l];
@@ -179,51 +173,27 @@ impl<'a> MonteCarloEvaluator<'a> {
                 }
             }
         });
+        out
     }
 
-    /// The fold scheduler: workers claim 64-world blocks (each yielding two
-    /// aligned 32-world parts) from a shared counter — one boxed job per
-    /// worker rather than per block — and part totals merge in ascending
-    /// part order, so the summation grouping stays independent of which job
-    /// claimed what.
+    /// The fold: one [`ThreadPool::map_indexed`] index per 64-world block.
+    /// Results come back in block order, hence part order, and part totals
+    /// merge in that order — so the summation grouping never depends on
+    /// which thread ran which block.
     fn fold_worlds(&self, batch: &[DeploymentRef<'_>]) -> Vec<Totals> {
         let r = self.cache.len();
-        let parts = r.div_ceil(PART_WORLDS);
-        let blocks = r.div_ceil(LANE_WORLDS);
-        let block_bounds = |b: usize| (b * LANE_WORLDS, (b * LANE_WORLDS + LANE_WORLDS).min(r));
-        let workers = self.pool.num_threads().min(blocks);
-        let mut in_order: Vec<(usize, Vec<Totals>)> = Vec::with_capacity(parts);
-        if workers <= 1 {
-            // Inline path: blocks in order emit parts in order.
-            for b in 0..blocks {
-                let (lo, hi) = block_bounds(b);
-                self.fold_block(batch, lo, hi, &mut in_order);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut per_job: Vec<Vec<(usize, Vec<Totals>)>> = Vec::with_capacity(workers);
-            per_job.resize_with(workers, Vec::new);
-            self.pool.scope(|s| {
-                for slot in per_job.iter_mut() {
-                    let next = &next;
-                    s.spawn(move || loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks {
-                            break;
-                        }
-                        let (lo, hi) = block_bounds(b);
-                        self.fold_block(batch, lo, hi, slot);
-                    });
-                }
-            });
-            in_order.extend(per_job.into_iter().flatten());
-            in_order.sort_unstable_by_key(|&(p, _)| p);
-        }
+        let in_order: Vec<(usize, Vec<Totals>)> = self
+            .pool
+            .map_indexed(r.div_ceil(LANE_WORLDS), |b| self.fold_block(batch, b))
+            .into_iter()
+            .flatten()
+            .collect();
         assert_eq!(
             in_order.len(),
-            parts,
+            r.div_ceil(PART_WORLDS),
             "every part must be claimed exactly once"
         );
+        debug_assert!(in_order.iter().enumerate().all(|(i, &(p, _))| i == p));
         let mut acc = vec![Totals::default(); batch.len()];
         for (_, part) in &in_order {
             merge_into(&mut acc, part);

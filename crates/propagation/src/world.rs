@@ -176,37 +176,23 @@ impl WorldCache {
     }
 
     /// Shared generation driver: run `sampler` for every world index
-    /// (chunk-parallel over `pool`, world `i` always stream `i`) and pack
-    /// the sorted live lists into the gap-encoded CSR.
+    /// (one chunk per pool worker, a single chunk below 8 worlds; world
+    /// `i` is always stream `i`, so chunk boundaries never change the
+    /// bytes) and pack the sorted live lists into the gap-encoded CSR.
     fn build(
         edges: usize,
         count: usize,
         pool: &ThreadPool,
         sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync),
     ) -> Self {
-        let workers = pool.num_threads().min(count.max(1));
-        let serial = workers <= 1 || count < 8;
-        let chunk = if serial {
+        let chunk = if count < 8 {
             count.max(1)
         } else {
-            count.div_ceil(workers)
+            count.div_ceil(pool.num_threads())
         };
-        let n_chunks = if count == 0 { 0 } else { count.div_ceil(chunk) };
-        let mut chunks: Vec<Chunk> = Vec::new();
-        chunks.resize_with(n_chunks, Chunk::default);
-        if serial {
-            for (t, slot) in chunks.iter_mut().enumerate() {
-                fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), sampler);
-            }
-        } else {
-            pool.scope(|s| {
-                for (t, slot) in chunks.iter_mut().enumerate() {
-                    s.spawn(move || {
-                        fill_chunk(slot, t * chunk, count.min((t + 1) * chunk), sampler);
-                    });
-                }
-            });
-        }
+        let chunks = pool.map_indexed(count.div_ceil(chunk), |t| {
+            fill_chunk(t * chunk, count.min((t + 1) * chunk), sampler)
+        });
         let live_edges: u64 = chunks
             .iter()
             .flat_map(|c| &c.counts)
@@ -334,12 +320,8 @@ struct SampleScratch {
     bits: BitVec,
 }
 
-fn fill_chunk(
-    chunk: &mut Chunk,
-    lo: usize,
-    hi: usize,
-    sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync),
-) {
+fn fill_chunk(lo: usize, hi: usize, sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync)) -> Chunk {
+    let mut chunk = Chunk::default();
     let mut scratch = SampleScratch {
         ids: Vec::new(),
         bits: BitVec::zeros(0),
@@ -353,6 +335,7 @@ fn fill_chunk(
         chunk.counts.push(live.len() as u32);
         chunk.byte_lens.push(chunk.gaps.len() - before);
     }
+    chunk
 }
 
 /// Distinct stream per world: mix the world index into the seed (this is
@@ -666,7 +649,7 @@ mod tests {
         // 64 worlds uses the threaded path; world i must still be stream i.
         let g = graph();
         let many = WorldCache::sample(&g, 64, 11);
-        let few = WorldCache::sample(&g, 4, 11); // serial path
+        let few = WorldCache::sample(&g, 4, 11); // one chunk
         for w in 0..4 {
             assert_eq!(many.live_edge_ids(w), few.live_edge_ids(w));
         }

@@ -5,7 +5,9 @@
 //! bounded time and are then *shed* with a typed `BUSY` error instead of
 //! queueing unboundedly. This keeps a burst of requests from
 //! oversubscribing the shared `osn-pool` (each campaign already fans out
-//! across its workers), bounds resident scratch memory, and bounds how
+//! across its workers, and its connection thread claims indices of its own
+//! `map_indexed` calls too), bounds resident scratch memory (every thread
+//! that folds a lane block keeps one O(n) lane scratch), and bounds how
 //! long any client can be parked behind a stuck peer.
 //!
 //! Permits are RAII: [`Permit`] releases its slot on drop, **including

@@ -103,6 +103,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 // The global pool is built once; a repeated flag is an
                 // error rather than silently ignored.
                 let threads = flag_positive(&mut it, "--pool-size")?;
+                if threads > osn_pool::MAX_THREADS {
+                    return Err(format!(
+                        "--pool-size must be at most {}, got {threads}",
+                        osn_pool::MAX_THREADS
+                    ));
+                }
                 if pool_size.replace(threads).is_some() {
                     return Err("--pool-size given twice".to_string());
                 }
@@ -177,12 +183,14 @@ mod tests {
 
     #[test]
     fn malformed_flags_are_usage_errors_not_panics() {
-        let cases: [(&[&str], &str); 14] = [
+        let cases: [(&[&str], &str); 16] = [
             (
                 &["--data", "g.txt", "--max-inflight", "0"],
                 "--max-inflight",
             ),
             (&["--data", "g.txt", "--pool-size", "0"], "--pool-size"),
+            (&["--data", "g.txt", "--pool-size", "257"], "--pool-size"),
+            (&["--data", "g.txt", "--pool-size", "100000"], "--pool-size"),
             (
                 &["--data", "g.txt", "--max-line-bytes", "0"],
                 "--max-line-bytes",

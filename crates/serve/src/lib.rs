@@ -38,7 +38,12 @@
 //! # Concurrency model
 //!
 //! One OS thread per connection; campaigns share the process-wide
-//! `osn-pool` for their inner parallelism. The [`admission::Admission`]
+//! `osn-pool` for their inner parallelism. Each `map_indexed` fan-out is
+//! claimed by idle pool workers and by the connection thread that issued
+//! it; that thread then waits only for its own call and never runs another
+//! connection's work, so a `PROBE` never ends up folding a campaign's
+//! queued blocks. A thread the OS refuses to start drops only its
+//! connection: the accept loop keeps going. The [`admission::Admission`]
 //! gate bounds in-flight campaigns, and the [`batcher::ProbeBatcher`]
 //! coalesces concurrent evaluation probes against the same resident
 //! backend into single `simulate_batch` passes by group commit: a probe on

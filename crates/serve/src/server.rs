@@ -336,17 +336,25 @@ fn accept_loop(
         // Connection threads detach; they hold only Arcs, deregister via
         // RAII on every exit path (including panics), and observe the
         // forced socket shutdown during drain, so nothing joins them.
-        std::thread::spawn(move || {
-            let _ = handle_connection(
-                stream,
-                &state,
-                &shutdown,
-                addr,
-                &registry_for_conn,
-                conn_id,
-                options,
-            );
+        let spawned = osn_fault::io_point("serve.conn.spawn").and_then(|()| {
+            std::thread::Builder::new().spawn(move || {
+                let _ = handle_connection(
+                    stream,
+                    &state,
+                    &shutdown,
+                    addr,
+                    &registry_for_conn,
+                    conn_id,
+                    options,
+                );
+            })
         });
+        if spawned.is_err() {
+            // The OS refused a thread: close this connection unserved (the
+            // client sees a dropped connection and may retry) and keep
+            // accepting instead of ending the loop.
+            registry.deregister(conn_id);
+        }
     }
     registry.drain(options.drain_deadline)
 }

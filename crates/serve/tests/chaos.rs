@@ -62,6 +62,7 @@ fn chaos_suite() {
     injected_graph_io_errors_surface_as_clean_open_failures(&expected);
     shutdown_drains_in_flight_campaigns_under_injected_delays(&expected);
     saturated_admission_sheds_busy_and_retries_recover(&expected);
+    a_refused_connection_thread_does_not_end_the_accept_loop(&expected);
 }
 
 /// The tentpole scenario: panics at the campaign and batch-leader sites,
@@ -259,5 +260,46 @@ fn saturated_admission_sheds_busy_and_retries_recover(expected: &[Vec<String>]) 
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown");
     let report = srv.wait();
+    assert!(report.clean(), "drain was not clean: {report:?}");
+}
+
+/// The OS refusing a connection thread (injected at the spawn site) drops
+/// that one connection unserved: the accept loop keeps running, the
+/// retrying client's next attempt gets the byte-exact reply, and the
+/// refused connection's registry entry does not linger into the drain.
+fn a_refused_connection_thread_does_not_end_the_accept_loop(expected: &[Vec<String>]) {
+    let _scenario = Scenario::new("serve.conn.spawn=ioerr@1");
+    let state = Arc::new(ServeState::open(&fixture(), 1).expect("daemon state"));
+    let srv = server::spawn(state, "127.0.0.1:0").expect("bind");
+    let policy = RetryPolicy {
+        max_attempts: 10,
+        base_backoff: Duration::from_millis(2),
+        max_backoff: Duration::from_millis(50),
+    };
+    // The client has no read timeout: a refused connection left open (its
+    // registry entry still holding the socket) would hang it, so wait for
+    // the campaign on a helper thread with a deadline instead.
+    let addr = srv.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = RetryingClient::new(addr, policy, 0);
+        let got = client.campaign(&specs(9)[0]);
+        let _ = tx.send(got.map(|got| (got, client.retries())));
+    });
+    let (got, retries) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the refused connection was never closed")
+        .expect("the campaign must recover from a refused connection thread");
+    assert_eq!(got, expected[0], "campaign after a refused spawn diverged");
+    assert!(
+        osn_fault::hits("serve.conn.spawn") >= 2,
+        "spawn fault site was not on the accept path"
+    );
+    assert!(retries >= 1, "the refused connection forces a retry");
+
+    let mut client = Client::connect(srv.addr()).expect("connect");
+    client.shutdown().expect("shutdown");
+    let report = srv.wait();
+    assert!(!report.accept_loop_panicked, "accept loop died: {report:?}");
     assert!(report.clean(), "drain was not clean: {report:?}");
 }
