@@ -36,5 +36,6 @@ pub mod scenario;
 pub mod table;
 
 pub use effort::Effort;
+pub use runner::EVAL_SALT;
 pub use scenario::Algorithm;
 pub use table::Table;

@@ -17,6 +17,13 @@ pub struct Row {
     pub telemetry: Option<Telemetry>,
 }
 
+/// Salt XORed into the run seed for the final evaluation's world cache. It
+/// keeps evaluation worlds independent of the worlds the IM baselines
+/// optimize on (no self-grading). `osn-serve` scores campaigns with it too,
+/// so a served campaign and a `repro` run of the same spec are evaluated on
+/// the same worlds.
+pub const EVAL_SALT: u64 = 0x0E7A_15A1;
+
 /// Run `algorithms` on the instance and evaluate every deployment on one
 /// shared world cache (shared randomness keeps comparisons tight). The
 /// algorithms run (and are timed) one at a time; their deployments are then
@@ -29,9 +36,7 @@ pub fn evaluate_all(
     limited_cap: u32,
     effort: &Effort,
 ) -> Vec<Row> {
-    // Distinct salt keeps evaluation worlds independent of the worlds the
-    // IM baselines optimized on (no self-grading).
-    let backend = McBackend::sample(graph, effort.eval_worlds, effort.seed ^ 0x0E7A_15A1);
+    let backend = McBackend::sample(graph, effort.eval_worlds, effort.seed ^ EVAL_SALT);
     let runs: Vec<AlgoRun> = algorithms
         .iter()
         .map(|&algo| run_algorithm(graph, data, binv, algo, limited_cap, effort))

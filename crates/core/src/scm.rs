@@ -25,7 +25,7 @@ use crate::deployment::Deployment;
 use crate::gpi::GpForest;
 use crate::objective::{self, ObjectiveValue};
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use osn_propagation::{BenefitEstimator, DeltaScratch, EngineCounters, SpreadEngine};
+use osn_propagation::{DeltaScratch, EngineCounters, SpreadEngine};
 
 /// Summary of the maneuvering phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,12 +51,12 @@ struct Candidate {
 }
 
 /// Run the SC-Maneuver phase in place; returns the final objective and
-/// statistics. Production SCM always runs on the exact analytic
-/// [`SpreadEngine`] — maneuver planning is dominated by O(deg) removal
-/// probes, which the engine serves from cached holder DPs, so there is
-/// nothing for a sampling backend to speed up here — but the loop itself is
-/// the generic [`sc_maneuver_with`], so a backend can be slotted in for
-/// experiments.
+/// statistics. SCM runs on the exact analytic [`SpreadEngine`]: maneuver
+/// planning is dominated by O(deg) removal probes, which the engine serves
+/// from cached holder DPs, so there is nothing for a sampling backend to
+/// speed up here. Tentative plans run on engine clones kept in lockstep
+/// with the tentative coupon vector; a plan is committed only when its
+/// objective strictly improves within budget.
 pub fn sc_maneuver(
     graph: &CsrGraph,
     data: &NodeData,
@@ -65,33 +65,11 @@ pub fn sc_maneuver(
     forests: &[GpForest],
     max_paths: usize,
 ) -> (ObjectiveValue, ScmStats) {
-    sc_maneuver_with(graph, binv, dep, forests, max_paths, |seeds, coupons| {
-        SpreadEngine::new(graph, data, seeds, coupons)
-    })
-}
-
-/// The generic SC-Maneuver loop, driven through any cloneable
-/// [`BenefitEstimator`] built by `make_estimator` from the phase's input
-/// deployment. Tentative plans run on estimator clones kept in lockstep
-/// with the tentative coupon vector; a plan is committed only when its
-/// objective strictly improves within budget.
-pub fn sc_maneuver_with<E, F>(
-    graph: &CsrGraph,
-    binv: f64,
-    dep: &mut Deployment,
-    forests: &[GpForest],
-    max_paths: usize,
-    make_estimator: F,
-) -> (ObjectiveValue, ScmStats)
-where
-    E: BenefitEstimator + Clone,
-    F: FnOnce(&[NodeId], &[u32]) -> E,
-{
     let mut stats = ScmStats::default();
-    // The estimator tracks the live deployment; tentative plans run on
-    // clones (the exact engine's clones reuse every cached holder DP), so
-    // no maneuver ever re-evaluates the spread from scratch.
-    let mut engine = make_estimator(&dep.seeds, &dep.coupons);
+    // The engine tracks the live deployment; tentative plans run on clones
+    // (which reuse every cached holder DP), so no maneuver ever
+    // re-evaluates the spread from scratch.
+    let mut engine = SpreadEngine::new(graph, data, &dep.seeds, &dep.coupons);
     let mut current = objective::value_from_estimator(&engine);
     let mut scratch = DeltaScratch::default();
 
@@ -136,10 +114,10 @@ where
 }
 
 /// Filter GPs by the Alg. 1 line-28 preconditions and score their AIs.
-fn collect_candidates<E: BenefitEstimator>(
+fn collect_candidates(
     dep: &Deployment,
     forests: &[GpForest],
-    state: &E,
+    state: &SpreadEngine,
     current: &ObjectiveValue,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
@@ -192,10 +170,10 @@ fn parent_unfunded(forest: &GpForest, visit_index: usize, dep: &Deployment) -> b
 
 /// Nearest ascendant (by DFS parent chain) that is possibly activated under
 /// the current deployment — positive activation probability or a seed.
-fn nearest_activated_ascendant<E: BenefitEstimator>(
+fn nearest_activated_ascendant(
     forest: &GpForest,
     visit_index: usize,
-    state: &E,
+    state: &SpreadEngine,
 ) -> Option<usize> {
     forest.ascendants(visit_index).find(|&i| {
         let node = forest.visits[i].node;
@@ -209,16 +187,16 @@ fn nearest_activated_ascendant<E: BenefitEstimator>(
 /// when the deficit cannot be sourced under the `Id < β` gate. Engine
 /// effort — whether or not the plan survives — accumulates into `eval`.
 #[allow(clippy::too_many_arguments)]
-fn plan_maneuver<E: BenefitEstimator + Clone>(
+fn plan_maneuver<'a>(
     graph: &CsrGraph,
     dep: &Deployment,
     forest: &GpForest,
     visit_index: usize,
     beta: f64,
-    base_engine: &E,
+    base_engine: &SpreadEngine<'a>,
     scratch: &mut DeltaScratch,
     eval: &mut EngineCounters,
-) -> Option<(E, Deployment, u64)> {
+) -> Option<(SpreadEngine<'a>, Deployment, u64)> {
     // Receiver targets: the GP's K̂ allocation.
     let allocation = forest.allocation(visit_index);
     let mut target = vec![0u32; dep.len()];
@@ -282,8 +260,8 @@ fn plan_maneuver<E: BenefitEstimator + Clone>(
 /// deltas against the tentative deployment's spread state — served by the
 /// lockstep engine from its cached holder DPs instead of a from-scratch
 /// re-evaluation per donor pick.
-fn best_donor<E: BenefitEstimator>(
-    engine: &E,
+fn best_donor(
+    engine: &SpreadEngine,
     tentative: &Deployment,
     target: &[u32],
     beta: f64,

@@ -26,10 +26,11 @@ pub struct CsrGraph {
     in_offsets: Vec<u64>,
     /// Edge sources, grouped by target (ascending source id).
     in_sources: Vec<NodeId>,
-    /// Influence probability of each reverse edge (parallel to
-    /// `in_sources`) — needed by reverse-reachable sampling and the
-    /// linear-threshold comparison model.
-    in_probs: Vec<f64>,
+    /// Forward edge id of each reverse slot (parallel to `in_sources`):
+    /// reverse probabilities are read through it, and reverse-reachable
+    /// sampling uses it to test a reverse edge's liveness in a
+    /// forward-sampled world and to read the edge's rank.
+    in_edges: Vec<u32>,
 }
 
 impl CsrGraph {
@@ -72,11 +73,11 @@ impl CsrGraph {
         }
         let mut cursor = in_offsets.clone();
         let mut in_sources = vec![NodeId(0); m];
-        let mut in_probs = vec![0.0f64; m];
-        for &(u, v, p) in &edges {
+        let mut in_edges = vec![0u32; m];
+        for (eid, &(u, v, _)) in edges.iter().enumerate() {
             let slot = cursor[v as usize] as usize;
             in_sources[slot] = NodeId(u);
-            in_probs[slot] = p;
+            in_edges[slot] = eid as u32;
             cursor[v as usize] += 1;
         }
 
@@ -87,7 +88,7 @@ impl CsrGraph {
             probs,
             in_offsets,
             in_sources,
-            in_probs,
+            in_edges,
         }
     }
 
@@ -101,12 +102,12 @@ impl CsrGraph {
         probs: Vec<f64>,
         in_offsets: Vec<u64>,
         in_sources: Vec<NodeId>,
-        in_probs: Vec<f64>,
+        in_edges: Vec<u32>,
     ) -> Self {
         debug_assert_eq!(offsets.len(), n as usize + 1);
         debug_assert_eq!(in_offsets.len(), n as usize + 1);
         debug_assert_eq!(targets.len(), probs.len());
-        debug_assert_eq!(in_sources.len(), in_probs.len());
+        debug_assert_eq!(in_sources.len(), in_edges.len());
         CsrGraph {
             n,
             offsets,
@@ -114,7 +115,7 @@ impl CsrGraph {
             probs,
             in_offsets,
             in_sources,
-            in_probs,
+            in_edges,
         }
     }
 
@@ -123,12 +124,6 @@ impl CsrGraph {
     /// by the binary writer.
     pub(crate) fn in_sources_flat(&self) -> &[NodeId] {
         &self.in_sources
-    }
-
-    /// Flat reverse-adjacency probabilities (parallel to
-    /// [`in_sources_flat`](Self::in_sources_flat)).
-    pub(crate) fn in_probs_flat(&self) -> &[f64] {
-        &self.in_probs
     }
 
     /// Number of nodes.
@@ -150,7 +145,7 @@ impl CsrGraph {
             + std::mem::size_of_val(&*self.probs)
             + std::mem::size_of_val(&*self.in_offsets)
             + std::mem::size_of_val(&*self.in_sources)
-            + std::mem::size_of_val(&*self.in_probs)
+            + std::mem::size_of_val(&*self.in_edges)
     }
 
     /// Iterator over all node ids.
@@ -206,28 +201,30 @@ impl CsrGraph {
         self.offsets[v.index()] as u32..self.offsets[v.index() + 1] as u32
     }
 
+    #[inline]
+    fn in_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.in_offsets[v.index()] as usize..self.in_offsets[v.index() + 1] as usize
+    }
+
     /// Sources of edges pointing at `v`.
     #[inline]
     pub fn in_sources(&self, v: NodeId) -> &[NodeId] {
-        let r = self.in_offsets[v.index()] as usize..self.in_offsets[v.index() + 1] as usize;
-        &self.in_sources[r]
+        &self.in_sources[self.in_range(v)]
     }
 
     /// Probabilities of the edges pointing at `v` (parallel to
-    /// [`in_sources`](Self::in_sources)).
+    /// [`in_sources`](Self::in_sources)), read through their forward ids.
     #[inline]
-    pub fn in_probs(&self, v: NodeId) -> &[f64] {
-        let r = self.in_offsets[v.index()] as usize..self.in_offsets[v.index() + 1] as usize;
-        &self.in_probs[r]
+    pub fn in_probs(&self, v: NodeId) -> impl Iterator<Item = f64> + '_ {
+        self.in_edges[self.in_range(v)]
+            .iter()
+            .map(|&e| self.probs[e as usize])
     }
 
     /// In-neighbors of `v` with their edge probabilities.
     #[inline]
     pub fn ranked_in(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.in_sources(v)
-            .iter()
-            .copied()
-            .zip(self.in_probs(v).iter().copied())
+        self.in_sources(v).iter().copied().zip(self.in_probs(v))
     }
 
     /// The probability of edge `u -> v`, if present.
@@ -274,30 +271,16 @@ impl CsrGraph {
     }
 
     /// The **forward edge id** of every reverse-adjacency slot: element `s`
-    /// of the returned vector is the stable edge id (the index into
+    /// is the stable edge id (the index into
     /// [`edge_probs_flat`](Self::edge_probs_flat) and per-world live-edge
     /// bitsets) of the edge whose reverse entry sits at slot `s` of the flat
-    /// reverse arrays. Reverse-reachability sampling needs this to test a
+    /// reverse arrays. Reverse-reachability sampling uses it to test a
     /// reverse-walked edge's liveness in a forward-sampled world, and to
     /// recover the edge's rank (`eid - out_edge_ids(src).start`) for the
-    /// coupon-demand gate. One `O(n + m)` cursor pass; call once and reuse.
-    pub fn in_edge_ids(&self) -> Vec<u32> {
-        let mut cursor: Vec<u64> = self.in_offsets[..self.n as usize].to_vec();
-        let mut ids = vec![0u32; self.edge_count()];
-        // Ascending-source forward traversal fills each target's reverse
-        // slots in the same ascending-source order the counting sort used,
-        // so slot `s` receives exactly the edge recorded in
-        // `in_sources[s]`/`in_probs[s]`.
-        for u in self.nodes() {
-            for eid in self.out_edge_ids(u) {
-                let v = self.targets[eid as usize];
-                let slot = cursor[v.index()] as usize;
-                debug_assert_eq!(self.in_sources[slot], u, "reverse slot order mismatch");
-                ids[slot] = eid;
-                cursor[v.index()] += 1;
-            }
-        }
-        ids
+    /// coupon-demand gate.
+    #[inline]
+    pub fn in_edge_ids(&self) -> &[u32] {
+        &self.in_edges
     }
 }
 
@@ -325,8 +308,9 @@ mod tests {
         assert_eq!(g.out_degree(NodeId(3)), 0);
         assert_eq!(g.in_degree(NodeId(3)), 2);
         assert_eq!(g.in_degree(NodeId(0)), 0);
-        // Offsets (n + 1 u64s), targets (u32 ids) and probabilities, twice.
-        assert_eq!(g.resident_bytes(), 2 * (5 * 8 + 4 * 4 + 4 * 8));
+        // Offsets (n + 1 u64s) and u32 node ids on both sides, f64
+        // probabilities forward and u32 forward edge ids in reverse.
+        assert_eq!(g.resident_bytes(), 2 * (5 * 8 + 4 * 4) + 4 * 8 + 4 * 4);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`GraphBuilder`] — incremental edge accumulation, deduplication,
 //!   validation, then a one-shot [`CsrGraph`] build.
 //! * [`CsrGraph`] — immutable CSR with forward (probability-ranked) and
-//!   reverse adjacency.
+//!   reverse adjacency. The reverse side holds each edge's source and its
+//!   forward edge id, so every probability is stored once and reverse
+//!   walks read it (and the edge's rank) through the forward arrays.
 //! * [`NodeData`] — struct-of-arrays per-node attributes: benefit `b(v)`,
 //!   seed cost `c_seed(v)`, coupon cost `c_sc(v)`.
 //! * [`traversal`] — BFS hop distances from a seed set and reachability.

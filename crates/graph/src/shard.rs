@@ -544,6 +544,7 @@ fn write_sharded<W: Write + Seek>(
     )?;
     let offsets = graph.out_offsets();
     let in_offsets = graph.in_offsets();
+    let probs = graph.edge_probs_flat();
     let ids = |ids: &[NodeId]| -> Vec<u32> { ids.iter().map(|v| v.0).collect() };
     for s in 0..plan.shard_count() {
         let r = plan.node_range(s);
@@ -555,13 +556,17 @@ fn write_sharded<W: Write + Seek>(
             .collect();
         let fwd_edges = offsets[a] as usize..offsets[b] as usize;
         let rev_slots = in_offsets[a] as usize..in_offsets[b] as usize;
+        let rev_probs: Vec<f64> = graph.in_edge_ids()[rev_slots.clone()]
+            .iter()
+            .map(|&e| probs[e as usize])
+            .collect();
         w.write_shard(
             &fwd,
             &ids(&graph.edge_targets_flat()[fwd_edges.clone()]),
-            &graph.edge_probs_flat()[fwd_edges],
+            &probs[fwd_edges],
             &rev,
             &ids(&graph.in_sources_flat()[rev_slots.clone()]),
-            &graph.in_probs_flat()[rev_slots],
+            &rev_probs,
         )?;
     }
     w.finish(workload)
@@ -1089,7 +1094,9 @@ fn decode_workload(
     Ok(Workload { data, budget })
 }
 
-/// The graph's six CSR arrays while the reader fills them, shard by shard.
+/// The file's six CSR sections while the reader fills them, shard by
+/// shard. The reverse probabilities are kept only until the transpose check
+/// has proved them equal to the forward ones.
 struct CsrArrays {
     offsets: Vec<u64>,
     targets: Vec<NodeId>,
@@ -1175,9 +1182,10 @@ impl CsrArrays {
     }
 
     /// Check the transpose, which no single shard can see, and build the
-    /// graph from the arrays.
+    /// graph from the arrays, the reverse probabilities replaced by each
+    /// reverse slot's forward edge id.
     fn into_graph(self, n: u32) -> Result<CsrGraph, GraphError> {
-        validate_transpose(
+        let in_edges = validate_transpose(
             n,
             &self.offsets,
             &self.targets,
@@ -1186,6 +1194,7 @@ impl CsrArrays {
             &self.in_sources,
             &self.in_probs,
         )?;
+        drop(self.in_probs);
         Ok(CsrGraph::from_arrays(
             n,
             self.offsets,
@@ -1193,7 +1202,7 @@ impl CsrArrays {
             self.probs,
             self.in_offsets,
             self.in_sources,
-            self.in_probs,
+            in_edges,
         ))
     }
 }
@@ -1204,7 +1213,8 @@ impl CsrArrays {
 /// checksum-valid foreign file could drive reverse-based algorithms (RIS
 /// sampling, the linear-threshold comparison) on a different graph than the
 /// forward cascade sees. Runs on per-shard-validated sections: offsets are
-/// monotone and end at `m`, ids are `< n`.
+/// monotone and end at `m`, ids are `< n`. Returns the forward edge id of
+/// every reverse slot, the map the sweep proves.
 fn validate_transpose(
     n: u32,
     offsets: &[u64],
@@ -1213,11 +1223,12 @@ fn validate_transpose(
     in_offsets: &[u64],
     in_sources: &[NodeId],
     in_probs: &[f64],
-) -> Result<(), GraphError> {
+) -> Result<Vec<u32>, GraphError> {
     // Walking forward edges in ascending-source order emits each target's
     // sources in ascending order, which is exactly the canonical reverse
     // layout — so a single cursor sweep proves the bijection.
     let mut cursor: Vec<u64> = in_offsets[..n as usize].to_vec();
+    let mut in_edges = vec![0u32; in_sources.len()];
     for u in 0..n as usize {
         for e in offsets[u] as usize..offsets[u + 1] as usize {
             let v = targets[e].index();
@@ -1234,10 +1245,11 @@ fn validate_transpose(
                     ),
                 });
             }
+            in_edges[slot] = e as u32;
             cursor[v] += 1;
         }
     }
-    Ok(())
+    Ok(in_edges)
 }
 
 /// One side of one shard's CSR: rebased offsets, ids, probabilities.

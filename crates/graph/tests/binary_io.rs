@@ -84,7 +84,7 @@ fn assert_graphs_bit_identical(a: &CsrGraph, b: &CsrGraph, what: &str) {
     }
     for v in a.nodes() {
         assert_eq!(a.in_sources(v), b.in_sources(v), "{what}: in_sources {v}");
-        for (x, y) in a.in_probs(v).iter().zip(b.in_probs(v)) {
+        for (x, y) in a.in_probs(v).zip(b.in_probs(v)) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: in_prob at {v}");
         }
     }

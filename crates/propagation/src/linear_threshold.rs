@@ -23,7 +23,7 @@ pub fn lt_weights(graph: &CsrGraph) -> Vec<Vec<(NodeId, f64)>> {
     graph
         .nodes()
         .map(|v| {
-            let total: f64 = graph.in_probs(v).iter().sum();
+            let total: f64 = graph.in_probs(v).sum();
             let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
             graph.ranked_in(v).map(|(u, p)| (u, p * scale)).collect()
         })

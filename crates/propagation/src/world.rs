@@ -522,9 +522,8 @@ fn sample_world_live_reference(probs: &[f64], seed: u64, world: u64, out: &mut V
 
 /// Append `live` (ascending edge ids) to `out` as u8 deltas: the first
 /// value is the id itself, later values the gap to the previous id; deltas
-/// ≥ 255 spill into 255-escape bytes. Public because `osn-sketch` stores
-/// sketch member lists in the same byte format.
-pub fn encode_gaps(live: &[u32], out: &mut Vec<u8>) {
+/// ≥ 255 spill into 255-escape bytes.
+fn encode_gaps(live: &[u32], out: &mut Vec<u8>) {
     let mut prev = 0u32;
     let mut first = true;
     for &e in live {
@@ -559,7 +558,7 @@ fn for_each_gap_id(bytes: &[u8], mut f: impl FnMut(u32)) {
 
 /// Decode a gap stream back into ascending edge ids (the inverse of
 /// [`encode_gaps`]).
-pub fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
+fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
     out.clear();
     out.reserve(count);
     for_each_gap_id(bytes, |e| out.push(e));

@@ -25,7 +25,7 @@ use osn_graph::GraphBuilder;
 use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
 use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
-use s3crm_bench::Algorithm;
+use s3crm_bench::{Algorithm, EVAL_SALT};
 use s3crm_core::{s3ca_with_resident, EstimatorBackend, S3caConfig, SketchIndex, Telemetry};
 use std::collections::HashMap;
 use std::path::Path;
@@ -114,11 +114,6 @@ fn evictable<T: Resident>(map: &mut HashMap<String, Entry<T>>) -> Vec<(u64, Stri
         })
         .collect()
 }
-
-/// Salt separating evaluation worlds from the worlds the IM baselines
-/// optimize on — identical to the `repro` runner's, so a campaign's final
-/// evaluation uses the exact worlds a CLI run of the same spec would.
-const EVAL_SALT: u64 = 0x0E7A_15A1;
 
 /// Seed of the RNG that re-weights graph variants (only Trivalency draws
 /// from it; the label alone must determine the variant).

@@ -66,14 +66,13 @@ struct ProbeScratch {
 /// forward activation probability; nodes that appear in no sketch have
 /// zero estimated marginal by construction, which is precisely the RIS
 /// argument for ignoring them.
-#[derive(Clone)]
 pub struct SketchEstimator<'a> {
     graph: &'a CsrGraph,
     data: &'a NodeData,
     index: &'a SketchIndex,
-    /// Decoded member node ids in flat slot order (layout shared with the
-    /// index's per-slot runtime arrays below).
-    members: Vec<u32>,
+    /// The index's member node ids in flat slot order (layout shared with
+    /// the per-slot runtime arrays below), read in place.
+    members: &'a [u32],
 
     seeds: Vec<NodeId>,
     seed_mask: Vec<bool>,
@@ -114,12 +113,7 @@ impl<'a> SketchEstimator<'a> {
         for &s in seeds {
             seed_mask[s.index()] = true;
         }
-        let mut members = vec![0u32; index.total_member_slots()];
-        let mut buf = Vec::new();
-        for i in 0..index.sketch_count() {
-            index.decode_members_into(i, &mut buf);
-            members[index.member_range(i)].copy_from_slice(&buf);
-        }
+        let members = index.members_flat();
         let slots = members.len();
         let mut est = SketchEstimator {
             graph,
@@ -172,7 +166,6 @@ impl<'a> SketchEstimator<'a> {
             }
             forward_bfs(
                 self.index,
-                &self.members,
                 &self.coupons,
                 sigma,
                 &mut self.activated,
@@ -190,7 +183,6 @@ impl<'a> SketchEstimator<'a> {
             queue.push(root_flat as u32);
             backward_reach_bfs(
                 self.index,
-                &self.members,
                 &self.coupons,
                 sigma,
                 &mut self.reach,
@@ -263,7 +255,6 @@ impl<'a> SketchEstimator<'a> {
             if !queue.is_empty() {
                 forward_bfs(
                     self.index,
-                    &self.members,
                     &self.coupons,
                     sigma,
                     &mut self.activated,
@@ -296,7 +287,6 @@ impl<'a> SketchEstimator<'a> {
                 }
                 backward_reach_bfs(
                     self.index,
-                    &self.members,
                     &self.coupons,
                     sigma,
                     &mut self.reach,
@@ -419,13 +409,13 @@ impl<'a> SketchEstimator<'a> {
 /// ids, already marked activated), crossing every usable edge.
 fn forward_bfs(
     index: &SketchIndex,
-    members: &[u32],
     coupons: &[u32],
     sigma: usize,
     activated: &mut [bool],
     hits: &mut [u32],
     queue: &mut Vec<u32>,
 ) {
+    let members = index.members_flat();
     let base = index.member_range(sigma).start;
     let er = index.edge_range(sigma);
     let fwd = index.fwd_starts(sigma);
@@ -456,12 +446,12 @@ fn forward_bfs(
 /// already marked reaching), crossing every usable edge backwards.
 fn backward_reach_bfs(
     index: &SketchIndex,
-    members: &[u32],
     coupons: &[u32],
     sigma: usize,
     reach: &mut [bool],
     queue: &mut Vec<u32>,
 ) {
+    let members = index.members_flat();
     let base = index.member_range(sigma).start;
     let er = index.edge_range(sigma);
     let rev = index.rev_starts(sigma);
@@ -617,7 +607,6 @@ impl BenefitEstimator for SketchEstimator<'_> {
                     queue.push(flat as u32);
                     forward_bfs(
                         self.index,
-                        &self.members,
                         &self.coupons,
                         sigma,
                         &mut self.activated,

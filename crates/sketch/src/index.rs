@@ -30,7 +30,7 @@ use crate::SketchParams;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::bits::BitVec;
-use osn_propagation::world::{decode_gaps, encode_gaps, WorldCache};
+use osn_propagation::world::WorldCache;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,32 +42,23 @@ pub struct BuildStats {
     pub worlds: usize,
     /// Sketches generated (`G × roots_per_world`).
     pub sketches: usize,
-    /// Sketches whose reverse BFS was stopped at
-    /// [`SketchParams::max_members`] (coverage under-counts for these).
-    pub truncated_sketches: usize,
     /// Whether the doubling loop stopped at [`SketchParams::max_sketches`]
     /// before the spread-mass continue rule was satisfied.
     pub capped: bool,
-    /// Total member entries across all sketches.
-    pub total_members: u64,
-    /// Total annotated live edges across all sketches.
-    pub total_edges: u64,
 }
 
 /// One extracted sketch, before flattening into the index.
 struct RawSketch {
-    root: u32,
     /// Member node ids, ascending.
     members: Vec<u32>,
     root_local: u32,
     /// `(src_local, dst_local, demand)`, sorted by `(src_local, dst_local)`.
     edges: Vec<(u32, u32, u32)>,
-    truncated: bool,
 }
 
-/// The immutable sketch store: flat arrays (member lists
-/// gap-encoded exactly like sparse worlds), plus the inverted node →
-/// (sketch, local-slot) postings the estimator's incremental updates walk.
+/// The immutable sketch store: flat arrays in member-slot order, plus the
+/// inverted node → (sketch, local-slot) postings the estimator's
+/// incremental updates walk. Estimators read it in place.
 pub struct SketchIndex {
     n: usize,
     /// The parameters the index was built with.
@@ -79,19 +70,13 @@ pub struct SketchIndex {
     unit: f64,
     stats: BuildStats,
 
-    /// Root node id per sketch.
-    roots: Vec<u32>,
     /// Root's slot in the sketch's ascending member list.
     root_locals: Vec<u32>,
-    /// Member count per sketch.
-    member_counts: Vec<u32>,
-    /// Byte offsets into `member_gaps`, length `R + 1`.
-    member_gap_offsets: Vec<u64>,
-    /// Gap-encoded ascending member ids (same codec as sparse worlds).
-    member_gaps: Vec<u8>,
     /// Flat member-slot offsets, length `R + 1`: sketch `i`'s slots are
     /// `member_offsets[i]..member_offsets[i + 1]` in every per-slot array.
     member_offsets: Vec<u64>,
+    /// Member node id of every flat slot; each sketch's run is ascending.
+    members: Vec<u32>,
 
     /// Edge-range offsets, length `R + 1`.
     edge_offsets: Vec<u64>,
@@ -99,14 +84,12 @@ pub struct SketchIndex {
     edge_dst_local: Vec<u32>,
     edge_demand: Vec<u32>,
     /// Per-sketch forward CSR over `edges` grouped by `src_local`: sketch
-    /// `i`'s starts are `fwd_start_offsets[i]..fwd_start_offsets[i + 1]`
-    /// (length `|members| + 1`), values are edge indices relative to the
-    /// sketch's edge range.
-    fwd_start_offsets: Vec<u64>,
+    /// `i`'s starts are its `|members| + 1` entries from
+    /// `member_offsets[i] + i` on (see [`starts_range`](Self::starts_range));
+    /// values are edge indices relative to the sketch's edge range.
     fwd_starts: Vec<u32>,
     /// Same shape, grouped by `dst_local`; values index the sketch's edge
     /// range. The estimator's backward reach propagation walks this.
-    rev_start_offsets: Vec<u64>,
     rev_starts: Vec<u32>,
     rev_edges: Vec<u32>,
 
@@ -165,7 +148,6 @@ impl SketchIndex {
             cdf.push(acc);
         }
 
-        let in_edge_ids = graph.in_edge_ids();
         let t = params.roots_per_world;
         let g_min = params.world_floor();
         let lambda = 3.0 * (2.0 / params.delta).ln() / (params.epsilon * params.epsilon);
@@ -186,16 +168,8 @@ impl SketchIndex {
             let cache =
                 WorldCache::sample_with_pool(graph, batch, round_seed(params.seed, round), pool);
             let base_sketch = worlds_done * t;
-            let mut batch_sketches = extract_worlds(
-                graph,
-                &cache,
-                &cdf,
-                b_total,
-                &in_edge_ids,
-                params,
-                base_sketch,
-                pool,
-            );
+            let mut batch_sketches =
+                extract_worlds(graph, &cache, &cdf, b_total, params, base_sketch, pool);
             for s in &batch_sketches {
                 spread_mass += (s.members.len() - 1) as u64;
             }
@@ -225,38 +199,24 @@ impl SketchIndex {
     ) -> Self {
         let r = sketches.len();
         stats.sketches = r;
-        let mut roots = Vec::with_capacity(r);
         let mut root_locals = Vec::with_capacity(r);
-        let mut member_counts = Vec::with_capacity(r);
-        let mut member_gap_offsets = Vec::with_capacity(r + 1);
-        let mut member_gaps: Vec<u8> = Vec::new();
         let mut member_offsets = Vec::with_capacity(r + 1);
+        let mut members: Vec<u32> = Vec::new();
         let mut edge_offsets = Vec::with_capacity(r + 1);
         let mut edge_src_local: Vec<u32> = Vec::new();
         let mut edge_dst_local: Vec<u32> = Vec::new();
         let mut edge_demand: Vec<u32> = Vec::new();
-        let mut fwd_start_offsets = Vec::with_capacity(r + 1);
         let mut fwd_starts: Vec<u32> = Vec::new();
-        let mut rev_start_offsets = Vec::with_capacity(r + 1);
         let mut rev_starts: Vec<u32> = Vec::new();
         let mut rev_edges: Vec<u32> = Vec::new();
-        member_gap_offsets.push(0u64);
         member_offsets.push(0u64);
         edge_offsets.push(0u64);
-        fwd_start_offsets.push(0u64);
-        rev_start_offsets.push(0u64);
 
         let mut post_counts = vec![0u64; n + 1];
         for s in &sketches {
-            if s.truncated {
-                stats.truncated_sketches += 1;
-            }
-            roots.push(s.root);
             root_locals.push(s.root_local);
-            member_counts.push(s.members.len() as u32);
-            encode_gaps(&s.members, &mut member_gaps);
-            member_gap_offsets.push(member_gaps.len() as u64);
-            member_offsets.push(member_offsets.last().unwrap() + s.members.len() as u64);
+            members.extend_from_slice(&s.members);
+            member_offsets.push(members.len() as u64);
             for &m in &s.members {
                 post_counts[m as usize + 1] += 1;
             }
@@ -271,7 +231,6 @@ impl SketchIndex {
                 starts[i + 1] += starts[i];
             }
             fwd_starts.extend_from_slice(&starts);
-            fwd_start_offsets.push(fwd_starts.len() as u64);
 
             // Reverse CSR by dst_local, values = sketch-relative edge index.
             let mut rstarts = vec![0u32; mcount + 1];
@@ -288,7 +247,6 @@ impl SketchIndex {
                 cursor[dst as usize] += 1;
             }
             rev_starts.extend_from_slice(&rstarts);
-            rev_start_offsets.push(rev_starts.len() as u64);
             rev_edges.extend_from_slice(&redges);
 
             for &(src, dst, demand) in &s.edges {
@@ -298,8 +256,6 @@ impl SketchIndex {
             }
             edge_offsets.push(edge_src_local.len() as u64);
         }
-        stats.total_members = *member_offsets.last().unwrap();
-        stats.total_edges = edge_src_local.len() as u64;
 
         // Inverted postings by counting sort over member lists.
         for v in 0..n {
@@ -325,19 +281,14 @@ impl SketchIndex {
             b_total,
             unit,
             stats,
-            roots,
             root_locals,
-            member_counts,
-            member_gap_offsets,
-            member_gaps,
             member_offsets,
+            members,
             edge_offsets,
             edge_src_local,
             edge_dst_local,
             edge_demand,
-            fwd_start_offsets,
             fwd_starts,
-            rev_start_offsets,
             rev_starts,
             rev_edges,
             post_offsets: post_counts,
@@ -358,7 +309,7 @@ impl SketchIndex {
 
     /// Number of sketches `R`.
     pub fn sketch_count(&self) -> usize {
-        self.roots.len()
+        self.root_locals.len()
     }
 
     /// `B_total` at build time.
@@ -378,7 +329,7 @@ impl SketchIndex {
 
     /// Root node of sketch `i`.
     pub fn root(&self, i: usize) -> u32 {
-        self.roots[i]
+        self.members(i)[self.root_local(i) as usize]
     }
 
     /// Root's member-slot index in sketch `i`.
@@ -388,7 +339,7 @@ impl SketchIndex {
 
     /// Member count of sketch `i`.
     pub fn member_count(&self, i: usize) -> usize {
-        self.member_counts[i] as usize
+        self.member_range(i).len()
     }
 
     /// Flat member-slot range of sketch `i` (indexes the estimator's
@@ -402,11 +353,15 @@ impl SketchIndex {
         *self.member_offsets.last().unwrap_or(&0) as usize
     }
 
-    /// Decode sketch `i`'s ascending member ids into `out`.
-    pub fn decode_members_into(&self, i: usize, out: &mut Vec<u32>) {
-        let bytes = &self.member_gaps
-            [self.member_gap_offsets[i] as usize..self.member_gap_offsets[i + 1] as usize];
-        decode_gaps(bytes, self.member_counts[i] as usize, out);
+    /// Sketch `i`'s member node ids, ascending.
+    pub fn members(&self, i: usize) -> &[u32] {
+        &self.members[self.member_range(i)]
+    }
+
+    /// Member node id of every flat slot (sketch `i`'s run is
+    /// [`member_range`](Self::member_range)).
+    pub fn members_flat(&self) -> &[u32] {
+        &self.members
     }
 
     /// Sketch `i`'s edge range into the flat edge arrays.
@@ -431,16 +386,23 @@ impl SketchIndex {
         &self.edge_demand
     }
 
+    /// Range of sketch `i`'s `|members| + 1` per-member starts in the flat
+    /// start arrays: each earlier sketch holds one more start than it has
+    /// members, so the range begins at `member_offsets[i] + i`.
+    fn starts_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.member_offsets[i] as usize + i..self.member_offsets[i + 1] as usize + i + 1
+    }
+
     /// Sketch `i`'s forward per-member edge starts (length `|members|+1`,
     /// values relative to [`edge_range`](Self::edge_range)).
     pub fn fwd_starts(&self, i: usize) -> &[u32] {
-        &self.fwd_starts[self.fwd_start_offsets[i] as usize..self.fwd_start_offsets[i + 1] as usize]
+        &self.fwd_starts[self.starts_range(i)]
     }
 
     /// Sketch `i`'s reverse per-member starts into
     /// [`rev_edges_of`](Self::rev_edges_of).
     pub fn rev_starts(&self, i: usize) -> &[u32] {
-        &self.rev_starts[self.rev_start_offsets[i] as usize..self.rev_start_offsets[i + 1] as usize]
+        &self.rev_starts[self.starts_range(i)]
     }
 
     /// Sketch `i`'s reverse edge-index list, grouped by `dst_local`
@@ -467,19 +429,14 @@ impl SketchIndex {
 
     /// Resident bytes across all sections (diagnostics).
     pub fn resident_bytes(&self) -> usize {
-        self.roots.len() * 4
-            + self.root_locals.len() * 4
-            + self.member_counts.len() * 4
-            + self.member_gap_offsets.len() * 8
-            + self.member_gaps.len()
+        self.root_locals.len() * 4
             + self.member_offsets.len() * 8
+            + self.members.len() * 4
             + self.edge_offsets.len() * 8
             + self.edge_src_local.len() * 4
             + self.edge_dst_local.len() * 4
             + self.edge_demand.len() * 4
-            + self.fwd_start_offsets.len() * 8
             + self.fwd_starts.len() * 4
-            + self.rev_start_offsets.len() * 8
             + self.rev_starts.len() * 4
             + self.rev_edges.len() * 4
             + self.post_offsets.len() * 8
@@ -491,13 +448,11 @@ impl SketchIndex {
 /// Extract `roots_per_world` sketches from every world of `cache`, in
 /// world order, parallel across worlds. Sketch `base_sketch + w*T + t` has
 /// a fixed RNG stream, so the result is pool-size independent.
-#[allow(clippy::too_many_arguments)]
 fn extract_worlds(
     graph: &CsrGraph,
     cache: &WorldCache,
     cdf: &[f64],
     b_total: f64,
-    in_edge_ids: &[u32],
     params: &SketchParams,
     base_sketch: usize,
     pool: &ThreadPool,
@@ -512,14 +467,7 @@ fn extract_worlds(
                 let sketch_id = (base_sketch + w * t + ti) as u64;
                 let mut rng = root_rng(params.seed, sketch_id);
                 let root = sample_root(cdf, b_total, &mut rng);
-                extract_sketch(
-                    graph,
-                    &bits,
-                    in_edge_ids,
-                    root,
-                    params.max_members,
-                    &mut scratch,
-                )
+                extract_sketch(graph, &bits, root, &mut scratch)
             })
             .collect()
     });
@@ -557,9 +505,7 @@ impl ExtractScratch {
 fn extract_sketch(
     graph: &CsrGraph,
     bits: &BitVec,
-    in_edge_ids: &[u32],
     root: u32,
-    max_members: usize,
     scratch: &mut ExtractScratch,
 ) -> RawSketch {
     scratch.generation = scratch.generation.wrapping_add(1);
@@ -574,11 +520,11 @@ fn extract_sketch(
 
     let mut members = vec![root];
     let mut edges_global: Vec<(u32, u32, u32)> = Vec::new();
-    let mut truncated = false;
     stamp[root as usize] = generation;
     queue.push(root);
     let mut head = 0usize;
     let in_offsets = graph.in_offsets();
+    let in_edge_ids = graph.in_edge_ids();
     while head < queue.len() {
         let b = queue[head];
         head += 1;
@@ -594,10 +540,6 @@ fn extract_sketch(
             let demand = bits.count_ones_in(out_start as usize, eid as usize) as u32;
             edges_global.push((a.0, b, demand));
             if stamp[a.index()] != generation {
-                if members.len() >= max_members {
-                    truncated = true;
-                    continue;
-                }
                 stamp[a.index()] = generation;
                 members.push(a.0);
                 queue.push(a.0);
@@ -606,12 +548,12 @@ fn extract_sketch(
     }
     members.sort_unstable();
 
-    // Map global endpoints to member-local slots; edges whose source was
-    // truncated out of the member set are dropped with the truncation.
-    let local_of = |v: u32| members.binary_search(&v).ok().map(|i| i as u32);
+    // Map global endpoints to member-local slots: both ends of every
+    // recorded edge are members.
+    let local_of = |v: u32| members.binary_search(&v).expect("edge ends are members") as u32;
     let mut edges: Vec<(u32, u32, u32)> = edges_global
         .into_iter()
-        .filter_map(|(a, b, d)| Some((local_of(a)?, local_of(b)?, d)))
+        .map(|(a, b, d)| (local_of(a), local_of(b), d))
         .collect();
     edges.sort_unstable();
     edges.dedup();
@@ -620,11 +562,9 @@ fn extract_sketch(
         .expect("root is always a member") as u32;
 
     RawSketch {
-        root,
         members,
         root_local,
         edges,
-        truncated,
     }
 }
 
@@ -639,7 +579,6 @@ mod tests {
             delta: 0.2,
             roots_per_world: 2,
             max_sketches: 4096,
-            max_members: usize::MAX,
             seed: 11,
         }
     }
@@ -674,13 +613,11 @@ mod tests {
         let d = NodeData::uniform(3, 1.0, 1.0, 1.0);
         let idx = SketchIndex::build(&g, &d, &params());
         assert!(idx.sketch_count() > 0);
-        let mut buf = Vec::new();
         let mut saw_root2 = false;
         for i in 0..idx.sketch_count() {
             if idx.root(i) == 2 {
                 saw_root2 = true;
-                idx.decode_members_into(i, &mut buf);
-                assert_eq!(buf, vec![0, 1, 2]);
+                assert_eq!(idx.members(i), &[0, 1, 2]);
                 let er = idx.edge_range(i);
                 assert_eq!(er.len(), 2);
                 for e in er {
@@ -723,13 +660,9 @@ mod tests {
         let a = SketchIndex::build_with_pool(&g, &d, &params(), &p1);
         let c = SketchIndex::build_with_pool(&g, &d, &params(), &p3);
         assert_eq!(a.sketch_count(), c.sketch_count());
-        let mut ba = Vec::new();
-        let mut bc = Vec::new();
         for i in 0..a.sketch_count() {
             assert_eq!(a.root(i), c.root(i));
-            a.decode_members_into(i, &mut ba);
-            c.decode_members_into(i, &mut bc);
-            assert_eq!(ba, bc);
+            assert_eq!(a.members(i), c.members(i));
             assert_eq!(a.edge_range(i), c.edge_range(i));
         }
         assert_eq!(a.edge_demand(), c.edge_demand());
@@ -746,13 +679,12 @@ mod tests {
         let g = b.build().unwrap();
         let d = NodeData::uniform(3, 1.0, 1.0, 1.0);
         let idx = SketchIndex::build(&g, &d, &params());
-        let mut buf = Vec::new();
         let mut checked = false;
         for i in 0..idx.sketch_count() {
             if idx.root(i) != 2 || idx.member_count(i) < 2 {
                 continue;
             }
-            idx.decode_members_into(i, &mut buf);
+            let buf = idx.members(i);
             let er = idx.edge_range(i);
             for e in er {
                 let src = buf[idx.edge_src_local()[e] as usize];

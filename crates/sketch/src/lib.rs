@@ -39,16 +39,20 @@
 //! ## Crate layout
 //!
 //! * [`index`] — [`SketchIndex::build`]: world sampling (the same
-//!   geometric skip sampler and gap encoding as the
-//!   forward world cache), benefit-proportional root draws, reverse BFS
-//!   extraction with per-edge demands, Hoeffding sample-count floor with
-//!   an OPIM-style adaptive doubling rule.
+//!   geometric skip sampler as the forward world cache),
+//!   benefit-proportional root draws, reverse BFS extraction over the
+//!   graph's reverse slots (each names its forward edge, so liveness and
+//!   rank come straight from the world bitmap) with per-edge demands,
+//!   Hoeffding sample-count floor with an OPIM-style adaptive doubling
+//!   rule. Sketches are stored as flat arrays in member-slot order.
 //! * [`estimator`] — [`SketchEstimator`]: the coverage oracle implementing
-//!   [`BenefitEstimator`](osn_propagation::BenefitEstimator); benefit
-//!   reads are `unit × covered`, committed moves update the per-sketch
-//!   activation/reach state incrementally through inverted postings, and
-//!   all costs are the exact Table I analytic values (shared with the
-//!   other backends via `osn_propagation::spread::eligible_children`).
+//!   [`BenefitEstimator`](osn_propagation::BenefitEstimator); it borrows
+//!   the index's member and edge arrays in place and keeps only per-slot
+//!   activation/reach bits of its own. Benefit reads are
+//!   `unit × covered`, committed moves update those bits incrementally
+//!   through inverted postings, and all costs are the exact Table I
+//!   analytic values (shared with the other backends via
+//!   `osn_propagation::spread::eligible_children`).
 
 #![forbid(unsafe_code)]
 
@@ -73,9 +77,6 @@ pub struct SketchParams {
     /// Hard cap on the total sketch count; reaching it before the adaptive
     /// continue rule is satisfied sets [`BuildStats::capped`].
     pub max_sketches: usize,
-    /// Per-sketch member cap; reverse BFS past it truncates the sketch and
-    /// counts it in [`BuildStats::truncated_sketches`].
-    pub max_members: usize,
     /// Base RNG seed. World streams and root streams are salted apart, so
     /// sharing a seed with a forward [`osn_propagation::WorldCache`] never
     /// correlates the two.
@@ -89,7 +90,6 @@ impl Default for SketchParams {
             delta: 0.1,
             roots_per_world: 4,
             max_sketches: 1 << 18,
-            max_members: usize::MAX,
             seed: 0x5153,
         }
     }
@@ -109,7 +109,6 @@ impl SketchParams {
             self.delta
         );
         assert!(self.roots_per_world >= 1, "roots_per_world must be >= 1");
-        assert!(self.max_members >= 1, "max_members must be >= 1");
     }
 
     /// The Hoeffding world floor `⌈ln(2/δ) / (2ε²)⌉` this parameterization
