@@ -48,11 +48,10 @@ pub fn influence_spread(graph: &CsrGraph, cache: &WorldCache, seeds: &[NodeId]) 
     let data = NodeData::uniform(graph.node_count(), 1.0, 0.0, 0.0);
     let coupons: Vec<u32> = graph.nodes().map(|v| graph.out_degree(v) as u32).collect();
     let mut scratch = CascadeScratch::new(graph.node_count());
-    let mut buf = Vec::new();
     let mut total = 0usize;
     for w in 0..cache.len() {
-        let world = cache.world_into(w, &mut buf);
-        total += world_cascade(graph, &data, seeds, &coupons, world, &mut scratch).activated;
+        total +=
+            world_cascade(graph, &data, seeds, &coupons, cache.world(w), &mut scratch).activated;
     }
     total as f64 / cache.len().max(1) as f64
 }

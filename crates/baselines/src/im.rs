@@ -107,28 +107,24 @@ pub fn greedy_seed_ranking_on(
     let unlimited: Vec<u32> = graph.nodes().map(|v| graph.out_degree(v) as u32).collect();
     let mut active: Vec<Vec<bool>> = vec![vec![false; n]; cache.len()];
 
-    // Marginal gain of `v` against the current per-world active sets. The
-    // caller-supplied decode buffer is reused across the world loop (and,
-    // in the serial CELF loop below, across candidate re-scores); the BFS
-    // touches only live out-edges.
-    let marginal = |v: NodeId, active: &[Vec<bool>], buf: &mut Vec<u32>| -> f64 {
+    // Marginal gain of `v` against the current per-world active sets; the
+    // BFS reads each world in place and touches only its lane block's
+    // union-live out-edges.
+    let marginal = |v: NodeId, active: &[Vec<bool>]| -> f64 {
         let mut total = 0usize;
         for (w, act) in active.iter().enumerate() {
             if act[v.index()] {
                 continue;
             }
-            let world = cache.world_into(w, buf);
-            total += newly_reached(graph, v, &unlimited, world, act);
+            total += newly_reached(v, &unlimited, cache.world(w), act);
         }
         total as f64 / cache.len().max(1) as f64
     };
 
     // Round 0 touches every candidate — fan it out on the shared pool.
     // Gains land in index-order slots, so the heap (and thus the ranking)
-    // is identical at any worker count. (The closure must stay `Fn` for
-    // the fan-out, so each task owns its buffer.)
-    let gains: Vec<f64> =
-        workers.map_indexed(pool.len(), |i| marginal(pool[i], &active, &mut Vec::new()));
+    // is identical at any worker count.
+    let gains: Vec<f64> = workers.map_indexed(pool.len(), |i| marginal(pool[i], &active));
     let mut heap: BinaryHeap<CelfEntry> = pool
         .iter()
         .zip(gains)
@@ -141,16 +137,15 @@ pub fn greedy_seed_ranking_on(
 
     let mut ranking = Vec::with_capacity(max_seeds);
     let mut round = 0usize;
-    let mut rescore_buf: Vec<u32> = Vec::new();
     while ranking.len() < max_seeds {
         let Some(top) = heap.pop() else { break };
         if top.round == round {
             // Fresh evaluation: commit the seed and update world states.
-            commit_seed(graph, top.node, &unlimited, cache, &mut active);
+            commit_seed(top.node, &unlimited, cache, &mut active);
             ranking.push(top.node);
             round += 1;
         } else {
-            let gain = marginal(top.node, &active, &mut rescore_buf);
+            let gain = marginal(top.node, &active);
             heap.push(CelfEntry {
                 gain,
                 node: top.node,
@@ -161,30 +156,21 @@ pub fn greedy_seed_ranking_on(
     ranking
 }
 
-/// Count nodes newly reached from `v` in one decoded world (plain IC),
-/// without mutating the activation sets.
-fn newly_reached(
-    graph: &CsrGraph,
-    v: NodeId,
-    unlimited: &[u32],
-    world: WorldRef<'_>,
-    active: &[bool],
-) -> usize {
+/// Count nodes newly reached from `v` in one world (plain IC), without
+/// mutating the activation sets.
+fn newly_reached(v: NodeId, unlimited: &[u32], world: WorldRef<'_>, active: &[bool]) -> usize {
     // Cascade from {v}; already-active nodes block expansion exactly as in
     // the incremental greedy.
-    let targets = graph.edge_targets_flat();
     let mut frontier = vec![v];
     let mut seen = std::collections::HashSet::new();
     seen.insert(v);
     let mut count = 1usize;
     while let Some(u) = frontier.pop() {
-        let ids = graph.out_edge_ids(u);
         let mut remaining = unlimited[u.index()];
         if remaining == 0 {
             continue;
         }
-        world.for_live_out(ids.start, ids.end, |e| {
-            let t = targets[e as usize];
+        world.for_live_out(u, |t| {
             if !active[t.index()] && !seen.contains(&t) {
                 seen.insert(t);
                 remaining -= 1;
@@ -197,30 +183,20 @@ fn newly_reached(
     count
 }
 
-fn commit_seed(
-    graph: &CsrGraph,
-    v: NodeId,
-    unlimited: &[u32],
-    cache: &WorldCache,
-    active: &mut [Vec<bool>],
-) {
-    let targets = graph.edge_targets_flat();
-    let mut buf = Vec::new();
+fn commit_seed(v: NodeId, unlimited: &[u32], cache: &WorldCache, active: &mut [Vec<bool>]) {
     for (w, act) in active.iter_mut().enumerate() {
         if act[v.index()] {
             continue;
         }
-        let world = cache.world_into(w, &mut buf);
+        let world = cache.world(w);
         act[v.index()] = true;
         let mut frontier = vec![v];
         while let Some(u) = frontier.pop() {
-            let ids = graph.out_edge_ids(u);
             let mut remaining = unlimited[u.index()];
             if remaining == 0 {
                 continue;
             }
-            world.for_live_out(ids.start, ids.end, |e| {
-                let t = targets[e as usize];
+            world.for_live_out(u, |t| {
                 if !act[t.index()] {
                     act[t.index()] = true;
                     remaining -= 1;

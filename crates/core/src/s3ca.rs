@@ -128,8 +128,9 @@ pub struct Telemetry {
     /// exhaustive-rescan reference would pay one per candidate per
     /// iteration).
     pub eval_lazy_rescores: u64,
-    /// Resident bytes of the snapshot-selection world cache (0 when the MC
-    /// re-ranking was skipped) — the world-cache memory telemetry.
+    /// Resident bytes of the snapshot-selection world cache, i.e. its lane
+    /// blocks (0 when the MC re-ranking was skipped) — the world-cache
+    /// memory telemetry.
     pub world_cache_bytes: u64,
     /// Mean live-edge density of the sampled worlds.
     pub world_live_density: f64,

@@ -67,7 +67,6 @@ impl ProbBucket {
 pub struct ProbBucketIndex {
     buckets: Vec<ProbBucket>,
     edge_count: usize,
-    expected_live: f64,
 }
 
 impl ProbBucketIndex {
@@ -81,13 +80,11 @@ impl ProbBucketIndex {
         let mut classes: Vec<Vec<u32>> = Vec::new();
         classes.resize_with(2048, Vec::new);
         let mut nonempty: Vec<usize> = Vec::new();
-        let mut expected_live = 0.0f64;
         for (e, &p) in probs.iter().enumerate() {
             debug_assert!((0.0..=1.0).contains(&p), "edge prob {p} outside [0, 1]");
             if p <= 0.0 {
                 continue;
             }
-            expected_live += p;
             if p >= 1.0 {
                 certain.push(e as u32);
             } else {
@@ -109,7 +106,6 @@ impl ProbBucketIndex {
         ProbBucketIndex {
             buckets,
             edge_count: probs.len(),
-            expected_live,
         }
     }
 
@@ -122,11 +118,6 @@ impl ProbBucketIndex {
     /// in no bucket).
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// Expected number of live edges per world (`Σ p_e`).
-    pub fn expected_live(&self) -> f64 {
-        self.expected_live
     }
 }
 
@@ -182,7 +173,6 @@ mod tests {
         assert!(certain.uniform);
         assert_eq!(certain.edges, vec![1, 4]);
         assert_eq!(idx.buckets()[1].edges, vec![2]);
-        assert!((idx.expected_live() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -286,6 +276,5 @@ mod tests {
         let idx = ProbBucketIndex::new(&[0.0, 0.0]);
         assert!(idx.buckets().is_empty());
         assert_eq!(idx.edge_count(), 2);
-        assert_eq!(idx.expected_live(), 0.0);
     }
 }

@@ -1,8 +1,9 @@
 //! Minimal fixed-size bitset.
 //!
-//! One live-edge world is one bit per edge; a Monte-Carlo cache holds many
-//! worlds, so compactness matters (128 worlds × 86M edges ≈ 1.3 GB as bytes
-//! but 170 MB as bits).
+//! One live-edge world is one bit per edge: the world sampler sets a
+//! world's live edges in a [`BitVec`] before packing them into a lane block
+//! (`m / 8` bytes per sampling task), and sketch extraction reads a world
+//! straight from one.
 
 /// A fixed-length bit vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,20 +94,20 @@ impl BitVec {
         self.words.fill(0);
     }
 
-    /// Extract every set bit position in ascending order into `out` (as
-    /// `u32` indices), clearing the bitset as it drains — one zero-word-
-    /// skipping pass. How the skip sampler turns its scratch bitmap into a
-    /// sorted live-edge list without a comparison sort.
-    pub fn drain_set_into(&mut self, out: &mut Vec<u32>) {
+    /// Call `f` with every set bit position in ascending order, clearing
+    /// the bitset as it drains — one zero-word-skipping pass. How the world
+    /// sampler turns its bucket-ordered scratch bitmap into edge-ordered
+    /// lane masks without a comparison sort.
+    pub fn drain_ascending_into(&mut self, mut f: impl FnMut(usize)) {
         for (w, word) in self.words.iter_mut().enumerate() {
             let mut bits = *word;
             if bits == 0 {
                 continue;
             }
             *word = 0;
-            let base = (w << 6) as u32;
+            let base = w << 6;
             while bits != 0 {
-                out.push(base + bits.trailing_zeros());
+                f(base + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
@@ -252,8 +253,8 @@ mod tests {
             b.set(i, true);
         }
         let mut out = Vec::new();
-        b.drain_set_into(&mut out);
-        assert_eq!(out, set.iter().map(|&i| i as u32).collect::<Vec<_>>());
+        b.drain_ascending_into(|i| out.push(i));
+        assert_eq!(out, set);
         assert_eq!(b.count_ones(), 0, "drain must clear the bitset");
     }
 

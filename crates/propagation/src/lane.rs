@@ -13,9 +13,10 @@
 //! the block into a **union live adjacency** — per node, only the
 //! out-edges live in *at least one* lane, as `(mask, target)` pairs in
 //! edge-rank order. Edges dead in all 64 lanes (the vast majority under
-//! Table II-scale probabilities) cost nothing per cascade, and because the
-//! block is a pure function of the world cache it is built once and reused
-//! across every batch and candidate.
+//! Table II-scale probabilities) cost nothing per cascade. Lane blocks are
+//! the world cache's only storage ([`WorldCache`](crate::world::WorldCache)
+//! samples straight into them), so every batch and candidate cascades
+//! against blocks built once at sampling time.
 //!
 //! ## Bit-identity with the scalar kernel
 //!
@@ -54,16 +55,15 @@ use osn_graph::{CsrGraph, NodeData, NodeId};
 /// determinism parts.
 pub const LANE_WORLDS: usize = 64;
 
-/// One decoded ≤ [`LANE_WORLDS`]-world block: the union live adjacency in
-/// CSR form. For node `u`, entries `node_off[u]..node_off[u + 1]` hold the
+/// One ≤ [`LANE_WORLDS`]-world block: the union live adjacency in CSR
+/// form. For node `u`, entries `node_off[u]..node_off[u + 1]` hold the
 /// out-edges live in at least one lane, in edge-rank order, as a lane mask
 /// (bit `j` = live in world `base + j`) and the edge's target.
 ///
 /// The block depends only on the graph and the sampled worlds — never on
-/// seeds, coupons, or batch shape — so callers build it once per block and
-/// reuse it for every cascade (the Monte-Carlo evaluator caches one per
-/// 64-world block for its lifetime). Resident size is ~12 bytes per
-/// union-live edge.
+/// seeds, coupons, or batch shape — so a [`WorldCache`](crate::world::WorldCache)
+/// holds one per 64-world block for its lifetime and every cascade reads
+/// it. Resident size is ~12 bytes per union-live edge.
 #[derive(Clone, Debug, Default)]
 pub struct LaneBlock {
     /// Populated-lane mask: all-ones for a full block, the low `count`
@@ -79,9 +79,8 @@ pub struct LaneBlock {
 
 impl LaneBlock {
     /// Compact per-edge lane masks (`lane_live[e]` bit `j` = world
-    /// `base + j`'s coin for edge `e`, as filled by
-    /// [`WorldCache::world_fill_lanes`](crate::world::WorldCache::world_fill_lanes))
-    /// into the union live adjacency. The edge arrays are allocated at
+    /// `base + j`'s coin for edge `e`) into the union live adjacency. The
+    /// edge arrays are allocated at
     /// their exact size: blocks stay resident for a cache's lifetime, so
     /// growth slack would be paid per block for as long as the cache lives.
     pub fn from_edge_masks(graph: &CsrGraph, lane_live: &[u64], valid: u64) -> Self {
@@ -111,10 +110,35 @@ impl LaneBlock {
         }
     }
 
+    /// Node `u`'s union-live out-edges: their lane masks and targets, in
+    /// edge-rank order.
+    #[inline]
+    pub(crate) fn out(&self, u: NodeId) -> (&[u64], &[u32]) {
+        let (lo, hi) = (
+            self.node_off[u.index()] as usize,
+            self.node_off[u.index() + 1] as usize,
+        );
+        (&self.masks[lo..hi], &self.targets[lo..hi])
+    }
+
     /// Bytes resident in the compacted adjacency.
     pub fn resident_bytes(&self) -> usize {
         self.node_off.len() * 4 + self.masks.len() * 8 + self.targets.len() * 4
     }
+}
+
+/// Pack per-world live-edge id lists into one block (lane `j` = world
+/// `worlds[j]`): how unit tests state a world by hand.
+#[cfg(test)]
+pub(crate) fn pack_lanes(graph: &CsrGraph, worlds: &[Vec<u32>]) -> LaneBlock {
+    assert!(!worlds.is_empty() && worlds.len() <= LANE_WORLDS);
+    let mut lanes = vec![0u64; graph.edge_count()];
+    for (j, live) in worlds.iter().enumerate() {
+        for &e in live {
+            lanes[e as usize] |= 1u64 << j;
+        }
+    }
+    LaneBlock::from_edge_masks(graph, &lanes, !0u64 >> (LANE_WORLDS - worlds.len()))
 }
 
 /// Per-lane cascade outcome of one block: index `j` holds world
@@ -271,12 +295,7 @@ fn expand_node(
         return 0;
     }
     let mut round_newly = 0u64;
-    let (lo, hi) = (
-        block.node_off[u.index()] as usize,
-        block.node_off[u.index() + 1] as usize,
-    );
-    let live = &block.masks[lo..hi];
-    let tgts = &block.targets[lo..hi];
+    let (live, tgts) = block.out(u);
     if k as usize >= live.len() {
         // The budget can never bind (per-lane redemptions cannot
         // exceed the union live out-degree): no counter needed,
@@ -408,23 +427,6 @@ mod tests {
     use crate::world::WorldRef;
     use osn_graph::GraphBuilder;
 
-    /// Pack per-world live-edge id lists into a compacted lane block.
-    fn pack_lanes(graph: &CsrGraph, worlds: &[Vec<u32>]) -> LaneBlock {
-        assert!(worlds.len() <= LANE_WORLDS);
-        let mut lanes = vec![0u64; graph.edge_count()];
-        for (j, live) in worlds.iter().enumerate() {
-            for &e in live {
-                lanes[e as usize] |= 1u64 << j;
-            }
-        }
-        let valid = if worlds.len() == LANE_WORLDS {
-            !0u64
-        } else {
-            (1u64 << worlds.len()) - 1
-        };
-        LaneBlock::from_edge_masks(graph, &lanes, valid)
-    }
-
     fn assert_matches_scalar(
         graph: &CsrGraph,
         data: &NodeData,
@@ -436,13 +438,13 @@ mod tests {
         let mut lane_scratch = LaneScratch::new(graph.node_count());
         let out = lane_cascade_block(graph, data, seeds, coupons, &block, &mut lane_scratch);
         let mut scalar_scratch = CascadeScratch::new(graph.node_count());
-        for (j, live) in worlds.iter().enumerate() {
+        for j in 0..worlds.len() {
             let want = world_cascade(
                 graph,
                 data,
                 seeds,
                 coupons,
-                WorldRef(live),
+                WorldRef::new(&block, j),
                 &mut scalar_scratch,
             );
             assert_eq!(

@@ -29,8 +29,8 @@
 //!   bit-identically over graphs loaded from `.oscg` files
 //!   (`osn_graph::binary`) and over in-memory builds. Worlds
 //!   are **skip-sampled** (geometric gaps over `osn_graph`'s probability
-//!   buckets) and stored **sparse** (gap-encoded); see "World storage and
-//!   sampling" below.
+//!   buckets) and stored once, as 64-world **lane blocks**; see "World
+//!   storage and sampling" below.
 //! * [`spread`] — the analytic evaluator: exact expected benefit on forests
 //!   (all of the paper's worked examples), a documented independent-parent
 //!   approximation elsewhere; exposes the incremental quantities S3CA's
@@ -42,7 +42,7 @@
 //! * [`cost`] — the paper's expected-SC-cost `Csc(K(I))` (local per internal
 //!   node, Table I) and seed cost.
 //! * [`monte_carlo`] — the Monte-Carlo estimator of `B(S, K(I))`: an
-//!   [`McBackend`] owns one world cache and its decoded lane blocks, and is
+//!   [`McBackend`] owns one world cache (its lane blocks), and is
 //!   the only way to build a [`MonteCarloEvaluator`], whose batched
 //!   [`simulate_batch`](MonteCarloEvaluator::simulate_batch) scores many
 //!   [`DeploymentRef`] candidates ([`evaluator`]) in one pool-parallel pass.
@@ -101,21 +101,24 @@
 //! ([`osn_graph::prob_index::ProbBucketIndex`], one bucket per binary
 //! exponent), and within a bucket the sampler jumps `Geometric(p_max)` gaps
 //! between candidate live edges, thinning each candidate to its exact edge
-//! probability — `O(live)` RNG draws per world instead of `O(m)`. Worlds
-//! are held as a world-major CSR of ascending live edge ids, gap-encoded as
-//! `u8` deltas in flat arrays — several times smaller than one
-//! bit per edge at the Table II densities.
+//! probability — `O(live)` RNG draws per world instead of `O(m)`. The
+//! cache stores each world once, in a [`lane::LaneBlock`] of 64 worlds
+//! (see the lane kernel below): one pool task per block (per part of a
+//! block when blocks are fewer than pool threads) runs each world's walk
+//! into an `m`-bit scratch bitmap, drains it in ascending edge order into
+//! the block's lane masks, and the block is compacted from them. Nothing
+//! else holds a world, so a cache's resident size is its blocks' size.
 //!
 //! The scalar kernel ([`reach::world_cascade`]) consumes a
-//! [`world::WorldRef`] view — one world decoded into a reusable buffer —
-//! through [`world::WorldRef::for_live_out`], a binary-search cursor into
-//! the world's live list. Frontier rounds are collected in a word-level
-//! bitset and drained in ascending node-id order, which makes the cascade
-//! outcome independent of seed ordering. It runs on an in-memory
-//! [`osn_graph::CsrGraph`]: a sharded v2 file is assembled into one graph
-//! with the same **global edge ids** (the layout preserves them), so world
-//! liveness is read at the same indices at any shard count — bit-identical
-//! by construction, not by tolerance
+//! [`world::WorldRef`] view — one lane of one block — through
+//! [`world::WorldRef::for_live_out`], which walks a node's union-live
+//! out-edges and tests the world's bit. Frontier rounds are collected in a
+//! word-level bitset and drained in ascending node-id order, which makes
+//! the cascade outcome independent of seed ordering. It runs on an
+//! in-memory [`osn_graph::CsrGraph`]: a sharded v2 file is assembled into
+//! one graph with the same **global edge ids** (the layout preserves
+//! them), so worlds are sampled at the same indices at any shard count —
+//! bit-identical by construction, not by tolerance
 //! (`reach::tests::sharded_schedule_is_bit_identical_to_monolithic`).
 //!
 //! ## The bit-parallel lane kernel
@@ -123,16 +126,15 @@
 //! Monte-Carlo evaluation transposes the world loop entirely ([`lane`]):
 //! instead of one cascade per world, [`lane::LANE_WORLDS`] = 64 worlds are
 //! packed as one `u64` **lane mask per edge** — bit `j` of edge `e`'s mask
-//! is world `base + j`'s coin — materialized straight from the gap-encoded
-//! CSR by [`world::WorldCache::world_fill_lanes`], then compacted into a
-//! [`lane::LaneBlock`]: the union live adjacency holding, per node, only
-//! the out-edges live in at least one lane. One frontier expansion then
+//! is world `base + j`'s coin — filled as the worlds are sampled, then
+//! compacted into a [`lane::LaneBlock`]: the union live adjacency holding,
+//! per node, only the out-edges live in at least one lane. One frontier expansion then
 //! advances all 64 worlds at once: per-edge liveness, the already-active
 //! skip, and the per-lane coupon budgets (binary counters held as bit
 //! planes with ripple-borrow decrements) are all word-wide AND/OR/XOR.
-//! Because a block depends only on the sampled worlds, each block decodes
-//! once into its [`McBackend`]'s [`LaneBlockStore`] and lives as long as the
-//! backend (~12 bytes per union-live edge).
+//! A block depends only on the sampled worlds, so the cache builds each
+//! one at sampling time and it lives as long as the cache (~12 bytes per
+//! union-live edge).
 //!
 //! **Lane layout / determinism-part alignment contract.** Lane blocks
 //! always start at 64-world boundaries, and 64 = 2 ×
@@ -165,8 +167,8 @@
 //! results in index order. Idle workers and the calling thread claim
 //! indices from a shared counter, and a caller waits only for its own
 //! call, never running another caller's work (see that crate's docs).
-//! Sampling fans out one index per chunk of worlds, folds one index per
-//! 64-world block. [`McBackend::evaluator`] and
+//! Folds fan out one index per 64-world block, sampling one per block or
+//! per part of a block. [`McBackend::evaluator`] and
 //! [`WorldCache::sample`](crate::world::WorldCache::sample) use the
 //! process-wide [`osn_pool::global`] pool, so S3CA's greedy loop, the
 //! baselines, and the bench harness share one set of workers instead of
@@ -216,8 +218,6 @@ pub use estimator::BenefitEstimator;
 pub use evaluator::DeploymentRef;
 pub use lane::{lane_cascade_block, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS};
 pub use metrics::RedemptionReport;
-pub use monte_carlo::{
-    reference_simulate_batch, LaneBlockStore, McBackend, MonteCarloEvaluator, SimulationStats,
-};
+pub use monte_carlo::{reference_simulate_batch, McBackend, MonteCarloEvaluator, SimulationStats};
 pub use spread::SpreadState;
 pub use world::{WorldCache, WorldRef};

@@ -26,9 +26,9 @@
 //! deployments in **one pass over the world cache** on the bit-parallel
 //! lane kernel ([`crate::lane`]): worlds are packed [`LANE_WORLDS`] = 64 per
 //! block, one `u64` lane mask per edge, and a single frontier expansion
-//! advances all 64 worlds at once. Each block is decoded once per
-//! [`McBackend`] (its [`LaneBlockStore`]) and every candidate of every later
-//! batch, through any evaluator of that backend, cascades against it. A
+//! advances all 64 worlds at once. The blocks are the world cache itself,
+//! sampled once per [`McBackend`], and every candidate of every batch,
+//! through any evaluator of that backend, cascades against them. A
 //! block spans exactly two aligned
 //! [`PART_WORLDS`]-world summation parts, and each part's totals fold the
 //! block's lanes in ascending lane order, so lane estimates equal the
@@ -38,13 +38,12 @@
 //! results are bit-identical to per-candidate calls.
 
 use crate::evaluator::DeploymentRef;
-use crate::lane::{lane_cascade_block, LaneBlock, LaneScratch, LANE_WORLDS};
+use crate::lane::{lane_cascade_block, LaneScratch, LANE_WORLDS};
 use crate::reach::{world_cascade, CascadeScratch, WorldOutcome};
 use crate::world::WorldCache;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-local lane scratch, reused across blocks and calls — one
@@ -74,18 +73,13 @@ pub struct SimulationStats {
     pub mean_farthest_hop: f64,
 }
 
-/// Monte-Carlo evaluator bound to one instance, one [`McBackend`] (world
-/// cache plus lane-block store), and one thread pool. Built only through
-/// [`McBackend::evaluator`] and [`McBackend::evaluator_on`].
+/// Monte-Carlo evaluator bound to one instance, one [`McBackend`]'s world
+/// cache, and one thread pool. Built only through [`McBackend::evaluator`]
+/// and [`McBackend::evaluator_on`].
 pub struct MonteCarloEvaluator<'a> {
     graph: &'a CsrGraph,
     data: &'a NodeData,
     cache: &'a WorldCache,
-    /// The backend's lazily decoded [`LaneBlock`]s, one per 64-world block.
-    /// A block is a pure function of the cache and the graph, so whichever
-    /// worker first cascades it builds it and every later batch — of this
-    /// evaluator or any other over the same backend — reuses it.
-    lane_blocks: &'a LaneBlockStore,
     pool: &'a ThreadPool,
 }
 
@@ -101,7 +95,6 @@ impl<'a> MonteCarloEvaluator<'a> {
             graph,
             data,
             cache: &backend.cache,
-            lane_blocks: &backend.lane_store,
             pool,
         }
     }
@@ -133,18 +126,7 @@ impl<'a> MonteCarloEvaluator<'a> {
     fn fold_block(&self, batch: &[DeploymentRef<'_>], b: usize) -> Vec<(usize, Vec<Totals>)> {
         let base = b * LANE_WORLDS;
         let count = LANE_WORLDS.min(self.cache.len() - base);
-        // First cascade over this block decodes it; every later batch and
-        // candidate reuses the compacted adjacency.
-        let block = self.lane_blocks.blocks[b].get_or_init(|| {
-            let valid = if count == LANE_WORLDS {
-                !0u64
-            } else {
-                (1u64 << count) - 1
-            };
-            let mut lanes = vec![0u64; self.graph.edge_count()];
-            self.cache.world_fill_lanes(base, count, &mut lanes);
-            LaneBlock::from_edge_masks(self.graph, &lanes, valid)
-        });
+        let block = &self.cache.blocks()[b];
         let halves = count.div_ceil(PART_WORLDS);
         let first_part = base / PART_WORLDS;
         let mut out: Vec<(usize, Vec<Totals>)> = (0..halves)
@@ -204,8 +186,8 @@ impl<'a> MonteCarloEvaluator<'a> {
 
 /// The determinism contract as the plainest possible loop: every
 /// candidate's scalar [`world_cascade`] per world, summed serially in
-/// [`PART_WORLDS`]-world parts that merge in part order — no lanes, no
-/// pool, no block cache. [`MonteCarloEvaluator::simulate_batch`] must
+/// [`PART_WORLDS`]-world parts that merge in part order — no lane kernel,
+/// no pool. [`MonteCarloEvaluator::simulate_batch`] must
 /// reproduce this bit for bit at every pool size and batch shape; the
 /// tests and proptests check exactly that.
 pub fn reference_simulate_batch(
@@ -219,12 +201,11 @@ pub fn reference_simulate_batch(
         return vec![SimulationStats::default(); batch.len()];
     }
     let mut scratch = CascadeScratch::new(graph.node_count());
-    let mut buf = Vec::new();
     let mut acc = vec![Totals::default(); batch.len()];
     for lo in (0..r).step_by(PART_WORLDS) {
         let mut part = vec![Totals::default(); batch.len()];
         for w in lo..(lo + PART_WORLDS).min(r) {
-            let world = cache.world_into(w, &mut buf);
+            let world = cache.world(w);
             for (t, dep) in part.iter_mut().zip(batch) {
                 t.add(world_cascade(
                     graph,
@@ -255,41 +236,13 @@ fn averages(totals: Vec<Totals>, r: usize) -> Vec<SimulationStats> {
         .collect()
 }
 
-/// The one home for lane-block decodes: one [`OnceLock`] slot per 64-world
-/// block of one [`WorldCache`], owned by its [`McBackend`]. Evaluators fill
-/// slots on first use and every later evaluator over the same backend
-/// reuses them — so a resident server pays each block decode once per cache
-/// lifetime, not once per request. Blocks are pure functions of
-/// `(graph, cache)`; concurrent first-builders race benignly inside
-/// `OnceLock`.
-pub struct LaneBlockStore {
-    blocks: Vec<OnceLock<LaneBlock>>,
-}
-
-impl LaneBlockStore {
-    /// Bytes held by the blocks decoded so far.
-    pub fn resident_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .filter_map(|b| b.get())
-            .map(|b| b.resident_bytes())
-            .sum()
-    }
-
-    /// How many of the store's blocks have been decoded.
-    pub fn decoded_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.get().is_some()).count()
-    }
-}
-
-/// The owning Monte-Carlo backend factory: one sampled world cache and a
-/// shared [`LaneBlockStore`] so repeated evaluator construction (one per
-/// campaign request in the serve daemon) reuses block decodes. Sampling
-/// parameters and evaluator construction live in one place, with **no**
-/// process-global configuration involved.
+/// The owning Monte-Carlo backend factory: one sampled world cache that
+/// every evaluator it builds (one per campaign request in the serve
+/// daemon) cascades against. Sampling parameters and evaluator
+/// construction live in one place, with **no** process-global
+/// configuration involved.
 pub struct McBackend {
     cache: WorldCache,
-    lane_store: LaneBlockStore,
 }
 
 impl McBackend {
@@ -299,15 +252,9 @@ impl McBackend {
         Self::from_cache(WorldCache::sample(graph, worlds, seed))
     }
 
-    /// Wrap an already-sampled cache. Its lane blocks decode lazily on
-    /// first use.
+    /// Wrap an already-sampled cache.
     pub fn from_cache(cache: WorldCache) -> Self {
-        let mut blocks = Vec::new();
-        blocks.resize_with(cache.len().div_ceil(LANE_WORLDS), OnceLock::new);
-        McBackend {
-            cache,
-            lane_store: LaneBlockStore { blocks },
-        }
+        McBackend { cache }
     }
 
     /// The backing world cache (telemetry reads sizes and densities here).
@@ -315,13 +262,14 @@ impl McBackend {
         &self.cache
     }
 
-    /// The shared lane-block store (telemetry reads resident bytes here).
-    pub fn lane_store(&self) -> &LaneBlockStore {
-        &self.lane_store
+    /// The backing world cache, as [`cache`](Self::cache) returns it (its
+    /// lane blocks are all it holds). Kept only because the benchmark's
+    /// trace replay reads resident bytes through it.
+    pub fn lane_store(&self) -> &WorldCache {
+        &self.cache
     }
 
-    /// A batched evaluator over the backing cache on the global pool,
-    /// sharing this backend's lane-block store.
+    /// A batched evaluator over the backing cache on the global pool.
     pub fn evaluator<'a>(
         &'a self,
         graph: &'a CsrGraph,
@@ -451,12 +399,11 @@ mod tests {
         k[0] = 2;
         let pooled = ev.simulate(&[NodeId(0)], &k);
         let mut scratch = CascadeScratch::new(7);
-        let mut buf = Vec::new();
         let mut total = 0.0;
         for part in 0..2 {
             let mut sum = 0.0;
             for w in part * PART_WORLDS..(part + 1) * PART_WORLDS {
-                let world = cache.world_into(w, &mut buf);
+                let world = cache.world(w);
                 sum += world_cascade(&g, &d, &[NodeId(0)], &k, world, &mut scratch).benefit;
             }
             total += sum;
@@ -656,13 +603,12 @@ mod tests {
             .evaluator_on(&g, &d, &pool)
             .simulate(&[NodeId(0)], &k);
         let mut scratch = CascadeScratch::new(7);
-        let mut buf = Vec::new();
         let lone = world_cascade(
             &g,
             &d,
             &[NodeId(0)],
             &k,
-            mc_backend.cache().world_into(0, &mut buf),
+            mc_backend.cache().world(0),
             &mut scratch,
         );
         assert_eq!(stats.expected_benefit.to_bits(), lone.benefit.to_bits());
@@ -690,12 +636,11 @@ mod tests {
     }
 
     /// Many threads calling `simulate_batch` against ONE shared evaluator:
-    /// the first callers race the `OnceLock<LaneBlock>` decode, and every
-    /// result must still be bit-identical to the serial reference.
+    /// every result must be bit-identical to the serial reference.
     #[test]
     fn concurrent_simulate_batch_on_shared_evaluator_is_bit_identical() {
         let (g, d) = example1();
-        // 3 ragged lane blocks so several OnceLock slots race.
+        // 3 lane blocks, the last one ragged.
         let mc_backend = backend(&g, 160, 23);
         let (seeds_a, seeds_b, k1, k2) = two_candidates();
         let batch = [
@@ -723,8 +668,9 @@ mod tests {
         });
     }
 
-    /// Evaluators of one backend share its [`LaneBlockStore`]: each block
-    /// decodes once, and every evaluator matches the reference bit for bit.
+    /// Evaluators of one backend share its lane blocks: sampling built
+    /// them all, evaluating holds nothing more, and every evaluator
+    /// matches the reference bit for bit.
     #[test]
     fn evaluators_share_the_backend_lane_store() {
         let (g, d) = example1();
@@ -736,17 +682,14 @@ mod tests {
             coupons: &k,
         }];
         let want = reference_simulate_batch(&g, &d, mc_backend.cache(), &batch);
-        assert_eq!(mc_backend.lane_store().decoded_blocks(), 0);
+        assert_eq!(mc_backend.cache().blocks().len(), 2, "96 worlds = 2 blocks");
+        let sampled = mc_backend.cache().resident_bytes();
+        assert!(sampled > 0);
         for _ in 0..3 {
             let got = mc_backend.evaluator(&g, &d).simulate_batch(&batch);
-            assert_bitwise(&got, &want, "shared lane store");
+            assert_bitwise(&got, &want, "shared lane blocks");
         }
-        assert_eq!(
-            mc_backend.lane_store().decoded_blocks(),
-            2,
-            "96 worlds = 2 lane blocks"
-        );
-        assert!(mc_backend.lane_store().resident_bytes() > 0);
+        assert_eq!(mc_backend.cache().resident_bytes(), sampled);
     }
 
     #[test]

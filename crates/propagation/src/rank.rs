@@ -156,8 +156,8 @@ impl RankDp {
 }
 
 /// Probability that **all** `k` coupons end up redeemed after attempting
-/// every neighbor (used by tests and by the exhaustive OPT solver's
-/// upper bounds).
+/// every neighbor. Only tests call it (closed-form cases and a range
+/// proptest); no solver reads it.
 pub fn exhaustion_probability(probs: &[f64], k: u32) -> f64 {
     let k = k as usize;
     if k == 0 {

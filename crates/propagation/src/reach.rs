@@ -12,11 +12,11 @@
 //! aggregate [`WorldOutcome`], and [`world_cascade_visit`] additionally
 //! reports each activated node to a visitor (how the tests observe the
 //! activated set without a second cascade implementation).
-//! The kernel runs on a [`WorldRef`] over an in-memory [`CsrGraph`] — live
-//! out-edges come from the world's live-adjacency cursor
-//! ([`WorldRef::for_live_out`]), so it touches only live edges. Graphs read
-//! from sharded `.oscg` files are assembled into one [`CsrGraph`] first, so
-//! every graph takes this one path.
+//! The kernel runs on a [`WorldRef`] — one lane of a world cache's lane
+//! block — over an in-memory [`CsrGraph`]: live out-neighbours come from
+//! [`WorldRef::for_live_out`], which walks only the block's union-live
+//! edges. Graphs read from sharded `.oscg` files are assembled into one
+//! [`CsrGraph`] first, so every graph takes this one path.
 //!
 //! Frontier rounds are built through a **word-level bitset**: activations
 //! set a bit, and each round drains the touched words in ascending order,
@@ -163,7 +163,6 @@ pub fn world_cascade_visit(
     mut visit: impl FnMut(NodeId),
 ) -> WorldOutcome {
     debug_assert_eq!(coupons.len(), graph.node_count());
-    let targets = graph.edge_targets_flat();
     scratch.begin();
     let mut out = WorldOutcome::default();
 
@@ -186,9 +185,7 @@ pub fn world_cascade_visit(
             if remaining == 0 {
                 continue;
             }
-            let ids = graph.out_edge_ids(u);
-            world.for_live_out(ids.start, ids.end, |e| {
-                let v = targets[e as usize];
+            world.for_live_out(u, |v| {
                 if !scratch.is_active(v) {
                     scratch.activate(v);
                     visit(v);
@@ -216,7 +213,13 @@ pub fn world_cascade_visit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::{pack_lanes, LaneBlock};
     use osn_graph::GraphBuilder;
+
+    /// A one-world block holding exactly the live edge ids `live`.
+    fn world_of(g: &CsrGraph, live: &[u32]) -> LaneBlock {
+        pack_lanes(g, &[live.to_vec()])
+    }
 
     /// Center 0 with children 1..=4 at descending probs, so edge id = rank.
     fn star() -> (CsrGraph, NodeData) {
@@ -238,7 +241,7 @@ mod tests {
             &d,
             &[NodeId(0)],
             &[2, 0, 0, 0, 0],
-            WorldRef(&[0, 1, 2, 3]),
+            WorldRef::new(&world_of(&g, &[0, 1, 2, 3]), 0),
             &mut scratch,
         );
         assert_eq!(out.activated, 3);
@@ -255,7 +258,7 @@ mod tests {
             &d,
             &[NodeId(0)],
             &[1, 0, 0, 0, 0],
-            WorldRef(&[2, 3]),
+            WorldRef::new(&world_of(&g, &[2, 3]), 0),
             &mut scratch,
         );
         assert_eq!(out.activated, 2);
@@ -264,7 +267,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean_across_runs() {
         let (g, d) = star();
-        let w = WorldRef(&[0]);
+        let block = world_of(&g, &[0]);
+        let w = WorldRef::new(&block, 0);
         let mut scratch = CascadeScratch::new(5);
         let a = world_cascade(&g, &d, &[NodeId(0)], &[4, 0, 0, 0, 0], w, &mut scratch);
         let b = world_cascade(&g, &d, &[NodeId(0)], &[4, 0, 0, 0, 0], w, &mut scratch);
@@ -287,7 +291,7 @@ mod tests {
             &d,
             &[NodeId(0)],
             &[1, 1, 0],
-            WorldRef(&[0, 1]),
+            WorldRef::new(&world_of(&g, &[0, 1]), 0),
             &mut scratch,
         );
         assert_eq!(out.farthest_hop, 2);
@@ -308,7 +312,7 @@ mod tests {
             &d,
             &[NodeId(0), NodeId(1)],
             &[1, 0, 0],
-            WorldRef(&[0, 1]),
+            WorldRef::new(&world_of(&g, &[0, 1]), 0),
             &mut scratch,
         );
         assert_eq!(out.activated, 3, "coupon must reach node 2");
@@ -325,7 +329,7 @@ mod tests {
             &d,
             &[NodeId(0), NodeId(0)],
             &[2, 0, 0, 0, 0],
-            WorldRef(&[0, 1, 2, 3]),
+            WorldRef::new(&world_of(&g, &[0, 1, 2, 3]), 0),
             &mut scratch,
             |v| seen.push(v),
         );
@@ -344,7 +348,8 @@ mod tests {
         b.add_edge(1, 3, 0.8).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
-        let w = WorldRef(&[0, 1, 2]);
+        let block = world_of(&g, &[0, 1, 2]);
+        let w = WorldRef::new(&block, 0);
         let mut scratch = CascadeScratch::new(4);
         let k = [1, 1, 0, 0];
         let ab = world_cascade(&g, &d, &[NodeId(0), NodeId(1)], &k, w, &mut scratch);
@@ -401,7 +406,7 @@ mod tests {
             &d,
             &seeds,
             &coupons,
-            WorldRef(&ids),
+            WorldRef::new(&world_of(&g, &ids), 0),
             &mut scratch,
             |v| base_seen.push(v),
         );
@@ -421,7 +426,7 @@ mod tests {
                 &d,
                 &seeds,
                 &coupons,
-                WorldRef(&ids),
+                WorldRef::new(&world_of(&assembled, &ids), 0),
                 &mut scratch,
                 |v| seen.push(v),
             );

@@ -22,13 +22,18 @@
 //!
 //! ## Storage
 //!
-//! Worlds are held as a world-major CSR of ascending live edge ids,
-//! gap-encoded as `u8` deltas (255 escapes) in plain arrays. At the Table
-//! II profiles' densities this is several times smaller than one bit per
-//! edge. The scalar kernel decodes one world at a time into a reusable
-//! `u32` buffer ([`WorldCache::world_into`]); the lane kernel ORs a
-//! 64-world block straight into per-edge lane masks
-//! ([`WorldCache::world_fill_lanes`]).
+//! The cache holds its worlds once, as [`LaneBlock`]s: world `i` is lane
+//! `i % 64` of block `i / 64`, and each block is the union live adjacency
+//! of its 64 worlds (~12 bytes per edge live in at least one of them). One
+//! [`ThreadPool::map_indexed`] task samples each block (or each part of a
+//! block, when the cache has fewer blocks than pool threads): it runs every
+//! world's skip walk into an `m`-bit scratch bitmap, drains the bitmap in
+//! ascending edge order into the block's `m` lane masks, and compacts those
+//! with [`LaneBlock::from_edge_masks`]. The lane kernel ([`crate::lane`])
+//! cascades a whole block at once; the scalar kernel and IM read one world
+//! through a [`WorldRef`] (block, lane) view. [`sample_world`] runs the
+//! same walk for one world into a caller's bitmap, which is how the sketch
+//! builder samples its worlds without a cache.
 //!
 //! ## RNG-stream contract
 //!
@@ -43,64 +48,50 @@
 //! samplers agree on every edge's live frequency.
 
 use crate::bits::BitVec;
+use crate::lane::{LaneBlock, LANE_WORLDS};
 use osn_graph::prob_index::ProbBucketIndex;
-use osn_graph::CsrGraph;
+use osn_graph::{CsrGraph, NodeId};
 use osn_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// Sparse worlds: a world-major CSR over a gap-encoded live-edge stream.
-#[derive(Clone, Debug)]
-struct SparseWorlds {
-    /// Byte offsets into `gaps`, length `R + 1`.
-    offsets: Vec<u64>,
-    /// Live-edge count per world (exact decode preallocation), length `R`.
-    counts: Vec<u32>,
-    /// Ascending live edge ids as `u8` deltas; a 255 byte adds 255 to the
-    /// pending delta and continues, any other byte terminates it.
-    gaps: Vec<u8>,
-}
-
-impl SparseWorlds {
-    /// World `i`'s gap bytes.
-    fn bytes(&self, i: usize) -> &[u8] {
-        &self.gaps[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// A borrowed view of one world's live-edge set: its live edge ids,
-/// ascending.
+/// A borrowed view of one cached world: lane `lane` of a [`LaneBlock`].
 #[derive(Clone, Copy, Debug)]
-pub struct WorldRef<'a>(pub &'a [u32]);
+pub struct WorldRef<'a> {
+    block: &'a LaneBlock,
+    bit: u64,
+}
 
-impl WorldRef<'_> {
-    /// Is edge `e` live? (Answers by binary search — use
-    /// [`for_live_out`](Self::for_live_out) on hot paths.)
-    pub fn get(&self, e: usize) -> bool {
-        self.0.binary_search(&(e as u32)).is_ok()
+impl<'a> WorldRef<'a> {
+    /// World `lane` of `block`.
+    pub(crate) fn new(block: &'a LaneBlock, lane: usize) -> Self {
+        let bit = 1u64 << lane;
+        debug_assert!(block.valid & bit != 0, "lane {lane} is not populated");
+        WorldRef { block, bit }
     }
 
-    /// Visit the live edge ids in `[lo, hi)` (one node's out-edge range)
-    /// in ascending order (= rank order within the node's out-edges),
-    /// stopping early when `f` returns `false`. This is the scalar
-    /// kernel's live-adjacency cursor: one binary search positions it, and
-    /// it then touches only live out-edges.
+    /// Visit `u`'s live out-neighbours in rank order, stopping early when
+    /// `f` returns `false`. The walk touches only edges live in at least
+    /// one world of the block, testing this world's bit on each.
     #[inline]
-    pub fn for_live_out(&self, lo: u32, hi: u32, mut f: impl FnMut(u32) -> bool) {
-        let start = self.0.partition_point(|&e| e < lo);
-        for &e in &self.0[start..] {
-            if e >= hi || !f(e) {
+    pub fn for_live_out(&self, u: NodeId, mut f: impl FnMut(NodeId) -> bool) {
+        let (masks, targets) = self.block.out(u);
+        for (&mask, &t) in masks.iter().zip(targets) {
+            if mask & self.bit != 0 && !f(NodeId(t)) {
                 return;
             }
         }
     }
 }
 
-/// A cache of `R` live-edge worlds for one graph.
+/// A cache of `R` live-edge worlds for one graph, held as
+/// `⌈R / 64⌉` lane blocks.
 #[derive(Clone, Debug)]
 pub struct WorldCache {
-    worlds: SparseWorlds,
+    blocks: Vec<LaneBlock>,
+    worlds: usize,
     edges: usize,
     live_edges: u64,
     sampling_micros: u64,
@@ -109,8 +100,8 @@ pub struct WorldCache {
 impl WorldCache {
     /// Sample `count` worlds with streams seeded from `seed` (each world
     /// has an independent deterministic stream, so caches are reproducible
-    /// and workers can generate disjoint world ranges), generating on the
-    /// shared [`osn_pool::global`] pool.
+    /// and workers can sample disjoint blocks), on the shared
+    /// [`osn_pool::global`] pool.
     pub fn sample(graph: &CsrGraph, count: usize, seed: u64) -> Self {
         Self::sample_with_pool(graph, count, seed, osn_pool::global())
     }
@@ -119,33 +110,9 @@ impl WorldCache {
     /// the cache contents never depend on the pool size.
     pub fn sample_with_pool(graph: &CsrGraph, count: usize, seed: u64, pool: &ThreadPool) -> Self {
         let index = &graph.prob_bucket_index();
-        let t0 = Instant::now();
-        let probs = graph.edge_probs_flat();
-        let m = graph.edge_count();
-        // Finalize mode: the skip walk emits live ids bucket-major, so
-        // worlds need one re-ordering pass. Dense-ish worlds extract from a
-        // scratch bitmap (linear in m/64 words); very sparse worlds on
-        // large graphs sort instead. The choice never affects the ids.
-        let use_bitmap = index.expected_live() * 16.0 >= (m as f64) / 64.0;
-        let sampler = move |world: u64, scratch: &mut SampleScratch| {
-            let mut rng = world_rng(seed, world);
-            scratch.ids.clear();
-            if use_bitmap {
-                if scratch.bits.len() < m {
-                    scratch.bits = BitVec::zeros(m);
-                }
-                let bits = &mut scratch.bits;
-                walk_live_edges(index, probs, &mut rng, |e| bits.set(e as usize, true));
-                scratch.bits.drain_set_into(&mut scratch.ids);
-            } else {
-                let ids = &mut scratch.ids;
-                walk_live_edges(index, probs, &mut rng, |e| ids.push(e));
-                scratch.ids.sort_unstable();
-            }
-        };
-        let mut cache = Self::build(m, count, pool, &sampler);
-        cache.sampling_micros = t0.elapsed().as_micros() as u64;
-        cache
+        Self::build(graph, count, pool, &|world, live| {
+            sample_world(graph, index, seed, world, live)
+        })
     }
 
     /// The original per-edge Bernoulli sampler, kept as the reference the
@@ -165,68 +132,82 @@ impl WorldCache {
         seed: u64,
         pool: &ThreadPool,
     ) -> Self {
-        let t0 = Instant::now();
         let probs = graph.edge_probs_flat();
-        let sampler = move |world: u64, scratch: &mut SampleScratch| {
-            sample_world_live_reference(probs, seed, world, &mut scratch.ids);
-        };
-        let mut cache = Self::build(graph.edge_count(), count, pool, &sampler);
-        cache.sampling_micros = t0.elapsed().as_micros() as u64;
-        cache
+        Self::build(graph, count, pool, &|world, live| {
+            let mut rng = world_rng(seed, world);
+            for (e, &p) in probs.iter().enumerate() {
+                if p > 0.0 && rng.gen_bool(p) {
+                    live.set(e, true);
+                }
+            }
+        })
     }
 
-    /// Shared generation driver: run `sampler` for every world index
-    /// (one chunk per pool worker, a single chunk below 8 worlds; world
-    /// `i` is always stream `i`, so chunk boundaries never change the
-    /// bytes) and pack the sorted live lists into the gap-encoded CSR.
+    /// Shared generation driver. Each pool task runs `sample` for some
+    /// lanes of one 64-world block into a scratch bitmap and drains it into
+    /// an `m`-word lane-mask buffer (bit `j` = world `base + j`). A cache
+    /// with fewer blocks than pool threads splits each block's lanes into
+    /// parts, so a small cache samples on every thread too; the parts OR
+    /// into one buffer per block, and the part that finishes last compacts
+    /// it. World `i` is always stream `i` and OR is order-free, so neither
+    /// the split nor the finishing order changes the bytes.
     fn build(
-        edges: usize,
+        graph: &CsrGraph,
         count: usize,
         pool: &ThreadPool,
-        sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync),
+        sample: &(dyn Fn(u64, &mut BitVec) + Sync),
     ) -> Self {
-        let chunk = if count < 8 {
-            count.max(1)
-        } else {
-            count.div_ceil(pool.num_threads())
-        };
-        let chunks = pool.map_indexed(count.div_ceil(chunk), |t| {
-            fill_chunk(t * chunk, count.min((t + 1) * chunk), sampler)
-        });
-        let live_edges: u64 = chunks
-            .iter()
-            .flat_map(|c| &c.counts)
-            .map(|&c| c as u64)
-            .sum();
-        let total_bytes: usize = chunks.iter().map(|c| c.gaps.len()).sum();
-        let mut offsets = Vec::with_capacity(count + 1);
-        let mut counts = Vec::with_capacity(count);
-        let mut gaps = Vec::with_capacity(total_bytes);
-        offsets.push(0u64);
-        let mut at = 0u64;
-        for c in &chunks {
-            gaps.extend_from_slice(&c.gaps);
-            for (&cnt, &len) in c.counts.iter().zip(&c.byte_lens) {
-                counts.push(cnt);
-                at += len as u64;
-                offsets.push(at);
+        let t0 = Instant::now();
+        let m = graph.edge_count();
+        let blocks = count.div_ceil(LANE_WORLDS);
+        let parts = pool.num_threads().div_ceil(blocks.max(1)).min(count.max(1));
+        let merges: Vec<Mutex<BlockMerge>> = (0..blocks).map(|_| Mutex::default()).collect();
+        let sampled = pool.map_indexed(blocks * parts, |t| {
+            let (b, part) = (t / parts, t % parts);
+            let base = b * LANE_WORLDS;
+            let lanes = LANE_WORLDS.min(count - base);
+            let mut live = BitVec::zeros(m);
+            let mut masks = vec![0u64; m];
+            let mut live_edges = 0u64;
+            for j in part * lanes / parts..(part + 1) * lanes / parts {
+                sample((base + j) as u64, &mut live);
+                live.drain_ascending_into(|e| {
+                    masks[e] |= 1u64 << j;
+                    live_edges += 1;
+                });
             }
-        }
+            let mut merge = merges[b].lock().unwrap_or_else(PoisonError::into_inner);
+            match &mut merge.masks {
+                Some(acc) => acc.iter_mut().zip(&masks).for_each(|(a, &x)| *a |= x),
+                None => merge.masks = Some(masks),
+            }
+            merge.live_edges += live_edges;
+            merge.parts += 1;
+            if merge.parts < parts {
+                return None;
+            }
+            let masks = merge.masks.take().expect("a finished block has masks");
+            let live_edges = merge.live_edges;
+            drop(merge);
+            let valid = !0u64 >> (LANE_WORLDS - lanes);
+            Some((LaneBlock::from_edge_masks(graph, &masks, valid), live_edges))
+        });
+        // Exactly one part per block compacts it, and a block's parts are
+        // consecutive indices, so the blocks come out in order.
+        let (blocks, live_counts): (Vec<LaneBlock>, Vec<u64>) =
+            sampled.into_iter().flatten().unzip();
         WorldCache {
-            worlds: SparseWorlds {
-                offsets,
-                counts,
-                gaps,
-            },
-            edges,
-            live_edges,
-            sampling_micros: 0,
+            blocks,
+            worlds: count,
+            edges: m,
+            live_edges: live_counts.iter().sum(),
+            sampling_micros: t0.elapsed().as_micros() as u64,
         }
     }
 
     /// Number of cached worlds.
     pub fn len(&self) -> usize {
-        self.worlds.counts.len()
+        self.worlds
     }
 
     /// True when no worlds are cached.
@@ -240,44 +221,39 @@ impl WorldCache {
         self.edges
     }
 
-    /// Borrow world `i`, decoded into `buf`. Callers that walk many worlds
-    /// reuse one buffer across the loop.
+    /// The lane blocks: block `b` holds worlds `64·b ..`.
+    pub(crate) fn blocks(&self) -> &[LaneBlock] {
+        &self.blocks
+    }
+
+    /// World `i`, as a view into its block.
     #[inline]
-    pub fn world_into<'a>(&'a self, i: usize, buf: &'a mut Vec<u32>) -> WorldRef<'a> {
-        decode_gaps(self.worlds.bytes(i), self.worlds.counts[i] as usize, buf);
-        WorldRef(buf)
+    pub fn world(&self, i: usize) -> WorldRef<'_> {
+        assert!(i < self.worlds, "world {i} of {}", self.worlds);
+        WorldRef::new(&self.blocks[i / LANE_WORLDS], i % LANE_WORLDS)
     }
 
-    /// Materialize world `i` into a caller bitmap (must already span
-    /// [`edge_count`](Self::edge_count) bits): the gap stream decodes
-    /// straight into bit sets with no intermediate id list. Bits of edges
-    /// dead in world `i` are left as they were.
-    pub fn world_fill_bits(&self, i: usize, bits: &mut BitVec) {
-        debug_assert!(bits.len() >= self.edges);
-        for_each_gap_id(self.worlds.bytes(i), |e| bits.set(e as usize, true));
-    }
-
-    /// Materialize worlds `base..base + count` (`count` ≤ 64) as lane
-    /// masks: bit `j` of `lanes[e]` is set iff edge `e` is live in world
-    /// `base + j`. `lanes` must span [`edge_count`](Self::edge_count) and
-    /// be zero on entry. Each world's gap stream ORs straight into the
-    /// masks with no intermediate id list. This is how the bit-parallel
-    /// cascade kernel ([`crate::lane`]) packs a block of worlds.
-    pub fn world_fill_lanes(&self, base: usize, count: usize, lanes: &mut [u64]) {
-        assert!(count <= 64, "at most 64 worlds per lane block");
-        debug_assert!(lanes.len() >= self.edges);
-        for j in 0..count {
-            let bit = 1u64 << j;
-            for_each_gap_id(self.worlds.bytes(base + j), |e| lanes[e as usize] |= bit);
+    /// World `i`'s live edge ids, ascending (for tests and diagnostics).
+    /// Blocks keep targets, not ids: edges are `(u, v)`-unique and a
+    /// block keeps rank order, so the next out-edge of `u` to the live
+    /// target names the edge.
+    pub fn live_edge_ids(&self, graph: &CsrGraph, i: usize) -> Vec<u32> {
+        assert_eq!(graph.edge_count(), self.edges, "a different graph");
+        let world = self.world(i);
+        let targets = graph.edge_targets_flat();
+        let mut ids = Vec::new();
+        for u in graph.nodes() {
+            let mut e = graph.out_edge_ids(u).start;
+            world.for_live_out(u, |v| {
+                while targets[e as usize] != v {
+                    e += 1;
+                }
+                ids.push(e);
+                e += 1;
+                true
+            });
         }
-    }
-
-    /// World `i`'s live edge ids, ascending (a convenience for tests and
-    /// diagnostics; hot paths use [`world_into`](Self::world_into)).
-    pub fn live_edge_ids(&self, i: usize) -> Vec<u32> {
-        let mut buf = Vec::new();
-        self.world_into(i, &mut buf);
-        buf
+        ids
     }
 
     /// Mean live-edge density (`live / (R·m)`), 0 for degenerate caches.
@@ -290,13 +266,10 @@ impl WorldCache {
         }
     }
 
-    /// Resident bytes of the world payload (what the fig9-style telemetry
-    /// columns report).
+    /// Resident bytes of the lane blocks — everything the cache holds (what
+    /// the fig9-style telemetry columns report).
     pub fn resident_bytes(&self) -> u64 {
-        let w = &self.worlds;
-        (w.offsets.len() * std::mem::size_of::<u64>()
-            + w.counts.len() * std::mem::size_of::<u32>()
-            + w.gaps.len()) as u64
+        self.blocks.iter().map(|b| b.resident_bytes() as u64).sum()
     }
 
     /// Wall time the sampling pass took, in microseconds.
@@ -305,37 +278,33 @@ impl WorldCache {
     }
 }
 
-/// Per-chunk generation output.
+/// One block's parts as they finish: their OR-ed lane masks, live-edge
+/// total and count.
 #[derive(Default)]
-struct Chunk {
-    gaps: Vec<u8>,
-    counts: Vec<u32>,
-    byte_lens: Vec<usize>,
+struct BlockMerge {
+    masks: Option<Vec<u64>>,
+    live_edges: u64,
+    parts: usize,
 }
 
-/// Per-chunk sampler workspace: the world's live ids plus an optional
-/// scratch bitmap (sized lazily, reused across the chunk's worlds).
-struct SampleScratch {
-    ids: Vec<u32>,
-    bits: BitVec,
-}
-
-fn fill_chunk(lo: usize, hi: usize, sampler: &(dyn Fn(u64, &mut SampleScratch) + Sync)) -> Chunk {
-    let mut chunk = Chunk::default();
-    let mut scratch = SampleScratch {
-        ids: Vec::new(),
-        bits: BitVec::zeros(0),
-    };
-    for w in lo..hi {
-        sampler(w as u64, &mut scratch);
-        let live = &scratch.ids;
-        debug_assert!(live.windows(2).all(|p| p[0] < p[1]), "live ids not sorted");
-        let before = chunk.gaps.len();
-        encode_gaps(live, &mut chunk.gaps);
-        chunk.counts.push(live.len() as u32);
-        chunk.byte_lens.push(chunk.gaps.len() - before);
-    }
-    chunk
+/// Sample world `world` of the cache seeded `seed` into `live`: set the
+/// bit of each of its live edges, which are exactly the edges world
+/// `world` of [`WorldCache::sample`]`(graph, _, seed)` holds. `live` must
+/// span the graph's edges; other bits are left as they were. `index` is
+/// `graph`'s [`ProbBucketIndex`], built once by the caller and reused
+/// across worlds.
+pub fn sample_world(
+    graph: &CsrGraph,
+    index: &ProbBucketIndex,
+    seed: u64,
+    world: u64,
+    live: &mut BitVec,
+) {
+    debug_assert!(live.len() >= graph.edge_count());
+    let mut rng = world_rng(seed, world);
+    walk_live_edges(index, graph.edge_probs_flat(), &mut rng, |e| {
+        live.set(e as usize, true)
+    });
 }
 
 /// Distinct stream per world: mix the world index into the seed (this is
@@ -348,7 +317,7 @@ fn world_rng(seed: u64, index: u64) -> SmallRng {
 /// (via ziggurat `Exp(1)` draws scaled by the bucket's precomputed
 /// `inv_lambda`) between candidates, thinned to the exact per-edge
 /// probability in non-uniform buckets. Emits live edge ids ascending
-/// *within* each bucket; callers re-order across buckets.
+/// *within* each bucket, bucket by bucket.
 fn walk_live_edges(
     index: &ProbBucketIndex,
     probs: &[f64],
@@ -508,63 +477,6 @@ mod exp {
     }
 }
 
-/// The pre-skip-sampling reference: one Bernoulli draw per edge in edge-id
-/// order (the original `WorldCache` stream, byte for byte).
-fn sample_world_live_reference(probs: &[f64], seed: u64, world: u64, out: &mut Vec<u32>) {
-    let mut rng = world_rng(seed, world);
-    out.clear();
-    for (e, &p) in probs.iter().enumerate() {
-        if p > 0.0 && rng.gen_bool(p) {
-            out.push(e as u32);
-        }
-    }
-}
-
-/// Append `live` (ascending edge ids) to `out` as u8 deltas: the first
-/// value is the id itself, later values the gap to the previous id; deltas
-/// ≥ 255 spill into 255-escape bytes.
-fn encode_gaps(live: &[u32], out: &mut Vec<u8>) {
-    let mut prev = 0u32;
-    let mut first = true;
-    for &e in live {
-        let mut d = if first { e } else { e - prev };
-        first = false;
-        prev = e;
-        while d >= 255 {
-            out.push(255);
-            d -= 255;
-        }
-        out.push(d as u8);
-    }
-}
-
-/// Call `f` with every id of a gap stream, ascending (the inverse of
-/// [`encode_gaps`]).
-#[inline]
-fn for_each_gap_id(bytes: &[u8], mut f: impl FnMut(u32)) {
-    let mut cur = 0u32;
-    let mut delta = 0u32;
-    let mut first = true;
-    for &b in bytes {
-        delta += b as u32;
-        if b < 255 {
-            cur = if first { delta } else { cur + delta };
-            first = false;
-            f(cur);
-            delta = 0;
-        }
-    }
-}
-
-/// Decode a gap stream back into ascending edge ids (the inverse of
-/// [`encode_gaps`]).
-fn decode_gaps(bytes: &[u8], count: usize, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(count);
-    for_each_gap_id(bytes, |e| out.push(e));
-    debug_assert_eq!(out.len(), count, "gap stream count mismatch");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,24 +490,29 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn gap_codec_round_trips() {
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![254],
-            vec![255],
-            vec![0, 1, 2, 3],
-            vec![300, 1000, 1254, 1255, 70000, u32::MAX],
-            (0..500).map(|i| i * 511).collect(),
-        ];
-        for live in cases {
-            let mut bytes = Vec::new();
-            encode_gaps(&live, &mut bytes);
-            let mut back = Vec::new();
-            decode_gaps(&bytes, live.len(), &mut back);
-            assert_eq!(back, live);
+    /// A 40-node ring with chords at mixed probabilities.
+    fn ring() -> CsrGraph {
+        let mut b = GraphBuilder::new(40);
+        for i in 0u32..40 {
+            b.add_edge(i, (i + 1) % 40, 0.6).unwrap();
+            b.add_edge(i, (i + 7) % 40, 0.25).unwrap();
+            b.add_edge(i, (i + 13) % 40, 0.05).unwrap();
         }
+        b.build().unwrap()
+    }
+
+    /// Every world of `cache` as live edge ids.
+    fn live_of(g: &CsrGraph, cache: &WorldCache) -> Vec<Vec<u32>> {
+        (0..cache.len())
+            .map(|w| cache.live_edge_ids(g, w))
+            .collect()
+    }
+
+    /// World `w` of the cache seeded `seed`, sampled alone into a bitmap.
+    fn lone_world(g: &CsrGraph, seed: u64, w: usize) -> BitVec {
+        let mut bits = BitVec::zeros(g.edge_count());
+        sample_world(g, &g.prob_bucket_index(), seed, w as u64, &mut bits);
+        bits
     }
 
     #[test]
@@ -603,29 +520,28 @@ mod tests {
         let g = graph();
         let a = WorldCache::sample(&g, 16, 7);
         let b = WorldCache::sample(&g, 16, 7);
-        for w in 0..16 {
-            assert_eq!(a.live_edge_ids(w), b.live_edge_ids(w));
-        }
+        assert_eq!(live_of(&g, &a), live_of(&g, &b));
         let c = WorldCache::sample(&g, 16, 8);
-        let diff = (0..16).any(|w| a.live_edge_ids(w) != c.live_edge_ids(w));
-        assert!(diff, "different seeds should give different worlds");
+        assert_ne!(
+            live_of(&g, &a),
+            live_of(&g, &c),
+            "different seeds should give different worlds"
+        );
     }
 
     #[test]
     fn certain_and_impossible_edges() {
         let g = graph();
         // Edge ids: node1 -> node2 is edge id 1 (p = 1.0); 2 -> 0 is id 2.
-        let e1 = g.out_edge_ids(osn_graph::NodeId(1)).start as usize;
-        let e2 = g.out_edge_ids(osn_graph::NodeId(2)).start as usize;
+        let e1 = g.out_edge_ids(NodeId(1)).start;
+        let e2 = g.out_edge_ids(NodeId(2)).start;
         for cache in [
             WorldCache::sample(&g, 64, 3),
             WorldCache::sample_dense_reference(&g, 64, 3),
         ] {
-            let mut buf = Vec::new();
-            for w in 0..cache.len() {
-                let world = cache.world_into(w, &mut buf);
-                assert!(world.get(e1), "p=1 edge must always be live");
-                assert!(!world.get(e2), "p=0 edge must never be live");
+            for live in live_of(&g, &cache) {
+                assert!(live.contains(&e1), "p=1 edge must always be live");
+                assert!(!live.contains(&e2), "p=0 edge must never be live");
             }
         }
     }
@@ -634,59 +550,43 @@ mod tests {
     fn live_frequency_tracks_probability() {
         let g = graph();
         let cache = WorldCache::sample(&g, 4000, 5);
-        let e0 = g.out_edge_ids(osn_graph::NodeId(0)).start as usize;
-        let mut buf = Vec::new();
-        let live = (0..cache.len())
-            .filter(|&w| cache.world_into(w, &mut buf).get(e0))
+        let e0 = g.out_edge_ids(NodeId(0)).start;
+        let live = live_of(&g, &cache)
+            .iter()
+            .filter(|ids| ids.contains(&e0))
             .count();
         let freq = live as f64 / cache.len() as f64;
         assert!((freq - 0.5).abs() < 0.03, "p=0.5 edge live at {freq}");
+        // One certain edge plus the p = 0.5 edge out of three.
+        let d = cache.live_density();
+        assert!((d - 0.5).abs() < 0.01, "density {d}");
     }
 
     #[test]
     fn parallel_generation_matches_serial_layout() {
-        // 64 worlds uses the threaded path; world i must still be stream i.
+        // 130 worlds are three blocks on three tasks; world i must still
+        // be stream i.
         let g = graph();
-        let many = WorldCache::sample(&g, 64, 11);
-        let few = WorldCache::sample(&g, 4, 11); // one chunk
-        for w in 0..4 {
-            assert_eq!(many.live_edge_ids(w), few.live_edge_ids(w));
-        }
+        let many = WorldCache::sample(&g, 130, 11);
+        let few = WorldCache::sample(&g, 4, 11);
+        assert_eq!(live_of(&g, &many)[..4], live_of(&g, &few)[..]);
     }
 
+    /// Each block's lanes are exactly the worlds sampled one at a time,
+    /// on a full 64-world block and a ragged 6-world tail.
     #[test]
     fn lane_masks_match_per_world_ids() {
-        let mut b = GraphBuilder::new(40);
-        for i in 0u32..40 {
-            b.add_edge(i, (i + 1) % 40, 0.6).unwrap();
-            b.add_edge(i, (i + 7) % 40, 0.25).unwrap();
-        }
-        let g = b.build().unwrap();
+        let g = ring();
         let cache = WorldCache::sample_with_pool(&g, 70, 3, &ThreadPool::new(1));
-        // A full 64-world block and a ragged 6-world tail.
-        for (base, count) in [(0usize, 64usize), (64, 6)] {
-            let mut lanes = vec![0u64; cache.edge_count()];
-            cache.world_fill_lanes(base, count, &mut lanes);
-            for j in 0..count {
-                let want = cache.live_edge_ids(base + j);
-                let got: Vec<u32> = (0..cache.edge_count())
-                    .filter(|&e| lanes[e] >> j & 1 == 1)
-                    .map(|e| e as u32)
-                    .collect();
-                assert_eq!(got, want, "world {}", base + j);
-                let mut bits = BitVec::zeros(cache.edge_count());
-                cache.world_fill_bits(base + j, &mut bits);
-                let from_bits: Vec<u32> = (0..cache.edge_count())
-                    .filter(|&e| bits.get(e))
-                    .map(|e| e as u32)
-                    .collect();
-                assert_eq!(from_bits, want, "bitmap of world {}", base + j);
-            }
-            if count < 64 {
-                for (e, &mask) in lanes.iter().enumerate() {
-                    assert_eq!(mask >> count, 0, "bits beyond the block at {e}");
-                }
-            }
+        assert_eq!(cache.blocks().len(), 2);
+        assert_eq!(cache.blocks()[0].valid, !0u64);
+        assert_eq!(cache.blocks()[1].valid, (1u64 << 6) - 1);
+        for w in 0..cache.len() {
+            let bits = lone_world(&g, 3, w);
+            let want: Vec<u32> = (0..g.edge_count() as u32)
+                .filter(|&e| bits.get(e as usize))
+                .collect();
+            assert_eq!(cache.live_edge_ids(&g, w), want, "world {w}");
         }
     }
 
@@ -707,30 +607,23 @@ mod tests {
         let owned = WorldCache::sample(&g, 64, 11);
         let mapped = WorldCache::sample(&loaded, 64, 11);
         assert_eq!(owned.edge_count(), mapped.edge_count());
-        for w in 0..64 {
-            assert_eq!(
-                owned.live_edge_ids(w),
-                mapped.live_edge_ids(w),
-                "world {w} diverged"
-            );
-        }
+        assert_eq!(live_of(&g, &owned), live_of(&loaded, &mapped));
         std::fs::remove_file(&path).ok();
     }
 
+    /// Four blocks on two or three workers sample one task per block;
+    /// two blocks on five workers, and one world on four, split blocks
+    /// into parts. Every split gives the serial cache.
     #[test]
     fn pool_size_never_changes_the_cache() {
-        let g = graph();
-        let serial = WorldCache::sample_with_pool(&g, 64, 11, &ThreadPool::new(1));
-        for threads in [2, 3] {
-            let pool = ThreadPool::new(threads);
-            let pooled = WorldCache::sample_with_pool(&g, 64, 11, &pool);
-            for w in 0..64 {
-                assert_eq!(
-                    serial.live_edge_ids(w),
-                    pooled.live_edge_ids(w),
-                    "world {w}, {threads} workers"
-                );
-            }
+        let g = ring();
+        for (worlds, threads) in [(200, 2), (200, 3), (70, 5), (1, 4)] {
+            let serial = WorldCache::sample_with_pool(&g, worlds, 11, &ThreadPool::new(1));
+            let pooled = WorldCache::sample_with_pool(&g, worlds, 11, &ThreadPool::new(threads));
+            let what = format!("{worlds} worlds, {threads} workers");
+            assert_eq!(live_of(&g, &serial), live_of(&g, &pooled), "{what}");
+            assert_eq!(serial.resident_bytes(), pooled.resident_bytes(), "{what}");
+            assert_eq!(serial.live_density(), pooled.live_density(), "{what}");
         }
     }
 
@@ -742,6 +635,7 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.edge_count(), g.edge_count(), "evaluators assert this");
         assert_eq!(cache.live_density(), 0.0);
+        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]
@@ -752,7 +646,7 @@ mod tests {
             assert_eq!(cache.len(), 16);
             assert_eq!(cache.edge_count(), 0);
             for w in 0..16 {
-                assert!(cache.live_edge_ids(w).is_empty());
+                assert!(cache.live_edge_ids(&g, w).is_empty());
             }
         }
     }
@@ -767,42 +661,15 @@ mod tests {
         b.add_edge(1, 3, 1.0).unwrap();
         b.add_edge(2, 3, 0.0).unwrap();
         let g = b.build().unwrap();
-        let live_of = |cache: &WorldCache| -> Vec<Vec<u32>> {
-            (0..cache.len()).map(|w| cache.live_edge_ids(w)).collect()
-        };
         let sparse = WorldCache::sample(&g, 8, 1);
         let reference = WorldCache::sample_dense_reference(&g, 8, 1);
-        assert_eq!(live_of(&sparse), live_of(&reference));
-        for w in 0..8 {
-            let ids = sparse.live_edge_ids(w);
+        assert_eq!(live_of(&g, &sparse), live_of(&g, &reference));
+        for ids in live_of(&g, &sparse) {
             assert_eq!(ids.len(), 2);
             for e in ids {
                 assert_eq!(g.edge_probs_flat()[e as usize], 1.0);
             }
         }
-    }
-
-    #[test]
-    fn sparse_storage_is_smaller_at_low_density() {
-        // A 4000-edge path at p = 0.02: one bit per edge per world would
-        // cost 500 bytes a world, the gap stream ≈ 1 byte per live edge
-        // (~80 per world).
-        let n = 4001u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for i in 0..n - 1 {
-            b.add_edge(i, i + 1, 0.02).unwrap();
-        }
-        let g = b.build().unwrap();
-        let cache = WorldCache::sample_with_pool(&g, 64, 3, &ThreadPool::new(1));
-        let bitmap_bytes = 64 * g.edge_count().div_ceil(64) as u64 * 8;
-        assert!(
-            cache.resident_bytes() * 3 < bitmap_bytes,
-            "sparse {} vs one-bit-per-edge {} bytes",
-            cache.resident_bytes(),
-            bitmap_bytes
-        );
-        let d = cache.live_density();
-        assert!((d - 0.02).abs() < 0.005, "density {d} far from p");
     }
 
     #[test]
@@ -820,8 +687,8 @@ mod tests {
         let r = 4000usize;
         let freq = |cache: &WorldCache| -> Vec<f64> {
             let mut counts = vec![0usize; g.edge_count()];
-            for w in 0..cache.len() {
-                for e in cache.live_edge_ids(w) {
+            for ids in live_of(&g, cache) {
+                for e in ids {
                     counts[e as usize] += 1;
                 }
             }
@@ -846,29 +713,32 @@ mod tests {
 
     #[test]
     fn live_out_cursor_matches_per_node_filter() {
-        // A 40-node ring with chords at mixed probabilities: every world
-        // view must report exactly a node's live out-edges, in rank order.
-        let mut b = GraphBuilder::new(40);
-        for i in 0u32..40 {
-            b.add_edge(i, (i + 1) % 40, 0.6).unwrap();
-            b.add_edge(i, (i + 7) % 40, 0.25).unwrap();
-            b.add_edge(i, (i + 13) % 40, 0.05).unwrap();
-        }
-        let g = b.build().unwrap();
+        // Every world view must report exactly a node's live out-edges'
+        // targets, in rank order, as the lone-sampled world has them.
+        let g = ring();
         let cache = WorldCache::sample(&g, 8, 3);
         for w in 0..cache.len() {
-            let ids = cache.live_edge_ids(w);
-            let mut buf = Vec::new();
-            let world = cache.world_into(w, &mut buf);
+            let bits = lone_world(&g, 3, w);
+            let world = cache.world(w);
             for u in g.nodes() {
                 let r = g.out_edge_ids(u);
-                let want: Vec<u32> = ids.iter().copied().filter(|&e| r.contains(&e)).collect();
+                let want: Vec<NodeId> = r
+                    .filter(|&e| bits.get(e as usize))
+                    .map(|e| g.edge_targets_flat()[e as usize])
+                    .collect();
                 let mut got = Vec::new();
-                world.for_live_out(r.start, r.end, |e| {
-                    got.push(e);
+                world.for_live_out(u, |v| {
+                    got.push(v);
                     true
                 });
                 assert_eq!(got, want, "world {w}, node {u:?}");
+                // Stopping early stops the walk.
+                let mut first = Vec::new();
+                world.for_live_out(u, |v| {
+                    first.push(v);
+                    false
+                });
+                assert_eq!(first, want.iter().copied().take(1).collect::<Vec<_>>());
             }
         }
     }

@@ -164,9 +164,15 @@ proptest! {
         b.add_edge(0, 1, p).unwrap();
         let g = b.build().unwrap();
         let cache = WorldCache::sample(&g, 8000, 3);
-        let mut buf = Vec::new();
         let live = (0..cache.len())
-            .filter(|&w| cache.world_into(w, &mut buf).get(0))
+            .filter(|&w| {
+                let mut live = false;
+                cache.world(w).for_live_out(NodeId(0), |_| {
+                    live = true;
+                    false
+                });
+                live
+            })
             .count();
         let freq = live as f64 / cache.len() as f64;
         prop_assert!((freq - p).abs() < 0.05, "live frequency {freq} vs p {p}");
@@ -188,7 +194,7 @@ proptest! {
         let freq = |cache: &WorldCache| -> Vec<f64> {
             let mut counts = vec![0u32; m];
             for w in 0..cache.len() {
-                for e in cache.live_edge_ids(w) {
+                for e in cache.live_edge_ids(&g, w) {
                     counts[e as usize] += 1;
                 }
             }

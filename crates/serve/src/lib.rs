@@ -4,7 +4,7 @@
 //! graph, samples every world cache, runs the campaign, and exits — so
 //! back-to-back campaigns on the same network pay the full setup cost each
 //! time. This crate keeps everything resident instead: the loaded dataset,
-//! every sampled [`osn_propagation::McBackend`] (world cache + decoded
+//! every sampled [`osn_propagation::McBackend`] (its world cache, held as
 //! lane blocks), and the re-weighted graph variants live for the lifetime
 //! of the process, shared zero-copy across concurrent campaigns.
 //!

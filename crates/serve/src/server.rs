@@ -58,11 +58,13 @@ pub struct ServeOptions {
     /// How long `SHUTDOWN` waits for in-flight requests before
     /// force-closing their connections.
     pub drain_deadline: Duration,
-    /// First delay of the accept-loop error backoff.
-    pub accept_backoff_base: Duration,
-    /// Ceiling of the accept-loop error backoff.
-    pub accept_backoff_cap: Duration,
 }
+
+/// First delay of the accept-loop error backoff.
+const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(1);
+
+/// Ceiling of the accept-loop error backoff.
+const ACCEPT_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 impl Default for ServeOptions {
     fn default() -> Self {
@@ -71,8 +73,6 @@ impl Default for ServeOptions {
             write_timeout: Some(Duration::from_secs(30)),
             max_line_bytes: 64 * 1024,
             drain_deadline: Duration::from_secs(10),
-            accept_backoff_base: Duration::from_millis(1),
-            accept_backoff_cap: Duration::from_secs(1),
         }
     }
 }
@@ -305,7 +305,7 @@ fn accept_loop(
     options: ServeOptions,
 ) -> DrainReport {
     let registry = Arc::new(Registry::default());
-    let mut backoff = AcceptBackoff::new(options.accept_backoff_base, options.accept_backoff_cap);
+    let mut backoff = AcceptBackoff::new(ACCEPT_BACKOFF_BASE, ACCEPT_BACKOFF_CAP);
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             break;

@@ -80,13 +80,14 @@ pub struct CampaignSpec {
 impl Default for CampaignSpec {
     fn default() -> Self {
         let quick = Effort::quick();
+        let s3ca = S3caConfig::default();
         CampaignSpec {
             algorithm: Algorithm::S3ca,
             budget_mult: 1.0,
             limited_cap: Algorithm::default_limited_cap(),
             estimator: EstimatorBackend::Mc,
-            epsilon: 0.1,
-            delta: 0.1,
+            epsilon: s3ca.sketch_epsilon,
+            delta: s3ca.sketch_delta,
             eval_worlds: 64,
             im_worlds: 8,
             seed: quick.seed,
@@ -263,9 +264,10 @@ impl ProbeSpec {
     /// Parse the body of a `PROBE` request. `seeds` is a `;`-separated node
     /// list, `coupons` a `;`-separated `node:count` list.
     pub fn parse(body: &str) -> Result<Self, String> {
+        let campaign = CampaignSpec::default();
         let mut spec = ProbeSpec {
-            worlds: 64,
-            seed: 42,
+            worlds: campaign.eval_worlds,
+            seed: campaign.seed,
             weights: WeightChoice::Dataset,
             seeds: Vec::new(),
             coupons: Vec::new(),
@@ -376,6 +378,14 @@ mod tests {
             let err = ProbeSpec::parse(body).unwrap_err();
             assert!(err.starts_with("worlds"), "PROBE {body}: {err}");
         }
+        // The wire defaults come from one source and keep their values.
+        let d = ProbeSpec::parse("").unwrap();
+        assert_eq!((d.worlds, d.seed), (64, 42));
+        let c = CampaignSpec::default();
+        assert_eq!(
+            (c.epsilon, c.delta, c.eval_worlds, c.seed),
+            (0.1, 0.1, 64, 42)
+        );
     }
 
     /// SplitMix64 step: the deterministic stream behind the mutation test.

@@ -2,8 +2,8 @@
 //! the sampled Monte-Carlo backends and the sketch indexes, shared across
 //! concurrent campaigns and kept under one byte budget.
 //!
-//! Immutability is the sharing model: graphs, node data, world caches,
-//! decoded lane blocks and sketch indexes are all read-only after
+//! Immutability is the sharing model: graphs, node data, world caches
+//! (their lane blocks) and sketch indexes are all read-only after
 //! construction, so campaigns borrow them zero-copy through `Arc`s — there
 //! is no per-campaign copy of anything sized by the graph. The only
 //! mutable state is the three cache maps and counters. Each map holds one
@@ -43,7 +43,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Byte budget over every evictable resident entry: re-weighted variants,
 /// Monte-Carlo backends and sketch indexes. The base dataset is not
 /// counted. The benchmark's largest resident set (one 1024-world backend
-/// on 1.6M edges) is about 500 MB, so no shipped workload evicts.
+/// on 1.6M edges, held as lane blocks) is about 300 MB, so no shipped
+/// workload evicts.
 pub const RESIDENT_BUDGET_BYTES: usize = 2 << 30;
 
 /// Bytes a cached value charges against [`RESIDENT_BUDGET_BYTES`].
@@ -60,7 +61,7 @@ impl Resident for LoadedDataset {
 
 impl Resident for McBackend {
     fn resident_bytes(&self) -> usize {
-        self.cache().resident_bytes() as usize + self.lane_store().resident_bytes()
+        self.cache().resident_bytes() as usize
     }
 }
 
@@ -138,9 +139,9 @@ pub struct ServeState {
     resident_budget: usize,
     /// Source of the entries' last-use stamps (LRU order across maps).
     tick: AtomicU64,
-    /// A request that ends should run an eviction pass: set by every miss
-    /// (a new entry may still grow, e.g. by decoding lane blocks) and by a
-    /// pass that found held entries over the budget.
+    /// A request that ends should run an eviction pass: set by a pass that
+    /// found held entries over the budget. Entries never grow after their
+    /// build, so a pass that fit the budget owes no second one.
     settle_due: AtomicBool,
     evictions: AtomicU64,
     admission: Admission,
@@ -339,7 +340,6 @@ impl ServeState {
         drop(slot);
         if missed {
             self.settle();
-            self.settle_due.store(true, Ordering::SeqCst);
         }
         value
     }
@@ -572,11 +572,6 @@ impl ServeState {
         let resident_bytes = built_bytes(&lock(&self.variants))
             + built_bytes(&lock(&self.backends))
             + built_bytes(&lock(&self.indexes));
-        let decoded_blocks: usize = lock(&self.backends)
-            .values()
-            .filter_map(|e| e.slot.get())
-            .map(|b| b.lane_store().decoded_blocks())
-            .sum();
         let (probes, batches) = self.batcher.counters();
         vec![
             format!("dataset={}", self.dataset.name),
@@ -589,7 +584,6 @@ impl ServeState {
             format!("resident_bytes={resident_bytes}"),
             format!("resident_budget_bytes={}", self.resident_budget),
             format!("evictions={}", self.evictions.load(Ordering::Relaxed)),
-            format!("decoded_lane_blocks={decoded_blocks}"),
             format!("inflight={}", self.admission.in_flight()),
             format!("inflight_cap={}", self.admission.capacity()),
             format!(

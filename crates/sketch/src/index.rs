@@ -27,10 +27,11 @@
 //! in [`BuildStats`], never silent.
 
 use crate::SketchParams;
+use osn_graph::prob_index::ProbBucketIndex;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::bits::BitVec;
-use osn_propagation::world::WorldCache;
+use osn_propagation::world::sample_world;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,8 +111,8 @@ fn root_rng(seed: u64, sketch: u64) -> SmallRng {
     )
 }
 
-/// Per-round world-cache seed: each doubling round samples fresh worlds
-/// from an independent deterministic stream family.
+/// Per-round world seed: each doubling round samples fresh worlds from an
+/// independent deterministic stream family.
 fn round_seed(seed: u64, round: u64) -> u64 {
     seed ^ round.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x5754_4C44_5348_4554
 }
@@ -152,6 +153,7 @@ impl SketchIndex {
         let g_min = params.world_floor();
         let lambda = 3.0 * (2.0 / params.delta).ln() / (params.epsilon * params.epsilon);
 
+        let index = graph.prob_bucket_index();
         let mut sketches: Vec<RawSketch> = Vec::new();
         let mut spread_mass = 0u64;
         let mut worlds_done = 0usize;
@@ -164,17 +166,18 @@ impl SketchIndex {
             }
             // Round sizes: the Hoeffding floor first, then doubling.
             let want = if worlds_done == 0 { g_min } else { worlds_done };
-            let batch = want.min(world_cap - worlds_done);
-            let cache =
-                WorldCache::sample_with_pool(graph, batch, round_seed(params.seed, round), pool);
-            let base_sketch = worlds_done * t;
+            let this_round = Round {
+                seed: round_seed(params.seed, round),
+                worlds: want.min(world_cap - worlds_done),
+                base_sketch: worlds_done * t,
+            };
             let mut batch_sketches =
-                extract_worlds(graph, &cache, &cdf, b_total, params, base_sketch, pool);
+                extract_worlds(graph, &index, &this_round, &cdf, b_total, params, pool);
             for s in &batch_sketches {
                 spread_mass += (s.members.len() - 1) as u64;
             }
             sketches.append(&mut batch_sketches);
-            worlds_done += batch;
+            worlds_done += this_round.worlds;
             round += 1;
 
             if worlds_done >= g_min && spread_mass as f64 >= lambda {
@@ -445,26 +448,36 @@ impl SketchIndex {
     }
 }
 
-/// Extract `roots_per_world` sketches from every world of `cache`, in
-/// world order, parallel across worlds. Sketch `base_sketch + w*T + t` has
-/// a fixed RNG stream, so the result is pool-size independent.
+/// One doubling round: `worlds` worlds of the stream family `seed`, whose
+/// sketches are numbered from `base_sketch`.
+struct Round {
+    seed: u64,
+    worlds: usize,
+    base_sketch: usize,
+}
+
+/// Extract `roots_per_world` sketches from every world of `round`, in
+/// world order, parallel across worlds. Each world is sampled straight
+/// into its extraction bitmap — world `w` is world `w` of the forward
+/// cache seeded `round.seed` — and sketch `base_sketch + w*T + t` has a
+/// fixed RNG stream, so the result is pool-size independent.
 fn extract_worlds(
     graph: &CsrGraph,
-    cache: &WorldCache,
+    index: &ProbBucketIndex,
+    round: &Round,
     cdf: &[f64],
     b_total: f64,
     params: &SketchParams,
-    base_sketch: usize,
     pool: &ThreadPool,
 ) -> Vec<RawSketch> {
     let t = params.roots_per_world;
-    let per_world: Vec<Vec<RawSketch>> = pool.map_indexed(cache.len(), |w| {
+    let per_world: Vec<Vec<RawSketch>> = pool.map_indexed(round.worlds, |w| {
         let mut bits = BitVec::zeros(graph.edge_count());
-        cache.world_fill_bits(w, &mut bits);
+        sample_world(graph, index, round.seed, w as u64, &mut bits);
         let mut scratch = ExtractScratch::new(graph.node_count());
         (0..t)
             .map(|ti| {
-                let sketch_id = (base_sketch + w * t + ti) as u64;
+                let sketch_id = (round.base_sketch + w * t + ti) as u64;
                 let mut rng = root_rng(params.seed, sketch_id);
                 let root = sample_root(cdf, b_total, &mut rng);
                 extract_sketch(graph, &bits, root, &mut scratch)
