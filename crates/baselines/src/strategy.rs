@@ -62,72 +62,49 @@ impl CouponStrategy {
         seeds: &[NodeId],
         binv: f64,
     ) -> Vec<u32> {
-        use osn_propagation::rank::redemption_probs;
-        use osn_propagation::spread::{eligible_children, spread_levels};
+        use osn_propagation::spread::spread_levels;
+        use osn_propagation::Ledger;
 
         let n = graph.node_count();
-        let mut coupons = vec![0u32; n];
-        let seed_cost: f64 = seeds.iter().map(|&s| data.seed_cost(s)).sum();
+        let mut ledger = Ledger::new(graph, data, seeds, &vec![0; n]);
+        let seed_cost = ledger.seed_cost();
         let mut remaining = binv - seed_cost;
         if remaining <= 0.0 {
-            return coupons;
+            return vec![0; n];
         }
         let full = self.coupons_for(graph, seeds);
         let (_, order) = spread_levels(graph, seeds, &full);
-        let mut seed_mask = vec![false; n];
-        for &s in seeds {
-            seed_mask[s.index()] = true;
-        }
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut probs: Vec<f64> = Vec::new();
-        // Each funded node's expected local distribution cost, cached so the
-        // trim loop below can re-total in O(n) instead of re-running the
-        // whole O(Σ deg·k) rank-DP sweep of `expected_sc_cost` per trimmed
-        // node. A holder's local cost depends only on its own coupon count
-        // and the seed mask (eligibility ignores levels), so trimming other
-        // nodes never invalidates a cached term.
-        let mut local_cost = vec![0.0f64; n];
+        // Fund each allotment while its Table-I cost term fits. The ledger
+        // keeps every funded holder's term, so the trim loop below
+        // re-totals without a rank-DP sweep: a holder's term depends only
+        // on its own coupon count and the seed mask, so trimming other
+        // nodes never changes it.
         for &v in &order {
             let k = full[v.index()];
             if k == 0 {
                 continue;
             }
-            eligible_children(graph, &seed_mask, v, &mut targets, &mut probs);
-            let q = redemption_probs(&probs, k);
-            let local: f64 = q
-                .iter()
-                .zip(targets.iter())
-                .map(|(a, &t)| a * data.sc_cost(t))
-                .sum();
+            ledger.add_coupons(v, k);
+            let local = ledger.holder(v).expect("just funded").local_cost;
             if local <= remaining {
-                coupons[v.index()] = k;
-                local_cost[v.index()] = local;
                 remaining -= local;
             } else {
+                ledger.remove_coupons(v, k);
                 break; // the budget ran out at this point of the spread
             }
         }
         // The running `remaining` subtraction above sums in spread order;
         // the exact cost sums in ascending node order, so rounding can
-        // differ: trim until the exact cost fits. The ascending-node-order
-        // re-total reproduces `expected_sc_cost`'s summation bit-for-bit
-        // (pinned by the tests below).
-        let total_sc = |coupons: &[u32], local_cost: &[f64]| -> f64 {
-            let mut total = 0.0;
-            for i in 0..coupons.len() {
-                if coupons[i] > 0 {
-                    total += local_cost[i];
-                }
-            }
-            total
-        };
-        while total_sc(&coupons, &local_cost) + seed_cost > binv * (1.0 + 1e-9) {
-            let Some(last) = order.iter().rev().find(|v| coupons[v.index()] > 0) else {
+        // differ: trim until the exact cost fits. `Ledger::sc_cost` is
+        // `expected_sc_cost`'s summation bit-for-bit (pinned by the tests
+        // below).
+        while ledger.sc_cost() + seed_cost > binv * (1.0 + 1e-9) {
+            let Some(&last) = order.iter().rev().find(|v| ledger.coupons()[v.index()] > 0) else {
                 break;
             };
-            coupons[last.index()] = 0;
+            ledger.remove_coupons(last, u32::MAX);
         }
-        coupons
+        ledger.coupons().to_vec()
     }
 }
 

@@ -4,7 +4,7 @@
 //! at least one coupon, matching the paper's `K(I) = {k_i | v_i ∈ I}`.
 
 use osn_graph::{CsrGraph, NodeId};
-use osn_propagation::DeploymentRef;
+use osn_propagation::{DeploymentRef, Ledger};
 use serde::{Deserialize, Serialize};
 
 /// A (partial or final) solution: the seed set and per-node coupon counts.
@@ -23,16 +23,6 @@ impl Deployment {
             seeds: Vec::new(),
             coupons: vec![0; n],
         }
-    }
-
-    /// Number of users covered.
-    pub fn len(&self) -> usize {
-        self.coupons.len()
-    }
-
-    /// True when no user exists.
-    pub fn is_empty(&self) -> bool {
-        self.coupons.is_empty()
     }
 
     /// Whether `v` is a seed.
@@ -58,17 +48,19 @@ impl Deployment {
         add
     }
 
-    /// Remove up to `count` coupons from `v`; returns the number removed.
-    pub fn remove_coupons(&mut self, v: NodeId, count: u32) -> u32 {
-        let cur = self.coupons[v.index()];
-        let take = count.min(cur);
-        self.coupons[v.index()] = cur - take;
-        take
-    }
-
     /// Total allocated coupons `Σ k_i`.
     pub fn total_coupons(&self) -> u64 {
         self.coupons.iter().map(|&k| k as u64).sum()
+    }
+}
+
+/// A copy of an estimator's live deployment, for snapshots and results.
+impl From<&Ledger<'_>> for Deployment {
+    fn from(ledger: &Ledger<'_>) -> Self {
+        Deployment {
+            seeds: ledger.seeds().to_vec(),
+            coupons: ledger.coupons().to_vec(),
+        }
     }
 }
 
@@ -114,15 +106,5 @@ mod tests {
         assert_eq!(d.seeds, vec![NodeId(1)]);
         assert!(d.is_seed(NodeId(1)));
         assert!(!d.is_seed(NodeId(0)));
-    }
-
-    #[test]
-    fn remove_coupons_saturates() {
-        let g = graph();
-        let mut d = Deployment::empty(3);
-        d.add_coupons(&g, NodeId(0), 2);
-        assert_eq!(d.remove_coupons(NodeId(0), 5), 2);
-        assert_eq!(d.coupons[0], 0);
-        assert_eq!(d.remove_coupons(NodeId(0), 1), 0);
     }
 }

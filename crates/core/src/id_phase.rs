@@ -239,8 +239,9 @@ impl CandidateHeap {
         });
     }
 
-    fn is_candidate<E: BenefitEstimator + ?Sized>(est: &E, graph: &CsrGraph, u: NodeId) -> bool {
-        est.active_prob()[u.index()] > 0.0 && est.coupons()[u.index()] < graph.out_degree(u) as u32
+    /// Positive activation probability and coupons below the out-degree.
+    fn is_candidate(prob: &[f64], coupons: &[u32], graph: &CsrGraph, u: NodeId) -> bool {
+        prob[u.index()] > 0.0 && coupons[u.index()] < graph.out_degree(u) as u32
     }
 
     /// Full re-index after a structural change: positions shift, membership
@@ -254,9 +255,10 @@ impl CandidateHeap {
         scratch: &mut DeltaScratch,
     ) {
         self.heap.clear();
+        let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
         for (p, &u) in est.order().iter().enumerate() {
             self.pos[u.index()] = p as u32;
-            if !Self::is_candidate(est, graph, u) {
+            if !Self::is_candidate(prob, coupons, graph, u) {
                 continue;
             }
             if !self.scored[u.index()] {
@@ -310,9 +312,10 @@ impl CandidateHeap {
             self.dirty.clear();
             return;
         }
+        let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
         for &u in &dirty {
             self.version[u.index()] = self.version[u.index()].wrapping_add(1);
-            if Self::is_candidate(est, graph, u) {
+            if Self::is_candidate(prob, coupons, graph, u) {
                 self.rescore(est, u, scratch);
                 self.push_if_positive(u);
             }
@@ -360,14 +363,11 @@ fn mark_explored<E: BenefitEstimator + ?Sized>(
     nodes: &[NodeId],
     explored: &mut ExploreTracker,
 ) {
+    let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
     for &u in nodes {
-        if est.active_prob()[u.index()] <= 0.0 {
-            continue;
+        if CandidateHeap::is_candidate(prob, coupons, graph, u) {
+            explored.mark(u);
         }
-        if est.coupons()[u.index()] >= graph.out_degree(u) as u32 {
-            continue;
-        }
-        explored.mark(u);
     }
 }
 
@@ -419,29 +419,32 @@ where
 {
     let n = graph.node_count();
     let mut queue = PivotQueue::build(graph, data, binv);
-    let mut dep = Deployment::empty(n);
 
     // Initial influence source: the best feasible package.
     let Some(first) = queue.pop() else {
         return IdOutcome::empty(n);
     };
-    apply_package(graph, &mut dep, &first);
+    let mut initial = Deployment::empty(n);
+    initial.add_seed(first.node);
+    initial.add_coupons(graph, first.node, first.coupons);
     explored.mark(first.node);
 
-    let mut pivot = next_usable_pivot(&mut queue, &dep);
-    let mut engine = make_estimator(&dep.seeds, &dep.coupons);
+    // From here on the estimator's ledger is the live deployment; a
+    // `Deployment` is built only for snapshots and the result.
+    let mut engine = make_estimator(&initial.seeds, &initial.coupons);
+    let mut pivot = next_usable_pivot_for(&mut queue, &engine);
     let mut value = objective::value_from_estimator(&engine);
     let mut scratch = DeltaScratch::default();
     let mut cache = CandidateHeap::new(n);
     cache.rebuild_all(&engine, graph, &mut scratch);
 
-    let mut best_dep = dep.clone();
     let mut best_value = value;
     let mut iterations = 1usize;
     let mut snapshots: Vec<Snapshot> = vec![Snapshot {
-        deployment: dep.clone(),
+        deployment: initial.clone(),
         objective: value,
     }];
+    let mut best_dep = initial;
     let milestone = (binv / 12.0).max(f64::MIN_POSITIVE);
     let mut next_milestone = value.total_cost() + milestone;
     // Explored marking is incremental. Marks are never cleared, and a node
@@ -471,7 +474,7 @@ where
                 // Neither fits. If a pivot exists but is too expensive, a
                 // cheaper one may hide behind it; advance the queue.
                 if pivot.is_some() {
-                    pivot = next_usable_pivot(&mut queue, &dep);
+                    pivot = next_usable_pivot_for(&mut queue, &engine);
                     if pivot.is_some() {
                         continue;
                     }
@@ -486,16 +489,14 @@ where
 
         if take_coupon {
             let (u, ..) = best_node.expect("guarded by take_coupon");
-            dep.add_coupons(graph, u, 1);
             let (_, delta) = engine.add_coupons(u, 1);
             cache.apply(&engine, graph, &delta, u, &mut scratch);
             explore_next = (!delta.structural).then_some(delta.probs_changed);
         } else {
             let pkg = pivot.take().expect("guarded by pivot_feasible");
-            apply_package(graph, &mut dep, &pkg);
             explored.mark(pkg.node);
-            pivot = next_usable_pivot(&mut queue, &dep);
             let delta = engine.add_seed_package(pkg.node, pkg.coupons);
+            pivot = next_usable_pivot_for(&mut queue, &engine);
             cache.apply(&engine, graph, &delta, pkg.node, &mut scratch);
             explore_next = None;
         }
@@ -507,20 +508,21 @@ where
         // first snapshot.
         if value.within_budget(binv) && value.rate >= best_value.rate * (1.0 - 1e-9) {
             best_value = value;
-            best_dep = dep.clone();
+            best_dep = Deployment::from(engine.ledger());
         }
         if value.within_budget(binv) && value.total_cost() >= next_milestone {
             snapshots.push(Snapshot {
-                deployment: dep.clone(),
+                deployment: Deployment::from(engine.ledger()),
                 objective: value,
             });
             next_milestone = value.total_cost() + milestone;
         }
     }
     // The final deployment and the analytic argmax are always candidates.
-    if snapshots.last().map(|s| &s.deployment) != Some(&dep) && value.within_budget(binv) {
+    let last = Deployment::from(engine.ledger());
+    if snapshots.last().map(|s| &s.deployment) != Some(&last) && value.within_budget(binv) {
         snapshots.push(Snapshot {
-            deployment: dep.clone(),
+            deployment: last,
             objective: value,
         });
     }
@@ -681,6 +683,16 @@ fn apply_package(graph: &CsrGraph, dep: &mut Deployment, pkg: &SeedPackage) {
 
 /// Pop pivots until one names a node not yet invested in (a node already in
 /// the seed set or holding coupons would double-count its package value).
+fn next_usable_pivot_for<E: BenefitEstimator + ?Sized>(
+    queue: &mut PivotQueue,
+    est: &E,
+) -> Option<SeedPackage> {
+    let ledger = est.ledger();
+    std::iter::from_fn(|| queue.pop())
+        .find(|p| !ledger.is_seed(p.node) && ledger.coupons()[p.node.index()] == 0)
+}
+
+/// [`next_usable_pivot_for`] over the reference path's `Deployment`.
 fn next_usable_pivot(queue: &mut PivotQueue, dep: &Deployment) -> Option<SeedPackage> {
     while let Some(p) = queue.pop() {
         if !dep.is_seed(p.node) && dep.coupons[p.node.index()] == 0 {

@@ -30,9 +30,6 @@ use osn_propagation::{DeltaScratch, EngineCounters, SpreadEngine};
 /// Summary of the maneuvering phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScmStats {
-    /// Guaranteed paths that passed the precondition filter and were
-    /// examined in descending-AI order.
-    pub paths_examined: usize,
     /// Paths actually created (committed maneuvers).
     pub paths_created: usize,
     /// Total coupons moved by committed maneuvers.
@@ -54,9 +51,9 @@ struct Candidate {
 /// statistics. SCM runs on the exact analytic [`SpreadEngine`]: maneuver
 /// planning is dominated by O(deg) removal probes, which the engine serves
 /// from cached holder DPs, so there is nothing for a sampling backend to
-/// speed up here. Tentative plans run on engine clones kept in lockstep
-/// with the tentative coupon vector; a plan is committed only when its
-/// objective strictly improves within budget.
+/// speed up here. The engine's ledger is the live deployment; a tentative
+/// plan runs on an engine clone and is committed only when its objective
+/// strictly improves within budget.
 pub fn sc_maneuver(
     graph: &CsrGraph,
     data: &NodeData,
@@ -66,14 +63,13 @@ pub fn sc_maneuver(
     max_paths: usize,
 ) -> (ObjectiveValue, ScmStats) {
     let mut stats = ScmStats::default();
-    // The engine tracks the live deployment; tentative plans run on clones
-    // (which reuse every cached holder DP), so no maneuver ever
-    // re-evaluates the spread from scratch.
+    // Tentative plans run on clones (which reuse every cached holder DP),
+    // so no maneuver ever re-evaluates the spread from scratch.
     let mut engine = SpreadEngine::new(graph, data, &dep.seeds, &dep.coupons);
     let mut current = objective::value_from_estimator(&engine);
     let mut scratch = DeltaScratch::default();
 
-    let mut candidates = collect_candidates(dep, forests, &engine, &current);
+    let mut candidates = collect_candidates(forests, &engine, &current);
     // Descending amelioration index (Alg. 1 line 26).
     candidates.sort_by(|a, b| {
         b.amelioration
@@ -82,17 +78,14 @@ pub fn sc_maneuver(
     });
 
     for cand in candidates.into_iter().take(max_paths) {
-        stats.paths_examined += 1;
         let forest = &forests[cand.forest];
         // Re-check activatability against the *current* deployment: an
         // earlier committed maneuver may have funded this path's parent.
-        if !parent_unfunded(forest, cand.visit_index, dep) {
+        if !parent_unfunded(forest, cand.visit_index, engine.coupons()) {
             continue;
         }
         let beta = cand.amelioration;
-        if let Some((tent_engine, tentative, moved)) = plan_maneuver(
-            graph,
-            dep,
+        if let Some((tentative, moved)) = plan_maneuver(
             forest,
             cand.visit_index,
             beta,
@@ -100,22 +93,23 @@ pub fn sc_maneuver(
             &mut scratch,
             &mut stats.eval,
         ) {
-            let value = objective::value_from_estimator(&tent_engine);
+            let value = objective::value_from_estimator(&tentative);
             if value.rate > current.rate * (1.0 + 1e-12) && value.within_budget(binv) {
-                *dep = tentative;
-                engine = tent_engine;
+                engine = tentative;
                 current = value;
                 stats.paths_created += 1;
                 stats.coupons_moved += moved;
             }
         }
     }
+    if stats.paths_created > 0 {
+        *dep = Deployment::from(engine.ledger());
+    }
     (current, stats)
 }
 
 /// Filter GPs by the Alg. 1 line-28 preconditions and score their AIs.
 fn collect_candidates(
-    dep: &Deployment,
     forests: &[GpForest],
     state: &SpreadEngine,
     current: &ObjectiveValue,
@@ -132,7 +126,7 @@ fn collect_candidates(
             }
             // Condition 2: endpoint not already activatable (its GP parent
             // holds no coupons in D*).
-            if !parent_unfunded(forest, path.visit_index, dep) {
+            if !parent_unfunded(forest, path.visit_index, state.coupons()) {
                 continue;
             }
             // Amelioration index against the nearest possibly activated
@@ -161,9 +155,9 @@ fn collect_candidates(
 
 /// Whether the endpoint's DFS parent holds no coupons (the paper's
 /// `K_p ∈ K(I*) = 0` precondition).
-fn parent_unfunded(forest: &GpForest, visit_index: usize, dep: &Deployment) -> bool {
+fn parent_unfunded(forest: &GpForest, visit_index: usize, coupons: &[u32]) -> bool {
     match forest.visits[visit_index].parent {
-        Some(p) => dep.coupons[forest.visits[p].node.index()] == 0,
+        Some(p) => coupons[forest.visits[p].node.index()] == 0,
         None => false,
     }
 }
@@ -182,24 +176,22 @@ fn nearest_activated_ascendant(
 }
 
 /// Try to fund the GP at `visit_index` by retrieving coupons from minimum-DI
-/// donors (Alg. 3). Returns the funded tentative deployment (with its
-/// engine, kept in lockstep) and the number of coupons moved, or `None`
-/// when the deficit cannot be sourced under the `Id < β` gate. Engine
-/// effort — whether or not the plan survives — accumulates into `eval`.
-#[allow(clippy::too_many_arguments)]
+/// donors (Alg. 3). Returns the funded tentative engine and the number of
+/// coupons moved, or `None` when the deficit cannot be sourced under the
+/// `Id < β` gate. Engine effort — whether or not the plan survives —
+/// accumulates into `eval`.
 fn plan_maneuver<'a>(
-    graph: &CsrGraph,
-    dep: &Deployment,
     forest: &GpForest,
     visit_index: usize,
     beta: f64,
     base_engine: &SpreadEngine<'a>,
     scratch: &mut DeltaScratch,
     eval: &mut EngineCounters,
-) -> Option<(SpreadEngine<'a>, Deployment, u64)> {
+) -> Option<(SpreadEngine<'a>, u64)> {
     // Receiver targets: the GP's K̂ allocation.
     let allocation = forest.allocation(visit_index);
-    let mut target = vec![0u32; dep.len()];
+    let coupons = base_engine.coupons();
+    let mut target = vec![0u32; coupons.len()];
     for &(node, k) in &allocation {
         target[node.index()] = k;
     }
@@ -208,7 +200,7 @@ fn plan_maneuver<'a>(
     let mut receivers: Vec<NodeId> = Vec::new();
     let mut deficit_total = 0u64;
     for &(node, k) in &allocation {
-        let have = dep.coupons[node.index()];
+        let have = coupons[node.index()];
         if k > have {
             receivers.push(node);
             deficit_total += (k - have) as u64;
@@ -218,7 +210,6 @@ fn plan_maneuver<'a>(
         return None; // already funded; nothing to maneuver
     }
 
-    let mut tentative = dep.clone();
     let mut engine = base_engine.clone();
     let counters_at_clone = engine.counters();
     let mut moved = 0u64;
@@ -229,7 +220,7 @@ fn plan_maneuver<'a>(
         }
         // Advance to the next receiver still below target.
         while recv_idx < receivers.len()
-            && tentative.coupons[receivers[recv_idx].index()] >= target[receivers[recv_idx].index()]
+            && engine.coupons()[receivers[recv_idx].index()] >= target[receivers[recv_idx].index()]
         {
             recv_idx += 1;
         }
@@ -239,41 +230,37 @@ fn plan_maneuver<'a>(
 
         // Pick the donor with minimum deterioration index under the current
         // tentative allocation.
-        let Some(donor) = best_donor(&engine, &tentative, &target, beta, scratch) else {
+        let Some(donor) = best_donor(&engine, &target, beta, scratch) else {
             break None;
         };
-        tentative.remove_coupons(donor, 1);
         engine.remove_coupons(donor, 1);
-        let added = tentative.add_coupons(graph, receiver, 1);
-        engine.add_coupons(receiver, 1);
+        let (added, _) = engine.add_coupons(receiver, 1);
         if added == 0 {
             break None; // receiver saturated by out-degree; path infeasible
         }
         moved += 1;
     };
     *eval = eval.merged(&engine.counters().since(&counters_at_clone));
-    outcome.map(|moved| (engine, tentative, moved))
+    outcome.map(|moved| (engine, moved))
 }
 
 /// Donor with minimal DI among nodes holding spare coupons (allocation above
-/// their GP target), subject to `Id < β`. DIs are first-order removal
-/// deltas against the tentative deployment's spread state — served by the
-/// lockstep engine from its cached holder DPs instead of a from-scratch
-/// re-evaluation per donor pick.
+/// their GP target), subject to `Id < β`. The candidates are the ledger's
+/// holders in ascending node order, so ties go to the lowest node. DIs are
+/// first-order removal deltas against the tentative deployment's spread
+/// state, served from the engine's cached holder DPs.
 fn best_donor(
     engine: &SpreadEngine,
-    tentative: &Deployment,
     target: &[u32],
     beta: f64,
     scratch: &mut DeltaScratch,
 ) -> Option<NodeId> {
-    debug_assert_eq!(engine.coupons(), &tentative.coupons[..]);
+    let coupons = engine.coupons();
     let mut best: Option<(f64, NodeId)> = None;
-    for (i, (&k, &needed)) in tentative.coupons.iter().zip(target).enumerate() {
-        if k == 0 || k <= needed {
+    for &node in engine.ledger().holder_nodes() {
+        if coupons[node.index()] <= target[node.index()] {
             continue; // no spare coupons beyond the GP's own needs
         }
-        let node = NodeId::from_index(i);
         let (db, dc) = engine.coupon_removal_delta(node, scratch);
         let benefit_loss = -db;
         let cost_saved = -dc;

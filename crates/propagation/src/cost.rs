@@ -9,7 +9,7 @@
 //!   `0.5 + 0.2`, not `0.6·(0.5 + 0.2)`).
 
 use crate::rank::redemption_probs;
-use crate::spread::edge_eligible;
+use crate::spread::eligible_children;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// `Cseed(S)`: total seed cost.
@@ -17,10 +17,19 @@ pub fn seed_cost(data: &NodeData, seeds: &[NodeId]) -> f64 {
     seeds.iter().map(|&s| data.seed_cost(s)).sum()
 }
 
+/// One internal node's term of `Csc`: `Σ_j q_j · c_sc(target_j)` over its
+/// eligible ranked children.
+pub(crate) fn holder_cost(data: &NodeData, targets: &[NodeId], q: &[f64]) -> f64 {
+    q.iter()
+        .zip(targets)
+        .map(|(&qj, &v)| qj * data.sc_cost(v))
+        .sum::<f64>()
+}
+
 /// `Csc(K(I))`: expected coupon cost of the allocation, using the same
 /// rank/eligibility semantics as the benefit evaluator (seeds never receive
-/// coupons). One pass over the holders' out-edges: eligibility reads only
-/// the seed mask, so no spread BFS is needed.
+/// coupons), built from scratch. One pass over the holders' out-edges:
+/// eligibility reads only the seed mask, so no spread BFS is needed.
 pub fn expected_sc_cost(
     graph: &CsrGraph,
     data: &NodeData,
@@ -32,24 +41,15 @@ pub fn expected_sc_cost(
     for &s in seeds {
         seed_mask[s.index()] = true;
     }
-    let mut probs: Vec<f64> = Vec::new();
-    let mut costs: Vec<f64> = Vec::new();
+    let mut targets = Vec::new();
+    let mut probs = Vec::new();
     let mut total = 0.0;
     for (i, &k) in coupons.iter().enumerate() {
-        if k == 0 {
-            continue;
+        if k > 0 {
+            let u = NodeId::from_index(i);
+            eligible_children(graph, &seed_mask, u, &mut targets, &mut probs);
+            total += holder_cost(data, &targets, &redemption_probs(&probs, k));
         }
-        let u = NodeId::from_index(i);
-        probs.clear();
-        costs.clear();
-        for (v, p) in graph.ranked_out(u) {
-            if edge_eligible(&seed_mask, v) {
-                probs.push(p);
-                costs.push(data.sc_cost(v));
-            }
-        }
-        let q = redemption_probs(&probs, k);
-        total += q.iter().zip(costs.iter()).map(|(a, b)| a * b).sum::<f64>();
     }
     total
 }

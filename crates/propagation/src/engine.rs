@@ -4,21 +4,22 @@
 //! everything — BFS levels, eligible-child collection, the O(deg·k) rank DP
 //! per holder, forward/backward passes — from scratch for every candidate
 //! move, which dominates S3CA's greedy inner loop (the ROADMAP's "Faster
-//! rank DP" bottleneck). [`SpreadEngine`] instead *owns* the per-holder
-//! distributions `(holder, eligible children, rank-DP cache, q)` as a
-//! maintained index:
+//! rank DP" bottleneck). [`SpreadEngine`] instead keeps the spread
+//! structure as a maintained index over the per-holder distributions
+//! `(holder, eligible children, rank-DP cache, q)` its [`Ledger`] owns:
 //!
 //! * **Broaden** (one more coupon to a current holder) extends that
-//!   holder's [`RankDp`] in O(deg) — the saturating coupon-consumption
-//!   distribution is rolled forward one row instead of recomputed — and
-//!   re-runs only the flat propagation passes.
+//!   holder's [`RankDp`](crate::rank::RankDp) in O(deg) — the saturating
+//!   coupon-consumption distribution is rolled forward one row instead of
+//!   recomputed — and re-runs only the flat propagation passes.
 //! * **Deepen / new seed / coupon retrieval** re-derive the spread
 //!   structure (BFS order), but every untouched holder's DP is reused;
 //!   only holders whose eligibility actually changed (in-neighbors of a
 //!   new seed, the retrieval donor) rebuild theirs.
 //! * Marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
-//!   answer "what if `u` got one more coupon" in O(deg) from the cached
-//!   availability sums, replacing two O(deg·k) DP sweeps per candidate.
+//!   answer "what if `u` got one more coupon" in O(deg) from the ledger's
+//!   cached availability sums, replacing two O(deg·k) DP sweeps per
+//!   candidate.
 //!
 //! ## Per-move cost: O(spread + targets), not O(|V|)
 //!
@@ -31,9 +32,9 @@
 //! the exact-bit change report diffs only previous ∪ current members
 //! (probabilities) and holders (gains), in ascending node order. A
 //! non-structural refresh keeps both sets and diffs the current ones
-//! without any copy. [`sc_cost`](SpreadEngine::sc_cost) sums a holder list
-//! kept in ascending node order. Structural moves also re-run the spread
-//! BFS, which allocates an n-sized level array.
+//! without any copy. [`sc_cost`](SpreadEngine::sc_cost) sums the ledger's
+//! holder list, kept in ascending node order. Structural moves also re-run
+//! the spread BFS, which allocates an n-sized level array.
 //!
 //! ## The bit-identity contract
 //!
@@ -42,18 +43,16 @@
 //! gains, expected benefit, SC cost) is **bit-identical** to a from-scratch
 //! [`SpreadState::evaluate`] of the same deployment — the incremental DP
 //! extension reproduces the exact floating-point sequence of the full DP
-//! (see [`RankDp`]), and the propagation passes are the very same
-//! `pub(crate)` functions `SpreadState` runs. [`rebuild`](SpreadEngine::rebuild)
-//! is the escape hatch that recomputes everything from scratch; proptests
-//! in `crates/propagation/tests/proptests.rs` pin that it never changes a
-//! bit. This is what lets the greedy phases switch to the engine while
-//! every pinned paper CSV stays byte-identical.
+//! (see [`RankDp`](crate::rank::RankDp)), and the propagation passes are
+//! the very same `pub(crate)` functions `SpreadState` runs.
+//! [`rebuild`](SpreadEngine::rebuild) is the escape hatch that recomputes
+//! everything from scratch; proptests in
+//! `crates/propagation/tests/proptests.rs` pin that it never changes a bit,
+//! which is what keeps every pinned paper CSV byte-identical.
 
-use crate::cost::seed_cost;
-use crate::rank::{redemption_probs_into, RankDp};
+use crate::ledger::{DeltaScratch, Ledger};
 use crate::spread::{
-    accumulate_gains, benefit_sum, eligible_children, propagate_activation, spread_levels, DistRef,
-    SpreadState,
+    accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef, SpreadState,
 };
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
@@ -70,7 +69,8 @@ pub struct EngineCounters {
     /// cached holder DP.
     pub structural_refreshes: u64,
     /// Per-holder from-scratch DP rebuilds (new holders, eligibility
-    /// changes from seed additions, coupon retrievals).
+    /// changes from seed additions, coupon retrievals), counted by the
+    /// estimator's [`Ledger`].
     pub holder_rebuilds: u64,
 }
 
@@ -114,52 +114,28 @@ pub struct RefreshDelta {
     pub eligibility_changed: Vec<NodeId>,
 }
 
-/// One coupon holder's maintained distribution.
-#[derive(Clone, Debug)]
-struct Holder {
-    node: NodeId,
-    /// Eligible ranked children (non-seed out-neighbors, rank order).
-    targets: Vec<NodeId>,
-    /// Influence probabilities parallel to `targets`.
-    probs: Vec<f64>,
-    /// Cached rank DP (q, availability sums, E_k row) at the current k.
-    dp: RankDp,
-    /// `Σ_j q_j · c_sc(target_j)` — this holder's Table-I cost term.
-    local_cost: f64,
-}
-
-const NO_SLOT: u32 = u32::MAX;
-
 /// Stateful analytic evaluator of one evolving deployment. See the module
 /// docs for the maintenance strategy and the bit-identity contract.
 #[derive(Clone, Debug)]
 pub struct SpreadEngine<'a> {
     graph: &'a CsrGraph,
     data: &'a NodeData,
-    seeds: Vec<NodeId>,
-    coupons: Vec<u32>,
-    seed_mask: Vec<bool>,
-    seed_cost: f64,
+    /// The deployment, its holders' DPs and its exact costs.
+    ledger: Ledger<'a>,
     levels: Vec<Option<u32>>,
     order: Vec<NodeId>,
     active_prob: Vec<f64>,
     subtree_gain: Vec<f64>,
     expected_benefit: f64,
-    /// Node → holder slot (`NO_SLOT` when the node holds no coupons).
-    slot: Vec<u32>,
-    holders: Vec<Holder>,
-    /// Every holder's node in ascending node order: the summation order of
-    /// [`sc_cost`](Self::sc_cost).
-    holder_nodes: Vec<NodeId>,
-    /// Holder slots that participate in propagation: spread members with at
+    /// Holders that participate in propagation: spread members with at
     /// least one eligible child, in spread order (mirrors
     /// `SpreadState::evaluate`'s `distributions`).
-    spread_dists: Vec<u32>,
+    spread_dists: Vec<NodeId>,
     /// `order` in ascending node order: the candidates of the probability
     /// diff.
     sorted_members: Vec<NodeId>,
-    /// The `spread_dists` holders' nodes in ascending node order: the only
-    /// nodes whose subtree gain can differ from their own benefit.
+    /// `spread_dists` in ascending node order: the only nodes whose subtree
+    /// gain can differ from their own benefit.
     sorted_dists: Vec<NodeId>,
     /// Fixpoint scratch.
     complement: Vec<f64>,
@@ -167,6 +143,7 @@ pub struct SpreadEngine<'a> {
     /// `active_prob`/`subtree_gain` everywhere between moves.
     prev_active: Vec<f64>,
     prev_gain: Vec<f64>,
+    /// Every counter but `holder_rebuilds`, which the ledger keeps.
     counters: EngineCounters,
 }
 
@@ -179,7 +156,6 @@ impl<'a> SpreadEngine<'a> {
         seeds: &[NodeId],
         coupons: &[u32],
     ) -> SpreadEngine<'a> {
-        debug_assert_eq!(coupons.len(), graph.node_count());
         let n = graph.node_count();
         // Outside the spread every probability is 0 and every gain is the
         // node's own benefit; the refreshes maintain exactly that.
@@ -189,18 +165,12 @@ impl<'a> SpreadEngine<'a> {
         let mut engine = SpreadEngine {
             graph,
             data,
-            seeds: seeds.to_vec(),
-            coupons: coupons.to_vec(),
-            seed_mask: vec![false; n],
-            seed_cost: 0.0,
+            ledger: Ledger::new(graph, data, seeds, coupons),
             levels: vec![None; n],
             order: Vec::new(),
             active_prob: vec![0.0; n],
             subtree_gain: benefits.clone(),
             expected_benefit: 0.0,
-            slot: vec![NO_SLOT; n],
-            holders: Vec::new(),
-            holder_nodes: Vec::new(),
             spread_dists: Vec::new(),
             sorted_members: Vec::new(),
             sorted_dists: Vec::new(),
@@ -209,7 +179,7 @@ impl<'a> SpreadEngine<'a> {
             prev_gain: benefits,
             counters: EngineCounters::default(),
         };
-        engine.rebuild();
+        engine.rebuild_structure();
         engine
     }
 
@@ -219,28 +189,8 @@ impl<'a> SpreadEngine<'a> {
     /// exists so long-lived engines can bound drift concerns and as the
     /// reference the tests compare against.
     pub fn rebuild(&mut self) -> RefreshDelta {
-        for s in self.slot.iter_mut() {
-            *s = NO_SLOT;
-        }
-        self.holders.clear();
-        self.holder_nodes.clear();
-        for i in 0..self.graph.node_count() {
-            self.seed_mask[i] = false;
-        }
-        for &s in &self.seeds {
-            self.seed_mask[s.index()] = true;
-        }
-        self.seed_cost = seed_cost(self.data, &self.seeds);
-        for i in 0..self.coupons.len() {
-            if self.coupons[i] > 0 {
-                let node = NodeId::from_index(i);
-                let holder = self.build_holder(node, self.coupons[i]);
-                self.insert_holder(holder);
-            }
-        }
-        self.counters.full_rebuilds += 1;
-        self.derive_structure();
-        self.refresh(true)
+        self.ledger.rebuild();
+        self.rebuild_structure()
     }
 
     // ------------------------------------------------------------------
@@ -267,41 +217,44 @@ impl<'a> SpreadEngine<'a> {
         self.expected_benefit
     }
 
+    /// The deployment and its costs.
+    pub fn ledger(&self) -> &Ledger<'a> {
+        &self.ledger
+    }
+
     /// The current coupon allocation.
     pub fn coupons(&self) -> &[u32] {
-        &self.coupons
+        self.ledger.coupons()
     }
 
     /// The current seed set, in insertion order.
     pub fn seeds(&self) -> &[NodeId] {
-        &self.seeds
+        self.ledger.seeds()
     }
 
     /// Whether `v` is a seed.
     pub fn is_seed(&self, v: NodeId) -> bool {
-        self.seed_mask[v.index()]
+        self.ledger.is_seed(v)
     }
 
     /// `Cseed(S)` — maintained incrementally, bit-identical to
-    /// [`seed_cost`].
+    /// [`seed_cost`](crate::cost::seed_cost).
     pub fn seed_cost(&self) -> f64 {
-        self.seed_cost
+        self.ledger.seed_cost()
     }
 
-    /// `Csc(K(I))` — the ascending-node-order sum of cached per-holder
-    /// cost terms, bit-identical to
+    /// `Csc(K(I))`, bit-identical to
     /// [`expected_sc_cost`](crate::cost::expected_sc_cost).
     pub fn sc_cost(&self) -> f64 {
-        let mut total = 0.0;
-        for &v in &self.holder_nodes {
-            total += self.holders[self.slot[v.index()] as usize].local_cost;
-        }
-        total
+        self.ledger.sc_cost()
     }
 
     /// Evaluation-effort counters accumulated so far.
     pub fn counters(&self) -> EngineCounters {
-        self.counters
+        EngineCounters {
+            holder_rebuilds: self.ledger.holder_rebuilds(),
+            ..self.counters
+        }
     }
 
     /// Materialize the maintained state as a [`SpreadState`] (used by the
@@ -313,8 +266,8 @@ impl<'a> SpreadEngine<'a> {
             subtree_gain: self.subtree_gain.clone(),
             order: self.order.clone(),
             expected_benefit: self.expected_benefit,
-            seed_mask: self.seed_mask.clone(),
-            coupons: self.coupons.clone(),
+            seed_mask: self.ledger.seed_mask().to_vec(),
+            coupons: self.ledger.coupons().to_vec(),
         }
     }
 
@@ -322,35 +275,22 @@ impl<'a> SpreadEngine<'a> {
     // Moves.
     // ------------------------------------------------------------------
 
-    /// Give `u` up to `count` extra coupons (capped at its out-degree,
-    /// mirroring `Deployment::add_coupons`). Returns the number actually
-    /// added and what changed. A holder that already relays takes the
-    /// O(deg)-per-coupon DP-extension fast path; a first coupon builds the
-    /// holder and re-derives the spread structure.
+    /// Give `u` up to `count` extra coupons (capped at its out-degree).
+    /// Returns the number actually added and what changed. A holder that
+    /// already relays takes the O(deg)-per-coupon DP-extension fast path; a
+    /// first coupon builds the holder and re-derives the spread structure.
     pub fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let cap = self.graph.out_degree(u) as u32;
-        let cur = self.coupons[u.index()];
-        let add = count.min(cap.saturating_sub(cur));
+        let relays = self.ledger.coupons()[u.index()] > 0;
+        let add = self.ledger.add_coupons(u, count);
         if add == 0 {
             return (0, RefreshDelta::default());
         }
-        self.coupons[u.index()] = cur + add;
-        if cur > 0 {
-            let s = self.slot[u.index()] as usize;
-            // Split borrow: the holder owns its probs, the DP extends over
-            // them.
-            let holder = &mut self.holders[s];
-            for _ in 0..add {
-                holder.dp.extend_one(&holder.probs);
-            }
-            holder.local_cost = local_cost(self.data, &holder.targets, holder.dp.q());
-            self.counters.incremental_updates += u64::from(add);
+        if relays {
             // An internal node already relayed to its children: the spread
             // structure cannot change, only probabilities and gains do.
+            self.counters.incremental_updates += u64::from(add);
             (add, self.refresh(false))
         } else {
-            let holder = self.build_holder(u, add);
-            self.insert_holder(holder);
             self.derive_structure();
             (add, self.refresh(true))
         }
@@ -361,77 +301,31 @@ impl<'a> SpreadEngine<'a> {
     /// seed itself. Holders that previously counted `v` as an eligible
     /// child rebuild their DPs (a seed never receives coupons).
     pub fn add_seed_package(&mut self, v: NodeId, coupons: u32) -> RefreshDelta {
-        let mut eligibility_changed = Vec::new();
-        if !self.seed_mask[v.index()] {
-            self.seeds.push(v);
-            self.seed_mask[v.index()] = true;
-            self.seed_cost += self.data.seed_cost(v);
-            // Eligibility of edges *into* v changed: rebuild the holders'
-            // DPs, and report every in-neighbor (holder or not — a fresh
-            // candidate's k = 0 → 1 probe reads the same child set) so
-            // marginal caches invalidate theirs.
-            for &src in self.graph.in_sources(v) {
-                eligibility_changed.push(src);
-                let s = self.slot[src.index()];
-                if s != NO_SLOT {
-                    let k = self.coupons[src.index()];
-                    self.holders[s as usize] = self.build_holder(src, k);
-                }
-            }
-        }
-        if coupons > 0 {
-            let cap = self.graph.out_degree(v) as u32;
-            let cur = self.coupons[v.index()];
-            let add = coupons.min(cap.saturating_sub(cur));
-            if add > 0 {
-                self.coupons[v.index()] = cur + add;
-                if cur > 0 {
-                    let s = self.slot[v.index()] as usize;
-                    let k = self.coupons[v.index()];
-                    self.holders[s] = self.build_holder(v, k);
-                } else {
-                    let holder = self.build_holder(v, add);
-                    self.insert_holder(holder);
-                }
-            }
-        }
+        let fresh = self.ledger.add_seed(v, coupons);
         self.derive_structure();
         let mut delta = self.refresh(true);
-        delta.eligibility_changed = eligibility_changed;
+        if fresh {
+            // Report every in-neighbor (holder or not — a fresh candidate's
+            // k = 0 → 1 probe reads the same child set) so marginal caches
+            // invalidate theirs.
+            delta.eligibility_changed = self.graph.in_sources(v).to_vec();
+        }
         delta
     }
 
     /// Retrieve up to `count` coupons from `u` (the SC-Maneuver donor
-    /// move). Returns the number removed and what changed. The donor's DP
-    /// rebuilds from scratch (shrinking a saturating distribution is not
-    /// reversible); every other holder's cache is reused.
+    /// move). Returns the number removed and what changed. Only the
+    /// donor's DP rebuilds; every other holder's cache is reused.
     pub fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let cur = self.coupons[u.index()];
-        let take = count.min(cur);
+        let take = self.ledger.remove_coupons(u, count);
         if take == 0 {
             return (0, RefreshDelta::default());
         }
-        let new_k = cur - take;
-        self.coupons[u.index()] = new_k;
-        let s = self.slot[u.index()] as usize;
-        if new_k == 0 {
-            // Swap-remove the holder and fix the displaced slot.
-            self.holders.swap_remove(s);
-            self.slot[u.index()] = NO_SLOT;
-            if s < self.holders.len() {
-                let moved = self.holders[s].node;
-                self.slot[moved.index()] = s as u32;
-            }
-            let at = self
-                .holder_nodes
-                .binary_search(&u)
-                .expect("every holder is listed");
-            self.holder_nodes.remove(at);
+        if self.ledger.coupons()[u.index()] == 0 {
             // The node no longer relays: descendants may leave the spread.
             self.derive_structure();
             (take, self.refresh(true))
         } else {
-            self.holders[s] = self.build_holder(u, new_k);
             // Still a relay: membership is unchanged, only q shrank.
             (take, self.refresh(false))
         }
@@ -443,135 +337,48 @@ impl<'a> SpreadEngine<'a> {
 
     /// First-order `(ΔB, ΔCsc)` of giving `u` one more coupon —
     /// bit-identical to `SpreadState::coupon_delta(graph, data, u, 1)` but
-    /// O(deg): holders answer from their cached availability sums, fresh
-    /// candidates run the k = 0 → 1 closed form.
+    /// O(deg), from the ledger's [`add_probe`](Ledger::add_probe).
     pub fn coupon_add_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
-        let pu = self.active_prob[u.index()];
-        let s = self.slot[u.index()];
-        if s != NO_SLOT {
-            let holder = &self.holders[s as usize];
-            if holder.targets.is_empty() {
-                return (0.0, 0.0);
-            }
-            scratch.q_new.resize(holder.targets.len(), 0.0);
-            holder.dp.extended_q_into(&holder.probs, &mut scratch.q_new);
-            self.delta_from_q(pu, &holder.targets, holder.dp.q(), &scratch.q_new)
-        } else {
-            eligible_children(
-                self.graph,
-                &self.seed_mask,
-                u,
-                &mut scratch.targets,
-                &mut scratch.probs,
-            );
-            if scratch.targets.is_empty() {
-                return (0.0, 0.0);
-            }
-            // k = 0 → 1: q_old is identically +0.0 and the new
-            // availability is E_0 (no prior redemption), i.e. the running
-            // product of failure probabilities — `redemption_probs`' exact
-            // arithmetic for k = 1.
-            let mut db = 0.0;
-            let mut dc = 0.0;
-            let mut e0 = 1.0f64;
-            for (&v, &p) in scratch.targets.iter().zip(scratch.probs.iter()) {
-                let dq = p * e0 - 0.0;
-                db += pu * dq * self.subtree_gain[v.index()];
-                dc += dq * self.data.sc_cost(v);
-                e0 *= 1.0 - p;
-            }
-            (db, dc)
-        }
+        let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
+        self.ledger.add_probe(u, scratch, |v, dq| {
+            db += pu * dq * self.subtree_gain[v.index()];
+            dc += dq * self.data.sc_cost(v);
+        });
+        (db, dc)
     }
 
     /// First-order `(ΔB, ΔCsc)` of retrieving one coupon from `u` —
-    /// bit-identical to `SpreadState::coupon_removal_delta`. The k − 1
-    /// probabilities are recomputed from scratch (O(deg·k)); removal is
-    /// rare enough (SCM donors only) that no downward cache exists.
+    /// bit-identical to `SpreadState::coupon_removal_delta`.
     pub fn coupon_removal_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
-        let k = self.coupons[u.index()];
-        if k == 0 {
-            return (0.0, 0.0);
-        }
-        let s = self.slot[u.index()] as usize;
-        let holder = &self.holders[s];
-        if holder.targets.is_empty() {
-            return (0.0, 0.0);
-        }
-        scratch.q_new.resize(holder.targets.len(), 0.0);
-        redemption_probs_into(&holder.probs, k - 1, &mut scratch.q_new);
-        let pu = self.active_prob[u.index()];
-        self.delta_from_q(pu, &holder.targets, holder.dp.q(), &scratch.q_new)
+        let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
+        self.ledger.removal_probe(u, scratch, |v, dq| {
+            db += pu * dq * self.subtree_gain[v.index()];
+            dc += dq * self.data.sc_cost(v);
+        });
+        (db, dc)
     }
 
     // ------------------------------------------------------------------
     // Internals.
     // ------------------------------------------------------------------
 
-    /// `(ΔB, ΔCsc)` accumulated exactly like `SpreadState::coupon_count_delta`.
-    fn delta_from_q(
-        &self,
-        pu: f64,
-        targets: &[NodeId],
-        q_old: &[f64],
-        q_new: &[f64],
-    ) -> (f64, f64) {
-        let mut db = 0.0;
-        let mut dc = 0.0;
-        for ((&v, &qo), &qn) in targets.iter().zip(q_old.iter()).zip(q_new.iter()) {
-            let dq = qn - qo;
-            db += pu * dq * self.subtree_gain[v.index()];
-            dc += dq * self.data.sc_cost(v);
-        }
-        (db, dc)
-    }
-
-    /// Build one holder's distribution from scratch: eligible children at
-    /// the current seed mask, rank DP at `k`, cached cost term.
-    fn build_holder(&mut self, node: NodeId, k: u32) -> Holder {
-        let mut targets = Vec::new();
-        let mut probs = Vec::new();
-        eligible_children(self.graph, &self.seed_mask, node, &mut targets, &mut probs);
-        let dp = RankDp::build(&probs, k);
-        let local_cost = local_cost(self.data, &targets, dp.q());
-        self.counters.holder_rebuilds += 1;
-        Holder {
-            node,
-            targets,
-            probs,
-            dp,
-            local_cost,
-        }
-    }
-
-    /// Register a freshly built holder: give it a slot and list its node in
-    /// ascending order.
-    fn insert_holder(&mut self, holder: Holder) {
-        let node = holder.node;
-        self.slot[node.index()] = self.holders.len() as u32;
-        self.holders.push(holder);
-        let at = self
-            .holder_nodes
-            .binary_search(&node)
-            .expect_err("a node holds at most one distribution");
-        self.holder_nodes.insert(at, node);
+    /// Everything but the ledger, from scratch (one full rebuild).
+    fn rebuild_structure(&mut self) -> RefreshDelta {
+        self.counters.full_rebuilds += 1;
+        self.derive_structure();
+        self.refresh(true)
     }
 
     /// Re-derive the spread structure (BFS levels/order and the ordered
     /// distribution list) from the current seeds and coupons.
     fn derive_structure(&mut self) {
-        let (levels, order) = spread_levels(self.graph, &self.seeds, &self.coupons);
+        let (levels, order) = spread_levels(self.graph, self.ledger.seeds(), self.ledger.coupons());
         self.levels = levels;
         self.order = order;
         self.spread_dists.clear();
         for &u in &self.order {
-            if self.coupons[u.index()] == 0 {
-                continue;
-            }
-            let s = self.slot[u.index()];
-            debug_assert_ne!(s, NO_SLOT);
-            if !self.holders[s as usize].targets.is_empty() {
-                self.spread_dists.push(s);
+            if self.ledger.holder(u).is_some_and(|h| !h.targets.is_empty()) {
+                self.spread_dists.push(u);
             }
         }
         self.counters.structural_refreshes += 1;
@@ -584,11 +391,7 @@ impl<'a> SpreadEngine<'a> {
     fn restructure_scans(&mut self) -> (Vec<NodeId>, Vec<NodeId>) {
         let mut members = self.order.clone();
         members.sort_unstable();
-        let mut dists: Vec<NodeId> = self
-            .spread_dists
-            .iter()
-            .map(|&s| self.holders[s as usize].node)
-            .collect();
+        let mut dists = self.spread_dists.clone();
         dists.sort_unstable();
         let old_members = std::mem::replace(&mut self.sorted_members, members);
         let old_dists = std::mem::replace(&mut self.sorted_dists, dists);
@@ -617,10 +420,10 @@ impl<'a> SpreadEngine<'a> {
         let dists: Vec<DistRef<'_>> = self
             .spread_dists
             .iter()
-            .map(|&s| {
-                let h = &self.holders[s as usize];
+            .map(|&node| {
+                let h = self.ledger.holder(node).expect("spread dists hold coupons");
                 DistRef {
-                    node: h.node,
+                    node,
                     targets: &h.targets,
                     q: h.dp.q(),
                 }
@@ -629,8 +432,8 @@ impl<'a> SpreadEngine<'a> {
         propagate_activation(
             &dists,
             &self.order,
-            &self.seeds,
-            &self.seed_mask,
+            self.ledger.seeds(),
+            self.ledger.seed_mask(),
             &mut self.active_prob,
             &mut self.complement,
         );
@@ -671,24 +474,6 @@ fn diff_bits(scan: &[NodeId], cur: &[f64], prev: &mut [f64]) -> Vec<NodeId> {
         }
     }
     changed
-}
-
-/// Reusable scratch buffers for the marginal probes (one per greedy loop;
-/// avoids an allocation per candidate).
-#[derive(Clone, Debug, Default)]
-pub struct DeltaScratch {
-    targets: Vec<NodeId>,
-    probs: Vec<f64>,
-    q_new: Vec<f64>,
-}
-
-/// One holder's Table-I cost term, `Σ_j q_j · c_sc(target_j)` — the exact
-/// expression `expected_sc_cost` accumulates per internal node.
-fn local_cost(data: &NodeData, targets: &[NodeId], q: &[f64]) -> f64 {
-    q.iter()
-        .zip(targets.iter())
-        .map(|(&qj, &v)| qj * data.sc_cost(v))
-        .sum::<f64>()
 }
 
 #[cfg(test)]

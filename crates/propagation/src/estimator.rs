@@ -2,7 +2,8 @@
 //!
 //! [`BenefitEstimator`] abstracts the *stateful* estimation surface the
 //! greedy loops drive: the maintained deployment view (`order`,
-//! `active_prob`, benefit and cost accessors), the committed moves
+//! `active_prob`, the benefit estimate, and the [`Ledger`] that holds the
+//! deployment and its exact costs), the committed moves
 //! (`add_coupons`, `add_seed_package`, `remove_coupons`) with their
 //! [`RefreshDelta`] change reports, and the read-only marginal probes
 //! (`coupon_add_delta`, `coupon_removal_delta`). One-shot evaluation of a
@@ -21,6 +22,9 @@
 //! * `SketchEstimator` (crate `osn-sketch`) — reverse-reachability coverage
 //!   oracle with exact analytic costs.
 //!
+//! Both own one [`Ledger`]: callers read the deployment there, and the cost
+//! accessors are provided methods reading it.
+//!
 //! ## Contract
 //!
 //! * `order` must contain every node with positive `active_prob` (seeds
@@ -36,7 +40,8 @@
 //!   lazy-greedy heap re-scores exactly the union of those reports, so an
 //!   under-report silently serves stale marginals.
 
-use crate::engine::{DeltaScratch, EngineCounters, RefreshDelta};
+use crate::engine::{EngineCounters, RefreshDelta};
+use crate::ledger::{DeltaScratch, Ledger};
 use osn_graph::NodeId;
 
 /// Stateful benefit/cost estimator of one evolving deployment — the seam
@@ -50,23 +55,21 @@ pub trait BenefitEstimator {
     /// Per-node activation probability estimates.
     fn active_prob(&self) -> &[f64];
 
-    /// The current coupon allocation.
-    fn coupons(&self) -> &[u32];
-
-    /// The current seed set, in insertion order.
-    fn seeds(&self) -> &[NodeId];
-
-    /// Whether `v` is a seed.
-    fn is_seed(&self, v: NodeId) -> bool;
+    /// The current deployment (seeds, coupons) and its exact costs.
+    fn ledger(&self) -> &Ledger<'_>;
 
     /// Estimated expected benefit `B(S, K(I))` of the current deployment.
     fn expected_benefit(&self) -> f64;
 
     /// Exact `Cseed(S)`.
-    fn seed_cost(&self) -> f64;
+    fn seed_cost(&self) -> f64 {
+        self.ledger().seed_cost()
+    }
 
     /// Exact `Csc(K(I))` (Table I allocation cost).
-    fn sc_cost(&self) -> f64;
+    fn sc_cost(&self) -> f64 {
+        self.ledger().sc_cost()
+    }
 
     /// Evaluation-effort counters accumulated so far.
     fn counters(&self) -> EngineCounters;
@@ -101,28 +104,12 @@ impl BenefitEstimator for crate::engine::SpreadEngine<'_> {
         crate::engine::SpreadEngine::active_prob(self)
     }
 
-    fn coupons(&self) -> &[u32] {
-        crate::engine::SpreadEngine::coupons(self)
-    }
-
-    fn seeds(&self) -> &[NodeId] {
-        crate::engine::SpreadEngine::seeds(self)
-    }
-
-    fn is_seed(&self, v: NodeId) -> bool {
-        crate::engine::SpreadEngine::is_seed(self, v)
+    fn ledger(&self) -> &Ledger<'_> {
+        crate::engine::SpreadEngine::ledger(self)
     }
 
     fn expected_benefit(&self) -> f64 {
         crate::engine::SpreadEngine::expected_benefit(self)
-    }
-
-    fn seed_cost(&self) -> f64 {
-        crate::engine::SpreadEngine::seed_cost(self)
-    }
-
-    fn sc_cost(&self) -> f64 {
-        crate::engine::SpreadEngine::sc_cost(self)
     }
 
     fn counters(&self) -> EngineCounters {

@@ -39,8 +39,14 @@
 //!   [`spread::SpreadState`] that S3CA's greedy loops mutate move-by-move
 //!   instead of re-evaluating from scratch (see "Evaluation architecture"
 //!   below).
+//! * [`ledger`] — the **deployment ledger**: one evolving deployment
+//!   (seeds, seed mask, coupons) with its exact Table I costs — the running
+//!   `Cseed`, and per coupon holder the rank DP and cost term whose
+//!   ascending-node sum is `Csc` — plus the O(deg) ΔCsc probes. Every
+//!   stateful estimator owns one.
 //! * [`cost`] — the paper's expected-SC-cost `Csc(K(I))` (local per internal
-//!   node, Table I) and seed cost.
+//!   node, Table I) and seed cost, from scratch: the one-shot path and the
+//!   oracle the ledger is pinned against.
 //! * [`monte_carlo`] — the Monte-Carlo estimator of `B(S, K(I))`: an
 //!   [`McBackend`] owns one world cache (its lane blocks), and is
 //!   the only way to build a [`MonteCarloEvaluator`], whose batched
@@ -59,9 +65,12 @@
 //! incremental [`SpreadEngine`] is the exact reference implementation (its
 //! trait impl is pure delegation, so the seam costs no bits); the
 //! `osn-sketch` crate provides the reverse-reachability coverage oracle.
-//! Costs (`Cseed`, `Csc`, probe ΔCsc) are exact analytic values in **every**
-//! backend — only the benefit side carries estimation error — so budget
-//! feasibility never depends on the estimator choice.
+//! Both keep their deployment in a [`Ledger`], which owns the costs
+//! (`Cseed`, `Csc`, probe ΔCsc): they are the same exact analytic values
+//! in **every** backend — only the benefit side carries estimation error —
+//! so budget feasibility never depends on the estimator choice. The trait
+//! reads seeds, coupons and costs from the ledger, and the greedy phases
+//! read the live deployment there instead of mirroring it.
 //!
 //! Analytic evaluation has two entry points with one arithmetic:
 //!
@@ -69,30 +78,21 @@
 //!   build each holder's `(eligible children, rank-DP, q)` distribution,
 //!   run the forward activation passes and the backward gain pass. Every
 //!   pass is a shared `pub(crate)` function.
-//! * **Maintained**: [`SpreadEngine`] — owns those distributions as a
-//!   live index across an evolving deployment. Its lifecycle:
-//!   [`SpreadEngine::new`] performs one full build (the only O(Σ deg·k)
-//!   DP sweep); a *broaden* move
-//!   ([`add_coupons`](SpreadEngine::add_coupons) on a current holder)
-//!   extends that holder's saturating consumption distribution in O(deg)
-//!   and re-runs only the flat propagation passes; *deepen*, *new seed*
-//!   ([`add_seed_package`](SpreadEngine::add_seed_package)) and *coupon
-//!   retrieval* ([`remove_coupons`](SpreadEngine::remove_coupons))
-//!   re-derive the BFS structure but reuse every untouched holder's DP,
-//!   rebuilding only holders whose eligibility or count changed. O(deg)
-//!   marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
-//!   serve the greedy candidate ranking from the cached availability sums.
+//! * **Maintained**: [`SpreadEngine`] — keeps the spread structure as a
+//!   live index over the holder distributions its [`Ledger`] maintains
+//!   across an evolving deployment. One full build at construction (the
+//!   only O(Σ deg·k) DP sweep); a *broaden* move extends one holder's DP in
+//!   O(deg) and re-runs only the flat passes; *deepen*, *new seed* and
+//!   *coupon retrieval* re-derive the BFS structure but reuse every
+//!   untouched holder's DP; O(deg) probes serve the candidate ranking. See
+//!   the [`engine`] module docs.
 //!
-//! [`SpreadEngine::rebuild`] is the escape hatch: a complete from-scratch
-//! reconstruction, run only on construction (or on demand — e.g. after
-//! deserializing a deployment from elsewhere). The engine's contract is
-//! that rebuilding **never changes a bit**: the incremental DP extension
-//! reproduces the exact floating-point sequence of the full DP, so the
-//! engine is an optimization, not a semantic change. Proptests
+//! [`SpreadEngine::rebuild`] is the from-scratch escape hatch, and by
+//! contract it **never changes a bit**: the incremental DP extension
+//! reproduces the full DP's floating-point sequence. Proptests
 //! (`engine_equals_rebuild_after_any_move_sequence`) pin this after
 //! arbitrary move sequences on cyclic graphs, and `tests/determinism.rs`
-//! pins the downstream consequence: the engine-backed greedy phases make
-//! byte-identical CSVs.
+//! pins the downstream consequence: byte-identical CSVs.
 //!
 //! ## World storage and sampling
 //!
@@ -203,6 +203,7 @@ pub mod engine;
 pub mod estimator;
 pub mod evaluator;
 pub mod lane;
+pub mod ledger;
 pub mod linear_threshold;
 pub mod metrics;
 pub mod monte_carlo;
@@ -213,10 +214,11 @@ pub mod world;
 
 pub use cascade::{simulate_cascade, CascadeOutcome};
 pub use cost::{expected_sc_cost, redemption_rate, seed_cost, total_cost};
-pub use engine::{DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
+pub use engine::{EngineCounters, RefreshDelta, SpreadEngine};
 pub use estimator::BenefitEstimator;
 pub use evaluator::DeploymentRef;
 pub use lane::{lane_cascade_block, LaneBlock, LaneOutcome, LaneScratch, LANE_WORLDS};
+pub use ledger::{DeltaScratch, Ledger};
 pub use metrics::RedemptionReport;
 pub use monte_carlo::{reference_simulate_batch, McBackend, MonteCarloEvaluator, SimulationStats};
 pub use spread::SpreadState;

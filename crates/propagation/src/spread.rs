@@ -75,19 +75,13 @@ pub fn spread_levels(
     (levels, order)
 }
 
-/// Eligibility of the edge `u -> v` for coupon distribution: a coupon is
-/// never spent on a **seed** (deterministically active already — the
-/// interpretation forced by Fig. 1(c) case 2), and on nothing else. This is
-/// the literal reading of the Table-I cost sum `Σ_{v_i∈I} Σ_{v_j∈N(v_i)}`;
-/// cross- and back-edges participate via the fixpoint refinement below.
-#[inline]
-pub fn edge_eligible(seed_mask: &[bool], v: NodeId) -> bool {
-    !seed_mask[v.index()]
-}
-
-/// Gather `u`'s eligible ranked children (non-seed out-neighbors, rank
-/// order) and their influence probabilities into the scratch vectors — the
-/// one child collection every evaluator, cost sum and backend shares.
+/// Gather `u`'s eligible ranked children and their influence
+/// probabilities into the scratch vectors — the one child collection every
+/// evaluator, cost sum and backend shares. A coupon is never spent on a
+/// **seed** (deterministically active already — the interpretation forced
+/// by Fig. 1(c) case 2), and on nothing else: the literal reading of the
+/// Table-I cost sum `Σ_{v_i∈I} Σ_{v_j∈N(v_i)}`; cross- and back-edges
+/// participate via the fixpoint refinement below.
 pub fn eligible_children(
     graph: &CsrGraph,
     seed_mask: &[bool],
@@ -98,7 +92,7 @@ pub fn eligible_children(
     targets.clear();
     probs.clear();
     for (v, p) in graph.ranked_out(u) {
-        if edge_eligible(seed_mask, v) {
+        if !seed_mask[v.index()] {
             targets.push(v);
             probs.push(p);
         }
@@ -294,16 +288,6 @@ impl SpreadState {
             seed_mask,
             coupons: coupons.to_vec(),
         }
-    }
-
-    /// Whether `v` is a seed of the evaluated deployment.
-    pub fn is_seed(&self, v: NodeId) -> bool {
-        self.seed_mask[v.index()]
-    }
-
-    /// The evaluated coupon allocation.
-    pub fn coupons(&self) -> &[u32] {
-        &self.coupons
     }
 
     /// First-order marginal effect of giving `u` `extra` additional coupons:

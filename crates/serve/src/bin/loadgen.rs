@@ -7,6 +7,11 @@
 //! loadgen --addr HOST:PORT --shutdown
 //! ```
 //!
+//! A malformed command line (unknown flag, missing or non-numeric value,
+//! `--campaigns 0`, `--threads 0`, or more threads than
+//! `osn_pool::MAX_THREADS`) prints `loadgen: <reason>` plus usage and
+//! exits 2.
+//!
 //! Campaign `i`'s spec is the deterministic [`spec_for`] mix (algorithms ×
 //! budgets × estimators × evaluation world counts), identical in both
 //! modes, so the files a concurrent client run writes must be
@@ -78,68 +83,102 @@ fn write_reply(out: &Option<PathBuf>, i: usize, lines: &[String]) {
         .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
 }
 
-fn main() {
-    let mut data: Option<PathBuf> = None;
-    let mut addr: Option<String> = None;
-    let mut serial = false;
-    let mut chaos = false;
-    let mut shutdown = false;
-    let mut campaigns = 64usize;
-    let mut threads = 16usize;
-    let mut out: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--data" => data = Some(PathBuf::from(value("--data"))),
-            "--addr" => addr = Some(value("--addr")),
-            "--serial" => serial = true,
-            "--chaos" => chaos = true,
-            "--shutdown" => shutdown = true,
-            "--campaigns" => {
-                campaigns = value("--campaigns")
-                    .parse()
-                    .unwrap_or_else(|_| die("--campaigns needs a positive integer"));
-            }
-            "--threads" => {
-                threads = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads needs a positive integer"));
-            }
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--help" | "-h" => {
-                println!(
-                    "usage: loadgen --data PATH --serial [--campaigns N] [--out DIR]\n\
+const USAGE: &str = "usage: loadgen --data PATH --serial [--campaigns N] [--out DIR]\n\
                      \x20      loadgen --addr HOST:PORT [--campaigns N] [--threads T] [--out DIR]\n\
                      \x20      loadgen --addr HOST:PORT --chaos --data PATH [--campaigns N] [--threads T]\n\
-                     \x20      loadgen --addr HOST:PORT --shutdown"
-                );
-                return;
+                     \x20      loadgen --addr HOST:PORT --shutdown";
+
+/// A checked loadgen command line.
+struct Args {
+    data: Option<PathBuf>,
+    addr: Option<String>,
+    serial: bool,
+    chaos: bool,
+    shutdown: bool,
+    campaigns: usize,
+    threads: usize,
+    out: Option<PathBuf>,
+}
+
+/// The value following `flag`, parsed as a positive integer no larger
+/// than `max`.
+fn flag_count(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    max: usize,
+) -> Result<usize, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse::<usize>() {
+        Ok(n) if n > max => Err(format!("{flag} must be at most {max}, got {n}")),
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} must be a positive integer, got {v:?}")),
+    }
+}
+
+/// Parse the command line (program name excluded); `None` asks for help.
+/// Malformed input is a usage error, never a panic or a silent clamp.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut parsed = Args {
+        data: None,
+        addr: None,
+        serial: false,
+        chaos: false,
+        shutdown: false,
+        campaigns: 64,
+        threads: 16,
+        out: None,
+    };
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--data" => parsed.data = Some(PathBuf::from(it.next().ok_or("--data needs a value")?)),
+            "--addr" => parsed.addr = Some(it.next().ok_or("--addr needs a value")?),
+            "--serial" => parsed.serial = true,
+            "--chaos" => parsed.chaos = true,
+            "--shutdown" => parsed.shutdown = true,
+            "--campaigns" => parsed.campaigns = flag_count(&mut it, "--campaigns", usize::MAX)?,
+            // One client thread each: bounded like every pool size.
+            "--threads" => {
+                parsed.threads = flag_count(&mut it, "--threads", osn_pool::MAX_THREADS)?;
             }
-            other => die(&format!("unknown flag {other:?}")),
+            "--out" => parsed.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if let Some(dir) = &out {
+    Ok(Some(parsed))
+}
+
+fn main() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => die(&format!("{e}\n{USAGE}")),
+    };
+    let out = &args.out;
+    if let Some(dir) = out {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
     }
-    if shutdown {
-        let addr = addr.unwrap_or_else(|| die("--shutdown needs --addr HOST:PORT"));
+    if args.shutdown {
+        let addr = args
+            .addr
+            .unwrap_or_else(|| die("--shutdown needs --addr HOST:PORT"));
         let mut client =
             Client::connect(addr.as_str()).unwrap_or_else(|e| die(&format!("connect: {e}")));
         client
             .shutdown()
             .unwrap_or_else(|e| die(&format!("shutdown: {e}")));
         println!("loadgen: daemon at {addr} acknowledged shutdown");
-    } else if chaos {
-        run_chaos(addr, data, campaigns, threads.max(1), &out);
-    } else if serial {
-        run_serial(data, campaigns, &out);
+    } else if args.chaos {
+        run_chaos(args.addr, args.data, args.campaigns, args.threads, out);
+    } else if args.serial {
+        run_serial(args.data, args.campaigns, out);
     } else {
-        run_concurrent(addr, campaigns, threads.max(1), &out);
+        run_concurrent(args.addr, args.campaigns, args.threads, out);
     }
 }
 
@@ -298,4 +337,63 @@ fn run_concurrent(addr: Option<String>, campaigns: usize, threads: usize, out: &
         std::process::exit(1);
     }
     println!("loadgen: {ok}/{campaigns} campaigns ok over {threads} threads, 0 failed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, Args};
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_flags_are_usage_errors_not_clamps() {
+        let too_many = (osn_pool::MAX_THREADS + 1).to_string();
+        let cases: [(&[&str], &str); 9] = [
+            (&["--serial", "--campaigns", "0"], "--campaigns"),
+            (&["--addr", "h:1", "--threads", "0"], "--threads"),
+            (&["--addr", "h:1", "--threads", &too_many], "--threads"),
+            (&["--addr", "h:1", "--threads", "100000"], "--threads"),
+            (&["--addr", "h:1", "--threads", "-1"], "--threads"),
+            (&["--serial", "--campaigns", "many"], "--campaigns"),
+            (&["--serial", "--campaigns"], "--campaigns"),
+            (&["--addr"], "--addr"),
+            (&["--serial", "--workers", "2"], "--workers"),
+        ];
+        for (args, flag) in cases {
+            match parse(args) {
+                Err(e) => assert!(e.contains(flag), "{args:?}: {e}"),
+                Ok(_) => panic!("{args:?} must be a usage error"),
+            }
+        }
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let max = osn_pool::MAX_THREADS.to_string();
+        let Ok(Some(args)) = parse(&[
+            "--addr",
+            "127.0.0.1:7171",
+            "--campaigns",
+            "3",
+            "--threads",
+            &max,
+            "--out",
+            "dir",
+        ]) else {
+            panic!("valid command line rejected");
+        };
+        assert_eq!(args.addr.as_deref(), Some("127.0.0.1:7171"));
+        assert_eq!(args.campaigns, 3);
+        assert_eq!(args.threads, osn_pool::MAX_THREADS);
+        assert_eq!(args.out.as_ref().and_then(|p| p.to_str()), Some("dir"));
+        assert!(!args.serial && !args.chaos && !args.shutdown);
+        let Ok(Some(defaults)) = parse(&["--serial", "--data", "g.txt"]) else {
+            panic!("valid command line rejected");
+        };
+        assert!(defaults.serial);
+        assert_eq!((defaults.campaigns, defaults.threads), (64, 16));
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+    }
 }

@@ -29,33 +29,16 @@
 //! non-monotone and pays a full rebuild (counted in
 //! [`EngineCounters::full_rebuilds`]).
 //!
-//! Costs never go through the sketches: `seed_cost`, `sc_cost`, and every
-//! probe's `ΔCsc` are the exact Table I analytic values, computed with the
-//! same shared helpers as the other backends.
+//! Costs never go through the sketches. The deployment lives in a
+//! [`Ledger`], the same type the analytic engine keeps, so `seed_cost`,
+//! `sc_cost`, and every probe's `ΔCsc` are its exact Table I values, bit
+//! for bit the engine's.
 
 use crate::index::SketchIndex;
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use osn_propagation::engine::{DeltaScratch, EngineCounters, RefreshDelta};
+use osn_propagation::engine::{EngineCounters, RefreshDelta};
 use osn_propagation::estimator::BenefitEstimator;
-use osn_propagation::rank::redemption_probs_into;
-use osn_propagation::spread::eligible_children;
-use osn_propagation::{expected_sc_cost, seed_cost};
-use std::cell::RefCell;
-
-/// Reusable probe scratch (interior-mutable: probes take `&self`).
-#[derive(Clone, Debug, Default)]
-struct ProbeScratch {
-    /// Eligible ranked out-targets of the probed node (cost component).
-    targets: Vec<NodeId>,
-    probs: Vec<f64>,
-    q_old: Vec<f64>,
-    q_new: Vec<f64>,
-    /// Generation-stamped local activation map of the removal probe's
-    /// per-sketch what-if recompute.
-    stamp: Vec<u32>,
-    generation: u32,
-    queue: Vec<u32>,
-}
+use osn_propagation::ledger::{DeltaScratch, Ledger};
 
 /// Coverage-oracle [`BenefitEstimator`] over a pre-built [`SketchIndex`].
 ///
@@ -68,15 +51,12 @@ struct ProbeScratch {
 /// argument for ignoring them.
 pub struct SketchEstimator<'a> {
     graph: &'a CsrGraph,
-    data: &'a NodeData,
     index: &'a SketchIndex,
     /// The index's member node ids in flat slot order (layout shared with
     /// the per-slot runtime arrays below), read in place.
     members: &'a [u32],
-
-    seeds: Vec<NodeId>,
-    seed_mask: Vec<bool>,
-    coupons: Vec<u32>,
+    /// The deployment and its exact costs.
+    ledger: Ledger<'a>,
 
     /// Per flat slot: activated under the current deployment.
     activated: Vec<bool>,
@@ -91,10 +71,10 @@ pub struct SketchEstimator<'a> {
     order: Vec<NodeId>,
     active_prob: Vec<f64>,
     benefit: f64,
-    seed_cost: f64,
-    sc_cost: f64,
+    /// Every counter but `holder_rebuilds`, which the ledger keeps.
     counters: EngineCounters,
-    scratch: RefCell<ProbeScratch>,
+    /// BFS queue of the committed moves (flat slot ids).
+    queue: Vec<u32>,
 }
 
 impl<'a> SketchEstimator<'a> {
@@ -106,23 +86,15 @@ impl<'a> SketchEstimator<'a> {
         seeds: &[NodeId],
         coupons: &[u32],
     ) -> SketchEstimator<'a> {
-        debug_assert_eq!(coupons.len(), graph.node_count());
         debug_assert_eq!(index.node_count(), graph.node_count());
         let n = graph.node_count();
-        let mut seed_mask = vec![false; n];
-        for &s in seeds {
-            seed_mask[s.index()] = true;
-        }
         let members = index.members_flat();
         let slots = members.len();
         let mut est = SketchEstimator {
             graph,
-            data,
             index,
             members,
-            seeds: seeds.to_vec(),
-            seed_mask,
-            coupons: coupons.to_vec(),
+            ledger: Ledger::new(graph, data, seeds, coupons),
             activated: vec![false; slots],
             reach: vec![false; slots],
             covered: vec![false; index.sketch_count()],
@@ -131,18 +103,11 @@ impl<'a> SketchEstimator<'a> {
             order: Vec::new(),
             active_prob: vec![0.0; n],
             benefit: 0.0,
-            seed_cost: seed_cost(data, seeds),
-            sc_cost: 0.0,
             counters: EngineCounters::default(),
-            scratch: RefCell::new(ProbeScratch::default()),
+            queue: Vec::new(),
         };
         est.rebuild();
         est
-    }
-
-    /// The backing index.
-    pub fn index(&self) -> &'a SketchIndex {
-        self.index
     }
 
     /// Full recompute of every per-sketch bit and the derived surface.
@@ -152,13 +117,13 @@ impl<'a> SketchEstimator<'a> {
         self.covered.fill(false);
         self.covered_count = 0;
         self.hits.fill(0);
-        let mut queue = std::mem::take(&mut self.scratch.get_mut().queue);
+        let queue = &mut self.queue;
         for sigma in 0..self.index.sketch_count() {
             // Forward activation from the sketch's seed members.
             queue.clear();
             let range = self.index.member_range(sigma);
             for flat in range.clone() {
-                if self.seed_mask[self.members[flat] as usize] {
+                if self.ledger.seed_mask()[self.members[flat] as usize] {
                     self.activated[flat] = true;
                     self.hits[self.members[flat] as usize] += 1;
                     queue.push(flat as u32);
@@ -166,11 +131,11 @@ impl<'a> SketchEstimator<'a> {
             }
             forward_bfs(
                 self.index,
-                &self.coupons,
+                self.ledger.coupons(),
                 sigma,
                 &mut self.activated,
                 &mut self.hits,
-                &mut queue,
+                queue,
             );
             if self.activated[range.start + self.index.root_local(sigma) as usize] {
                 self.covered[sigma] = true;
@@ -183,36 +148,35 @@ impl<'a> SketchEstimator<'a> {
             queue.push(root_flat as u32);
             backward_reach_bfs(
                 self.index,
-                &self.coupons,
+                self.ledger.coupons(),
                 sigma,
                 &mut self.reach,
-                &mut queue,
+                queue,
             );
         }
-        self.scratch.get_mut().queue = queue;
         self.counters.full_rebuilds += 1;
         self.refresh_surface();
     }
 
     /// Recompute the derived deployment view (`benefit`, `active_prob`,
-    /// `order`, exact `sc_cost`) from the per-sketch bits.
+    /// `order`) from the per-sketch bits.
     fn refresh_surface(&mut self) {
         self.benefit = self.index.unit() * self.covered_count as f64;
         let r = self.index.sketch_count();
         self.order.clear();
-        for i in 0..self.active_prob.len() {
-            self.active_prob[i] = if self.seed_mask[i] {
+        let seed_mask = self.ledger.seed_mask();
+        for (i, (p, &seed)) in self.active_prob.iter_mut().zip(seed_mask).enumerate() {
+            *p = if seed {
                 1.0
             } else if r > 0 {
                 f64::from(self.hits[i]) / r as f64
             } else {
                 0.0
             };
-            if self.active_prob[i] > 0.0 {
+            if *p > 0.0 {
                 self.order.push(NodeId::from_index(i));
             }
         }
-        self.sc_cost = expected_sc_cost(self.graph, self.data, &self.seeds, &self.coupons);
     }
 
     /// Apply the coupon change `old_k → coupons[u]` to every sketch
@@ -221,8 +185,8 @@ impl<'a> SketchEstimator<'a> {
     /// member set (global node ids, deduplicated, ascending per sketch
     /// walk) for the change report.
     fn propagate_coupon_increase(&mut self, u: NodeId, old_k: u32) -> Vec<NodeId> {
-        let new_k = self.coupons[u.index()];
-        let mut queue = std::mem::take(&mut self.scratch.get_mut().queue);
+        let new_k = self.ledger.coupons()[u.index()];
+        let queue = &mut self.queue;
         let mut touched: Vec<NodeId> = Vec::new();
         let post_sketch = self.index.post_sketch();
         let post_local = self.index.post_local();
@@ -255,11 +219,11 @@ impl<'a> SketchEstimator<'a> {
             if !queue.is_empty() {
                 forward_bfs(
                     self.index,
-                    &self.coupons,
+                    self.ledger.coupons(),
                     sigma,
                     &mut self.activated,
                     &mut self.hits,
-                    &mut queue,
+                    queue,
                 );
                 let root_flat = base + self.index.root_local(sigma) as usize;
                 if self.activated[root_flat] && !self.covered[sigma] {
@@ -287,101 +251,59 @@ impl<'a> SketchEstimator<'a> {
                 }
                 backward_reach_bfs(
                     self.index,
-                    &self.coupons,
+                    self.ledger.coupons(),
                     sigma,
                     &mut self.reach,
-                    &mut queue,
+                    queue,
                 );
                 for flat in range {
                     touched.push(NodeId(self.members[flat]));
                 }
             }
         }
-        self.scratch.get_mut().queue = queue;
         touched.push(u);
         touched.sort_unstable();
         touched.dedup();
         touched
     }
 
-    /// Exact `ΔCsc` of moving `u` from `k` to `new_k` coupons — the same
-    /// Table I local-cost difference every backend computes.
-    fn local_cost_delta(&self, u: NodeId, k: u32, new_k: u32, scratch: &mut ProbeScratch) -> f64 {
-        eligible_children(
-            self.graph,
-            &self.seed_mask,
-            u,
-            &mut scratch.targets,
-            &mut scratch.probs,
-        );
-        if scratch.targets.is_empty() {
-            return 0.0;
-        }
-        scratch.q_old.resize(scratch.targets.len(), 0.0);
-        scratch.q_new.resize(scratch.targets.len(), 0.0);
-        redemption_probs_into(&scratch.probs, k, &mut scratch.q_old);
-        redemption_probs_into(&scratch.probs, new_k, &mut scratch.q_new);
-        let mut dc = 0.0;
-        for ((&v, &qo), &qn) in scratch
-            .targets
-            .iter()
-            .zip(scratch.q_old.iter())
-            .zip(scratch.q_new.iter())
-        {
-            dc += (qn - qo) * self.data.sc_cost(v);
-        }
-        dc
-    }
-
     /// Would sketch `sigma` still be covered with `u` holding `what_if_k`
-    /// coupons? Scratch forward recompute over the sketch (stamp-based
-    /// visited map, no persistent state touched).
-    fn covered_with(
-        &self,
-        sigma: usize,
-        u: NodeId,
-        what_if_k: u32,
-        scratch: &mut ProbeScratch,
-    ) -> bool {
+    /// coupons? A forward recompute over the sketch in local buffers,
+    /// touching no persistent state (SC Maneuver, the one phase that probes
+    /// removals, runs on the analytic engine).
+    fn covered_with(&self, sigma: usize, u: NodeId, what_if_k: u32) -> bool {
         let range = self.index.member_range(sigma);
         let base = range.start;
         let mc = range.len();
-        if scratch.stamp.len() < mc {
-            scratch.stamp.resize(mc, 0);
-        }
-        scratch.generation = scratch.generation.wrapping_add(1);
-        if scratch.generation == 0 {
-            scratch.stamp.fill(0);
-            scratch.generation = 1;
-        }
-        let generation = scratch.generation;
+        let mut seen = vec![false; mc];
+        let mut queue: Vec<u32> = Vec::new();
         let er = self.index.edge_range(sigma);
         let fwd = self.index.fwd_starts(sigma);
         let dst_local = self.index.edge_dst_local();
         let demand = self.index.edge_demand();
         let root_local = self.index.root_local(sigma) as usize;
+        let coupons = self.ledger.coupons();
         let k_of = |node: u32| {
             if node == u.0 {
                 what_if_k
             } else {
-                self.coupons[node as usize]
+                coupons[node as usize]
             }
         };
 
-        scratch.queue.clear();
-        for l in 0..mc {
-            let node = self.members[base + l];
-            if self.seed_mask[node as usize] {
+        let seed_mask = self.ledger.seed_mask();
+        for (l, &node) in self.members[range].iter().enumerate() {
+            if seed_mask[node as usize] {
                 if l == root_local {
                     return true;
                 }
-                scratch.stamp[l] = generation;
-                scratch.queue.push(l as u32);
+                seen[l] = true;
+                queue.push(l as u32);
             }
         }
         let mut head = 0usize;
-        while head < scratch.queue.len() {
-            let l = scratch.queue[head] as usize;
+        while head < queue.len() {
+            let l = queue[head] as usize;
             head += 1;
             let src_node = self.members[base + l];
             let k = k_of(src_node);
@@ -391,14 +313,14 @@ impl<'a> SketchEstimator<'a> {
                     continue;
                 }
                 let d = dst_local[e] as usize;
-                if scratch.stamp[d] == generation {
+                if seen[d] {
                     continue;
                 }
                 if d == root_local {
                     return true;
                 }
-                scratch.stamp[d] = generation;
-                scratch.queue.push(d as u32);
+                seen[d] = true;
+                queue.push(d as u32);
             }
         }
         false
@@ -486,38 +408,24 @@ impl BenefitEstimator for SketchEstimator<'_> {
         &self.active_prob
     }
 
-    fn coupons(&self) -> &[u32] {
-        &self.coupons
-    }
-
-    fn seeds(&self) -> &[NodeId] {
-        &self.seeds
-    }
-
-    fn is_seed(&self, v: NodeId) -> bool {
-        self.seed_mask[v.index()]
+    fn ledger(&self) -> &Ledger<'_> {
+        &self.ledger
     }
 
     fn expected_benefit(&self) -> f64 {
         self.benefit
     }
 
-    fn seed_cost(&self) -> f64 {
-        self.seed_cost
-    }
-
-    fn sc_cost(&self) -> f64 {
-        self.sc_cost
-    }
-
     fn counters(&self) -> EngineCounters {
-        self.counters
+        EngineCounters {
+            holder_rebuilds: self.ledger.holder_rebuilds(),
+            ..self.counters
+        }
     }
 
-    fn coupon_add_delta(&self, u: NodeId, _scratch: &mut DeltaScratch) -> (f64, f64) {
-        let k = self.coupons[u.index()];
-        let mut scratch = self.scratch.borrow_mut();
-        let dc = self.local_cost_delta(u, k, k + 1, &mut scratch);
+    fn coupon_add_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
+        let k = self.ledger.coupons()[u.index()];
+        let dc = self.ledger.add_cost_delta(u, scratch);
         let post_sketch = self.index.post_sketch();
         let post_local = self.index.post_local();
         let dst_local = self.index.edge_dst_local();
@@ -546,19 +454,18 @@ impl BenefitEstimator for SketchEstimator<'_> {
         (self.index.unit() * newly_covered as f64, dc)
     }
 
-    fn coupon_removal_delta(&self, u: NodeId, _scratch: &mut DeltaScratch) -> (f64, f64) {
-        let k = self.coupons[u.index()];
+    fn coupon_removal_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
+        let k = self.ledger.coupons()[u.index()];
         if k == 0 {
             return (0.0, 0.0);
         }
-        let mut scratch = self.scratch.borrow_mut();
-        let dc = self.local_cost_delta(u, k, k - 1, &mut scratch);
+        let dc = self.ledger.removal_cost_delta(u, scratch);
         let post_sketch = self.index.post_sketch();
         let mut lost = 0usize;
         for pi in self.index.postings(u) {
             let sigma = post_sketch[pi] as usize;
             // Removal can only uncover: recompute covered sketches at k−1.
-            if self.covered[sigma] && !self.covered_with(sigma, u, k - 1, &mut scratch) {
+            if self.covered[sigma] && !self.covered_with(sigma, u, k - 1) {
                 lost += 1;
             }
         }
@@ -566,13 +473,11 @@ impl BenefitEstimator for SketchEstimator<'_> {
     }
 
     fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let cap = self.graph.out_degree(u) as u32;
-        let cur = self.coupons[u.index()];
-        let add = count.min(cap.saturating_sub(cur));
+        let cur = self.ledger.coupons()[u.index()];
+        let add = self.ledger.add_coupons(u, count);
         if add == 0 {
             return (0, RefreshDelta::default());
         }
-        self.coupons[u.index()] = cur + add;
         self.counters.incremental_updates += u64::from(add);
         let touched = self.propagate_coupon_increase(u, cur);
         self.refresh_surface();
@@ -588,12 +493,10 @@ impl BenefitEstimator for SketchEstimator<'_> {
 
     fn add_seed_package(&mut self, v: NodeId, coupons: u32) -> RefreshDelta {
         let mut touched: Vec<NodeId> = Vec::new();
-        if !self.seed_mask[v.index()] {
-            self.seeds.push(v);
-            self.seed_mask[v.index()] = true;
-            self.seed_cost += self.data.seed_cost(v);
+        let cur = self.ledger.coupons()[v.index()];
+        if !self.ledger.is_seed(v) {
             // Seed-activate v's slot in every sketch containing it.
-            let mut queue = std::mem::take(&mut self.scratch.get_mut().queue);
+            let queue = &mut self.queue;
             let post_sketch = self.index.post_sketch();
             let post_local = self.index.post_local();
             for pi in self.index.postings(v) {
@@ -607,11 +510,11 @@ impl BenefitEstimator for SketchEstimator<'_> {
                     queue.push(flat as u32);
                     forward_bfs(
                         self.index,
-                        &self.coupons,
+                        self.ledger.coupons(),
                         sigma,
                         &mut self.activated,
                         &mut self.hits,
-                        &mut queue,
+                        queue,
                     );
                     let root_flat = range.start + self.index.root_local(sigma) as usize;
                     if self.activated[root_flat] && !self.covered[sigma] {
@@ -623,16 +526,12 @@ impl BenefitEstimator for SketchEstimator<'_> {
                     touched.push(NodeId(self.members[f]));
                 }
             }
-            self.scratch.get_mut().queue = queue;
         }
-        let cur = self.coupons[v.index()];
-        if coupons > 0 {
-            let cap = self.graph.out_degree(v) as u32;
-            let add = coupons.min(cap.saturating_sub(cur));
-            if add > 0 {
-                self.coupons[v.index()] = cur + add;
-                touched.extend(self.propagate_coupon_increase(v, cur));
-            }
+        // The package's coupons gate v's edges only after its slots are
+        // seed-activated under the old count, exactly as two moves would.
+        self.ledger.add_seed(v, coupons);
+        if self.ledger.coupons()[v.index()] > cur {
+            touched.extend(self.propagate_coupon_increase(v, cur));
         }
         touched.push(v);
         touched.sort_unstable();
@@ -650,11 +549,10 @@ impl BenefitEstimator for SketchEstimator<'_> {
     }
 
     fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let take = count.min(self.coupons[u.index()]);
+        let take = self.ledger.remove_coupons(u, count);
         if take == 0 {
             return (0, RefreshDelta::default());
         }
-        self.coupons[u.index()] -= take;
         // Non-monotone: usable edges disappear, so per-sketch bits can only
         // be recomputed from scratch.
         self.rebuild();
@@ -674,7 +572,7 @@ mod tests {
     use super::*;
     use crate::SketchParams;
     use osn_graph::GraphBuilder;
-    use osn_propagation::SpreadEngine;
+    use osn_propagation::{expected_sc_cost, SpreadEngine};
 
     /// The paper's Example 1 tree (exact analytic ground truth exists).
     fn example1() -> (CsrGraph, NodeData) {
@@ -810,7 +708,7 @@ mod tests {
         BenefitEstimator::add_seed_package(&mut sk, NodeId(2), 2);
         BenefitEstimator::add_coupons(&mut sk, NodeId(1), 1);
 
-        let fresh = SketchEstimator::new(&g, &d, &idx, sk.seeds(), sk.coupons());
+        let fresh = SketchEstimator::new(&g, &d, &idx, sk.ledger().seeds(), sk.ledger().coupons());
         assert_eq!(
             sk.expected_benefit().to_bits(),
             fresh.expected_benefit().to_bits()

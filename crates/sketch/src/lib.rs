@@ -49,10 +49,11 @@
 //!   [`BenefitEstimator`](osn_propagation::BenefitEstimator); it borrows
 //!   the index's member and edge arrays in place and keeps only per-slot
 //!   activation/reach bits of its own. Benefit reads are
-//!   `unit × covered`, committed moves update those bits incrementally
-//!   through inverted postings, and all costs are the exact Table I
-//!   analytic values (shared with the other backends via
-//!   `osn_propagation::spread::eligible_children`).
+//!   `unit × covered`, and committed moves update those bits incrementally
+//!   through inverted postings. The deployment and all costs live in an
+//!   [`osn_propagation::Ledger`], the same type the analytic engine keeps,
+//!   so `Cseed`, `Csc` and every probe's ΔCsc are its exact Table I values,
+//!   bit for bit (pinned by `tests/ledger.rs`).
 
 #![forbid(unsafe_code)]
 
