@@ -10,9 +10,9 @@
 //!   evaluation over a Monte-Carlo world cache), with the paper's seed-size
 //!   sweep `|V|/2^n, n = 0..10` under the budget constraint → **IM-U**,
 //!   **IM-L**.
-//! * [`pm`] — profit maximization (greedy on `B(S) − Cseed(S)` [17])
+//! * [`pm`] — profit maximization (greedy on `B(S) − Cseed(S)` \[17\])
 //!   → **PM-U**, **PM-L**.
-//! * [`im_s`] — the paper's two-stage heuristic: IM seeds, then uniform SC
+//! * [`im_s`](mod@im_s) — the paper's two-stage heuristic: IM seeds, then uniform SC
 //!   distribution along `1 − P` shortest paths connecting the seeds.
 //! * [`random_seeds`] — random feasible deployment (sanity floor).
 //! * [`opt`] — branch-and-bound exhaustive search for the Fig. 10 optimum

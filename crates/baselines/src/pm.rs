@@ -1,4 +1,4 @@
-//! Profit maximization — **PM-U** / **PM-L** (Tang et al. [17]).
+//! Profit maximization — **PM-U** / **PM-L** (Tang et al. \[17\]).
 //!
 //! Greedy hill climbing on the profit `B(S) − Cseed(S)` (benefit of
 //! influenced users minus seed cost; Fig. 1(b) computes exactly this), with

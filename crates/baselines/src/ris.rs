@@ -1,7 +1,7 @@
 //! Reverse-influence sampling (RIS) seed selection.
 //!
 //! Sec. V of the paper notes that benefit estimation "can be speeded up by
-//! Monte Carlo [2] and reverse greedy methods [15]" — the TIM/IMM family.
+//! Monte Carlo \[2\] and reverse greedy methods \[15\]" — the TIM/IMM family.
 //! This module implements the reverse-greedy primitive for the plain IC
 //! model: sample **reverse-reachable (RR) sets** (the nodes that could have
 //! influenced a uniformly random target under one coin-flip world) and pick

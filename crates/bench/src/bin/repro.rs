@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 use osn_gen::DatasetProfile;
+use s3crm_bench::cli::{flag_number, flag_positive, flag_value, pool_size_flag};
 use s3crm_bench::experiments::{
     ablation, dataset as data_experiment, extensions, fig10, fig6, fig7, fig8, fig9, table3, table4,
 };
@@ -53,30 +54,6 @@ const USAGE: &str = "usage: repro [--full|--micro] [--scale X] [--worlds N] [--s
                      \x20      repro sniff FILE             # print an .oscg header / shard table\n\
                      \x20      repro csvdiff A B TOL        # compare two CSVs (relative tolerance)";
 
-/// The value following `flag`.
-fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// The value following `flag`, parsed as a `T`.
-fn flag_number<T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<T, String> {
-    let v = flag_value(it, flag)?;
-    v.parse()
-        .map_err(|_| format!("{flag} must be {what}, got {v:?}"))
-}
-
-/// The value following `flag`, parsed as a positive integer.
-fn flag_positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
-    match flag_number(it, flag, "a positive integer")? {
-        0 => Err(format!("{flag} must be a positive integer, got 0")),
-        v => Ok(v),
-    }
-}
-
 /// Parse the global command line (program name excluded). Malformed input
 /// is a usage error, never a panic.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
@@ -100,24 +77,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
             "--worlds" => effort.eval_worlds = flag_positive(&mut it, "--worlds")?,
             "--seed" => effort.seed = flag_number(&mut it, "--seed", "an integer")?,
-            "--pool-size" => {
-                // The shared worker pool is built once, up front; every
-                // evaluator in every experiment folds on it. Results are
-                // bit-identical at any size (the determinism contract) —
-                // the flag exists for perf tuning and for CI's 2-worker
-                // drift check. The pool cannot be resized once built, so a
-                // repeated flag is an error rather than silently ignored.
-                let threads = flag_positive(&mut it, "--pool-size")?;
-                if threads > osn_pool::MAX_THREADS {
-                    return Err(format!(
-                        "--pool-size must be at most {}, got {threads}",
-                        osn_pool::MAX_THREADS
-                    ));
-                }
-                if pool_size.replace(threads).is_some() {
-                    return Err("--pool-size given twice".to_string());
-                }
-            }
+            // The shared worker pool is built once, up front; every
+            // evaluator in every experiment folds on it. Results are
+            // bit-identical at any size (the determinism contract) — the
+            // flag exists for perf tuning and for CI's 2-worker drift check.
+            "--pool-size" => pool_size_flag(&mut it, &mut pool_size)?,
             "--estimator" => {
                 // Which backend drives S3CA's ID phase. `mc` is the exact
                 // incremental engine with Monte-Carlo snapshot re-ranking;

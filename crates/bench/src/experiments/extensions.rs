@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's evaluation.
 //!
-//! * **RIS vs CELF** — the paper cites reverse-greedy sampling [15] as the
-//!   scalable alternative to forward Monte-Carlo greedy [2] for the IM
+//! * **RIS vs CELF** — the paper cites reverse-greedy sampling \[15\] as the
+//!   scalable alternative to forward Monte-Carlo greedy \[2\] for the IM
 //!   substrate; this table compares the two ranking stages on quality
 //!   (redemption rate of the resulting IM-U deployment) and latency.
 //! * **LT vs coupon-IC** — footnote 5 argues the linear-threshold model

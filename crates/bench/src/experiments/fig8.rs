@@ -2,8 +2,8 @@
 //!
 //! Airbnb (SC cost 50, allocation 100) and Booking.com (SC cost 100 via
 //! Hotels.com, allocation 10) policies on a Facebook-shaped network; user
-//! adoption follows the 85/10/5 model of [30] (scaling incoming influence),
-//! benefits follow the gross-margin setting of [31]:
+//! adoption follows the 85/10/5 model of \[30\] (scaling incoming influence),
+//! benefits follow the gross-margin setting of \[31\]:
 //! `b = c_sc / (1 − margin/100)`.
 //!
 //! Expected shape (paper): redemption rate rises with the gross margin for

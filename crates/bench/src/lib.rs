@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod dataset;
 pub mod effort;
 pub mod experiments;

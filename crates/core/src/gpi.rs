@@ -17,10 +17,12 @@
 //! its unvisited lower-probability siblings, resuming at the parent's next
 //! sibling — exactly Alg. 2's backtrack rule.
 //!
-//! GPs are stored compactly as (endpoint, visit index): the member set of
-//! `g(s, v_i)` is reconstructed on demand as "all earlier visits at depth
-//! ≤ `l_i`", which keeps GPI linear in the number of visited nodes instead
-//! of quadratic.
+//! GPs are stored compactly: `paths[i]` holds only the guaranteed cost and
+//! benefit of the path ending at `visits[i]`, which already records the
+//! endpoint, its level and its DFS parent. The member set of `g(s, v_i)`
+//! is reconstructed on demand as "all earlier visits at depth ≤ `l_i`",
+//! which keeps GPI linear in the number of visited nodes instead of
+//! quadratic.
 
 use crate::deployment::Deployment;
 use crate::id_phase::ExploreTracker;
@@ -36,15 +38,10 @@ pub struct Visit {
     pub parent: Option<usize>,
 }
 
-/// One guaranteed path `g(s, v_i)`; aligned 1:1 with the visit sequence.
+/// One guaranteed path `g(s, v_i)`; aligned 1:1 with the visit sequence,
+/// whose entry at the same index is the endpoint's visit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GuaranteedPath {
-    /// The path endpoint `v_i`.
-    pub endpoint: NodeId,
-    /// Index of the endpoint in the forest's visit sequence.
-    pub visit_index: usize,
-    /// Endpoint depth.
-    pub level: u32,
     /// Guaranteed cost `c_{s,v_i}` (raw `Σ c_sc` over members).
     pub cost: f64,
     /// Guaranteed benefit `b_{s,v_i}` (`Σ b` over members).
@@ -181,13 +178,7 @@ fn forest_for_seed(
             level,
             parent,
         });
-        paths.push(GuaranteedPath {
-            endpoint: node,
-            visit_index,
-            level,
-            cost,
-            benefit,
-        });
+        paths.push(GuaranteedPath { cost, benefit });
 
         // Highest-probability child must pop first → push in reverse rank
         // order (ascending probability).

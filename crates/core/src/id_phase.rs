@@ -7,7 +7,7 @@
 //! 2. **deepen** — a first coupon to an influenced non-internal node at the
 //!    spread frontier;
 //! 3. **new source** — activate the next pivot-source package from the
-//!    [`PivotQueue`](crate::pivot::PivotQueue).
+//!    [`PivotQueue`].
 //!
 //! Each iteration compares the best marginal redemption (MR) of strategies
 //! 1–2 against the standalone redemption rate of the current pivot source
@@ -18,18 +18,17 @@
 //!
 //! ## Lazy-greedy candidate ranking
 //!
-//! [`investment_deployment`] runs on the incremental
-//! [`SpreadEngine`](osn_propagation::SpreadEngine) with a CELF-style
-//! max-heap of candidate marginals: a candidate is re-scored **only when a
-//! committed move actually changed one of its inputs** (its activation
-//! probability, its coupon count, an eligible child's subtree gain, or the
-//! seed mask), detected with exact-bit granularity from the engine's
-//! refresh deltas. Unlike classical CELF — which tolerates stale upper
-//! bounds and so can pick differently when marginals *increase* — cached
-//! entries here are always exact, and ties break deterministically on the
-//! spread-order position, so the heap's argmax is provably the same
-//! candidate the exhaustive rescan of
-//! [`investment_deployment_reference`] selects. That reference
+//! [`investment_deployment`] runs on the incremental [`SpreadEngine`] with
+//! a CELF-style max-heap of candidate marginals: a candidate is re-scored
+//! **only when a committed move actually changed one of its inputs** (its
+//! activation probability, its coupon count, an eligible child's subtree
+//! gain, or the seed mask), detected with exact-bit granularity from the
+//! engine's refresh deltas. Unlike classical CELF — which tolerates stale
+//! upper bounds and so can pick differently when marginals *increase* —
+//! cached entries here are always exact, and ties break deterministically
+//! on the spread-order position, so the heap's argmax is provably the same
+//! candidate the exhaustive rescan of [`investment_deployment_reference`]
+//! selects. That reference
 //! implementation (the seed code path: full `SpreadState` re-evaluation
 //! per move, full candidate rescan per iteration) is kept verbatim as the
 //! equivalence oracle for tests.
@@ -239,9 +238,15 @@ impl CandidateHeap {
         });
     }
 
-    /// Positive activation probability and coupons below the out-degree.
-    fn is_candidate(prob: &[f64], coupons: &[u32], graph: &CsrGraph, u: NodeId) -> bool {
-        prob[u.index()] > 0.0 && coupons[u.index()] < graph.out_degree(u) as u32
+    /// In the spread support and holding coupons below the out-degree.
+    #[inline]
+    fn is_candidate<E: BenefitEstimator + ?Sized>(
+        est: &E,
+        coupons: &[u32],
+        graph: &CsrGraph,
+        u: NodeId,
+    ) -> bool {
+        est.is_active(u) && coupons[u.index()] < graph.out_degree(u) as u32
     }
 
     /// Full re-index after a structural change: positions shift, membership
@@ -255,10 +260,10 @@ impl CandidateHeap {
         scratch: &mut DeltaScratch,
     ) {
         self.heap.clear();
-        let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
+        let coupons = est.ledger().coupons();
         for (p, &u) in est.order().iter().enumerate() {
             self.pos[u.index()] = p as u32;
-            if !Self::is_candidate(prob, coupons, graph, u) {
+            if !Self::is_candidate(est, coupons, graph, u) {
                 continue;
             }
             if !self.scored[u.index()] {
@@ -312,10 +317,10 @@ impl CandidateHeap {
             self.dirty.clear();
             return;
         }
-        let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
+        let coupons = est.ledger().coupons();
         for &u in &dirty {
             self.version[u.index()] = self.version[u.index()].wrapping_add(1);
-            if Self::is_candidate(prob, coupons, graph, u) {
+            if Self::is_candidate(est, coupons, graph, u) {
                 self.rescore(est, u, scratch);
                 self.push_if_positive(u);
             }
@@ -363,9 +368,9 @@ fn mark_explored<E: BenefitEstimator + ?Sized>(
     nodes: &[NodeId],
     explored: &mut ExploreTracker,
 ) {
-    let (prob, coupons) = (est.active_prob(), est.ledger().coupons());
+    let coupons = est.ledger().coupons();
     for &u in nodes {
-        if CandidateHeap::is_candidate(prob, coupons, graph, u) {
+        if CandidateHeap::is_candidate(est, coupons, graph, u) {
             explored.mark(u);
         }
     }
@@ -384,8 +389,9 @@ pub fn investment_deployment(
     max_iterations: usize,
 ) -> IdOutcome {
     // The closure monomorphizes `investment_deployment_with` to the exact
-    // engine; the trait impl is pure delegation, so this compiles to the
-    // same floating-point sequence as the pre-seam hard-wired loop.
+    // engine, whose trait impl holds the method bodies themselves: this
+    // compiles to the same floating-point sequence as the pre-seam
+    // hard-wired loop.
     investment_deployment_with(
         graph,
         data,

@@ -56,8 +56,8 @@ pub fn value_from_estimator<E: osn_propagation::BenefitEstimator + ?Sized>(
     est: &E,
 ) -> ObjectiveValue {
     let benefit = est.expected_benefit();
-    let seed = est.seed_cost();
-    let sc = est.sc_cost();
+    let seed = est.ledger().seed_cost();
+    let sc = est.ledger().sc_cost();
     ObjectiveValue {
         benefit,
         seed_cost: seed,

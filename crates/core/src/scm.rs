@@ -25,7 +25,7 @@ use crate::deployment::Deployment;
 use crate::gpi::GpForest;
 use crate::objective::{self, ObjectiveValue};
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use osn_propagation::{DeltaScratch, EngineCounters, SpreadEngine};
+use osn_propagation::{BenefitEstimator, DeltaScratch, EngineCounters, SpreadEngine};
 
 /// Summary of the maneuvering phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub fn sc_maneuver(
         let forest = &forests[cand.forest];
         // Re-check activatability against the *current* deployment: an
         // earlier committed maneuver may have funded this path's parent.
-        if !parent_unfunded(forest, cand.visit_index, engine.coupons()) {
+        if !parent_unfunded(forest, cand.visit_index, engine.ledger().coupons()) {
             continue;
         }
         let beta = cand.amelioration;
@@ -116,8 +116,8 @@ fn collect_candidates(
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (fi, forest) in forests.iter().enumerate() {
-        for path in &forest.paths {
-            if path.level == 0 {
+        for (visit_index, path) in forest.paths.iter().enumerate() {
+            if forest.visits[visit_index].level == 0 {
                 continue; // the seed itself is trivially "reached"
             }
             // Condition 1: guaranteed cost within the invested SC budget.
@@ -126,12 +126,12 @@ fn collect_candidates(
             }
             // Condition 2: endpoint not already activatable (its GP parent
             // holds no coupons in D*).
-            if !parent_unfunded(forest, path.visit_index, state.coupons()) {
+            if !parent_unfunded(forest, visit_index, state.ledger().coupons()) {
                 continue;
             }
             // Amelioration index against the nearest possibly activated
             // ascendant's path.
-            let Some(anchor) = nearest_activated_ascendant(forest, path.visit_index, state) else {
+            let Some(anchor) = nearest_activated_ascendant(forest, visit_index, state) else {
                 continue;
             };
             let base = &forest.paths[anchor];
@@ -145,7 +145,7 @@ fn collect_candidates(
             }
             out.push(Candidate {
                 forest: fi,
-                visit_index: path.visit_index,
+                visit_index,
                 amelioration: db / dc,
             });
         }
@@ -171,7 +171,7 @@ fn nearest_activated_ascendant(
 ) -> Option<usize> {
     forest.ascendants(visit_index).find(|&i| {
         let node = forest.visits[i].node;
-        state.active_prob()[node.index()] > 0.0 || state.is_seed(node)
+        state.active_prob()[node.index()] > 0.0 || state.ledger().is_seed(node)
     })
 }
 
@@ -190,7 +190,7 @@ fn plan_maneuver<'a>(
 ) -> Option<(SpreadEngine<'a>, u64)> {
     // Receiver targets: the GP's K̂ allocation.
     let allocation = forest.allocation(visit_index);
-    let coupons = base_engine.coupons();
+    let coupons = base_engine.ledger().coupons();
     let mut target = vec![0u32; coupons.len()];
     for &(node, k) in &allocation {
         target[node.index()] = k;
@@ -220,7 +220,8 @@ fn plan_maneuver<'a>(
         }
         // Advance to the next receiver still below target.
         while recv_idx < receivers.len()
-            && engine.coupons()[receivers[recv_idx].index()] >= target[receivers[recv_idx].index()]
+            && engine.ledger().coupons()[receivers[recv_idx].index()]
+                >= target[receivers[recv_idx].index()]
         {
             recv_idx += 1;
         }
@@ -255,7 +256,7 @@ fn best_donor(
     beta: f64,
     scratch: &mut DeltaScratch,
 ) -> Option<NodeId> {
-    let coupons = engine.coupons();
+    let coupons = engine.ledger().coupons();
     let mut best: Option<(f64, NodeId)> = None;
     for &node in engine.ledger().holder_nodes() {
         if coupons[node.index()] <= target[node.index()] {

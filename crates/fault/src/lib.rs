@@ -45,9 +45,10 @@
 //! * Daemons call [`install_from_env`] once at startup: it reads the
 //!   `OSN_FAULTS` environment variable and installs the parsed plan for the
 //!   process lifetime.
-//! * Tests use [`Scenario::setup`], which serializes fault-enabled tests
-//!   behind a process-wide gate (plans are process-global, so two tests
-//!   must not overlap) and uninstalls the plan when the guard drops.
+//! * Tests use `Scenario::new` (fault-enabled builds only), which
+//!   serializes fault-enabled tests behind a process-wide gate (plans are
+//!   process-global, so two tests must not overlap) and uninstalls the plan
+//!   when the guard drops.
 //!
 //! This registry is deliberately process-global — it is a *test* facility,
 //! compiled out of production builds, not a configuration channel; nothing
@@ -325,7 +326,7 @@ pub use active::Scenario;
 
 /// A test-scoped fault plan (fault-enabled builds only).
 ///
-/// [`Scenario::setup`] parses the spec, takes a process-wide gate so
+/// [`Scenario::new`] parses the spec, takes a process-wide gate so
 /// concurrent fault-enabled tests serialize, and installs the plan; the
 /// plan is uninstalled when the guard drops (including on test panic).
 #[cfg(feature = "fault-injection")]

@@ -1,18 +1,18 @@
 //! Case-study models of Sec. VI-C.
 //!
-//! * The **adoption model** [30] "quantifies the probability of users
+//! * The **adoption model** \[30\] "quantifies the probability of users
 //!   adopting a coupon": 85% / 10% / 5% of users get adoption weight
 //!   `∛c_sc`, `c_sc`, `c_sc²` respectively, each normalized by
 //!   `∛c_sc + c_sc + c_sc²`. The resulting per-user adoption probability
 //!   scales the influence probability of the user's incoming edges.
-//! * The **gross margin** benefit setting [31]:
+//! * The **gross margin** benefit setting \[31\]:
 //!   `margin = (b(v) − c_sc(v)) / b(v) · 100%`, so
 //!   `b(v) = c_sc(v) / (1 − margin/100)`.
 
 use osn_graph::{CsrGraph, GraphBuilder, GraphError};
 use rand::Rng;
 
-/// The three adoption tiers of the model in [30].
+/// The three adoption tiers of the model in \[30\].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdoptionTier {
     /// 85% of users: weight `∛c`.

@@ -1,6 +1,6 @@
 //! Workload attribute models (Sec. VI-A experiment setup).
 //!
-//! * benefit: "randomly generated by a normal distribution N(µ, σ)" [17];
+//! * benefit: "randomly generated by a normal distribution N(µ, σ)" \[17\];
 //! * seed cost: "proportional to the number of her friends (out-degree)";
 //! * SC cost: uniform, "following the real coupon strategies from Dropbox
 //!   and Hotels.com";

@@ -1,6 +1,6 @@
 //! Holme–Kim power-law-cluster model — the PPGG substitute.
 //!
-//! Sec. VI-D of the paper generates evaluation graphs with PPGG [32],
+//! Sec. VI-D of the paper generates evaluation graphs with PPGG \[32\],
 //! parameterized by a clustering coefficient (0.6394) and a power-law
 //! exponent (η = 1.7 / 2.5). PPGG itself is not available; the Holme–Kim
 //! model controls exactly those two structural quantities: preferential

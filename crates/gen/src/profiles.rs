@@ -31,7 +31,7 @@ pub enum DatasetProfile {
     Epinions,
     /// SNAP ego-Gplus: 108K nodes, 13.7M directed edges (dense).
     GooglePlus,
-    /// Douban (KDD-16 [29]): 5.5M nodes, 86M edges.
+    /// Douban (KDD-16 \[29\]): 5.5M nodes, 86M edges.
     Douban,
 }
 

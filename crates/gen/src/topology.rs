@@ -1,7 +1,7 @@
 //! Undirected topology scaffold shared by the generators.
 //!
 //! Generators produce an undirected edge set; [`UndirectedTopology`] converts
-//! it into the directed [`GraphBuilder`](osn_graph::GraphBuilder) form the
+//! it into the directed [`GraphBuilder`] form the
 //! propagation model needs. Social datasets differ in *reciprocity* (Facebook
 //! friendships are mutual; Epinions trust mostly is not), so conversion takes
 //! a reciprocity parameter: each undirected edge becomes two directed edges

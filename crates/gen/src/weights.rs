@@ -1,6 +1,6 @@
 //! Influence-probability models.
 //!
-//! The paper's default (following [3], [6], [8], [9], [14], [15], [17], [18])
+//! The paper's default (following \[3\], \[6\], \[8\], \[9\], \[14\], \[15\], \[17\], \[18\])
 //! sets `P(e(i,j)) = 1 / in-degree(v_j)` — the weighted-cascade convention.
 //! Uniform and trivalency models are provided for sensitivity experiments.
 

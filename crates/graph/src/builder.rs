@@ -1,7 +1,7 @@
 //! Incremental graph construction.
 //!
 //! [`GraphBuilder`] accumulates validated edges and produces an immutable
-//! [`CsrGraph`](crate::CsrGraph) in one pass. Duplicate edges keep the last
+//! [`CsrGraph`] in one pass. Duplicate edges keep the last
 //! probability supplied (useful when a weight model overwrites placeholder
 //! probabilities loaded from an edge list).
 

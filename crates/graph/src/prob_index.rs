@@ -11,7 +11,7 @@
 //! (so every class satisfies `p_max / 2 < p ≤ p_max`), then each class is
 //! split into **uniform** buckets — one per distinct probability — when the
 //! split stays cheap (each bucket amortizes its one terminating gap draw
-//! per world over at least [`MIN_EDGES_PER_SPLIT`] edges). Uniform buckets
+//! per world over at least `MIN_EDGES_PER_SPLIT` edges). Uniform buckets
 //! need no per-candidate thinning draw, which is the common case under the
 //! uniform, trivalency, and inverse-in-degree weight models; classes too
 //! fragmented to split keep a single bucket whose candidates are thinned

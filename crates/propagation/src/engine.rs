@@ -16,10 +16,15 @@
 //!   structure (BFS order), but every untouched holder's DP is reused;
 //!   only holders whose eligibility actually changed (in-neighbors of a
 //!   new seed, the retrieval donor) rebuild theirs.
-//! * Marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
+//! * Marginal probes ([`coupon_add_delta`](BenefitEstimator::coupon_add_delta))
 //!   answer "what if `u` got one more coupon" in O(deg) from the ledger's
 //!   cached availability sums, replacing two O(deg·k) DP sweeps per
 //!   candidate.
+//!
+//! What the ID loop drives (`order`, `is_active`, the two monotone moves,
+//! the add probe) is the engine's [`BenefitEstimator`] impl; coupon
+//! retrieval and its removal probe, which only SC Maneuver uses, are
+//! inherent methods.
 //!
 //! ## Per-move cost: O(spread + targets), not O(|V|)
 //!
@@ -32,9 +37,9 @@
 //! the exact-bit change report diffs only previous ∪ current members
 //! (probabilities) and holders (gains), in ascending node order. A
 //! non-structural refresh keeps both sets and diffs the current ones
-//! without any copy. [`sc_cost`](SpreadEngine::sc_cost) sums the ledger's
-//! holder list, kept in ascending node order. Structural moves also re-run
-//! the spread BFS, which allocates an n-sized level array.
+//! without any copy. [`Ledger::sc_cost`] sums the ledger's holder list,
+//! kept in ascending node order. Structural moves also re-run the spread
+//! BFS, which allocates an n-sized level array.
 //!
 //! ## The bit-identity contract
 //!
@@ -50,6 +55,7 @@
 //! `crates/propagation/tests/proptests.rs` pin that it never changes a bit,
 //! which is what keeps every pinned paper CSV byte-identical.
 
+use crate::estimator::BenefitEstimator;
 use crate::ledger::{DeltaScratch, Ledger};
 use crate::spread::{
     accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef, SpreadState,
@@ -193,15 +199,6 @@ impl<'a> SpreadEngine<'a> {
         self.rebuild_structure()
     }
 
-    // ------------------------------------------------------------------
-    // Read accessors (the `SpreadState` surface the greedy phases use).
-    // ------------------------------------------------------------------
-
-    /// Spread members in BFS order (identical to `SpreadState::order`).
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
     /// Per-node activation probability.
     pub fn active_prob(&self) -> &[f64] {
         &self.active_prob
@@ -210,51 +207,6 @@ impl<'a> SpreadEngine<'a> {
     /// Per-node downstream gain (identical to `SpreadState::subtree_gain`).
     pub fn subtree_gain(&self) -> &[f64] {
         &self.subtree_gain
-    }
-
-    /// `B(S, K)` of the current deployment.
-    pub fn expected_benefit(&self) -> f64 {
-        self.expected_benefit
-    }
-
-    /// The deployment and its costs.
-    pub fn ledger(&self) -> &Ledger<'a> {
-        &self.ledger
-    }
-
-    /// The current coupon allocation.
-    pub fn coupons(&self) -> &[u32] {
-        self.ledger.coupons()
-    }
-
-    /// The current seed set, in insertion order.
-    pub fn seeds(&self) -> &[NodeId] {
-        self.ledger.seeds()
-    }
-
-    /// Whether `v` is a seed.
-    pub fn is_seed(&self, v: NodeId) -> bool {
-        self.ledger.is_seed(v)
-    }
-
-    /// `Cseed(S)` — maintained incrementally, bit-identical to
-    /// [`seed_cost`](crate::cost::seed_cost).
-    pub fn seed_cost(&self) -> f64 {
-        self.ledger.seed_cost()
-    }
-
-    /// `Csc(K(I))`, bit-identical to
-    /// [`expected_sc_cost`](crate::cost::expected_sc_cost).
-    pub fn sc_cost(&self) -> f64 {
-        self.ledger.sc_cost()
-    }
-
-    /// Evaluation-effort counters accumulated so far.
-    pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            holder_rebuilds: self.ledger.holder_rebuilds(),
-            ..self.counters
-        }
     }
 
     /// Materialize the maintained state as a [`SpreadState`] (used by the
@@ -269,48 +221,6 @@ impl<'a> SpreadEngine<'a> {
             seed_mask: self.ledger.seed_mask().to_vec(),
             coupons: self.ledger.coupons().to_vec(),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Moves.
-    // ------------------------------------------------------------------
-
-    /// Give `u` up to `count` extra coupons (capped at its out-degree).
-    /// Returns the number actually added and what changed. A holder that
-    /// already relays takes the O(deg)-per-coupon DP-extension fast path; a
-    /// first coupon builds the holder and re-derives the spread structure.
-    pub fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let relays = self.ledger.coupons()[u.index()] > 0;
-        let add = self.ledger.add_coupons(u, count);
-        if add == 0 {
-            return (0, RefreshDelta::default());
-        }
-        if relays {
-            // An internal node already relayed to its children: the spread
-            // structure cannot change, only probabilities and gains do.
-            self.counters.incremental_updates += u64::from(add);
-            (add, self.refresh(false))
-        } else {
-            self.derive_structure();
-            (add, self.refresh(true))
-        }
-    }
-
-    /// Activate `v` as a seed bundled with `coupons` coupons (the ID
-    /// phase's pivot package / Alg. 1 "new source" move). Idempotent on the
-    /// seed itself. Holders that previously counted `v` as an eligible
-    /// child rebuild their DPs (a seed never receives coupons).
-    pub fn add_seed_package(&mut self, v: NodeId, coupons: u32) -> RefreshDelta {
-        let fresh = self.ledger.add_seed(v, coupons);
-        self.derive_structure();
-        let mut delta = self.refresh(true);
-        if fresh {
-            // Report every in-neighbor (holder or not — a fresh candidate's
-            // k = 0 → 1 probe reads the same child set) so marginal caches
-            // invalidate theirs.
-            delta.eligibility_changed = self.graph.in_sources(v).to_vec();
-        }
-        delta
     }
 
     /// Retrieve up to `count` coupons from `u` (the SC-Maneuver donor
@@ -329,22 +239,6 @@ impl<'a> SpreadEngine<'a> {
             // Still a relay: membership is unchanged, only q shrank.
             (take, self.refresh(false))
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Marginal probes (read-only).
-    // ------------------------------------------------------------------
-
-    /// First-order `(ΔB, ΔCsc)` of giving `u` one more coupon —
-    /// bit-identical to `SpreadState::coupon_delta(graph, data, u, 1)` but
-    /// O(deg), from the ledger's [`add_probe`](Ledger::add_probe).
-    pub fn coupon_add_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
-        let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
-        self.ledger.add_probe(u, scratch, |v, dq| {
-            db += pu * dq * self.subtree_gain[v.index()];
-            dc += dq * self.data.sc_cost(v);
-        });
-        (db, dc)
     }
 
     /// First-order `(ΔB, ΔCsc)` of retrieving one coupon from `u` —
@@ -452,6 +346,80 @@ impl<'a> SpreadEngine<'a> {
     }
 }
 
+impl BenefitEstimator for SpreadEngine<'_> {
+    /// Spread members in BFS order (identical to `SpreadState::order`).
+    fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    #[inline]
+    fn is_active(&self, u: NodeId) -> bool {
+        self.active_prob[u.index()] > 0.0
+    }
+
+    fn ledger(&self) -> &Ledger<'_> {
+        &self.ledger
+    }
+
+    fn expected_benefit(&self) -> f64 {
+        self.expected_benefit
+    }
+
+    fn counters(&self) -> EngineCounters {
+        EngineCounters {
+            holder_rebuilds: self.ledger.holder_rebuilds(),
+            ..self.counters
+        }
+    }
+
+    /// Bit-identical to `SpreadState::coupon_delta(graph, data, u, 1)` but
+    /// O(deg), from the ledger's [`add_probe`](Ledger::add_probe).
+    fn coupon_add_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
+        let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
+        self.ledger.add_probe(u, scratch, |v, dq| {
+            db += pu * dq * self.subtree_gain[v.index()];
+            dc += dq * self.data.sc_cost(v);
+        });
+        (db, dc)
+    }
+
+    /// A holder that already relays takes the O(deg)-per-coupon
+    /// DP-extension fast path; a first coupon builds the holder and
+    /// re-derives the spread structure.
+    fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
+        let relays = self.ledger.coupons()[u.index()] > 0;
+        let add = self.ledger.add_coupons(u, count);
+        if add == 0 {
+            return (0, RefreshDelta::default());
+        }
+        if relays {
+            // An internal node already relayed to its children: the spread
+            // structure cannot change, only probabilities and gains do.
+            self.counters.incremental_updates += u64::from(add);
+            (add, self.refresh(false))
+        } else {
+            self.derive_structure();
+            (add, self.refresh(true))
+        }
+    }
+
+    /// The ID phase's pivot package / Alg. 1 "new source" move. Holders
+    /// that previously counted `v` as an eligible child rebuild their DPs
+    /// (a seed never receives coupons).
+    fn add_seed_package(&mut self, v: NodeId, coupons: u32) -> RefreshDelta {
+        let fresh = self.ledger.add_seed(v, coupons);
+        self.derive_structure();
+        let mut delta = self.refresh(true);
+        if fresh {
+            // Report every in-neighbor (holder or not — a fresh candidate's
+            // k = 0 → 1 probe reads the same child set) so marginal caches
+            // invalidate theirs.
+            delta.eligibility_changed = self.graph.in_sources(v).to_vec();
+        }
+        delta
+    }
+}
+
 /// The ascending union of two ascending node lists.
 fn sorted_union(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -504,7 +472,12 @@ mod tests {
         graph: &CsrGraph,
         data: &NodeData,
     ) {
-        let fresh = SpreadState::evaluate(graph, data, engine.seeds(), engine.coupons());
+        let fresh = SpreadState::evaluate(
+            graph,
+            data,
+            engine.ledger().seeds(),
+            engine.ledger().coupons(),
+        );
         assert_eq!(engine.order(), &fresh.order[..], "order diverged");
         for i in 0..graph.node_count() {
             assert_eq!(
@@ -523,8 +496,13 @@ mod tests {
             fresh.expected_benefit.to_bits(),
             "expected_benefit"
         );
-        let sc = expected_sc_cost(graph, data, engine.seeds(), engine.coupons());
-        assert_eq!(engine.sc_cost().to_bits(), sc.to_bits(), "sc_cost");
+        let sc = expected_sc_cost(
+            graph,
+            data,
+            engine.ledger().seeds(),
+            engine.ledger().coupons(),
+        );
+        assert_eq!(engine.ledger().sc_cost().to_bits(), sc.to_bits(), "sc_cost");
     }
 
     #[test]

@@ -58,19 +58,22 @@
 //!
 //! ## Evaluation architecture
 //!
-//! The greedy phases drive estimation through the [`estimator`] seam:
-//! [`estimator::BenefitEstimator`] is the *stateful* surface (maintained
-//! deployment view + committed moves + marginal probes) that
-//! `s3crm-core`'s ID phase, SCM, and the baselines are generic over. The
-//! incremental [`SpreadEngine`] is the exact reference implementation (its
-//! trait impl is pure delegation, so the seam costs no bits); the
+//! The ID phase drives estimation through the [`estimator`] seam:
+//! [`estimator::BenefitEstimator`] is exactly the *stateful* surface
+//! `s3crm-core`'s ID loop is generic over (spread order, per-node
+//! candidacy test, the two monotone committed moves, the add probe). The
+//! incremental [`SpreadEngine`] is the exact reference implementation: its
+//! trait impl holds the method bodies, so the monomorphized loop runs the
+//! engine's own floating-point sequence. SC Maneuver is not generic: it
+//! runs on the engine and uses its inherent retrieval surface
+//! (`remove_coupons`, `coupon_removal_delta`, `active_prob`). The
 //! `osn-sketch` crate provides the reverse-reachability coverage oracle.
 //! Both keep their deployment in a [`Ledger`], which owns the costs
 //! (`Cseed`, `Csc`, probe ΔCsc): they are the same exact analytic values
 //! in **every** backend — only the benefit side carries estimation error —
-//! so budget feasibility never depends on the estimator choice. The trait
-//! reads seeds, coupons and costs from the ledger, and the greedy phases
-//! read the live deployment there instead of mirroring it.
+//! so budget feasibility never depends on the estimator choice. Callers
+//! read seeds, coupons and costs from the ledger instead of mirroring
+//! the deployment.
 //!
 //! Analytic evaluation has two entry points with one arithmetic:
 //!

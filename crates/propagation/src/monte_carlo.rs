@@ -1,9 +1,9 @@
 //! Monte-Carlo benefit evaluation over a world cache.
 //!
 //! Sec. V: `B(S, K(I))` "can be obtained approximately by sampling methods,
-//! such as Monte Carlo [2]", with accuracy `(1 − ε)` growing in the sample
+//! such as Monte Carlo \[2\]", with accuracy `(1 − ε)` growing in the sample
 //! count. Worlds are pre-sampled once per instance
-//! ([`WorldCache`](crate::world::WorldCache)) and each evaluation runs the
+//! ([`WorldCache`]) and each evaluation runs the
 //! deterministic coupon-constrained cascade per world, fanned out over
 //! 64-world blocks with [`osn_pool`]'s one primitive,
 //! [`ThreadPool::map_indexed`].

@@ -6,8 +6,8 @@ use osn_propagation::rank::{exhaustion_probability, redemption_probs};
 use osn_propagation::spread::SpreadState;
 use osn_propagation::world::WorldCache;
 use osn_propagation::{
-    expected_sc_cost, reference_simulate_batch, DeltaScratch, DeploymentRef, McBackend,
-    SimulationStats, SpreadEngine,
+    expected_sc_cost, reference_simulate_batch, BenefitEstimator, DeltaScratch, DeploymentRef,
+    McBackend, SimulationStats, SpreadEngine,
 };
 use proptest::prelude::*;
 
@@ -73,15 +73,22 @@ fn moves_strategy() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
     proptest::collection::vec((0u8..4, 0u32..DG_N as u32, 1u32..3), 1..12)
 }
 
-/// Assert every engine field equals a from-scratch evaluation, bit for bit.
+/// Assert every engine field equals a from-scratch evaluation, bit for bit,
+/// and that the seam's candidacy test is the activation array's `> 0`.
 fn assert_engine_is_fresh(engine: &SpreadEngine<'_>, graph: &CsrGraph, data: &NodeData) {
-    let fresh = SpreadState::evaluate(graph, data, engine.seeds(), engine.coupons());
+    let ledger = engine.ledger();
+    let fresh = SpreadState::evaluate(graph, data, ledger.seeds(), ledger.coupons());
     assert_eq!(engine.order(), &fresh.order[..], "spread order diverged");
     for i in 0..graph.node_count() {
         assert_eq!(
             engine.active_prob()[i].to_bits(),
             fresh.active_prob[i].to_bits(),
             "active_prob[{i}] diverged"
+        );
+        assert_eq!(
+            engine.is_active(NodeId(i as u32)),
+            fresh.active_prob[i] > 0.0,
+            "is_active({i})"
         );
         assert_eq!(
             engine.subtree_gain()[i].to_bits(),
@@ -94,11 +101,11 @@ fn assert_engine_is_fresh(engine: &SpreadEngine<'_>, graph: &CsrGraph, data: &No
         fresh.expected_benefit.to_bits(),
         "expected_benefit diverged"
     );
-    let sc = expected_sc_cost(graph, data, engine.seeds(), engine.coupons());
-    assert_eq!(engine.sc_cost().to_bits(), sc.to_bits(), "sc_cost diverged");
-    let seed = osn_propagation::seed_cost(data, engine.seeds());
+    let sc = expected_sc_cost(graph, data, ledger.seeds(), ledger.coupons());
+    assert_eq!(ledger.sc_cost().to_bits(), sc.to_bits(), "sc_cost diverged");
+    let seed = osn_propagation::seed_cost(data, ledger.seeds());
     assert_eq!(
-        engine.seed_cost().to_bits(),
+        ledger.seed_cost().to_bits(),
         seed.to_bits(),
         "seed_cost diverged"
     );
@@ -401,8 +408,8 @@ proptest! {
                     let _ = engine.coupon_removal_delta(v, &mut scratch);
                 }
             }
-            prop_assert_eq!(engine.seeds(), &seeds[..]);
-            prop_assert_eq!(engine.coupons(), &coupons[..]);
+            prop_assert_eq!(engine.ledger().seeds(), &seeds[..]);
+            prop_assert_eq!(engine.ledger().coupons(), &coupons[..]);
             assert_engine_is_fresh(&engine, &g, &d);
         }
         // The escape hatch is a bitwise no-op on a maintained engine.

@@ -22,7 +22,7 @@
 //!
 //! The leader runs follower jobs on *its* thread, so a panic there (a bug,
 //! or an injected fault) would otherwise strand every parked follower on a
-//! condvar nobody will ever signal. [`LeaderReign`] is the RAII failover:
+//! condvar nobody will ever signal. `LeaderReign` is the RAII failover:
 //! from taking leadership to the end of its batch the leader holds a guard
 //! whose drop — normal or during unwind — hands leadership to the first
 //! parked probe (or idles the group). If the batch never delivered, the

@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 
+use s3crm_bench::cli::{flag_count, flag_positive, flag_value};
 use s3crm_serve::client::{RetryPolicy, RetryingClient};
 use s3crm_serve::{CampaignSpec, Client, ServeState};
 use std::path::PathBuf;
@@ -100,21 +101,6 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-/// The value following `flag`, parsed as a positive integer no larger
-/// than `max`.
-fn flag_count(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    max: usize,
-) -> Result<usize, String> {
-    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    match v.parse::<usize>() {
-        Ok(n) if n > max => Err(format!("{flag} must be at most {max}, got {n}")),
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{flag} must be a positive integer, got {v:?}")),
-    }
-}
-
 /// Parse the command line (program name excluded); `None` asks for help.
 /// Malformed input is a usage error, never a panic or a silent clamp.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
@@ -131,17 +117,17 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--data" => parsed.data = Some(PathBuf::from(it.next().ok_or("--data needs a value")?)),
-            "--addr" => parsed.addr = Some(it.next().ok_or("--addr needs a value")?),
+            "--data" => parsed.data = Some(PathBuf::from(flag_value(&mut it, "--data")?)),
+            "--addr" => parsed.addr = Some(flag_value(&mut it, "--addr")?),
             "--serial" => parsed.serial = true,
             "--chaos" => parsed.chaos = true,
             "--shutdown" => parsed.shutdown = true,
-            "--campaigns" => parsed.campaigns = flag_count(&mut it, "--campaigns", usize::MAX)?,
+            "--campaigns" => parsed.campaigns = flag_positive(&mut it, "--campaigns")?,
             // One client thread each: bounded like every pool size.
             "--threads" => {
                 parsed.threads = flag_count(&mut it, "--threads", osn_pool::MAX_THREADS)?;
             }
-            "--out" => parsed.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
+            "--out" => parsed.out = Some(PathBuf::from(flag_value(&mut it, "--out")?)),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}")),
         }

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 
+use s3crm_bench::cli::{flag_positive, flag_value, pool_size_flag};
 use s3crm_serve::server::{self, ServeOptions};
 use s3crm_serve::ServeState;
 use std::io::Write;
@@ -45,23 +46,6 @@ struct Args {
     max_inflight: usize,
     admission_wait: Option<Duration>,
     options: ServeOptions,
-}
-
-/// The value following `flag`.
-fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// The value following `flag`, parsed as a positive integer.
-fn flag_positive<T: std::str::FromStr + Default + PartialEq>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let v = flag_value(it, flag)?;
-    match v.parse::<T>() {
-        Ok(n) if n != T::default() => Ok(n),
-        _ => Err(format!("{flag} must be a positive integer, got {v:?}")),
-    }
 }
 
 /// The value following `flag`, as a positive number of milliseconds.
@@ -99,20 +83,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             "--drain-timeout-ms" => {
                 options.drain_deadline = flag_millis(&mut it, "--drain-timeout-ms")?;
             }
-            "--pool-size" => {
-                // The global pool is built once; a repeated flag is an
-                // error rather than silently ignored.
-                let threads = flag_positive(&mut it, "--pool-size")?;
-                if threads > osn_pool::MAX_THREADS {
-                    return Err(format!(
-                        "--pool-size must be at most {}, got {threads}",
-                        osn_pool::MAX_THREADS
-                    ));
-                }
-                if pool_size.replace(threads).is_some() {
-                    return Err("--pool-size given twice".to_string());
-                }
-            }
+            "--pool-size" => pool_size_flag(&mut it, &mut pool_size)?,
             "--help" | "-h" => return Ok(Cli::Help),
             other => return Err(format!("unknown flag {other:?}")),
         }

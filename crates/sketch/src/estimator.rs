@@ -22,12 +22,13 @@
 //!
 //! ## State maintenance
 //!
-//! Committed moves are monotone except coupon retrieval: adding coupons or
-//! seeds only turns bits on, so the update walks `u`'s inverted postings
-//! and runs forward-activation / backward-reach BFS from the newly usable
-//! edges — `O(touched sketches)`, not `O(index)`. Coupon retrieval is
-//! non-monotone and pays a full rebuild (counted in
-//! [`EngineCounters::full_rebuilds`]).
+//! Construction computes every bit once (counted in
+//! [`EngineCounters::full_rebuilds`]). The seam's committed moves are
+//! monotone: adding coupons or seeds only turns bits on, so the update
+//! walks `u`'s inverted postings and runs forward-activation /
+//! backward-reach BFS from the newly usable edges — `O(touched sketches)`,
+//! not `O(index)`. There is no retrieval: SC Maneuver, the one phase that
+//! takes coupons back, runs on the analytic engine.
 //!
 //! Costs never go through the sketches. The deployment lives in a
 //! [`Ledger`], the same type the analytic engine keeps, so `seed_cost`,
@@ -42,13 +43,12 @@ use osn_propagation::ledger::{DeltaScratch, Ledger};
 
 /// Coverage-oracle [`BenefitEstimator`] over a pre-built [`SketchIndex`].
 ///
-/// `active_prob` is the sketch-membership activation frequency
-/// `hits / R` (seeds pinned to 1.0): the fraction of sketches in which the
-/// node's slot is activated. It is a *candidacy* signal — positive exactly
-/// for nodes whose activation contributes estimated benefit mass — not the
-/// forward activation probability; nodes that appear in no sketch have
-/// zero estimated marginal by construction, which is precisely the RIS
-/// argument for ignoring them.
+/// `is_active(u)` holds for seeds and for nodes whose slot is activated in
+/// at least one sketch (`hits[u] > 0`). It is a *candidacy* signal — true
+/// exactly for nodes whose activation contributes estimated benefit mass —
+/// not a forward activation probability; nodes that appear in no
+/// activated slot have zero estimated marginal by construction, which is
+/// precisely the RIS argument for ignoring them.
 pub struct SketchEstimator<'a> {
     graph: &'a CsrGraph,
     index: &'a SketchIndex,
@@ -69,7 +69,6 @@ pub struct SketchEstimator<'a> {
     hits: Vec<u32>,
 
     order: Vec<NodeId>,
-    active_prob: Vec<f64>,
     benefit: f64,
     /// Every counter but `holder_rebuilds`, which the ledger keeps.
     counters: EngineCounters,
@@ -101,22 +100,17 @@ impl<'a> SketchEstimator<'a> {
             covered_count: 0,
             hits: vec![0; n],
             order: Vec::new(),
-            active_prob: vec![0.0; n],
             benefit: 0.0,
             counters: EngineCounters::default(),
             queue: Vec::new(),
         };
-        est.rebuild();
+        est.build_bits();
         est
     }
 
-    /// Full recompute of every per-sketch bit and the derived surface.
-    fn rebuild(&mut self) {
-        self.activated.fill(false);
-        self.reach.fill(false);
-        self.covered.fill(false);
-        self.covered_count = 0;
-        self.hits.fill(0);
+    /// Compute every per-sketch bit from the initial deployment (the one
+    /// full rebuild), then the derived surface.
+    fn build_bits(&mut self) {
         let queue = &mut self.queue;
         for sigma in 0..self.index.sketch_count() {
             // Forward activation from the sketch's seed members.
@@ -137,13 +131,13 @@ impl<'a> SketchEstimator<'a> {
                 &mut self.hits,
                 queue,
             );
-            if self.activated[range.start + self.index.root_local(sigma) as usize] {
+            let root_flat = range.start + self.index.root_local(sigma) as usize;
+            if self.activated[root_flat] {
                 self.covered[sigma] = true;
                 self.covered_count += 1;
             }
             // Backward reach from the root.
             queue.clear();
-            let root_flat = range.start + self.index.root_local(sigma) as usize;
             self.reach[root_flat] = true;
             queue.push(root_flat as u32);
             backward_reach_bfs(
@@ -158,22 +152,15 @@ impl<'a> SketchEstimator<'a> {
         self.refresh_surface();
     }
 
-    /// Recompute the derived deployment view (`benefit`, `active_prob`,
-    /// `order`) from the per-sketch bits.
+    /// Recompute the derived deployment view (`benefit`, `order`) from the
+    /// per-sketch bits.
     fn refresh_surface(&mut self) {
         self.benefit = self.index.unit() * self.covered_count as f64;
-        let r = self.index.sketch_count();
         self.order.clear();
+        // The `is_active` rule, as one pass over both arrays.
         let seed_mask = self.ledger.seed_mask();
-        for (i, (p, &seed)) in self.active_prob.iter_mut().zip(seed_mask).enumerate() {
-            *p = if seed {
-                1.0
-            } else if r > 0 {
-                f64::from(self.hits[i]) / r as f64
-            } else {
-                0.0
-            };
-            if *p > 0.0 {
+        for (i, (&seed, &hits)) in seed_mask.iter().zip(&self.hits).enumerate() {
+            if seed || hits > 0 {
                 self.order.push(NodeId::from_index(i));
             }
         }
@@ -266,65 +253,6 @@ impl<'a> SketchEstimator<'a> {
         touched.dedup();
         touched
     }
-
-    /// Would sketch `sigma` still be covered with `u` holding `what_if_k`
-    /// coupons? A forward recompute over the sketch in local buffers,
-    /// touching no persistent state (SC Maneuver, the one phase that probes
-    /// removals, runs on the analytic engine).
-    fn covered_with(&self, sigma: usize, u: NodeId, what_if_k: u32) -> bool {
-        let range = self.index.member_range(sigma);
-        let base = range.start;
-        let mc = range.len();
-        let mut seen = vec![false; mc];
-        let mut queue: Vec<u32> = Vec::new();
-        let er = self.index.edge_range(sigma);
-        let fwd = self.index.fwd_starts(sigma);
-        let dst_local = self.index.edge_dst_local();
-        let demand = self.index.edge_demand();
-        let root_local = self.index.root_local(sigma) as usize;
-        let coupons = self.ledger.coupons();
-        let k_of = |node: u32| {
-            if node == u.0 {
-                what_if_k
-            } else {
-                coupons[node as usize]
-            }
-        };
-
-        let seed_mask = self.ledger.seed_mask();
-        for (l, &node) in self.members[range].iter().enumerate() {
-            if seed_mask[node as usize] {
-                if l == root_local {
-                    return true;
-                }
-                seen[l] = true;
-                queue.push(l as u32);
-            }
-        }
-        let mut head = 0usize;
-        while head < queue.len() {
-            let l = queue[head] as usize;
-            head += 1;
-            let src_node = self.members[base + l];
-            let k = k_of(src_node);
-            for ei in fwd[l]..fwd[l + 1] {
-                let e = er.start + ei as usize;
-                if demand[e] >= k {
-                    continue;
-                }
-                let d = dst_local[e] as usize;
-                if seen[d] {
-                    continue;
-                }
-                if d == root_local {
-                    return true;
-                }
-                seen[d] = true;
-                queue.push(d as u32);
-            }
-        }
-        false
-    }
 }
 
 /// Forward activation BFS inside sketch `sigma`: drain `queue` (flat slot
@@ -404,8 +332,9 @@ impl BenefitEstimator for SketchEstimator<'_> {
         &self.order
     }
 
-    fn active_prob(&self) -> &[f64] {
-        &self.active_prob
+    #[inline]
+    fn is_active(&self, u: NodeId) -> bool {
+        self.ledger.seed_mask()[u.index()] || self.hits[u.index()] > 0
     }
 
     fn ledger(&self) -> &Ledger<'_> {
@@ -452,24 +381,6 @@ impl BenefitEstimator for SketchEstimator<'_> {
             }
         }
         (self.index.unit() * newly_covered as f64, dc)
-    }
-
-    fn coupon_removal_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> (f64, f64) {
-        let k = self.ledger.coupons()[u.index()];
-        if k == 0 {
-            return (0.0, 0.0);
-        }
-        let dc = self.ledger.removal_cost_delta(u, scratch);
-        let post_sketch = self.index.post_sketch();
-        let mut lost = 0usize;
-        for pi in self.index.postings(u) {
-            let sigma = post_sketch[pi] as usize;
-            // Removal can only uncover: recompute covered sketches at k−1.
-            if self.covered[sigma] && !self.covered_with(sigma, u, k - 1) {
-                lost += 1;
-            }
-        }
-        (-(self.index.unit() * lost as f64), dc)
     }
 
     fn add_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
@@ -547,24 +458,6 @@ impl BenefitEstimator for SketchEstimator<'_> {
             ..RefreshDelta::default()
         }
     }
-
-    fn remove_coupons(&mut self, u: NodeId, count: u32) -> (u32, RefreshDelta) {
-        let take = self.ledger.remove_coupons(u, count);
-        if take == 0 {
-            return (0, RefreshDelta::default());
-        }
-        // Non-monotone: usable edges disappear, so per-sketch bits can only
-        // be recomputed from scratch.
-        self.rebuild();
-        (
-            take,
-            RefreshDelta {
-                structural: true,
-                probs_changed: self.order.clone(),
-                ..RefreshDelta::default()
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -633,9 +526,12 @@ mod tests {
         k[2] = 1;
         let sk = SketchEstimator::new(&g, &d, &idx, &[NodeId(0)], &k);
         let engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &k);
-        assert_eq!(sk.seed_cost().to_bits(), engine.seed_cost().to_bits());
         assert_eq!(
-            sk.sc_cost().to_bits(),
+            sk.ledger().seed_cost().to_bits(),
+            engine.ledger().seed_cost().to_bits()
+        );
+        assert_eq!(
+            sk.ledger().sc_cost().to_bits(),
             expected_sc_cost(&g, &d, &[NodeId(0)], &k).to_bits()
         );
         let mut scratch = DeltaScratch::default();
@@ -671,30 +567,6 @@ mod tests {
         }
     }
 
-    /// The removal probe matches the committed retrieval (which rebuilds).
-    #[test]
-    fn removal_probe_matches_committed_move() {
-        let (g, d) = example1();
-        let idx = SketchIndex::build(&g, &d, &tight_params());
-        let mut k = vec![0u32; 7];
-        k[0] = 2;
-        k[1] = 1;
-        let mut scratch = DeltaScratch::default();
-        for u in [0u32, 1] {
-            let mut sk = SketchEstimator::new(&g, &d, &idx, &[NodeId(0)], &k);
-            let before = sk.expected_benefit();
-            let (db, _) = BenefitEstimator::coupon_removal_delta(&sk, NodeId(u), &mut scratch);
-            assert!(db <= 0.0, "removal cannot add benefit");
-            let (taken, _) = BenefitEstimator::remove_coupons(&mut sk, NodeId(u), 1);
-            assert_eq!(taken, 1);
-            let got = sk.expected_benefit() - before;
-            assert!(
-                (got - db).abs() < 1e-12,
-                "u={u}: probe {db} vs committed {got}"
-            );
-        }
-    }
-
     /// Incremental move updates agree with a from-scratch estimator of the
     /// final deployment (same index, so equality is exact).
     #[test]
@@ -714,8 +586,10 @@ mod tests {
             fresh.expected_benefit().to_bits()
         );
         assert_eq!(sk.order(), fresh.order());
-        assert_eq!(sk.active_prob(), fresh.active_prob());
-        assert_eq!(sk.sc_cost().to_bits(), fresh.sc_cost().to_bits());
+        assert_eq!(
+            sk.ledger().sc_cost().to_bits(),
+            fresh.ledger().sc_cost().to_bits()
+        );
     }
 
     /// Zero-coupon deployments spread nothing: only seed benefit mass.
@@ -731,9 +605,6 @@ mod tests {
             .count();
         let got = sk.expected_benefit() / idx.unit();
         assert!((got - rooted_at_seed as f64).abs() < 1e-9);
-        let mut scratch = DeltaScratch::default();
-        let (db, _) = BenefitEstimator::coupon_removal_delta(&sk, NodeId(0), &mut scratch);
-        assert_eq!(db, 0.0);
     }
 
     /// An empty index degrades gracefully: zero benefit, exact costs.
@@ -748,7 +619,7 @@ mod tests {
         let mut sk = SketchEstimator::new(&g, &d, &idx, &[NodeId(0)], &k);
         assert_eq!(sk.expected_benefit(), 0.0);
         assert_eq!(
-            sk.sc_cost().to_bits(),
+            sk.ledger().sc_cost().to_bits(),
             expected_sc_cost(&g, &d, &[NodeId(0)], &k).to_bits()
         );
         assert_eq!(sk.order(), &[NodeId(0)]);

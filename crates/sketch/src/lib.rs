@@ -49,8 +49,10 @@
 //!   [`BenefitEstimator`](osn_propagation::BenefitEstimator); it borrows
 //!   the index's member and edge arrays in place and keeps only per-slot
 //!   activation/reach bits of its own. Benefit reads are
-//!   `unit × covered`, and committed moves update those bits incrementally
-//!   through inverted postings. The deployment and all costs live in an
+//!   `unit × covered`, and the seam's committed moves (coupon grants and
+//!   seed packages, both monotone) update those bits incrementally through
+//!   inverted postings; there is no retrieval path, since SC Maneuver runs
+//!   on the analytic engine. The deployment and all costs live in an
 //!   [`osn_propagation::Ledger`], the same type the analytic engine keeps,
 //!   so `Cseed`, `Csc` and every probe's ΔCsc are its exact Table I values,
 //!   bit for bit (pinned by `tests/ledger.rs`).

@@ -70,8 +70,8 @@ proptest! {
         );
         // Costs are exact in every backend — bitwise, not approximately.
         prop_assert_eq!(
-            sk.sc_cost().to_bits(),
-            SpreadEngine::sc_cost(&engine).to_bits()
+            sk.ledger().sc_cost().to_bits(),
+            engine.ledger().sc_cost().to_bits()
         );
         // Walk a deterministic move ladder and re-check at every step.
         for step in 0..3u32 {
@@ -86,8 +86,8 @@ proptest! {
                 SpreadEngine::expected_benefit(&engine)
             );
             prop_assert_eq!(
-                sk.sc_cost().to_bits(),
-                SpreadEngine::sc_cost(&engine).to_bits()
+                sk.ledger().sc_cost().to_bits(),
+                engine.ledger().sc_cost().to_bits()
             );
         }
     }
