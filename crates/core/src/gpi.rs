@@ -21,8 +21,22 @@
 //! benefit of the path ending at `visits[i]`, which already records the
 //! endpoint, its level and its DFS parent. The member set of `g(s, v_i)`
 //! is reconstructed on demand as "all earlier visits at depth ≤ `l_i`",
-//! which keeps GPI linear in the number of visited nodes instead of
-//! quadratic.
+//! so a forest stores O(visits) words, not a member list per path.
+//!
+//! A path's cost and benefit are prefixes over per-level sums: the sum of
+//! levels `0..=l_i` plus the endpoint's own value. Each prefix is a
+//! left fold kept per level behind a validity watermark: a visit at level
+//! `l` adds to `level[l]` and lowers the watermark to `l`; a query at
+//! level `l` extends the folds from the watermark through level
+//! `min(l, len - 1)`, each one the previous fold plus that level's sum,
+//! starting from the identity of `f64`'s `Sum`. Those are the additions
+//! `level.iter().take(l + 1).sum()` makes, in the same order, so every
+//! cost and benefit is bit-identical to re-summing the levels at each
+//! visit (`crates/core/tests/gpi_oracle.rs` pins this against the
+//! re-summing DFS). The DFS moves at most one level deeper per visit, so
+//! a query extends at most two folds past the watermark (a unit test
+//! counts them) and GPI is amortized O(1) per visited node instead of
+//! O(depth).
 
 use crate::deployment::Deployment;
 use crate::id_phase::ExploreTracker;
@@ -116,10 +130,113 @@ pub fn identify_guaranteed_paths(
     binv: f64,
     explored: &mut ExploreTracker,
 ) -> Vec<GpForest> {
+    let mut scratch = GpiScratch::new(graph.node_count());
     dep.seeds
         .iter()
-        .map(|&s| forest_for_seed(graph, data, s, binv - data.seed_cost(s), explored))
+        .map(|&s| {
+            let budget = binv - data.seed_cost(s);
+            forest_for_seed(graph, data, s, budget, explored, &mut scratch)
+        })
         .collect()
+}
+
+/// Per-level sums over visited nodes, queried as prefixes.
+///
+/// `prefix(l)` is the left fold `identity + level[0] + … + level[k-1]`
+/// with `k = min(l + 1, len)` and `identity` the start value of `f64`'s
+/// `Sum` — the additions `level.iter().take(l + 1).sum()` performs, in
+/// the same order, so the result carries the same bits. The folds are
+/// cached in `pre`, valid up to the watermark `valid`; `add(l, ·)` changes
+/// `level[l]` and so lowers the watermark to `l`.
+#[derive(Debug)]
+struct LevelSums {
+    level: Vec<f64>,
+    /// `pre[j]` is the fold of `level[..j]`, for `j <= valid`.
+    pre: Vec<f64>,
+    valid: usize,
+    /// Largest number of `pre` entries one `prefix` call computed.
+    #[cfg(test)]
+    max_extension: usize,
+}
+
+impl LevelSums {
+    fn new() -> Self {
+        LevelSums {
+            level: Vec::new(),
+            pre: vec![std::iter::empty::<f64>().sum()],
+            valid: 0,
+            #[cfg(test)]
+            max_extension: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.level.clear();
+        self.pre.truncate(1);
+        self.valid = 0;
+    }
+
+    /// Make level `l` exist, zero-filled (new entries leave `pre` valid).
+    fn open(&mut self, l: usize) {
+        if self.level.len() <= l {
+            self.level.resize(l + 1, 0.0);
+            self.pre.resize(l + 2, 0.0);
+        }
+    }
+
+    fn add(&mut self, l: usize, x: f64) {
+        self.open(l);
+        self.level[l] += x;
+        self.valid = self.valid.min(l);
+    }
+
+    fn prefix(&mut self, l: usize) -> f64 {
+        let k = (l + 1).min(self.level.len());
+        #[cfg(test)]
+        {
+            self.max_extension = self.max_extension.max(k.saturating_sub(self.valid));
+        }
+        while self.valid < k {
+            let j = self.valid;
+            self.pre[j + 1] = self.pre[j] + self.level[j];
+            self.valid += 1;
+        }
+        self.pre[k]
+    }
+}
+
+/// Buffers shared by every seed's DFS in one [`identify_guaranteed_paths`]
+/// call: a node is visited in the current forest iff its stamp equals
+/// `generation`, so starting a forest costs no O(|V|) reset.
+struct GpiScratch {
+    stamp: Vec<u32>,
+    generation: u32,
+    csc: LevelSums,
+    benefit: LevelSums,
+}
+
+impl GpiScratch {
+    fn new(n: usize) -> Self {
+        GpiScratch {
+            stamp: vec![0; n],
+            generation: 0,
+            csc: LevelSums::new(),
+            benefit: LevelSums::new(),
+        }
+    }
+
+    /// Start a fresh forest: no node visited, no level sums. One call per
+    /// seed, and seeds are distinct `u32` node ids, so the stamp cannot
+    /// wrap.
+    fn next_forest(&mut self) {
+        self.generation += 1;
+        self.csc.clear();
+        self.benefit.clear();
+    }
+
+    fn visited(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.generation
+    }
 }
 
 fn forest_for_seed(
@@ -128,19 +245,17 @@ fn forest_for_seed(
     seed: NodeId,
     budget: f64,
     explored: &mut ExploreTracker,
+    scratch: &mut GpiScratch,
 ) -> GpForest {
     let mut visits: Vec<Visit> = Vec::new();
     let mut paths: Vec<GuaranteedPath> = Vec::new();
-    let mut visited = vec![false; graph.node_count()];
-    // Per-level running sums over visited nodes.
-    let mut level_csc: Vec<f64> = Vec::new();
-    let mut level_b: Vec<f64> = Vec::new();
+    scratch.next_forest();
 
     // Stack frames: (node, level, parent visit index). Children are pushed
     // in ascending probability so the highest-probability child pops first.
     let mut stack: Vec<(NodeId, u32, Option<usize>)> = vec![(seed, 0, None)];
     while let Some((node, level, parent)) = stack.pop() {
-        if visited[node.index()] {
+        if scratch.visited(node) {
             continue;
         }
         let l = level as usize;
@@ -150,8 +265,7 @@ fn forest_for_seed(
         // paper's SCM precondition `c_{s,v_i} ≤ Csc(K(I*))` satisfiable:
         // Example 3 compares 2.66 < 2.84 on coupon costs alone).
         let own_csc = if level == 0 { 0.0 } else { data.sc_cost(node) };
-        let prior_cost: f64 = level_csc.iter().take(l + 1).sum();
-        let cost = prior_cost + own_csc;
+        let cost = scratch.csc.prefix(l) + own_csc;
         if cost > budget {
             // Abandon node, its children, and its unvisited siblings:
             // entries at depth ≥ level on top of the stack are exactly the
@@ -161,16 +275,15 @@ fn forest_for_seed(
             }
             continue;
         }
-        visited[node.index()] = true;
+        scratch.stamp[node.index()] = scratch.generation;
         explored.mark(node);
-        if level_csc.len() <= l {
-            level_csc.resize(l + 1, 0.0);
-            level_b.resize(l + 1, 0.0);
-        }
-        let prior_benefit: f64 = level_b.iter().take(l + 1).sum();
-        let benefit = prior_benefit + data.benefit(node);
-        level_csc[l] += own_csc;
-        level_b[l] += data.benefit(node);
+        // As the fold this replaces: the benefit prefix reads levels
+        // `0..=l` once level `l` exists, the cost prefix above only the
+        // levels that existed before this visit.
+        scratch.benefit.open(l);
+        let benefit = scratch.benefit.prefix(l) + data.benefit(node);
+        scratch.csc.add(l, own_csc);
+        scratch.benefit.add(l, data.benefit(node));
 
         let visit_index = visits.len();
         visits.push(Visit {
@@ -183,7 +296,7 @@ fn forest_for_seed(
         // Highest-probability child must pop first → push in reverse rank
         // order (ascending probability).
         for &child in graph.out_targets(node).iter().rev() {
-            if !visited[child.index()] {
+            if !scratch.visited(child) {
                 stack.push((child, level + 1, Some(visit_index)));
             }
         }
@@ -310,6 +423,63 @@ mod tests {
         let idx = f.visits.iter().position(|v| v.node == NodeId(4)).unwrap();
         let chain: Vec<NodeId> = f.ascendants(idx).map(|i| f.visits[i].node).collect();
         assert_eq!(chain, vec![NodeId(1), NodeId(0)]);
+    }
+
+    /// Largest number of prefix entries one cost or benefit query computed
+    /// during the seed-0 DFS, and the number of visits.
+    fn max_extension(g: &CsrGraph, d: &NodeData, budget: f64) -> (usize, usize) {
+        let n = g.node_count();
+        let mut scratch = GpiScratch::new(n);
+        let mut tracker = ExploreTracker::new(n);
+        let f = forest_for_seed(g, d, NodeId(0), budget, &mut tracker, &mut scratch);
+        let ext = scratch.csc.max_extension.max(scratch.benefit.max_extension);
+        (ext, f.visits.len())
+    }
+
+    #[test]
+    fn extension_count_sees_a_cold_prefix() {
+        let mut sums = LevelSums::new();
+        for l in 0..10 {
+            sums.add(l, 0.1);
+        }
+        let folded: f64 = [0.1; 10].iter().sum();
+        assert_eq!(sums.prefix(9).to_bits(), folded.to_bits());
+        assert_eq!(sums.max_extension, 10);
+    }
+
+    #[test]
+    fn prefix_queries_extend_at_most_two_levels() {
+        // A 2,000-node chain, walked to the end and cut short by the budget.
+        let n = 2_000;
+        let mut b = GraphBuilder::new(n);
+        for i in 0..n as u32 - 1 {
+            b.add_edge(i, i + 1, 0.5).unwrap();
+        }
+        let chain = b.build().unwrap();
+        let d = NodeData::uniform(n, 1.0, 0.0, 0.3);
+        for budget in [1e9, 150.0] {
+            let (ext, visits) = max_extension(&chain, &d, budget);
+            assert_eq!(visits == n, budget > 1e6, "pruning fires iff tight");
+            assert!((1..=2).contains(&ext), "chain, budget {budget}: {ext}");
+        }
+
+        // A wide tree: 40 children under the root, 40 under each child.
+        let (fan, n) = (40u32, 1 + 40 + 40 * 40);
+        let mut b = GraphBuilder::new(n);
+        for c in 1..=fan {
+            b.add_edge(0, c, 0.9 - 0.01 * f64::from(c)).unwrap();
+            for j in 0..fan {
+                let leaf = fan + 1 + (c - 1) * fan + j;
+                b.add_edge(c, leaf, 0.9 - 0.01 * f64::from(j)).unwrap();
+            }
+        }
+        let tree = b.build().unwrap();
+        let d = NodeData::uniform(n, 1.0, 0.0, 0.3);
+        for budget in [1e9, 100.0] {
+            let (ext, visits) = max_extension(&tree, &d, budget);
+            assert_eq!(visits == n, budget > 1e6, "pruning fires iff tight");
+            assert!((1..=2).contains(&ext), "tree, budget {budget}: {ext}");
+        }
     }
 
     #[test]

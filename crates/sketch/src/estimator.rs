@@ -27,8 +27,12 @@
 //! monotone: adding coupons or seeds only turns bits on, so the update
 //! walks `u`'s inverted postings and runs forward-activation /
 //! backward-reach BFS from the newly usable edges — `O(touched sketches)`,
-//! not `O(index)`. There is no retrieval: SC Maneuver, the one phase that
-//! takes coupons back, runs on the analytic engine.
+//! not `O(index)`. The derived surface is touched-only too: the members
+//! of the touched sketches (plus the moved node) are the only nodes a move
+//! can activate, so the ones now active are merged into `order` without
+//! scanning all `n` nodes; only the constructor's one build scans them.
+//! There is no retrieval: SC Maneuver, the one phase that takes coupons
+//! back, runs on the analytic engine.
 //!
 //! Costs never go through the sketches. The deployment lives in a
 //! [`Ledger`], the same type the analytic engine keeps, so `seed_cost`,
@@ -109,7 +113,7 @@ impl<'a> SketchEstimator<'a> {
     }
 
     /// Compute every per-sketch bit from the initial deployment (the one
-    /// full rebuild), then the derived surface.
+    /// full rebuild), then the derived surface by one scan of all nodes.
     fn build_bits(&mut self) {
         let queue = &mut self.queue;
         for sigma in 0..self.index.sketch_count() {
@@ -149,20 +153,50 @@ impl<'a> SketchEstimator<'a> {
             );
         }
         self.counters.full_rebuilds += 1;
-        self.refresh_surface();
-    }
-
-    /// Recompute the derived deployment view (`benefit`, `order`) from the
-    /// per-sketch bits.
-    fn refresh_surface(&mut self) {
         self.benefit = self.index.unit() * self.covered_count as f64;
-        self.order.clear();
         // The `is_active` rule, as one pass over both arrays.
         let seed_mask = self.ledger.seed_mask();
         for (i, (&seed, &hits)) in seed_mask.iter().zip(&self.hits).enumerate() {
             if seed || hits > 0 {
                 self.order.push(NodeId::from_index(i));
             }
+        }
+    }
+
+    /// Bring the derived deployment view (`benefit`, `order`) up to date
+    /// after a committed move whose change report is `touched`.
+    ///
+    /// Touched-only: moves are monotone, so `order` (the ascending active
+    /// set before the move) only gains nodes, and every node the move
+    /// activated is in `touched` — a member of a sketch where activation
+    /// could change, or the moved node itself. The active members of
+    /// `touched` that `order` lacks are merged in from the back, so the
+    /// cost is `O(|touched| · log |order|)` plus the displaced tail, and
+    /// a move that activates nothing leaves `order` as it is.
+    fn refresh_surface(&mut self, touched: &[NodeId]) {
+        self.benefit = self.index.unit() * self.covered_count as f64;
+        let fresh: Vec<NodeId> = touched
+            .iter()
+            .copied()
+            .filter(|&v| self.is_active(v) && self.order.binary_search(&v).is_err())
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        // Backward merge: `order[..i]` are the old entries not yet moved,
+        // `order[w..]` the merged tail.
+        let order = &mut self.order;
+        let mut i = order.len();
+        let mut w = i + fresh.len();
+        order.resize(w, NodeId(0));
+        for &v in fresh.iter().rev() {
+            while i > 0 && order[i - 1] > v {
+                i -= 1;
+                w -= 1;
+                order[w] = order[i];
+            }
+            w -= 1;
+            order[w] = v;
         }
     }
 
@@ -391,7 +425,7 @@ impl BenefitEstimator for SketchEstimator<'_> {
         }
         self.counters.incremental_updates += u64::from(add);
         let touched = self.propagate_coupon_increase(u, cur);
-        self.refresh_surface();
+        self.refresh_surface(&touched);
         (
             add,
             RefreshDelta {
@@ -448,7 +482,7 @@ impl BenefitEstimator for SketchEstimator<'_> {
         touched.sort_unstable();
         touched.dedup();
         self.counters.structural_refreshes += 1;
-        self.refresh_surface();
+        self.refresh_surface(&touched);
         RefreshDelta {
             structural: true,
             probs_changed: touched,
@@ -590,6 +624,58 @@ mod tests {
             sk.ledger().sc_cost().to_bits(),
             fresh.ledger().sc_cost().to_bits()
         );
+    }
+
+    /// A seed package on a node that appears in no sketch still lists it
+    /// in `order`: the moved node is part of every change report.
+    #[test]
+    fn seed_package_outside_every_sketch_joins_order() {
+        // Example 1 plus an isolated zero-benefit node 7, which no RR set
+        // can reach or root at.
+        let mut b = GraphBuilder::new(8);
+        for (u, v, p) in [
+            (0, 1, 0.6),
+            (0, 2, 0.4),
+            (1, 3, 0.5),
+            (1, 4, 0.4),
+            (2, 5, 0.8),
+            (2, 6, 0.7),
+        ] {
+            b.add_edge(u, v, p).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut benefit = vec![1.0; 8];
+        benefit[7] = 0.0;
+        let d = NodeData::new(benefit, vec![1.0; 8], vec![1.0; 8]).unwrap();
+        let idx = SketchIndex::build(&g, &d, &tight_params());
+        assert!(idx.postings(NodeId(7)).is_empty());
+        let mut k = vec![0u32; 8];
+        k[0] = 1;
+        let mut sk = SketchEstimator::new(&g, &d, &idx, &[NodeId(0)], &k);
+        assert!(!sk.order().contains(&NodeId(7)));
+        BenefitEstimator::add_seed_package(&mut sk, NodeId(7), 0);
+        assert!(sk.order().contains(&NodeId(7)));
+        let fresh = SketchEstimator::new(&g, &d, &idx, sk.ledger().seeds(), sk.ledger().coupons());
+        assert_eq!(sk.order(), fresh.order());
+    }
+
+    /// A committed move that activates nothing leaves `order` as it was.
+    #[test]
+    fn move_that_activates_nothing_keeps_order() {
+        let (g, d) = example1();
+        let idx = SketchIndex::build(&g, &d, &tight_params());
+        // No coupons on the seed: v2's slots are never activated, so its
+        // coupons make no edge usable from an activated slot.
+        let k = vec![0u32; 7];
+        let mut sk = SketchEstimator::new(&g, &d, &idx, &[NodeId(0)], &k);
+        assert!(!idx.postings(NodeId(2)).is_empty());
+        let before = sk.order().to_vec();
+        let benefit = sk.expected_benefit();
+        let (added, delta) = BenefitEstimator::add_coupons(&mut sk, NodeId(2), 1);
+        assert_eq!(added, 1);
+        assert!(delta.probs_changed.len() > 1, "the move touched sketches");
+        assert_eq!(sk.order(), before.as_slice());
+        assert_eq!(sk.expected_benefit().to_bits(), benefit.to_bits());
     }
 
     /// Zero-coupon deployments spread nothing: only seed benefit mass.
