@@ -4,7 +4,6 @@ use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::reach::{world_cascade, CascadeScratch};
 use osn_propagation::world::WorldCache;
 use s3crm_core::deployment::Deployment;
-use s3crm_core::objective::{self, ObjectiveValue};
 
 use crate::strategy::CouponStrategy;
 
@@ -33,11 +32,6 @@ pub fn deployment_with_strategy(
         seeds: seeds.to_vec(),
         coupons: strategy.coupons_for_budgeted(graph, data, seeds, binv),
     }
-}
-
-/// Analytic objective of a (seeds, strategy) pair.
-pub fn value_of(graph: &CsrGraph, data: &NodeData, dep: &Deployment) -> ObjectiveValue {
-    objective::evaluate(graph, data, dep)
 }
 
 /// Mean activated-user count (the classical "influence spread") of a seed

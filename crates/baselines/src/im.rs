@@ -16,12 +16,13 @@
 //! influence among those whose total cost fits `Binv` — all sweep sizes are
 //! scored in one batched pass over the world cache.
 
-use crate::common::{deployment_with_strategy, seed_size_sweep, value_of};
+use crate::common::{deployment_with_strategy, seed_size_sweep};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::{WorldCache, WorldRef};
 use osn_propagation::{DeploymentRef, McBackend};
 use s3crm_core::deployment::Deployment;
+use s3crm_core::objective;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -266,7 +267,7 @@ pub fn best_feasible_prefix_on(
             continue;
         }
         let dep = deployment_with_strategy(graph, data, binv, &ranking[..size], strategy);
-        let value = value_of(graph, data, &dep);
+        let value = objective::evaluate(graph, data, &dep);
         if value.within_budget(binv) {
             candidates.push(dep);
         }
@@ -334,7 +335,7 @@ mod tests {
                 CouponStrategy::Unlimited,
                 &ImConfig::default(),
             );
-            let v = value_of(&g, &d, &dep);
+            let v = objective::evaluate(&g, &d, &dep);
             assert!(v.within_budget(binv), "cost {} > {binv}", v.total_cost());
         }
     }

@@ -8,12 +8,12 @@
 //! (one coupon per user per round) until the next round would break the
 //! budget.
 
-use crate::common::value_of;
 use crate::im::{greedy_seed_ranking, ImConfig};
 use osn_graph::shortest_path::dijkstra_one_minus_p;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::WorldCache;
 use s3crm_core::deployment::Deployment;
+use s3crm_core::objective;
 
 /// Run IM-S under budget `binv`.
 pub fn im_s(graph: &CsrGraph, data: &NodeData, binv: f64, cfg: &ImConfig) -> Deployment {
@@ -79,7 +79,7 @@ pub fn im_s(graph: &CsrGraph, data: &NodeData, binv: f64, cfg: &ImConfig) -> Dep
         if !grew {
             break; // every path user is saturated
         }
-        if value_of(graph, data, &trial).within_budget(binv) {
+        if objective::evaluate(graph, data, &trial).within_budget(binv) {
             dep = trial;
         } else {
             break;
@@ -126,7 +126,7 @@ mod tests {
         let (g, d) = corridor();
         for binv in [1.0, 3.0, 10.0] {
             let dep = im_s(&g, &d, binv, &ImConfig::default());
-            let v = value_of(&g, &d, &dep);
+            let v = objective::evaluate(&g, &d, &dep);
             assert!(v.within_budget(binv), "cost {} > {binv}", v.total_cost());
         }
     }

@@ -10,10 +10,11 @@
 //! the serial reduction keeps the original first-maximum tie-breaking, so
 //! selections are identical at any worker count.
 
-use crate::common::{deployment_with_strategy, value_of};
+use crate::common::deployment_with_strategy;
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use s3crm_core::deployment::Deployment;
+use s3crm_core::objective;
 
 /// Knobs of the PM baseline.
 #[derive(Clone, Copy, Debug)]
@@ -78,7 +79,7 @@ pub fn pm_with_strategy_on(
             let mut trial_seeds = seeds.clone();
             trial_seeds.push(cand);
             let dep = deployment_with_strategy(graph, data, binv, &trial_seeds, strategy);
-            let value = value_of(graph, data, &dep);
+            let value = objective::evaluate(graph, data, &dep);
             if !value.within_budget(binv) {
                 return None;
             }
@@ -174,7 +175,7 @@ mod tests {
                 CouponStrategy::Unlimited,
                 &PmConfig::default(),
             );
-            let v = value_of(&g, &d, &dep);
+            let v = objective::evaluate(&g, &d, &dep);
             assert!(v.within_budget(binv));
         }
     }

@@ -4,12 +4,13 @@
 //! reporting should clear it. Picks uniformly random affordable seeds and
 //! pairs them with a coupon strategy under the budget.
 
-use crate::common::{deployment_with_strategy, value_of};
+use crate::common::deployment_with_strategy;
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use s3crm_core::deployment::Deployment;
+use s3crm_core::objective;
 
 /// Random feasible deployment: shuffle users, greedily keep seeds while the
 /// strategy-paired deployment stays within budget.
@@ -29,7 +30,7 @@ pub fn random_deployment<R: Rng>(
         }
         seeds.push(v);
         let dep = deployment_with_strategy(graph, data, binv, &seeds, strategy);
-        if !value_of(graph, data, &dep).within_budget(binv) {
+        if !objective::evaluate(graph, data, &dep).within_budget(binv) {
             seeds.pop();
             // One miss is not proof that nothing further fits, but random
             // baselines do not need to squeeze the budget; stop here.
@@ -60,7 +61,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let dep = random_deployment(&g, &d, 3.0, CouponStrategy::Unlimited, &mut rng);
-            assert!(value_of(&g, &d, &dep).within_budget(3.0));
+            assert!(objective::evaluate(&g, &d, &dep).within_budget(3.0));
         }
     }
 

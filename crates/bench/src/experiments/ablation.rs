@@ -11,7 +11,7 @@
 use crate::effort::Effort;
 use crate::table::{num, Table};
 use osn_gen::DatasetProfile;
-use osn_propagation::{McBackend, SpreadState};
+use osn_propagation::{BenefitEstimator, McBackend, SpreadEngine};
 use s3crm_core::s3ca;
 use std::time::Instant;
 
@@ -71,7 +71,7 @@ pub fn evaluator_ablation(profile: DatasetProfile, effort: &Effort) -> Table {
 
     let t0 = Instant::now();
     let analytic =
-        SpreadState::evaluate(&inst.graph, &inst.data, &dep.seeds, &dep.coupons).expected_benefit;
+        SpreadEngine::new(&inst.graph, &inst.data, &dep.seeds, &dep.coupons).expected_benefit();
     let analytic_us = t0.elapsed().as_micros() as f64;
     table.push_row(vec![
         "analytic".into(),

@@ -27,17 +27,16 @@
 //! upper bounds and so can pick differently when marginals *increase* —
 //! cached entries here are always exact, and ties break deterministically
 //! on the spread-order position, so the heap's argmax is provably the same
-//! candidate the exhaustive rescan of [`investment_deployment_reference`]
-//! selects. That reference
-//! implementation (the seed code path: full `SpreadState` re-evaluation
-//! per move, full candidate rescan per iteration) is kept verbatim as the
-//! equivalence oracle for tests.
+//! candidate an exhaustive rescan selects. That rescan — the original
+//! implementation, re-evaluating the deployment from scratch with the
+//! analytic oracle after every move — is `investment_deployment_reference`
+//! in the workspace's shared test helpers (`tests/common.rs`), the
+//! equivalence oracle `tests/determinism.rs` pins this loop against.
 
 use crate::deployment::Deployment;
 use crate::objective::{self, ObjectiveValue};
 use crate::pivot::{PivotQueue, SeedPackage};
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use osn_propagation::spread::SpreadState;
 use osn_propagation::{BenefitEstimator, DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -112,9 +111,9 @@ pub struct IdOutcome {
     /// way, which matters on cyclic graphs where the fast analytic
     /// evaluator systematically underestimates deep spreads.
     pub snapshots: Vec<Snapshot>,
-    /// Spread-engine effort counters (zero for the reference path).
+    /// Spread-engine effort counters (zero for the test-only reference path).
     pub eval_counters: EngineCounters,
-    /// Lazy-heap candidate re-scores (the reference path counts its
+    /// Lazy-heap candidate re-scores (the test-only reference path counts its
     /// exhaustive rescans here instead).
     pub lazy_rescores: u64,
 }
@@ -378,9 +377,8 @@ fn mark_explored<E: BenefitEstimator + ?Sized>(
 
 /// Run Investment Deployment under budget `binv` on the incremental spread
 /// engine with lazy-greedy candidate ranking. Decision-for-decision (and
-/// bit-for-bit in every reported value) identical to
-/// [`investment_deployment_reference`]; `tests/determinism.rs` pins the
-/// equivalence.
+/// bit-for-bit in every reported value) identical to the exhaustive-rescan
+/// reference; `tests/determinism.rs` pins the equivalence.
 pub fn investment_deployment(
     graph: &CsrGraph,
     data: &NodeData,
@@ -549,144 +547,6 @@ where
     }
 }
 
-/// The seed implementation: full [`SpreadState`] re-evaluation after every
-/// move and an exhaustive candidate rescan per iteration. Kept verbatim as
-/// the equivalence oracle for [`investment_deployment`] (pinned by
-/// `tests/determinism.rs`).
-pub fn investment_deployment_reference(
-    graph: &CsrGraph,
-    data: &NodeData,
-    binv: f64,
-    explored: &mut ExploreTracker,
-    max_iterations: usize,
-) -> IdOutcome {
-    let n = graph.node_count();
-    let mut queue = PivotQueue::build(graph, data, binv);
-    let mut dep = Deployment::empty(n);
-
-    let Some(first) = queue.pop() else {
-        return IdOutcome::empty(n);
-    };
-    apply_package(graph, &mut dep, &first);
-    explored.mark(first.node);
-
-    let mut pivot = next_usable_pivot(&mut queue, &dep);
-    let mut state = SpreadState::evaluate(graph, data, &dep.seeds, &dep.coupons);
-    let mut value = objective::value_from_state(graph, data, &dep, &state);
-    let mut rescans = 0u64;
-
-    let mut best_dep = dep.clone();
-    let mut best_value = value;
-    let mut iterations = 1usize;
-    let mut snapshots: Vec<Snapshot> = vec![Snapshot {
-        deployment: dep.clone(),
-        objective: value,
-    }];
-    let milestone = (binv / 12.0).max(f64::MIN_POSITIVE);
-    let mut next_milestone = value.total_cost() + milestone;
-
-    while iterations < max_iterations {
-        // Best coupon move (strategies 1–2) over the current spread.
-        let mut best_mr = 0.0f64;
-        let mut best_node: Option<(NodeId, f64, f64)> = None;
-        for &u in &state.order {
-            if state.active_prob[u.index()] <= 0.0 {
-                continue;
-            }
-            if dep.coupons[u.index()] >= graph.out_degree(u) as u32 {
-                continue;
-            }
-            explored.mark(u);
-            let (db, dc) = state.coupon_delta(graph, data, u, 1);
-            rescans += 1;
-            if db <= 0.0 {
-                continue;
-            }
-            if value.total_cost() + dc > binv + BUDGET_EPS {
-                continue;
-            }
-            let mr = if dc > 0.0 { db / dc } else { f64::MAX };
-            if mr > best_mr {
-                best_mr = mr;
-                best_node = Some((u, db, dc));
-            }
-        }
-
-        let pivot_feasible = pivot
-            .as_ref()
-            .is_some_and(|p| value.total_cost() + p.cost <= binv + BUDGET_EPS);
-        let pivot_rate = pivot.as_ref().map_or(0.0, |p| p.rate);
-
-        let take_coupon = match (best_node.is_some(), pivot_feasible) {
-            (false, false) => {
-                if pivot.is_some() {
-                    pivot = next_usable_pivot(&mut queue, &dep);
-                    if pivot.is_some() {
-                        continue;
-                    }
-                }
-                break;
-            }
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => best_mr > pivot_rate,
-        };
-
-        if take_coupon {
-            let (u, _, _) = best_node.expect("guarded by take_coupon");
-            dep.add_coupons(graph, u, 1);
-        } else {
-            let pkg = pivot.take().expect("guarded by pivot_feasible");
-            apply_package(graph, &mut dep, &pkg);
-            explored.mark(pkg.node);
-            pivot = next_usable_pivot(&mut queue, &dep);
-        }
-        iterations += 1;
-
-        state = SpreadState::evaluate(graph, data, &dep.seeds, &dep.coupons);
-        value = objective::value_from_state(graph, data, &dep, &state);
-        if value.within_budget(binv) && value.rate >= best_value.rate * (1.0 - 1e-9) {
-            best_value = value;
-            best_dep = dep.clone();
-        }
-        if value.within_budget(binv) && value.total_cost() >= next_milestone {
-            snapshots.push(Snapshot {
-                deployment: dep.clone(),
-                objective: value,
-            });
-            next_milestone = value.total_cost() + milestone;
-        }
-    }
-    if snapshots.last().map(|s| &s.deployment) != Some(&dep) && value.within_budget(binv) {
-        snapshots.push(Snapshot {
-            deployment: dep.clone(),
-            objective: value,
-        });
-    }
-    if snapshots.last().map(|s| &s.deployment) != Some(&best_dep) {
-        snapshots.push(Snapshot {
-            deployment: best_dep.clone(),
-            objective: best_value,
-        });
-    }
-
-    IdOutcome {
-        deployment: best_dep,
-        objective: best_value,
-        iterations,
-        snapshots,
-        eval_counters: EngineCounters::default(),
-        lazy_rescores: rescans,
-    }
-}
-
-fn apply_package(graph: &CsrGraph, dep: &mut Deployment, pkg: &SeedPackage) {
-    dep.add_seed(pkg.node);
-    if pkg.coupons > 0 {
-        dep.add_coupons(graph, pkg.node, pkg.coupons);
-    }
-}
-
 /// Pop pivots until one names a node not yet invested in (a node already in
 /// the seed set or holding coupons would double-count its package value).
 fn next_usable_pivot_for<E: BenefitEstimator + ?Sized>(
@@ -696,16 +556,6 @@ fn next_usable_pivot_for<E: BenefitEstimator + ?Sized>(
     let ledger = est.ledger();
     std::iter::from_fn(|| queue.pop())
         .find(|p| !ledger.is_seed(p.node) && ledger.coupons()[p.node.index()] == 0)
-}
-
-/// [`next_usable_pivot_for`] over the reference path's `Deployment`.
-fn next_usable_pivot(queue: &mut PivotQueue, dep: &Deployment) -> Option<SeedPackage> {
-    while let Some(p) = queue.pop() {
-        if !dep.is_seed(p.node) && dep.coupons[p.node.index()] == 0 {
-            return Some(p);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -823,84 +673,5 @@ mod tests {
             "explored {} of {n} despite budget 3",
             tracker.count()
         );
-    }
-
-    /// The lazy-greedy engine path must match the reference (exhaustive
-    /// rescan + from-scratch evaluation) decision-for-decision and
-    /// bit-for-bit — while doing strictly fewer marginal evaluations.
-    #[test]
-    fn engine_path_matches_reference_bitwise() {
-        let (g, d) = example1();
-        for binv in [0.5, 1.0, 2.0, 5.0, 50.0] {
-            let mut ta = ExploreTracker::new(7);
-            let mut tb = ExploreTracker::new(7);
-            let a = investment_deployment(&g, &d, binv, &mut ta, 10_000);
-            let b = investment_deployment_reference(&g, &d, binv, &mut tb, 10_000);
-            assert_eq!(a.deployment, b.deployment, "deployment at Binv {binv}");
-            assert_eq!(
-                a.objective.rate.to_bits(),
-                b.objective.rate.to_bits(),
-                "rate at Binv {binv}"
-            );
-            assert_eq!(a.iterations, b.iterations, "iterations at Binv {binv}");
-            assert_eq!(ta.count(), tb.count(), "explored set at Binv {binv}");
-            assert_eq!(a.snapshots.len(), b.snapshots.len());
-            for (sa, sb) in a.snapshots.iter().zip(b.snapshots.iter()) {
-                assert_eq!(sa.deployment, sb.deployment);
-                assert_eq!(sa.objective.rate.to_bits(), sb.objective.rate.to_bits());
-                assert_eq!(
-                    sa.objective.benefit.to_bits(),
-                    sb.objective.benefit.to_bits()
-                );
-            }
-            assert!(
-                a.lazy_rescores <= b.lazy_rescores,
-                "lazy path re-scored more ({} > {}) at Binv {binv}",
-                a.lazy_rescores,
-                b.lazy_rescores
-            );
-        }
-    }
-
-    /// As above, on an instance where pivot moves actually fire mid-run
-    /// (two disconnected stars force a second seed package): the
-    /// structural `rebuild_all` must re-admit previously budget-discarded
-    /// heap entries exactly like the reference rescan does.
-    #[test]
-    fn engine_matches_reference_across_pivot_moves() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 0.9).unwrap();
-        b.add_edge(2, 3, 0.9).unwrap();
-        let g = b.build().unwrap();
-        let d = NodeData::new(vec![2.0; 4], vec![0.5, 100.0, 0.5, 100.0], vec![1.0; 4]).unwrap();
-        for binv in [1.0, 2.0, 5.0, 10.0] {
-            let mut ta = ExploreTracker::new(4);
-            let mut tb = ExploreTracker::new(4);
-            let a = investment_deployment(&g, &d, binv, &mut ta, 10_000);
-            let b = investment_deployment_reference(&g, &d, binv, &mut tb, 10_000);
-            assert_eq!(a.deployment, b.deployment, "deployment at Binv {binv}");
-            assert_eq!(
-                a.objective.rate.to_bits(),
-                b.objective.rate.to_bits(),
-                "rate at Binv {binv}"
-            );
-            assert_eq!(a.iterations, b.iterations, "iterations at Binv {binv}");
-            assert_eq!(ta.count(), tb.count(), "explored set at Binv {binv}");
-            assert_eq!(a.snapshots.len(), b.snapshots.len());
-            for (sa, sb) in a.snapshots.iter().zip(b.snapshots.iter()) {
-                assert_eq!(sa.deployment, sb.deployment);
-                assert_eq!(sa.objective.rate.to_bits(), sb.objective.rate.to_bits());
-                assert_eq!(
-                    sa.objective.benefit.to_bits(),
-                    sb.objective.benefit.to_bits()
-                );
-            }
-            assert!(
-                a.lazy_rescores <= b.lazy_rescores,
-                "lazy path re-scored more ({} > {}) at Binv {binv}",
-                a.lazy_rescores,
-                b.lazy_rescores
-            );
-        }
     }
 }

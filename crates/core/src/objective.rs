@@ -4,12 +4,15 @@
 //! phases compare. Final experiment reports use the Monte-Carlo
 //! [`RedemptionReport`](osn_propagation::RedemptionReport) instead; the
 //! analytic value is what drives the algorithm, matching the paper's worked
-//! examples exactly on forests.
+//! examples exactly on forests. Every analytic value comes from one
+//! arithmetic, [`value_from_estimator`], over a maintained estimator or —
+//! for a one-shot [`evaluate`] — a freshly built
+//! [`SpreadEngine`].
 
 use crate::deployment::Deployment;
 use osn_graph::{CsrGraph, NodeData};
-use osn_propagation::cost::{expected_sc_cost, redemption_rate, seed_cost};
-use osn_propagation::spread::SpreadState;
+use osn_propagation::cost::redemption_rate;
+use osn_propagation::SpreadEngine;
 use serde::{Deserialize, Serialize};
 
 /// Analytic evaluation of a deployment.
@@ -38,20 +41,19 @@ impl ObjectiveValue {
     }
 }
 
-/// Evaluate a deployment's objective analytically.
+/// Evaluate a deployment's objective analytically, on a freshly built
+/// [`SpreadEngine`].
 pub fn evaluate(graph: &CsrGraph, data: &NodeData, dep: &Deployment) -> ObjectiveValue {
-    let state = SpreadState::evaluate(graph, data, &dep.seeds, &dep.coupons);
-    value_from_state(graph, data, dep, &state)
+    value_from_estimator(&SpreadEngine::new(graph, data, &dep.seeds, &dep.coupons))
 }
 
 /// Objective of any maintained [`BenefitEstimator`](osn_propagation::BenefitEstimator):
 /// the costs are exact by the estimator contract, the benefit carries the
 /// backend's estimation error. One arithmetic for every backend, so
 /// swapping backends changes the benefit estimate only, never how the rate
-/// is assembled. On the exact [`SpreadEngine`](osn_propagation::SpreadEngine)
-/// it is bit-identical to [`evaluate`] of the engine's deployment: the
-/// engine maintains benefit and SC cost under the same contract, and the
-/// seed cost is the same running sum.
+/// is assembled. On the exact [`SpreadEngine`] it is bit-identical to
+/// [`evaluate`] of the engine's deployment: a maintained engine is
+/// bit-identical to a freshly built one.
 pub fn value_from_estimator<E: osn_propagation::BenefitEstimator + ?Sized>(
     est: &E,
 ) -> ObjectiveValue {
@@ -63,23 +65,6 @@ pub fn value_from_estimator<E: osn_propagation::BenefitEstimator + ?Sized>(
         seed_cost: seed,
         sc_cost: sc,
         rate: redemption_rate(benefit, seed + sc),
-    }
-}
-
-/// As [`evaluate`], reusing an already-computed spread state.
-pub fn value_from_state(
-    graph: &CsrGraph,
-    data: &NodeData,
-    dep: &Deployment,
-    state: &SpreadState,
-) -> ObjectiveValue {
-    let sc = expected_sc_cost(graph, data, &dep.seeds, &dep.coupons);
-    let seed = seed_cost(data, &dep.seeds);
-    ObjectiveValue {
-        benefit: state.expected_benefit,
-        seed_cost: seed,
-        sc_cost: sc,
-        rate: redemption_rate(state.expected_benefit, seed + sc),
     }
 }
 

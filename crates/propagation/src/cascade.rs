@@ -1,9 +1,10 @@
 //! Single stochastic cascade with fresh coin flips.
 //!
 //! Implements the Sec. III process literally: rounds of activation, each
-//! active user attempting ranked neighbors while coupons remain. Used for
-//! hop statistics (Table III) and as the reference implementation that the
-//! world-based and analytic evaluators are validated against.
+//! active user attempting ranked neighbors while coupons remain. Only tests
+//! call it: it is the reference implementation the world-based and
+//! analytic evaluators are validated against (Table III's hop statistics
+//! come from the world kernels).
 
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use rand::Rng;

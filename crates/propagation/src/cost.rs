@@ -7,6 +7,11 @@
 //!   (global) expected benefit is what the paper's printed arithmetic uses
 //!   throughout (e.g. Example 1's cost gain for `v2`'s coupon is
 //!   `0.5 + 0.2`, not `0.6·(0.5 + 0.2)`).
+//!
+//! Production costs come from the [`Ledger`](crate::ledger::Ledger), which
+//! maintains both sums with the per-term helpers below.
+//! [`expected_sc_cost`] is the from-scratch **test oracle** the ledger is
+//! pinned against, bit for bit; no production path calls it.
 
 use crate::rank::redemption_probs;
 use crate::spread::eligible_children;
@@ -29,7 +34,8 @@ pub(crate) fn holder_cost(data: &NodeData, targets: &[NodeId], q: &[f64]) -> f64
 /// `Csc(K(I))`: expected coupon cost of the allocation, using the same
 /// rank/eligibility semantics as the benefit evaluator (seeds never receive
 /// coupons), built from scratch. One pass over the holders' out-edges:
-/// eligibility reads only the seed mask, so no spread BFS is needed.
+/// eligibility reads only the seed mask, so no spread BFS is needed. The
+/// test oracle of [`Ledger::sc_cost`](crate::ledger::Ledger::sc_cost).
 pub fn expected_sc_cost(
     graph: &CsrGraph,
     data: &NodeData,
@@ -54,12 +60,6 @@ pub fn expected_sc_cost(
     total
 }
 
-/// `Cseed(S) + Csc(K(I))` — the denominator of the redemption rate and the
-/// quantity bounded by `Binv`.
-pub fn total_cost(graph: &CsrGraph, data: &NodeData, seeds: &[NodeId], coupons: &[u32]) -> f64 {
-    seed_cost(data, seeds) + expected_sc_cost(graph, data, seeds, coupons)
-}
-
 /// The objective (1a): `B / C`, defined as 0 when the cost is nonpositive
 /// (no investment earns no redemption rate; this also keeps the ID phase's
 /// comparisons finite when a fixture uses a free seed).
@@ -77,67 +77,6 @@ mod tests {
     use osn_graph::GraphBuilder;
 
     const EPS: f64 = 1e-9;
-
-    /// Fig. 1 reconstruction (see `osn_gen::fixtures::fig1`).
-    fn fig1() -> (CsrGraph, NodeData) {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 3, 0.55).unwrap();
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 0, 0.36).unwrap();
-        b.add_edge(1, 2, 0.2).unwrap();
-        b.add_edge(2, 3, 0.7).unwrap();
-        b.add_edge(2, 1, 0.5).unwrap();
-        b.add_edge(3, 4, 0.9).unwrap();
-        let d = NodeData::new(
-            vec![3.0, 3.0, 3.0, 3.0, 6.0],
-            vec![1.0, 1.54, 1.5, 100.0, 100.0],
-            vec![1.0; 5],
-        )
-        .unwrap();
-        (b.build().unwrap(), d)
-    }
-
-    #[test]
-    fn fig1_im_package_cost() {
-        // Seed v3 with 2 SCs: 1.5 + (0.7 + 0.5) = 2.7.
-        let (g, d) = fig1();
-        let mut k = vec![0u32; 5];
-        k[2] = 2;
-        let c = total_cost(&g, &d, &[NodeId(2)], &k);
-        assert!((c - 2.7).abs() < EPS, "IM cost = {c}");
-    }
-
-    #[test]
-    fn fig1_pm_package_cost() {
-        // Seed v1 with 2 SCs: 1 + (0.55 + 0.5) = 2.05.
-        let (g, d) = fig1();
-        let mut k = vec![0u32; 5];
-        k[0] = 2;
-        let c = total_cost(&g, &d, &[NodeId(0)], &k);
-        assert!((c - 2.05).abs() < EPS, "PM cost = {c}");
-    }
-
-    #[test]
-    fn fig1_case2_cost_excludes_seed_from_competition() {
-        // Seed v1, SCs on v1 and v2: 1 + (0.55 + 0.5·0.45) + 0.2 = 1.975.
-        let (g, d) = fig1();
-        let mut k = vec![0u32; 5];
-        k[0] = 1;
-        k[1] = 1;
-        let c = total_cost(&g, &d, &[NodeId(0)], &k);
-        assert!((c - 1.975).abs() < EPS, "case-2 cost = {c}");
-    }
-
-    #[test]
-    fn fig1_case3_cost() {
-        // Seed v1, SCs on v1 and v4: 1 + (0.55 + 0.225) + 0.9 = 2.675.
-        let (g, d) = fig1();
-        let mut k = vec![0u32; 5];
-        k[0] = 1;
-        k[3] = 1;
-        let c = total_cost(&g, &d, &[NodeId(0)], &k);
-        assert!((c - 2.675).abs() < EPS, "case-3 cost = {c}");
-    }
 
     #[test]
     fn sc_cost_is_modular_in_disjoint_allocations() {
@@ -164,7 +103,7 @@ mod tests {
 
     #[test]
     fn seed_cost_sums() {
-        let (_, d) = fig1();
+        let d = NodeData::new(vec![3.0; 3], vec![1.0, 1.54, 1.5], vec![1.0; 3]).unwrap();
         assert!((seed_cost(&d, &[NodeId(0), NodeId(2)]) - 2.5).abs() < EPS);
         assert_eq!(seed_cost(&d, &[]), 0.0);
     }

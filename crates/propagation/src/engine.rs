@@ -1,11 +1,14 @@
-//! The incremental spread engine: a delta-maintained [`SpreadState`].
+//! The incremental spread engine: the one production analytic evaluator.
 //!
-//! [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate) rebuilds
-//! everything — BFS levels, eligible-child collection, the O(deg·k) rank DP
-//! per holder, forward/backward passes — from scratch for every candidate
-//! move, which dominates S3CA's greedy inner loop (the ROADMAP's "Faster
-//! rank DP" bottleneck). [`SpreadEngine`] instead keeps the spread
-//! structure as a maintained index over the per-holder distributions
+//! Every analytic benefit in production comes from a [`SpreadEngine`]: the
+//! greedy loops mutate one move by move, and a one-shot evaluation of a
+//! fixed deployment (`s3crm_core::objective::evaluate`) is a freshly built
+//! engine. Its from-scratch test oracle,
+//! [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate),
+//! rebuilds everything — BFS levels, eligible-child collection, the
+//! O(deg·k) rank DP per holder, forward/backward passes — for every
+//! deployment. The engine instead keeps the spread structure as a
+//! maintained index over the per-holder distributions
 //! `(holder, eligible children, rank-DP cache, q)` its [`Ledger`] owns:
 //!
 //! * **Broaden** (one more coupon to a current holder) extends that
@@ -45,11 +48,12 @@
 //!
 //! The engine is an optimization, not a semantic change: after **any**
 //! sequence of moves, every field (activation probabilities, subtree
-//! gains, expected benefit, SC cost) is **bit-identical** to a from-scratch
-//! [`SpreadState::evaluate`] of the same deployment — the incremental DP
-//! extension reproduces the exact floating-point sequence of the full DP
-//! (see [`RankDp`](crate::rank::RankDp)), and the propagation passes are
-//! the very same `pub(crate)` functions `SpreadState` runs.
+//! gains, expected benefit, SC cost) is **bit-identical** to the oracle's
+//! from-scratch [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate)
+//! of the same deployment — the incremental DP extension reproduces the
+//! exact floating-point sequence of the full DP (see
+//! [`RankDp`](crate::rank::RankDp)), and the propagation passes are the
+//! very same `pub(crate)` functions the oracle runs.
 //! [`rebuild`](SpreadEngine::rebuild) is the escape hatch that recomputes
 //! everything from scratch; proptests in
 //! `crates/propagation/tests/proptests.rs` pin that it never changes a bit,
@@ -57,9 +61,7 @@
 
 use crate::estimator::BenefitEstimator;
 use crate::ledger::{DeltaScratch, Ledger};
-use crate::spread::{
-    accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef, SpreadState,
-};
+use crate::spread::{accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef};
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// Evaluation-effort counters (surfaced through S3CA's `Telemetry` and the
@@ -207,20 +209,6 @@ impl<'a> SpreadEngine<'a> {
     /// Per-node downstream gain (identical to `SpreadState::subtree_gain`).
     pub fn subtree_gain(&self) -> &[f64] {
         &self.subtree_gain
-    }
-
-    /// Materialize the maintained state as a [`SpreadState`] (used by the
-    /// equivalence tests; everything is a field copy).
-    pub fn to_state(&self) -> SpreadState {
-        SpreadState {
-            levels: self.levels.clone(),
-            active_prob: self.active_prob.clone(),
-            subtree_gain: self.subtree_gain.clone(),
-            order: self.order.clone(),
-            expected_benefit: self.expected_benefit,
-            seed_mask: self.ledger.seed_mask().to_vec(),
-            coupons: self.ledger.coupons().to_vec(),
-        }
     }
 
     /// Retrieve up to `count` coupons from `u` (the SC-Maneuver donor
@@ -448,6 +436,7 @@ fn diff_bits(scan: &[NodeId], cur: &[f64], prev: &mut [f64]) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::cost::expected_sc_cost;
+    use crate::spread::SpreadState;
     use osn_graph::GraphBuilder;
 
     /// Example 1 tree.
@@ -565,23 +554,22 @@ mod tests {
         let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &k);
         engine.add_coupons(NodeId(0), 1);
         engine.add_coupons(NodeId(1), 1);
-        let before = engine.to_state();
+        let before = engine.clone();
         engine.rebuild();
-        let after = engine.to_state();
-        assert_eq!(before.order, after.order);
+        assert_eq!(before.order(), engine.order());
         for i in 0..7 {
             assert_eq!(
-                before.active_prob[i].to_bits(),
-                after.active_prob[i].to_bits()
+                before.active_prob()[i].to_bits(),
+                engine.active_prob()[i].to_bits()
             );
             assert_eq!(
-                before.subtree_gain[i].to_bits(),
-                after.subtree_gain[i].to_bits()
+                before.subtree_gain()[i].to_bits(),
+                engine.subtree_gain()[i].to_bits()
             );
         }
         assert_eq!(
-            before.expected_benefit.to_bits(),
-            after.expected_benefit.to_bits()
+            before.expected_benefit().to_bits(),
+            engine.expected_benefit().to_bits()
         );
         assert_eq!(engine.counters().full_rebuilds, 2);
     }

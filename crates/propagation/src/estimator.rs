@@ -11,9 +11,9 @@
 //! [`SpreadEngine`](crate::engine::SpreadEngine), names it as a concrete
 //! type, and uses its inherent retrieval surface (`remove_coupons`,
 //! `coupon_removal_delta`, `active_prob`). One-shot evaluation of a fixed
-//! deployment needs no seam: it is
-//! [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate)
-//! (analytic) or [`McBackend::evaluator`](crate::monte_carlo::McBackend::evaluator)
+//! deployment needs no seam: it is a freshly built
+//! [`SpreadEngine`](crate::engine::SpreadEngine) (analytic) or
+//! [`McBackend::evaluator`](crate::monte_carlo::McBackend::evaluator)
 //! (Monte Carlo).
 //!
 //! Two implementations exist, each defining every method once:

@@ -7,8 +7,13 @@
 //! node order, the summation order of `Csc`. A first coupon builds a
 //! holder and further coupons extend its DP in O(deg); a new seed rebuilds
 //! its in-neighbours' holders (a seed never receives coupons); a retrieval
-//! rebuilds or drops the donor's. Every cost and probe is bit-identical to
-//! the from-scratch [`expected_sc_cost`](crate::cost::expected_sc_cost) and
+//! rebuilds or drops the donor's.
+//!
+//! The ledger is the one production path for Table-I costs: the ID loop,
+//! SC Maneuver, the objective and [`RedemptionReport`](crate::RedemptionReport)
+//! all read theirs here, and the Fig. 1 package costs are pinned against it
+//! below. Every cost and probe is bit-identical to the from-scratch test
+//! oracles, [`expected_sc_cost`](crate::cost::expected_sc_cost) and the
 //! [`SpreadState`](crate::spread::SpreadState) deltas (pinned by the
 //! engine's proptests and `osn-sketch`'s `tests/ledger.rs`).
 
@@ -322,5 +327,71 @@ impl<'a> Ledger<'a> {
         self.holder_nodes.insert(at, holder.node);
         self.slot[holder.node.index()] = self.holders.len() as u32;
         self.holders.push(holder);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use osn_graph::GraphBuilder;
+
+    const EPS: f64 = 1e-9;
+
+    /// Fig. 1 reconstruction (see `osn_gen::fixtures::fig1`).
+    fn fig1() -> (CsrGraph, NodeData) {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 3, 0.55).unwrap();
+        b.add_edge(0, 1, 0.5).unwrap();
+        b.add_edge(1, 0, 0.36).unwrap();
+        b.add_edge(1, 2, 0.2).unwrap();
+        b.add_edge(2, 3, 0.7).unwrap();
+        b.add_edge(2, 1, 0.5).unwrap();
+        b.add_edge(3, 4, 0.9).unwrap();
+        let d = NodeData::new(
+            vec![3.0, 3.0, 3.0, 3.0, 6.0],
+            vec![1.0, 1.54, 1.5, 100.0, 100.0],
+            vec![1.0; 5],
+        )
+        .unwrap();
+        (b.build().unwrap(), d)
+    }
+
+    /// `Cseed + Csc` of one seed and sparse `(node, k)` coupons.
+    fn package_cost(seed: u32, coupons: &[(usize, u32)]) -> f64 {
+        let (g, d) = fig1();
+        let mut k = vec![0u32; 5];
+        for &(v, c) in coupons {
+            k[v] = c;
+        }
+        let ledger = Ledger::new(&g, &d, &[NodeId(seed)], &k);
+        ledger.seed_cost() + ledger.sc_cost()
+    }
+
+    #[test]
+    fn fig1_im_package_cost() {
+        // Seed v3 with 2 SCs: 1.5 + (0.7 + 0.5) = 2.7.
+        let c = package_cost(2, &[(2, 2)]);
+        assert!((c - 2.7).abs() < EPS, "IM cost = {c}");
+    }
+
+    #[test]
+    fn fig1_pm_package_cost() {
+        // Seed v1 with 2 SCs: 1 + (0.55 + 0.5) = 2.05.
+        let c = package_cost(0, &[(0, 2)]);
+        assert!((c - 2.05).abs() < EPS, "PM cost = {c}");
+    }
+
+    #[test]
+    fn fig1_case2_cost_excludes_seed_from_competition() {
+        // Seed v1, SCs on v1 and v2: 1 + (0.55 + 0.5·0.45) + 0.2 = 1.975.
+        let c = package_cost(0, &[(0, 1), (1, 1)]);
+        assert!((c - 1.975).abs() < EPS, "case-2 cost = {c}");
+    }
+
+    #[test]
+    fn fig1_case3_cost() {
+        // Seed v1, SCs on v1 and v4: 1 + (0.55 + 0.225) + 0.9 = 2.675.
+        let c = package_cost(0, &[(0, 1), (3, 1)]);
+        assert!((c - 2.675).abs() < EPS, "case-3 cost = {c}");
     }
 }

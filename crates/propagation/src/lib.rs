@@ -20,8 +20,8 @@
 //! * [`rank`] — the coupon-availability DP: exact per-rank redemption
 //!   probabilities `q_j = P(e_j) · Pr[fewer than k earlier redemptions]`,
 //!   which is the paper's `P(e(i,j))·P(k̄_i)` in closed form.
-//! * [`cascade`] — one stochastic cascade (fresh coin flips), used for hop
-//!   statistics and as ground truth in tests.
+//! * [`cascade`] — one stochastic cascade (fresh coin flips); only tests
+//!   call it, as Monte-Carlo ground truth.
 //! * [`world`] / [`reach`] — pre-sampled live-edge **worlds** (the paper's
 //!   "tosses a coin for each edge ... to generate a graph") and the
 //!   deterministic coupon-constrained reachability inside one world. World
@@ -31,28 +31,28 @@
 //!   are **skip-sampled** (geometric gaps over `osn_graph`'s probability
 //!   buckets) and stored once, as 64-world **lane blocks**; see "World
 //!   storage and sampling" below.
-//! * [`spread`] — the analytic evaluator: exact expected benefit on forests
+//! * [`spread`] — the analytic model: exact expected benefit on forests
 //!   (all of the paper's worked examples), a documented independent-parent
-//!   approximation elsewhere; exposes the incremental quantities S3CA's
-//!   marginal-redemption loop needs.
-//! * [`engine`] — the **incremental spread engine**: a delta-maintained
-//!   [`spread::SpreadState`] that S3CA's greedy loops mutate move-by-move
-//!   instead of re-evaluating from scratch (see "Evaluation architecture"
+//!   approximation elsewhere. It holds the propagation passes the engine
+//!   runs, and [`SpreadState`], their from-scratch **test oracle**.
+//! * [`engine`] — the **incremental spread engine**, the one production
+//!   analytic evaluator: S3CA's greedy loops mutate it move-by-move, and a
+//!   one-shot evaluation is a fresh engine (see "Evaluation architecture"
 //!   below).
 //! * [`ledger`] — the **deployment ledger**: one evolving deployment
 //!   (seeds, seed mask, coupons) with its exact Table I costs — the running
 //!   `Cseed`, and per coupon holder the rank DP and cost term whose
 //!   ascending-node sum is `Csc` — plus the O(deg) ΔCsc probes. Every
 //!   stateful estimator owns one.
-//! * [`cost`] — the paper's expected-SC-cost `Csc(K(I))` (local per internal
-//!   node, Table I) and seed cost, from scratch: the one-shot path and the
-//!   oracle the ledger is pinned against.
+//! * [`cost`] — the paper's Table-I cost terms (`Csc` is local per internal
+//!   node) and the redemption rate; [`expected_sc_cost`] is the
+//!   from-scratch test oracle the ledger is pinned against.
 //! * [`monte_carlo`] — the Monte-Carlo estimator of `B(S, K(I))`: an
 //!   [`McBackend`] owns one world cache (its lane blocks), and is
 //!   the only way to build a [`MonteCarloEvaluator`], whose batched
 //!   [`simulate_batch`](MonteCarloEvaluator::simulate_batch) scores many
 //!   [`DeploymentRef`] candidates ([`evaluator`]) in one pool-parallel pass.
-//!   One-shot analytic evaluation is [`SpreadState::evaluate`].
+//!   One-shot analytic evaluation is a fresh [`SpreadEngine`].
 //! * [`metrics`] — the reported quantities of Sec. VI: redemption rate,
 //!   total benefit, seed–SC rate, average farthest hop.
 //!
@@ -75,20 +75,25 @@
 //! read seeds, coupons and costs from the ledger instead of mirroring
 //! the deployment.
 //!
-//! Analytic evaluation has two entry points with one arithmetic:
+//! Analytic evaluation has one production evaluator and one test oracle,
+//! with one arithmetic:
 //!
-//! * **One-shot**: [`SpreadState::evaluate`] — BFS the coupon spread,
-//!   build each holder's `(eligible children, rank-DP, q)` distribution,
-//!   run the forward activation passes and the backward gain pass. Every
-//!   pass is a shared `pub(crate)` function.
-//! * **Maintained**: [`SpreadEngine`] — keeps the spread structure as a
+//! * **Production**: [`SpreadEngine`] — keeps the spread structure as a
 //!   live index over the holder distributions its [`Ledger`] maintains
 //!   across an evolving deployment. One full build at construction (the
 //!   only O(Σ deg·k) DP sweep); a *broaden* move extends one holder's DP in
 //!   O(deg) and re-runs only the flat passes; *deepen*, *new seed* and
 //!   *coupon retrieval* re-derive the BFS structure but reuse every
 //!   untouched holder's DP; O(deg) probes serve the candidate ranking. See
-//!   the [`engine`] module docs.
+//!   the [`engine`] module docs. A one-shot evaluation of a fixed
+//!   deployment is a freshly built engine, and every production cost is
+//!   its ledger's.
+//! * **Oracle**: [`SpreadState::evaluate`] with its probes, and
+//!   [`expected_sc_cost`] — BFS the coupon spread, build each holder's
+//!   `(eligible children, rank-DP, q)` distribution from scratch, run the
+//!   same shared `pub(crate)` passes. Only tests call them; CI fails if a
+//!   non-test line outside `spread.rs`, `cost.rs` and this file names
+//!   them.
 //!
 //! [`SpreadEngine::rebuild`] is the from-scratch escape hatch, and by
 //! contract it **never changes a bit**: the incremental DP extension
@@ -216,7 +221,7 @@ pub mod spread;
 pub mod world;
 
 pub use cascade::{simulate_cascade, CascadeOutcome};
-pub use cost::{expected_sc_cost, redemption_rate, seed_cost, total_cost};
+pub use cost::{expected_sc_cost, redemption_rate, seed_cost};
 pub use engine::{EngineCounters, RefreshDelta, SpreadEngine};
 pub use estimator::BenefitEstimator;
 pub use evaluator::DeploymentRef;

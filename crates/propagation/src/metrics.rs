@@ -5,8 +5,9 @@
 //! seed/SC split (the "seed-SC rate" of Fig. 7), and the average farthest
 //! hop (Table III).
 
-use crate::cost::{expected_sc_cost, redemption_rate, seed_cost};
+use crate::cost::redemption_rate;
 use crate::evaluator::DeploymentRef;
+use crate::ledger::Ledger;
 use crate::monte_carlo::{McBackend, SimulationStats};
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use serde::{Deserialize, Serialize};
@@ -83,7 +84,8 @@ impl RedemptionReport {
     }
 
     /// Build a report from a pre-computed benefit estimate (used when the
-    /// caller already evaluated the deployment analytically).
+    /// caller already evaluated the deployment analytically). The costs are
+    /// the [`Ledger`]'s, the one production Table-I cost path.
     pub fn from_parts(
         graph: &CsrGraph,
         data: &NodeData,
@@ -91,8 +93,8 @@ impl RedemptionReport {
         coupons: &[u32],
         expected_benefit: f64,
     ) -> Self {
-        let sc = expected_sc_cost(graph, data, seeds, coupons);
-        let seed = seed_cost(data, seeds);
+        let ledger = Ledger::new(graph, data, seeds, coupons);
+        let (seed, sc) = (ledger.seed_cost(), ledger.sc_cost());
         let total = seed + sc;
         RedemptionReport {
             expected_benefit,

@@ -326,7 +326,8 @@ impl Totals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spread::SpreadState;
+    use crate::engine::SpreadEngine;
+    use crate::estimator::BenefitEstimator;
     use osn_graph::GraphBuilder;
 
     /// A backend over `worlds` freshly sampled worlds of `g`.
@@ -378,7 +379,7 @@ mod tests {
         k[0] = 1;
         k[1] = 2;
         let mc = ev.simulate(&[NodeId(0)], &k).expected_benefit;
-        let exact = SpreadState::evaluate(&g, &d, &[NodeId(0)], &k).expected_benefit;
+        let exact = SpreadEngine::new(&g, &d, &[NodeId(0)], &k).expected_benefit();
         assert!(
             (mc - exact).abs() < 0.03,
             "MC {mc} vs analytic {exact} diverged"

@@ -155,30 +155,6 @@ impl RankDp {
     }
 }
 
-/// Probability that **all** `k` coupons end up redeemed after attempting
-/// every neighbor. Only tests call it (closed-form cases and a range
-/// proptest); no solver reads it.
-pub fn exhaustion_probability(probs: &[f64], k: u32) -> f64 {
-    let k = k as usize;
-    if k == 0 {
-        return 1.0;
-    }
-    let mut dist = vec![0.0f64; k + 1];
-    dist[0] = 1.0;
-    for &p in probs {
-        for c in (0..k).rev() {
-            dist[c + 1] += dist[c] * p;
-            dist[c] *= 1.0 - p;
-        }
-    }
-    dist[k]
-}
-
-/// Expected number of redemptions (`Σ q_j`), never exceeding `min(k, d)`.
-pub fn expected_redemptions(probs: &[f64], k: u32) -> f64 {
-    redemption_probs(probs, k).iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,23 +216,6 @@ mod tests {
                 assert!(h >= l, "q must be monotone nondecreasing in k");
             }
         }
-    }
-
-    #[test]
-    fn exhaustion_probability_simple_cases() {
-        // One coupon, one neighbor at p: exhausted w.p. p.
-        assert!((exhaustion_probability(&[0.3], 1) - 0.3).abs() < EPS);
-        // One coupon, two neighbors: 1 − (1−p1)(1−p2).
-        let e = exhaustion_probability(&[0.5, 0.5], 1);
-        assert!((e - 0.75).abs() < EPS);
-        assert_eq!(exhaustion_probability(&[0.5], 0), 1.0);
-    }
-
-    #[test]
-    fn expected_redemptions_bounded_by_k_and_degree() {
-        let p = [0.9, 0.9, 0.9, 0.9];
-        assert!(expected_redemptions(&p, 2) <= 2.0 + EPS);
-        assert!(expected_redemptions(&p, 100) <= 4.0 + EPS);
     }
 
     /// Bitwise equality helper for the RankDp contract tests.

@@ -1,4 +1,5 @@
-//! Analytic spread evaluation.
+//! Analytic spread evaluation: the model's shared passes and its test
+//! oracle.
 //!
 //! Computes the expected benefit of a deployment `(S, K)` in closed form:
 //! activation probabilities flow through the *coupon spread* — the set of
@@ -17,12 +18,20 @@
 //! `u` are its out-neighbors that are not seeds. This is the
 //! interpretation forced by Fig. 1(c) case 2, where the seed `v1` is
 //! excluded from `v2`'s rank competition (`tests/paper_fig1.rs` pins it).
+//!
+//! **Production vs oracle.** The BFS, eligibility rule, propagation passes
+//! and [`standalone_package`] here are what production runs, through the
+//! incremental [`SpreadEngine`](crate::engine::SpreadEngine). [`SpreadState`]
+//! — the from-scratch [`evaluate`](SpreadState::evaluate) and its
+//! `coupon_*delta` probes — is the **test oracle** the engine is pinned
+//! against, bit for bit; no production path calls it.
 
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use std::collections::VecDeque;
 
-/// Fully evaluated analytic state of one deployment.
+/// Fully evaluated analytic state of one deployment, built from scratch:
+/// the test oracle of [`SpreadEngine`](crate::engine::SpreadEngine).
 #[derive(Clone, Debug)]
 pub struct SpreadState {
     /// Hop level within the coupon spread; `None` for nodes outside it.

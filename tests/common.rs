@@ -1,8 +1,13 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
-use osn_propagation::SimulationStats;
-use s3crm_core::Deployment;
+use osn_propagation::spread::SpreadState;
+use osn_propagation::{
+    expected_sc_cost, redemption_rate, seed_cost, EngineCounters, SimulationStats,
+};
+use s3crm_core::id_phase::{ExploreTracker, IdOutcome, Snapshot};
+use s3crm_core::pivot::{PivotQueue, SeedPackage};
+use s3crm_core::{Deployment, ObjectiveValue};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -137,4 +142,181 @@ pub fn root_heavy_coupons(n: usize, extra: usize) -> Vec<u32> {
         *kv = 1;
     }
     k
+}
+
+/// Budget tolerance of the ID loop's feasibility tests.
+const BUDGET_EPS: f64 = 1e-9;
+
+/// The objective of `dep` from the from-scratch oracles: `state`'s
+/// benefit, [`expected_sc_cost`] and [`seed_cost`].
+fn oracle_value(
+    graph: &CsrGraph,
+    data: &NodeData,
+    dep: &Deployment,
+    state: &SpreadState,
+) -> ObjectiveValue {
+    let sc = expected_sc_cost(graph, data, &dep.seeds, &dep.coupons);
+    let seed = seed_cost(data, &dep.seeds);
+    ObjectiveValue {
+        benefit: state.expected_benefit,
+        seed_cost: seed,
+        sc_cost: sc,
+        rate: redemption_rate(state.expected_benefit, seed + sc),
+    }
+}
+
+/// The original Investment Deployment loop: a from-scratch
+/// [`SpreadState`] oracle evaluation after every move and an exhaustive
+/// candidate rescan per iteration. The equivalence oracle for
+/// `s3crm_core::id_phase::investment_deployment` (pinned by
+/// `tests/determinism.rs`).
+pub fn investment_deployment_reference(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    explored: &mut ExploreTracker,
+    max_iterations: usize,
+) -> IdOutcome {
+    let n = graph.node_count();
+    let mut queue = PivotQueue::build(graph, data, binv);
+    let mut dep = Deployment::empty(n);
+
+    let Some(first) = queue.pop() else {
+        return IdOutcome {
+            deployment: dep,
+            objective: ObjectiveValue::default(),
+            iterations: 0,
+            snapshots: Vec::new(),
+            eval_counters: EngineCounters::default(),
+            lazy_rescores: 0,
+        };
+    };
+    apply_package(graph, &mut dep, &first);
+    explored.mark(first.node);
+
+    let mut pivot = next_usable_pivot(&mut queue, &dep);
+    let mut state = SpreadState::evaluate(graph, data, &dep.seeds, &dep.coupons);
+    let mut value = oracle_value(graph, data, &dep, &state);
+    let mut rescans = 0u64;
+
+    let mut best_dep = dep.clone();
+    let mut best_value = value;
+    let mut iterations = 1usize;
+    let mut snapshots: Vec<Snapshot> = vec![Snapshot {
+        deployment: dep.clone(),
+        objective: value,
+    }];
+    let milestone = (binv / 12.0).max(f64::MIN_POSITIVE);
+    let mut next_milestone = value.total_cost() + milestone;
+
+    while iterations < max_iterations {
+        // Best coupon move (strategies 1–2) over the current spread.
+        let mut best_mr = 0.0f64;
+        let mut best_node: Option<(NodeId, f64, f64)> = None;
+        for &u in &state.order {
+            if state.active_prob[u.index()] <= 0.0 {
+                continue;
+            }
+            if dep.coupons[u.index()] >= graph.out_degree(u) as u32 {
+                continue;
+            }
+            explored.mark(u);
+            let (db, dc) = state.coupon_delta(graph, data, u, 1);
+            rescans += 1;
+            if db <= 0.0 {
+                continue;
+            }
+            if value.total_cost() + dc > binv + BUDGET_EPS {
+                continue;
+            }
+            let mr = if dc > 0.0 { db / dc } else { f64::MAX };
+            if mr > best_mr {
+                best_mr = mr;
+                best_node = Some((u, db, dc));
+            }
+        }
+
+        let pivot_feasible = pivot
+            .as_ref()
+            .is_some_and(|p| value.total_cost() + p.cost <= binv + BUDGET_EPS);
+        let pivot_rate = pivot.as_ref().map_or(0.0, |p| p.rate);
+
+        let take_coupon = match (best_node.is_some(), pivot_feasible) {
+            (false, false) => {
+                if pivot.is_some() {
+                    pivot = next_usable_pivot(&mut queue, &dep);
+                    if pivot.is_some() {
+                        continue;
+                    }
+                }
+                break;
+            }
+            (true, false) => true,
+            (false, true) => false,
+            (true, true) => best_mr > pivot_rate,
+        };
+
+        if take_coupon {
+            let (u, _, _) = best_node.expect("guarded by take_coupon");
+            dep.add_coupons(graph, u, 1);
+        } else {
+            let pkg = pivot.take().expect("guarded by pivot_feasible");
+            apply_package(graph, &mut dep, &pkg);
+            explored.mark(pkg.node);
+            pivot = next_usable_pivot(&mut queue, &dep);
+        }
+        iterations += 1;
+
+        state = SpreadState::evaluate(graph, data, &dep.seeds, &dep.coupons);
+        value = oracle_value(graph, data, &dep, &state);
+        if value.within_budget(binv) && value.rate >= best_value.rate * (1.0 - 1e-9) {
+            best_value = value;
+            best_dep = dep.clone();
+        }
+        if value.within_budget(binv) && value.total_cost() >= next_milestone {
+            snapshots.push(Snapshot {
+                deployment: dep.clone(),
+                objective: value,
+            });
+            next_milestone = value.total_cost() + milestone;
+        }
+    }
+    if snapshots.last().map(|s| &s.deployment) != Some(&dep) && value.within_budget(binv) {
+        snapshots.push(Snapshot {
+            deployment: dep.clone(),
+            objective: value,
+        });
+    }
+    if snapshots.last().map(|s| &s.deployment) != Some(&best_dep) {
+        snapshots.push(Snapshot {
+            deployment: best_dep.clone(),
+            objective: best_value,
+        });
+    }
+
+    IdOutcome {
+        deployment: best_dep,
+        objective: best_value,
+        iterations,
+        snapshots,
+        eval_counters: EngineCounters::default(),
+        lazy_rescores: rescans,
+    }
+}
+
+fn apply_package(graph: &CsrGraph, dep: &mut Deployment, pkg: &SeedPackage) {
+    dep.add_seed(pkg.node);
+    if pkg.coupons > 0 {
+        dep.add_coupons(graph, pkg.node, pkg.coupons);
+    }
+}
+
+/// Pop pivots until one names a node not yet invested in.
+fn next_usable_pivot(queue: &mut PivotQueue, dep: &Deployment) -> Option<SeedPackage> {
+    while let Some(p) = queue.pop() {
+        if !dep.is_seed(p.node) && dep.coupons[p.node.index()] == 0 {
+            return Some(p);
+        }
+    }
+    None
 }

@@ -6,11 +6,13 @@
 //! here before it corrupts any experiment.
 
 use osn_gen::DatasetProfile;
+use osn_graph::{CsrGraph, GraphBuilder, NodeData};
 use osn_pool::ThreadPool;
 use osn_propagation::world::WorldCache;
 use osn_propagation::{reference_simulate_batch, DeploymentRef, McBackend, SimulationStats};
+use s3crm_core::id_phase::{investment_deployment, ExploreTracker};
 use s3crm_core::{s3ca, S3caConfig};
-use s3crm_tests::assert_stats_bit_identical;
+use s3crm_tests::{assert_stats_bit_identical, investment_deployment_reference};
 
 /// Generate-from-scratch twice, run S3CA twice, compare everything.
 #[test]
@@ -341,15 +343,11 @@ fn binary_loaded_graph_byte_matches_text_loaded_run() {
 /// The incremental spread engine is an optimization, not a semantic
 /// change: the lazy-greedy engine-backed ID phase must match the seed
 /// implementation (exhaustive rescan + from-scratch `SpreadState`
-/// re-evaluation per move) decision-for-decision and bit-for-bit, and the
+/// oracle re-evaluation per move) decision-for-decision and bit-for-bit, and the
 /// CSV cells a fig6-style run would write from either deployment must be
 /// byte-identical at pool sizes 1 and 2.
 #[test]
 fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
-    use s3crm_core::id_phase::{
-        investment_deployment, investment_deployment_reference, ExploreTracker,
-    };
-
     for (profile, seed, budget_mult) in [
         (DatasetProfile::Facebook, 19u64, 1.0),
         (DatasetProfile::Facebook, 19u64, 0.5),
@@ -419,6 +417,64 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
             "{profile:?}: pipeline CSV drifted between pool sizes 1 and 2"
         );
     }
+}
+
+/// The lazy-greedy engine path must match the reference (exhaustive
+/// rescan + from-scratch oracle evaluation) decision-for-decision and
+/// bit-for-bit on `(graph, data)` at every budget — while doing no more
+/// marginal evaluations.
+fn assert_engine_matches_reference(graph: &CsrGraph, data: &NodeData, budgets: &[f64]) {
+    let n = graph.node_count();
+    for &binv in budgets {
+        let mut ta = ExploreTracker::new(n);
+        let mut tb = ExploreTracker::new(n);
+        let a = investment_deployment(graph, data, binv, &mut ta, 10_000);
+        let b = investment_deployment_reference(graph, data, binv, &mut tb, 10_000);
+        assert_eq!(a.deployment, b.deployment, "deployment at Binv {binv}");
+        assert_eq!(
+            a.objective.rate.to_bits(),
+            b.objective.rate.to_bits(),
+            "rate at Binv {binv}"
+        );
+        assert_eq!(a.iterations, b.iterations, "iterations at Binv {binv}");
+        assert_eq!(ta.count(), tb.count(), "explored set at Binv {binv}");
+        assert_eq!(a.snapshots.len(), b.snapshots.len());
+        for (sa, sb) in a.snapshots.iter().zip(b.snapshots.iter()) {
+            assert_eq!(sa.deployment, sb.deployment);
+            assert_eq!(sa.objective.rate.to_bits(), sb.objective.rate.to_bits());
+            assert_eq!(
+                sa.objective.benefit.to_bits(),
+                sb.objective.benefit.to_bits()
+            );
+        }
+        assert!(
+            a.lazy_rescores <= b.lazy_rescores,
+            "lazy path re-scored more ({} > {}) at Binv {binv}",
+            a.lazy_rescores,
+            b.lazy_rescores
+        );
+    }
+}
+
+/// The engine-backed ID phase matches the reference on the Example 1 tree.
+#[test]
+fn engine_path_matches_reference_bitwise() {
+    let f = osn_gen::fixtures::example1();
+    assert_engine_matches_reference(&f.graph, &f.data, &[0.5, 1.0, 2.0, 5.0, 50.0]);
+}
+
+/// As above, on an instance where pivot moves actually fire mid-run (two
+/// disconnected stars force a second seed package): the structural
+/// `rebuild_all` must re-admit previously budget-discarded heap entries
+/// exactly like the reference rescan does.
+#[test]
+fn engine_matches_reference_across_pivot_moves() {
+    let mut b = GraphBuilder::new(4);
+    b.add_edge(0, 1, 0.9).unwrap();
+    b.add_edge(2, 3, 0.9).unwrap();
+    let g = b.build().unwrap();
+    let d = NodeData::new(vec![2.0; 4], vec![0.5, 100.0, 0.5, 100.0], vec![1.0; 4]).unwrap();
+    assert_engine_matches_reference(&g, &d, &[1.0, 2.0, 5.0, 10.0]);
 }
 
 /// Different seeds must actually change the generated instance — guards

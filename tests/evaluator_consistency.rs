@@ -9,12 +9,14 @@ use osn_gen::{erdos_renyi, seeded_rng, weights};
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
 use osn_pool::ThreadPool;
 use osn_propagation::world::WorldCache;
-use osn_propagation::{reference_simulate_batch, DeploymentRef, McBackend, SpreadState};
+use osn_propagation::{
+    reference_simulate_batch, BenefitEstimator, DeploymentRef, McBackend, SpreadEngine,
+};
 use s3crm_tests::{assert_stats_bit_identical, random_tree, root_heavy_coupons, unit_data};
 
-/// Analytic `B(S, K)`.
+/// Analytic `B(S, K)`, from the production evaluator.
 fn analytic_benefit(g: &CsrGraph, d: &NodeData, seeds: &[NodeId], k: &[u32]) -> f64 {
-    SpreadState::evaluate(g, d, seeds, k).expected_benefit
+    SpreadEngine::new(g, d, seeds, k).expected_benefit()
 }
 
 /// Monte-Carlo `B(S, K)` over `worlds` worlds sampled from `seed`.

@@ -123,11 +123,11 @@ fn non_designated_users_are_unreachable() {
     let greedy = s3ca(&f.graph, &f.data, f.budget, &S3caConfig::default());
     // v_b^2 (node 2) has no in-edge from v_u: its counterpart v_a^2
     // (node 6) can never be activated.
-    let state = osn_propagation::spread::SpreadState::evaluate(
+    let engine = osn_propagation::SpreadEngine::new(
         &f.graph,
         &f.data,
         &greedy.deployment.seeds,
         &greedy.deployment.coupons,
     );
-    assert_eq!(state.active_prob[6], 0.0);
+    assert_eq!(engine.active_prob()[6], 0.0);
 }

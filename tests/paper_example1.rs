@@ -3,7 +3,7 @@
 
 use osn_gen::fixtures::example1;
 use osn_graph::NodeId;
-use osn_propagation::spread::SpreadState;
+use osn_propagation::{BenefitEstimator, DeltaScratch, SpreadEngine};
 use s3crm_core::id_phase::{investment_deployment, ExploreTracker};
 
 const EPS: f64 = 1e-9;
@@ -14,10 +14,9 @@ fn initial_deployment_numbers() {
     let f = example1();
     let mut k = vec![0u32; 7];
     k[0] = 1;
-    let s = SpreadState::evaluate(&f.graph, &f.data, &[NodeId(0)], &k);
-    assert!((s.expected_benefit - 1.76).abs() < EPS);
-    let sc = osn_propagation::expected_sc_cost(&f.graph, &f.data, &[NodeId(0)], &k);
-    assert!((sc - 0.76).abs() < EPS);
+    let s = SpreadEngine::new(&f.graph, &f.data, &[NodeId(0)], &k);
+    assert!((s.expected_benefit() - 1.76).abs() < EPS);
+    assert!((s.ledger().sc_cost() - 0.76).abs() < EPS);
 }
 
 #[test]
@@ -27,16 +26,17 @@ fn iteration1_marginal_redemptions() {
     let f = example1();
     let mut k = vec![0u32; 7];
     k[0] = 1;
-    let s = SpreadState::evaluate(&f.graph, &f.data, &[NodeId(0)], &k);
+    let s = SpreadEngine::new(&f.graph, &f.data, &[NodeId(0)], &k);
+    let mut scratch = DeltaScratch::default();
 
-    let (db1, dc1) = s.coupon_delta(&f.graph, &f.data, NodeId(0), 1);
+    let (db1, dc1) = s.coupon_add_delta(NodeId(0), &mut scratch);
     assert!((db1 / dc1 - 1.0).abs() < EPS, "MR(v1) = {}", db1 / dc1);
 
-    let (db2, dc2) = s.coupon_delta(&f.graph, &f.data, NodeId(1), 1);
+    let (db2, dc2) = s.coupon_add_delta(NodeId(1), &mut scratch);
     assert!((db2 - 0.42).abs() < EPS && (dc2 - 0.7).abs() < EPS);
     assert!((db2 / dc2 - 0.6).abs() < EPS, "MR(v2) = {}", db2 / dc2);
 
-    let (db3, dc3) = s.coupon_delta(&f.graph, &f.data, NodeId(2), 1);
+    let (db3, dc3) = s.coupon_add_delta(NodeId(2), &mut scratch);
     assert!((dc3 - 0.94).abs() < EPS);
     assert!((db3 / dc3 - 0.16).abs() < 1e-3, "MR(v3) = {}", db3 / dc3);
 
@@ -51,11 +51,10 @@ fn dependent_edge_becomes_independent_with_second_coupon() {
     let f = example1();
     let mut k = vec![0u32; 7];
     k[0] = 1;
-    let s1 = SpreadState::evaluate(&f.graph, &f.data, &[NodeId(0)], &k);
-    assert!((s1.active_prob[2] - 0.16).abs() < EPS);
-    k[0] = 2;
-    let s2 = SpreadState::evaluate(&f.graph, &f.data, &[NodeId(0)], &k);
-    assert!((s2.active_prob[2] - 0.4).abs() < EPS);
+    let mut s = SpreadEngine::new(&f.graph, &f.data, &[NodeId(0)], &k);
+    assert!((s.active_prob()[2] - 0.16).abs() < EPS);
+    s.add_coupons(NodeId(0), 1);
+    assert!((s.active_prob()[2] - 0.4).abs() < EPS);
 }
 
 #[test]

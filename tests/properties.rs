@@ -5,10 +5,9 @@
 use proptest::prelude::*;
 
 use osn_graph::{GraphBuilder, NodeData, NodeId};
-use osn_propagation::rank::{expected_redemptions, redemption_probs};
-use osn_propagation::spread::SpreadState;
+use osn_propagation::rank::redemption_probs;
 use osn_propagation::world::WorldCache;
-use osn_propagation::{expected_sc_cost, simulate_cascade};
+use osn_propagation::{simulate_cascade, BenefitEstimator, Ledger, SpreadEngine};
 use s3crm_core::{s3ca, S3caConfig};
 
 /// Strategy: a random small directed graph with probabilities, as raw parts.
@@ -39,7 +38,7 @@ proptest! {
         for (qi, pi) in q.iter().zip(probs.iter()) {
             prop_assert!(*qi >= -1e-12 && *qi <= pi + 1e-12, "q out of range");
         }
-        let total = expected_redemptions(&probs, k);
+        let total: f64 = q.iter().sum();
         prop_assert!(total <= k as f64 + 1e-9, "expected redemptions exceed k");
     }
 
@@ -50,13 +49,13 @@ proptest! {
         let coupons: Vec<u32> = (0..n)
             .map(|i| (g.out_degree(NodeId(i as u32)) as u32).min(k_cap))
             .collect();
-        let s = SpreadState::evaluate(&g, &d, &[NodeId(0)], &coupons);
-        for (i, &p) in s.active_prob.iter().enumerate() {
+        let s = SpreadEngine::new(&g, &d, &[NodeId(0)], &coupons);
+        for (i, &p) in s.active_prob().iter().enumerate() {
             prop_assert!((-1e-12..=1.0 + 1e-9).contains(&p), "P({i}) = {p}");
         }
-        prop_assert!((s.active_prob[0] - 1.0).abs() < 1e-12, "seed must be active");
+        prop_assert!((s.active_prob()[0] - 1.0).abs() < 1e-12, "seed must be active");
         // Benefit is bounded by the total benefit in the network.
-        prop_assert!(s.expected_benefit <= d.total_benefit() + 1e-9);
+        prop_assert!(s.expected_benefit() <= d.total_benefit() + 1e-9);
     }
 
     #[test]
@@ -70,9 +69,8 @@ proptest! {
         let full: Vec<u32> = (0..n)
             .map(|i| g.out_degree(NodeId(i as u32)) as u32)
             .collect();
-        let b0 = SpreadState::evaluate(&g, &d, &[NodeId(0)], &zero).expected_benefit;
-        let b1 = SpreadState::evaluate(&g, &d, &[NodeId(0)], &one).expected_benefit;
-        let b2 = SpreadState::evaluate(&g, &d, &[NodeId(0)], &full).expected_benefit;
+        let benefit = |k: &[u32]| SpreadEngine::new(&g, &d, &[NodeId(0)], k).expected_benefit();
+        let (b0, b1, b2) = (benefit(&zero), benefit(&one), benefit(&full));
         prop_assert!(b0 <= b1 + 1e-9 && b1 <= b2 + 1e-9, "{b0} {b1} {b2}");
     }
 
@@ -83,7 +81,7 @@ proptest! {
         let coupons: Vec<u32> = (0..n)
             .map(|i| (g.out_degree(NodeId(i as u32)) as u32).min(k_cap))
             .collect();
-        let c = expected_sc_cost(&g, &d, &[NodeId(0)], &coupons);
+        let c = Ledger::new(&g, &d, &[NodeId(0)], &coupons).sc_cost();
         prop_assert!(c >= -1e-12);
         // Each coupon's expected cost is at most max csc = 1.
         let total: u32 = coupons.iter().sum();
