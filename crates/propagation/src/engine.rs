@@ -44,6 +44,14 @@
 //! kept in ascending node order. Structural moves also re-run the spread
 //! BFS, which allocates an n-sized level array.
 //!
+//! Construction is the one O(|V|) step, and the cost of every one-shot
+//! evaluation: it allocates the n-sized arrays, builds every holder with
+//! one allocation per DP (see [`RankDp`](crate::rank::RankDp)), runs the
+//! passes once without a change report (there is nothing to diff
+//! against; the report's baselines are copied at the first move), and
+//! gets both ascending lists by filtering ascending scans (levels, the
+//! ledger's holder list) rather than by sorting.
+//!
 //! ## The bit-identity contract
 //!
 //! The engine is an optimization, not a semantic change: after **any**
@@ -147,7 +155,8 @@ pub struct SpreadEngine<'a> {
     sorted_dists: Vec<NodeId>,
     /// Fixpoint scratch.
     complement: Vec<f64>,
-    /// Previous pass results, for exact-bit change detection. Equal to
+    /// Previous pass results, for exact-bit change detection: empty until
+    /// the first move (a one-shot evaluation makes none), then equal to
     /// `active_prob`/`subtree_gain` everywhere between moves.
     prev_active: Vec<f64>,
     prev_gain: Vec<f64>,
@@ -167,27 +176,44 @@ impl<'a> SpreadEngine<'a> {
         let n = graph.node_count();
         // Outside the spread every probability is 0 and every gain is the
         // node's own benefit; the refreshes maintain exactly that.
-        let benefits: Vec<f64> = (0..n)
-            .map(|i| data.benefit(NodeId::from_index(i)))
-            .collect();
         let mut engine = SpreadEngine {
             graph,
             data,
             ledger: Ledger::new(graph, data, seeds, coupons),
-            levels: vec![None; n],
+            levels: Vec::new(),
             order: Vec::new(),
             active_prob: vec![0.0; n],
-            subtree_gain: benefits.clone(),
+            subtree_gain: data.benefits().to_vec(),
             expected_benefit: 0.0,
             spread_dists: Vec::new(),
             sorted_members: Vec::new(),
             sorted_dists: Vec::new(),
             complement: vec![1.0; n],
-            prev_active: vec![0.0; n],
-            prev_gain: benefits,
-            counters: EngineCounters::default(),
+            prev_active: Vec::new(),
+            prev_gain: Vec::new(),
+            counters: EngineCounters {
+                full_rebuilds: 1,
+                ..EngineCounters::default()
+            },
         };
-        engine.rebuild_structure();
+        // A first build has no earlier state to report changes against
+        // (one-shot evaluations build an engine per deployment), so it
+        // runs the passes without the change report.
+        engine.derive_structure();
+        let (levels, ledger) = (&engine.levels, &engine.ledger);
+        let mut members = Vec::with_capacity(engine.order.len());
+        members.extend(
+            (0..n)
+                .filter(|&i| levels[i].is_some())
+                .map(NodeId::from_index),
+        );
+        let mut dists = Vec::with_capacity(engine.spread_dists.len());
+        dists.extend(ledger.holder_nodes().iter().copied().filter(|&v| {
+            levels[v.index()].is_some() && ledger.holder(v).is_some_and(|h| !h.targets.is_empty())
+        }));
+        engine.sorted_members = members;
+        engine.sorted_dists = dists;
+        engine.run_passes();
         engine
     }
 
@@ -198,7 +224,9 @@ impl<'a> SpreadEngine<'a> {
     /// reference the tests compare against.
     pub fn rebuild(&mut self) -> RefreshDelta {
         self.ledger.rebuild();
-        self.rebuild_structure()
+        self.counters.full_rebuilds += 1;
+        self.derive_structure();
+        self.refresh(true)
     }
 
     /// Per-node activation probability.
@@ -244,13 +272,6 @@ impl<'a> SpreadEngine<'a> {
     // Internals.
     // ------------------------------------------------------------------
 
-    /// Everything but the ledger, from scratch (one full rebuild).
-    fn rebuild_structure(&mut self) -> RefreshDelta {
-        self.counters.full_rebuilds += 1;
-        self.derive_structure();
-        self.refresh(true)
-    }
-
     /// Re-derive the spread structure (BFS levels/order and the ordered
     /// distribution list) from the current seeds and coupons.
     fn derive_structure(&mut self) {
@@ -271,12 +292,8 @@ impl<'a> SpreadEngine<'a> {
     /// refresh must scan — the previous ∪ current members and the previous
     /// ∪ current distribution nodes, each ascending.
     fn restructure_scans(&mut self) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut members = self.order.clone();
-        members.sort_unstable();
-        let mut dists = self.spread_dists.clone();
-        dists.sort_unstable();
-        let old_members = std::mem::replace(&mut self.sorted_members, members);
-        let old_dists = std::mem::replace(&mut self.sorted_dists, dists);
+        let old_members = std::mem::replace(&mut self.sorted_members, sorted(&self.order));
+        let old_dists = std::mem::replace(&mut self.sorted_dists, sorted(&self.spread_dists));
         for &v in &old_members {
             if self.levels[v.index()].is_none() {
                 self.active_prob[v.index()] = 0.0;
@@ -288,17 +305,37 @@ impl<'a> SpreadEngine<'a> {
         )
     }
 
-    /// Re-run the propagation passes (the same `pub(crate)` functions
-    /// `SpreadState::evaluate` uses) over the cached distributions and
-    /// report, with exact-bit granularity, which nodes changed — in
-    /// O(spread + targets), as the module docs describe.
+    /// Re-run the propagation passes and report, with exact-bit
+    /// granularity, which nodes changed — in O(spread + targets), as the
+    /// module docs describe.
     fn refresh(&mut self, structural: bool) -> RefreshDelta {
+        if self.prev_active.is_empty() {
+            // The first move: its baselines are the state it starts from.
+            self.prev_active = self.active_prob.clone();
+            self.prev_gain = self.subtree_gain.clone();
+        }
         let restructured = structural.then(|| self.restructure_scans());
+        let dist_scan = restructured.as_ref().map_or(&self.sorted_dists, |(_, d)| d);
+        for &v in dist_scan {
+            self.subtree_gain[v.index()] = self.data.benefit(v);
+        }
+        self.run_passes();
         let (member_scan, dist_scan) = match &restructured {
-            Some((members, dists)) => (members.as_slice(), dists.as_slice()),
-            None => (self.sorted_members.as_slice(), self.sorted_dists.as_slice()),
+            Some((members, dists)) => (members, dists),
+            None => (&self.sorted_members, &self.sorted_dists),
         };
+        RefreshDelta {
+            structural,
+            probs_changed: diff_bits(member_scan, &self.active_prob, &mut self.prev_active),
+            gains_changed: diff_bits(dist_scan, &self.subtree_gain, &mut self.prev_gain),
+            ..RefreshDelta::default()
+        }
+    }
 
+    /// The propagation passes (the same `pub(crate)` functions
+    /// `SpreadState::evaluate` uses) over the cached distributions.
+    /// Precondition: every distribution holder's gain is its own benefit.
+    fn run_passes(&mut self) {
         let dists: Vec<DistRef<'_>> = self
             .spread_dists
             .iter()
@@ -319,18 +356,8 @@ impl<'a> SpreadEngine<'a> {
             &mut self.active_prob,
             &mut self.complement,
         );
-        for &v in dist_scan {
-            self.subtree_gain[v.index()] = self.data.benefit(v);
-        }
         accumulate_gains(&dists, self.data, &mut self.subtree_gain);
         self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.data);
-
-        RefreshDelta {
-            structural,
-            probs_changed: diff_bits(member_scan, &self.active_prob, &mut self.prev_active),
-            gains_changed: diff_bits(dist_scan, &self.subtree_gain, &mut self.prev_gain),
-            ..RefreshDelta::default()
-        }
     }
 }
 
@@ -406,6 +433,13 @@ impl BenefitEstimator for SpreadEngine<'_> {
         }
         delta
     }
+}
+
+/// `nodes` in ascending node order.
+fn sorted(nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut out = nodes.to_vec();
+    out.sort_unstable();
+    out
 }
 
 /// The ascending union of two ascending node lists.

@@ -102,6 +102,9 @@ impl<'a> Ledger<'a> {
             self.seed_mask[s.index()] = true;
         }
         self.seed_cost = seed_cost(self.data, &self.seeds);
+        let count = self.coupons.iter().filter(|&&k| k > 0).count();
+        self.holders.reserve(count);
+        self.holder_nodes.reserve(count);
         for i in 0..self.coupons.len() {
             if self.coupons[i] > 0 {
                 let holder = self.build_holder(NodeId::from_index(i), self.coupons[i]);
@@ -306,8 +309,9 @@ impl<'a> Ledger<'a> {
     /// One holder from scratch: children at the current seed mask, DP at
     /// `k`, cost term.
     fn build_holder(&mut self, node: NodeId, k: u32) -> Holder {
-        let mut targets = Vec::new();
-        let mut probs = Vec::new();
+        let deg = self.graph.out_degree(node);
+        let mut targets = Vec::with_capacity(deg);
+        let mut probs = Vec::with_capacity(deg);
         eligible_children(self.graph, &self.seed_mask, node, &mut targets, &mut probs);
         let dp = RankDp::build(&probs, k);
         let local_cost = holder_cost(self.data, &targets, dp.q());

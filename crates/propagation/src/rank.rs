@@ -68,14 +68,14 @@ pub fn redemption_probs_into(probs: &[f64], k: u32, out: &mut [f64]) {
 /// rebuilding — the contract `SpreadEngine`'s `rebuild()` proptest pins.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankDp {
-    /// Per-rank redemption probabilities `q_j` for the current `k`.
-    q: Vec<f64>,
-    /// Ascending partial sums `Σ_{c<k} E_c[j]` (availability before rank
-    /// `j+1`'s attempt).
-    avail: Vec<f64>,
-    /// `E_k[j]`: probability that exactly `k` of the first `j` attempts
+    /// Three length-`d` rows in one allocation (one-shot evaluations
+    /// build every holder's DP afresh, so each allocation counts): `q_j`,
+    /// the per-rank redemption probabilities for the
+    /// current `k`; `avail[j]`, the ascending partial sums `Σ_{c<k} E_c[j]`
+    /// (availability before rank `j+1`'s attempt); and `ek[j]`, the
+    /// probability `E_k[j]` that exactly `k` of the first `j` attempts
     /// succeeded — the term `extend_one` folds into `avail`.
-    ek: Vec<f64>,
+    rows: Vec<f64>,
     k: u32,
 }
 
@@ -85,12 +85,13 @@ impl RankDp {
     pub fn build(probs: &[f64], k: u32) -> RankDp {
         let d = probs.len();
         let ku = k as usize;
-        let mut q = vec![0.0f64; d];
-        let mut avail = vec![0.0f64; d];
-        let mut ek = vec![0.0f64; d];
-        // Saturate at k + 1 (one row deeper than `redemption_probs`) so
-        // dist[k] stays the exact `E_k` row rather than the ≥k bucket.
-        let mut dist = vec![0.0f64; ku + 2];
+        // The three rows, then the DP's scratch distribution, saturating
+        // at k + 1 (one row deeper than `redemption_probs`) so dist[k]
+        // stays the exact `E_k` row rather than the ≥k bucket.
+        let mut rows = vec![0.0f64; 3 * d + ku + 2];
+        let (q, rest) = rows.split_at_mut(d);
+        let (avail, rest) = rest.split_at_mut(d);
+        let (ek, dist) = rest.split_at_mut(d);
         dist[0] = 1.0;
         for (j, &p) in probs.iter().enumerate() {
             // Same entries, same ascending order, hence the same bits as
@@ -106,7 +107,8 @@ impl RankDp {
                 dist[c] *= 1.0 - p;
             }
         }
-        RankDp { q, avail, ek, k }
+        rows.truncate(3 * d);
+        RankDp { rows, k }
     }
 
     /// Current coupon count the cache reflects.
@@ -116,26 +118,37 @@ impl RankDp {
 
     /// Per-rank redemption probabilities for the current `k`.
     pub fn q(&self) -> &[f64] {
-        &self.q
+        &self.rows[..self.rows.len() / 3]
+    }
+
+    /// The `(q, avail, ek)` rows.
+    fn split(&self) -> (&[f64], &[f64], &[f64]) {
+        let d = self.rows.len() / 3;
+        let (q, rest) = self.rows.split_at(d);
+        let (avail, ek) = rest.split_at(d);
+        (q, avail, ek)
     }
 
     /// Grow the cache from `k` to `k + 1` coupons in `O(deg)`. After the
     /// call, `self` equals `RankDp::build(probs, k + 1)` bit-for-bit.
     pub fn extend_one(&mut self, probs: &[f64]) {
-        debug_assert_eq!(probs.len(), self.q.len());
+        let d = self.rows.len() / 3;
+        debug_assert_eq!(probs.len(), d);
         self.k += 1;
+        let (q, rest) = self.rows.split_at_mut(d);
+        let (avail, ek) = rest.split_at_mut(d);
         for (j, &p) in probs.iter().enumerate() {
             // Appending E_k to the ascending partial sum is exactly the
             // next `+=` a from-scratch sweep at k + 1 would execute.
-            self.avail[j] += self.ek[j];
-            self.q[j] = p * self.avail[j];
+            avail[j] += ek[j];
+            q[j] = p * avail[j];
         }
         // Roll the row forward: E_{k+1}[j] from E_{k+1}[j−1] and E_k[j−1],
         // the same `x·(1−p) + y·p` expression the in-place DP uses.
         let mut prev_new = 0.0f64; // E_{k+1}[0]
         for (j, &p) in probs.iter().enumerate() {
-            let cur = prev_new * (1.0 - p) + self.ek[j] * p;
-            self.ek[j] = prev_new;
+            let cur = prev_new * (1.0 - p) + ek[j] * p;
+            ek[j] = prev_new;
             prev_new = cur;
         }
     }
@@ -149,8 +162,9 @@ impl RankDp {
     /// Panics if `out.len() != probs.len()`.
     pub fn extended_q_into(&self, probs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), probs.len());
+        let (_, avail, ek) = self.split();
         for (j, &p) in probs.iter().enumerate() {
-            out[j] = p * (self.avail[j] + self.ek[j]);
+            out[j] = p * (avail[j] + ek[j]);
         }
     }
 }
@@ -248,8 +262,8 @@ mod tests {
             let fresh = RankDp::build(&probs, k);
             assert_bits_eq(dp.q(), fresh.q(), "extended q vs rebuilt q");
             assert_bits_eq(&probe, fresh.q(), "probe vs rebuilt q");
-            assert_bits_eq(&dp.avail, &fresh.avail, "avail partial sums");
-            assert_bits_eq(&dp.ek, &fresh.ek, "E_k row");
+            assert_bits_eq(dp.split().1, fresh.split().1, "avail partial sums");
+            assert_bits_eq(dp.split().2, fresh.split().2, "E_k row");
             assert_bits_eq(dp.q(), &redemption_probs(&probs, k), "vs DP");
         }
     }

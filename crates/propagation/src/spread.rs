@@ -28,7 +28,6 @@
 
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use std::collections::VecDeque;
 
 /// Fully evaluated analytic state of one deployment, built from scratch:
 /// the test oracle of [`SpreadEngine`](crate::engine::SpreadEngine).
@@ -60,15 +59,16 @@ pub fn spread_levels(
     let n = graph.node_count();
     let mut levels: Vec<Option<u32>> = vec![None; n];
     let mut order = Vec::new();
-    let mut queue = VecDeque::new();
     for &s in seeds {
         if levels[s.index()].is_none() {
             levels[s.index()] = Some(0);
             order.push(s);
-            queue.push_back(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
+    // `order` is the BFS queue: `order[head..]` are the queued nodes.
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
         if coupons[u.index()] == 0 {
             continue;
         }
@@ -77,7 +77,6 @@ pub fn spread_levels(
             if levels[v.index()].is_none() {
                 levels[v.index()] = Some(lu + 1);
                 order.push(v);
-                queue.push_back(v);
             }
         }
     }

@@ -148,8 +148,9 @@ pub fn root_heavy_coupons(n: usize, extra: usize) -> Vec<u32> {
 const BUDGET_EPS: f64 = 1e-9;
 
 /// The objective of `dep` from the from-scratch oracles: `state`'s
-/// benefit, [`expected_sc_cost`] and [`seed_cost`].
-fn oracle_value(
+/// benefit (`state` must be [`SpreadState::evaluate`] of `dep`),
+/// [`expected_sc_cost`] and [`seed_cost`].
+pub fn oracle_value(
     graph: &CsrGraph,
     data: &NodeData,
     dep: &Deployment,

@@ -3,12 +3,14 @@
 //! evaluation relies on.
 
 use osn_gen::DatasetProfile;
+use osn_propagation::spread::SpreadState;
 use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
 use s3crm_baselines::im_s::im_s;
 use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
 use s3crm_baselines::strategy::CouponStrategy;
-use s3crm_core::{s3ca, S3caConfig};
+use s3crm_core::{s3ca, EstimatorBackend, S3caConfig};
+use s3crm_tests::oracle_value;
 
 fn small_facebook() -> osn_gen::profiles::GeneratedInstance {
     DatasetProfile::Facebook.generate(0.06, 77).unwrap() // ~240 nodes
@@ -128,6 +130,54 @@ fn s3ca_is_deterministic_end_to_end() {
     let a = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
     let b = s3ca(&inst.graph, &inst.data, inst.budget, &S3caConfig::default());
     assert_eq!(a.deployment, b.deployment);
+}
+
+/// The objective S3CA returns — after ID alone or after ID, GPI and SC
+/// Maneuver, each on its own maintained evaluator — is the from-scratch
+/// oracle's value of the returned deployment, bit for bit, under both ID
+/// estimators.
+#[test]
+fn returned_objective_is_the_oracle_value_bitwise() {
+    let mut scm_moves = 0;
+    let instances = [
+        DatasetProfile::Facebook.generate(0.06, 1).unwrap(), // SCM moves coupons
+        DatasetProfile::Facebook.generate(0.06, 77).unwrap(),
+        DatasetProfile::Douban.generate(0.0001, 5).unwrap(),
+        DatasetProfile::Epinions.generate(0.004, 9).unwrap(),
+    ];
+    for inst in &instances {
+        for factor in [0.5, 1.0, 2.0] {
+            for (estimator, base) in [EstimatorBackend::Mc, EstimatorBackend::Sketch]
+                .into_iter()
+                .flat_map(|e| [(e, S3caConfig::default()), (e, S3caConfig::id_only())])
+            {
+                let config = S3caConfig { estimator, ..base };
+                let binv = inst.budget * factor;
+                let result = s3ca(&inst.graph, &inst.data, binv, &config);
+                scm_moves += result.telemetry.scm_coupons_moved;
+                let dep = &result.deployment;
+                let state =
+                    SpreadState::evaluate(&inst.graph, &inst.data, &dep.seeds, &dep.coupons);
+                let oracle = oracle_value(&inst.graph, &inst.data, dep, &state);
+                let got = result.objective;
+                for (what, a, b) in [
+                    ("benefit", got.benefit, oracle.benefit),
+                    ("seed cost", got.seed_cost, oracle.seed_cost),
+                    ("sc cost", got.sc_cost, oracle.sc_cost),
+                    ("rate", got.rate, oracle.rate),
+                ] {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{:?} at {factor}x budget, {estimator:?}, SCM {}: {what} {a} vs oracle {b}",
+                        inst.profile,
+                        config.enable_scm
+                    );
+                }
+            }
+        }
+    }
+    assert!(scm_moves > 0, "no instance exercised SC Maneuver's moves");
 }
 
 #[test]
