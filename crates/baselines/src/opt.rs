@@ -100,6 +100,7 @@ pub fn exhaustive_opt(
             seeds: seeds.clone(),
             coupons: vec![0; n],
         };
+        let value = objective::evaluate(graph, data, &dep);
         allocate(
             graph,
             data,
@@ -108,6 +109,7 @@ pub fn exhaustive_opt(
             &support,
             0,
             0,
+            value,
             &mut dep,
             &mut best_dep,
             &mut best_value,
@@ -163,6 +165,8 @@ fn coupon_support(
     cand.into_iter().map(|(_, v)| v).collect()
 }
 
+/// Branch-and-bound over the coupons of `support[idx..]`; `value` is
+/// `dep`'s objective.
 #[allow(clippy::too_many_arguments)]
 fn allocate(
     graph: &CsrGraph,
@@ -172,11 +176,11 @@ fn allocate(
     support: &[NodeId],
     idx: usize,
     used: u32,
+    value: ObjectiveValue,
     dep: &mut Deployment,
     best_dep: &mut Deployment,
     best_value: &mut ObjectiveValue,
 ) {
-    let value = objective::evaluate(graph, data, dep);
     if !value.within_budget(binv) {
         return; // costs only grow along this branch
     }
@@ -202,9 +206,15 @@ fn allocate(
         .max_coupons_per_node
         .min(graph.out_degree(node) as u32)
         .min(cfg.max_total_coupons - used);
-    // k = 0 first keeps the search finding sparse optima early.
+    // k = 0 first keeps the search finding sparse optima early. That child
+    // is `dep` unchanged, so it reuses `value`.
     for k in 0..=cap {
         dep.coupons[node.index()] = k;
+        let child = if k == 0 {
+            value
+        } else {
+            objective::evaluate(graph, data, dep)
+        };
         allocate(
             graph,
             data,
@@ -213,6 +223,7 @@ fn allocate(
             support,
             idx + 1,
             used + k,
+            child,
             dep,
             best_dep,
             best_value,

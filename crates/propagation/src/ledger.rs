@@ -291,13 +291,6 @@ impl<'a> Ledger<'a> {
         dc
     }
 
-    /// Exact `ΔCsc` of one coupon fewer at `u`.
-    pub fn removal_cost_delta(&self, u: NodeId, scratch: &mut DeltaScratch) -> f64 {
-        let mut dc = 0.0;
-        self.removal_probe(u, scratch, |v, dq| dc += dq * self.data.sc_cost(v));
-        dc
-    }
-
     /// Raise `u`'s count by up to `count`, capped at its out-degree.
     fn grant(&mut self, u: NodeId, count: u32) -> u32 {
         let cur = self.coupons[u.index()];

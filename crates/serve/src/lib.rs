@@ -44,12 +44,10 @@
 //! connection's work, so a `PROBE` never ends up folding a campaign's
 //! queued blocks. A thread the OS refuses to start drops only its
 //! connection: the accept loop keeps going. The [`admission::Admission`]
-//! gate bounds in-flight campaigns, and the [`batcher::ProbeBatcher`]
-//! coalesces concurrent evaluation probes against the same resident
-//! backend into single `simulate_batch` passes by group commit: a probe on
-//! an idle backend runs at once, and probes that arrive while a batch runs
-//! park and share the next one (batching is result-neutral because
-//! batched simulation is bit-identical to lone simulation).
+//! gate bounds in-flight campaigns. Every `PROBE` and every campaign's
+//! final evaluation is one fold on its resident backend
+//! ([`batcher::ProbeBatcher::submit`]); requests on one backend fold side
+//! by side, with no lock around the read-only world cache.
 //!
 //! # Failure semantics
 //!
@@ -60,10 +58,8 @@
 //! * **Panics are isolated.** `CAMPAIGN`/`PROBE` execution runs under
 //!   `catch_unwind`; a panicking request becomes a one-line
 //!   `ERR internal: …` reply. Every resource it held returns via RAII —
-//!   the admission [`admission::Permit`] releases on unwind, and a dying
-//!   batch leader's [`batcher`] reign guard bumps the group generation,
-//!   gives the followers its batch had taken a typed error instead of a
-//!   hang, and hands leadership to the probes parked behind it.
+//!   the admission [`admission::Permit`] releases on unwind — and no
+//!   other request shares its evaluation, so none fails with it.
 //! * **Overload sheds, it does not queue.** A campaign that cannot get an
 //!   admission slot within the configured wait is refused with
 //!   `ERR BUSY retry-after-ms=N`; the [`client::RetryingClient`] honors
@@ -86,8 +82,8 @@
 //!   would have — `loadgen --chaos` asserts exactly this while an
 //!   `osn-fault` plan fires injected I/O errors, delays, and panics.
 //!
-//! The injection points themselves (`serve.campaign.run`,
-//! `serve.batcher.*`, `serve.conn.*`, `graph.shard.open`)
+//! The injection points themselves (`serve.campaign.run`, `serve.eval`,
+//! `serve.conn.*`, `graph.shard.open`)
 //! compile to no-ops unless the `fault-injection` feature is on.
 
 #![forbid(unsafe_code)]

@@ -516,9 +516,9 @@ fn write_reply(writer: &mut TcpStream, reply: &[String]) -> std::io::Result<()> 
 
 /// Run `f` with panic isolation: a panic becomes an `ERR internal …` reply
 /// (and the panic's cause travels in the message) instead of killing the
-/// connection thread. RAII guards acquired inside `f` — the admission
-/// permit, the batcher's leader reign — release during the unwind, so an
-/// isolated panic cannot leak capacity or strand followers.
+/// connection thread. RAII guards acquired inside `f`, such as the
+/// admission permit, release during the unwind, so an isolated panic
+/// cannot leak capacity.
 fn isolate<F: FnOnce() -> Result<Vec<String>, String>>(f: F) -> Vec<String> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(Ok(reply)) => reply,

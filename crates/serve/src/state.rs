@@ -22,7 +22,7 @@ use crate::spec::{algorithm_token, CampaignSpec, ProbeSpec, WeightChoice};
 use osn_gen::seeded_rng;
 use osn_gen::weights::assign_weights;
 use osn_graph::GraphBuilder;
-use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
+use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::{Algorithm, EVAL_SALT};
@@ -148,6 +148,7 @@ pub struct ServeState {
     /// How long a campaign may wait for an admission slot before being shed
     /// with `BUSY retry-after-ms=…`.
     admission_wait: Duration,
+    /// Runs and counts every evaluation (`PROBE` and final).
     batcher: ProbeBatcher,
     campaigns: AtomicU64,
     shed: AtomicU64,
@@ -279,8 +280,7 @@ impl ServeState {
     }
 
     /// The resident backend for `(variant, worlds, seed)`, sampling it on
-    /// first use. Returns the key alongside so callers can address the
-    /// probe batcher consistently.
+    /// first use. Returns its cache key alongside.
     fn backend(
         &self,
         variant_label: &str,
@@ -372,17 +372,13 @@ impl ServeState {
         lru.sort_unstable_by_key(|&(used, ..)| used);
         // Values are dropped after the locks are released.
         let (mut gone_variants, mut gone_backends, mut gone_indexes) = (vec![], vec![], vec![]);
-        let mut gone_backend_keys = Vec::new();
         for (_, map, key, bytes) in lru {
             if resident <= self.resident_budget {
                 break;
             }
             match map {
                 0 => gone_variants.extend(variants.remove(&key)),
-                1 => {
-                    gone_backends.extend(backends.remove(&key));
-                    gone_backend_keys.push(key);
-                }
+                1 => gone_backends.extend(backends.remove(&key)),
                 _ => gone_indexes.extend(indexes.remove(&key)),
             }
             resident -= bytes;
@@ -392,9 +388,6 @@ impl ServeState {
             .store(resident > self.resident_budget, Ordering::SeqCst);
         drop((variants, backends, indexes));
         drop((gone_variants, gone_backends, gone_indexes));
-        for key in gone_backend_keys {
-            self.batcher.forget(&key);
-        }
     }
 
     /// Run the eviction pass a finished request owes, if any. Called once a
@@ -461,20 +454,17 @@ impl ServeState {
             }
         };
 
-        // Final evaluation on the resident eval backend, through the probe
-        // batcher so concurrent campaigns' evaluations share cache passes.
+        // Final evaluation: one fold on the resident eval backend, beside
+        // any other request's fold on it.
         let (eval_key, eval_backend) =
             self.backend(&variant_label, &ds, spec.eval_worlds, spec.seed ^ EVAL_SALT);
-        let stats = self
-            .batcher
-            .submit(
-                &eval_key,
-                &eval_backend,
-                &ds,
-                deployment.seeds.clone(),
-                deployment.coupons.clone(),
-            )
-            .map_err(|e| format!("internal: {e}"))?;
+        let Ok(stats) = self.batcher.submit(
+            &eval_key,
+            &eval_backend,
+            &ds,
+            deployment.seeds.clone(),
+            deployment.coupons.clone(),
+        );
         let report = RedemptionReport::from_stats(
             &ds.graph,
             &ds.data,
@@ -553,10 +543,9 @@ impl ServeState {
             return Err(format!("seed {} outside graph of {n} nodes", bad.0));
         }
         let (key, backend) = self.backend(&variant_label, &ds, spec.worlds, spec.seed ^ EVAL_SALT);
-        let stats: SimulationStats = self
+        let Ok(stats) = self
             .batcher
-            .submit(&key, &backend, &ds, spec.seeds.clone(), coupons)
-            .map_err(|e| format!("internal: {e}"))?;
+            .submit(&key, &backend, &ds, spec.seeds.clone(), coupons);
         Ok(format!(
             "STATS benefit={} activated={} redeemed_sc_cost={} farthest_hop={}",
             stats.expected_benefit,
@@ -572,7 +561,7 @@ impl ServeState {
         let resident_bytes = built_bytes(&lock(&self.variants))
             + built_bytes(&lock(&self.backends))
             + built_bytes(&lock(&self.indexes));
-        let (probes, batches) = self.batcher.counters();
+        let probes = self.batcher.probes();
         vec![
             format!("dataset={}", self.dataset.name),
             format!("nodes={}", self.dataset.graph.node_count()),
@@ -592,8 +581,9 @@ impl ServeState {
             ),
             format!("campaigns_shed={}", self.shed.load(Ordering::Relaxed)),
             format!("probes={probes}"),
-            format!("probe_batches={batches}"),
-            format!("probe_batches_failed={}", self.batcher.failed_probes()),
+            // Each evaluation is a batch of one; the key stays for the
+            // benchmark's probes-per-batch ratio.
+            format!("probe_batches={probes}"),
         ]
     }
 }
@@ -763,8 +753,7 @@ mod tests {
 
     /// Every distinct `seed=` samples a new backend. Under a budget of one
     /// sketch campaign's working set, a flood of them keeps the resident
-    /// bytes within the budget, and the batcher forgets the groups of the
-    /// backends it evicts.
+    /// bytes within the budget.
     #[test]
     fn a_distinct_seed_flood_stays_within_the_budget() {
         let measure = ServeState::open(&fixture(), 2).expect("open");
@@ -791,10 +780,6 @@ mod tests {
             if i >= 2 {
                 assert!(info(&state, "evictions") > 0, "request {i}");
             }
-            assert!(
-                state.batcher.group_count() <= info(&state, "backends"),
-                "request {i}: batcher groups outlive their backends"
-            );
         }
     }
 

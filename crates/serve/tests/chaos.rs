@@ -65,18 +65,18 @@ fn chaos_suite() {
     a_refused_connection_thread_does_not_end_the_accept_loop(&expected);
 }
 
-/// The tentpole scenario: panics at the campaign and batch-leader sites,
-/// an injected socket-write error, and probabilistic read delays — all at
-/// once, against concurrent clients. Every campaign must still converge to
-/// the byte-exact reference via retries.
+/// The tentpole scenario: panics at the campaign and evaluation sites,
+/// an injected socket-write error, and probabilistic read and evaluation
+/// delays — all at once, against concurrent clients. Every campaign must
+/// still converge to the byte-exact reference via retries.
 fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
     let _scenario = Scenario::new(
         "seed=7 \
          serve.campaign.run=panic@1 \
-         serve.batcher.batch=panic@2 \
+         serve.eval=panic@2 \
          serve.conn.write=ioerr@3 \
          serve.conn.read=delay,2:0.2 \
-         serve.batcher.take=delay,1:0.5",
+         serve.eval=delay,1:0.5",
     );
     let state = Arc::new(ServeState::open(&fixture(), 4).expect("daemon state"));
     let srv = server::spawn(state, "127.0.0.1:0").expect("bind");
@@ -116,6 +116,10 @@ fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
         "campaign fault site was not on the executed path"
     );
     assert!(
+        osn_fault::hits("serve.eval") > 0,
+        "evaluation fault site was not on the executed path"
+    );
+    assert!(
         total_retries >= 1,
         "injected panics should have forced at least one retry"
     );
@@ -123,9 +127,8 @@ fn faults_cost_retries_never_correctness(expected: &[Vec<String>]) {
     let mut client = Client::connect(addr).expect("connect");
     let info = client.request("INFO").expect("info");
     assert!(
-        info.iter()
-            .any(|l| l.starts_with("probe_batches_failed=") || l.starts_with("campaigns_served=")),
-        "info should report failure counters: {info:?}"
+        info.iter().any(|l| l.starts_with("campaigns_served=")),
+        "info should report served campaigns: {info:?}"
     );
     client.shutdown().expect("shutdown");
     let report = srv.wait();
@@ -160,11 +163,12 @@ fn injected_graph_io_errors_surface_as_clean_open_failures(expected: &[Vec<Strin
     assert_eq!(got, expected[0], "recovered open serves a different graph");
 }
 
-/// `SHUTDOWN` while campaigns are genuinely in flight (batch take stretched by
-/// an injected delay): in-flight requests finish with correct replies, the
-/// drain is clean, and late requests are refused with `ERR draining`.
+/// `SHUTDOWN` while campaigns are genuinely in flight (final evaluation
+/// stretched by an injected delay): in-flight requests finish with correct
+/// replies, the drain is clean, and late requests are refused with
+/// `ERR draining`.
 fn shutdown_drains_in_flight_campaigns_under_injected_delays(expected: &[Vec<String>]) {
-    let _scenario = Scenario::new("serve.batcher.take=delay,150");
+    let _scenario = Scenario::new("serve.eval=delay,150");
     let state = Arc::new(ServeState::open(&fixture(), 4).expect("daemon state"));
     let srv = server::spawn(state, "127.0.0.1:0").expect("bind");
     let addr = srv.addr();
@@ -213,13 +217,17 @@ fn shutdown_drains_in_flight_campaigns_under_injected_delays(expected: &[Vec<Str
         report.clean(),
         "in-flight campaigns fit the drain deadline, yet: {report:?}"
     );
+    assert!(
+        osn_fault::hits("serve.eval") > 0,
+        "evaluation delay site was not on the executed path"
+    );
 }
 
 /// A saturated admission gate sheds with `BUSY retry-after-ms=…` instead
 /// of queueing, the retrying client recovers, and the shed counter proves
 /// shedding actually happened.
 fn saturated_admission_sheds_busy_and_retries_recover(expected: &[Vec<String>]) {
-    let _scenario = Scenario::new("serve.batcher.take=delay,100");
+    let _scenario = Scenario::new("serve.eval=delay,100");
     let state = Arc::new(
         ServeState::open(&fixture(), 1)
             .expect("daemon state")
@@ -256,6 +264,10 @@ fn saturated_admission_sheds_busy_and_retries_recover(expected: &[Vec<String>]) 
     assert!(
         state.shed_campaigns() > 0,
         "a 1-slot gate under 4 concurrent 100ms campaigns must shed at least once"
+    );
+    assert!(
+        osn_fault::hits("serve.eval") > 0,
+        "evaluation delay site was not on the executed path"
     );
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown");

@@ -2,9 +2,10 @@
 //! byte-identical to the serial in-process reference — the contract the CI
 //! load-generator smoke job enforces at scale.
 
+use s3crm_serve::spec::ProbeSpec;
 use s3crm_serve::{server, CampaignReply, CampaignSpec, Client, ServeState};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/fixtures/smoke_snap.txt")
@@ -102,6 +103,70 @@ fn concurrent_mixed_campaigns_match_the_serial_reference_byte_for_byte() {
         client.shutdown().expect("shutdown request"),
         "daemon did not acknowledge shutdown"
     );
+    let report = srv.wait();
+    assert!(report.clean(), "drain was not clean: {report:?}");
+}
+
+/// `PROBE`s from several clients on one resident backend fold side by
+/// side, each on its own thread-local lane scratch: every `STATS` line
+/// must equal the serial in-process reply byte for byte.
+#[test]
+fn concurrent_probes_on_one_backend_match_the_serial_reference() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 6;
+    // Most probes share `worlds=`/`seed=`, so they hit one backend; every
+    // fifth uses another seed, so a second backend is in flight too.
+    let probes: Vec<String> = (0..CLIENTS * ROUNDS)
+        .map(|i| {
+            let seed = if i % 5 == 4 { 11 } else { 3 };
+            format!(
+                "worlds=256 seed={seed} seeds={};{} coupons={}:{};{}:1",
+                i % 48,
+                (7 * i + 1) % 48,
+                (5 * i + 2) % 48,
+                1 + i % 3,
+                (11 * i + 3) % 48,
+            )
+        })
+        .collect();
+    let reference = ServeState::open(&fixture(), 1).expect("reference state");
+    let expected: Vec<String> = probes
+        .iter()
+        .map(|p| {
+            reference
+                .probe(&ProbeSpec::parse(p).expect("valid probe"))
+                .expect("serial probe")
+        })
+        .collect();
+
+    let state = Arc::new(ServeState::open(&fixture(), 4).expect("daemon state"));
+    let srv = server::spawn(state, "127.0.0.1:0").expect("bind ephemeral port");
+    let addr = srv.addr();
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (probes, expected, start) = (&probes, &expected, &start);
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                start.wait();
+                // Client `c` sends probes c, c + CLIENTS, …, so the four
+                // streams interleave on the shared backend.
+                for i in (c..probes.len()).step_by(CLIENTS) {
+                    let got = client
+                        .request(&format!("PROBE {}", probes[i]))
+                        .expect("transport");
+                    assert_eq!(
+                        got,
+                        [expected[i].as_str()],
+                        "probe {i} diverged from the serial reference"
+                    );
+                }
+            });
+        }
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown");
     let report = srv.wait();
     assert!(report.clean(), "drain was not clean: {report:?}");
 }
