@@ -7,6 +7,23 @@ use s3crm_core::deployment::Deployment;
 
 use crate::strategy::CouponStrategy;
 
+/// Candidate-pool size of the greedy IM and PM baselines: only this many
+/// highest out-degree users are considered as seeds (see
+/// [`top_out_degree`]).
+pub const CANDIDATE_POOL: usize = 256;
+
+/// The most seeds the greedy IM ranking and PM selection produce.
+pub const MAX_SEEDS: usize = 64;
+
+/// The `size` (at least one) highest out-degree users, ties in node-id
+/// order: the candidate pool of the greedy IM and PM baselines.
+pub fn top_out_degree(graph: &CsrGraph, size: usize) -> Vec<NodeId> {
+    let mut pool: Vec<NodeId> = graph.nodes().collect();
+    pool.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
+    pool.truncate(size.max(1));
+    pool
+}
+
 /// The paper's seed-size sweep: `|V| / 2^n` for `n = 0..=10`, deduplicated
 /// and clipped to `[1, n_nodes]`, ascending.
 pub fn seed_size_sweep(n_nodes: usize) -> Vec<usize> {

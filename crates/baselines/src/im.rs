@@ -5,8 +5,8 @@
 //! a candidate is its average newly-reached mass across worlds under plain
 //! IC (no coupon constraint — IM is oblivious to SC allocation, which is
 //! the paper's whole point). To keep the first CELF sweep affordable the
-//! candidate pool is restricted to the highest out-degree users (a standard
-//! IM engineering practice; the pool size is configurable), and the
+//! candidate pool is restricted to the [`CANDIDATE_POOL`] highest
+//! out-degree users (a standard IM engineering practice), and the
 //! whole-pool round-0 sweep fans out with `osn-pool`'s one primitive,
 //! `map_indexed`, on the shared pool (per-candidate gains land in
 //! index-order slots, so the ranking is independent of the worker count).
@@ -16,7 +16,9 @@
 //! influence among those whose total cost fits `Binv` — all sweep sizes are
 //! scored in one batched pass over the world cache.
 
-use crate::common::{deployment_with_strategy, seed_size_sweep};
+use crate::common::{
+    deployment_with_strategy, seed_size_sweep, top_out_degree, CANDIDATE_POOL, MAX_SEEDS,
+};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::{WorldCache, WorldRef};
@@ -26,15 +28,12 @@ use s3crm_core::objective;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Knobs of the IM baseline.
+/// Knobs of the IM baseline: its world cache. The candidate pool and the
+/// seed cap are the fixed [`CANDIDATE_POOL`] and [`MAX_SEEDS`].
 #[derive(Clone, Copy, Debug)]
 pub struct ImConfig {
     /// Worlds used for influence estimation.
     pub worlds: usize,
-    /// Candidate pool size (highest out-degree users considered as seeds).
-    pub candidate_pool: usize,
-    /// Maximum seeds the greedy ranking produces.
-    pub max_seeds: usize,
     /// World-sampling seed.
     pub rng_seed: u64,
 }
@@ -43,8 +42,6 @@ impl Default for ImConfig {
     fn default() -> Self {
         ImConfig {
             worlds: 32,
-            candidate_pool: 256,
-            max_seeds: 64,
             rng_seed: 0x1357_9bdf,
         }
     }
@@ -99,10 +96,7 @@ pub fn greedy_seed_ranking_on(
     if n == 0 || max_seeds == 0 {
         return Vec::new();
     }
-    // Pool: top out-degree users.
-    let mut pool: Vec<NodeId> = graph.nodes().collect();
-    pool.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
-    pool.truncate(candidate_pool.max(1));
+    let pool = top_out_degree(graph, candidate_pool);
 
     // Per-world activation bitmap shared across greedy rounds.
     let unlimited: Vec<u32> = graph.nodes().map(|v| graph.out_degree(v) as u32).collect();
@@ -219,7 +213,7 @@ pub fn im_with_strategy(
     cfg: &ImConfig,
 ) -> Deployment {
     let backend = McBackend::sample(graph, cfg.worlds, cfg.rng_seed);
-    let ranking = greedy_seed_ranking(graph, backend.cache(), cfg.candidate_pool, cfg.max_seeds);
+    let ranking = greedy_seed_ranking(graph, backend.cache(), CANDIDATE_POOL, MAX_SEEDS);
     best_feasible_prefix(graph, data, binv, strategy, &ranking, &backend)
 }
 

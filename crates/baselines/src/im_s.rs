@@ -8,6 +8,7 @@
 //! (one coupon per user per round) until the next round would break the
 //! budget.
 
+use crate::common::{CANDIDATE_POOL, MAX_SEEDS};
 use crate::im::{greedy_seed_ranking, ImConfig};
 use osn_graph::shortest_path::dijkstra_one_minus_p;
 use osn_graph::{CsrGraph, NodeData, NodeId};
@@ -19,7 +20,7 @@ use s3crm_core::objective;
 pub fn im_s(graph: &CsrGraph, data: &NodeData, binv: f64, cfg: &ImConfig) -> Deployment {
     let n = graph.node_count();
     let cache = WorldCache::sample(graph, cfg.worlds, cfg.rng_seed);
-    let ranking = greedy_seed_ranking(graph, &cache, cfg.candidate_pool, cfg.max_seeds);
+    let ranking = greedy_seed_ranking(graph, &cache, CANDIDATE_POOL, MAX_SEEDS);
 
     // Stage 1: the longest affordable seed prefix (seed cost only — the SC
     // budget is consumed by stage 2).

@@ -4,35 +4,18 @@
 //! influenced users minus seed cost; Fig. 1(b) computes exactly this), with
 //! the coupon strategy supplying the SC allocation and the budget bounding
 //! the total cost. Candidate evaluation is analytic; the pool is restricted
-//! to the highest out-degree users like the IM baseline. Each greedy round
+//! to the [`CANDIDATE_POOL`] highest out-degree users like the IM baseline,
+//! and at most [`MAX_SEEDS`] seeds are selected. Each greedy round
 //! submits the whole candidate pool as one `map_indexed` call on the shared
 //! `osn-pool`; per-candidate results come back in pool order, and
 //! the serial reduction keeps the original first-maximum tie-breaking, so
 //! selections are identical at any worker count.
 
-use crate::common::deployment_with_strategy;
+use crate::common::{deployment_with_strategy, top_out_degree, CANDIDATE_POOL, MAX_SEEDS};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use s3crm_core::deployment::Deployment;
 use s3crm_core::objective;
-
-/// Knobs of the PM baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct PmConfig {
-    /// Candidate pool size.
-    pub candidate_pool: usize,
-    /// Maximum seeds.
-    pub max_seeds: usize,
-}
-
-impl Default for PmConfig {
-    fn default() -> Self {
-        PmConfig {
-            candidate_pool: 256,
-            max_seeds: 64,
-        }
-    }
-}
 
 /// Greedy profit maximization paired with a coupon strategy, scoring each
 /// round's candidates on the shared [`osn_pool::global`] pool.
@@ -41,9 +24,8 @@ pub fn pm_with_strategy(
     data: &NodeData,
     binv: f64,
     strategy: CouponStrategy,
-    cfg: &PmConfig,
 ) -> Deployment {
-    pm_with_strategy_on(graph, data, binv, strategy, cfg, osn_pool::global())
+    pm_with_strategy_on(graph, data, binv, strategy, osn_pool::global())
 }
 
 /// [`pm_with_strategy`] on an explicit worker pool. The pool size never
@@ -55,19 +37,16 @@ pub fn pm_with_strategy_on(
     data: &NodeData,
     binv: f64,
     strategy: CouponStrategy,
-    cfg: &PmConfig,
     workers: &osn_pool::ThreadPool,
 ) -> Deployment {
     let n = graph.node_count();
-    let mut pool: Vec<NodeId> = graph.nodes().collect();
-    pool.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
-    pool.truncate(cfg.candidate_pool.max(1));
+    let pool = top_out_degree(graph, CANDIDATE_POOL);
 
     let mut seeds: Vec<NodeId> = Vec::new();
     let mut current_benefit = 0.0;
     let mut current_seed_cost = 0.0;
 
-    while seeds.len() < cfg.max_seeds {
+    while seeds.len() < MAX_SEEDS {
         // Batched marginal-gain evaluation: every candidate's trial
         // deployment is scored on the shared pool; `None` marks candidates
         // that are already seeded, infeasible, or unprofitable.
@@ -143,7 +122,7 @@ mod tests {
         let (g, d) = fig1();
         // Restrict to one seed via budget: each package costs ≥ 2, two
         // seeds don't fit in 3.5 anyway with the unlimited strategy.
-        let dep = pm_with_strategy(&g, &d, 3.5, CouponStrategy::Unlimited, &PmConfig::default());
+        let dep = pm_with_strategy(&g, &d, 3.5, CouponStrategy::Unlimited);
         assert_eq!(dep.seeds, vec![NodeId(0)], "PM must choose v1");
     }
 
@@ -154,13 +133,7 @@ mod tests {
         b.add_edge(0, 1, 0.1).unwrap();
         let g = b.build().unwrap();
         let d = NodeData::uniform(3, 1.0, 10.0, 1.0);
-        let dep = pm_with_strategy(
-            &g,
-            &d,
-            100.0,
-            CouponStrategy::Unlimited,
-            &PmConfig::default(),
-        );
+        let dep = pm_with_strategy(&g, &d, 100.0, CouponStrategy::Unlimited);
         assert!(dep.seeds.is_empty());
     }
 
@@ -168,13 +141,7 @@ mod tests {
     fn respects_budget() {
         let (g, d) = fig1();
         for binv in [2.5, 3.5, 10.0] {
-            let dep = pm_with_strategy(
-                &g,
-                &d,
-                binv,
-                CouponStrategy::Unlimited,
-                &PmConfig::default(),
-            );
+            let dep = pm_with_strategy(&g, &d, binv, CouponStrategy::Unlimited);
             let v = objective::evaluate(&g, &d, &dep);
             assert!(v.within_budget(binv));
         }
@@ -183,13 +150,7 @@ mod tests {
     #[test]
     fn limited_strategy_changes_allocation_not_selection_logic() {
         let (g, d) = fig1();
-        let dep = pm_with_strategy(
-            &g,
-            &d,
-            3.5,
-            CouponStrategy::Limited(1),
-            &PmConfig::default(),
-        );
+        let dep = pm_with_strategy(&g, &d, 3.5, CouponStrategy::Limited(1));
         for &k in &dep.coupons {
             assert!(k <= 1);
         }

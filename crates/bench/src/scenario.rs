@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
 use s3crm_baselines::im_s::im_s;
-use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
+use s3crm_baselines::pm::pm_with_strategy;
 use s3crm_baselines::random_seeds::random_deployment;
 use s3crm_baselines::strategy::CouponStrategy;
 use s3crm_core::{s3ca, Deployment, Telemetry};
@@ -105,9 +105,7 @@ pub fn run_algorithm(
     let im_cfg = ImConfig {
         worlds: effort.im_worlds,
         rng_seed: effort.seed ^ 0xD1CE,
-        ..ImConfig::default()
     };
-    let pm_cfg = PmConfig::default();
     let start = Instant::now();
     let (deployment, telemetry) = match algorithm {
         Algorithm::S3ca => {
@@ -133,17 +131,11 @@ pub fn run_algorithm(
             None,
         ),
         Algorithm::PmU => (
-            pm_with_strategy(graph, data, binv, CouponStrategy::Unlimited, &pm_cfg),
+            pm_with_strategy(graph, data, binv, CouponStrategy::Unlimited),
             None,
         ),
         Algorithm::PmL => (
-            pm_with_strategy(
-                graph,
-                data,
-                binv,
-                CouponStrategy::Limited(limited_cap),
-                &pm_cfg,
-            ),
+            pm_with_strategy(graph, data, binv, CouponStrategy::Limited(limited_cap)),
             None,
         ),
         Algorithm::ImS => (im_s(graph, data, binv, &im_cfg), None),

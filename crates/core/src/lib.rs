@@ -45,14 +45,12 @@ pub mod bounds;
 pub mod deployment;
 pub mod gpi;
 pub mod id_phase;
-pub mod instance;
 pub mod objective;
 pub mod pivot;
 pub mod s3ca;
 pub mod scm;
 
 pub use deployment::Deployment;
-pub use instance::Instance;
 pub use objective::ObjectiveValue;
 pub use osn_sketch::SketchIndex;
 pub use s3ca::{

@@ -42,20 +42,9 @@ impl Admission {
         }
     }
 
-    /// Block until a slot is free, then occupy it for the permit's
-    /// lifetime. Unbounded — the load-shedding path is
-    /// [`acquire_within`](Self::acquire_within).
-    pub fn acquire(&self) -> Permit<'_> {
-        let mut n = lock(&self.inflight);
-        while *n >= self.max {
-            n = self.cv.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-        *n += 1;
-        Permit(self)
-    }
-
-    /// Wait at most `timeout` for a slot; `None` means the caller should
-    /// shed the request (reply `BUSY`) instead of queueing further.
+    /// Wait at most `timeout` for a slot, then occupy it for the permit's
+    /// lifetime; `None` means the caller should shed the request (reply
+    /// `BUSY`) instead of queueing further.
     pub fn acquire_within(&self, timeout: Duration) -> Option<Permit<'_>> {
         let deadline = Instant::now() + timeout;
         let mut n = lock(&self.inflight);
@@ -102,6 +91,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A permit taken with a wait bound no test reaches.
+    fn admit(gate: &Admission) -> Permit<'_> {
+        gate.acquire_within(Duration::from_secs(60))
+            .expect("a slot frees up within the bound")
+    }
+
     #[test]
     fn never_admits_more_than_capacity() {
         let gate = Admission::new(3);
@@ -110,7 +105,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..16 {
                 s.spawn(|| {
-                    let _permit = gate.acquire();
+                    let _permit = admit(&gate);
                     let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -131,7 +126,7 @@ mod tests {
         let gate = Admission::new(1);
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
-                let _permit = gate.acquire();
+                let _permit = admit(&gate);
                 panic!("campaign died mid-run");
             })
             .join()
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn bounded_acquire_sheds_when_saturated_and_admits_when_freed() {
         let gate = Admission::new(1);
-        let held = gate.acquire();
+        let held = admit(&gate);
         // Saturated: a bounded wait returns None in bounded time.
         let t0 = Instant::now();
         assert!(gate.acquire_within(Duration::from_millis(30)).is_none());
@@ -172,7 +167,7 @@ mod tests {
     #[test]
     fn zero_timeout_is_try_acquire() {
         let gate = Admission::new(1);
-        let held = gate.acquire();
+        let held = admit(&gate);
         assert!(gate.acquire_within(Duration::ZERO).is_none());
         drop(held);
         assert!(gate.acquire_within(Duration::ZERO).is_some());

@@ -6,27 +6,30 @@
 //! (their lane blocks) and sketch indexes are all read-only after
 //! construction, so campaigns borrow them zero-copy through `Arc`s — there
 //! is no per-campaign copy of anything sized by the graph. The only
-//! mutable state is the three cache maps and counters. Each map holds one
-//! `OnceLock` slot per key, so its mutex only guards slot lookup: building
-//! a variant, sampling a backend or building an index happens off the
-//! lock, and concurrent requesters of one key share the single build.
+//! mutable state is one cache map and the counters. The map holds one
+//! `OnceLock` slot per `(kind, key)`, whatever the value's kind, so its
+//! mutex only guards slot lookup: building a variant, sampling a backend
+//! or building an index happens off the lock, and concurrent requesters of
+//! one key share the single build.
 //!
-//! Every cached value is a deterministic function of its key, so the maps
-//! may drop an entry and rebuild it later without changing any reply. They
-//! do so under [`RESIDENT_BUDGET_BYTES`]: after a miss, least-recently-used
-//! entries that no request holds are evicted until the three maps fit.
+//! Every cached value is a deterministic function of its key, so the map
+//! may drop an entry and rebuild it later without changing any reply. It
+//! does so under [`RESIDENT_BUDGET_BYTES`]: after a miss, one pass under
+//! the map lock evicts the least-recently-used entries that no request
+//! holds, of any kind, until the map fits.
 
 use crate::admission::Admission;
 use crate::batcher::ProbeBatcher;
 use crate::spec::{algorithm_token, CampaignSpec, ProbeSpec, WeightChoice};
 use osn_gen::seeded_rng;
 use osn_gen::weights::assign_weights;
-use osn_graph::GraphBuilder;
-use osn_propagation::{McBackend, RedemptionReport};
+use osn_graph::{GraphBuilder, NodeId};
+use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
 use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::{Algorithm, EVAL_SALT};
 use s3crm_core::{s3ca_with_resident, EstimatorBackend, S3caConfig, SketchIndex, Telemetry};
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,8 +50,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// workload evicts.
 pub const RESIDENT_BUDGET_BYTES: usize = 2 << 30;
 
-/// Bytes a cached value charges against [`RESIDENT_BUDGET_BYTES`].
-trait Resident {
+/// A cached value: read-only once built, and charged its bytes against
+/// [`RESIDENT_BUDGET_BYTES`].
+trait Resident: Any + Send + Sync {
     fn resident_bytes(&self) -> usize;
 }
 
@@ -71,49 +75,21 @@ impl Resident for SketchIndex {
     }
 }
 
-/// One cached value: its build slot, and the tick of its last lookup.
-struct Entry<T> {
-    slot: Arc<OnceLock<Arc<T>>>,
-    used: u64,
+/// What a cache entry holds: a re-weighted graph variant
+/// ([`LoadedDataset`]), a Monte-Carlo backend or a sketch index. `INFO`
+/// counts the built entries per kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Kind {
+    Variant,
+    Backend,
+    Index,
 }
 
-/// A cache of lazily built values, one `OnceLock` slot per key. The map
-/// lock is held only to find or insert a slot; the build runs outside it,
-/// so building one key never stalls lookups of another, and concurrent
-/// requesters of the same key block on its slot and share one build. A
+/// One cached value: its build slot, and the tick of its last lookup. A
 /// build that panics leaves its slot empty for the next requester.
-type SlotMap<T> = Mutex<HashMap<String, Entry<T>>>;
-
-/// Resident bytes of the values `map` has built.
-fn built_bytes<T: Resident>(map: &HashMap<String, Entry<T>>) -> usize {
-    map.values()
-        .filter_map(|e| e.slot.get())
-        .map(|v| v.resident_bytes())
-        .sum()
-}
-
-/// The number of values `map` has built.
-fn built_count<T>(map: &SlotMap<T>) -> usize {
-    lock(map)
-        .values()
-        .filter(|e| e.slot.get().is_some())
-        .count()
-}
-
-/// `(last use, key, bytes)` of every entry no request holds: the map has
-/// the only reference to both its slot and its value. Slots are cloned
-/// only under the map lock, so with the slot unique nobody can take a new
-/// reference to the value while the caller holds that lock.
-fn evictable<T: Resident>(map: &mut HashMap<String, Entry<T>>) -> Vec<(u64, String, usize)> {
-    map.iter_mut()
-        .filter_map(|(key, e)| {
-            let bytes = match Arc::get_mut(&mut e.slot)?.get_mut() {
-                Some(value) => Arc::get_mut(value)?.resident_bytes(),
-                None => 0,
-            };
-            Some((e.used, key.clone(), bytes))
-        })
-        .collect()
+struct Entry {
+    slot: Arc<OnceLock<Arc<dyn Resident>>>,
+    used: u64,
 }
 
 /// Seed of the RNG that re-weights graph variants (only Trivalency draws
@@ -124,20 +100,18 @@ const REWEIGHT_SEED: u64 = 0x0E1_6B7;
 /// thread works through the same `Arc<ServeState>`.
 pub struct ServeState {
     dataset: Arc<LoadedDataset>,
-    /// Re-weighted graph variants, keyed by [`WeightChoice::label`]. Each
-    /// copies the whole graph, so it is built off the map lock.
-    variants: SlotMap<LoadedDataset>,
-    /// Resident backends keyed by `(variant, worlds, seed)`: concurrent
-    /// campaigns needing *different* backends sample in parallel, while
-    /// campaigns needing the *same* one share the single sampled cache.
-    backends: SlotMap<McBackend>,
-    /// Sketch indexes keyed by `(variant, ε, δ, seed)` — everything an
-    /// index depends on — so every budget of one sketch campaign family
-    /// runs on one build.
-    indexes: SlotMap<SketchIndex>,
-    /// Byte budget over the three maps ([`RESIDENT_BUDGET_BYTES`]).
+    /// Every cached value, keyed by its kind and its key:
+    /// - variants by [`WeightChoice::label`] (each copies the whole graph);
+    /// - backends by `(variant, worlds, seed)`, so concurrent campaigns
+    ///   needing *different* backends sample in parallel, while campaigns
+    ///   needing the *same* one share the single sampled cache;
+    /// - sketch indexes by `(variant, ε, δ, seed)` — everything an index
+    ///   depends on — so every budget of one sketch campaign family runs
+    ///   on one build.
+    resident: Mutex<HashMap<(Kind, String), Entry>>,
+    /// Byte budget over the map ([`RESIDENT_BUDGET_BYTES`]).
     resident_budget: usize,
-    /// Source of the entries' last-use stamps (LRU order across maps).
+    /// Source of the entries' last-use stamps (one LRU order).
     tick: AtomicU64,
     /// A request that ends should run an eviction pass: set by a pass that
     /// found held entries over the budget. Entries never grow after their
@@ -212,9 +186,7 @@ impl ServeState {
             .map_err(|e| format!("cannot load dataset {}: {e}", path.display()))?;
         Ok(ServeState {
             dataset: Arc::new(dataset),
-            variants: SlotMap::default(),
-            backends: SlotMap::default(),
-            indexes: SlotMap::default(),
+            resident: Mutex::default(),
             resident_budget: RESIDENT_BUDGET_BYTES,
             tick: AtomicU64::new(0),
             settle_due: AtomicBool::new(false),
@@ -257,7 +229,7 @@ impl ServeState {
             WeightChoice::Model(m) => *m,
         };
         let label = weights.label();
-        self.get_or_build(&self.variants, &label, || {
+        self.get_or_build(Kind::Variant, &label, || {
             let base = &self.dataset;
             let mut builder = GraphBuilder::new(base.graph.node_count());
             for u in base.graph.nodes() {
@@ -289,7 +261,7 @@ impl ServeState {
         seed: u64,
     ) -> (String, Arc<McBackend>) {
         let key = format!("{variant_label}|w{worlds}|s{seed}");
-        let backend = self.get_or_build(&self.backends, &key, || {
+        let backend = self.get_or_build(Kind::Backend, &key, || {
             McBackend::sample(&ds.graph, worlds, seed)
         });
         (key, backend)
@@ -308,22 +280,22 @@ impl ServeState {
             "{variant_label}|e{:?}|d{:?}|s{}",
             params.epsilon, params.delta, params.seed
         );
-        self.get_or_build(&self.indexes, &key, || {
+        self.get_or_build(Kind::Index, &key, || {
             SketchIndex::build(&ds.graph, &ds.data, &params)
         })
     }
 
-    /// Look `key` up in `map`, stamping its last use, and build it on a
+    /// Look `(kind, key)` up, stamping its last use, and build it on a
     /// miss. Hits do nothing more; a miss then runs an eviction pass.
     fn get_or_build<T: Resident>(
         &self,
-        map: &SlotMap<T>,
+        kind: Kind,
         key: &str,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
         let slot = {
-            let mut map = lock(map);
-            let entry = map.entry(key.to_string()).or_insert_with(|| Entry {
+            let mut map = lock(&self.resident);
+            let entry = map.entry((kind, key.to_string())).or_insert_with(|| Entry {
                 slot: Arc::default(),
                 used: 0,
             });
@@ -341,53 +313,47 @@ impl ServeState {
         if missed {
             self.settle();
         }
+        let value: Arc<dyn Any + Send + Sync> = value;
         value
+            .downcast()
+            .expect("a cache key names one kind of value")
     }
 
-    /// Evict least-recently-used entries no request holds until the three
-    /// maps fit the budget. An entry larger than the budget stays while it
-    /// is held and goes on the first pass after that.
+    /// Evict least-recently-used entries no request holds, of any kind,
+    /// until the map fits the budget. An entry larger than the budget stays
+    /// while it is held and goes on the first pass after that.
     fn settle(&self) {
-        // One fixed lock order, so concurrent passes cannot deadlock;
-        // lookups take one map lock at a time.
-        let mut variants = lock(&self.variants);
-        let mut backends = lock(&self.backends);
-        let mut indexes = lock(&self.indexes);
-        let mut resident = built_bytes(&variants) + built_bytes(&backends) + built_bytes(&indexes);
-        let mut lru: Vec<(u64, usize, String, usize)> = Vec::new();
-        for (map, candidates) in [
-            evictable(&mut variants),
-            evictable(&mut backends),
-            evictable(&mut indexes),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            lru.extend(
-                candidates
-                    .into_iter()
-                    .map(|(used, key, bytes)| (used, map, key, bytes)),
-            );
+        let mut map = lock(&self.resident);
+        let mut resident = 0;
+        // `(last use, key, bytes)` of every entry no request holds: the map
+        // has the only reference to both its slot and its value. Slots are
+        // cloned only under the map lock, so with the slot unique nobody
+        // can take a new reference to the value while this pass holds it.
+        let mut lru: Vec<(u64, (Kind, String), usize)> = Vec::new();
+        for (key, e) in map.iter_mut() {
+            let bytes = e.slot.get().map_or(0, |v| v.resident_bytes());
+            resident += bytes;
+            if Arc::get_mut(&mut e.slot)
+                .is_some_and(|slot| slot.get_mut().is_none_or(|v| Arc::get_mut(v).is_some()))
+            {
+                lru.push((e.used, key.clone(), bytes));
+            }
         }
         lru.sort_unstable_by_key(|&(used, ..)| used);
-        // Values are dropped after the locks are released.
-        let (mut gone_variants, mut gone_backends, mut gone_indexes) = (vec![], vec![], vec![]);
-        for (_, map, key, bytes) in lru {
+        // Values are dropped after the lock is released.
+        let mut gone = Vec::new();
+        for (_, key, bytes) in lru {
             if resident <= self.resident_budget {
                 break;
             }
-            match map {
-                0 => gone_variants.extend(variants.remove(&key)),
-                1 => gone_backends.extend(backends.remove(&key)),
-                _ => gone_indexes.extend(indexes.remove(&key)),
-            }
+            gone.extend(map.remove(&key));
             resident -= bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.settle_due
             .store(resident > self.resident_budget, Ordering::SeqCst);
-        drop((variants, backends, indexes));
-        drop((gone_variants, gone_backends, gone_indexes));
+        drop(map);
+        drop(gone);
     }
 
     /// Run the eviction pass a finished request owes, if any. Called once a
@@ -454,14 +420,11 @@ impl ServeState {
             }
         };
 
-        // Final evaluation: one fold on the resident eval backend, beside
-        // any other request's fold on it.
-        let (eval_key, eval_backend) =
-            self.backend(&variant_label, &ds, spec.eval_worlds, spec.seed ^ EVAL_SALT);
-        let Ok(stats) = self.batcher.submit(
-            &eval_key,
-            &eval_backend,
+        let stats = self.evaluate(
+            &variant_label,
             &ds,
+            spec.eval_worlds,
+            spec.seed,
             deployment.seeds.clone(),
             deployment.coupons.clone(),
         );
@@ -521,6 +484,24 @@ impl ServeState {
         })
     }
 
+    /// Evaluate `(seeds, coupons)` on the resident eval backend of
+    /// `(variant, worlds, seed)`: the one evaluation step of every `PROBE`
+    /// and of every campaign's final evaluation. It folds beside any other
+    /// request's evaluation on that backend.
+    fn evaluate(
+        &self,
+        variant_label: &str,
+        ds: &LoadedDataset,
+        worlds: usize,
+        seed: u64,
+        seeds: Vec<NodeId>,
+        coupons: Vec<u32>,
+    ) -> SimulationStats {
+        let (key, backend) = self.backend(variant_label, ds, worlds, seed ^ EVAL_SALT);
+        let Ok(stats) = self.batcher.submit(&key, &backend, ds, seeds, coupons);
+        stats
+    }
+
     /// Answer a `PROBE` request: one `STATS …` line.
     pub fn probe(&self, spec: &ProbeSpec) -> Result<String, String> {
         let reply = self.probe_reply(spec);
@@ -542,10 +523,14 @@ impl ServeState {
         if let Some(bad) = spec.seeds.iter().find(|s| s.index() >= n) {
             return Err(format!("seed {} outside graph of {n} nodes", bad.0));
         }
-        let (key, backend) = self.backend(&variant_label, &ds, spec.worlds, spec.seed ^ EVAL_SALT);
-        let Ok(stats) = self
-            .batcher
-            .submit(&key, &backend, &ds, spec.seeds.clone(), coupons);
+        let stats = self.evaluate(
+            &variant_label,
+            &ds,
+            spec.worlds,
+            spec.seed,
+            spec.seeds.clone(),
+            coupons,
+        );
         Ok(format!(
             "STATS benefit={} activated={} redeemed_sc_cost={} farthest_hop={}",
             stats.expected_benefit,
@@ -555,21 +540,24 @@ impl ServeState {
         ))
     }
 
-    /// `key=value` lines answering an `INFO` request.
-    /// `resident_bytes=` sums the three budgeted maps.
+    /// `key=value` lines answering an `INFO` request. The per-kind counts
+    /// and `resident_bytes=` come from one look at the cache map.
     pub fn info_lines(&self) -> Vec<String> {
-        let resident_bytes = built_bytes(&lock(&self.variants))
-            + built_bytes(&lock(&self.backends))
-            + built_bytes(&lock(&self.indexes));
+        let built: Vec<(Kind, usize)> = lock(&self.resident)
+            .iter()
+            .filter_map(|((kind, _), e)| Some((*kind, e.slot.get()?.resident_bytes())))
+            .collect();
+        let count = |kind| built.iter().filter(|&&(k, _)| k == kind).count();
+        let resident_bytes: usize = built.iter().map(|&(_, bytes)| bytes).sum();
         let probes = self.batcher.probes();
         vec![
             format!("dataset={}", self.dataset.name),
             format!("nodes={}", self.dataset.graph.node_count()),
             format!("edges={}", self.dataset.graph.edge_count()),
             format!("base_budget={}", self.dataset.budget),
-            format!("variants={}", built_count(&self.variants)),
-            format!("backends={}", built_count(&self.backends)),
-            format!("sketch_indexes={}", built_count(&self.indexes)),
+            format!("variants={}", count(Kind::Variant)),
+            format!("backends={}", count(Kind::Backend)),
+            format!("sketch_indexes={}", count(Kind::Index)),
             format!("resident_bytes={resident_bytes}"),
             format!("resident_budget_bytes={}", self.resident_budget),
             format!("evictions={}", self.evictions.load(Ordering::Relaxed)),
@@ -840,6 +828,60 @@ mod tests {
             .expect("campaign");
         assert_eq!(info(&state, "variants"), 0, "released variant stayed");
         assert_eq!(info(&state, "resident_bytes"), 0);
+    }
+
+    /// One LRU order spans the kinds. Under a budget that fits all but one
+    /// byte of a variant, a backend and a sketch index, building the third
+    /// of them evicts exactly the least recently used of the other two,
+    /// whichever kinds they are and in either touch order.
+    #[test]
+    fn eviction_follows_one_lru_order_across_kinds() {
+        use osn_gen::weights::WeightModel;
+        let kinds = [
+            (Kind::Variant, "variants"),
+            (Kind::Backend, "backends"),
+            (Kind::Index, "sketch_indexes"),
+        ];
+        // Build or look up the one entry of `kind`; nothing stays held.
+        let touch = |state: &ServeState, kind: Kind| {
+            let ds = &state.dataset;
+            match kind {
+                Kind::Variant => {
+                    drop(state.variant(&WeightChoice::Model(WeightModel::InverseInDegree)))
+                }
+                Kind::Backend => drop(state.backend("data", ds, 64, 7)),
+                Kind::Index => drop(state.sketch_index("data", ds, &S3caConfig::default())),
+            }
+        };
+        let reference = ServeState::open(&fixture(), 2).expect("open");
+        for (kind, _) in kinds {
+            touch(&reference, kind);
+        }
+        let budget = info(&reference, "resident_bytes") - 1;
+        let (variant, backend, index) = (Kind::Variant, Kind::Backend, Kind::Index);
+        for (a, b, last) in [
+            (variant, backend, index),
+            (variant, index, backend),
+            (backend, index, variant),
+        ] {
+            for (older, newer) in [(a, b), (b, a)] {
+                let state = ServeState::open(&fixture(), 2)
+                    .expect("open")
+                    .with_resident_budget(budget);
+                for kind in [a, b, older, newer, last] {
+                    touch(&state, kind);
+                }
+                let case = format!("{older:?} used before {newer:?}, then {last:?} built");
+                assert_eq!(info(&state, "evictions"), 1, "{case}");
+                for (kind, key) in kinds {
+                    assert_eq!(
+                        info(&state, key),
+                        usize::from(kind != older),
+                        "{key}: {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use osn_gen::DatasetProfile;
 use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
-use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
+use s3crm_baselines::pm::pm_with_strategy;
 use s3crm_baselines::strategy::CouponStrategy;
 use s3crm_core::{s3ca, S3caConfig};
 
@@ -38,10 +38,7 @@ fn main() {
         "IM-L ",
         im_with_strategy(graph, data, budget, dropbox, &im_cfg),
     ));
-    results.push((
-        "PM-L ",
-        pm_with_strategy(graph, data, budget, dropbox, &PmConfig::default()),
-    ));
+    results.push(("PM-L ", pm_with_strategy(graph, data, budget, dropbox)));
     let s3 = s3ca(graph, data, budget, &S3caConfig::default());
     results.push(("S3CA ", s3.deployment));
 

@@ -185,7 +185,7 @@ fn simulate_batch_is_bit_identical_across_pool_sizes() {
 #[test]
 fn baseline_selections_are_pool_size_independent() {
     use s3crm_baselines::im::{best_feasible_prefix_on, greedy_seed_ranking_on};
-    use s3crm_baselines::pm::{pm_with_strategy_on, PmConfig};
+    use s3crm_baselines::pm::pm_with_strategy_on;
     use s3crm_baselines::CouponStrategy;
 
     let inst = DatasetProfile::Facebook
@@ -209,7 +209,6 @@ fn baseline_selections_are_pool_size_independent() {
         &inst.data,
         inst.budget,
         CouponStrategy::Limited(2),
-        &PmConfig::default(),
         &reference_pool,
     );
     assert!(!im_ref.is_empty(), "IM reference ranking is vacuous");
@@ -237,7 +236,6 @@ fn baseline_selections_are_pool_size_independent() {
             &inst.data,
             inst.budget,
             CouponStrategy::Limited(2),
-            &PmConfig::default(),
             &pool,
         );
         assert_eq!(

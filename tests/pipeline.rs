@@ -7,7 +7,7 @@ use osn_propagation::spread::SpreadState;
 use osn_propagation::{McBackend, RedemptionReport};
 use s3crm_baselines::im::{im_with_strategy, ImConfig};
 use s3crm_baselines::im_s::im_s;
-use s3crm_baselines::pm::{pm_with_strategy, PmConfig};
+use s3crm_baselines::pm::pm_with_strategy;
 use s3crm_baselines::strategy::CouponStrategy;
 use s3crm_core::{s3ca, EstimatorBackend, S3caConfig};
 use s3crm_tests::oracle_value;
@@ -51,7 +51,6 @@ fn every_algorithm_stays_within_budget() {
                 &inst.data,
                 inst.budget,
                 CouponStrategy::Unlimited,
-                &PmConfig::default(),
             ),
         ),
         ("IM-S", im_s(&inst.graph, &inst.data, inst.budget, &im_cfg)),
@@ -111,7 +110,6 @@ fn s3ca_wins_the_redemption_rate_comparison() {
                 &inst.data,
                 inst.budget,
                 CouponStrategy::Unlimited,
-                &PmConfig::default(),
             ),
         ),
         ("IM-S", im_s(&inst.graph, &inst.data, inst.budget, &im_cfg)),
