@@ -108,9 +108,8 @@ pub fn ris_seed_ranking(graph: &CsrGraph, cfg: &RisConfig, max_seeds: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::influence_spread;
-    use osn_graph::GraphBuilder;
-    use osn_propagation::world::WorldCache;
+    use osn_graph::{GraphBuilder, NodeData};
+    use osn_propagation::monte_carlo::McBackend;
 
     fn hub_graph() -> CsrGraph {
         let mut b = GraphBuilder::new(8);
@@ -164,8 +163,13 @@ mod tests {
             1,
         );
         let (seed, ris_est) = ranking[0];
-        let cache = WorldCache::sample(&g, 4000, 17);
-        let forward = influence_spread(&g, &cache, &[seed]);
+        // Plain IC: every user holds as many coupons as out-edges.
+        let n = g.node_count();
+        let coupons: Vec<u32> = g.nodes().map(|v| g.out_degree(v) as u32).collect();
+        let forward = McBackend::sample(&g, 4000, 17)
+            .evaluator(&g, &NodeData::uniform(n, 1.0, 0.0, 0.0))
+            .simulate(&[seed], &coupons)
+            .mean_activated;
         assert!(
             (ris_est - forward).abs() < 0.35,
             "RIS {ris_est} vs forward {forward}"

@@ -5,7 +5,6 @@
 //! cargo run -p s3crm-bench --release --bin repro -- fig6    # one artifact
 //! cargo run -p s3crm-bench --release --bin repro -- --full  # overnight preset
 //! cargo run -p s3crm-bench --release --bin repro -- --scale 2.0 fig9
-//! cargo run -p s3crm-bench --release --bin repro -- --cache .oscg-cache fig6
 //! cargo run -p s3crm-bench --release --bin repro -- --data soc-Epinions1.txt data
 //! cargo run -p s3crm-bench --release --bin repro -- convert edges.txt edges.oscg
 //! cargo run -p s3crm-bench --release --bin repro -- convert --shards 4 edges.txt edges.oscg
@@ -17,8 +16,7 @@
 //! Results print as aligned tables and are written as CSV under
 //! `experiments-out/`. `--data PATH` substitutes a real dataset (SNAP text
 //! or `.oscg` binary, auto-detected) for the synthetic profiles; `convert`
-//! re-encodes a dataset as binary; `--cache DIR` memoizes generated
-//! profiles as `.oscg` files.
+//! re-encodes a dataset as binary.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +33,6 @@ struct Args {
     artifacts: Vec<String>,
     out_dir: PathBuf,
     data: Option<PathBuf>,
-    cache: Option<PathBuf>,
     pool_size: Option<usize>,
 }
 
@@ -47,7 +44,7 @@ enum Cli {
 
 const USAGE: &str = "usage: repro [--full|--micro] [--scale X] [--worlds N] [--seed N] \
                      [--pool-size N] [--estimator mc|sketch] [--out DIR] \
-                     [--cache DIR] [--data PATH] \
+                     [--data PATH] \
                      [fig6 fig7 fig8 fig9 fig10 table3 table4 ablation extensions data]...\n\
                      \x20      repro convert [--shards N] INPUT OUTPUT\n\
                      \x20                                   # re-encode a dataset as .oscg (default: one shard)\n\
@@ -61,7 +58,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut artifacts: Vec<String> = Vec::new();
     let mut out_dir = PathBuf::from("experiments-out");
     let mut data: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
     let mut pool_size: Option<usize> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -98,8 +94,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
             "--out" => out_dir = PathBuf::from(flag_value(&mut it, "--out")?),
             "--data" => data = Some(PathBuf::from(flag_value(&mut it, "--data")?)),
-            "--cache" => cache = Some(PathBuf::from(flag_value(&mut it, "--cache")?)),
             "--help" | "-h" => return Ok(Cli::Help),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             other => {
                 artifacts.push(other.to_string());
                 // Subcommands own the rest of the command line: their flags
@@ -139,7 +135,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         artifacts,
         out_dir,
         data,
-        cache,
         pool_size,
     }))
 }
@@ -385,9 +380,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Some(dir) = &args.cache {
-        dataset::set_cache_dir(dir.clone());
-    }
     if args.artifacts.first().map(String::as_str) == Some("convert") {
         run_convert(&args.artifacts[1..]);
     }
@@ -595,7 +587,7 @@ mod tests {
 
     #[test]
     fn malformed_flags_are_usage_errors_not_panics() {
-        let cases: [&[&str]; 16] = [
+        let cases: [&[&str]; 17] = [
             &["--scale", "abc"],
             &["--scale", "nan"],
             &["--scale", "-1"],
@@ -612,6 +604,7 @@ mod tests {
             &["--out"],
             &["--data"],
             &["fig6", "--cache"],
+            &["--cache", "dir", "fig6"],
         ];
         for args in cases {
             assert!(parse(args).is_err(), "{args:?} must be a usage error");

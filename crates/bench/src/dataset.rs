@@ -1,11 +1,11 @@
-//! Instance sourcing for the harness: generated Table II profiles (with an
-//! optional on-disk `.oscg` cache) and user-supplied datasets loaded from
-//! plain-text SNAP edge lists or binary `.oscg` files.
+//! Instance sourcing for the harness: generated Table II profiles and
+//! user-supplied datasets loaded from plain-text SNAP edge lists or binary
+//! `.oscg` files.
 //!
 //! This is the single choke point every experiment goes through to obtain a
-//! [`GeneratedInstance`], which is what lets `repro --cache DIR` memoize
-//! generation and `repro --data PATH` substitute a real network for the
-//! synthetic profiles without touching any experiment code.
+//! [`GeneratedInstance`], which is what lets `repro --data PATH` substitute
+//! a real network for the synthetic profiles without touching any
+//! experiment code.
 
 use crate::effort::Effort;
 use osn_gen::attrs::standard_workload;
@@ -14,8 +14,7 @@ use osn_gen::weights::{assign_weights, WeightModel};
 use osn_gen::{seeded_rng, DatasetProfile};
 use osn_graph::shard::{write_sharded_oscg_atomic, ShardPlan};
 use osn_graph::{binary, io, CsrGraph, GraphError, NodeData};
-use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::path::Path;
 
 /// Salt mixed into `effort.seed` for synthesized dataset workloads, so they
 /// are independent of the evaluation-world streams.
@@ -28,30 +27,13 @@ const DEFAULT_SIGMA: f64 = 2.0;
 const DEFAULT_LAMBDA: f64 = 1.0;
 const DEFAULT_KAPPA: f64 = 10.0;
 
-static CACHE_DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Route every subsequent [`profile_instance`] call through an `.oscg`
-/// cache in `dir` (see [`osn_gen::cache`]). Set once, before experiments
-/// run — the `repro` binary wires `--cache DIR` here.
-pub fn set_cache_dir(dir: PathBuf) {
-    CACHE_DIR
-        .set(dir)
-        .expect("duplicate --cache: cache directory already chosen");
-}
-
-/// Generate a profile instance at the effort's scale — through the `.oscg`
-/// cache when one was configured with [`set_cache_dir`], fresh otherwise.
-/// Cached and fresh instances are bit-identical (pinned in `osn_gen::cache`
-/// tests), so experiments cannot tell the difference.
+/// Generate a profile instance at the effort's scale and seed. Generation
+/// is deterministic, so every call with the same profile and effort yields
+/// the same instance.
 pub fn profile_instance(profile: DatasetProfile, effort: &Effort) -> GeneratedInstance {
-    let scale = effort.profile_scale(profile);
-    match CACHE_DIR.get() {
-        Some(dir) => osn_gen::cache::generate_cached(profile, scale, effort.seed, dir)
-            .expect("cached profile generation"),
-        None => profile
-            .generate(scale, effort.seed)
-            .expect("profile generation"),
-    }
+    profile
+        .generate(effort.profile_scale(profile), effort.seed)
+        .expect("profile generation")
 }
 
 /// A user-supplied dataset loaded from disk, shaped like a generated

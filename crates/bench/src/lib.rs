@@ -17,9 +17,9 @@
 //! | [`experiments::dataset`] | (extension) Fig. 6-style sweep over a user dataset (`repro --data`) |
 //!
 //! Run everything with `cargo run -p s3crm-bench --release --bin repro`.
-//! The [`dataset`] module is the instance choke point: it loads real SNAP /
-//! `.oscg` datasets (`--data`, `convert`) and routes profile generation
-//! through the `.oscg` cache (`--cache`).
+//! The [`dataset`] module is the instance choke point: it generates the
+//! Table II profiles and loads real SNAP / `.oscg` datasets (`--data`,
+//! `convert`).
 //!
 //! Absolute numbers differ from the paper (synthetic dataset substitutes,
 //! different hardware); the harness is about reproducing the *shape*: who

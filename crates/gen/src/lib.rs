@@ -15,9 +15,6 @@
 //!   PPGG is parameterized by in Sec. VI-D);
 //! * [`profiles`] — dataset-shaped presets replicating Table II
 //!   (node/edge counts, `Binv`, benefit µ/σ) with a `scale` knob;
-//! * [`cache`] — content-hash-keyed `.oscg` memoization of generated
-//!   profile instances, so repeated runs load the finished CSR instead of
-//!   regenerating it;
 //! * [`fixtures`] — the exact worked-example instances of the paper (Fig. 1
 //!   and Example 1) used by the integration tests;
 //! * [`stream`] — the out-of-core twin of [`powerlaw_cluster`]: Holme–Kim
@@ -37,7 +34,6 @@
 
 pub mod adoption;
 pub mod attrs;
-pub mod cache;
 pub mod erdos_renyi;
 pub mod fixtures;
 pub mod powerlaw_cluster;

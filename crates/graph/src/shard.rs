@@ -238,7 +238,7 @@ impl ShardPlan {
 
 /// On-disk byte length of one shard payload with `ln` nodes, `lm` forward
 /// edges, and `lrm` reverse slots.
-pub fn shard_payload_len(ln: u64, lm: u64, lrm: u64) -> u64 {
+fn shard_payload_len(ln: u64, lm: u64, lrm: u64) -> u64 {
     let pad = |c: u64| 4 * c + if c % 2 == 1 { 4 } else { 0 };
     8 * (ln + 1) + pad(lm) + 8 * lm + 8 * (ln + 1) + pad(lrm) + 8 * lrm
 }
@@ -588,8 +588,9 @@ pub fn sharded_to_bytes(
 /// an existing file swaps the directory entry rather than truncating a file
 /// another reader may be partway through, and the temp name is unique per
 /// process *and* per call so concurrent writers (threads or processes)
-/// never interleave into one temp file. The profile cache and
-/// `repro convert` both write through here.
+/// never interleave into one temp file. `repro convert` and
+/// [`write_oscg_atomic`](crate::binary::write_oscg_atomic) write through
+/// here.
 pub fn write_sharded_oscg_atomic(
     path: &Path,
     graph: &CsrGraph,

@@ -45,7 +45,7 @@ pub fn degree_stats(graph: &CsrGraph) -> DegreeStats {
 ///
 /// Exact but O(Σ d²); intended for the ≤ few-thousand-node graphs where the
 /// paper quotes clustering (the 150-node PPGG graphs and profile
-/// validation). For larger graphs use [`sampled_clustering_coefficient`].
+/// validation).
 pub fn clustering_coefficient(graph: &CsrGraph) -> f64 {
     let n = graph.node_count();
     if n == 0 {
@@ -56,26 +56,6 @@ pub fn clustering_coefficient(graph: &CsrGraph) -> f64 {
         total += local_clustering(graph, v);
     }
     total / n as f64
-}
-
-/// Estimate the average local clustering coefficient from `samples` uniformly
-/// spaced nodes (deterministic stratified sample so results are stable).
-pub fn sampled_clustering_coefficient(graph: &CsrGraph, samples: usize) -> f64 {
-    let n = graph.node_count();
-    if n == 0 || samples == 0 {
-        return 0.0;
-    }
-    let take = samples.min(n);
-    let stride = (n / take).max(1);
-    let mut total = 0.0;
-    let mut count = 0usize;
-    let mut i = 0usize;
-    while i < n && count < take {
-        total += local_clustering(graph, NodeId::from_index(i));
-        count += 1;
-        i += stride;
-    }
-    total / count as f64
 }
 
 /// Local clustering of one node on the undirected view: fraction of
@@ -146,14 +126,6 @@ mod tests {
         assert_eq!(s.max_out_degree, 2);
         assert_eq!(s.max_in_degree, 2);
         assert!((s.mean_out_degree - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_matches_exact_on_small_graph() {
-        let g = triangle();
-        let exact = clustering_coefficient(&g);
-        let sampled = sampled_clustering_coefficient(&g, 3);
-        assert!((exact - sampled).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Breadth-first traversals.
 //!
-//! Used for the hop statistics of Table III (average farthest hop from the
-//! seed set) and for reachability checks throughout the algorithms.
+//! Hop distances from a seed set (OPT's candidate pruning) and
+//! reachability checks (the baselines' coupon strategies).
 
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;
@@ -31,15 +31,6 @@ pub fn bfs_hops(graph: &CsrGraph, sources: &[NodeId]) -> Vec<u32> {
         }
     }
     dist
-}
-
-/// The farthest finite hop in a distance array; 0 when nothing is reached.
-pub fn farthest_hop(dist: &[u32]) -> u32 {
-    dist.iter()
-        .copied()
-        .filter(|&d| d != UNREACHED)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Nodes reachable from `sources` (including the sources), following
@@ -72,7 +63,6 @@ mod tests {
         let g = chain();
         let d = bfs_hops(&g, &[NodeId(0)]);
         assert_eq!(d, vec![0, 1, 2, 3, UNREACHED]);
-        assert_eq!(farthest_hop(&d), 3);
     }
 
     #[test]
@@ -80,12 +70,6 @@ mod tests {
         let g = chain();
         let d = bfs_hops(&g, &[NodeId(0), NodeId(2)]);
         assert_eq!(d, vec![0, 1, 0, 1, UNREACHED]);
-    }
-
-    #[test]
-    fn farthest_hop_empty_is_zero() {
-        assert_eq!(farthest_hop(&[UNREACHED, UNREACHED]), 0);
-        assert_eq!(farthest_hop(&[]), 0);
     }
 
     #[test]

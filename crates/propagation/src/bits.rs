@@ -120,8 +120,8 @@ impl BitVec {
 /// words and extracts every member in ascending order while clearing only
 /// the touched words, so a sparse frontier over a large node range costs
 /// `O(dirty)` to reset instead of `O(n/64)`. The bit-parallel lane kernel
-/// ([`crate::lane`]) collects its union-over-lanes frontier here; the
-/// scalar kernel keeps an equivalent inline bitset.
+/// ([`crate::lane`]) collects its union-over-lanes frontier here, and the
+/// scalar kernel ([`crate::reach`]) its next BFS round.
 #[derive(Clone, Debug, Default)]
 pub struct WordSet {
     words: Vec<u64>,

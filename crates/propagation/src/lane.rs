@@ -1,6 +1,6 @@
 //! Bit-parallel world-per-lane cascade kernel.
 //!
-//! The scalar kernel ([`crate::reach::world_cascade_visit`]) walks one
+//! The scalar kernel ([`crate::reach::world_cascade`]) walks one
 //! world at a time: `R` worlds cost `R` frontier expansions over the same
 //! graph. This module transposes the loop: a **block of up to
 //! [`LANE_WORLDS`] worlds** is packed as one `u64` lane mask per edge (bit

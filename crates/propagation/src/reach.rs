@@ -8,23 +8,23 @@
 //! active node takes its live out-edges in rank order, skipping already
 //! active targets (no coupon consumed) and stopping after `k` redemptions.
 //!
-//! One scalar kernel serves every caller: [`world_cascade`] returns the
-//! aggregate [`WorldOutcome`], and [`world_cascade_visit`] additionally
-//! reports each activated node to a visitor (how the tests observe the
-//! activated set without a second cascade implementation).
-//! The kernel runs on a [`WorldRef`] — one lane of a world cache's lane
-//! block — over an in-memory [`CsrGraph`]: live out-neighbours come from
+//! [`world_cascade`] is the scalar reference kernel: it returns the
+//! aggregate [`WorldOutcome`] of one world, and the lane kernel
+//! ([`crate::lane`]) is pinned against it bit for bit. The kernel runs on
+//! a [`WorldRef`] — one lane of a world cache's lane block — over an
+//! in-memory [`CsrGraph`]: live out-neighbours come from
 //! [`WorldRef::for_live_out`], which walks only the block's union-live
 //! edges. Graphs read from sharded `.oscg` files are assembled into one
 //! [`CsrGraph`] first, so every graph takes this one path.
 //!
-//! Frontier rounds are built through a **word-level bitset**: activations
-//! set a bit, and each round drains the touched words in ascending order,
-//! so every round processes nodes in ascending node id. That order is
-//! deterministic and independent of seed order, partitioning, and pool size
-//! (ties for a shared target between two same-round activators resolve to
-//! the smaller activator id).
+//! Frontier rounds are built through a **word-level bitset**
+//! ([`WordSet`]): activations set a bit, and each round drains the touched
+//! words in ascending order, so every round processes nodes in ascending
+//! node id. That order is deterministic and independent of seed order,
+//! partitioning, and pool size (ties for a shared target between two
+//! same-round activators resolve to the smaller activator id).
 
+use crate::bits::WordSet;
 use crate::world::WorldRef;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
@@ -35,20 +35,19 @@ pub struct CascadeScratch {
     mark: Vec<u32>,
     frontier: Vec<NodeId>,
     /// Word-level bitset collecting the next BFS round.
-    next_bits: Vec<u64>,
-    /// Indices of words in `next_bits` with at least one bit set.
-    dirty_words: Vec<u32>,
+    next: WordSet,
 }
 
 impl CascadeScratch {
     /// Scratch for graphs with `n` nodes.
     pub fn new(n: usize) -> Self {
+        let mut next = WordSet::new();
+        next.ensure(n);
         CascadeScratch {
             stamp: 0,
             mark: vec![0; n],
             frontier: Vec::new(),
-            next_bits: vec![0; n.div_ceil(64)],
-            dirty_words: Vec::new(),
+            next,
         }
     }
 
@@ -66,12 +65,9 @@ impl CascadeScratch {
         } else if self.mark.len() > SHRINK_FLOOR && self.mark.len() / 4 > n {
             self.mark = vec![0; n];
             self.frontier = Vec::new();
-            self.next_bits = Vec::new();
-            self.dirty_words = Vec::new();
+            self.next.reset();
         }
-        if self.next_bits.len() < n.div_ceil(64) {
-            self.next_bits.resize(n.div_ceil(64), 0);
-        }
+        self.next.ensure(n);
     }
 
     #[inline]
@@ -84,11 +80,8 @@ impl CascadeScratch {
         }
         self.frontier.clear();
         // A finished cascade always leaves the bitset drained; clear
-        // defensively in case a caller's visitor panicked mid-round.
-        for &w in &self.dirty_words {
-            self.next_bits[w as usize] = 0;
-        }
-        self.dirty_words.clear();
+        // defensively in case a previous run panicked mid-round.
+        self.next.clear();
     }
 
     #[inline]
@@ -101,28 +94,15 @@ impl CascadeScratch {
     #[inline]
     fn activate(&mut self, v: NodeId) {
         self.mark[v.index()] = self.stamp;
-        let w = v.index() >> 6;
-        if self.next_bits[w] == 0 {
-            self.dirty_words.push(w as u32);
-        }
-        self.next_bits[w] |= 1u64 << (v.index() & 63);
+        self.next.insert(v.index());
     }
 
     /// Move the queued activations into `frontier` in ascending node-id
     /// order, clearing the bitset words as they drain.
     fn drain_next_into_frontier(&mut self) {
-        self.dirty_words.sort_unstable();
-        for &w in &self.dirty_words {
-            let mut bits = self.next_bits[w as usize];
-            self.next_bits[w as usize] = 0;
-            let base = (w as usize) << 6;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                self.frontier.push(NodeId((base | b) as u32));
-                bits &= bits - 1;
-            }
-        }
-        self.dirty_words.clear();
+        let frontier = &mut self.frontier;
+        self.next
+            .drain_ascending_into(|v| frontier.push(NodeId(v as u32)));
     }
 }
 
@@ -148,20 +128,6 @@ pub fn world_cascade(
     world: WorldRef<'_>,
     scratch: &mut CascadeScratch,
 ) -> WorldOutcome {
-    world_cascade_visit(graph, data, seeds, coupons, world, scratch, |_| {})
-}
-
-/// [`world_cascade`] that additionally calls `visit` once per activated
-/// node (seeds included), in activation order.
-pub fn world_cascade_visit(
-    graph: &CsrGraph,
-    data: &NodeData,
-    seeds: &[NodeId],
-    coupons: &[u32],
-    world: WorldRef<'_>,
-    scratch: &mut CascadeScratch,
-    mut visit: impl FnMut(NodeId),
-) -> WorldOutcome {
     debug_assert_eq!(coupons.len(), graph.node_count());
     scratch.begin();
     let mut out = WorldOutcome::default();
@@ -169,7 +135,6 @@ pub fn world_cascade_visit(
     for &s in seeds {
         if !scratch.is_active(s) {
             scratch.activate(s);
-            visit(s);
             out.benefit += data.benefit(s);
             out.activated += 1;
         }
@@ -188,7 +153,6 @@ pub fn world_cascade_visit(
             world.for_live_out(u, |v| {
                 if !scratch.is_active(v) {
                     scratch.activate(v);
-                    visit(v);
                     out.benefit += data.benefit(v);
                     out.redeemed_sc_cost += data.sc_cost(v);
                     out.activated += 1;
@@ -320,24 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn visitor_sees_every_activation_once() {
-        let (g, d) = star();
-        let mut scratch = CascadeScratch::new(5);
-        let mut seen = Vec::new();
-        let out = world_cascade_visit(
-            &g,
-            &d,
-            &[NodeId(0), NodeId(0)],
-            &[2, 0, 0, 0, 0],
-            WorldRef::new(&world_of(&g, &[0, 1, 2, 3]), 0),
-            &mut scratch,
-            |v| seen.push(v),
-        );
-        assert_eq!(out.activated, seen.len());
-        assert_eq!(seen, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
     fn seed_order_does_not_change_the_outcome() {
         // Two seeds compete for node 2 (both edges live, one coupon each):
         // the frontier bitset canonicalizes round order to ascending ids,
@@ -384,9 +330,8 @@ mod tests {
         (g, d)
     }
 
-    /// A graph written at any shard count and assembled back from the file
-    /// cascades exactly like the graph it was written from: outcome and
-    /// activation order.
+    /// A graph written at any shard count is assembled back from the file
+    /// as the graph it was written from, so it cascades exactly like it.
     #[test]
     fn sharded_schedule_is_bit_identical_to_monolithic() {
         use osn_graph::shard::{sharded_to_bytes, ShardPlan};
@@ -400,15 +345,13 @@ mod tests {
         let seeds = [NodeId(0), NodeId(17), NodeId(40)];
 
         let mut scratch = CascadeScratch::new(n as usize);
-        let mut base_seen = Vec::new();
-        let base = world_cascade_visit(
+        let base = world_cascade(
             &g,
             &d,
             &seeds,
             &coupons,
             WorldRef::new(&world_of(&g, &ids), 0),
             &mut scratch,
-            |v| base_seen.push(v),
         );
         assert!(base.farthest_hop > 2, "the world must cross shards");
 
@@ -420,18 +363,16 @@ mod tests {
                     .to_oscg_file()
                     .unwrap()
                     .graph;
-            let mut seen = Vec::new();
-            let got = world_cascade_visit(
+            assert_eq!(assembled, g, "{shards} shards");
+            let got = world_cascade(
                 &assembled,
                 &d,
                 &seeds,
                 &coupons,
                 WorldRef::new(&world_of(&assembled, &ids), 0),
                 &mut scratch,
-                |v| seen.push(v),
             );
             assert_eq!(got, base, "{shards} shards");
-            assert_eq!(seen, base_seen, "{shards} shards activation order");
         }
     }
 }

@@ -121,19 +121,8 @@ impl WorldCache {
     /// the worlds are equal in distribution, not bitwise. They are stored
     /// like every other cache.
     pub fn sample_dense_reference(graph: &CsrGraph, count: usize, seed: u64) -> Self {
-        Self::sample_dense_reference_with_pool(graph, count, seed, osn_pool::global())
-    }
-
-    /// [`sample_dense_reference`](Self::sample_dense_reference) on an
-    /// explicit pool.
-    pub fn sample_dense_reference_with_pool(
-        graph: &CsrGraph,
-        count: usize,
-        seed: u64,
-        pool: &ThreadPool,
-    ) -> Self {
         let probs = graph.edge_probs_flat();
-        Self::build(graph, count, pool, &|world, live| {
+        Self::build(graph, count, osn_pool::global(), &|world, live| {
             let mut rng = world_rng(seed, world);
             for (e, &p) in probs.iter().enumerate() {
                 if p > 0.0 && rng.gen_bool(p) {
