@@ -6,8 +6,11 @@
 //!    its most valuable dependent edge independent);
 //! 2. **deepen** — a first coupon to an influenced non-internal node at the
 //!    spread frontier;
-//! 3. **new source** — activate the next pivot-source package from the
-//!    [`PivotQueue`].
+//! 3. **new source** — activate the next pivot-source package, walking a
+//!    [`PivotList`] with a [`PivotCursor`] at the campaign's budget.
+//!    Alg. 1 lines 1–9 are budget-independent up to their `cost ≤ Binv`
+//!    filter, so the list is built once per graph (a resident server keeps
+//!    it across campaigns) and the cursor applies the filter.
 //!
 //! Each iteration compares the best marginal redemption (MR) of strategies
 //! 1–2 against the standalone redemption rate of the current pivot source
@@ -35,7 +38,7 @@
 
 use crate::deployment::Deployment;
 use crate::objective::{self, ObjectiveValue};
-use crate::pivot::{PivotQueue, SeedPackage};
+use crate::pivot::{PivotCursor, PivotList, SeedPackage};
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::{BenefitEstimator, DeltaScratch, EngineCounters, RefreshDelta, SpreadEngine};
 use std::cmp::Ordering;
@@ -421,11 +424,46 @@ where
     E: BenefitEstimator,
     F: FnOnce(&[NodeId], &[u32]) -> E,
 {
+    let pivots = PivotList::build(graph, data);
+    investment_deployment_on(
+        graph,
+        &pivots,
+        binv,
+        explored,
+        max_iterations,
+        make_estimator,
+    )
+}
+
+/// As [`investment_deployment_with`], drawing pivot sources from a
+/// caller-owned [`PivotList`] built over `graph` and its node data, so a
+/// server's campaigns share one list (bit-identical to a fresh build).
+///
+/// # Panics
+///
+/// If `pivots` was built over a graph of another size.
+pub fn investment_deployment_on<E, F>(
+    graph: &CsrGraph,
+    pivots: &PivotList,
+    binv: f64,
+    explored: &mut ExploreTracker,
+    max_iterations: usize,
+    make_estimator: F,
+) -> IdOutcome
+where
+    E: BenefitEstimator,
+    F: FnOnce(&[NodeId], &[u32]) -> E,
+{
     let n = graph.node_count();
-    let mut queue = PivotQueue::build(graph, data, binv);
+    assert!(
+        pivots.node_count() == n,
+        "pivot list built over {} nodes, campaign needs {n}",
+        pivots.node_count()
+    );
+    let mut queue = pivots.cursor(binv);
 
     // Initial influence source: the best feasible package.
-    let Some(first) = queue.pop() else {
+    let Some(first) = queue.next() else {
         return IdOutcome::empty(n);
     };
     let mut initial = Deployment::empty(n);
@@ -550,12 +588,11 @@ where
 /// Pop pivots until one names a node not yet invested in (a node already in
 /// the seed set or holding coupons would double-count its package value).
 fn next_usable_pivot_for<E: BenefitEstimator + ?Sized>(
-    queue: &mut PivotQueue,
+    queue: &mut PivotCursor<'_>,
     est: &E,
 ) -> Option<SeedPackage> {
     let ledger = est.ledger();
-    std::iter::from_fn(|| queue.pop())
-        .find(|p| !ledger.is_seed(p.node) && ledger.coupons()[p.node.index()] == 0)
+    queue.find(|p| !ledger.is_seed(p.node) && ledger.coupons()[p.node.index()] == 0)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Pivot-source queue (Alg. 1, lines 1–9).
+//! Pivot-source list (Alg. 1, lines 1–9).
 //!
 //! The ID phase needs, for every user, the value of delegating that user as
 //! a fresh influence source. Lines 2–8 of Alg. 1 visit each user at most
@@ -8,14 +8,25 @@
 //! Since benefits are positive, the coupon step's MR is positive whenever
 //! the user has any friend, so the fixed point is: every budget-feasible
 //! user enters `Q` with one coupon if it has out-edges (none otherwise),
-//! ranked by the package's standalone redemption rate. That closed form is
-//! what this module computes directly, in one `O(Σ deg)` pass.
+//! ranked by the package's standalone redemption rate.
+//!
+//! Only the feasibility filter `cost ≤ Binv` depends on the budget, so that
+//! closed form is computed once per graph: [`PivotList::build`] evaluates
+//! every user's bundled package and, for users with out-edges, its
+//! bare-seed fallback in one `O(Σ deg)` pass, and ranks them best rate
+//! first. A campaign walks the list with a [`PivotCursor`], which applies
+//! the budget filter: it yields a user's bundled package if it fits `Binv`,
+//! else the bare seed if the seed cost alone fits (Alg. 1 line 5 checks
+//! the bundled form only; we degrade gracefully to the bare seed). Each
+//! user yields at most one package and the order is total (rate
+//! descending, then node id ascending), so the cursor yields exactly the
+//! pop sequence of a per-campaign max-heap of the feasible packages,
+//! without ranking anything per campaign.
 
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::cost::redemption_rate;
 use osn_propagation::spread::standalone_package;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A candidate seed with its initial coupon allotment, evaluated in
 /// isolation.
@@ -50,74 +61,129 @@ impl PartialOrd for SeedPackage {
     }
 }
 
-/// The pivot-source queue: budget-feasible seed packages, best rate first.
-#[derive(Debug, Default)]
-pub struct PivotQueue {
-    heap: BinaryHeap<SeedPackage>,
+/// One package of a [`PivotList`]: a [`SeedPackage`] without its rate,
+/// which the cursor recomputes bit-identically from benefit and cost.
+#[derive(Debug)]
+struct Ranked {
+    node: NodeId,
+    coupons: u32,
+    benefit: f64,
+    cost: f64,
+    /// For a bare-seed fallback, the cost of its node's bundled package,
+    /// which takes precedence whenever it fits. NaN for a bundled package:
+    /// no budget shadows it.
+    shadow: f64,
 }
 
-impl PivotQueue {
-    /// Build the queue for the whole network under budget `binv`.
-    pub fn build(graph: &CsrGraph, data: &NodeData, binv: f64) -> Self {
-        let mut heap = BinaryHeap::with_capacity(graph.node_count());
-        for v in graph.nodes() {
-            if let Some(pkg) = seed_package(graph, data, v, binv) {
-                heap.push(pkg);
-            }
-        }
-        PivotQueue { heap }
-    }
-
-    /// Pop the best remaining package.
-    pub fn pop(&mut self) -> Option<SeedPackage> {
-        self.heap.pop()
-    }
-
-    /// Remaining package count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no candidates remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// Evaluate one user's seed package: seed + one coupon when the user has
-/// friends and the coupon pays (always true with positive benefits), seed
-/// alone otherwise. `None` when even the cheapest form exceeds `binv`.
-pub fn seed_package(
-    graph: &CsrGraph,
-    data: &NodeData,
-    v: NodeId,
-    binv: f64,
-) -> Option<SeedPackage> {
-    let coupons = u32::from(graph.out_degree(v) > 0);
-    let (benefit, cost) = standalone_package(graph, data, v, coupons);
-    if cost <= binv {
-        return Some(SeedPackage {
+impl Ranked {
+    /// User `v`'s standalone package with `coupons` bundled.
+    fn evaluate(graph: &CsrGraph, data: &NodeData, v: NodeId, coupons: u32, shadow: f64) -> Self {
+        let (benefit, cost) = standalone_package(graph, data, v, coupons);
+        Ranked {
             node: v,
             coupons,
             benefit,
             cost,
-            rate: redemption_rate(benefit, cost),
-        });
+            shadow,
+        }
     }
-    // The coupon-bundled form may break the budget while the bare seed fits
-    // (Alg. 1 line 5 checks `Cseed(v_i) + Csc({K_i = 1}) ≤ Binv` for the
-    // bundled form only; we degrade gracefully to the bare seed).
-    if coupons == 1 && data.seed_cost(v) <= binv {
-        let (b0, c0) = standalone_package(graph, data, v, 0);
-        return Some(SeedPackage {
-            node: v,
-            coupons: 0,
-            benefit: b0,
-            cost: c0,
-            rate: redemption_rate(b0, c0),
-        });
+
+    /// Whether this is the package its node contributes under `binv`. A
+    /// fallback's cost is its seed cost plus zero-weighted terms, so it
+    /// fits exactly when the seed cost does.
+    fn yields_at(&self, binv: f64) -> bool {
+        self.cost <= binv && (self.shadow.is_nan() || self.shadow > binv)
     }
-    None
+
+    /// The package's rate with `-0.0` read as `0.0`. Rates are never NaN,
+    /// so `total_cmp` on it orders as [`SeedPackage`]'s `partial_cmp` on
+    /// rates, and faster.
+    fn rank_rate(&self) -> f64 {
+        redemption_rate(self.benefit, self.cost) + 0.0
+    }
+
+    fn package(&self) -> SeedPackage {
+        SeedPackage {
+            node: self.node,
+            coupons: self.coupons,
+            benefit: self.benefit,
+            cost: self.cost,
+            rate: redemption_rate(self.benefit, self.cost),
+        }
+    }
+}
+
+/// Every user's seed packages, best rate first, for any budget: built once
+/// per `(graph, node data)` and shared read-only by every campaign on them.
+#[derive(Debug)]
+pub struct PivotList {
+    ranked: Vec<Ranked>,
+    nodes: usize,
+}
+
+impl PivotList {
+    /// Evaluate and rank every user's bundled package and, for users with
+    /// out-edges, its bare-seed fallback.
+    pub fn build(graph: &CsrGraph, data: &NodeData) -> Self {
+        let fallbacks = graph.nodes().filter(|&v| graph.out_degree(v) > 0).count();
+        let mut ranked = Vec::with_capacity(graph.node_count() + fallbacks);
+        for v in graph.nodes() {
+            let coupons = u32::from(graph.out_degree(v) > 0);
+            let bundled = Ranked::evaluate(graph, data, v, coupons, f64::NAN);
+            if coupons == 1 {
+                ranked.push(Ranked::evaluate(graph, data, v, 0, bundled.cost));
+            }
+            ranked.push(bundled);
+        }
+        // The max-heap's pop order: rate descending, then node ascending. A
+        // fallback and its bundled package may tie, but no budget yields
+        // both.
+        ranked.sort_unstable_by(|a, b| {
+            b.rank_rate()
+                .total_cmp(&a.rank_rate())
+                .then(a.node.cmp(&b.node))
+        });
+        PivotList {
+            ranked,
+            nodes: graph.node_count(),
+        }
+    }
+
+    /// Node count of the graph the list was built over.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// Heap bytes of the ranked packages (32 per package, at most two per
+    /// node).
+    pub fn resident_bytes(&self) -> usize {
+        self.ranked.len() * std::mem::size_of::<Ranked>()
+    }
+
+    /// The budget-feasible packages under `binv`, best rate first.
+    pub fn cursor(&self, binv: f64) -> PivotCursor<'_> {
+        PivotCursor {
+            rest: self.ranked.iter(),
+            binv,
+        }
+    }
+}
+
+/// One campaign's walk over a [`PivotList`]: yields each user's
+/// budget-feasible package, best rate first.
+#[derive(Debug)]
+pub struct PivotCursor<'a> {
+    rest: std::slice::Iter<'a, Ranked>,
+    binv: f64,
+}
+
+impl Iterator for PivotCursor<'_> {
+    type Item = SeedPackage;
+
+    fn next(&mut self) -> Option<SeedPackage> {
+        let binv = self.binv;
+        self.rest.find(|r| r.yields_at(binv)).map(Ranked::package)
+    }
 }
 
 #[cfg(test)]
@@ -138,25 +204,27 @@ mod tests {
     #[test]
     fn queue_orders_by_standalone_rate() {
         let (g, d) = fixture();
-        let mut q = PivotQueue::build(&g, &d, 100.0);
-        assert_eq!(q.len(), 3);
+        let list = PivotList::build(&g, &d);
+        assert_eq!(list.cursor(100.0).count(), 3);
+        let mut q = list.cursor(100.0);
         // Rates: v2 (leaf) 4/0.5 = 8; v0 (1 + 0.9·4)/(0.5 + 0.9) ≈ 3.29;
         // v1 4.6/3.9 ≈ 1.18.
-        let first = q.pop().unwrap();
+        let first = q.next().unwrap();
         assert_eq!(first.node, NodeId(2));
         assert!((first.rate - 8.0).abs() < 1e-9);
-        let second = q.pop().unwrap();
+        let second = q.next().unwrap();
         assert_eq!(second.node, NodeId(0));
         assert_eq!(second.coupons, 1);
         assert!((second.rate - 4.6 / 1.4).abs() < 1e-9);
-        assert_eq!(q.pop().unwrap().node, NodeId(1));
-        assert!(q.pop().is_none());
+        assert_eq!(q.next().unwrap().node, NodeId(1));
+        assert!(q.next().is_none());
     }
 
     #[test]
     fn leaf_package_has_no_coupons() {
         let (g, d) = fixture();
-        let pkg = seed_package(&g, &d, NodeId(2), 100.0).unwrap();
+        let list = PivotList::build(&g, &d);
+        let pkg = list.cursor(100.0).find(|p| p.node == NodeId(2)).unwrap();
         assert_eq!(pkg.coupons, 0);
         assert_eq!(pkg.benefit, 4.0);
         assert_eq!(pkg.cost, 0.5);
@@ -167,8 +235,8 @@ mod tests {
         let (g, d) = fixture();
         // Budget 1.0: v1 (seed cost 3) is out entirely; v0's bundled cost
         // 1.4 exceeds 1.0 so it degrades to the bare seed.
-        let mut q = PivotQueue::build(&g, &d, 1.0);
-        let nodes: Vec<(NodeId, u32)> = std::iter::from_fn(|| q.pop())
+        let nodes: Vec<(NodeId, u32)> = PivotList::build(&g, &d)
+            .cursor(1.0)
             .map(|p| (p.node, p.coupons))
             .collect();
         assert!(!nodes.iter().any(|&(n, _)| n == NodeId(1)));
@@ -179,10 +247,9 @@ mod tests {
     #[test]
     fn leaf_beats_everyone_by_pure_rate() {
         let (g, d) = fixture();
-        let leaf = seed_package(&g, &d, NodeId(2), 100.0).unwrap();
-        let root = seed_package(&g, &d, NodeId(0), 100.0).unwrap();
-        assert!(leaf.rate > root.rate);
-        let mut q = PivotQueue::build(&g, &d, 100.0);
-        assert_eq!(q.pop().unwrap().node, NodeId(2));
+        let list = PivotList::build(&g, &d);
+        let package = |v| list.cursor(100.0).find(|p| p.node == v).unwrap();
+        assert!(package(NodeId(2)).rate > package(NodeId(0)).rate);
+        assert_eq!(list.cursor(100.0).next().unwrap().node, NodeId(2));
     }
 }

@@ -2,11 +2,12 @@
 
 use crate::deployment::Deployment;
 use crate::gpi::identify_guaranteed_paths;
-use crate::id_phase::{investment_deployment, investment_deployment_with, ExploreTracker};
+use crate::id_phase::{investment_deployment_on, ExploreTracker};
 use crate::objective::{self, ObjectiveValue};
+use crate::pivot::PivotList;
 use crate::scm::{sc_maneuver, ScmStats};
 use osn_graph::{CsrGraph, NodeData};
-use osn_propagation::DeploymentRef;
+use osn_propagation::{DeploymentRef, SpreadEngine};
 use osn_sketch::{SketchEstimator, SketchIndex, SketchParams};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -14,10 +15,9 @@ use std::time::Instant;
 /// Which estimation backend drives the ID phase's greedy loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EstimatorBackend {
-    /// The reference path: the exact incremental
-    /// [`SpreadEngine`](osn_propagation::SpreadEngine) drives every greedy
-    /// move, and the budget-milestone snapshots are re-ranked by
-    /// Monte-Carlo benefit (the paper's line 24). Bit-identical to the
+    /// The reference path: the exact incremental [`SpreadEngine`] drives
+    /// every greedy move, and the budget-milestone snapshots are re-ranked
+    /// by Monte-Carlo benefit (the paper's line 24). Bit-identical to the
     /// pre-seam pipeline.
     #[default]
     Mc,
@@ -154,12 +154,12 @@ pub struct S3caResult {
 
 /// Run S3CA on an instance under budget `binv`.
 pub fn s3ca(graph: &CsrGraph, data: &NodeData, binv: f64, config: &S3caConfig) -> S3caResult {
-    s3ca_with_resident(graph, data, binv, config, None, None)
+    s3ca_with_resident(graph, data, binv, config, None, None, None)
 }
 
 /// As [`s3ca`], with an optional caller-owned snapshot backend and no
-/// resident sketch index; see [`s3ca_with_resident`]. The benchmark's
-/// traced replay calls it.
+/// resident sketch index or pivot list; see [`s3ca_with_resident`]. The
+/// benchmark's traced replay calls it.
 pub fn s3ca_with_snapshot_backend(
     graph: &CsrGraph,
     data: &NodeData,
@@ -167,7 +167,7 @@ pub fn s3ca_with_snapshot_backend(
     config: &S3caConfig,
     snapshot_backend: Option<&osn_propagation::McBackend>,
 ) -> S3caResult {
-    s3ca_with_resident(graph, data, binv, config, snapshot_backend, None)
+    s3ca_with_resident(graph, data, binv, config, snapshot_backend, None, None)
 }
 
 /// As [`s3ca`], on caller-owned resident structures. A resident server
@@ -181,11 +181,16 @@ pub fn s3ca_with_snapshot_backend(
 /// * `sketch_index` — the ID phase's index under
 ///   [`EstimatorBackend::Sketch`], built over `graph`/`data` with
 ///   [`S3caConfig::sketch_params`]. Ignored by the other backends.
+/// * `pivots` — the ID phase's pivot sources (Alg. 1 lines 1–9), built
+///   over `graph`/`data` by [`PivotList::build`]. It does not depend on
+///   the budget or the config, so one list serves every campaign on the
+///   graph, under every backend.
 ///
 /// # Panics
 ///
-/// If `sketch_index` was built with other parameters or over a graph of
-/// another size: a mismatched index would silently change the result.
+/// If `sketch_index` was built with other parameters, or it or `pivots`
+/// over a graph of another size: a mismatched structure would silently
+/// change the result.
 pub fn s3ca_with_resident(
     graph: &CsrGraph,
     data: &NodeData,
@@ -193,6 +198,7 @@ pub fn s3ca_with_resident(
     config: &S3caConfig,
     snapshot_backend: Option<&osn_propagation::McBackend>,
     sketch_index: Option<&SketchIndex>,
+    pivots: Option<&PivotList>,
 ) -> S3caResult {
     let n = graph.node_count();
     let mut explored = ExploreTracker::new(n);
@@ -200,10 +206,23 @@ pub fn s3ca_with_resident(
 
     // Phase 1 — Investment Deployment, under the configured backend.
     let t0 = Instant::now();
-    let id = match config.estimator {
-        EstimatorBackend::Mc => {
-            investment_deployment(graph, data, binv, &mut explored, config.max_id_iterations)
+    let owned_pivots;
+    let pivots = match pivots {
+        Some(list) => list,
+        None => {
+            owned_pivots = PivotList::build(graph, data);
+            &owned_pivots
         }
+    };
+    let id = match config.estimator {
+        EstimatorBackend::Mc => investment_deployment_on(
+            graph,
+            pivots,
+            binv,
+            &mut explored,
+            config.max_id_iterations,
+            |seeds, coupons| SpreadEngine::new(graph, data, seeds, coupons),
+        ),
         EstimatorBackend::Sketch => {
             let params = config.sketch_params();
             let owned;
@@ -223,9 +242,9 @@ pub fn s3ca_with_resident(
                     &owned
                 }
             };
-            investment_deployment_with(
+            investment_deployment_on(
                 graph,
-                data,
+                pivots,
                 binv,
                 &mut explored,
                 config.max_id_iterations,
@@ -464,8 +483,9 @@ mod tests {
         assert_eq!(a.objective, b.objective);
     }
 
-    /// A caller-built index at the config's own parameters gives the same
-    /// deployment as the index `s3ca` builds itself, at every budget.
+    /// A caller-built index at the config's own parameters and one
+    /// caller-built pivot list give the same deployment as the structures
+    /// `s3ca` builds itself, at every budget and under both estimators.
     #[test]
     fn resident_sketch_index_matches_a_fresh_build() {
         let (g, d) = showcase();
@@ -474,11 +494,15 @@ mod tests {
             ..S3caConfig::default()
         };
         let index = SketchIndex::build(&g, &d, &cfg.sketch_params());
-        for binv in [1.0, 4.0, 8.0] {
-            let fresh = s3ca(&g, &d, binv, &cfg);
-            let resident = s3ca_with_resident(&g, &d, binv, &cfg, None, Some(&index));
-            assert_eq!(fresh.deployment, resident.deployment, "binv {binv}");
-            assert_eq!(fresh.objective, resident.objective, "binv {binv}");
+        let pivots = PivotList::build(&g, &d);
+        for cfg in [cfg, S3caConfig::default()] {
+            for binv in [1.0, 4.0, 8.0] {
+                let fresh = s3ca(&g, &d, binv, &cfg);
+                let resident =
+                    s3ca_with_resident(&g, &d, binv, &cfg, None, Some(&index), Some(&pivots));
+                assert_eq!(fresh.deployment, resident.deployment, "binv {binv}");
+                assert_eq!(fresh.objective, resident.objective, "binv {binv}");
+            }
         }
     }
 
@@ -495,7 +519,26 @@ mod tests {
             ..cfg
         };
         let index = SketchIndex::build(&g, &d, &other.sketch_params());
-        s3ca_with_resident(&g, &d, 4.0, &cfg, None, Some(&index));
+        s3ca_with_resident(&g, &d, 4.0, &cfg, None, Some(&index), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "pivot list built over 2 nodes")]
+    fn a_mismatched_pivot_list_is_refused() {
+        let (g, d) = showcase();
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 0.5).unwrap();
+        let small = b.build().unwrap();
+        let pivots = PivotList::build(&small, &NodeData::uniform(2, 1.0, 1.0, 1.0));
+        s3ca_with_resident(
+            &g,
+            &d,
+            4.0,
+            &S3caConfig::default(),
+            None,
+            None,
+            Some(&pivots),
+        );
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl WordSet {
         self.words[w] |= 1u64 << (i & 63);
     }
 
-    /// True when no index is present.
-    pub fn is_empty(&self) -> bool {
-        self.dirty.is_empty()
-    }
-
     /// Extract every member in ascending order, calling `f(i)` per index
     /// and clearing the set as it drains.
     pub fn drain_ascending_into(&mut self, mut f: impl FnMut(usize)) {
@@ -262,20 +257,18 @@ mod tests {
     fn word_set_drains_ascending_and_clears() {
         let mut s = WordSet::new();
         s.ensure(300);
-        assert!(s.is_empty());
+        s.drain_ascending_into(|_| panic!("a new set must be empty"));
         for i in [299, 0, 64, 63, 128] {
             s.insert(i);
         }
-        assert!(!s.is_empty());
         let mut got = Vec::new();
         s.drain_ascending_into(|i| got.push(i));
         assert_eq!(got, vec![0, 63, 64, 128, 299]);
-        assert!(s.is_empty());
         // Draining again yields nothing; reuse after clear works.
         s.drain_ascending_into(|_| panic!("set must be empty"));
         s.insert(5);
         s.clear();
-        assert!(s.is_empty());
+        s.drain_ascending_into(|_| panic!("a cleared set must be empty"));
         s.insert(7);
         let mut got = Vec::new();
         s.drain_ascending_into(|i| got.push(i));

@@ -196,9 +196,11 @@ impl LaneScratch {
     }
 
     /// Grow to cover graphs of at least `n` nodes, keeping the allocation
-    /// when it already fits (and shrinking long-lived scratches that last
-    /// served a much larger graph, mirroring
-    /// [`CascadeScratch::ensure_nodes`](crate::reach::CascadeScratch::ensure_nodes)).
+    /// when it already fits. Long-lived scratches (worker thread-locals)
+    /// that last served a much larger graph shrink back down, so one huge
+    /// instance does not pin its footprint for the process lifetime; modest
+    /// oversizing is kept to avoid grow/shrink thrash across mixed
+    /// workloads.
     pub fn ensure_nodes(&mut self, n: usize) {
         const SHRINK_FLOOR: usize = 1 << 20;
         if self.node_stamp.len() > SHRINK_FLOOR && self.node_stamp.len() / 4 > n {

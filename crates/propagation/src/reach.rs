@@ -51,25 +51,6 @@ impl CascadeScratch {
         }
     }
 
-    /// Grow to cover graphs of at least `n` nodes, keeping the allocation
-    /// when it already fits. Grown entries are zero, which no live stamp
-    /// equals (stamps start at 1), so existing marks stay valid. Long-lived
-    /// scratches (worker thread-locals) that last served a much larger
-    /// graph shrink back down, so one huge instance does not pin its
-    /// footprint for the process lifetime; modest oversizing is kept to
-    /// avoid grow/shrink thrash across mixed workloads.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        const SHRINK_FLOOR: usize = 1 << 20;
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        } else if self.mark.len() > SHRINK_FLOOR && self.mark.len() / 4 > n {
-            self.mark = vec![0; n];
-            self.frontier = Vec::new();
-            self.next.reset();
-        }
-        self.next.ensure(n);
-    }
-
     #[inline]
     fn begin(&mut self) {
         self.stamp = self.stamp.wrapping_add(1);

@@ -1,11 +1,12 @@
 //! Resident daemon state: the loaded dataset, its re-weighted variants,
-//! the sampled Monte-Carlo backends and the sketch indexes, shared across
-//! concurrent campaigns and kept under one byte budget.
+//! the sampled Monte-Carlo backends, the sketch indexes and the pivot
+//! lists, shared across concurrent campaigns and kept under one byte
+//! budget.
 //!
 //! Immutability is the sharing model: graphs, node data, world caches
-//! (their lane blocks) and sketch indexes are all read-only after
-//! construction, so campaigns borrow them zero-copy through `Arc`s — there
-//! is no per-campaign copy of anything sized by the graph. The only
+//! (their lane blocks), sketch indexes and pivot lists are all read-only
+//! after construction, so campaigns borrow them zero-copy through `Arc`s —
+//! there is no per-campaign copy of anything sized by the graph. The only
 //! mutable state is one cache map and the counters. The map holds one
 //! `OnceLock` slot per `(kind, key)`, whatever the value's kind, so its
 //! mutex only guards slot lookup: building a variant, sampling a backend
@@ -28,6 +29,7 @@ use osn_propagation::{McBackend, RedemptionReport, SimulationStats};
 use s3crm_bench::dataset::{load_dataset, LoadedDataset};
 use s3crm_bench::scenario::run_algorithm;
 use s3crm_bench::{Algorithm, EVAL_SALT};
+use s3crm_core::pivot::PivotList;
 use s3crm_core::{s3ca_with_resident, EstimatorBackend, S3caConfig, SketchIndex, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
@@ -44,10 +46,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Byte budget over every evictable resident entry: re-weighted variants,
-/// Monte-Carlo backends and sketch indexes. The base dataset is not
-/// counted. The benchmark's largest resident set (one 1024-world backend
-/// on 1.6M edges, held as lane blocks) is about 300 MB, so no shipped
-/// workload evicts.
+/// Monte-Carlo backends, sketch indexes and pivot lists. The base dataset
+/// is not counted. The benchmark's largest resident set (one 1024-world
+/// backend on 1.6M edges, held as lane blocks) is about 300 MB, so no
+/// shipped workload evicts.
 pub const RESIDENT_BUDGET_BYTES: usize = 2 << 30;
 
 /// A cached value: read-only once built, and charged its bytes against
@@ -75,14 +77,21 @@ impl Resident for SketchIndex {
     }
 }
 
+impl Resident for PivotList {
+    fn resident_bytes(&self) -> usize {
+        PivotList::resident_bytes(self)
+    }
+}
+
 /// What a cache entry holds: a re-weighted graph variant
-/// ([`LoadedDataset`]), a Monte-Carlo backend or a sketch index. `INFO`
-/// counts the built entries per kind.
+/// ([`LoadedDataset`]), a Monte-Carlo backend, a sketch index or a pivot
+/// list. `INFO` counts the built entries per kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Kind {
     Variant,
     Backend,
     Index,
+    Pivots,
 }
 
 /// One cached value: its build slot, and the tick of its last lookup. A
@@ -107,7 +116,10 @@ pub struct ServeState {
     ///   needing the *same* one share the single sampled cache;
     /// - sketch indexes by `(variant, ε, δ, seed)` — everything an index
     ///   depends on — so every budget of one sketch campaign family runs
-    ///   on one build.
+    ///   on one build;
+    /// - pivot lists by variant: a list depends on the graph and node data
+    ///   only, so every S3CA campaign on a variant, at any budget and
+    ///   under either estimator, runs on one build.
     resident: Mutex<HashMap<(Kind, String), Entry>>,
     /// Byte budget over the map ([`RESIDENT_BUDGET_BYTES`]).
     resident_budget: usize,
@@ -285,6 +297,13 @@ impl ServeState {
         })
     }
 
+    /// The resident pivot list of a variant, building it on first use.
+    fn pivot_list(&self, variant_label: &str, ds: &LoadedDataset) -> Arc<PivotList> {
+        self.get_or_build(Kind::Pivots, variant_label, || {
+            PivotList::build(&ds.graph, &ds.data)
+        })
+    }
+
     /// Look `(kind, key)` up, stamping its last use, and build it on a
     /// miss. Hits do nothing more; a miss then runs an eviction pass.
     fn get_or_build<T: Resident>(
@@ -394,8 +413,9 @@ impl ServeState {
         let t0 = Instant::now();
         let (deployment, telemetry): (_, Option<Telemetry>) = match spec.algorithm {
             // The S3CA variants run on resident structures: the line-24
-            // re-ranking on a resident world cache and the sketch ID phase
-            // on a resident index, instead of building either per request
+            // re-ranking on a resident world cache, the ID phase on a
+            // resident pivot list and, under the sketch estimator, on a
+            // resident index, instead of building any per request
             // (bit-identical either way).
             Algorithm::S3ca | Algorithm::S3caIdOnly => {
                 let cfg = spec.s3ca_config();
@@ -403,6 +423,7 @@ impl ServeState {
                     self.backend(&variant_label, &ds, cfg.snapshot_worlds, cfg.rng_seed);
                 let index = (cfg.estimator == EstimatorBackend::Sketch)
                     .then(|| self.sketch_index(&variant_label, &ds, &cfg));
+                let pivots = self.pivot_list(&variant_label, &ds);
                 let r = s3ca_with_resident(
                     &ds.graph,
                     &ds.data,
@@ -410,6 +431,7 @@ impl ServeState {
                     &cfg,
                     Some(&backend),
                     index.as_deref(),
+                    Some(&pivots),
                 );
                 (r.deployment, Some(r.telemetry))
             }
@@ -558,6 +580,7 @@ impl ServeState {
             format!("variants={}", count(Kind::Variant)),
             format!("backends={}", count(Kind::Backend)),
             format!("sketch_indexes={}", count(Kind::Index)),
+            format!("pivot_lists={}", count(Kind::Pivots)),
             format!("resident_bytes={resident_bytes}"),
             format!("resident_budget_bytes={}", self.resident_budget),
             format!("evictions={}", self.evictions.load(Ordering::Relaxed)),
@@ -713,6 +736,7 @@ mod tests {
                     if budget == 0 {
                         assert_eq!(info(&state, "resident_bytes"), 0);
                         assert_eq!(info(&state, "sketch_indexes"), 0);
+                        assert_eq!(info(&state, "pivot_lists"), 0);
                     }
                 }
             }
@@ -726,16 +750,26 @@ mod tests {
     }
 
     /// The index depends on the variant, ε, δ and seed, never on the
-    /// budget: a 9-rung budget ladder at one key builds it once.
+    /// budget: a 9-rung budget ladder at one key builds it once. The pivot
+    /// list depends on the variant alone: the ladder builds it once, and a
+    /// second ladder under the Monte-Carlo estimator reuses it.
     #[test]
     fn a_budget_ladder_builds_one_sketch_index() {
         let state = ServeState::open(&fixture(), 2).expect("open");
-        for m in [0.5, 0.6, 0.7, 0.85, 1.0, 1.2, 1.4, 1.7, 2.0] {
+        let ladder = [0.5, 0.6, 0.7, 0.85, 1.0, 1.2, 1.4, 1.7, 2.0];
+        for m in ladder {
             state
                 .run_campaign(&sketch_spec(&format!("budget={m}")))
                 .expect("campaign");
         }
         assert_eq!(info(&state, "sketch_indexes"), 1);
+        assert_eq!(info(&state, "pivot_lists"), 1);
+        for m in ladder {
+            let spec = CampaignSpec::parse(&format!("estimator=mc budget={m}")).unwrap();
+            state.run_campaign(&spec).expect("campaign");
+        }
+        assert_eq!(info(&state, "sketch_indexes"), 1);
+        assert_eq!(info(&state, "pivot_lists"), 1);
         assert_eq!(info(&state, "evictions"), 0);
     }
 
@@ -831,9 +865,9 @@ mod tests {
     }
 
     /// One LRU order spans the kinds. Under a budget that fits all but one
-    /// byte of a variant, a backend and a sketch index, building the third
-    /// of them evicts exactly the least recently used of the other two,
-    /// whichever kinds they are and in either touch order.
+    /// byte of a variant, a backend, a sketch index and a pivot list,
+    /// building the last of them evicts exactly the least recently used of
+    /// the other three, whichever kinds they are.
     #[test]
     fn eviction_follows_one_lru_order_across_kinds() {
         use osn_gen::weights::WeightModel;
@@ -841,6 +875,7 @@ mod tests {
             (Kind::Variant, "variants"),
             (Kind::Backend, "backends"),
             (Kind::Index, "sketch_indexes"),
+            (Kind::Pivots, "pivot_lists"),
         ];
         // Build or look up the one entry of `kind`; nothing stays held.
         let touch = |state: &ServeState, kind: Kind| {
@@ -851,6 +886,7 @@ mod tests {
                 }
                 Kind::Backend => drop(state.backend("data", ds, 64, 7)),
                 Kind::Index => drop(state.sketch_index("data", ds, &S3caConfig::default())),
+                Kind::Pivots => drop(state.pivot_list("data", ds)),
             }
         };
         let reference = ServeState::open(&fixture(), 2).expect("open");
@@ -858,25 +894,30 @@ mod tests {
             touch(&reference, kind);
         }
         let budget = info(&reference, "resident_bytes") - 1;
-        let (variant, backend, index) = (Kind::Variant, Kind::Backend, Kind::Index);
-        for (a, b, last) in [
-            (variant, backend, index),
-            (variant, index, backend),
-            (backend, index, variant),
-        ] {
-            for (older, newer) in [(a, b), (b, a)] {
+        for (last, _) in kinds {
+            let others: Vec<Kind> = kinds
+                .iter()
+                .map(|&(k, _)| k)
+                .filter(|&k| k != last)
+                .collect();
+            for &oldest in &others {
                 let state = ServeState::open(&fixture(), 2)
                     .expect("open")
                     .with_resident_budget(budget);
-                for kind in [a, b, older, newer, last] {
+                // Build the other three, then touch all but `oldest` again.
+                for &kind in &others {
                     touch(&state, kind);
                 }
-                let case = format!("{older:?} used before {newer:?}, then {last:?} built");
+                for &kind in others.iter().rev().filter(|&&k| k != oldest) {
+                    touch(&state, kind);
+                }
+                touch(&state, last);
+                let case = format!("{oldest:?} least recently used, then {last:?} built");
                 assert_eq!(info(&state, "evictions"), 1, "{case}");
                 for (kind, key) in kinds {
                     assert_eq!(
                         info(&state, key),
-                        usize::from(kind != older),
+                        usize::from(kind != oldest),
                         "{key}: {case}"
                     );
                 }

@@ -1,13 +1,14 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
-use osn_propagation::spread::SpreadState;
+use osn_propagation::spread::{standalone_package, SpreadState};
 use osn_propagation::{
     expected_sc_cost, redemption_rate, seed_cost, EngineCounters, SimulationStats,
 };
 use s3crm_core::id_phase::{ExploreTracker, IdOutcome, Snapshot};
-use s3crm_core::pivot::{PivotQueue, SeedPackage};
+use s3crm_core::pivot::SeedPackage;
 use s3crm_core::{Deployment, ObjectiveValue};
+use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -163,6 +164,60 @@ pub fn oracle_value(
         seed_cost: seed,
         sc_cost: sc,
         rate: redemption_rate(state.expected_benefit, seed + sc),
+    }
+}
+
+/// Evaluate one user's seed package: seed + one coupon when the user has
+/// friends, seed alone otherwise. If that bundled form exceeds `binv` but
+/// the seed cost alone fits, the bare seed instead (Alg. 1 line 5 checks
+/// the bundled form only; the algorithm degrades gracefully to the bare
+/// seed). `None` when even the cheapest form exceeds `binv`.
+pub fn seed_package(
+    graph: &CsrGraph,
+    data: &NodeData,
+    v: NodeId,
+    binv: f64,
+) -> Option<SeedPackage> {
+    let package = |coupons| {
+        let (benefit, cost) = standalone_package(graph, data, v, coupons);
+        SeedPackage {
+            node: v,
+            coupons,
+            benefit,
+            cost,
+            rate: redemption_rate(benefit, cost),
+        }
+    };
+    let bundled = package(u32::from(graph.out_degree(v) > 0));
+    if bundled.cost <= binv {
+        return Some(bundled);
+    }
+    (bundled.coupons == 1 && data.seed_cost(v) <= binv).then(|| package(0))
+}
+
+/// The original pivot-source queue (Alg. 1 lines 1–9): every user's
+/// [`seed_package`] at `binv`, evaluated and heap-pushed per campaign. The
+/// order oracle of `s3crm_core::pivot::PivotList`'s cursor (pinned by
+/// `tests/pivot_order.rs`) and the queue of
+/// [`investment_deployment_reference`].
+#[derive(Debug)]
+pub struct PivotQueue {
+    heap: BinaryHeap<SeedPackage>,
+}
+
+impl PivotQueue {
+    /// Build the queue for the whole network under budget `binv`.
+    pub fn build(graph: &CsrGraph, data: &NodeData, binv: f64) -> Self {
+        let heap = graph
+            .nodes()
+            .filter_map(|v| seed_package(graph, data, v, binv))
+            .collect();
+        PivotQueue { heap }
+    }
+
+    /// Pop the best remaining package.
+    pub fn pop(&mut self) -> Option<SeedPackage> {
+        self.heap.pop()
     }
 }
 
