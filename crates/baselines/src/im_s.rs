@@ -13,6 +13,7 @@ use crate::im::{greedy_seed_ranking, ImConfig};
 use osn_graph::shortest_path::dijkstra_one_minus_p;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::WorldCache;
+use osn_propagation::Ledger;
 use s3crm_core::deployment::Deployment;
 use s3crm_core::objective;
 
@@ -68,23 +69,19 @@ pub fn im_s(graph: &CsrGraph, data: &NodeData, binv: f64, cfg: &ImConfig) -> Dep
         .collect();
 
     // Uniform rounds: +1 coupon to every path user per round while the
-    // budget holds.
+    // budget holds, on one ledger (rounds only add coupons); after `r`
+    // accepted rounds each path user holds min(r, out-degree) coupons.
+    let mut ledger = Ledger::new(graph, data, &dep.seeds, &dep.coupons);
+    let mut rounds = 0;
     loop {
-        let mut trial = dep.clone();
-        let mut grew = false;
-        for &v in &path_users {
-            if trial.add_coupons(graph, v, 1) > 0 {
-                grew = true;
-            }
+        let added: u32 = path_users.iter().map(|&v| ledger.add_coupons(v, 1)).sum();
+        if added == 0 || !objective::fits_budget(ledger.seed_cost() + ledger.sc_cost(), binv) {
+            break; // every path user is saturated, or the round broke the budget
         }
-        if !grew {
-            break; // every path user is saturated
-        }
-        if objective::evaluate(graph, data, &trial).within_budget(binv) {
-            dep = trial;
-        } else {
-            break;
-        }
+        rounds += 1;
+    }
+    for &v in &path_users {
+        dep.add_coupons(graph, v, rounds);
     }
     dep
 }

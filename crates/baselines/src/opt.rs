@@ -12,12 +12,18 @@
 //!   optimistic redemption-rate bound (unconstrained downstream gains over
 //!   the current cost).
 //!
+//! Each seed set's search walks one [`SpreadEngine`]: a child is its parent
+//! plus one coupon, and a backtrack retrieves it. A maintained engine is
+//! bit-identical to a fresh build, so every value is `objective::evaluate`'s.
+//!
 //! The search is exact relative to its configured support caps; on
 //! instances small enough for the caps not to bind (every unit test here,
 //! and the Fig. 10 sizes with the defaults) it returns the true optimum.
 
 use osn_graph::traversal::bfs_hops;
 use osn_graph::{CsrGraph, NodeData, NodeId};
+use osn_propagation::spread::standalone_package;
+use osn_propagation::{BenefitEstimator, SpreadEngine};
 use s3crm_core::deployment::Deployment;
 use s3crm_core::objective::{self, ObjectiveValue};
 
@@ -59,8 +65,13 @@ pub fn exhaustive_opt(
     cfg: &OptConfig,
 ) -> (Deployment, ObjectiveValue) {
     let n = graph.node_count();
-    let mut best_dep = Deployment::empty(n);
-    let mut best_value = ObjectiveValue::default();
+    let mut search = Search {
+        graph,
+        data,
+        binv,
+        cfg,
+        best: (Deployment::empty(n), ObjectiveValue::default()),
+    };
 
     // Affordable seeds ranked by standalone package rate, trimmed to the
     // configured pool.
@@ -68,12 +79,7 @@ pub fn exhaustive_opt(
         .nodes()
         .filter(|&v| data.seed_cost(v) <= binv)
         .map(|v| {
-            let (b, c) = osn_propagation::spread::standalone_package(
-                graph,
-                data,
-                v,
-                u32::from(graph.out_degree(v) > 0),
-            );
+            let (b, c) = standalone_package(graph, data, v, u32::from(graph.out_degree(v) > 0));
             (if c > 0.0 { b / c } else { 0.0 }, v)
         })
         .collect();
@@ -85,9 +91,6 @@ pub fn exhaustive_opt(
     enumerate_subsets(&affordable, cfg.max_seeds, &mut seed_sets);
 
     for seeds in seed_sets {
-        if seeds.is_empty() {
-            continue;
-        }
         let seed_cost: f64 = seeds.iter().map(|&s| data.seed_cost(s)).sum();
         if seed_cost > binv {
             continue;
@@ -95,27 +98,12 @@ pub fn exhaustive_opt(
         // Coupon support: two-hop neighborhood, trimmed by potential.
         let support = coupon_support(graph, data, &seeds, cfg.support_width);
 
-        // DFS over allocations.
-        let mut dep = Deployment {
-            seeds: seeds.clone(),
-            coupons: vec![0; n],
-        };
-        let value = objective::evaluate(graph, data, &dep);
-        allocate(
-            graph,
-            data,
-            binv,
-            cfg,
-            &support,
-            0,
-            0,
-            value,
-            &mut dep,
-            &mut best_dep,
-            &mut best_value,
-        );
+        // DFS over allocations, walking one engine from zero coupons.
+        let mut engine = SpreadEngine::new(graph, data, &seeds, &vec![0; n]);
+        let value = objective::value_from_estimator(&engine);
+        search.allocate(&support, 0, 0, value, &mut engine);
     }
-    (best_dep, best_value)
+    search.best
 }
 
 /// All non-empty subsets of `pool` with at most `max` elements.
@@ -165,71 +153,66 @@ fn coupon_support(
     cand.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Branch-and-bound over the coupons of `support[idx..]`; `value` is
-/// `dep`'s objective.
-#[allow(clippy::too_many_arguments)]
-fn allocate(
-    graph: &CsrGraph,
-    data: &NodeData,
+/// The exact search over one instance: its budget and caps, and the best
+/// deployment found so far with its objective.
+struct Search<'a> {
+    graph: &'a CsrGraph,
+    data: &'a NodeData,
     binv: f64,
-    cfg: &OptConfig,
-    support: &[NodeId],
-    idx: usize,
-    used: u32,
-    value: ObjectiveValue,
-    dep: &mut Deployment,
-    best_dep: &mut Deployment,
-    best_value: &mut ObjectiveValue,
-) {
-    if !value.within_budget(binv) {
-        return; // costs only grow along this branch
-    }
-    if value.rate > best_value.rate {
-        *best_value = value;
-        *best_dep = dep.clone();
-    }
-    if idx >= support.len() || used >= cfg.max_total_coupons {
-        return;
-    }
-    // Optimistic bound: every remaining coupon could add at most the
-    // instance's best single-hop gain at zero additional cost.
-    let remaining = (cfg.max_total_coupons - used) as f64;
-    let max_b = data.benefits().iter().fold(0.0f64, |a, &b| a.max(b));
-    let optimistic =
-        (value.benefit + remaining * max_b) / value.total_cost().max(f64::MIN_POSITIVE);
-    if value.total_cost() > 0.0 && optimistic <= best_value.rate {
-        return;
-    }
+    cfg: &'a OptConfig,
+    best: (Deployment, ObjectiveValue),
+}
 
-    let node = support[idx];
-    let cap = cfg
-        .max_coupons_per_node
-        .min(graph.out_degree(node) as u32)
-        .min(cfg.max_total_coupons - used);
-    // k = 0 first keeps the search finding sparse optima early. That child
-    // is `dep` unchanged, so it reuses `value`.
-    for k in 0..=cap {
-        dep.coupons[node.index()] = k;
-        let child = if k == 0 {
-            value
-        } else {
-            objective::evaluate(graph, data, dep)
-        };
-        allocate(
-            graph,
-            data,
-            binv,
-            cfg,
-            support,
-            idx + 1,
-            used + k,
-            child,
-            dep,
-            best_dep,
-            best_value,
-        );
+impl Search<'_> {
+    /// Branch-and-bound over the coupons of `support[idx..]`; `value` is the
+    /// objective of `engine`'s deployment, which is the same again on
+    /// return.
+    fn allocate(
+        &mut self,
+        support: &[NodeId],
+        idx: usize,
+        used: u32,
+        value: ObjectiveValue,
+        engine: &mut SpreadEngine,
+    ) {
+        if !value.within_budget(self.binv) {
+            return; // costs only grow along this branch
+        }
+        if value.rate > self.best.1.rate {
+            self.best = (Deployment::from(engine.ledger()), value);
+        }
+        let cfg = self.cfg;
+        if idx >= support.len() || used >= cfg.max_total_coupons {
+            return;
+        }
+        // Optimistic bound: every remaining coupon could add at most the
+        // instance's best single-hop gain at zero additional cost.
+        let remaining = (cfg.max_total_coupons - used) as f64;
+        let max_b = self.data.benefits().iter().fold(0.0f64, |a, &b| a.max(b));
+        let optimistic =
+            (value.benefit + remaining * max_b) / value.total_cost().max(f64::MIN_POSITIVE);
+        if value.total_cost() > 0.0 && optimistic <= self.best.1.rate {
+            return;
+        }
+
+        let node = support[idx];
+        let cap = cfg
+            .max_coupons_per_node
+            .min(self.graph.out_degree(node) as u32)
+            .min(cfg.max_total_coupons - used);
+        // k = 0 first keeps the search finding sparse optima early. That
+        // child is the deployment unchanged, so it reuses `value`; each later
+        // child is one coupon more at `node`.
+        let mut child = value;
+        for k in 0..=cap {
+            if k > 0 {
+                engine.add_coupons(node, 1);
+                child = objective::value_from_estimator(engine);
+            }
+            self.allocate(support, idx + 1, used + k, child, engine);
+        }
+        engine.remove_coupons(node, cap);
     }
-    dep.coupons[node.index()] = 0;
 }
 
 #[cfg(test)]

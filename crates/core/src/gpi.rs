@@ -89,24 +89,20 @@ impl GpForest {
     /// Returned as `(node, K̂_j)` pairs for members with `K̂_j > 0`.
     pub fn allocation(&self, visit_index: usize) -> Vec<(NodeId, u32)> {
         let level = self.visits[visit_index].level;
-        let mut in_set = vec![false; self.visits.len()];
-        for (i, v) in self.visits[..=visit_index].iter().enumerate() {
-            in_set[i] = v.level <= level;
-        }
-        let mut counts = vec![0u32; self.visits.len()];
-        for (i, v) in self.visits[..=visit_index].iter().enumerate() {
-            if !in_set[i] {
-                continue;
-            }
+        let visits = &self.visits[..=visit_index];
+        // A member's parent is an earlier, shallower visit, so a member too:
+        // only members get counts.
+        let mut counts = vec![0u32; visits.len()];
+        for v in visits.iter().filter(|v| v.level <= level) {
             if let Some(p) = v.parent {
                 counts[p] += 1;
             }
         }
-        self.visits[..=visit_index]
+        visits
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| in_set[i] && counts[i] > 0)
-            .map(|(i, v)| (v.node, counts[i]))
+            .zip(counts)
+            .filter(|&(_, k)| k > 0)
+            .map(|(v, k)| (v.node, k))
             .collect()
     }
 

@@ -34,11 +34,16 @@ impl ObjectiveValue {
         self.seed_cost + self.sc_cost
     }
 
-    /// Whether the deployment fits budget `binv` (with a small tolerance for
-    /// floating-point accumulation).
+    /// Whether the deployment fits budget `binv` ([`fits_budget`]).
     pub fn within_budget(&self, binv: f64) -> bool {
-        self.total_cost() <= binv * (1.0 + 1e-9) + 1e-12
+        fits_budget(self.total_cost(), binv)
     }
+}
+
+/// Whether a total cost fits budget `binv`, with a small tolerance for
+/// floating-point accumulation.
+pub fn fits_budget(total_cost: f64, binv: f64) -> bool {
+    total_cost <= binv * (1.0 + 1e-9) + 1e-12
 }
 
 /// Evaluate a deployment's objective analytically, on a freshly built

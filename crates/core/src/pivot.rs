@@ -76,9 +76,17 @@ struct Ranked {
 }
 
 impl Ranked {
-    /// User `v`'s standalone package with `coupons` bundled.
+    /// User `v`'s standalone package with `coupons` bundled; a bare seed folds
+    /// `standalone_package(.., 0)`'s `0.0 ×` terms, same bits, sans `q` vector.
     fn evaluate(graph: &CsrGraph, data: &NodeData, v: NodeId, coupons: u32, shadow: f64) -> Self {
-        let (benefit, cost) = standalone_package(graph, data, v, coupons);
+        let (benefit, cost) = match coupons {
+            0 => graph
+                .ranked_out(v)
+                .fold((data.benefit(v), data.seed_cost(v)), |(b, c), (t, _)| {
+                    (b + 0.0 * data.benefit(t), c + 0.0 * data.sc_cost(t))
+                }),
+            k => standalone_package(graph, data, v, k),
+        };
         Ranked {
             node: v,
             coupons,

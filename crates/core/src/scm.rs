@@ -20,6 +20,10 @@
 //! deployment strictly improves the global redemption rate within budget —
 //! otherwise every tentative operation for that path is rolled back
 //! (Alg. 1 lines 37–38).
+//!
+//! Plans run on the phase's one live [`SpreadEngine`] and a rollback undoes
+//! their `(donor, receiver)` moves in reverse order. A maintained engine is
+//! bit-identical to a fresh build, so an undone plan leaves no trace.
 
 use crate::deployment::Deployment;
 use crate::gpi::GpForest;
@@ -34,9 +38,9 @@ pub struct ScmStats {
     pub paths_created: usize,
     /// Total coupons moved by committed maneuvers.
     pub coupons_moved: u64,
-    /// Spread-engine effort spent planning and committing maneuvers
-    /// (tentative plans included, the initial engine build excluded — a
-    /// no-op SCM phase reports zeros).
+    /// Spread-engine effort of every plan's moves, committed or not. Undo
+    /// moves and the initial engine build are not counted (a no-op SCM
+    /// phase reports zeros), as if each plan ran on its own engine copy.
     pub eval: EngineCounters,
 }
 
@@ -51,9 +55,9 @@ struct Candidate {
 /// statistics. SCM runs on the exact analytic [`SpreadEngine`]: maneuver
 /// planning is dominated by O(deg) removal probes, which the engine serves
 /// from cached holder DPs, so there is nothing for a sampling backend to
-/// speed up here. The engine's ledger is the live deployment; a tentative
-/// plan runs on an engine clone and is committed only when its objective
-/// strictly improves within budget.
+/// speed up here. The engine's ledger is the live deployment; a plan moves
+/// coupons on it and stays only when its objective strictly improves within
+/// budget, else its moves are undone in reverse order.
 pub fn sc_maneuver(
     graph: &CsrGraph,
     data: &NodeData,
@@ -63,11 +67,13 @@ pub fn sc_maneuver(
     max_paths: usize,
 ) -> (ObjectiveValue, ScmStats) {
     let mut stats = ScmStats::default();
-    // Tentative plans run on clones (which reuse every cached holder DP),
-    // so no maneuver ever re-evaluates the spread from scratch.
+    // One engine for the whole phase: plans move coupons on it and undo
+    // the moves when rejected, so no maneuver re-evaluates from scratch.
     let mut engine = SpreadEngine::new(graph, data, &dep.seeds, &dep.coupons);
     let mut current = objective::value_from_estimator(&engine);
     let mut scratch = DeltaScratch::default();
+    let mut target = vec![0u32; graph.node_count()];
+    let mut moves = Vec::new();
 
     let mut candidates = collect_candidates(forests, &engine, &current);
     // Descending amelioration index (Alg. 1 line 26).
@@ -84,22 +90,25 @@ pub fn sc_maneuver(
         if !parent_unfunded(forest, cand.visit_index, engine.ledger().coupons()) {
             continue;
         }
-        let beta = cand.amelioration;
-        if let Some((tentative, moved)) = plan_maneuver(
+        if !plan_maneuver(
             forest,
             cand.visit_index,
-            beta,
-            &engine,
+            cand.amelioration,
+            &mut engine,
+            &mut target,
+            &mut moves,
             &mut scratch,
             &mut stats.eval,
         ) {
-            let value = objective::value_from_estimator(&tentative);
-            if value.rate > current.rate * (1.0 + 1e-12) && value.within_budget(binv) {
-                engine = tentative;
-                current = value;
-                stats.paths_created += 1;
-                stats.coupons_moved += moved;
-            }
+            continue;
+        }
+        let value = objective::value_from_estimator(&engine);
+        if value.rate > current.rate * (1.0 + 1e-12) && value.within_budget(binv) {
+            current = value;
+            stats.paths_created += 1;
+            stats.coupons_moved += moves.len() as u64;
+        } else {
+            undo(&mut engine, &moves);
         }
     }
     if stats.paths_created > 0 {
@@ -176,73 +185,66 @@ fn nearest_activated_ascendant(
 }
 
 /// Try to fund the GP at `visit_index` by retrieving coupons from minimum-DI
-/// donors (Alg. 3). Returns the funded tentative engine and the number of
-/// coupons moved, or `None` when the deficit cannot be sourced under the
-/// `Id < β` gate. Engine effort — whether or not the plan survives —
-/// accumulates into `eval`.
-fn plan_maneuver<'a>(
+/// donors (Alg. 3), recording each `(donor, receiver)` move on the live
+/// `engine` in `moves`. Returns whether a deficit was fully moved; if not,
+/// the moves are undone. Their engine effort, funded or not, accumulates
+/// into `eval`. `target` is all zeros on entry and on return.
+#[allow(clippy::too_many_arguments)]
+fn plan_maneuver(
     forest: &GpForest,
     visit_index: usize,
     beta: f64,
-    base_engine: &SpreadEngine<'a>,
+    engine: &mut SpreadEngine,
+    target: &mut [u32],
+    moves: &mut Vec<(NodeId, NodeId)>,
     scratch: &mut DeltaScratch,
     eval: &mut EngineCounters,
-) -> Option<(SpreadEngine<'a>, u64)> {
-    // Receiver targets: the GP's K̂ allocation.
+) -> bool {
+    moves.clear();
+    // Receiver targets: the GP's K̂ allocation, filled in GP member order
+    // (ascendants first — Alg. 3 fills from the nearest activated ascendant
+    // downward). A receiver never exceeds its target, so it is never a
+    // donor, and a donor never drops below its own.
     let allocation = forest.allocation(visit_index);
-    let coupons = base_engine.ledger().coupons();
-    let mut target = vec![0u32; coupons.len()];
     for &(node, k) in &allocation {
         target[node.index()] = k;
     }
-    // Deficits in GP member order (ascendants first — Alg. 3 fills from the
-    // nearest activated ascendant downward).
-    let mut receivers: Vec<NodeId> = Vec::new();
-    let mut deficit_total = 0u64;
-    for &(node, k) in &allocation {
-        let have = coupons[node.index()];
-        if k > have {
-            receivers.push(node);
-            deficit_total += (k - have) as u64;
+    let before = engine.counters();
+    let funded = allocation.iter().all(|&(receiver, k)| {
+        while engine.ledger().coupons()[receiver.index()] < k {
+            // Pick the minimum-DI donor under the tentative allocation. The
+            // receiver takes its coupon first, so a receiver saturated by
+            // out-degree (an infeasible path) strands no donor coupon; a
+            // funded move's state and counters do not depend on the order.
+            let Some(donor) = best_donor(engine, target, beta, scratch) else {
+                return false;
+            };
+            if engine.add_coupons(receiver, 1).0 == 0 {
+                return false;
+            }
+            engine.remove_coupons(donor, 1);
+            moves.push((donor, receiver));
         }
+        true
+    });
+    *eval = eval.merged(&engine.counters().since(&before));
+    for &(node, _) in &allocation {
+        target[node.index()] = 0;
     }
-    if deficit_total == 0 {
-        return None; // already funded; nothing to maneuver
+    if !funded {
+        undo(engine, moves);
     }
+    // An already funded path has nothing to maneuver.
+    funded && !moves.is_empty()
+}
 
-    let mut engine = base_engine.clone();
-    let counters_at_clone = engine.counters();
-    let mut moved = 0u64;
-    let mut recv_idx = 0usize;
-    let outcome = loop {
-        if moved >= deficit_total {
-            break Some(moved);
-        }
-        // Advance to the next receiver still below target.
-        while recv_idx < receivers.len()
-            && engine.ledger().coupons()[receivers[recv_idx].index()]
-                >= target[receivers[recv_idx].index()]
-        {
-            recv_idx += 1;
-        }
-        let Some(&receiver) = receivers.get(recv_idx) else {
-            break None;
-        };
-
-        // Pick the donor with minimum deterioration index under the current
-        // tentative allocation.
-        let Some(donor) = best_donor(&engine, &target, beta, scratch) else {
-            break None;
-        };
-        engine.remove_coupons(donor, 1);
-        let (added, _) = engine.add_coupons(receiver, 1);
-        if added == 0 {
-            break None; // receiver saturated by out-degree; path infeasible
-        }
-        moved += 1;
-    };
-    *eval = eval.merged(&engine.counters().since(&counters_at_clone));
-    outcome.map(|moved| (engine, moved))
+/// Undo `moves` in reverse order: each receiver hands its coupon back to
+/// its donor.
+fn undo(engine: &mut SpreadEngine, moves: &[(NodeId, NodeId)]) {
+    for &(donor, receiver) in moves.iter().rev() {
+        engine.remove_coupons(receiver, 1);
+        engine.add_coupons(donor, 1);
+    }
 }
 
 /// Donor with minimal DI among nodes holding spare coupons (allocation above

@@ -102,6 +102,10 @@
 //! arbitrary move sequences on cyclic graphs, and `tests/determinism.rs`
 //! pins the downstream consequence: byte-identical CSVs.
 //!
+//! So a move and its inverse leave the bits of no move, probes included
+//! (`undone_moves_restore_state_and_probes`): OPT backtracks by retrieval,
+//! SC Maneuver undoes rejected plans, and IM-S extends one [`Ledger`].
+//!
 //! ## World storage and sampling
 //!
 //! [`WorldCache::sample`] generates worlds by **geometric skip sampling**:

@@ -111,6 +111,34 @@ fn assert_engine_is_fresh(engine: &SpreadEngine<'_>, graph: &CsrGraph, data: &No
     );
 }
 
+/// Everything an undo must restore, floats as bits: the spread order, then
+/// the benefit, both costs and, per node, the activation probability, the
+/// subtree gain and both probes' `(ΔB, ΔC)`.
+fn engine_bits(engine: &SpreadEngine<'_>) -> (Vec<NodeId>, Vec<u64>) {
+    let ledger = engine.ledger();
+    let mut bits = vec![
+        engine.expected_benefit().to_bits(),
+        ledger.seed_cost().to_bits(),
+        ledger.sc_cost().to_bits(),
+    ];
+    let mut scratch = DeltaScratch::default();
+    for i in 0..DG_N {
+        let v = NodeId(i as u32);
+        let (add_b, add_c) = engine.coupon_add_delta(v, &mut scratch);
+        let (rem_b, rem_c) = engine.coupon_removal_delta(v, &mut scratch);
+        let node = [
+            engine.active_prob()[i],
+            engine.subtree_gain()[i],
+            add_b,
+            add_c,
+            rem_b,
+            rem_c,
+        ];
+        bits.extend(node.map(f64::to_bits));
+    }
+    (engine.order().to_vec(), bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -418,6 +446,58 @@ proptest! {
             before.expected_benefit().to_bits(),
             engine.expected_benefit().to_bits()
         );
+    }
+
+    /// Undo is exact: after a random prefix of moves, a random run of coupon
+    /// grants and retrievals followed by their inverses in reverse order
+    /// leaves the engine's state and every node's add and removal probes
+    /// with the bits they had before the run. The search loops (OPT's
+    /// backtrack, SC Maneuver's rejected plans) rely on this.
+    #[test]
+    fn undone_moves_restore_state_and_probes(
+        edges in digraph_strategy(),
+        prefix in moves_strategy(),
+        run in proptest::collection::vec((0u8..2, 0u32..DG_N as u32, 1u32..4), 1..16),
+        benefits in proptest::collection::vec(0.5f64..4.0, DG_N..DG_N + 1),
+    ) {
+        let g = build_digraph(&edges);
+        let d = NodeData::new(benefits, vec![1.0; DG_N], vec![1.5; DG_N]).unwrap();
+        let mut coupons = vec![0u32; DG_N];
+        coupons[0] = (g.out_degree(NodeId(0)) as u32).min(1);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &coupons);
+        for &(op, node, amount) in &prefix {
+            let v = NodeId(node);
+            match op {
+                0 => drop(engine.add_coupons(v, amount)),
+                1 => drop(engine.add_seed_package(v, amount)),
+                2 => drop(engine.remove_coupons(v, amount)),
+                _ => drop(engine.rebuild()),
+            }
+        }
+        let before = engine_bits(&engine);
+        let coupons_before = engine.ledger().coupons().to_vec();
+        // Each move with the count it actually moved: a grant is capped at
+        // the out-degree, a retrieval at the coupons held.
+        let mut done = Vec::new();
+        for &(op, node, amount) in &run {
+            let (grant, v) = (op == 0, NodeId(node));
+            let moved = if grant {
+                engine.add_coupons(v, amount).0
+            } else {
+                engine.remove_coupons(v, amount).0
+            };
+            done.push((grant, v, moved));
+        }
+        for &(grant, v, moved) in done.iter().rev() {
+            let undone = if grant {
+                engine.remove_coupons(v, moved).0
+            } else {
+                engine.add_coupons(v, moved).0
+            };
+            prop_assert_eq!(undone, moved, "inverse of a move on node {}", v.index());
+        }
+        prop_assert_eq!(engine.ledger().coupons(), &coupons_before[..]);
+        prop_assert_eq!(engine_bits(&engine), before);
     }
 
     /// Every committed move's change report is exact: `probs_changed` and

@@ -1,10 +1,12 @@
 //! Shared helpers for the cross-crate integration tests.
 
+use osn_graph::traversal::bfs_hops;
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
 use osn_propagation::spread::{standalone_package, SpreadState};
 use osn_propagation::{
     expected_sc_cost, redemption_rate, seed_cost, EngineCounters, SimulationStats,
 };
+use s3crm_baselines::opt::OptConfig;
 use s3crm_core::id_phase::{ExploreTracker, IdOutcome, Snapshot};
 use s3crm_core::pivot::SeedPackage;
 use s3crm_core::{Deployment, ObjectiveValue};
@@ -375,4 +377,144 @@ fn next_usable_pivot(queue: &mut PivotQueue, dep: &Deployment) -> Option<SeedPac
         }
     }
     None
+}
+
+/// The original exact OPT search: `s3crm_baselines::opt::exhaustive_opt`'s
+/// seed pool, seed subsets, coupon support and branch-and-bound, with every
+/// child deployment evaluated from scratch by `objective::evaluate`. The
+/// equivalence oracle of the engine-walking search (pinned by
+/// `tests/opt_reference.rs`).
+pub fn exhaustive_opt_reference(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    cfg: &OptConfig,
+) -> (Deployment, ObjectiveValue) {
+    let n = graph.node_count();
+    let mut best = (Deployment::empty(n), ObjectiveValue::default());
+    let mut affordable: Vec<(f64, NodeId)> = graph
+        .nodes()
+        .filter(|&v| data.seed_cost(v) <= binv)
+        .map(|v| {
+            let (b, c) = standalone_package(graph, data, v, u32::from(graph.out_degree(v) > 0));
+            (if c > 0.0 { b / c } else { 0.0 }, v)
+        })
+        .collect();
+    affordable.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("rates are finite"));
+    affordable.truncate(cfg.seed_pool.max(1));
+    let pool: Vec<NodeId> = affordable.into_iter().map(|(_, v)| v).collect();
+
+    let mut seed_sets = Vec::new();
+    seed_subsets(&pool, 0, cfg.max_seeds, &mut Vec::new(), &mut seed_sets);
+    for seeds in seed_sets {
+        if seeds.iter().map(|&s| data.seed_cost(s)).sum::<f64>() > binv {
+            continue;
+        }
+        // Coupon support: two-hop users with friends, by one-step potential.
+        let hops = bfs_hops(graph, &seeds);
+        let mut support: Vec<(f64, NodeId)> = graph
+            .nodes()
+            .filter(|&v| hops[v.index()] <= 2 && graph.out_degree(v) > 0)
+            .map(|v| {
+                (
+                    graph.ranked_out(v).map(|(t, p)| p * data.benefit(t)).sum(),
+                    v,
+                )
+            })
+            .collect();
+        support.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("potentials are finite"));
+        support.truncate(cfg.support_width);
+        let support: Vec<NodeId> = support.into_iter().map(|(_, v)| v).collect();
+
+        let mut dep = Deployment {
+            seeds,
+            coupons: vec![0; n],
+        };
+        let value = s3crm_core::objective::evaluate(graph, data, &dep);
+        let search = OptSearch {
+            graph,
+            data,
+            binv,
+            cfg,
+            support: &support,
+        };
+        search.allocate(0, 0, value, &mut dep, &mut best);
+    }
+    best
+}
+
+/// Non-empty subsets of `pool[start..]` extending `cur`, at most `max` long.
+fn seed_subsets(
+    pool: &[NodeId],
+    start: usize,
+    max: usize,
+    cur: &mut Vec<NodeId>,
+    out: &mut Vec<Vec<NodeId>>,
+) {
+    if !cur.is_empty() {
+        out.push(cur.clone());
+    }
+    if cur.len() == max {
+        return;
+    }
+    for i in start..pool.len() {
+        cur.push(pool[i]);
+        seed_subsets(pool, i + 1, max, cur, out);
+        cur.pop();
+    }
+}
+
+/// One seed set's branch-and-bound in [`exhaustive_opt_reference`].
+struct OptSearch<'a> {
+    graph: &'a CsrGraph,
+    data: &'a NodeData,
+    binv: f64,
+    cfg: &'a OptConfig,
+    support: &'a [NodeId],
+}
+
+impl OptSearch<'_> {
+    /// Enumerate the coupons of `support[idx..]`; `value` is `dep`'s
+    /// objective.
+    fn allocate(
+        &self,
+        idx: usize,
+        used: u32,
+        value: ObjectiveValue,
+        dep: &mut Deployment,
+        best: &mut (Deployment, ObjectiveValue),
+    ) {
+        if !value.within_budget(self.binv) {
+            return;
+        }
+        if value.rate > best.1.rate {
+            *best = (dep.clone(), value);
+        }
+        let cfg = self.cfg;
+        if idx >= self.support.len() || used >= cfg.max_total_coupons {
+            return;
+        }
+        let remaining = (cfg.max_total_coupons - used) as f64;
+        let max_b = self.data.benefits().iter().fold(0.0f64, |a, &b| a.max(b));
+        let optimistic =
+            (value.benefit + remaining * max_b) / value.total_cost().max(f64::MIN_POSITIVE);
+        if value.total_cost() > 0.0 && optimistic <= best.1.rate {
+            return;
+        }
+        let node = self.support[idx];
+        let cap = cfg
+            .max_coupons_per_node
+            .min(self.graph.out_degree(node) as u32)
+            .min(cfg.max_total_coupons - used);
+        for k in 0..=cap {
+            dep.coupons[node.index()] = k;
+            let child = if k == 0 {
+                value
+            } else {
+                s3crm_core::objective::evaluate(self.graph, self.data, dep)
+            };
+            self.allocate(idx + 1, used + k, child, dep, best);
+        }
+        dep.coupons[node.index()] = 0;
+    }
 }
