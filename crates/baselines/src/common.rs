@@ -1,9 +1,9 @@
-//! Shared helpers for the baseline algorithms.
+//! Shared helpers for the baseline algorithms: the greedy IM and PM
+//! baselines' candidate pool and seed cap, and the paper's seed-size sweep.
+//! The coupon side of every seed-only baseline is
+//! [`CouponStrategy::deploy`](crate::strategy::CouponStrategy::deploy).
 
-use osn_graph::{CsrGraph, NodeData, NodeId};
-use s3crm_core::deployment::Deployment;
-
-use crate::strategy::CouponStrategy;
+use osn_graph::{CsrGraph, NodeId};
 
 /// Candidate-pool size of the greedy IM and PM baselines: only this many
 /// highest out-degree users are considered as seeds (see
@@ -30,23 +30,6 @@ pub fn seed_size_sweep(n_nodes: usize) -> Vec<usize> {
     sizes.dedup();
     sizes.retain(|&s| s <= n_nodes);
     sizes
-}
-
-/// Assemble a budget-feasible deployment from a seed prefix and a coupon
-/// strategy: the allocation funds the spread in BFS order until `binv`
-/// runs out (see
-/// [`CouponStrategy::coupons_for_budgeted`](crate::strategy::CouponStrategy::coupons_for_budgeted)).
-pub fn deployment_with_strategy(
-    graph: &CsrGraph,
-    data: &NodeData,
-    binv: f64,
-    seeds: &[NodeId],
-    strategy: CouponStrategy,
-) -> Deployment {
-    Deployment {
-        seeds: seeds.to_vec(),
-        coupons: strategy.coupons_for_budgeted(graph, data, seeds, binv),
-    }
 }
 
 #[cfg(test)]

@@ -14,11 +14,10 @@
 //! The paper then pairs the ranking with a coupon strategy and sweeps the
 //! seed size over `|V|/2^n (n = 0..10)`, keeping the size of maximum
 //! influence among those whose total cost fits `Binv` — all sweep sizes are
-//! scored in one batched pass over the world cache.
+//! scored in one batched pass over the world cache. The costs of the ledger
+//! [`CouponStrategy::deploy`] funds decide feasibility.
 
-use crate::common::{
-    deployment_with_strategy, seed_size_sweep, top_out_degree, CANDIDATE_POOL, MAX_SEEDS,
-};
+use crate::common::{seed_size_sweep, top_out_degree, CANDIDATE_POOL, MAX_SEEDS};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use osn_propagation::world::{WorldCache, WorldRef};
@@ -260,10 +259,9 @@ pub fn best_feasible_prefix_on(
         if size > ranking.len() {
             continue;
         }
-        let dep = deployment_with_strategy(graph, data, binv, &ranking[..size], strategy);
-        let value = objective::evaluate(graph, data, &dep);
-        if value.within_budget(binv) {
-            candidates.push(dep);
+        let ledger = strategy.deploy(graph, data, &ranking[..size], binv);
+        if objective::fits_budget(ledger.seed_cost() + ledger.sc_cost(), binv) {
+            candidates.push(Deployment::from(&ledger));
         }
     }
     if candidates.is_empty() {

@@ -5,7 +5,8 @@
 //!
 //! * [`strategy`] — the two real-world coupon strategies the baselines are
 //!   paired with: **Unlimited** (Uber/Lyft/Hotels.com: `K_i = |N(v_i)|`)
-//!   and **Limited(k)** (Dropbox/Airbnb/Booking.com: `K_i = k`, default 32).
+//!   and **Limited(k)** (Dropbox/Airbnb/Booking.com: `K_i = k`, default
+//!   32), funded under the budget by [`CouponStrategy::deploy`].
 //! * [`im`] — influence maximization (Kempe et al. greedy with CELF lazy
 //!   evaluation over a Monte-Carlo world cache), with the paper's seed-size
 //!   sweep `|V|/2^n, n = 0..10` under the budget constraint → **IM-U**,

@@ -10,10 +10,15 @@
 //! `osn-pool`; per-candidate results come back in pool order, and
 //! the serial reduction keeps the original first-maximum tie-breaking, so
 //! selections are identical at any worker count.
+//!
+//! A trial is [`CouponStrategy::deploy`]'s ledger; a feasible one gets a
+//! fresh [`SpreadEngine`] over it (a new seed re-runs the BFS funding, so
+//! consecutive trials do not differ by engine moves).
 
-use crate::common::{deployment_with_strategy, top_out_degree, CANDIDATE_POOL, MAX_SEEDS};
+use crate::common::{top_out_degree, CANDIDATE_POOL, MAX_SEEDS};
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
+use osn_propagation::{BenefitEstimator, SpreadEngine};
 use s3crm_core::deployment::Deployment;
 use s3crm_core::objective;
 
@@ -57,15 +62,15 @@ pub fn pm_with_strategy_on(
             }
             let mut trial_seeds = seeds.clone();
             trial_seeds.push(cand);
-            let dep = deployment_with_strategy(graph, data, binv, &trial_seeds, strategy);
-            let value = objective::evaluate(graph, data, &dep);
-            if !value.within_budget(binv) {
+            let ledger = strategy.deploy(graph, data, &trial_seeds, binv);
+            let seed_cost = ledger.seed_cost();
+            if !objective::fits_budget(seed_cost + ledger.sc_cost(), binv) {
                 return None;
             }
+            let benefit = SpreadEngine::from_ledger(ledger).expected_benefit();
             // Marginal profit of adding `cand`.
-            let profit_gain =
-                (value.benefit - value.seed_cost) - (current_benefit - current_seed_cost);
-            (profit_gain > 0.0).then_some((profit_gain, value.benefit))
+            let profit_gain = (benefit - seed_cost) - (current_benefit - current_seed_cost);
+            (profit_gain > 0.0).then_some((profit_gain, benefit))
         });
         // Reduce in pool order with strictly-greater comparisons — the same
         // first-maximum tie-breaking as the former serial loop.
@@ -89,7 +94,7 @@ pub fn pm_with_strategy_on(
     if seeds.is_empty() {
         return Deployment::empty(n);
     }
-    deployment_with_strategy(graph, data, binv, &seeds, strategy)
+    Deployment::from(&strategy.deploy(graph, data, &seeds, binv))
 }
 
 #[cfg(test)]

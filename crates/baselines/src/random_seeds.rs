@@ -2,9 +2,8 @@
 //!
 //! Not a paper baseline, but a useful sanity reference: any algorithm worth
 //! reporting should clear it. Picks uniformly random affordable seeds and
-//! pairs them with a coupon strategy under the budget.
+//! funds them with [`CouponStrategy::deploy`] under the budget.
 
-use crate::common::deployment_with_strategy;
 use crate::strategy::CouponStrategy;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 use rand::seq::SliceRandom;
@@ -24,20 +23,21 @@ pub fn random_deployment<R: Rng>(
     let mut order: Vec<NodeId> = graph.nodes().collect();
     order.shuffle(rng);
     let mut seeds: Vec<NodeId> = Vec::new();
+    let mut kept = Deployment::empty(graph.node_count());
     for v in order {
         if data.seed_cost(v) > binv {
             continue;
         }
         seeds.push(v);
-        let dep = deployment_with_strategy(graph, data, binv, &seeds, strategy);
-        if !objective::evaluate(graph, data, &dep).within_budget(binv) {
-            seeds.pop();
+        let ledger = strategy.deploy(graph, data, &seeds, binv);
+        if !objective::fits_budget(ledger.seed_cost() + ledger.sc_cost(), binv) {
             // One miss is not proof that nothing further fits, but random
             // baselines do not need to squeeze the budget; stop here.
             break;
         }
+        kept = Deployment::from(&ledger);
     }
-    deployment_with_strategy(graph, data, binv, &seeds, strategy)
+    kept
 }
 
 #[cfg(test)]

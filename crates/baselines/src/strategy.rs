@@ -4,24 +4,30 @@
 //! with one of the two strategies practiced by real platforms. Both allocate
 //! coupons to every user the spread could reach (activated users forward
 //! coupons), which is exactly the node set reachable from the seeds.
+//! [`CouponStrategy::deploy`] funds them in BFS discovery order from the
+//! seeds until the budget runs out and returns the funded [`Ledger`].
 
-use osn_graph::traversal::reachable_set;
-use osn_graph::{CsrGraph, NodeId};
+use osn_graph::traversal::bfs_order;
+use osn_graph::{CsrGraph, NodeData, NodeId};
+use osn_propagation::Ledger;
 
 /// How a seed-only algorithm allocates coupons.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CouponStrategy {
     /// `K_i = |N(v_i)|` for every reachable user — Uber, Lyft, Hotels.com.
     Unlimited,
-    /// `K_i = k` for every reachable user — Dropbox (k = 32), Airbnb,
-    /// Booking.com.
+    /// `K_i = k` for every reachable user — Dropbox (k =
+    /// [`DROPBOX_CAP`](CouponStrategy::DROPBOX_CAP)), Airbnb, Booking.com.
     Limited(u32),
 }
 
 impl CouponStrategy {
     /// Dropbox's 16 GB / 500 MB = 32-coupon cap, the paper's default for
     /// the limited strategy.
-    pub const DROPBOX: CouponStrategy = CouponStrategy::Limited(32);
+    pub const DROPBOX_CAP: u32 = 32;
+
+    /// The limited strategy at Dropbox's cap.
+    pub const DROPBOX: CouponStrategy = CouponStrategy::Limited(Self::DROPBOX_CAP);
 
     /// Short label used in experiment tables ("U" / "L").
     pub fn suffix(self) -> &'static str {
@@ -31,60 +37,43 @@ impl CouponStrategy {
         }
     }
 
-    /// The coupon vector this strategy induces for seed set `seeds`: every
-    /// node reachable from the seeds receives `k` (capped by out-degree),
-    /// everyone else 0. **Ignores the budget** — use
-    /// [`coupons_for_budgeted`](Self::coupons_for_budgeted) when a `Binv`
-    /// constraint applies.
-    pub fn coupons_for(self, graph: &CsrGraph, seeds: &[NodeId]) -> Vec<u32> {
-        let mut coupons = vec![0u32; graph.node_count()];
-        for v in reachable_set(graph, seeds) {
-            let deg = graph.out_degree(v) as u32;
-            coupons[v.index()] = match self {
-                CouponStrategy::Unlimited => deg,
-                CouponStrategy::Limited(k) => k.min(deg),
-            };
-        }
-        coupons
-    }
-
-    /// Budget-constrained strategy allocation: walk the potential spread in
-    /// BFS order from the seeds, funding each user's strategy allotment
-    /// while the expected SC cost fits `binv − Cseed`, and stop once the
-    /// budget runs out. This is how the paper's baselines spend "total cost
+    /// The funded ledger this strategy induces for `seeds`: fund each
+    /// reachable user's allotment (`|N(v)|` unlimited, `min(k, |N(v)|)`
+    /// limited) in BFS discovery order while its expected SC cost fits
+    /// `binv − Cseed`, and stop once the budget runs out ("total cost
     /// approximately equals Binv in all settings" — an unbudgeted unlimited
-    /// allocation over a giant component would be infeasible for even one
-    /// seed.
-    pub fn coupons_for_budgeted(
+    /// allocation over a giant component is infeasible for even one seed).
+    /// With no budget left after the seeds it holds no coupons. The order is
+    /// the coupon spread's BFS order under the full allotment, as every
+    /// reached user with friends holds a coupon.
+    pub fn deploy<'a>(
         self,
-        graph: &CsrGraph,
-        data: &osn_graph::NodeData,
+        graph: &'a CsrGraph,
+        data: &'a NodeData,
         seeds: &[NodeId],
         binv: f64,
-    ) -> Vec<u32> {
-        use osn_propagation::spread::spread_levels;
-        use osn_propagation::Ledger;
-
-        let n = graph.node_count();
-        let mut ledger = Ledger::new(graph, data, seeds, &vec![0; n]);
+    ) -> Ledger<'a> {
+        let mut ledger = Ledger::new(graph, data, seeds, &vec![0; graph.node_count()]);
         let seed_cost = ledger.seed_cost();
         let mut remaining = binv - seed_cost;
         if remaining <= 0.0 {
-            return vec![0; n];
+            return ledger;
         }
-        let full = self.coupons_for(graph, seeds);
-        let (_, order) = spread_levels(graph, seeds, &full);
-        // Fund each allotment while its Table-I cost term fits. The ledger
-        // keeps every funded holder's term, so the trim loop below
-        // re-totals without a rank-DP sweep: a holder's term depends only
-        // on its own coupon count and the seed mask, so trimming other
-        // nodes never changes it.
+        let order = bfs_order(graph, seeds);
+        let cap = match self {
+            CouponStrategy::Unlimited => u32::MAX,
+            CouponStrategy::Limited(k) => k,
+        };
+        // Fund each allotment (the ledger caps a grant at the out-degree)
+        // while its Table-I cost term fits. The ledger keeps every funded
+        // holder's term, so the trim loop below re-totals without a rank-DP
+        // sweep: a holder's term depends only on its own coupon count and
+        // the seed mask, so trimming other nodes never changes it.
         for &v in &order {
-            let k = full[v.index()];
+            let k = ledger.add_coupons(v, cap);
             if k == 0 {
                 continue;
             }
-            ledger.add_coupons(v, k);
             let local = ledger.holder(v).expect("just funded").local_cost;
             if local <= remaining {
                 remaining -= local;
@@ -104,7 +93,7 @@ impl CouponStrategy {
             };
             ledger.remove_coupons(last, u32::MAX);
         }
-        ledger.coupons().to_vec()
+        ledger
     }
 }
 
@@ -123,80 +112,101 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn data() -> NodeData {
+        NodeData::uniform(6, 1.0, 1.0, 1.0)
+    }
+
+    /// A budget no allotment on [`graph`] can exhaust.
+    const SLACK: f64 = 100.0;
+
     #[test]
     fn unlimited_assigns_out_degree_to_reachable() {
-        let g = graph();
-        let k = CouponStrategy::Unlimited.coupons_for(&g, &[NodeId(0)]);
-        assert_eq!(k, vec![1, 3, 0, 0, 0, 0]);
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::Unlimited.deploy(&g, &d, &[NodeId(0)], SLACK);
+        assert_eq!(ledger.coupons(), &[1, 3, 0, 0, 0, 0]);
     }
 
     #[test]
     fn limited_caps_at_k_and_degree() {
-        let g = graph();
-        let k = CouponStrategy::Limited(2).coupons_for(&g, &[NodeId(0)]);
-        assert_eq!(k, vec![1, 2, 0, 0, 0, 0]);
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::Limited(2).deploy(&g, &d, &[NodeId(0)], SLACK);
+        assert_eq!(ledger.coupons(), &[1, 2, 0, 0, 0, 0]);
     }
 
     #[test]
     fn unreachable_nodes_get_nothing() {
-        let g = graph();
-        let k = CouponStrategy::DROPBOX.coupons_for(&g, &[NodeId(1)]);
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::DROPBOX.deploy(&g, &d, &[NodeId(1)], SLACK);
+        let k = ledger.coupons();
         assert_eq!(k[0], 0, "node 0 is upstream of the seed");
         assert_eq!(k[5], 0, "node 5 is isolated");
         assert_eq!(k[1], 3);
     }
 
     #[test]
+    fn zero_cap_funds_nothing() {
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::Limited(0).deploy(&g, &d, &[NodeId(0)], SLACK);
+        assert!(ledger.coupons().iter().all(|&x| x == 0));
+        assert_eq!(ledger.seeds(), &[NodeId(0)]);
+    }
+
+    #[test]
     fn suffixes() {
         assert_eq!(CouponStrategy::Unlimited.suffix(), "U");
         assert_eq!(CouponStrategy::DROPBOX.suffix(), "L");
+        assert_eq!(CouponStrategy::DROPBOX, CouponStrategy::Limited(32));
     }
 
     #[test]
     fn budgeted_allocation_respects_binv() {
-        use osn_graph::NodeData;
-        let g = graph();
-        let d = NodeData::uniform(6, 1.0, 1.0, 1.0);
+        let (g, d) = (graph(), data());
         // Seed cost 1; each funded node's expected distribution costs
         // 0.5/child. A budget of 1.6 funds node 0 (0.5) but not node 1's
         // three children (1.5 expected).
-        let k = CouponStrategy::Unlimited.coupons_for_budgeted(&g, &d, &[NodeId(0)], 1.6);
+        let ledger = CouponStrategy::Unlimited.deploy(&g, &d, &[NodeId(0)], 1.6);
+        let k = ledger.coupons();
         assert_eq!(k[0], 1, "first spread node funded");
         assert_eq!(k[1], 0, "second node exceeds the budget");
-        let total = osn_propagation::expected_sc_cost(&g, &d, &[NodeId(0)], &k) + 1.0;
+        let total = osn_propagation::expected_sc_cost(&g, &d, &[NodeId(0)], k) + 1.0;
         assert!(total <= 1.6 + 1e-9);
     }
 
     #[test]
     fn budgeted_allocation_cached_totals_match_expected_sc_cost() {
-        use osn_graph::NodeData;
         // The cached-local re-total that drives the trim loop must agree
         // with the from-scratch cost function on the final allocation —
         // bitwise, since budget comparisons hinge on exact values.
-        let g = graph();
-        let d = NodeData::uniform(6, 1.0, 1.0, 1.0);
-        for binv in [1.2, 1.6, 2.3, 3.1, 100.0] {
-            let k = CouponStrategy::Unlimited.coupons_for_budgeted(&g, &d, &[NodeId(0)], binv);
-            let total = osn_propagation::expected_sc_cost(&g, &d, &[NodeId(0)], &k) + 1.0;
-            assert!(total <= binv * (1.0 + 1e-9), "Binv {binv}: total {total}");
+        let (g, d) = (graph(), data());
+        for binv in [1.2, 1.6, 2.3, 3.1, SLACK] {
+            let ledger = CouponStrategy::Unlimited.deploy(&g, &d, &[NodeId(0)], binv);
+            let sc = osn_propagation::expected_sc_cost(&g, &d, &[NodeId(0)], ledger.coupons());
+            assert_eq!(ledger.sc_cost().to_bits(), sc.to_bits(), "Binv {binv}");
+            assert!(
+                sc + 1.0 <= binv * (1.0 + 1e-9),
+                "Binv {binv}: total {}",
+                sc + 1.0
+            );
         }
     }
 
     #[test]
     fn budgeted_allocation_funds_everything_with_slack() {
-        use osn_graph::NodeData;
-        let g = graph();
-        let d = NodeData::uniform(6, 1.0, 1.0, 1.0);
-        let k = CouponStrategy::Unlimited.coupons_for_budgeted(&g, &d, &[NodeId(0)], 100.0);
-        assert_eq!(k, CouponStrategy::Unlimited.coupons_for(&g, &[NodeId(0)]));
+        // With slack every reachable user gets the full allotment, at the
+        // from-scratch cost of that allotment.
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::Unlimited.deploy(&g, &d, &[NodeId(0)], SLACK);
+        let full = [1, 3, 0, 0, 0, 0];
+        assert_eq!(ledger.coupons(), &full);
+        let sc = osn_propagation::expected_sc_cost(&g, &d, &[NodeId(0)], &full);
+        assert_eq!(ledger.sc_cost().to_bits(), sc.to_bits());
     }
 
     #[test]
     fn budgeted_allocation_is_empty_when_seeds_eat_the_budget() {
-        use osn_graph::NodeData;
-        let g = graph();
-        let d = NodeData::uniform(6, 1.0, 1.0, 1.0);
-        let k = CouponStrategy::Unlimited.coupons_for_budgeted(&g, &d, &[NodeId(0)], 1.0);
-        assert!(k.iter().all(|&x| x == 0));
+        let (g, d) = (graph(), data());
+        let ledger = CouponStrategy::Unlimited.deploy(&g, &d, &[NodeId(0)], 1.0);
+        assert!(ledger.coupons().iter().all(|&x| x == 0));
+        assert_eq!(ledger.seed_cost(), 1.0);
     }
 }

@@ -17,6 +17,7 @@ use osn_gen::seeded_rng;
 use osn_gen::weights::{assign_weights, WeightModel};
 use osn_graph::{CsrGraph, NodeData};
 use s3crm_baselines::opt::{exhaustive_opt, OptConfig};
+use s3crm_baselines::strategy::CouponStrategy;
 use s3crm_core::bounds::approximation_ratio;
 
 /// The small-network size of the paper's Sec. VI-D.
@@ -64,7 +65,14 @@ pub fn average_vs_opt(margins: &[f64], trials: usize, effort: &Effort) -> Table 
         let mut bound_sum = 0.0;
         for t in 0..trials {
             let (graph, data, binv) = small_instance(margin, effort.seed + t as u64);
-            let rows = evaluate_all(&graph, &data, binv, &Algorithm::PAPER_SET, 32, effort);
+            let rows = evaluate_all(
+                &graph,
+                &data,
+                binv,
+                &Algorithm::PAPER_SET,
+                CouponStrategy::DROPBOX_CAP,
+                effort,
+            );
             for (s, r) in sums.iter_mut().zip(rows.iter()) {
                 *s += r.report.redemption_rate;
             }

@@ -17,6 +17,7 @@ use crate::table::{num, Table};
 use osn_gen::attrs::calibrate_lambda;
 use osn_gen::DatasetProfile;
 use osn_graph::{CsrGraph, NodeData};
+use s3crm_baselines::strategy::CouponStrategy;
 
 /// The budget sweep, as multiples of the profile's Table II default.
 pub const BUDGET_FACTORS: [f64; 5] = [0.6, 0.8, 1.0, 1.2, 1.4];
@@ -39,7 +40,14 @@ pub fn rate_and_benefit_sweep(
     let mut benefit = Table::new(benefit_title, &headers_with("Binv"));
     for factor in BUDGET_FACTORS {
         let binv = budget * factor;
-        let rows = evaluate_all(graph, data, binv, &Algorithm::PAPER_SET, 32, effort);
+        let rows = evaluate_all(
+            graph,
+            data,
+            binv,
+            &Algorithm::PAPER_SET,
+            CouponStrategy::DROPBOX_CAP,
+            effort,
+        );
         rate.push_row(row_of(num(binv), &rows, |r| r.report.redemption_rate));
         benefit.push_row(row_of(num(binv), &rows, |r| r.report.expected_benefit));
     }
@@ -74,7 +82,7 @@ pub fn rate_vs_lambda(profile: DatasetProfile, effort: &Effort) -> Table {
             &data,
             base.budget,
             &Algorithm::PAPER_SET,
-            32,
+            CouponStrategy::DROPBOX_CAP,
             effort,
         );
         table.push_row(row_of(num(lambda), &rows, |r| r.report.redemption_rate));
@@ -99,7 +107,7 @@ pub fn running_time(profile: DatasetProfile, budget_factor: f64, effort: &Effort
         &inst.data,
         binv,
         &Algorithm::PAPER_SET,
-        32,
+        CouponStrategy::DROPBOX_CAP,
         effort,
     );
     table.push_row(row_of(num(binv), &rows, |r| r.wall_ms));

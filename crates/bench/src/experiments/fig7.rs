@@ -13,6 +13,7 @@ use crate::scenario::Algorithm;
 use crate::table::{num, Table};
 use osn_gen::attrs::{calibrate_kappa, calibrate_lambda};
 use osn_gen::DatasetProfile;
+use s3crm_baselines::strategy::CouponStrategy;
 
 /// κ sweep of Fig. 7(e)(f).
 pub const KAPPAS: [f64; 4] = [5.0, 10.0, 20.0, 40.0];
@@ -31,7 +32,7 @@ pub fn seed_sc_vs_budget(profile: DatasetProfile, effort: &Effort) -> Table {
             &inst.data,
             binv,
             &Algorithm::PAPER_SET,
-            32,
+            CouponStrategy::DROPBOX_CAP,
             effort,
         );
         table.push_row(row_of(num(binv), &rows));
@@ -54,7 +55,7 @@ pub fn seed_sc_vs_lambda(profile: DatasetProfile, effort: &Effort) -> Table {
             &data,
             base.budget,
             &Algorithm::PAPER_SET,
-            32,
+            CouponStrategy::DROPBOX_CAP,
             effort,
         );
         table.push_row(row_of(num(lambda), &rows));
@@ -77,7 +78,7 @@ pub fn seed_sc_vs_kappa(profile: DatasetProfile, effort: &Effort) -> Table {
             &data,
             base.budget,
             &Algorithm::PAPER_SET,
-            32,
+            CouponStrategy::DROPBOX_CAP,
             effort,
         );
         table.push_row(row_of(num(kappa), &rows));

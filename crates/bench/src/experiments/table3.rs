@@ -22,7 +22,7 @@ pub fn farthest_hops(profiles: &[DatasetProfile], effort: &Effort) -> Table {
             &inst.data,
             inst.budget,
             &Algorithm::TABLE3_SET,
-            32,
+            s3crm_baselines::CouponStrategy::DROPBOX_CAP,
             effort,
         );
         let mut cells = vec![profile.name().to_string()];

@@ -61,6 +61,7 @@ pub fn evaluate_all(
 mod tests {
     use super::*;
     use osn_gen::DatasetProfile;
+    use s3crm_baselines::strategy::CouponStrategy;
 
     #[test]
     fn rows_cover_requested_algorithms() {
@@ -70,7 +71,7 @@ mod tests {
             &inst.data,
             inst.budget,
             &[Algorithm::S3ca, Algorithm::ImU],
-            32,
+            CouponStrategy::DROPBOX_CAP,
             &Effort::micro(),
         );
         assert_eq!(rows.len(), 2);

@@ -74,13 +74,6 @@ impl Algorithm {
             Algorithm::Random => "Random",
         }
     }
-
-    /// The limited-strategy coupon cap used when this algorithm needs one.
-    /// Overridable per experiment (the Fig. 8 case study uses the Airbnb /
-    /// Booking.com allocations instead of Dropbox's 32).
-    pub fn default_limited_cap() -> u32 {
-        32
-    }
 }
 
 /// One algorithm execution: deployment, wall time, optional telemetry.
@@ -243,7 +236,14 @@ pub fn run_sweep(n: usize, grid: &SweepGrid, effort: &Effort) -> Vec<SweepCell> 
         for &algo in &grid.algorithms {
             for &mult in &grid.budget_multipliers {
                 let binv = base_budget * mult;
-                let run = run_algorithm(&graph, &data, binv, algo, 32, effort);
+                let run = run_algorithm(
+                    &graph,
+                    &data,
+                    binv,
+                    algo,
+                    CouponStrategy::DROPBOX_CAP,
+                    effort,
+                );
                 let report = RedemptionReport::compute(
                     &graph,
                     &data,
@@ -365,7 +365,14 @@ mod tests {
             Algorithm::ImS,
             Algorithm::Random,
         ] {
-            let run = run_algorithm(&inst.graph, &inst.data, inst.budget, algo, 32, &effort);
+            let run = run_algorithm(
+                &inst.graph,
+                &inst.data,
+                inst.budget,
+                algo,
+                CouponStrategy::DROPBOX_CAP,
+                &effort,
+            );
             let v = s3crm_core::objective::evaluate(&inst.graph, &inst.data, &run.deployment);
             assert!(
                 v.within_budget(inst.budget),

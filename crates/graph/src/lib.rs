@@ -22,7 +22,7 @@
 //!   walks read it (and the edge's rank) through the forward arrays.
 //! * [`NodeData`] — struct-of-arrays per-node attributes: benefit `b(v)`,
 //!   seed cost `c_seed(v)`, coupon cost `c_sc(v)`.
-//! * [`traversal`] — BFS hop distances from a seed set and reachability.
+//! * [`traversal`] — BFS hop distances and discovery order from a seed set.
 //! * [`shortest_path`] — Dijkstra under the `w(e) = 1 − P(e)` metric used by
 //!   the IM-S baseline (Sec. VI-A).
 //! * [`stats`] — degree distributions and clustering coefficient, used to

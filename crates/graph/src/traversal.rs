@@ -1,11 +1,11 @@
 //! Breadth-first traversals.
 //!
-//! Hop distances from a seed set (OPT's candidate pruning) and
-//! reachability checks (the baselines' coupon strategies).
+//! Hop distances from a seed set (OPT's candidate pruning) and the
+//! discovery order from a seed set (the order in which the baselines'
+//! coupon strategies fund the spread).
 
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;
-use std::collections::VecDeque;
 
 /// Sentinel hop distance for unreachable nodes.
 pub const UNREACHED: u32 = u32::MAX;
@@ -14,19 +14,14 @@ pub const UNREACHED: u32 = u32::MAX;
 /// out-edges. Unreachable nodes get [`UNREACHED`].
 pub fn bfs_hops(graph: &CsrGraph, sources: &[NodeId]) -> Vec<u32> {
     let mut dist = vec![UNREACHED; graph.node_count()];
-    let mut queue = VecDeque::with_capacity(sources.len());
     for &s in sources {
-        if dist[s.index()] == UNREACHED {
-            dist[s.index()] = 0;
-            queue.push_back(s);
-        }
+        dist[s.index()] = 0;
     }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
+    // The first in-edge met in discovery order is a node's BFS tree edge.
+    for u in bfs_order(graph, sources) {
         for &v in graph.out_targets(u) {
             if dist[v.index()] == UNREACHED {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
+                dist[v.index()] = dist[u.index()] + 1;
             }
         }
     }
@@ -34,14 +29,19 @@ pub fn bfs_hops(graph: &CsrGraph, sources: &[NodeId]) -> Vec<u32> {
 }
 
 /// Nodes reachable from `sources` (including the sources), following
-/// out-edges.
-pub fn reachable_set(graph: &CsrGraph, sources: &[NodeId]) -> Vec<NodeId> {
-    let dist = bfs_hops(graph, sources);
-    dist.iter()
-        .enumerate()
-        .filter(|(_, &d)| d != UNREACHED)
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect()
+/// out-edges, in BFS discovery order: the unique sources in input order,
+/// then each dequeued node's undiscovered out-targets in adjacency order.
+pub fn bfs_order(graph: &CsrGraph, sources: &[NodeId]) -> Vec<NodeId> {
+    let mut seen = vec![false; graph.node_count()];
+    let mut first_visit = |v: &NodeId| !std::mem::replace(&mut seen[v.index()], true);
+    let mut order: Vec<NodeId> = sources.iter().copied().filter(&mut first_visit).collect();
+    // `order` is the BFS queue: `order[head..]` are the queued nodes.
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        order.extend(graph.out_targets(u).iter().filter(|v| first_visit(v)));
+    }
+    order
 }
 
 #[cfg(test)]
@@ -73,9 +73,24 @@ mod tests {
     }
 
     #[test]
-    fn reachable_set_includes_sources() {
+    fn bfs_order_includes_sources() {
         let g = chain();
-        let r = reachable_set(&g, &[NodeId(2)]);
+        let r = bfs_order(&g, &[NodeId(2)]);
         assert_eq!(r, vec![NodeId(2), NodeId(3)]);
+    }
+
+    #[test]
+    fn bfs_order_is_discovery_order() {
+        // 3 -> {1, 0}, 1 -> 2; sources 3 then 3 again: duplicates once.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(3, 1, 0.5).unwrap();
+        b.add_edge(3, 0, 0.5).unwrap();
+        b.add_edge(1, 2, 0.5).unwrap();
+        let g = b.build().unwrap();
+        let expect: Vec<NodeId> = std::iter::once(NodeId(3))
+            .chain(g.out_targets(NodeId(3)).iter().copied())
+            .chain([NodeId(2)])
+            .collect();
+        assert_eq!(bfs_order(&g, &[NodeId(3), NodeId(3)]), expect);
     }
 }

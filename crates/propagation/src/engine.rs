@@ -3,7 +3,8 @@
 //! Every analytic benefit in production comes from a [`SpreadEngine`]: the
 //! greedy loops mutate one move by move, and a one-shot evaluation of a
 //! fixed deployment (`s3crm_core::objective::evaluate`) is a freshly built
-//! engine. Its from-scratch test oracle,
+//! engine, or one built over a [`Ledger`] the caller already moved there
+//! ([`SpreadEngine::from_ledger`]). Its from-scratch test oracle,
 //! [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate),
 //! rebuilds everything — BFS levels, eligible-child collection, the
 //! O(deg·k) rank DP per holder, forward/backward passes — for every
@@ -134,9 +135,7 @@ pub struct RefreshDelta {
 /// docs for the maintenance strategy and the bit-identity contract.
 #[derive(Clone, Debug)]
 pub struct SpreadEngine<'a> {
-    graph: &'a CsrGraph,
-    data: &'a NodeData,
-    /// The deployment, its holders' DPs and its exact costs.
+    /// The deployment, its graph and node data, holder DPs and exact costs.
     ledger: Ledger<'a>,
     levels: Vec<Option<u32>>,
     order: Vec<NodeId>,
@@ -165,25 +164,29 @@ pub struct SpreadEngine<'a> {
 }
 
 impl<'a> SpreadEngine<'a> {
-    /// Build the engine for an initial deployment (counted as one full
-    /// rebuild).
+    /// [`from_ledger`](Self::from_ledger) of a fresh [`Ledger`].
     pub fn new(
         graph: &'a CsrGraph,
         data: &'a NodeData,
         seeds: &[NodeId],
         coupons: &[u32],
     ) -> SpreadEngine<'a> {
-        let n = graph.node_count();
+        SpreadEngine::from_ledger(Ledger::new(graph, data, seeds, coupons))
+    }
+
+    /// Build the engine over `ledger`'s deployment, reusing its holders'
+    /// DPs (counted as one full rebuild). Bit-identical to [`new`](Self::new)
+    /// of the same deployment, whatever moves brought the ledger there.
+    pub fn from_ledger(ledger: Ledger<'a>) -> SpreadEngine<'a> {
+        let n = ledger.graph.node_count();
         // Outside the spread every probability is 0 and every gain is the
         // node's own benefit; the refreshes maintain exactly that.
         let mut engine = SpreadEngine {
-            graph,
-            data,
-            ledger: Ledger::new(graph, data, seeds, coupons),
+            subtree_gain: ledger.data.benefits().to_vec(),
+            ledger,
             levels: Vec::new(),
             order: Vec::new(),
             active_prob: vec![0.0; n],
-            subtree_gain: data.benefits().to_vec(),
             expected_benefit: 0.0,
             spread_dists: Vec::new(),
             sorted_members: Vec::new(),
@@ -263,7 +266,7 @@ impl<'a> SpreadEngine<'a> {
         let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
         self.ledger.removal_probe(u, scratch, |v, dq| {
             db += pu * dq * self.subtree_gain[v.index()];
-            dc += dq * self.data.sc_cost(v);
+            dc += dq * self.ledger.data.sc_cost(v);
         });
         (db, dc)
     }
@@ -275,7 +278,8 @@ impl<'a> SpreadEngine<'a> {
     /// Re-derive the spread structure (BFS levels/order and the ordered
     /// distribution list) from the current seeds and coupons.
     fn derive_structure(&mut self) {
-        let (levels, order) = spread_levels(self.graph, self.ledger.seeds(), self.ledger.coupons());
+        let ledger = &self.ledger;
+        let (levels, order) = spread_levels(ledger.graph, ledger.seeds(), ledger.coupons());
         self.levels = levels;
         self.order = order;
         self.spread_dists.clear();
@@ -317,7 +321,7 @@ impl<'a> SpreadEngine<'a> {
         let restructured = structural.then(|| self.restructure_scans());
         let dist_scan = restructured.as_ref().map_or(&self.sorted_dists, |(_, d)| d);
         for &v in dist_scan {
-            self.subtree_gain[v.index()] = self.data.benefit(v);
+            self.subtree_gain[v.index()] = self.ledger.data.benefit(v);
         }
         self.run_passes();
         let (member_scan, dist_scan) = match &restructured {
@@ -356,8 +360,8 @@ impl<'a> SpreadEngine<'a> {
             &mut self.active_prob,
             &mut self.complement,
         );
-        accumulate_gains(&dists, self.data, &mut self.subtree_gain);
-        self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.data);
+        accumulate_gains(&dists, self.ledger.data, &mut self.subtree_gain);
+        self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.ledger.data);
     }
 }
 
@@ -393,7 +397,7 @@ impl BenefitEstimator for SpreadEngine<'_> {
         let (pu, mut db, mut dc) = (self.active_prob[u.index()], 0.0, 0.0);
         self.ledger.add_probe(u, scratch, |v, dq| {
             db += pu * dq * self.subtree_gain[v.index()];
-            dc += dq * self.data.sc_cost(v);
+            dc += dq * self.ledger.data.sc_cost(v);
         });
         (db, dc)
     }
@@ -429,7 +433,7 @@ impl BenefitEstimator for SpreadEngine<'_> {
             // Report every in-neighbor (holder or not — a fresh candidate's
             // k = 0 → 1 probe reads the same child set) so marginal caches
             // invalidate theirs.
-            delta.eligibility_changed = self.graph.in_sources(v).to_vec();
+            delta.eligibility_changed = self.ledger.graph.in_sources(v).to_vec();
         }
         delta
     }

@@ -51,8 +51,8 @@ pub struct DeltaScratch {
 /// One evolving deployment and its exact costs. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Ledger<'a> {
-    graph: &'a CsrGraph,
-    data: &'a NodeData,
+    pub(crate) graph: &'a CsrGraph,
+    pub(crate) data: &'a NodeData,
     seeds: Vec<NodeId>,
     seed_mask: Vec<bool>,
     coupons: Vec<u32>,

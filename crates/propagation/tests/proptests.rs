@@ -70,7 +70,7 @@ fn build_digraph(edges: &[(u32, u32, f64)]) -> CsrGraph {
 /// A random greedy-move script: `(op, node, amount)` triples applied to
 /// the engine and to a mirrored `(seeds, coupons)` pair.
 fn moves_strategy() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
-    proptest::collection::vec((0u8..4, 0u32..DG_N as u32, 1u32..3), 1..12)
+    proptest::collection::vec((0u8..4, 0u32..DG_N as u32, 1u32..4), 1..32)
 }
 
 /// Assert every engine field equals a from-scratch evaluation, bit for bit,
@@ -498,6 +498,38 @@ proptest! {
         }
         prop_assert_eq!(engine.ledger().coupons(), &coupons_before[..]);
         prop_assert_eq!(engine_bits(&engine), before);
+    }
+
+    /// An engine built over a moved ledger is a fresh engine: after any
+    /// script of grants, seed packages and retrievals applied to a bare
+    /// `Ledger`, `SpreadEngine::from_ledger` equals a from-scratch
+    /// evaluation and `SpreadEngine::new` of the same deployment, order,
+    /// benefit, costs and every node's probes, bit for bit. PM builds its
+    /// trial engines this way over `CouponStrategy::deploy`'s ledger.
+    #[test]
+    fn engine_from_moved_ledger_equals_fresh_engine(
+        edges in digraph_strategy(),
+        moves in moves_strategy(),
+    ) {
+        let g = build_digraph(&edges);
+        let d = NodeData::uniform(DG_N, 1.0, 1.0, 1.0);
+        let mut coupons = vec![0u32; DG_N];
+        coupons[0] = (g.out_degree(NodeId(0)) as u32).min(1);
+        let mut ledger = Ledger::new(&g, &d, &[NodeId(0)], &coupons);
+        let mut scratch = DeltaScratch::default();
+        for &(op, node, amount) in &moves {
+            let v = NodeId(node);
+            match op {
+                0 => drop(ledger.add_coupons(v, amount)),
+                1 => drop(ledger.add_seed(v, amount)),
+                2 => drop(ledger.remove_coupons(v, amount)),
+                _ => drop(ledger.add_cost_delta(v, &mut scratch)),
+            }
+        }
+        let fresh = SpreadEngine::new(&g, &d, ledger.seeds(), ledger.coupons());
+        let engine = SpreadEngine::from_ledger(ledger);
+        assert_engine_is_fresh(&engine, &g, &d);
+        prop_assert_eq!(engine_bits(&engine), engine_bits(&fresh));
     }
 
     /// Every committed move's change report is exact: `probs_changed` and

@@ -84,7 +84,7 @@ impl Default for CampaignSpec {
         CampaignSpec {
             algorithm: Algorithm::S3ca,
             budget_mult: 1.0,
-            limited_cap: Algorithm::default_limited_cap(),
+            limited_cap: s3crm_baselines::CouponStrategy::DROPBOX_CAP,
             estimator: EstimatorBackend::Mc,
             epsilon: s3ca.sketch_epsilon,
             delta: s3ca.sketch_delta,

@@ -2,11 +2,14 @@
 
 use osn_graph::traversal::bfs_hops;
 use osn_graph::{CsrGraph, GraphBuilder, NodeData, NodeId};
-use osn_propagation::spread::{standalone_package, SpreadState};
+use osn_propagation::spread::{spread_levels, standalone_package, SpreadState};
 use osn_propagation::{
-    expected_sc_cost, redemption_rate, seed_cost, EngineCounters, SimulationStats,
+    expected_sc_cost, redemption_rate, seed_cost, DeploymentRef, EngineCounters, Ledger, McBackend,
+    SimulationStats,
 };
+use s3crm_baselines::common::{seed_size_sweep, top_out_degree, CANDIDATE_POOL, MAX_SEEDS};
 use s3crm_baselines::opt::OptConfig;
+use s3crm_baselines::strategy::CouponStrategy;
 use s3crm_core::id_phase::{ExploreTracker, IdOutcome, Snapshot};
 use s3crm_core::pivot::SeedPackage;
 use s3crm_core::{Deployment, ObjectiveValue};
@@ -517,4 +520,203 @@ impl OptSearch<'_> {
         }
         dep.coupons[node.index()] = 0;
     }
+}
+
+/// The nodes reachable from `sources` (sources included), ascending: the
+/// reachability pass the baselines' coupon strategies used before they
+/// walked [`osn_graph::traversal::bfs_order`].
+pub fn reachable_set_reference(graph: &CsrGraph, sources: &[NodeId]) -> Vec<NodeId> {
+    let dist = bfs_hops(graph, sources);
+    dist.iter()
+        .enumerate()
+        .filter(|(_, &d)| d != osn_graph::traversal::UNREACHED)
+        .map(|(i, _)| NodeId::from_index(i))
+        .collect()
+}
+
+/// The strategy's unbudgeted coupon vector: every node reachable from the
+/// seeds gets its allotment (`|N(v)|`, or `min(k, |N(v)|)`), everyone
+/// else 0.
+pub fn strategy_coupons_reference(
+    strategy: CouponStrategy,
+    graph: &CsrGraph,
+    seeds: &[NodeId],
+) -> Vec<u32> {
+    let mut coupons = vec![0u32; graph.node_count()];
+    for v in reachable_set_reference(graph, seeds) {
+        let deg = graph.out_degree(v) as u32;
+        coupons[v.index()] = match strategy {
+            CouponStrategy::Unlimited => deg,
+            CouponStrategy::Limited(k) => k.min(deg),
+        };
+    }
+    coupons
+}
+
+/// The strategy's budgeted coupon vector as it was computed before
+/// `CouponStrategy::deploy`: the unbudgeted allotments funded in the coupon
+/// spread's BFS order (`spread_levels` under the full allotment) while
+/// they fit `binv − Cseed`, then trimmed from the back until the exact
+/// cost fits.
+pub fn strategy_coupons_budgeted_reference(
+    strategy: CouponStrategy,
+    graph: &CsrGraph,
+    data: &NodeData,
+    seeds: &[NodeId],
+    binv: f64,
+) -> Vec<u32> {
+    let n = graph.node_count();
+    let mut ledger = Ledger::new(graph, data, seeds, &vec![0; n]);
+    let seed_cost = ledger.seed_cost();
+    let mut remaining = binv - seed_cost;
+    if remaining <= 0.0 {
+        return vec![0; n];
+    }
+    let full = strategy_coupons_reference(strategy, graph, seeds);
+    let (_, order) = spread_levels(graph, seeds, &full);
+    for &v in &order {
+        let k = full[v.index()];
+        if k == 0 {
+            continue;
+        }
+        ledger.add_coupons(v, k);
+        let local = ledger.holder(v).expect("just funded").local_cost;
+        if local <= remaining {
+            remaining -= local;
+        } else {
+            ledger.remove_coupons(v, k);
+            break;
+        }
+    }
+    while ledger.sc_cost() + seed_cost > binv * (1.0 + 1e-9) {
+        let Some(&last) = order.iter().rev().find(|v| ledger.coupons()[v.index()] > 0) else {
+            break;
+        };
+        ledger.remove_coupons(last, u32::MAX);
+    }
+    ledger.coupons().to_vec()
+}
+
+/// The seeds paired with the strategy's budgeted coupons.
+fn strategy_deployment_reference(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    seeds: &[NodeId],
+    strategy: CouponStrategy,
+) -> Deployment {
+    Deployment {
+        seeds: seeds.to_vec(),
+        coupons: strategy_coupons_budgeted_reference(strategy, graph, data, seeds, binv),
+    }
+}
+
+/// `s3crm_baselines::im::best_feasible_prefix_on` as it was before the
+/// strategy returned its ledger: every sweep prefix's deployment is
+/// rebuilt and evaluated from scratch by `objective::evaluate` for its
+/// feasibility, then the feasible ones are scored in one batch.
+pub fn best_feasible_prefix_reference(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    strategy: CouponStrategy,
+    ranking: &[NodeId],
+    backend: &McBackend,
+) -> Deployment {
+    let mut candidates: Vec<Deployment> = Vec::new();
+    for size in seed_size_sweep(graph.node_count()) {
+        if size > ranking.len() {
+            continue;
+        }
+        let dep = strategy_deployment_reference(graph, data, binv, &ranking[..size], strategy);
+        if s3crm_core::objective::evaluate(graph, data, &dep).within_budget(binv) {
+            candidates.push(dep);
+        }
+    }
+    if candidates.is_empty() {
+        return Deployment::empty(graph.node_count());
+    }
+    let unit = NodeData::uniform(graph.node_count(), 1.0, 0.0, 0.0);
+    let ev = backend.evaluator(graph, &unit);
+    let batch: Vec<DeploymentRef<'_>> = candidates.iter().map(DeploymentRef::from).collect();
+    let influences = ev.simulate_batch(&batch);
+    let mut best = 0;
+    for (i, stats) in influences.iter().enumerate().skip(1) {
+        if stats.mean_activated > influences[best].mean_activated {
+            best = i;
+        }
+    }
+    candidates.swap_remove(best)
+}
+
+/// `s3crm_baselines::pm::pm_with_strategy_on` as it was before the
+/// strategy returned its ledger, serially: every trial deployment is
+/// rebuilt and evaluated from scratch by `objective::evaluate`.
+pub fn pm_with_strategy_reference(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    strategy: CouponStrategy,
+) -> Deployment {
+    let pool = top_out_degree(graph, CANDIDATE_POOL);
+    let mut seeds: Vec<NodeId> = Vec::new();
+    let (mut current_benefit, mut current_seed_cost) = (0.0, 0.0);
+    while seeds.len() < MAX_SEEDS {
+        let mut best: Option<(f64, NodeId, f64)> = None;
+        for &cand in &pool {
+            if seeds.contains(&cand) {
+                continue;
+            }
+            let mut trial_seeds = seeds.clone();
+            trial_seeds.push(cand);
+            let dep = strategy_deployment_reference(graph, data, binv, &trial_seeds, strategy);
+            let value = s3crm_core::objective::evaluate(graph, data, &dep);
+            if !value.within_budget(binv) {
+                continue;
+            }
+            let gain = (value.benefit - value.seed_cost) - (current_benefit - current_seed_cost);
+            if gain > 0.0 && best.is_none_or(|(g, _, _)| gain > g) {
+                best = Some((gain, cand, value.benefit));
+            }
+        }
+        let Some((_, cand, benefit)) = best else {
+            break;
+        };
+        seeds.push(cand);
+        current_benefit = benefit;
+        current_seed_cost += data.seed_cost(cand);
+    }
+    if seeds.is_empty() {
+        return Deployment::empty(graph.node_count());
+    }
+    strategy_deployment_reference(graph, data, binv, &seeds, strategy)
+}
+
+/// `s3crm_baselines::random_seeds::random_deployment` as it was before the
+/// strategy returned its ledger: each added seed's deployment is rebuilt
+/// and evaluated from scratch, and the kept seeds' deployment is rebuilt
+/// once more at the end.
+pub fn random_deployment_reference<R: rand::Rng>(
+    graph: &CsrGraph,
+    data: &NodeData,
+    binv: f64,
+    strategy: CouponStrategy,
+    rng: &mut R,
+) -> Deployment {
+    use rand::seq::SliceRandom;
+    let mut order: Vec<NodeId> = graph.nodes().collect();
+    order.shuffle(rng);
+    let mut seeds: Vec<NodeId> = Vec::new();
+    for v in order {
+        if data.seed_cost(v) > binv {
+            continue;
+        }
+        seeds.push(v);
+        let dep = strategy_deployment_reference(graph, data, binv, &seeds, strategy);
+        if !s3crm_core::objective::evaluate(graph, data, &dep).within_budget(binv) {
+            seeds.pop();
+            break;
+        }
+    }
+    strategy_deployment_reference(graph, data, binv, &seeds, strategy)
 }
