@@ -223,21 +223,28 @@ impl CandidateHeap {
         self.rescores += 1;
     }
 
-    fn push_if_positive(&mut self, u: NodeId) {
+    /// `u`'s heap entry from its cached marginal, if that gain is positive.
+    fn entry(&self, u: NodeId) -> Option<HeapEntry> {
         let db = self.db[u.index()];
         if db <= 0.0 {
-            return;
+            return None;
         }
         let dc = self.dc[u.index()];
         let mr = if dc > 0.0 { db / dc } else { f64::MAX };
-        self.heap.push(HeapEntry {
+        Some(HeapEntry {
             mr,
             pos: self.pos[u.index()],
             node: u,
             version: self.version[u.index()],
             db,
             dc,
-        });
+        })
+    }
+
+    fn push_if_positive(&mut self, u: NodeId) {
+        if let Some(e) = self.entry(u) {
+            self.heap.push(e);
+        }
     }
 
     /// In the spread support and holding coupons below the out-degree.
@@ -253,15 +260,18 @@ impl CandidateHeap {
 
     /// Full re-index after a structural change: positions shift, membership
     /// may change, but exact cached marginals of untouched candidates are
-    /// reused as-is. Versions stay: the heap is emptied first, so no stale
-    /// entry survives to be told apart.
+    /// reused as-is. Versions stay: the heap is rebuilt from scratch, so no
+    /// stale entry survives to be told apart. The entries are heapified at
+    /// once; their keys are distinct (one entry per spread position), so
+    /// the pop order is the one pushing them one by one would give.
     fn rebuild_all<E: BenefitEstimator + ?Sized>(
         &mut self,
         est: &E,
         graph: &CsrGraph,
         scratch: &mut DeltaScratch,
     ) {
-        self.heap.clear();
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
         let coupons = est.ledger().coupons();
         for (p, &u) in est.order().iter().enumerate() {
             self.pos[u.index()] = p as u32;
@@ -271,8 +281,9 @@ impl CandidateHeap {
             if !self.scored[u.index()] {
                 self.rescore(est, u, scratch);
             }
-            self.push_if_positive(u);
+            entries.extend(self.entry(u));
         }
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// Fold a committed move's refresh delta into the index: only nodes

@@ -15,7 +15,7 @@
 //! * **Broaden** (one more coupon to a current holder) extends that
 //!   holder's [`RankDp`](crate::rank::RankDp) in O(deg) — the saturating
 //!   coupon-consumption distribution is rolled forward one row instead of
-//!   recomputed — and re-runs only the flat propagation passes.
+//!   recomputed — and refreshes only the dirty cone (below).
 //! * **Deepen / new seed / coupon retrieval** re-derive the spread
 //!   structure (BFS order), but every untouched holder's DP is reused;
 //!   only holders whose eligibility actually changed (in-neighbors of a
@@ -30,26 +30,37 @@
 //! retrieval and its removal probe, which only SC Maneuver uses, are
 //! inherent methods.
 //!
-//! ## Per-move cost: O(spread + targets), not O(|V|)
+//! ## Per-move cost: the dirty cone, or O(spread + targets)
 //!
-//! No pass a move pays touches every node. Outside the spread a node's
-//! probability is 0 and its gain is its own benefit, so a refresh works on
-//! the spread alone: `propagate_activation` zeroes, resets and
-//! Jacobi-updates only the members (precondition: `active_prob` is 0
-//! outside them — a structural refresh first zeroes the nodes that left),
-//! gains reset only on the previous and current distribution holders, and
-//! the exact-bit change report diffs only previous ∪ current members
-//! (probabilities) and holders (gains), in ascending node order. A
-//! non-structural refresh keeps both sets and diffs the current ones
-//! without any copy. [`Ledger::sc_cost`] sums the ledger's holder list,
-//! kept in ascending node order. Structural moves also re-run the spread
-//! BFS, which allocates an n-sized level array.
+//! A **non-structural** move (a broaden, or a retrieval that leaves the
+//! donor relaying: one holder's `q` changed, same spread order, same
+//! distribution list) refreshes only its dirty cone. The engine keeps the
+//! last full pass's record (`spread::PassRecord`) — every stage's probabilities, each
+//! distribution's emit and a position-ordered reverse index — and
+//! re-folds just the probabilities and subtree gains whose inputs changed,
+//! bit-identical to the full passes (see `propagate_activation`). A cone
+//! that grows dense, or a move that changes the number of Jacobi rounds,
+//! falls back to the full passes. The report diffs only the re-folded
+//! nodes; `benefit_sum` stays one in-order pass over the members.
+//!
+//! A **structural** move re-runs the full passes, which touch the spread
+//! alone: outside it a node's probability is 0 and its gain is its own
+//! benefit, so `propagate_activation` zeroes, resets and Jacobi-updates
+//! only the members (precondition: `active_prob` is 0 outside them — a
+//! structural refresh first zeroes the nodes that left), gains reset only
+//! on the previous and current distribution holders, and the exact-bit
+//! change report diffs only previous ∪ current members (probabilities)
+//! and holders (gains), in ascending node order. It also re-runs the
+//! spread BFS, which allocates an n-sized level array, and re-indexes the
+//! record. [`Ledger::sc_cost`] sums the ledger's holder list, kept in
+//! ascending node order.
 //!
 //! Construction is the one O(|V|) step, and the cost of every one-shot
 //! evaluation: it allocates the n-sized arrays, builds every holder with
 //! one allocation per DP (see [`RankDp`](crate::rank::RankDp)), runs the
-//! passes once without a change report (there is nothing to diff
-//! against; the report's baselines are copied at the first move), and
+//! passes once without a change report or record (there is nothing to
+//! diff against; the report's baselines and the record are made at the
+//! first move), and
 //! gets both ascending lists by filtering ascending scans (levels, the
 //! ledger's holder list) rather than by sorting.
 //!
@@ -61,8 +72,9 @@
 //! from-scratch [`SpreadState::evaluate`](crate::spread::SpreadState::evaluate)
 //! of the same deployment — the incremental DP extension reproduces the
 //! exact floating-point sequence of the full DP (see
-//! [`RankDp`](crate::rank::RankDp)), and the propagation passes are the
-//! very same `pub(crate)` functions the oracle runs.
+//! [`RankDp`](crate::rank::RankDp)), the propagation passes are the
+//! very same `pub(crate)` functions the oracle runs, and a cone refresh
+//! re-folds each node with the operands and order those passes use.
 //! [`rebuild`](SpreadEngine::rebuild) is the escape hatch that recomputes
 //! everything from scratch; proptests in
 //! `crates/propagation/tests/proptests.rs` pin that it never changes a bit,
@@ -70,7 +82,9 @@
 
 use crate::estimator::BenefitEstimator;
 use crate::ledger::{DeltaScratch, Ledger};
-use crate::spread::{accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef};
+use crate::spread::{
+    accumulate_gains, benefit_sum, propagate_activation, spread_levels, DistRef, PassRecord,
+};
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
 /// Evaluation-effort counters (surfaced through S3CA's `Telemetry` and the
@@ -89,6 +103,12 @@ pub struct EngineCounters {
     /// changes from seed additions, coupon retrievals), counted by the
     /// estimator's [`Ledger`].
     pub holder_rebuilds: u64,
+    /// Member probabilities and holder gains computed: a full pass counts
+    /// every member once per stage (the ordered pass and each Jacobi round
+    /// run) plus every distribution holder's gain; a cone refresh counts
+    /// each fold it recomputes. A work measure only: no CSV or wire line
+    /// carries it.
+    pub node_updates: u64,
 }
 
 impl EngineCounters {
@@ -99,6 +119,7 @@ impl EngineCounters {
             incremental_updates: self.incremental_updates - earlier.incremental_updates,
             structural_refreshes: self.structural_refreshes - earlier.structural_refreshes,
             holder_rebuilds: self.holder_rebuilds - earlier.holder_rebuilds,
+            node_updates: self.node_updates - earlier.node_updates,
         }
     }
 
@@ -109,6 +130,7 @@ impl EngineCounters {
             incremental_updates: self.incremental_updates + other.incremental_updates,
             structural_refreshes: self.structural_refreshes + other.structural_refreshes,
             holder_rebuilds: self.holder_rebuilds + other.holder_rebuilds,
+            node_updates: self.node_updates + other.node_updates,
         }
     }
 }
@@ -159,6 +181,9 @@ pub struct SpreadEngine<'a> {
     /// `active_prob`/`subtree_gain` everywhere between moves.
     prev_active: Vec<f64>,
     prev_gain: Vec<f64>,
+    /// The last full pass's record, kept current by the cone refreshes:
+    /// `None` until the first move, like the baselines above.
+    record: Option<PassRecord>,
     /// Every counter but `holder_rebuilds`, which the ledger keeps.
     counters: EngineCounters,
 }
@@ -194,6 +219,7 @@ impl<'a> SpreadEngine<'a> {
             complement: vec![1.0; n],
             prev_active: Vec::new(),
             prev_gain: Vec::new(),
+            record: None,
             counters: EngineCounters {
                 full_rebuilds: 1,
                 ..EngineCounters::default()
@@ -256,7 +282,7 @@ impl<'a> SpreadEngine<'a> {
             (take, self.refresh(true))
         } else {
             // Still a relay: membership is unchanged, only q shrank.
-            (take, self.refresh(false))
+            (take, self.refresh_holder(u))
         }
     }
 
@@ -282,6 +308,9 @@ impl<'a> SpreadEngine<'a> {
         let (levels, order) = spread_levels(ledger.graph, ledger.seeds(), ledger.coupons());
         self.levels = levels;
         self.order = order;
+        if let Some(record) = self.record.as_mut() {
+            record.restructure();
+        }
         self.spread_dists.clear();
         for &u in &self.order {
             if self.ledger.holder(u).is_some_and(|h| !h.targets.is_empty()) {
@@ -309,14 +338,57 @@ impl<'a> SpreadEngine<'a> {
         )
     }
 
+    /// The refresh after holder `u`'s `q` changed with the spread order
+    /// and distribution list kept: the dirty cone when the record allows
+    /// it, otherwise the full passes.
+    fn refresh_holder(&mut self, u: NodeId) -> RefreshDelta {
+        self.refresh_cone(u).unwrap_or_else(|| self.refresh(false))
+    }
+
+    /// Recompute only the probabilities and gains that read `u`'s `q`
+    /// (see [`PassRecord::refresh_probs`] and
+    /// [`PassRecord::refresh_gains`]) and report them. `None` before the
+    /// first recorded pass, or when the Jacobi round count would change;
+    /// the record is then rewritten by [`refresh`](Self::refresh), which
+    /// reads none of it.
+    fn refresh_cone(&mut self, u: NodeId) -> Option<RefreshDelta> {
+        let record = self.record.as_mut()?;
+        let probs = record.refresh_probs(&self.ledger, u, &mut self.active_prob);
+        let mut probs_changed = match probs {
+            Some(changed) => changed,
+            None => {
+                self.counters.node_updates += std::mem::take(&mut record.work);
+                return None;
+            }
+        };
+        let mut gains_changed = record.refresh_gains(&self.ledger, u, &mut self.subtree_gain);
+        self.counters.node_updates += std::mem::take(&mut record.work);
+        self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.ledger.data);
+        probs_changed.sort_unstable();
+        gains_changed.sort_unstable();
+        for &v in &probs_changed {
+            self.prev_active[v.index()] = self.active_prob[v.index()];
+        }
+        for &v in &gains_changed {
+            self.prev_gain[v.index()] = self.subtree_gain[v.index()];
+        }
+        Some(RefreshDelta {
+            probs_changed,
+            gains_changed,
+            ..RefreshDelta::default()
+        })
+    }
+
     /// Re-run the propagation passes and report, with exact-bit
     /// granularity, which nodes changed — in O(spread + targets), as the
     /// module docs describe.
     fn refresh(&mut self, structural: bool) -> RefreshDelta {
-        if self.prev_active.is_empty() {
-            // The first move: its baselines are the state it starts from.
+        if self.record.is_none() {
+            // The first move: its baselines are the state it starts from,
+            // and its pass is the first one recorded.
             self.prev_active = self.active_prob.clone();
             self.prev_gain = self.subtree_gain.clone();
+            self.record = Some(PassRecord::new(self.active_prob.len()));
         }
         let restructured = structural.then(|| self.restructure_scans());
         let dist_scan = restructured.as_ref().map_or(&self.sorted_dists, |(_, d)| d);
@@ -352,16 +424,18 @@ impl<'a> SpreadEngine<'a> {
                 }
             })
             .collect();
-        propagate_activation(
+        let rounds = propagate_activation(
             &dists,
             &self.order,
             self.ledger.seeds(),
             self.ledger.seed_mask(),
             &mut self.active_prob,
             &mut self.complement,
+            self.record.as_mut(),
         );
         accumulate_gains(&dists, self.ledger.data, &mut self.subtree_gain);
         self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.ledger.data);
+        self.counters.node_updates += (self.order.len() * (1 + rounds) + dists.len()) as u64;
     }
 }
 
@@ -415,7 +489,7 @@ impl BenefitEstimator for SpreadEngine<'_> {
             // An internal node already relayed to its children: the spread
             // structure cannot change, only probabilities and gains do.
             self.counters.incremental_updates += u64::from(add);
-            (add, self.refresh(false))
+            (add, self.refresh_holder(u))
         } else {
             self.derive_structure();
             (add, self.refresh(true))
@@ -446,13 +520,19 @@ fn sorted(nodes: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// The ascending union of two ascending node lists.
+/// The ascending union of two ascending, duplicate-free node lists, merged
+/// in O(a + b).
 fn sorted_union(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
-    out.extend_from_slice(a);
-    out.extend_from_slice(b);
-    out.sort_unstable();
-    out.dedup();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
     out
 }
 
@@ -628,5 +708,100 @@ mod tests {
         let (added, _) = engine.add_coupons(NodeId(3), 2);
         assert_eq!(added, 0);
         assert_engine_matches_evaluate(&engine, &g, &d);
+    }
+
+    /// Apply `step` and assert the engine equals a from-scratch evaluation
+    /// and reports exactly the nodes whose bits changed.
+    fn assert_exact_step(
+        engine: &mut SpreadEngine<'_>,
+        graph: &CsrGraph,
+        data: &NodeData,
+        step: impl FnOnce(&mut SpreadEngine<'_>) -> RefreshDelta,
+    ) -> RefreshDelta {
+        let changed = |before: &[f64], after: &[f64]| -> Vec<NodeId> {
+            (0..before.len())
+                .filter(|&i| before[i].to_bits() != after[i].to_bits())
+                .map(NodeId::from_index)
+                .collect()
+        };
+        let (prob, gain) = (engine.active_prob.clone(), engine.subtree_gain.clone());
+        let delta = step(engine);
+        assert_engine_matches_evaluate(engine, graph, data);
+        assert_eq!(delta.probs_changed, changed(&prob, &engine.active_prob));
+        assert_eq!(delta.gains_changed, changed(&gain, &engine.subtree_gain));
+        delta
+    }
+
+    fn recorded_rounds(engine: &SpreadEngine<'_>) -> usize {
+        engine.record.as_ref().expect("a move was made").rounds()
+    }
+
+    #[test]
+    fn broaden_that_changes_the_jacobi_round_count_stays_exact() {
+        // s → u (0.5); u → [a (1.0), x (0.5)]; x → u (0.5). With one coupon
+        // u's coupon always goes to a, x stays at probability 0 and the
+        // first Jacobi round moves nothing; a second coupon reaches x, whose
+        // edge back to u keeps the rounds moving.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 0.5).unwrap();
+        b.add_edge(1, 2, 1.0).unwrap();
+        b.add_edge(1, 3, 0.5).unwrap();
+        b.add_edge(3, 1, 0.5).unwrap();
+        let g = b.build().unwrap();
+        let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 2, 0, 1]);
+        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+        assert_eq!(recorded_rounds(&engine), 1);
+        let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
+        assert!(!delta.structural);
+        assert!(recorded_rounds(&engine) > 1);
+        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+        assert_eq!(recorded_rounds(&engine), 1);
+    }
+
+    #[test]
+    fn holder_with_a_zero_emit_stays_exact() {
+        // s → [u (0.5), c (0.3), y (0.1)]; u → [a (1.0), x (0.5)];
+        // x → y (0.5); y → z (0.5). With one coupon at u, x is a
+        // distribution holder whose emit is exactly 0, positioned after s:
+        // y's fold meets s's positive term and then x's skipped zero one,
+        // and y's probability reaches z.
+        let mut b = GraphBuilder::new(7);
+        b.add_edge(0, 1, 0.5).unwrap();
+        b.add_edge(0, 5, 0.3).unwrap();
+        b.add_edge(0, 4, 0.1).unwrap();
+        b.add_edge(1, 2, 1.0).unwrap();
+        b.add_edge(1, 3, 0.5).unwrap();
+        b.add_edge(3, 4, 0.5).unwrap();
+        b.add_edge(4, 6, 0.5).unwrap();
+        let g = b.build().unwrap();
+        let d = NodeData::uniform(7, 1.0, 1.0, 1.0);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 0, 1, 1, 0, 0]);
+        for _ in 0..2 {
+            assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(0), 1).1);
+        }
+        assert_eq!(engine.active_prob()[3], 0.0);
+        assert!(!engine.is_active(NodeId(3)));
+        let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
+        assert!(delta.probs_changed.contains(&NodeId(3)));
+        assert!(engine.is_active(NodeId(3)));
+        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+        assert!(!engine.is_active(NodeId(3)));
+    }
+
+    #[test]
+    fn broaden_recomputes_only_its_cone() {
+        let (g, d) = example1();
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 1, 0, 0, 0, 0]);
+        // The first move records its pass: 7 members × (ordered pass + 1
+        // round) + 3 holder gains.
+        let before = engine.counters().node_updates;
+        assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(0), 1).1);
+        assert_eq!(engine.counters().node_updates - before, 17);
+        // v2's second coupon: P0 and round 1 of its two children, then its
+        // gain and v1's, upstream.
+        let before = engine.counters().node_updates;
+        assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
+        assert_eq!(engine.counters().node_updates - before, 6);
     }
 }

@@ -26,6 +26,7 @@
 //! `coupon_*delta` probes — is the **test oracle** the engine is pinned
 //! against, bit for bit; no production path calls it.
 
+use crate::ledger::{Holder, Ledger};
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
@@ -120,9 +121,16 @@ pub(crate) struct DistRef<'a> {
     pub q: &'a [f64],
 }
 
+/// Jacobi refinement rounds after the ordered pass (at most).
+const JACOBI_ROUNDS: usize = 3;
+
+/// A round whose every non-seed member moved by less than this is the last.
+const CONVERGED: f64 = 1e-12;
+
 /// Forward pass: activation probabilities in ascending level order (one
 /// exact pass on forests), then Jacobi fixpoint refinement so cross- and
-/// back-edges of cyclic graphs contribute too.
+/// back-edges of cyclic graphs contribute too. Returns the number of
+/// Jacobi rounds run.
 ///
 /// Every pass runs over the spread `members` only, so its cost is
 /// O(members + distribution targets), not O(n). `active_prob` and
@@ -131,15 +139,36 @@ pub(crate) struct DistRef<'a> {
 /// (every distribution holder and target is a member, so the non-member
 /// entries are never written and stay 0). Restricting the Jacobi update
 /// to members changes no bit: a non-member's complement would stay 1.0,
-/// giving `new_p = 0 = old`, and the max-|Δ| convergence test does not
-/// depend on iteration order.
+/// giving `new_p = 0 = old`. A round is the last when no non-seed member
+/// moved by `CONVERGED` or more — the same test as "the largest |Δ| is
+/// below it", and independent of iteration order.
 ///
 /// The fixpoint round count is deliberately small: iterating to the true
 /// fixpoint over-amplifies through short cycles (the independence
 /// assumption echoes A→B→A), while 3 rounds keeps the estimate within
 /// ±15% of Monte-Carlo on adversarially dense reciprocal graphs (see
-/// `tests/evaluator_consistency.rs`). Forests converge immediately (delta
-/// 0 after one round), so the pinned paper numbers are untouched.
+/// `tests/evaluator_consistency.rs`). Forests converge immediately (no
+/// member moves in the first round), so the pinned paper numbers are
+/// untouched.
+///
+/// **Each node's value is its own fold.** The passes scatter, but what
+/// they compute per node is a fold over the node's in-distributions in
+/// distribution-position order:
+///
+/// * the ordered pass gives `P0(v)`, folding `1 − (1 − p)(1 − E(d)·q)`
+///   from 0 over `v`'s in-distributions `d`, skipping `E(d) ≤ 0`, where the
+///   *emit* `E(d)` is the holder's partial `P0` over its in-distributions
+///   positioned before it (1 for a seed);
+/// * round `r` gives `P_r(v) = 1 − Π (1 − P_{r−1}(w)·q)`, the product
+///   folded from 1 in the same order, skipping `P_{r−1}(w) ≤ 0`.
+///
+/// A `recorder` keeps every stage's values, the emits and a
+/// position-ordered reverse index, so [`PassRecord::refresh_probs`] can
+/// gather exactly these folds for the few nodes whose inputs changed. Same
+/// operands, same operations, same order: the gathered values are the
+/// scattered ones, bit for bit, and a node none of whose inputs changed
+/// keeps its bits. Recording adds O(members + distribution targets) and
+/// no pass over all `n` nodes.
 pub(crate) fn propagate_activation(
     dists: &[DistRef<'_>],
     members: &[NodeId],
@@ -147,7 +176,11 @@ pub(crate) fn propagate_activation(
     seed_mask: &[bool],
     active_prob: &mut [f64],
     complement: &mut [f64],
-) {
+    mut recorder: Option<&mut PassRecord>,
+) -> usize {
+    if let Some(rec) = recorder.as_deref_mut() {
+        rec.index(dists, members, seed_mask);
+    }
     for &v in members {
         active_prob[v.index()] = 0.0;
     }
@@ -155,8 +188,11 @@ pub(crate) fn propagate_activation(
         active_prob[s.index()] = 1.0;
     }
     // Initial ordered pass (exact on forests).
-    for d in dists {
+    for (p, d) in dists.iter().enumerate() {
         let pu = active_prob[d.node.index()];
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.emit[p] = pu;
+        }
         if pu <= 0.0 {
             continue;
         }
@@ -166,9 +202,12 @@ pub(crate) fn propagate_activation(
             *pv = 1.0 - (1.0 - *pv) * (1.0 - c);
         }
     }
+    if let Some(rec) = recorder.as_deref_mut() {
+        rec.keep_stage(0, members, active_prob);
+    }
     // Bounded fixpoint refinement: recompute every non-seed member's
     // probability from all incoming distributions.
-    for _ in 0..3 {
+    for round in 1..=JACOBI_ROUNDS {
         for &v in members {
             complement[v.index()] = 1.0;
         }
@@ -181,22 +220,462 @@ pub(crate) fn propagate_activation(
                 complement[v.index()] *= 1.0 - pu * qj;
             }
         }
-        let mut delta = 0.0f64;
+        let mut moved = 0usize;
         for &v in members {
             let i = v.index();
             if seed_mask[i] {
                 continue;
             }
             let new_p = 1.0 - complement[i];
-            let old = active_prob[i];
-            if (new_p - old).abs() > delta {
-                delta = (new_p - old).abs();
+            let step = (new_p - active_prob[i]).abs() >= CONVERGED;
+            moved += usize::from(step);
+            if let Some(rec) = recorder.as_deref_mut() {
+                rec.set_moved(v, round, step);
             }
             active_prob[i] = new_p;
         }
-        if delta < 1e-12 {
-            break;
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.keep_stage(round, members, active_prob);
+            rec.moved[round - 1] = moved;
+            rec.rounds = round;
         }
+        if moved == 0 {
+            return round;
+        }
+    }
+    JACOBI_ROUNDS
+}
+
+/// No distribution position: the node distributes to no spread member.
+const NO_POS: u32 = u32::MAX;
+
+/// A cone stage whose dirty set reaches both `DENSE_FLOOR` nodes and
+/// `1 / DENSE_SHARE` of the receivers gives up to the full passes: on
+/// dense spreads a cone that large soon covers nearly every member, and
+/// gathering it costs more than scattering. With these values the dense
+/// 120-node sweep instances of `repro extensions` run as fast as with the
+/// full passes alone (giving up at 1/2 left them 5–12% slower); the
+/// Facebook profile's cones, about 15 of 1,400 members, stay far below.
+/// The floor keeps small cones on small graphs on the cone path.
+const DENSE_SHARE: usize = 8;
+const DENSE_FLOOR: usize = 16;
+
+/// One in-distribution of a member: the distribution's position, its
+/// holder's node index and the member's `q` in it.
+#[derive(Clone, Copy, Debug, Default)]
+struct InRef {
+    pos: u32,
+    holder: u32,
+    q: f64,
+}
+
+/// The record of one [`propagate_activation`] pass that lets the engine
+/// refresh a non-structural move — one holder's `q` changed, same spread
+/// order, same distribution list — by recomputing only its dirty cone
+/// ([`refresh_probs`](Self::refresh_probs),
+/// [`refresh_gains`](Self::refresh_gains)), bit-identical to re-running
+/// the full passes. Every field is kept equal to what a full recording
+/// pass over the current deployment would write; node-indexed arrays are
+/// meaningful on spread members only.
+#[derive(Clone, Debug)]
+pub(crate) struct PassRecord {
+    /// `stage[0]` is `P0` after the ordered pass, `stage[r]` is `P_r` after
+    /// Jacobi round `r` (seeds read 1 at every stage), for `r ≤ rounds`.
+    stage: [Vec<f64>; JACOBI_ROUNDS + 1],
+    /// Jacobi rounds the pass ran.
+    rounds: usize,
+    /// `moved[r − 1]`: non-seed members with `|P_r − P_{r−1}| ≥ CONVERGED`;
+    /// round `r` is the last exactly when it is 0 (or `r` is the cap).
+    moved: [usize; JACOBI_ROUNDS],
+    /// Bit `r − 1` of a node's byte: it counts in `moved[r − 1]`.
+    moved_bits: Vec<u8>,
+    /// Distribution holders in position order, and each one's position.
+    holders: Vec<NodeId>,
+    pos: Vec<u32>,
+    /// `E(d)` per distribution position: its holder's probability when the
+    /// ordered pass reached it.
+    emit: Vec<f64>,
+    /// The non-seed members: the nodes the passes fold.
+    receivers: usize,
+    /// Whether the index below matches the spread the next pass runs on.
+    indexed: bool,
+    /// Reverse index: member `v`'s in-distributions, ascending by
+    /// position, at `in_refs[in_start[member[v]]..in_start[member[v] + 1]]`.
+    member: Vec<u32>,
+    in_start: Vec<u32>,
+    in_refs: Vec<InRef>,
+    /// Where each distribution's targets sit in `in_refs`: rank slot `j` of
+    /// position `p` at `out_refs[out_start[p] + j]`.
+    out_start: Vec<u32>,
+    out_refs: Vec<u32>,
+    /// Cone scratch: a dedup stamp per node, the nodes to re-fold (`dense`
+    /// once they are too many), and per distribution position whether a
+    /// scan must still visit it (all false between scans).
+    stamp: Vec<u32>,
+    stamp_gen: u32,
+    dirty: Vec<NodeId>,
+    dense: bool,
+    pending: Vec<bool>,
+    /// Member probabilities and holder gains recomputed by cone refreshes
+    /// since the engine last took the count.
+    pub(crate) work: u64,
+}
+
+impl PassRecord {
+    /// An empty record for an `n`-node graph; the first recording pass
+    /// fills it.
+    pub(crate) fn new(n: usize) -> PassRecord {
+        PassRecord {
+            stage: std::array::from_fn(|_| vec![0.0; n]),
+            rounds: 0,
+            moved: [0; JACOBI_ROUNDS],
+            moved_bits: vec![0; n],
+            holders: Vec::new(),
+            pos: vec![NO_POS; n],
+            emit: Vec::new(),
+            receivers: 0,
+            indexed: false,
+            member: vec![0; n],
+            in_start: Vec::new(),
+            in_refs: Vec::new(),
+            out_start: Vec::new(),
+            out_refs: Vec::new(),
+            stamp: vec![0; n],
+            stamp_gen: 0,
+            dirty: Vec::new(),
+            dense: false,
+            pending: Vec::new(),
+            work: 0,
+        }
+    }
+
+    /// Jacobi rounds the recorded pass ran.
+    #[cfg(test)]
+    pub(crate) fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// The spread changed: the next recording pass re-indexes it. A pass
+    /// after a non-structural move keeps the index (whose copy of the moved
+    /// holder's `q` [`refresh_probs`](Self::refresh_probs) has patched).
+    pub(crate) fn restructure(&mut self) {
+        self.indexed = false;
+    }
+
+    /// Index a recording pass's distributions: positions, receivers,
+    /// member slots and the reverse index (a counting sort by target, so
+    /// each target's entries stay in position order).
+    fn index(&mut self, dists: &[DistRef<'_>], members: &[NodeId], seed_mask: &[bool]) {
+        if std::mem::replace(&mut self.indexed, true) {
+            return;
+        }
+        for &w in &self.holders {
+            self.pos[w.index()] = NO_POS;
+        }
+        self.holders.clear();
+        self.holders.extend(dists.iter().map(|d| d.node));
+        for (p, d) in dists.iter().enumerate() {
+            self.pos[d.node.index()] = p as u32;
+        }
+        self.receivers = members.iter().filter(|v| !seed_mask[v.index()]).count();
+        for (m, &v) in members.iter().enumerate() {
+            self.member[v.index()] = m as u32;
+        }
+        self.in_start.clear();
+        self.in_start.resize(members.len() + 1, 0);
+        for d in dists {
+            for &t in d.targets {
+                self.in_start[self.member[t.index()] as usize + 1] += 1;
+            }
+        }
+        for m in 0..members.len() {
+            self.in_start[m + 1] += self.in_start[m];
+        }
+        let edges = self.in_start[members.len()] as usize;
+        self.in_refs.clear();
+        self.in_refs.resize(edges, InRef::default());
+        self.out_start.clear();
+        self.out_refs.clear();
+        self.out_refs.reserve(edges);
+        // `in_start[m]` runs ahead as member m's fill cursor, ending at
+        // member m + 1's start; shifting it back restores the offsets.
+        for (p, d) in dists.iter().enumerate() {
+            self.out_start.push(self.out_refs.len() as u32);
+            for (&t, &q) in d.targets.iter().zip(d.q) {
+                let cursor = &mut self.in_start[self.member[t.index()] as usize];
+                self.in_refs[*cursor as usize] = InRef {
+                    pos: p as u32,
+                    holder: d.node.0,
+                    q,
+                };
+                self.out_refs.push(*cursor);
+                *cursor += 1;
+            }
+        }
+        self.out_start.push(self.out_refs.len() as u32);
+        self.in_start.copy_within(..members.len(), 1);
+        self.in_start[0] = 0;
+        self.emit.clear();
+        self.emit.resize(dists.len(), 0.0);
+        self.pending.clear();
+        self.pending.resize(dists.len(), false);
+        self.moved = [0; JACOBI_ROUNDS];
+    }
+
+    fn keep_stage(&mut self, r: usize, members: &[NodeId], active_prob: &[f64]) {
+        for &v in members {
+            self.stage[r][v.index()] = active_prob[v.index()];
+        }
+    }
+
+    fn set_moved(&mut self, v: NodeId, round: usize, moved: bool) {
+        let bit = 1u8 << (round - 1);
+        let byte = &mut self.moved_bits[v.index()];
+        *byte = if moved { *byte | bit } else { *byte & !bit };
+    }
+
+    /// Re-derive `v`'s round-`round` flag after `P_round` or
+    /// `P_{round−1}` of `v` changed, keeping `moved` in step.
+    fn reflag(&mut self, v: NodeId, round: usize) {
+        let i = v.index();
+        let now = (self.stage[round][i] - self.stage[round - 1][i]).abs() >= CONVERGED;
+        let was = self.moved_bits[i] >> (round - 1) & 1 == 1;
+        if now != was {
+            self.set_moved(v, round, now);
+            if now {
+                self.moved[round - 1] += 1;
+            } else {
+                self.moved[round - 1] -= 1;
+            }
+        }
+    }
+
+    fn in_refs(&self, v: NodeId) -> &[InRef] {
+        let m = self.member[v.index()] as usize;
+        &self.in_refs[self.in_start[m] as usize..self.in_start[m + 1] as usize]
+    }
+
+    /// The holder at distribution position `p`.
+    fn holder<'l>(&self, ledger: &'l Ledger<'_>, p: u32) -> &'l Holder {
+        ledger
+            .holder(self.holders[p as usize])
+            .expect("distribution holders hold coupons")
+    }
+
+    /// The ordered pass's fold for the receiver `v` over its
+    /// in-distributions positioned before `before`: `v`'s emit when
+    /// `before` is its own position, `P0(v)` when it is [`NO_POS`].
+    fn fold_ordered(&self, v: NodeId, before: u32) -> f64 {
+        let mut pv = 0.0f64;
+        for r in self.in_refs(v) {
+            if r.pos >= before {
+                break;
+            }
+            let pu = self.emit[r.pos as usize];
+            if pu <= 0.0 {
+                continue;
+            }
+            let c = pu * r.q;
+            pv = 1.0 - (1.0 - pv) * (1.0 - c);
+        }
+        pv
+    }
+
+    /// Round `round`'s fold for the receiver `v`: `P_round(v)`.
+    fn fold_round(&self, v: NodeId, round: usize) -> f64 {
+        let prev = &self.stage[round - 1];
+        let mut complement = 1.0f64;
+        for r in self.in_refs(v) {
+            let pu = prev[r.holder as usize];
+            if pu <= 0.0 {
+                continue;
+            }
+            complement *= 1.0 - pu * r.q;
+        }
+        1.0 - complement
+    }
+
+    /// Start a new, empty dirty set.
+    fn clear_dirty(&mut self) {
+        self.stamp_gen = self.stamp_gen.wrapping_add(1);
+        if self.stamp_gen == 0 {
+            self.stamp.fill(0);
+            self.stamp_gen = 1;
+        }
+        self.dirty.clear();
+        self.dense = false;
+    }
+
+    /// Add the targets of the distribution at position `p` to the dirty
+    /// set; with `ahead`, also flag the later-positioned holders among them
+    /// (their emits read `p`). A dense set takes no more.
+    fn mark_targets(&mut self, ledger: &Ledger<'_>, p: u32, ahead: bool) {
+        if self.dense {
+            return;
+        }
+        for &t in &self.holder(ledger, p).targets {
+            let i = t.index();
+            if ahead && self.pos[i] != NO_POS && self.pos[i] > p {
+                self.pending[self.pos[i] as usize] = true;
+            }
+            if self.stamp[i] != self.stamp_gen {
+                self.stamp[i] = self.stamp_gen;
+                self.dirty.push(t);
+            }
+        }
+        let dirty = self.dirty.len();
+        self.dense = dirty >= DENSE_FLOOR && dirty * DENSE_SHARE >= self.receivers;
+    }
+
+    /// Recompute the dirty receivers' `stage[round]` folds; returns the
+    /// receivers whose bits changed.
+    fn restage(&mut self, round: usize) -> Vec<NodeId> {
+        let dirty = std::mem::take(&mut self.dirty);
+        let mut changed = Vec::new();
+        for &v in &dirty {
+            let new = if round == 0 {
+                self.fold_ordered(v, NO_POS)
+            } else {
+                self.fold_round(v, round)
+            };
+            let old = &mut self.stage[round][v.index()];
+            if new.to_bits() != old.to_bits() {
+                *old = new;
+                changed.push(v);
+            }
+        }
+        self.work += dirty.len() as u64;
+        self.dirty = dirty;
+        changed
+    }
+
+    /// After holder `u`'s `q` changed (non-structurally: same spread
+    /// order, same distribution list), bring every stage up to date by
+    /// recomputing only the nodes whose inputs changed, and write the final
+    /// probabilities that changed into `active_prob`. Returns those nodes
+    /// (unordered), or `None` — record half-updated, to be rewritten by a
+    /// full recording pass — when a stage's dirty set grows dense or the
+    /// pass would now run a different number of rounds.
+    ///
+    /// * **Ordered pass.** `u`'s targets' `P0` folds read its `q` (the
+    ///   index's copy is patched first); a holder among them positioned
+    ///   after `u` re-folds its emit, and when the emit's bits change its
+    ///   own targets follow. One ascending scan over the positions after
+    ///   `u` settles the emits, so each reads only final emits.
+    /// * **Round r.** The folds to redo are `u`'s targets and the targets
+    ///   of every holder whose `P_{r−1}` bits changed; each moved-count
+    ///   follows the nodes whose `P_r` or `P_{r−1}` changed.
+    pub(crate) fn refresh_probs(
+        &mut self,
+        ledger: &Ledger<'_>,
+        u: NodeId,
+        active_prob: &mut [f64],
+    ) -> Option<Vec<NodeId>> {
+        let pu = self.pos[u.index()];
+        if pu == NO_POS {
+            // No spread member receives `u`'s coupons: nothing reads its q.
+            return Some(Vec::new());
+        }
+        let q = self.holder(ledger, pu).dp.q();
+        let outs = self.out_start[pu as usize] as usize..self.out_start[pu as usize + 1] as usize;
+        for (&at, &qj) in self.out_refs[outs].iter().zip(q) {
+            self.in_refs[at as usize].q = qj;
+        }
+        self.clear_dirty();
+        self.mark_targets(ledger, pu, true);
+        for p in pu + 1..self.holders.len() as u32 {
+            if !std::mem::take(&mut self.pending[p as usize]) || self.dense {
+                continue;
+            }
+            let emit = self.fold_ordered(self.holders[p as usize], p);
+            self.work += 1;
+            if emit.to_bits() != self.emit[p as usize].to_bits() {
+                self.emit[p as usize] = emit;
+                self.mark_targets(ledger, p, true);
+            }
+        }
+        if self.dense {
+            return None;
+        }
+        let mut changed = self.restage(0);
+        for round in 1..=self.rounds {
+            self.clear_dirty();
+            self.mark_targets(ledger, pu, false);
+            for &w in &changed {
+                let pw = self.pos[w.index()];
+                if pw != NO_POS {
+                    self.mark_targets(ledger, pw, false);
+                }
+            }
+            if self.dense {
+                return None;
+            }
+            let now = self.restage(round);
+            for &v in changed.iter().chain(&now) {
+                self.reflag(v, round);
+            }
+            changed = now;
+            let stops = round == JACOBI_ROUNDS || self.moved[round - 1] == 0;
+            if stops != (round == self.rounds) {
+                return None;
+            }
+        }
+        for &v in &changed {
+            active_prob[v.index()] = self.stage[self.rounds][v.index()];
+        }
+        Some(changed)
+    }
+
+    /// After holder `u`'s `q` changed, recompute the subtree gains that
+    /// read it and write them into `gains`; returns the holders whose gain
+    /// bits changed (unordered). The backward pass gives each holder `w`
+    /// `G(w) = b(w) + Σ_j q_j·g_j`, where `g_j` is the final gain of a
+    /// holder target positioned after `w` and the target's own benefit
+    /// otherwise (the pass resets gains before its walk). So only `u` and,
+    /// upstream of a changed gain, the holders positioned before it that
+    /// distribute to it re-fold, in one descending scan from `u`.
+    pub(crate) fn refresh_gains(
+        &mut self,
+        ledger: &Ledger<'_>,
+        u: NodeId,
+        gains: &mut [f64],
+    ) -> Vec<NodeId> {
+        let mut changed = Vec::new();
+        let pu = self.pos[u.index()];
+        if pu == NO_POS {
+            return changed;
+        }
+        let data = ledger.data;
+        self.pending[pu as usize] = true;
+        for p in (0..=pu).rev() {
+            if !std::mem::take(&mut self.pending[p as usize]) {
+                continue;
+            }
+            let h = self.holder(ledger, p);
+            let mut gain = data.benefit(h.node);
+            for (&t, &qj) in h.targets.iter().zip(h.dp.q()) {
+                let pt = self.pos[t.index()];
+                let gt = if pt != NO_POS && pt <= p {
+                    data.benefit(t)
+                } else {
+                    gains[t.index()]
+                };
+                gain += qj * gt;
+            }
+            self.work += 1;
+            let w = h.node;
+            if gain.to_bits() == gains[w.index()].to_bits() {
+                continue;
+            }
+            gains[w.index()] = gain;
+            changed.push(w);
+            let m = self.member[w.index()] as usize;
+            let refs = &self.in_refs[self.in_start[m] as usize..self.in_start[m + 1] as usize];
+            for r in refs.iter().take_while(|r| r.pos < p) {
+                self.pending[r.pos as usize] = true;
+            }
+        }
+        changed
     }
 }
 
@@ -276,6 +755,7 @@ impl SpreadState {
             &seed_mask,
             &mut active_prob,
             &mut complement,
+            None,
         );
 
         // Outside the spread every node's gain is just its own benefit (no
