@@ -39,8 +39,9 @@
 //! distribution's emit and a position-ordered reverse index — and
 //! re-folds just the probabilities and subtree gains whose inputs changed,
 //! bit-identical to the full passes (see `propagate_activation`). A cone
-//! that grows dense, or a move that changes the number of Jacobi rounds,
-//! falls back to the full passes. The report diffs only the re-folded
+//! whose cost would pass one stage of the full passes (a visit per member
+//! and distribution edge), or a move that changes the number of Jacobi
+//! rounds, falls back to them. The report diffs only the re-folded
 //! nodes; `benefit_sum` stays one in-order pass over the members.
 //!
 //! A **structural** move re-runs the full passes, which touch the spread
@@ -309,7 +310,7 @@ impl<'a> SpreadEngine<'a> {
         self.levels = levels;
         self.order = order;
         if let Some(record) = self.record.as_mut() {
-            record.restructure();
+            record.restructure(&self.spread_dists);
         }
         self.spread_dists.clear();
         for &u in &self.order {
@@ -353,7 +354,8 @@ impl<'a> SpreadEngine<'a> {
     /// reads none of it.
     fn refresh_cone(&mut self, u: NodeId) -> Option<RefreshDelta> {
         let record = self.record.as_mut()?;
-        let probs = record.refresh_probs(&self.ledger, u, &mut self.active_prob);
+        let probs =
+            record.refresh_probs(&self.ledger, &self.spread_dists, u, &mut self.active_prob);
         let mut probs_changed = match probs {
             Some(changed) => changed,
             None => {
@@ -361,7 +363,8 @@ impl<'a> SpreadEngine<'a> {
                 return None;
             }
         };
-        let mut gains_changed = record.refresh_gains(&self.ledger, u, &mut self.subtree_gain);
+        let mut gains_changed =
+            record.refresh_gains(&self.ledger, &self.spread_dists, u, &mut self.subtree_gain);
         self.counters.node_updates += std::mem::take(&mut record.work);
         self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.ledger.data);
         probs_changed.sort_unstable();
@@ -554,8 +557,9 @@ fn diff_bits(scan: &[NodeId], cur: &[f64], prev: &mut [f64]) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::cost::expected_sc_cost;
-    use crate::spread::SpreadState;
+    use crate::spread::{SpreadState, UNBOUNDED_CONES};
     use osn_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     /// Example 1 tree.
     fn example1() -> (CsrGraph, NodeData) {
@@ -732,61 +736,76 @@ mod tests {
         delta
     }
 
+    /// Run `case` under the production cone budget, then with it lifted:
+    /// on these small graphs the budget sends most cones to the full
+    /// passes, and only the second run walks every cone to its end.
+    fn under_both_budgets(case: impl Fn()) {
+        for unbounded in [false, true] {
+            UNBOUNDED_CONES.with(|c| c.set(unbounded));
+            case();
+        }
+        UNBOUNDED_CONES.with(|c| c.set(false));
+    }
+
     fn recorded_rounds(engine: &SpreadEngine<'_>) -> usize {
         engine.record.as_ref().expect("a move was made").rounds()
     }
 
     #[test]
     fn broaden_that_changes_the_jacobi_round_count_stays_exact() {
-        // s → u (0.5); u → [a (1.0), x (0.5)]; x → u (0.5). With one coupon
-        // u's coupon always goes to a, x stays at probability 0 and the
-        // first Jacobi round moves nothing; a second coupon reaches x, whose
-        // edge back to u keeps the rounds moving.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 2, 1.0).unwrap();
-        b.add_edge(1, 3, 0.5).unwrap();
-        b.add_edge(3, 1, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
-        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 2, 0, 1]);
-        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
-        assert_eq!(recorded_rounds(&engine), 1);
-        let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
-        assert!(!delta.structural);
-        assert!(recorded_rounds(&engine) > 1);
-        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
-        assert_eq!(recorded_rounds(&engine), 1);
+        under_both_budgets(|| {
+            // s → u (0.5); u → [a (1.0), x (0.5)]; x → u (0.5). With one coupon
+            // u's coupon always goes to a, x stays at probability 0 and the
+            // first Jacobi round moves nothing; a second coupon reaches x, whose
+            // edge back to u keeps the rounds moving.
+            let mut b = GraphBuilder::new(4);
+            b.add_edge(0, 1, 0.5).unwrap();
+            b.add_edge(1, 2, 1.0).unwrap();
+            b.add_edge(1, 3, 0.5).unwrap();
+            b.add_edge(3, 1, 0.5).unwrap();
+            let g = b.build().unwrap();
+            let d = NodeData::uniform(4, 1.0, 1.0, 1.0);
+            let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 2, 0, 1]);
+            assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+            assert_eq!(recorded_rounds(&engine), 1);
+            let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
+            assert!(!delta.structural);
+            assert!(recorded_rounds(&engine) > 1);
+            assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+            assert_eq!(recorded_rounds(&engine), 1);
+        });
     }
 
     #[test]
     fn holder_with_a_zero_emit_stays_exact() {
-        // s → [u (0.5), c (0.3), y (0.1)]; u → [a (1.0), x (0.5)];
-        // x → y (0.5); y → z (0.5). With one coupon at u, x is a
-        // distribution holder whose emit is exactly 0, positioned after s:
-        // y's fold meets s's positive term and then x's skipped zero one,
-        // and y's probability reaches z.
-        let mut b = GraphBuilder::new(7);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(0, 5, 0.3).unwrap();
-        b.add_edge(0, 4, 0.1).unwrap();
-        b.add_edge(1, 2, 1.0).unwrap();
-        b.add_edge(1, 3, 0.5).unwrap();
-        b.add_edge(3, 4, 0.5).unwrap();
-        b.add_edge(4, 6, 0.5).unwrap();
-        let g = b.build().unwrap();
-        let d = NodeData::uniform(7, 1.0, 1.0, 1.0);
-        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 0, 1, 1, 0, 0]);
-        for _ in 0..2 {
-            assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(0), 1).1);
-        }
-        assert_eq!(engine.active_prob()[3], 0.0);
-        assert!(!engine.is_active(NodeId(3)));
-        let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
-        assert!(delta.probs_changed.contains(&NodeId(3)));
-        assert!(engine.is_active(NodeId(3)));
-        assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
-        assert!(!engine.is_active(NodeId(3)));
+        under_both_budgets(|| {
+            // s → [u (0.5), c (0.3), y (0.1)]; u → [a (1.0), x (0.5)];
+            // x → y (0.5); y → z (0.5). With one coupon at u, x is a
+            // distribution holder whose emit is exactly 0, positioned after s:
+            // y's fold meets s's positive term and then x's skipped zero one,
+            // and y's probability reaches z.
+            let mut b = GraphBuilder::new(7);
+            b.add_edge(0, 1, 0.5).unwrap();
+            b.add_edge(0, 5, 0.3).unwrap();
+            b.add_edge(0, 4, 0.1).unwrap();
+            b.add_edge(1, 2, 1.0).unwrap();
+            b.add_edge(1, 3, 0.5).unwrap();
+            b.add_edge(3, 4, 0.5).unwrap();
+            b.add_edge(4, 6, 0.5).unwrap();
+            let g = b.build().unwrap();
+            let d = NodeData::uniform(7, 1.0, 1.0, 1.0);
+            let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 0, 1, 1, 0, 0]);
+            for _ in 0..2 {
+                assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(0), 1).1);
+            }
+            assert_eq!(engine.active_prob()[3], 0.0);
+            assert!(!engine.is_active(NodeId(3)));
+            let delta = assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
+            assert!(delta.probs_changed.contains(&NodeId(3)));
+            assert!(engine.is_active(NodeId(3)));
+            assert_exact_step(&mut engine, &g, &d, |e| e.remove_coupons(NodeId(1), 1).1);
+            assert!(!engine.is_active(NodeId(3)));
+        });
     }
 
     #[test]
@@ -803,5 +822,85 @@ mod tests {
         let before = engine.counters().node_updates;
         assert_exact_step(&mut engine, &g, &d, |e| e.add_coupons(NodeId(1), 1).1);
         assert_eq!(engine.counters().node_updates - before, 6);
+    }
+
+    /// Node count of the dense cyclic strategy below.
+    const DENSE_N: usize = 40;
+
+    /// An edge probability drawn from {0, 1, uniform}: exact zeros and ones
+    /// make emits of exactly 0, saturated probabilities and Jacobi rounds
+    /// that stop early, which uniform draws almost never hit.
+    fn edge_prob(choice: u8, uniform: f64) -> f64 {
+        match choice {
+            0 => 0.0,
+            1 => 1.0,
+            _ => uniform,
+        }
+    }
+
+    type DensePair = (u32, u32, u8, f64, u8, f64);
+
+    /// Random reciprocal graph over [`DENSE_N`] nodes: each drawn pair adds
+    /// both directions, each with its own probability, so short cycles are
+    /// everywhere.
+    fn dense_cyclic_strategy() -> impl Strategy<Value = Vec<DensePair>> {
+        let n = DENSE_N as u32;
+        proptest::collection::vec(
+            (0u32..n, 0u32..n, 0u8..4, 0.0f64..=1.0, 0u8..4, 0.0f64..=1.0),
+            40..160,
+        )
+    }
+
+    fn build_dense_cyclic(pairs: &[DensePair]) -> CsrGraph {
+        let mut b = GraphBuilder::new(DENSE_N);
+        for &(u, v, cf, pf, cb, pb) in pairs {
+            if u != v {
+                b.add_edge(u, v, edge_prob(cf, pf)).unwrap();
+                b.add_edge(v, u, edge_prob(cb, pb)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Broadens and retrievals that keep the holder relaying refresh
+        /// only their dirty cone. On dense reciprocal graphs, after a script
+        /// dominated by such moves (plus some first coupons, emptying
+        /// retrievals and seed packages), every move leaves the engine equal
+        /// to a from-scratch evaluation, bit for bit, and reports exactly
+        /// the nodes whose probability and gain bits changed — under the
+        /// cone budget and with it lifted.
+        #[test]
+        fn cone_refreshes_equal_full_passes_on_dense_cyclic_graphs(
+            pairs in dense_cyclic_strategy(),
+            moves in proptest::collection::vec((0u8..10, 0u32..DENSE_N as u32, 1u32..4), 1..48),
+            benefits in proptest::collection::vec(0.5f64..4.0, DENSE_N..DENSE_N + 1),
+        ) {
+            let g = build_dense_cyclic(&pairs);
+            let d = NodeData::new(benefits, vec![1.0; DENSE_N], vec![1.0; DENSE_N]).unwrap();
+            under_both_budgets(|| {
+                let mut coupons = vec![0u32; DENSE_N];
+                coupons[0] = (g.out_degree(NodeId(0)) as u32).min(2);
+                let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &coupons);
+                for &(op, node, amount) in &moves {
+                    let holders = engine.ledger().holder_nodes().to_vec();
+                    let holder = (!holders.is_empty()).then(|| holders[node as usize % holders.len()]);
+                    assert_exact_step(&mut engine, &g, &d, |e| match (op, holder) {
+                        (0..=4, Some(h)) => e.add_coupons(h, amount).1,
+                        (7..=8, Some(h)) => {
+                            // Keep the donor relaying when it can, so the
+                            // move stays non-structural.
+                            let held = e.ledger().coupons()[h.index()];
+                            let take = if held > 1 { amount.min(held - 1) } else { amount };
+                            e.remove_coupons(h, take).1
+                        }
+                        (9, _) => e.add_seed_package(NodeId(node), amount),
+                        _ => e.add_coupons(NodeId(node), amount).1,
+                    });
+                }
+            });
+        }
     }
 }

@@ -179,7 +179,7 @@ pub(crate) fn propagate_activation(
     mut recorder: Option<&mut PassRecord>,
 ) -> usize {
     if let Some(rec) = recorder.as_deref_mut() {
-        rec.index(dists, members, seed_mask);
+        rec.index(dists, members);
     }
     for &v in members {
         active_prob[v.index()] = 0.0;
@@ -249,16 +249,23 @@ pub(crate) fn propagate_activation(
 /// No distribution position: the node distributes to no spread member.
 const NO_POS: u32 = u32::MAX;
 
-/// A cone stage whose dirty set reaches both `DENSE_FLOOR` nodes and
-/// `1 / DENSE_SHARE` of the receivers gives up to the full passes: on
-/// dense spreads a cone that large soon covers nearly every member, and
-/// gathering it costs more than scattering. With these values the dense
-/// 120-node sweep instances of `repro extensions` run as fast as with the
-/// full passes alone (giving up at 1/2 left them 5–12% slower); the
-/// Facebook profile's cones, about 15 of 1,400 members, stay far below.
-/// The floor keeps small cones on small graphs on the cone path.
-const DENSE_SHARE: usize = 8;
-const DENSE_FLOOR: usize = 16;
+#[cfg(test)]
+thread_local! {
+    /// Lifts the cone budget in this thread, so tests drive every
+    /// non-structural refresh that keeps its round count through the cone,
+    /// dense ones included.
+    pub(crate) static UNBOUNDED_CONES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(not(test))]
+fn unbounded_cones() -> bool {
+    false
+}
+
+#[cfg(test)]
+fn unbounded_cones() -> bool {
+    UNBOUNDED_CONES.with(std::cell::Cell::get)
+}
 
 /// One in-distribution of a member: the distribution's position, its
 /// holder's node index and the member's `q` in it.
@@ -289,14 +296,11 @@ pub(crate) struct PassRecord {
     moved: [usize; JACOBI_ROUNDS],
     /// Bit `r − 1` of a node's byte: it counts in `moved[r − 1]`.
     moved_bits: Vec<u8>,
-    /// Distribution holders in position order, and each one's position.
-    holders: Vec<NodeId>,
+    /// Each distribution holder's position (`NO_POS` for other nodes).
     pos: Vec<u32>,
     /// `E(d)` per distribution position: its holder's probability when the
     /// ordered pass reached it.
     emit: Vec<f64>,
-    /// The non-seed members: the nodes the passes fold.
-    receivers: usize,
     /// Whether the index below matches the spread the next pass runs on.
     indexed: bool,
     /// Reverse index: member `v`'s in-distributions, ascending by
@@ -308,14 +312,22 @@ pub(crate) struct PassRecord {
     /// position `p` at `out_refs[out_start[p] + j]`.
     out_start: Vec<u32>,
     out_refs: Vec<u32>,
-    /// Cone scratch: a dedup stamp per node, the nodes to re-fold (`dense`
-    /// once they are too many), and per distribution position whether a
-    /// scan must still visit it (all false between scans).
+    /// Cone scratch: a dedup stamp per node, the nodes to re-fold, and per
+    /// distribution position whether a scan must still visit it (all false
+    /// between scans).
     stamp: Vec<u32>,
     stamp_gen: u32,
     dirty: Vec<NodeId>,
-    dense: bool,
     pending: Vec<bool>,
+    /// The cone's cost, in member and distribution-edge visits: `spent` so
+    /// far in this refresh, `dirty_cost` to fold the dirty set once, and
+    /// the stages (the current one included) whose folds are still to run.
+    /// `over_budget` once finishing would cost more than one full stage
+    /// (see [`mark_targets`](Self::mark_targets)).
+    spent: usize,
+    dirty_cost: usize,
+    stages_left: usize,
+    over_budget: bool,
     /// Member probabilities and holder gains recomputed by cone refreshes
     /// since the engine last took the count.
     pub(crate) work: u64,
@@ -330,10 +342,8 @@ impl PassRecord {
             rounds: 0,
             moved: [0; JACOBI_ROUNDS],
             moved_bits: vec![0; n],
-            holders: Vec::new(),
             pos: vec![NO_POS; n],
             emit: Vec::new(),
-            receivers: 0,
             indexed: false,
             member: vec![0; n],
             in_start: Vec::new(),
@@ -343,8 +353,11 @@ impl PassRecord {
             stamp: vec![0; n],
             stamp_gen: 0,
             dirty: Vec::new(),
-            dense: false,
             pending: Vec::new(),
+            spent: 0,
+            dirty_cost: 0,
+            stages_left: 0,
+            over_budget: false,
             work: 0,
         }
     }
@@ -355,29 +368,28 @@ impl PassRecord {
         self.rounds
     }
 
-    /// The spread changed: the next recording pass re-indexes it. A pass
-    /// after a non-structural move keeps the index (whose copy of the moved
-    /// holder's `q` [`refresh_probs`](Self::refresh_probs) has patched).
-    pub(crate) fn restructure(&mut self) {
+    /// The spread changed: the next recording pass re-indexes it. `old`
+    /// is the distribution list the record was indexed on, whose positions
+    /// are cleared here. A pass after a non-structural move keeps the index
+    /// (whose copy of the moved holder's `q`
+    /// [`refresh_probs`](Self::refresh_probs) has patched).
+    pub(crate) fn restructure(&mut self, old: &[NodeId]) {
+        for &w in old {
+            self.pos[w.index()] = NO_POS;
+        }
         self.indexed = false;
     }
 
-    /// Index a recording pass's distributions: positions, receivers,
-    /// member slots and the reverse index (a counting sort by target, so
-    /// each target's entries stay in position order).
-    fn index(&mut self, dists: &[DistRef<'_>], members: &[NodeId], seed_mask: &[bool]) {
+    /// Index a recording pass's distributions: positions, member slots and
+    /// the reverse index (a counting sort by target, so each target's
+    /// entries stay in position order).
+    fn index(&mut self, dists: &[DistRef<'_>], members: &[NodeId]) {
         if std::mem::replace(&mut self.indexed, true) {
             return;
         }
-        for &w in &self.holders {
-            self.pos[w.index()] = NO_POS;
-        }
-        self.holders.clear();
-        self.holders.extend(dists.iter().map(|d| d.node));
         for (p, d) in dists.iter().enumerate() {
             self.pos[d.node.index()] = p as u32;
         }
-        self.receivers = members.iter().filter(|v| !seed_mask[v.index()]).count();
         for (m, &v) in members.iter().enumerate() {
             self.member[v.index()] = m as u32;
         }
@@ -455,13 +467,6 @@ impl PassRecord {
         &self.in_refs[self.in_start[m] as usize..self.in_start[m + 1] as usize]
     }
 
-    /// The holder at distribution position `p`.
-    fn holder<'l>(&self, ledger: &'l Ledger<'_>, p: u32) -> &'l Holder {
-        ledger
-            .holder(self.holders[p as usize])
-            .expect("distribution holders hold coupons")
-    }
-
     /// The ordered pass's fold for the receiver `v` over its
     /// in-distributions positioned before `before`: `v`'s emit when
     /// `before` is its own position, `P0(v)` when it is [`NO_POS`].
@@ -495,25 +500,41 @@ impl PassRecord {
         1.0 - complement
     }
 
-    /// Start a new, empty dirty set.
-    fn clear_dirty(&mut self) {
+    /// Start a new, empty dirty set for a stage with `stages_left` stages
+    /// (itself included) still to fold.
+    fn clear_dirty(&mut self, stages_left: usize) {
         self.stamp_gen = self.stamp_gen.wrapping_add(1);
         if self.stamp_gen == 0 {
             self.stamp.fill(0);
             self.stamp_gen = 1;
         }
         self.dirty.clear();
-        self.dense = false;
+        self.dirty_cost = 0;
+        self.stages_left = stages_left;
     }
 
-    /// Add the targets of the distribution at position `p` to the dirty
-    /// set; with `ahead`, also flag the later-positioned holders among them
-    /// (their emits read `p`). A dense set takes no more.
-    fn mark_targets(&mut self, ledger: &Ledger<'_>, p: u32, ahead: bool) {
-        if self.dense {
+    /// Add the targets of `h`, the holder at distribution position `p`, to
+    /// the dirty set; with `ahead`, also flag the later-positioned holders
+    /// among them (their emits read `p`). Once the cone is over budget it
+    /// takes no more.
+    ///
+    /// The budget is one stage of the full passes, which visits each
+    /// member and each distribution edge once. The cone has spent `spent`
+    /// visits, and finishing costs at least the dirty set's folds (each
+    /// member's in-distributions) in every stage left, since a stage's
+    /// dirty set is what changed upstream of it. One stage, not all
+    /// `1 + rounds` of them: a gathered visit costs more than a scattered
+    /// one (a position lookup, a stamp, a random read), so the cone pays only
+    /// while it stays small, and a cone given up wastes at most about one
+    /// stage. Measured on the dense 120-node sweep instances of
+    /// `repro extensions` (2-core host), a budget of all the stages let
+    /// cones finish at 40–70% of the full passes' visits, and ID ran
+    /// 25–35% slower than with the full passes alone.
+    fn mark_targets(&mut self, h: &Holder, p: u32, ahead: bool) {
+        if self.over_budget {
             return;
         }
-        for &t in &self.holder(ledger, p).targets {
+        for &t in &h.targets {
             let i = t.index();
             if ahead && self.pos[i] != NO_POS && self.pos[i] > p {
                 self.pending[self.pos[i] as usize] = true;
@@ -521,10 +542,13 @@ impl PassRecord {
             if self.stamp[i] != self.stamp_gen {
                 self.stamp[i] = self.stamp_gen;
                 self.dirty.push(t);
+                self.dirty_cost += 1 + self.in_refs(t).len();
             }
         }
-        let dirty = self.dirty.len();
-        self.dense = dirty >= DENSE_FLOOR && dirty * DENSE_SHARE >= self.receivers;
+        self.spent += h.targets.len();
+        let stage = self.in_start.len() - 1 + self.in_refs.len();
+        self.over_budget =
+            self.spent + self.stages_left * self.dirty_cost > stage && !unbounded_cones();
     }
 
     /// Recompute the dirty receivers' `stage[round]` folds; returns the
@@ -545,17 +569,19 @@ impl PassRecord {
             }
         }
         self.work += dirty.len() as u64;
+        self.spent += self.dirty_cost;
         self.dirty = dirty;
         changed
     }
 
     /// After holder `u`'s `q` changed (non-structurally: same spread
-    /// order, same distribution list), bring every stage up to date by
-    /// recomputing only the nodes whose inputs changed, and write the final
-    /// probabilities that changed into `active_prob`. Returns those nodes
-    /// (unordered), or `None` — record half-updated, to be rewritten by a
-    /// full recording pass — when a stage's dirty set grows dense or the
-    /// pass would now run a different number of rounds.
+    /// order, same distribution list `dists`, in position order), bring
+    /// every stage up to date by recomputing only the nodes whose inputs
+    /// changed, and write the final probabilities that changed into
+    /// `active_prob`. Returns those nodes (unordered), or `None` — record
+    /// half-updated, to be rewritten by a full recording pass — when the
+    /// cone goes over budget (see [`mark_targets`](Self::mark_targets)) or
+    /// the pass would now run a different number of rounds.
     ///
     /// * **Ordered pass.** `u`'s targets' `P0` folds read its `q` (the
     ///   index's copy is patched first); a holder among them positioned
@@ -568,6 +594,7 @@ impl PassRecord {
     pub(crate) fn refresh_probs(
         &mut self,
         ledger: &Ledger<'_>,
+        dists: &[NodeId],
         u: NodeId,
         active_prob: &mut [f64],
     ) -> Option<Vec<NodeId>> {
@@ -576,38 +603,42 @@ impl PassRecord {
             // No spread member receives `u`'s coupons: nothing reads its q.
             return Some(Vec::new());
         }
-        let q = self.holder(ledger, pu).dp.q();
+        let holder = |p: u32| dist_holder(ledger, dists, p);
         let outs = self.out_start[pu as usize] as usize..self.out_start[pu as usize + 1] as usize;
-        for (&at, &qj) in self.out_refs[outs].iter().zip(q) {
+        for (&at, &qj) in self.out_refs[outs].iter().zip(holder(pu).dp.q()) {
             self.in_refs[at as usize].q = qj;
         }
-        self.clear_dirty();
-        self.mark_targets(ledger, pu, true);
-        for p in pu + 1..self.holders.len() as u32 {
-            if !std::mem::take(&mut self.pending[p as usize]) || self.dense {
+        self.spent = 0;
+        self.over_budget = false;
+        self.clear_dirty(1 + self.rounds);
+        self.mark_targets(holder(pu), pu, true);
+        for p in pu + 1..dists.len() as u32 {
+            if !std::mem::take(&mut self.pending[p as usize]) || self.over_budget {
                 continue;
             }
-            let emit = self.fold_ordered(self.holders[p as usize], p);
+            let w = dists[p as usize];
+            let emit = self.fold_ordered(w, p);
             self.work += 1;
+            self.spent += 1 + self.in_refs(w).len();
             if emit.to_bits() != self.emit[p as usize].to_bits() {
                 self.emit[p as usize] = emit;
-                self.mark_targets(ledger, p, true);
+                self.mark_targets(holder(p), p, true);
             }
         }
-        if self.dense {
+        if self.over_budget {
             return None;
         }
         let mut changed = self.restage(0);
         for round in 1..=self.rounds {
-            self.clear_dirty();
-            self.mark_targets(ledger, pu, false);
+            self.clear_dirty(1 + self.rounds - round);
+            self.mark_targets(holder(pu), pu, false);
             for &w in &changed {
                 let pw = self.pos[w.index()];
                 if pw != NO_POS {
-                    self.mark_targets(ledger, pw, false);
+                    self.mark_targets(holder(pw), pw, false);
                 }
             }
-            if self.dense {
+            if self.over_budget {
                 return None;
             }
             let now = self.restage(round);
@@ -637,6 +668,7 @@ impl PassRecord {
     pub(crate) fn refresh_gains(
         &mut self,
         ledger: &Ledger<'_>,
+        dists: &[NodeId],
         u: NodeId,
         gains: &mut [f64],
     ) -> Vec<NodeId> {
@@ -651,7 +683,7 @@ impl PassRecord {
             if !std::mem::take(&mut self.pending[p as usize]) {
                 continue;
             }
-            let h = self.holder(ledger, p);
+            let h = dist_holder(ledger, dists, p);
             let mut gain = data.benefit(h.node);
             for (&t, &qj) in h.targets.iter().zip(h.dp.q()) {
                 let pt = self.pos[t.index()];
@@ -677,6 +709,13 @@ impl PassRecord {
         }
         changed
     }
+}
+
+/// The holder at position `p` of the distribution list `dists`.
+fn dist_holder<'l>(ledger: &'l Ledger<'_>, dists: &[NodeId], p: u32) -> &'l Holder {
+    ledger
+        .holder(dists[p as usize])
+        .expect("distribution holders hold coupons")
 }
 
 /// Backward pass: subtree gains in descending level order, reusing the

@@ -625,97 +625,3 @@ proptest! {
         }
     }
 }
-
-/// Node count of the dense cyclic strategy below.
-const DENSE_N: usize = 40;
-
-/// An edge probability drawn from {0, 1, uniform}: exact zeros and ones
-/// make emits of exactly 0, saturated probabilities and Jacobi rounds that
-/// stop early, which uniform draws almost never hit.
-fn edge_prob(choice: u8, uniform: f64) -> f64 {
-    match choice {
-        0 => 0.0,
-        1 => 1.0,
-        _ => uniform,
-    }
-}
-
-/// Random reciprocal graph over [`DENSE_N`] nodes: each drawn pair adds
-/// both directions, each with its own probability, so short cycles are
-/// everywhere.
-fn dense_cyclic_strategy() -> impl Strategy<Value = Vec<(u32, u32, u8, f64, u8, f64)>> {
-    let n = DENSE_N as u32;
-    proptest::collection::vec(
-        (0u32..n, 0u32..n, 0u8..4, 0.0f64..=1.0, 0u8..4, 0.0f64..=1.0),
-        40..160,
-    )
-}
-
-fn build_dense_cyclic(pairs: &[(u32, u32, u8, f64, u8, f64)]) -> CsrGraph {
-    let mut b = GraphBuilder::new(DENSE_N);
-    for &(u, v, cf, pf, cb, pb) in pairs {
-        if u != v {
-            b.add_edge(u, v, edge_prob(cf, pf)).unwrap();
-            b.add_edge(v, u, edge_prob(cb, pb)).unwrap();
-        }
-    }
-    b.build().unwrap()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Broadens and retrievals that keep the holder relaying refresh only
-    /// their dirty cone. On dense reciprocal graphs, after a script
-    /// dominated by such moves (plus some first coupons, emptying
-    /// retrievals and seed packages), every move leaves the engine equal
-    /// to a from-scratch evaluation, bit for bit, and reports exactly the
-    /// nodes whose probability and gain bits changed.
-    #[test]
-    fn cone_refreshes_equal_full_passes_on_dense_cyclic_graphs(
-        pairs in dense_cyclic_strategy(),
-        moves in proptest::collection::vec((0u8..10, 0u32..DENSE_N as u32, 1u32..4), 1..48),
-        benefits in proptest::collection::vec(0.5f64..4.0, DENSE_N..DENSE_N + 1),
-    ) {
-        let g = build_dense_cyclic(&pairs);
-        let d = NodeData::new(benefits, vec![1.0; DENSE_N], vec![1.0; DENSE_N]).unwrap();
-        let mut coupons = vec![0u32; DENSE_N];
-        coupons[0] = (g.out_degree(NodeId(0)) as u32).min(2);
-        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &coupons);
-        let changed = |before: &[f64], after: &[f64]| -> Vec<NodeId> {
-            (0..DENSE_N)
-                .filter(|&i| before[i].to_bits() != after[i].to_bits())
-                .map(|i| NodeId(i as u32))
-                .collect()
-        };
-        for &(op, node, amount) in &moves {
-            let holders = engine.ledger().holder_nodes().to_vec();
-            let holder = (!holders.is_empty()).then(|| holders[node as usize % holders.len()]);
-            let prev_prob = engine.active_prob().to_vec();
-            let prev_gain = engine.subtree_gain().to_vec();
-            let delta = match (op, holder) {
-                (0..=4, Some(h)) => engine.add_coupons(h, amount).1,
-                (7..=8, Some(h)) => {
-                    // Keep the donor relaying when it can, so the move stays
-                    // non-structural.
-                    let held = engine.ledger().coupons()[h.index()];
-                    let take = if held > 1 { amount.min(held - 1) } else { amount };
-                    engine.remove_coupons(h, take).1
-                }
-                (9, _) => engine.add_seed_package(NodeId(node), amount),
-                _ => engine.add_coupons(NodeId(node), amount).1,
-            };
-            assert_engine_is_fresh(&engine, &g, &d);
-            prop_assert_eq!(
-                &delta.probs_changed,
-                &changed(&prev_prob, engine.active_prob()),
-                "probs_changed after op {} on node {}", op, node
-            );
-            prop_assert_eq!(
-                &delta.gains_changed,
-                &changed(&prev_gain, engine.subtree_gain()),
-                "gains_changed after op {} on node {}", op, node
-            );
-        }
-    }
-}
